@@ -47,6 +47,7 @@ from .export import (
     write_xy_csv,
 )
 from .lfunctions import (
+    GammaConvergenceError,
     LSeries,
     density_comparison,
     explicit_predict,
@@ -65,7 +66,11 @@ from .stratify import (
     stratify,
 )
 from .traces import (
+    CacheCorruptionError,
+    CacheFormatError,
+    MissingTraceError,
     PrimeList,
+    TraceComputationError,
     build_trace_matrix,
     default_prime_list,
     load_trace_matrix,
@@ -107,7 +112,14 @@ class RunConfig:
     )
 
     def digest(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        """Hash of the fields that decide a report's content.
+
+        The worker count and the output directory are left out, so the same
+        inputs hash alike on any machine and in any directory.
+        """
+        fields = dataclasses.asdict(self)
+        del fields["threads"], fields["out"]
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -184,6 +196,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.scan_windows = tuple(
             tuple(int(v) for v in _parse_range(w)) for w in args.scan_windows.split(",")
         )
+    # a config file bypasses the parser's choices for --rule
+    if cfg.rule != "all" and cfg.rule not in RULES_BY_NAME:
+        raise CliError(f"unknown rule {cfg.rule!r}")
     return cfg
 
 
@@ -257,6 +272,11 @@ def cmd_traces(cfg: RunConfig) -> dict:
             raise CliError(
                 f"cache {cache_path} was built for a different curve table; "
                 "remove it or point --cache elsewhere"
+            )
+        if not np.array_equal(existing.primes.primes, primes.primes):
+            raise CliError(
+                f"cache {cache_path} holds {len(existing.primes)} primes, "
+                f"{len(primes)} were requested; remove it or point --cache elsewhere"
             )
         matrix = existing
         rebuilt = False
@@ -693,14 +713,29 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1
+_USER_ERRORS = (
+    CliError,
+    ValueError,
+    OSError,
+    ArithmeticError,
+    GammaConvergenceError,
+    CacheFormatError,
+    CacheCorruptionError,
+    TraceComputationError,
+    MissingTraceError,
+)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    cfg = None
     try:
         cfg = build_config(args)
         report = _SUBCOMMANDS[args.command](cfg)
-    except (CliError, ValueError, OSError) as exc:
+    except _USER_ERRORS as exc:
         error_report = {"command": args.command, "error": str(exc)}
-        out = Path(getattr(args, "out", None) or "out")
+        out = Path(cfg.out if cfg else args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / f"{args.command}_error.json", error_report)
         print(f"error: {exc}", file=sys.stderr)

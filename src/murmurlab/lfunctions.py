@@ -15,6 +15,13 @@ with x_n = 2 pi n / sqrt(N) and Gamma(s, x) the upper incomplete gamma
 function.  For w = +1 the two sums are conjugate, so Lambda is real on the
 line; zero ordinates found here coincide with the gamma of the analytic
 normalization rho = 1/2 + i*gamma.
+
+The incomplete gamma kernels iterate only the elements that have not yet
+converged, and heights are evaluated in small blocks of rows.  Neither
+changes the arithmetic done for any element or row, so neither changes a
+value.  The zero search scans with both sums, so the realness check still
+compares them; its bisection evaluates the first sum only and adds its
+conjugate, which for w = +1 is the second sum bit for bit (see locate_zeros).
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ _X_CUT = 46.0
 #: per-element relative target for the incomplete gamma evaluation
 _GAMMA_TOL = 1e-14
 _GAMMA_MAX_ITER = 600
+#: heights per block in _lambda_batch; keeps the gamma temporaries in cache
+_BLOCK_ROWS = 16
 
 #: default search ceiling for low-lying zeros
 DEFAULT_T_MAX = 10.0
@@ -75,33 +84,56 @@ def upper_incomplete_gamma(s, x):
 
 
 def _gamma_upper_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gamma(s) - lower gamma via the standard ascending series."""
+    """Gamma(s) - lower gamma via the standard ascending series.
+
+    Each pass updates only the elements still short of convergence; an
+    element's partial sum is written out once, on the pass that converges it.
+    """
+    total_out = np.empty(s.shape, dtype=np.complex128)
+    idx = np.arange(s.size)
+    s_a, x_a = s, x
     term = 1.0 / s
     total = term.copy()
-    active = np.ones(s.shape, dtype=bool)
     k = 0
-    while np.any(active):
+    while idx.size:
         k += 1
         if k > _GAMMA_MAX_ITER:
             raise GammaConvergenceError("incomplete gamma series did not converge")
-        term = term * x / (s + k)
-        total[active] += term[active]
-        active &= np.abs(term) > _GAMMA_TOL * np.abs(total)
-    lower = np.exp(s * np.log(np.where(x > 0, x, 1.0)) - x) * total
+        term = term * x_a / (s_a + k)
+        total = total + term
+        done = ~(np.abs(term) > _GAMMA_TOL * np.abs(total))
+        if done.any():
+            total_out[idx[done]] = total[done]
+            keep = ~done
+            idx, s_a, x_a = idx[keep], s_a[keep], x_a[keep]
+            term, total = term[keep], total[keep]
+    lower = np.exp(s * np.log(np.where(x > 0, x, 1.0)) - x) * total_out
     lower = np.where(x > 0, lower, 0.0)
     return special.gamma(s) - lower
 
 
 def _gamma_upper_cf(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Modified Lentz continued fraction for the upper function."""
+    """Modified Lentz continued fraction for the upper function.
+
+    Active-set iteration as in the series: only unconverged elements are
+    updated, so the work is the sum of the per-element iteration counts
+    rather than their maximum times the batch size.
+    """
     tiny = 1e-300
+    h_out = np.empty(s.shape, dtype=np.complex128)
+    idx = np.arange(s.size)
+    s_a = s
     b = x + 1.0 - s
     c = np.full(s.shape, 1.0 / tiny, dtype=np.complex128)
     d = 1.0 / np.where(b != 0, b, tiny)
     h = d.copy()
-    active = np.ones(s.shape, dtype=bool)
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - s)
+    i = 0
+    while idx.size:
+        i += 1
+        if i > _GAMMA_MAX_ITER:
+            raise GammaConvergenceError(
+                "incomplete gamma continued fraction did not converge")
+        an = -i * (i - s_a)
         b = b + 2.0
         d = an * d + b
         d = np.where(np.abs(d) < tiny, tiny, d)
@@ -109,13 +141,14 @@ def _gamma_upper_cf(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) > _GAMMA_TOL
-        if not np.any(active):
-            break
-    else:
-        raise GammaConvergenceError("incomplete gamma continued fraction did not converge")
-    return np.exp(-x + s * np.log(x)) * h
+        h = h * delta
+        done = ~(np.abs(delta - 1.0) > _GAMMA_TOL)
+        if done.any():
+            h_out[idx[done]] = h[done]
+            keep = ~done
+            idx, s_a = idx[keep], s_a[keep]
+            b, c, d, h = b[keep], c[keep], d[keep], h[keep]
+    return np.exp(-x + s * np.log(x)) * h_out
 
 
 @dataclass(frozen=True)
@@ -194,21 +227,34 @@ def l_value_series(series: LSeries) -> float:
     return float(2.0 * np.sum(a / n * np.exp(-c * n)))
 
 
-def _lambda_batch(series: LSeries, ts: np.ndarray) -> np.ndarray:
-    """Lambda(1 + i t) for an array of heights t (complex values returned)."""
+def _lambda_batch(series: LSeries, ts: np.ndarray, one_sided: bool = False) -> np.ndarray:
+    """Lambda(1 + i t) for an array of heights t (complex values returned).
+
+    Heights are evaluated _BLOCK_ROWS at a time so the (heights x terms)
+    temporaries stay small; each row is summed on its own, so blocking does
+    not change any value.  With one_sided (w = +1 only) the dual sum is taken
+    as the conjugate of the first, which is what the two-sided evaluation
+    computes bit for bit (see locate_zeros).
+    """
     ts = np.asarray(ts, dtype=np.float64)
     N = series.conductor
     x_all = 2.0 * math.pi * np.arange(1, series.n_max + 1) / math.sqrt(N)
     keep = x_all <= _X_CUT
     x = x_all[keep]
     a = series.coefficients[1 : series.n_max + 1][keep]
-    s = (1.0 + 1j * ts)[:, None]
     lx = np.log(x)[None, :]
-    g_s = upper_incomplete_gamma(np.broadcast_to(s, (len(ts), len(x))), x[None, :])
-    g_2ms = upper_incomplete_gamma(np.broadcast_to(2.0 - s, (len(ts), len(x))), x[None, :])
-    term = a[None, :] * (np.exp(-s * lx) * g_s
-                         + series.root_number * np.exp((s - 2.0) * lx) * g_2ms)
-    return term.sum(axis=1)
+    out = np.empty(len(ts), dtype=np.complex128)
+    for start in range(0, len(ts), _BLOCK_ROWS):
+        s = (1.0 + 1j * ts[start : start + _BLOCK_ROWS])[:, None]
+        shape = (len(s), len(x))
+        f = np.exp(-s * lx) * upper_incomplete_gamma(np.broadcast_to(s, shape), x[None, :])
+        if one_sided:
+            dual = np.conj(f)
+        else:
+            g_2ms = upper_incomplete_gamma(np.broadcast_to(2.0 - s, shape), x[None, :])
+            dual = series.root_number * np.exp((s - 2.0) * lx) * g_2ms
+        out[start : start + _BLOCK_ROWS] = (a[None, :] * (f + dual)).sum(axis=1)
+    return out
 
 
 def lambda_critical(series: LSeries, t: float) -> float:
@@ -255,6 +301,15 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     |dt| < 1e-6.  Refining the grid can only add detected zeros, never drop
     one.  If fewer than k sign changes occur below t_max the result is
     flagged incomplete.
+
+    The scan evaluates both sums of the functional equation, so the
+    REALNESS_TOL check still tests that they are conjugate.  Bisection
+    midpoints compute F_n = x_n^{-s} Gamma(s, x_n) once and sum
+    a_n (F_n + conj F_n), which halves the incomplete gamma work and is
+    exact: for s = 1 + it the floating-point values 2 - s and s - 2 are
+    conj(s) and -conj(s), the exponential and the gamma kernels commute with
+    conjugation bit for bit, and w = +1, so the second term is conj F_n in
+    every bit and the row sum adds the same numbers in the same order.
     """
     if series.root_number != 1:
         raise ValueError(f"{series.label}: zero search requires w = +1")
@@ -280,7 +335,7 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
         f_lo = float(re[idx])
         while hi - lo > ZERO_TOL:
             mid = 0.5 * (lo + hi)
-            f_mid = _lambda_batch(series, np.array([mid]))[0].real
+            f_mid = _lambda_batch(series, np.array([mid]), one_sided=True)[0].real
             if f_mid == 0.0:
                 lo = hi = mid
                 break

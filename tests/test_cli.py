@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from murmurlab import lfunctions
 from murmurlab.cli import main
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
@@ -98,6 +99,17 @@ class TestTraces:
         err = json.loads((out / "traces_error.json").read_text())
         assert "different curve table" in err["error"]
 
+    def test_prime_count_mismatch_refused(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                     "--primes", "20", "--out", str(out)]) == 0
+        rc = main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                   "--primes", "30", "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "traces_error.json").read_text())
+        assert "holds 20 primes, 30 were requested" in err["error"]
+
 
 class TestStratify:
     def test_report_fields_and_determinism(self, twist_csv, tmp_path):
@@ -126,6 +138,32 @@ class TestStratify:
         assert rc == 1
         err = json.loads((out / "stratify_error.json").read_text())
         assert "group_b" in err["error"]
+
+
+class TestErrorReports:
+    def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                     "--primes", "20", "--out", str(out)]) == 0
+        cache.write_bytes(cache.read_bytes()[:-40])
+        rc = main(["stratify", "--curves", str(twist_csv), "--cache", str(cache),
+                   "--rule", "sha", "--range", "1000:300000", "--primes", "20",
+                   "--shuffles", "50", "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "stratify_error.json").read_text())
+        assert err["command"] == "stratify"
+        assert "truncated cache" in err["error"]
+
+    def test_zeros_gamma_non_convergence(self, twist_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(lfunctions, "_GAMMA_MAX_ITER", 1)
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(twist_csv), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "20", "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "zeros_error.json").read_text())
+        assert "did not converge" in err["error"]
+        assert not (out / "zeros.json").exists()
 
 
 class TestZerosImport:
@@ -186,6 +224,35 @@ class TestConfigFile:
         assert rc == 0
         report = read_report(tmp_path / "b", "ingest")
         assert report["seed"] == 111
+
+    def test_config_hash_ignores_out_and_threads(self, known_csv_path, tmp_path):
+        hashes = set()
+        for out, threads in (("a", "1"), ("b", "2"), ("c", "7")):
+            assert main(["ingest", "--curves", str(known_csv_path), "--threads",
+                         threads, "--out", str(tmp_path / out)]) == 0
+            hashes.add(read_report(tmp_path / out, "ingest")["config_hash"])
+        assert len(hashes) == 1
+        assert main(["ingest", "--curves", str(known_csv_path), "--seed", "2",
+                     "--out", str(tmp_path / "d")]) == 0
+        assert read_report(tmp_path / "d", "ingest")["config_hash"] not in hashes
+
+    def test_unknown_rule_in_config_rejected(self, known_csv_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rule=nosuch\n")
+        out = tmp_path / "out"
+        rc = main(["stratify", "--config", str(cfg), "--curves",
+                   str(known_csv_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "stratify_error.json").read_text())
+        assert "unknown rule 'nosuch'" in err["error"]
+
+    def test_error_report_goes_to_configured_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'configured'}\n")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        assert (tmp_path / "configured" / "ingest_error.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,11 +3,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from murmurlab import lfunctions
 from murmurlab.lfunctions import (
     CoefficientShortfallError,
     DensityComparison,
+    GammaConvergenceError,
     LSeries,
     ZeroSet,
     density_comparison,
@@ -77,6 +80,34 @@ class TestIncompleteGamma:
         assert np.allclose(upper_incomplete_gamma(np.conj(s), x),
                            np.conj(upper_incomplete_gamma(s, x)), rtol=1e-12)
 
+    def test_conjugation_symmetry_is_exact(self):
+        # the one-sided bisection in locate_zeros relies on this holding bit for bit
+        t = np.repeat(np.linspace(-10.0, 10.0, 41), 47)
+        x = np.tile(np.linspace(0.0, 46.0, 47), 41)
+        s = 1.0 + 1j * t
+        assert np.array_equal(upper_incomplete_gamma(np.conj(s), x),
+                              np.conj(upper_incomplete_gamma(s, x)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 46.0)),
+                    min_size=1, max_size=40))
+    def test_batch_element_equals_single_call(self, pairs):
+        # one series element (x < |s| + 1) and one continued-fraction element
+        # ride along so every batch mixes both branches and convergence speeds
+        pairs = [(0.5, 0.5), (0.5, 30.0), *pairs]
+        s = np.array([1.0 + 1j * t for t, _ in pairs])
+        x = np.array([xv for _, xv in pairs])
+        batch = upper_incomplete_gamma(s, x)
+        singles = np.array([upper_incomplete_gamma(s[i:i + 1], x[i:i + 1])[0]
+                            for i in range(len(pairs))])
+        assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("x", [0.5, 30.0], ids=["series", "continued_fraction"])
+    def test_non_convergence_raises(self, monkeypatch, x):
+        monkeypatch.setattr(lfunctions, "_GAMMA_MAX_ITER", 1)
+        with pytest.raises(GammaConvergenceError, match="did not converge"):
+            upper_incomplete_gamma(np.array([1.0 + 2.0j, 1.0 - 0.3j]), np.full(2, x))
+
 
 class TestCentralValue:
     def test_11a1_matches_ingested(self, series_11a1, known_table_module):
@@ -120,6 +151,12 @@ class TestLambdaCritical:
             assert lambda_critical(series_11a1, t) == pytest.approx(
                 lambda_critical(series_11a1, -t), rel=1e-12
             )
+
+    def test_one_sided_evaluation_is_bit_identical(self, series_11a1):
+        ts = np.linspace(0.0, 9.0, 37)
+        two_sided = lfunctions._lambda_batch(series_11a1, ts)
+        one_sided = lfunctions._lambda_batch(series_11a1, ts, one_sided=True)
+        assert np.array_equal(one_sided, two_sided)
 
     def test_budget_enforced(self, series_11a1):
         too_high = 25.0
@@ -176,6 +213,26 @@ class TestZeroFinder:
         series = LSeries.from_curve(rec, t_max=0.0)
         with pytest.raises(ValueError, match="w = \\+1"):
             locate_zeros(series)
+
+
+#: zero ordinates (repr) recorded from the dense-loop zero finder; speed work
+#: on the kernel or the search must reproduce them exactly
+GOLDEN_ZEROS = {
+    1: ("6.362613586575367", "8.60353961029275"),
+    53: ("0.5154294206846719", "1.869542576985742", "2.562736821961356",
+         "3.2916890441981232", "3.683809922598468"),
+    89: ("0.31591318413955755", "1.3373972531818483", "1.9321490989781824",
+         "2.3569176526768025", "2.9854733075757016"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_ZEROS))
+def test_golden_zero_ordinates(d):
+    """11a1 (d = 1) and its twists by 53 (N = 30,899) and 89 (N = 87,131)."""
+    twist = twist_of_11a1(d)
+    assert twist.root_number == 1
+    zeros = locate_zeros(LSeries.from_curve(twist))
+    assert tuple(repr(float(g)) for g in zeros.gammas) == GOLDEN_ZEROS[d]
 
 
 def _toy_zero_sets(matrix, prefix):
