@@ -53,6 +53,7 @@ from .lfunctions import (
     explicit_predict,
     hotelling_t2,
     locate_zeros,
+    one_level_density,
     read_zero_sets_csv,
     write_zero_sets_csv,
 )
@@ -60,6 +61,7 @@ from .stratify import (
     SCALE_WINDOWS,
     SHA_RULE,
     TABLE_RULES,
+    TAMAGAWA_RULE,
     bonferroni,
     partition,
     scale_scan,
@@ -105,7 +107,6 @@ class RunConfig:
     threads: int = os.cpu_count() or 1
     out: str = "out"
     svg: bool = False
-    invariant: str = "period"
     sample: int = 0
     scan_windows: tuple[tuple[int, int], ...] = tuple(
         (int(a), int(b)) for a, b in SCALE_WINDOWS
@@ -135,6 +136,35 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise CliError(f"expected LO:HI, got {text!r}") from None
 
 
+def _int_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_range(text)
+    return int(lo), int(hi)
+
+
+#: RunConfig field -> (parser of its text form, argparse options of its flag).
+#: Config-file values and flags are both text and go through the same parser.
+_FIELDS = {
+    "curves": (str, {"help": "canonical curves CSV"}),
+    "cache": (str, {"help": "binary trace cache path"}),
+    "zeros": (str, {"help": "externally computed zeros CSV"}),
+    "primes": (int, {"help": "prime count (default 500)"}),
+    "window": (float, {"help": "window width W"}),
+    "step": (float, {"help": "window step S"}),
+    "range": (_int_range, {"help": "conductor range LO:HI"}),
+    "rule": (str, {"choices": [*RULES_BY_NAME, "all"], "help": "stratification rule"}),
+    "band": (_parse_range, {"help": "L-value band LO:HI"}),
+    "shuffles": (int, {"help": "permutation shuffles"}),
+    "seed": (int, {"help": "RNG seed (always recorded)"}),
+    "threads": (int, {"help": "worker processes"}),
+    "out": (str, {"help": "output directory"}),
+    "svg": (lambda text: text.lower() in ("1", "true", "yes"),
+            {"action": "store_const", "const": "true", "help": "emit SVG plots"}),
+    "sample": (int, {"help": "curves sampled per group for zero statistics"}),
+    "scan_windows": (lambda text: tuple(_int_range(w) for w in text.split(",")),
+                     {"help": "comma-separated LO:HI windows for the scale scan"}),
+}
+
+
 def _file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -158,44 +188,15 @@ def load_config_file(path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            if not hasattr(cfg, key):
-                raise CliError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            if key in ("range", "band"):
-                setattr(cfg, key, _parse_range(value))
-            elif key == "scan_windows":
-                wins = tuple(
-                    tuple(int(float(v)) for v in w.split(":")) for w in value.split(",")
-                )
-                setattr(cfg, key, wins)
-            elif isinstance(current, bool):
-                setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(value))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
-    # flags win over the config file
-    for key in ("curves", "cache", "zeros", "primes", "window", "step", "rule",
-                "shuffles", "seed", "threads", "out", "invariant", "sample"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "range", None) is not None:
-        lo, hi = _parse_range(args.range)
-        cfg.range = (int(lo), int(hi))
-    if getattr(args, "band", None) is not None:
-        cfg.band = _parse_range(args.band)
-    if getattr(args, "svg", False):
-        cfg.svg = True
-    if getattr(args, "scan_windows", None):
-        cfg.scan_windows = tuple(
-            tuple(int(v) for v in _parse_range(w)) for w in args.scan_windows.split(",")
-        )
+    """Defaults, overridden by the config file, overridden by the flags."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in values:
+        if key not in _FIELDS:
+            raise CliError(f"unknown config key {key!r}")
+    for key in _FIELDS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**{key: _FIELDS[key][0](text) for key, text in values.items()})
     # a config file bypasses the parser's choices for --rule
     if cfg.rule != "all" and cfg.rule not in RULES_BY_NAME:
         raise CliError(f"unknown rule {cfg.rule!r}")
@@ -223,18 +224,23 @@ def _load_table(cfg: RunConfig):
     return result
 
 
-def _load_matrix(cfg: RunConfig, table):
+def _context(cfg: RunConfig):
+    """The ingested table, its aligned trace matrix, the rank-0 slice and its range.
+
+    The matrix comes from the cache when one exists, else it is built.
+    Curve groups cut from the table index the matrix directly.
+    """
+    table = _load_table(cfg).table
     primes = default_prime_list(cfg.primes)
     if cfg.cache and Path(cfg.cache).exists():
-        matrix = load_trace_matrix(cfg.cache)
-        if not set(table.labels) <= set(matrix.curve_labels):
-            raise CliError(
-                "trace cache does not cover the ingested table; rebuild with 'traces'"
-            )
+        matrix = load_trace_matrix(cfg.cache).take(table)
         if not np.array_equal(matrix.primes.primes, primes.primes):
             raise CliError("trace cache prime list differs from the requested one")
-        return matrix
-    return build_trace_matrix(table, primes, workers=cfg.threads)
+    else:
+        matrix = build_trace_matrix(table, primes, workers=cfg.threads)
+    conductor_range = cfg.range or (10_000, 50_000)
+    rank0 = table.filter(rank=0, conductor_range=conductor_range)
+    return table, matrix, rank0, conductor_range
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -262,8 +268,7 @@ def cmd_ingest(cfg: RunConfig) -> dict:
 
 
 def cmd_traces(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
-    table = result.table
+    table = _load_table(cfg).table
     primes = default_prime_list(cfg.primes)
     cache_path = Path(cfg.cache) if cfg.cache else _out_dir(cfg) / "traces.bin"
     if cache_path.exists():
@@ -296,8 +301,7 @@ def cmd_traces(cfg: RunConfig) -> dict:
 
 
 def cmd_windows(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
-    table = result.table
+    table = _load_table(cfg).table
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves})
     per_invariant = {}
@@ -355,18 +359,10 @@ def cmd_windows(cfg: RunConfig) -> dict:
     return report
 
 
-def _rank0_slice(cfg: RunConfig, table):
-    conductor_range = cfg.range or (10_000, 50_000)
-    return table.filter(rank=0, conductor_range=conductor_range), conductor_range
-
-
 def cmd_stratify(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
-    table = result.table
-    matrix = _load_matrix(cfg, table)
+    table, matrix, rank0, conductor_range = _context(cfg)
     out = _out_dir(cfg)
     rules = TABLE_RULES if cfg.rule == "all" else (RULES_BY_NAME[cfg.rule],)
-    rank0, conductor_range = _rank0_slice(cfg, table)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     entries = {}
     p_values = []
@@ -374,9 +370,7 @@ def cmd_stratify(cfg: RunConfig) -> dict:
         if rule.name == "root_number":
             # cross-rank calibration baseline: rank 0 vs rank 1
             in_range = table.filter(conductor_range=conductor_range)
-            base = in_range.subset(
-                [i for i, r in enumerate(in_range.records) if r.rank in (0, 1)]
-            )
+            base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
         else:
             base = rank0
         part, strat_report = stratify(base, matrix, rule,
@@ -423,26 +417,21 @@ def cmd_stratify(cfg: RunConfig) -> dict:
 
 
 def cmd_confound(cfg: RunConfig) -> dict:
-    from .stratify import TAMAGAWA_RULE
-
-    result = _load_table(cfg)
-    table = result.table
-    matrix = _load_matrix(cfg, table)
-    rank0, conductor_range = _rank0_slice(cfg, table)
+    table, matrix, rank0, conductor_range = _context(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     battery = {}
 
     tam_part = partition(rank0, TAMAGAWA_RULE)
     for k in (2, 3, 4):
         try:
-            _, rep = control_omega(rank0, matrix, tam_part, k,
+            _, rep = control_omega(table, matrix, tam_part, k,
                                    n_shuffles=cfg.shuffles, seed=cfg.seed)
             battery[f"tamagawa_omega_{k}"] = rep.to_dict()
         except ValueError as exc:
             battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
 
     try:
-        matches = match_nn(rank0, tam_part.groups["group_a"],
+        matches = match_nn(table, tam_part.groups["group_a"],
                            tam_part.groups["group_b"], "conductor", 500.0)
         paired = matched_rms(matches, matrix)
         battery["tamagawa_conductor_matched"] = {
@@ -454,7 +443,7 @@ def cmd_confound(cfg: RunConfig) -> dict:
         write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
             "key": matches.key,
             "max_distance": matches.max_distance,
-            "pairs": [[a, b, d] for a, b, d in matches.pairs],
+            "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in matches.pairs],
         })
     except ValueError as exc:
         battery["tamagawa_conductor_matched"] = {"error": str(exc)}
@@ -469,9 +458,8 @@ def cmd_confound(cfg: RunConfig) -> dict:
             "report": rep.to_dict(),
             "group_sizes": part.sizes(),
         }
-        sha_part = partition(banded, SHA_RULE)
-        matches = match_nn(banded, sha_part.groups["group_b"],
-                           sha_part.groups["group_a"], "l_value", 0.1)
+        matches = match_nn(table, part.groups["group_b"],
+                           part.groups["group_a"], "l_value", 0.1)
         paired = matched_rms(matches, matrix)
         battery["sha_lvalue_matched"] = {
             "n_pairs": matches.n_pairs,
@@ -495,7 +483,7 @@ def cmd_confound(cfg: RunConfig) -> dict:
         sha_part = partition(rank0, SHA_RULE)
         groups = {"sha_1": sha_part.groups["group_a"],
                   "sha_ge4": sha_part.groups["group_b"]}
-        battery["bsd_group_ratios"] = bsd_group_ratios(rank0, groups)
+        battery["bsd_group_ratios"] = bsd_group_ratios(table, groups)
         prof_a = murmuration_profile(groups["sha_1"], matrix)
         prof_b = murmuration_profile(groups["sha_ge4"], matrix)
         cum = euler_cumsum(prof_a, prof_b)
@@ -521,10 +509,7 @@ def cmd_confound(cfg: RunConfig) -> dict:
 
 
 def cmd_diagnose(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
-    table = result.table
-    matrix = _load_matrix(cfg, table)
-    rank0, conductor_range = _rank0_slice(cfg, table)
+    table, matrix, rank0, conductor_range = _context(cfg)
     band = cfg.band or (1.10, 3.28)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     out = _out_dir(cfg)
@@ -581,36 +566,30 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
 
 
 def cmd_zeros(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
-    table = result.table
-    matrix = _load_matrix(cfg, table)
-    rank0, conductor_range = _rank0_slice(cfg, table)
+    table, matrix, rank0, _ = _context(cfg)
     band = cfg.band or (1.53, 2.84)
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "zeros": cfg.zeros})
     banded = lvalue_band(rank0, band)
     part = partition(banded, SHA_RULE)
-    groups = {"sha_1": list(part.groups["group_a"]),
-              "sha_ge4": list(part.groups["group_b"])}
+    groups = {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
     rng = np.random.default_rng(cfg.seed)
-    zero_sets = {}
+    found = {}  # group -> [(row, zero set)]
     if cfg.zeros:
         imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)}
         for name, members in groups.items():
-            zero_sets[name] = [imported[l] for l in members if l in imported]
+            found[name] = [(i, imported[table.labels[i]]) for i in members
+                           if table.labels[i] in imported]
     else:
         for name, members in groups.items():
-            chosen = members
             if cfg.sample and cfg.sample < len(members):
-                chosen = list(rng.choice(members, size=cfg.sample, replace=False))
-            sets = []
-            for label in chosen:
-                series = LSeries.from_curve(table.record(label))
-                sets.append(locate_zeros(series))
-            zero_sets[name] = sets
-            write_zero_sets_csv(out / f"zeros_{name}.csv", sets)
-    complete = {name: [z for z in sets if z.complete]
-                for name, sets in zero_sets.items()}
+                members = rng.choice(members, size=cfg.sample, replace=False)
+            found[name] = [(i, locate_zeros(LSeries.from_curve(table.record(i))))
+                           for i in members]
+            write_zero_sets_csv(out / f"zeros_{name}.csv", [z for _, z in found[name]])
+    complete = {name: [z for _, z in pairs if z.complete] for name, pairs in found.items()}
+    cond = {name: [int(table.conductors[i]) for i, z in pairs if z.complete]
+            for name, pairs in found.items()}
     zeros_report = {
         "band": list(band),
         "n_complete": {k: len(v) for k, v in complete.items()},
@@ -621,8 +600,6 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         zeros_report["hotelling"] = {
             "t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df),
         }
-        cond = {name: [table.record(z.label).conductor for z in sets]
-                for name, sets in complete.items()}
         comp = density_comparison(complete["sha_1"], cond["sha_1"],
                                   complete["sha_ge4"], cond["sha_ge4"])
         zeros_report["one_level_density"] = {
@@ -631,8 +608,6 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             "ks_all": list(comp.ks_all),
             "ks_first": list(comp.ks_first),
         }
-        from .lfunctions import one_level_density
-
         for name in ("sha_1", "sha_ge4"):
             dens = one_level_density(complete[name], cond[name])
             write_xy_csv(out / f"density_{name}.csv", dens.bin_centers,
@@ -690,26 +665,8 @@ def make_parser() -> argparse.ArgumentParser:
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--curves", help="canonical curves CSV")
-        p.add_argument("--cache", help="binary trace cache path")
-        p.add_argument("--zeros", help="externally computed zeros CSV")
-        p.add_argument("--primes", type=int, help="prime count (default 500)")
-        p.add_argument("--window", type=float, help="window width W")
-        p.add_argument("--step", type=float, help="window step S")
-        p.add_argument("--range", help="conductor range LO:HI")
-        p.add_argument("--rule", choices=[*RULES_BY_NAME, "all"],
-                       help="stratification rule")
-        p.add_argument("--band", help="L-value band LO:HI")
-        p.add_argument("--shuffles", type=int, help="permutation shuffles")
-        p.add_argument("--seed", type=int, help="RNG seed (always recorded)")
-        p.add_argument("--threads", type=int, help="worker processes")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--svg", action="store_true", help="emit SVG plots")
-        p.add_argument("--invariant", choices=INVARIANT_IDS)
-        p.add_argument("--sample", type=int,
-                       help="curves sampled per group for zero statistics")
-        p.add_argument("--scan-windows", dest="scan_windows",
-                       help="comma-separated LO:HI windows for the scale scan")
+        for field, (_, options) in _FIELDS.items():
+            p.add_argument("--" + field.replace("_", "-"), dest=field, **options)
     return parser
 
 

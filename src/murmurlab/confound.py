@@ -3,7 +3,9 @@
 Covers restriction to a fixed number of conductor prime factors, greedy
 nearest-neighbor matching on a one-dimensional key, L-value band
 restriction, the combined L-value/period/conductor control, per-group BSD
-ratio validation, and cumulative Euler-sum decompositions.
+ratio validation, and cumulative Euler-sum decompositions.  Curve groups
+are int arrays of aligned row positions (see `curves.CurveTable`); a table
+passed alongside a group is the aligned table those positions index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import CurveTable
+from .curves import CurveTable, invariant_values
 from .primes import omega
 from .stratify import (
     EmptyGroupError,
@@ -25,17 +27,17 @@ from .stratify import (
     StratRule,
     partition,
     permutation_test,
-    profile_rms,
+    rms_separation,
 )
 from .traces import TraceMatrix
-from .windows import MurmurationProfile, murmuration_profile
+from .windows import MurmurationProfile
 
 
 @dataclass(frozen=True)
 class MatchedPairs:
-    """Greedy one-to-one nearest-neighbor matches between two curve groups."""
+    """Greedy one-to-one nearest-neighbor matches: (row a, row b, distance)."""
 
-    pairs: tuple[tuple[str, str, float], ...]
+    pairs: tuple[tuple[int, int, float], ...]
     key: str
     max_distance: float
 
@@ -49,22 +51,14 @@ class MatchedPairs:
             return 0.0
         return float(np.mean([d for _, _, d in self.pairs]))
 
-    def labels_a(self) -> list[str]:
-        return [a for a, _, _ in self.pairs]
+    def rows_a(self) -> np.ndarray:
+        return np.array([a for a, _, _ in self.pairs], dtype=np.int64)
 
-    def labels_b(self) -> list[str]:
-        return [b for _, b, _ in self.pairs]
-
-
-def _key_values(table: CurveTable, labels: Sequence[str], key: str) -> np.ndarray:
-    if key == "conductor":
-        return np.array([table.record(l).conductor for l in labels], dtype=np.float64)
-    if key == "l_value":
-        return np.array([table.record(l).l_value for l in labels], dtype=np.float64)
-    raise KeyError(f"unsupported matching key {key!r}")
+    def rows_b(self) -> np.ndarray:
+        return np.array([b for _, b, _ in self.pairs], dtype=np.int64)
 
 
-def match_nn(table: CurveTable, group_a: Sequence[str], group_b: Sequence[str],
+def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
              key: str = "conductor", max_distance: float = math.inf) -> MatchedPairs:
     """Greedy nearest-neighbor matching of A-curves to distinct B-curves.
 
@@ -72,14 +66,18 @@ def match_nn(table: CurveTable, group_a: Sequence[str], group_b: Sequence[str],
     the nearest still-unused B-curve, and the pair is dropped when the key
     distance exceeds max_distance.
     """
-    if not group_a or not group_b:
+    if not len(group_a) or not len(group_b):
         raise EmptyGroupError("matching requires two nonempty groups")
-    a_vals = _key_values(table, group_a, key)
-    b_vals = _key_values(table, group_b, key)
-    a_order = sorted(range(len(group_a)), key=lambda i: (a_vals[i], group_a[i]))
-    b_order = sorted(range(len(group_b)), key=lambda i: (b_vals[i], group_b[i]))
+    if key not in ("conductor", "l_value"):
+        raise KeyError(f"unsupported matching key {key!r}")
+    values = table.l_values if key == "l_value" else table.conductors.astype(np.float64)
+    a_vals, b_vals = values[group_a], values[group_b]
+    labels = table.labels
+    a_order = sorted(range(len(group_a)), key=lambda i: (a_vals[i], labels[group_a[i]]))
+    b_order = sorted(range(len(group_b)), key=lambda i: (b_vals[i], labels[group_b[i]]))
     b_sorted = [b_vals[i] for i in b_order]
-    b_labels = [group_b[i] for i in b_order]
+    b_rows = [int(group_b[i]) for i in b_order]
+    b_labels = [labels[r] for r in b_rows]
     m = len(b_sorted)
     # doubly linked alive-list over sorted B positions; slot j+1 holds item j,
     # slots 0 and m+1 are sentinels.  Dead slots keep stale pointers that are
@@ -133,8 +131,8 @@ def match_nn(table: CurveTable, group_a: Sequence[str], group_b: Sequence[str],
                 best = cand
         if best is None or best[0] > max_distance:
             continue
-        dist, blab, bj = best
-        pairs.append((group_a[ai], blab, float(dist)))
+        dist, _, bj = best
+        pairs.append((int(group_a[ai]), b_rows[bj], float(dist)))
         remove(bj)
         used += 1
     return MatchedPairs(tuple(pairs), key, max_distance)
@@ -147,19 +145,18 @@ class PairedProfiles:
     rms_per_pair: float
 
 
-def matched_rms(matched: MatchedPairs, matrix: TraceMatrix,
-                per_pair: bool = False) -> PairedProfiles:
+def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> PairedProfiles:
     """RMS separation of the two matched sub-profiles.
 
-    Group mode (default) compares the two matched-group mean profiles;
-    per-pair mode averages squared per-pair differences prime by prime.
+    rms_group compares the two matched-group mean profiles; rms_per_pair
+    averages squared per-pair differences over pairs and primes.
     """
     if matched.n_pairs == 0:
         raise EmptyGroupError("no matched pairs")
-    rows_a = matrix.rows(matched.labels_a()).astype(np.float64)
-    rows_b = matrix.rows(matched.labels_b()).astype(np.float64)
-    group = float(np.sqrt(np.mean((rows_a.mean(0) - rows_b.mean(0)) ** 2)))
-    pair = float(np.sqrt(np.mean((rows_a - rows_b) ** 2)))
+    rows_a = matrix.traces[matched.rows_a()].astype(np.float64)
+    rows_b = matrix.traces[matched.rows_b()].astype(np.float64)
+    group = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
+    pair = float(rms_separation([rows_a.ravel(), rows_b.ravel()]))
     return PairedProfiles(matched, group, pair)
 
 
@@ -169,8 +166,8 @@ def control_omega(table: CurveTable, matrix: TraceMatrix, part: Partition, k: in
     """Restrict both groups to conductors with omega(N) = k, then re-test."""
     restricted = {}
     for name, members in part.groups.items():
-        keep = tuple(l for l in members if omega(table.record(l).conductor) == k)
-        if not keep:
+        keep = members[[omega(int(n)) == k for n in table.conductors[members]]]
+        if not len(keep):
             raise EmptyGroupError(f"group {name!r} empty after omega(N) = {k} restriction")
         restricted[name] = keep
     new_part = Partition(restricted, part.unassigned, part.rule)
@@ -183,12 +180,9 @@ def lvalue_band(table: CurveTable, band: tuple[float, float]) -> CurveTable:
     lo, hi = band
     if not lo < hi:
         raise ValueError(f"empty band [{lo}, {hi}]")
-    keep = [
-        i
-        for i, r in enumerate(table.records)
-        if r.rank == 0 and lo <= r.l_value <= hi
-    ]
-    return table.subset(keep)
+    l_values = table.l_values
+    return table.subset(np.flatnonzero((table.ranks == 0) & (lo <= l_values)
+                                       & (l_values <= hi)))
 
 
 @dataclass(frozen=True)
@@ -213,16 +207,12 @@ def triple_control(table: CurveTable, matrix: TraceMatrix,
     if len(banded) == 0:
         raise EmptyGroupError("no curves inside the band and conductor range")
     median_period = float(np.median(banded.real_periods))
-    halves = {
-        "small_period": [i for i, r in enumerate(banded.records)
-                         if r.real_period <= median_period],
-        "large_period": [i for i, r in enumerate(banded.records)
-                         if r.real_period > median_period],
-    }
+    small = banded.real_periods <= median_period
+    halves = {"small_period": small, "large_period": ~small}
     reports: dict[str, StratReport] = {}
     sizes: dict[str, dict[str, int]] = {}
-    for name, idx in halves.items():
-        half_table = banded.subset(idx)
+    for name, mask in halves.items():
+        half_table = banded.subset(np.flatnonzero(mask))
         try:
             part = partition(half_table, rule)
         except EmptyGroupError as exc:
@@ -234,18 +224,17 @@ def triple_control(table: CurveTable, matrix: TraceMatrix,
 
 
 def bsd_group_ratios(table: CurveTable,
-                     groups: dict[str, Sequence[str]]) -> dict[str, float]:
+                     groups: dict[str, Sequence[int]]) -> dict[str, float]:
     """Per-group mean(Omega * prod c_p / T^2) / mean(L); ~ 1/|Sha| at fixed Sha."""
+    bsd_ratios = invariant_values(table, "bsd_ratio")
     out = {}
-    for name, labels in groups.items():
-        recs = [table.record(l) for l in labels]
-        if any(r.rank != 0 for r in recs):
+    for name, rows in groups.items():
+        if np.any(table.ranks[rows] != 0):
             raise ValueError(f"group {name!r} contains curves of positive rank")
-        mean_l = float(np.mean([r.l_value for r in recs]))
+        mean_l = float(np.mean(table.l_values[rows]))
         if mean_l == 0:
             raise ZeroDivisionError(f"group {name!r} has zero mean L-value")
-        mean_ratio = float(np.mean([r.bsd_ratio() for r in recs]))
-        out[name] = mean_ratio / mean_l
+        out[name] = float(np.mean(bsd_ratios[rows])) / mean_l
     return out
 
 
@@ -279,8 +268,6 @@ def euler_cumsum(profile_a: MurmurationProfile,
 def invariant_correlation(table: CurveTable, x: str, y: str,
                           log_x: bool = False, log_y: bool = False) -> float:
     """Pearson correlation between two per-curve invariants."""
-    from .curves import invariant_values
-
     if len(table) < 3:
         raise ValueError("need at least 3 records")
     if x == "conductor":

@@ -1,4 +1,4 @@
-"""Curve table ingest: parsing, validation, indexing, isogeny deduplication.
+"""Curve table ingest: parsing, validation, columnar storage, isogeny deduplication.
 
 The single ingest format is the canonical curves CSV (UTF-8, header row):
 
@@ -11,7 +11,6 @@ preprocessing step, not handled here.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
@@ -143,70 +142,97 @@ def validate_record(rec: CurveRecord) -> list[str]:
     return problems
 
 
-class CurveTable:
-    """Immutable, sorted, indexed collection of CurveRecords.
+#: numeric CurveTable columns: attribute -> (CurveRecord field, dtype)
+_NUMERIC_COLUMNS = {
+    "conductors": ("conductor", np.int64),
+    "ranks": ("rank", np.int8),
+    "root_numbers": ("root_number", np.int8),
+    "real_periods": ("real_period", np.float64),
+    "regulators": ("regulator", np.float64),
+    "tamagawa_products": ("tamagawa_product", np.int64),
+    "torsion_orders": ("torsion_order", np.int64),
+    "sha_values": ("sha_an", np.float64),
+    "l_values": ("l_value", np.float64),
+}
 
-    Records are sorted by (conductor, label); labels are unique.  Column
-    arrays are exposed for vectorised statistics.
+
+class CurveTable:
+    """Immutable, sorted collection of curves, stored column by column.
+
+    Rows are sorted by (conductor, label); labels are unique.  Labels and
+    isogeny classes are tuples, the a-invariants an (n, 5) object array of
+    exact Python ints, every other invariant a NumPy column.  `rows` holds
+    each row's position in the aligned table: a table built from records
+    (or parsed) has rows 0..n-1, and `subset`/`filter` keep those positions.
+    Curve groups throughout the package are int arrays of such positions;
+    they index the aligned table's columns and the trace matrix aligned with
+    it (`TraceMatrix.take`).  A CurveRecord is built only on request.
     """
 
     def __init__(self, records: Iterable[CurveRecord]):
         recs = sorted(records, key=lambda r: (r.conductor, r.label))
-        seen: dict[str, int] = {}
-        for i, r in enumerate(recs):
+        seen: set[str] = set()
+        for r in recs:
             if r.label in seen:
                 raise DuplicateLabelError(f"duplicate label {r.label!r}")
-            seen[r.label] = i
-        self.records: tuple[CurveRecord, ...] = tuple(recs)
-        self._index = seen
+            seen.add(r.label)
         self.labels = tuple(r.label for r in recs)
-        self.conductors = np.array([r.conductor for r in recs], dtype=np.int64)
-        self.ranks = np.array([r.rank for r in recs], dtype=np.int8)
-        self.root_numbers = np.array([r.root_number for r in recs], dtype=np.int8)
-        self.real_periods = np.array([r.real_period for r in recs], dtype=np.float64)
-        self.regulators = np.array([r.regulator for r in recs], dtype=np.float64)
-        self.tamagawa_products = np.array(
-            [r.tamagawa_product for r in recs], dtype=np.int64
-        )
-        self.torsion_orders = np.array([r.torsion_order for r in recs], dtype=np.int64)
-        self.sha_values = np.array([r.sha_an for r in recs], dtype=np.float64)
-        self.l_values = np.array([r.l_value for r in recs], dtype=np.float64)
-        by_class: dict[str, list[int]] = {}
-        for i, r in enumerate(recs):
-            by_class.setdefault(r.isogeny_class, []).append(i)
-        self.index_by_class = {k: tuple(v) for k, v in by_class.items()}
+        self.isogeny_classes = tuple(r.isogeny_class for r in recs)
+        self.a_invariants = np.array(
+            [r.a_invariants for r in recs], dtype=object
+        ).reshape(-1, 5)
+        for column, (name, dtype) in _NUMERIC_COLUMNS.items():
+            setattr(self, column, np.array([getattr(r, name) for r in recs], dtype=dtype))
+        self.rows = np.arange(len(recs))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[CurveRecord]:
-        return iter(self.records)
+        return map(self.record, range(len(self)))
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
+    @property
+    def records(self) -> tuple[CurveRecord, ...]:
+        return tuple(self)
 
-    def record(self, label: str) -> CurveRecord:
-        return self.records[self._index[label]]
+    def record(self, i: int) -> CurveRecord:
+        """The full record of row i of this table."""
+        return CurveRecord(
+            self.labels[i],
+            self.isogeny_classes[i],
+            tuple(self.a_invariants[i]),
+            **{name: getattr(self, column)[i].item()
+               for column, (name, _) in _NUMERIC_COLUMNS.items()},
+        )
 
-    def index_of(self, label: str) -> int:
-        return self._index[label]
+    @property
+    def index_by_class(self) -> dict[str, tuple[int, ...]]:
+        by_class: dict[str, list[int]] = {}
+        for i, cls in enumerate(self.isogeny_classes):
+            by_class.setdefault(cls, []).append(i)
+        return {k: tuple(v) for k, v in by_class.items()}
 
     def subset(self, indices: Sequence[int]) -> "CurveTable":
-        return CurveTable(self.records[i] for i in indices)
+        """The rows at the given positions of this table, each once, in table order."""
+        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        sub = object.__new__(CurveTable)
+        sub.labels = tuple(self.labels[i] for i in idx)
+        sub.isogeny_classes = tuple(self.isogeny_classes[i] for i in idx)
+        for column in ("a_invariants", *_NUMERIC_COLUMNS, "rows"):
+            setattr(sub, column, getattr(self, column)[idx])
+        return sub
 
     def filter(self, rank: int | None = None,
                conductor_range: tuple[int, int] | None = None) -> "CurveTable":
         """New table restricted to a rank and/or closed conductor range."""
+        idx = np.arange(len(self))
         if conductor_range is not None:
             lo, hi = conductor_range
-            start = bisect.bisect_left(self.conductors, lo)
-            stop = bisect.bisect_right(self.conductors, hi)
-            idx = range(start, stop)
-        else:
-            idx = range(len(self.records))
+            idx = idx[np.searchsorted(self.conductors, lo, side="left"):
+                      np.searchsorted(self.conductors, hi, side="right")]
         if rank is not None:
-            idx = [i for i in idx if self.records[i].rank == rank]
-        return self.subset(list(idx))
+            idx = idx[self.ranks[idx] == rank]
+        return self.subset(idx)
 
     def rank_histogram(self) -> dict[int, int]:
         vals, counts = np.unique(self.ranks, return_counts=True)
@@ -275,7 +301,7 @@ def _parse_real(raw: str, field: str) -> float:
 
 
 def parse_curve_table(stream, format: str = "canonical_csv") -> ParseResult:
-    """Parse the canonical curves CSV into a sorted, indexed CurveTable.
+    """Parse the canonical curves CSV into a sorted, columnar CurveTable.
 
     Rows failing field-level validation are collected into the error report
     and excluded; a duplicate label is fatal.
@@ -383,7 +409,6 @@ def validate_bsd_residual(record: CurveRecord) -> float:
 
 def dedupe_isogeny(table: CurveTable) -> CurveTable:
     """One representative per isogeny class: the lexicographically smallest label."""
-    keep = []
-    for cls, indices in table.index_by_class.items():
-        keep.append(min(indices, key=lambda i: table.records[i].label))
-    return table.subset(sorted(keep))
+    keep = [min(indices, key=table.labels.__getitem__)
+            for indices in table.index_by_class.values()]
+    return table.subset(keep)

@@ -2,7 +2,8 @@
 
 Per-prime moment profiles, Sato-Tate angle comparison, crossover detection
 in difference profiles, reduction-type classification from bad-prime traces,
-and the bad-prime share of a profile separation.
+and the bad-prime share of a profile separation.  Curve groups are int
+arrays of trace-matrix row positions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .curves import CurveTable
+from .stratify import rms_separation
 from .traces import TraceMatrix
 from .windows import MurmurationProfile
 
@@ -47,25 +49,24 @@ class MomentProfile:
         }
 
 
-def moment_profile(labels: Sequence[str], matrix: TraceMatrix) -> MomentProfile:
+def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
     """Mean, variance, variance/p, skewness, and excess kurtosis per prime.
 
     Shape moments use the bias-corrected sample estimators and are flagged
     NaN where undefined (fewer than 3 or 4 observations, or zero variance).
     """
-    labels = list(labels)
-    n = len(labels)
+    n = len(rows)
     if n < 4:
         raise ValueError(f"moment profile needs a group of >= 4 curves, got {n}")
-    rows = matrix.rows(labels).astype(np.float64)
+    traces = matrix.traces[rows].astype(np.float64)
     p = matrix.primes.primes.astype(np.float64)
-    mean = rows.mean(axis=0)
-    var = rows.var(axis=0, ddof=1)
+    mean = traces.mean(axis=0)
+    var = traces.var(axis=0, ddof=1)
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
         # degenerate columns are flagged NaN below; silence scipy's warning
         warnings.simplefilter("ignore", RuntimeWarning)
-        skew = stats.skew(rows, axis=0, bias=False)
-        kurt = stats.kurtosis(rows, axis=0, bias=False, fisher=True)
+        skew = stats.skew(traces, axis=0, bias=False)
+        kurt = stats.kurtosis(traces, axis=0, bias=False, fisher=True)
     degenerate = var == 0
     skew = np.where(degenerate, np.nan, skew)
     kurt = np.where(degenerate, np.nan, kurt)
@@ -80,7 +81,7 @@ def moment_profile(labels: Sequence[str], matrix: TraceMatrix) -> MomentProfile:
     )
 
 
-def variance_ratio_profile(group_a: Sequence[str], group_b: Sequence[str],
+def variance_ratio_profile(group_a: Sequence[int], group_b: Sequence[int],
                            matrix: TraceMatrix) -> tuple[float, float]:
     """Mean and sd over primes of Var_a(a_p) / Var_b(a_p)."""
     prof_a = moment_profile(group_a, matrix)
@@ -105,14 +106,14 @@ class KsResult:
     n_b: int
 
 
-def _angle_pool(labels: Sequence[str], matrix: TraceMatrix, p_min: float) -> np.ndarray:
+def _angle_pool(rows: Sequence[int], matrix: TraceMatrix, p_min: float) -> np.ndarray:
     cols = matrix.primes.primes > p_min
     if not np.any(cols):
         raise ValueError(f"no primes above p_min = {p_min} in the prime list")
-    rows = matrix.rows(list(labels))[:, cols].astype(np.float64)
-    good = ~matrix.bad_rows(list(labels))[:, cols]
+    traces = matrix.traces[rows][:, cols].astype(np.float64)
+    good = ~matrix.bad_flags[rows][:, cols]
     p = matrix.primes.primes[cols].astype(np.float64)
-    ratio = rows / (2.0 * np.sqrt(p))[None, :]
+    ratio = traces / (2.0 * np.sqrt(p))[None, :]
     theta = np.arccos(np.clip(ratio, -1.0, 1.0))
     pool = theta[good]
     if pool.size == 0:
@@ -122,7 +123,7 @@ def _angle_pool(labels: Sequence[str], matrix: TraceMatrix, p_min: float) -> np.
     return pool
 
 
-def satotate_ks(group_a: Sequence[str], group_b: Sequence[str],
+def satotate_ks(group_a: Sequence[int], group_b: Sequence[int],
                 matrix: TraceMatrix, p_min: float = 1000.0) -> KsResult:
     """Two-sample KS on pooled Sato-Tate angles arccos(a_p / 2 sqrt p).
 
@@ -200,19 +201,21 @@ class ReductionReport:
 def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionReport:
     """Reduction type at every bad prime in the list, from the trace value.
 
-    a_p = 0 is additive, +1 split multiplicative, -1 non-split.  The
-    agreement fraction compares the predicate "no multiplicative bad prime"
-    against the Tamagawa condition prod c_p = 1, over curves with at least
-    one bad prime inside the prime list.
+    The matrix must be aligned with the table (`TraceMatrix.take`).  a_p = 0
+    is additive, +1 split multiplicative, -1 non-split.  The agreement
+    fraction compares the predicate "no multiplicative bad prime" against
+    the Tamagawa condition prod c_p = 1, over curves with at least one bad
+    prime inside the prime list.
     """
+    if matrix.curve_labels != tuple(table.labels):
+        raise ValueError("trace matrix is not aligned with the curve table")
     entries = []
     agree = 0
     classified = 0
     unclassifiable = 0
     counts = {name: 0 for name in REDUCTION_TYPES.values()}
     primes = matrix.primes.primes
-    for label in matrix.curve_labels:
-        i = matrix.row_index(label)
+    for i, label in enumerate(matrix.curve_labels):
         bad_cols = np.flatnonzero(matrix.bad_flags[i])
         if len(bad_cols) == 0:
             unclassifiable += 1
@@ -231,7 +234,7 @@ def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionRepor
                 any_multiplicative = True
         classified += 1
         predicted_trivial = not any_multiplicative
-        actual_trivial = table.record(label).tamagawa_product == 1
+        actual_trivial = table.tamagawa_products[i] == 1
         if predicted_trivial == actual_trivial:
             agree += 1
     fraction = agree / classified if classified else float("nan")
@@ -246,20 +249,20 @@ class BadPrimeShare:
     share_percent: float
 
 
-def bad_prime_share(group_a: Sequence[str], group_b: Sequence[str],
+def bad_prime_share(group_a: Sequence[int], group_b: Sequence[int],
                     matrix: TraceMatrix) -> BadPrimeShare:
     """Share of the squared RMS separation attributable to bad-prime entries.
 
     The masked RMS recomputes profiles with bad-prime trace entries zeroed;
     the share is 1 - masked^2 / full^2, as a percentage.
     """
-    rows_a = matrix.rows(list(group_a)).astype(np.float64)
-    rows_b = matrix.rows(list(group_b)).astype(np.float64)
-    full = float(np.sqrt(np.mean((rows_a.mean(0) - rows_b.mean(0)) ** 2)))
+    rows_a = matrix.traces[group_a].astype(np.float64)
+    rows_b = matrix.traces[group_b].astype(np.float64)
+    full = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
     if full == 0:
         raise ZeroDivisionError("zero full RMS; share undefined")
-    masked_a = np.where(matrix.bad_rows(list(group_a)), 0.0, rows_a)
-    masked_b = np.where(matrix.bad_rows(list(group_b)), 0.0, rows_b)
-    masked = float(np.sqrt(np.mean((masked_a.mean(0) - masked_b.mean(0)) ** 2)))
+    masked_a = np.where(matrix.bad_flags[group_a], 0.0, rows_a)
+    masked_b = np.where(matrix.bad_flags[group_b], 0.0, rows_b)
+    masked = float(rms_separation([masked_a.mean(0), masked_b.mean(0)]))
     share = 100.0 * (1.0 - masked**2 / full**2)
     return BadPrimeShare(full, masked, share)

@@ -1,9 +1,11 @@
 """Stratification of murmuration profiles with permutation nulls.
 
-A StratRule partitions a fixed-rank curve set by a BSD invariant; profile
-separation is the RMS difference of subgroup murmuration profiles, and
-significance comes from reshuffling group labels while preserving group
-sizes.  All randomness flows through an explicit 64-bit seed.
+A StratRule partitions a fixed-rank curve set by a BSD invariant into
+groups of row positions (int arrays indexing the aligned table and trace
+matrix); profile separation is the RMS difference of subgroup murmuration
+profiles, and significance comes from reshuffling group membership while
+preserving group sizes.  All randomness flows through an explicit 64-bit
+seed.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ SCALE_WINDOWS = ((5_000, 20_000), (10_000, 50_000), (20_000, 70_000),
 
 @dataclass(frozen=True)
 class Partition:
-    groups: dict[str, tuple[str, ...]]
-    unassigned: tuple[str, ...]
+    """Groups and leftovers as int arrays of aligned-table row positions."""
+
+    groups: dict[str, np.ndarray]
+    unassigned: np.ndarray
     rule: StratRule
 
     def sizes(self) -> dict[str, int]:
@@ -81,66 +85,54 @@ def _grouping_values(table: CurveTable, rule: StratRule) -> np.ndarray:
 
 
 def partition(table: CurveTable, rule: StratRule) -> Partition:
-    """Assign every curve to exactly one group or leave it unassigned."""
+    """Assign every curve to exactly one group or leave it unassigned.
+
+    Members keep table order and are given by their aligned positions
+    (`table.rows`).
+    """
     values = _grouping_values(table, rule)
-    labels = table.labels
-    groups: dict[str, list[str]] = {}
-    unassigned: list[str] = []
     if rule.kind == "two_group":
         (a_lo, a_hi), (b_lo, b_hi) = rule.group_a, rule.group_b
-        groups = {"group_a": [], "group_b": []}
-        for lab, v in zip(labels, values):
-            if a_lo <= v <= a_hi:
-                groups["group_a"].append(lab)
-            elif b_lo <= v <= b_hi:
-                groups["group_b"].append(lab)
-            else:
-                unassigned.append(lab)
+        in_a = (a_lo <= values) & (values <= a_hi)
+        in_b = ~in_a & (b_lo <= values) & (values <= b_hi)
+        masks = {"group_a": in_a, "group_b": in_b}
+        unassigned = table.rows[~(in_a | in_b)]
     else:
         if len(values) == 0:
             raise EmptyGroupError("cannot form quartiles of an empty table")
         edges = np.quantile(values, [0.25, 0.5, 0.75])
         bins = np.searchsorted(edges, values, side="left")
-        groups = {f"q{i + 1}": [] for i in range(4)}
-        for lab, b in zip(labels, bins):
-            groups[f"q{b + 1}"].append(lab)
+        masks = {f"q{i + 1}": bins == i for i in range(4)}
+        unassigned = table.rows[:0]
+    groups = {name: table.rows[mask] for name, mask in masks.items()}
     for name, members in groups.items():
-        if not members:
+        if not len(members):
             raise EmptyGroupError(f"group {name!r} of rule {rule.name or rule.invariant!r} is empty")
-    return Partition(
-        {k: tuple(v) for k, v in groups.items()}, tuple(unassigned), rule
-    )
+    return Partition(groups, unassigned, rule)
+
+
+def rms_separation(means: Sequence[np.ndarray]) -> np.ndarray:
+    """RMS separation of k >= 2 equally shaped profiles over their last axis.
+
+    sqrt of the mean, over all unordered pairs, of the mean squared
+    difference; at k = 2 this is sqrt(mean((means[0] - means[1])^2)).
+    Leading axes are kept, so a block of shuffled profiles gives one value
+    per shuffle.
+    """
+    k = len(means)
+    if k < 2:
+        raise ValueError("profile RMS needs at least two profiles")
+    sq = [np.mean((means[i] - means[j]) ** 2, axis=-1)
+          for i in range(k) for j in range(i + 1, k)]
+    return np.sqrt(np.mean(sq, axis=0))
 
 
 def profile_rms(profiles: Sequence[MurmurationProfile]) -> float:
-    """RMS separation of murmuration profiles over primes.
-
-    Two groups: sqrt(mean over primes of the squared difference).  More
-    groups: the mean square runs over all unordered pairs as well, which
-    reduces to the two-group metric at k = 2.
-    """
-    if len(profiles) < 2:
-        raise ValueError("profile RMS needs at least two profiles")
-    base = profiles[0].primes
+    """rms_separation of murmuration profiles computed on one prime list."""
     for prof in profiles[1:]:
-        if not np.array_equal(prof.primes, base):
+        if not np.array_equal(prof.primes, profiles[0].primes):
             raise ValueError("profiles computed on different prime lists")
-    sq = [
-        np.mean((profiles[i].mean_ap - profiles[j].mean_ap) ** 2)
-        for i in range(len(profiles))
-        for j in range(i + 1, len(profiles))
-    ]
-    return float(math.sqrt(np.mean(sq)))
-
-
-def _rms_from_means(means: np.ndarray) -> float:
-    k = means.shape[0]
-    sq = [
-        np.mean((means[i] - means[j]) ** 2)
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    return float(math.sqrt(np.mean(sq)))
+    return float(rms_separation([prof.mean_ap for prof in profiles]))
 
 
 @dataclass(frozen=True)
@@ -161,29 +153,25 @@ class StratReport:
         return asdict(self)
 
 
-def permutation_test(groups: Mapping[str, Sequence[str]] | Sequence[Sequence[str]],
+def permutation_test(groups: Mapping[str, Sequence[int]] | Sequence[Sequence[int]],
                      matrix: TraceMatrix, n_shuffles: int = 10_000,
                      seed: int = 0, _shuffle_block: int = 256) -> StratReport:
     """Permutation null for the RMS separation of group profiles.
 
-    Group labels are reshuffled preserving group sizes; the p-value uses the
-    add-one estimator (1 + #{null >= observed}) / (1 + n_shuffles) and is
-    bit-reproducible for a given seed.
+    Groups are matrix row positions.  Membership is reshuffled preserving
+    group sizes; the p-value uses the add-one estimator
+    (1 + #{null >= observed}) / (1 + n_shuffles) and is bit-reproducible for
+    a given seed.
     """
-    if isinstance(groups, Mapping):
-        member_lists = [list(v) for v in groups.values()]
-    else:
-        member_lists = [list(v) for v in groups]
+    member_lists = list(groups.values() if isinstance(groups, Mapping) else groups)
     if len(member_lists) < 2 or any(len(g) == 0 for g in member_lists):
         raise EmptyGroupError("permutation test needs at least two nonempty groups")
     sizes = [len(g) for g in member_lists]
-    rows = np.vstack(
-        [matrix.rows(g).astype(np.float64) for g in member_lists]
-    )
+    rows = matrix.traces[np.concatenate(member_lists)].astype(np.float64)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    observed = _rms_from_means(
-        np.vstack([rows[bounds[i]:bounds[i + 1]].mean(axis=0) for i in range(len(sizes))])
-    )
+    observed = float(rms_separation(
+        [rows[bounds[i]:bounds[i + 1]].mean(axis=0) for i in range(len(sizes))]
+    ))
     rng = np.random.default_rng(seed)
     n_total, n_primes = rows.shape
     k = len(sizes)
@@ -208,13 +196,7 @@ def permutation_test(groups: Mapping[str, Sequence[str]] | Sequence[Sequence[str
             running += sums
             means[i] = sums / sizes[i]
         means[k - 1] = (total_sum[None, :] - running) / sizes[k - 1]
-        sq = np.zeros(block)
-        n_pairs = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                sq += np.mean((means[i] - means[j]) ** 2, axis=1)
-                n_pairs += 1
-        null[done:done + block] = np.sqrt(sq / n_pairs)
+        null[done:done + block] = rms_separation(means)
         done += block
     p = (1 + int(np.sum(null >= observed))) / (1 + n_shuffles)
     return StratReport(

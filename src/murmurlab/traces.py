@@ -7,10 +7,16 @@ residue character sum over x, using a residue table built once per prime and
 shared across curves.  p = 2 and p = 3 fall back to direct enumeration of
 the full Weierstrass equation.  At bad primes (p | N) the smooth locus is
 counted, so a_p lands in {-1, 0, +1} (non-split, additive, split).
+
+A TraceMatrix row belongs to one curve.  `TraceMatrix.take` aligns a matrix
+with a curve table once, after which row i is the table's row i and curve
+groups (int position arrays, see `curves.CurveTable`) index the matrix
+directly; labels are kept only for the cache and for reports.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +28,8 @@ import numpy as np
 from .curves import CurveTable
 from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime
 
-MAX_PRIME = 2**31
+#: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
+MAX_PRIME = 268_435_399
 
 #: cap on elements per vectorised chunk in the matrix build
 _CHUNK_BUDGET = 1 << 22
@@ -135,7 +142,7 @@ def frobenius_trace(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds supported range 2^31")
+        raise ValueError(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
     if p < 5:
         return _ap_tiny(a_invariants, conductor, p)
     A, B = short_weierstrass(a_invariants)
@@ -162,23 +169,32 @@ class TraceMatrix:
             raise ValueError("trace matrix shape does not match labels/primes")
         if self.bad_flags.shape != self.traces.shape:
             raise ValueError("bad-flag shape mismatch")
-        object.__setattr__(
-            self, "_row", {lab: i for i, lab in enumerate(self.curve_labels)}
-        )
 
     def __len__(self) -> int:
         return len(self.curve_labels)
 
     def row_index(self, label: str) -> int:
-        return self._row[label]
+        """Row of one curve by label (a linear scan, for spot checks)."""
+        return self.curve_labels.index(label)
 
-    def rows(self, labels: Sequence[str]) -> np.ndarray:
-        idx = [self._row[lab] for lab in labels]
-        return self.traces[idx]
+    def take(self, table: CurveTable) -> "TraceMatrix":
+        """This matrix with row i holding the curve of the table's row i.
 
-    def bad_rows(self, labels: Sequence[str]) -> np.ndarray:
-        idx = [self._row[lab] for lab in labels]
-        return self.bad_flags[idx]
+        Returns self when the labels already agree; otherwise the matching
+        rows are copied once.  A curve of the table that the matrix lacks is
+        a ValueError.  Take the full table, not a subset of it: subsets keep
+        their positions in the full table, and those index this alignment.
+        """
+        labels = tuple(table.labels)
+        if labels == self.curve_labels:
+            return self
+        row = {lab: i for i, lab in enumerate(self.curve_labels)}
+        try:
+            idx = np.array([row[lab] for lab in labels], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"trace cache lacks curve {exc.args[0]!r} of the "
+                             "ingested table; rebuild with 'traces'") from None
+        return TraceMatrix(labels, self.primes, self.traces[idx], self.bad_flags[idx])
 
 
 def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
@@ -234,8 +250,10 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None,
         primes = default_prime_list()
     labels = tuple(table.labels)
     p_arr = primes.primes
-    models = [short_weierstrass(r.a_invariants) for r in table]
-    tiny_models = [r.a_invariants for r in table]
+    if p_arr[-1] > MAX_PRIME:
+        raise ValueError(f"prime {p_arr[-1]} exceeds the supported maximum {MAX_PRIME}")
+    models = [short_weierstrass(a) for a in table.a_invariants]
+    tiny_models = list(table.a_invariants)
     conductors = table.conductors
     if len(labels) == 0:
         return TraceMatrix(
@@ -332,11 +350,19 @@ def persist_trace_matrix(matrix: TraceMatrix, path) -> None:
         fh.write(bits.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _require(fh, n: int, what: str) -> None:
+    """Raise unless n more bytes are left in the file.
+
+    Sizes taken from the header are checked before anything is read, so a
+    corrupt count cannot trigger a huge allocation.
+    """
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CacheCorruptionError(f"truncated cache while reading {what}")
-    return buf
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    _require(fh, n, what)
+    return fh.read(n)
 
 
 def load_trace_matrix(path) -> TraceMatrix:
@@ -358,6 +384,7 @@ def load_trace_matrix(path) -> TraceMatrix:
         primes = np.frombuffer(
             _read_exact(fh, 4 * n_primes, "prime list"), dtype="<u4"
         ).astype(np.int64)
+        _require(fh, 4 * n_curves, "label lengths")
         labels = []
         for _ in range(n_curves):
             (ln,) = struct.unpack("<I", _read_exact(fh, 4, "label length"))

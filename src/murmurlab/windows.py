@@ -2,9 +2,10 @@
 
 Window series are means of a BSD invariant over rank-r curves in closed
 conductor windows [N0 - W/2, N0 + W/2]; murmuration profiles are per-prime
-means of a_p over a curve subset.  Detrending uses a Savitzky-Golay local
-polynomial fit with residuals emitted only where the filter window is fully
-interior.  All functions are pure over immutable inputs.
+means of a_p over a curve group, given as trace-matrix row positions.
+Detrending uses a Savitzky-Golay local polynomial fit with residuals emitted
+only where the filter window is fully interior.  All functions are pure over
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -152,30 +153,27 @@ def residual_correlation(res_a: WindowSeries, res_b: WindowSeries) -> float:
     return _pearson(res_a.values[ia], res_b.values[ib])
 
 
-def murmuration_profile(labels, matrix: TraceMatrix) -> MurmurationProfile:
-    """Per-prime mean of a_p over the given curve labels (bad primes included)."""
-    labels = list(labels)
-    if not labels:
+def murmuration_profile(rows, matrix: TraceMatrix) -> MurmurationProfile:
+    """Per-prime mean of a_p over the given matrix rows (bad primes included)."""
+    if not len(rows):
         raise ValueError("murmuration profile over an empty subset")
-    rows = matrix.rows(labels)
     return MurmurationProfile(
         primes=matrix.primes.primes,
-        mean_ap=rows.mean(axis=0, dtype=np.float64),
-        n_curves=len(labels),
+        mean_ap=matrix.traces[rows].mean(axis=0, dtype=np.float64),
+        n_curves=len(rows),
     )
 
 
-def good_prime_profile(labels, matrix: TraceMatrix) -> MurmurationProfile:
+def good_prime_profile(rows, matrix: TraceMatrix) -> MurmurationProfile:
     """Sensitivity variant: per-prime mean over good-reduction entries only."""
-    labels = list(labels)
-    if not labels:
+    if not len(rows):
         raise ValueError("murmuration profile over an empty subset")
-    rows = matrix.rows(labels).astype(np.float64)
-    good = ~matrix.bad_rows(labels)
+    traces = matrix.traces[rows].astype(np.float64)
+    good = ~matrix.bad_flags[rows]
     counts = good.sum(axis=0)
     with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, (rows * good).sum(axis=0) / counts, np.nan)
-    return MurmurationProfile(matrix.primes.primes, means, len(labels))
+        means = np.where(counts > 0, (traces * good).sum(axis=0) / counts, np.nan)
+    return MurmurationProfile(matrix.primes.primes, means, len(rows))
 
 
 def welch_psd(values: np.ndarray, segment: int = 256, overlap: float = 0.5,

@@ -27,9 +27,14 @@ def known_table(known_csv_path) -> CurveTable:
     return result.table
 
 
+def record_of(table: CurveTable, label: str) -> CurveRecord:
+    """The record of the curve with this label (a linear scan)."""
+    return table.record(table.labels.index(label))
+
+
 @pytest.fixture(scope="session")
 def curve_11a1(known_table) -> CurveRecord:
-    return known_table.record("11a1")
+    return record_of(known_table, "11a1")
 
 
 def twist_of_11a1(d: int) -> CurveRecord:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from murmurlab.curves import parse_curve_table
+from murmurlab.curves import CurveTable, parse_curve_table
 from murmurlab.lfunctions import (
     LSeries,
     hotelling_t2_from_samples,
@@ -52,6 +52,7 @@ from conftest import (
     TRACE_CACHE_ENV,
     full_dataset_path,
     make_synthetic_table,
+    record_of,
     requires_dataset,
     twist_of_11a1,
 )
@@ -65,15 +66,20 @@ TABLE3_RMS = {"tamagawa": 0.872, "sha": 0.630, "period": 0.597,
 
 
 @pytest.fixture(scope="session")
-def dataset_bundle():
-    """Full-dataset table and trace matrix (session-cached, env-driven)."""
+def dataset_table():
+    """Full-dataset curve table (session-cached, env-driven)."""
     path = full_dataset_path()
     if path is None:
         pytest.skip("no full dataset configured")
     with open(path, newline="") as fh:
-        table = parse_curve_table(fh).table
+        return parse_curve_table(fh).table
+
+
+@pytest.fixture(scope="session")
+def dataset_bundle(dataset_table):
+    """Curves up to conductor 100000 and their aligned trace matrix."""
+    below_100k = CurveTable(dataset_table.filter(conductor_range=(11, 100_000)))
     cache = os.environ.get(TRACE_CACHE_ENV)
-    below_100k = table.filter(conductor_range=(11, 100_000))
     if cache and Path(cache).exists():
         matrix = load_trace_matrix(cache)
     else:
@@ -81,7 +87,7 @@ def dataset_bundle():
                                     workers=os.cpu_count() or 1)
         if cache:
             persist_trace_matrix(matrix, cache)
-    return table, matrix
+    return below_100k, matrix.take(below_100k)
 
 
 class TestCriterion1:
@@ -129,7 +135,7 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_known_curve_validation(self, criterion, known_table):
-        rec = known_table.record("11a1")
+        rec = record_of(known_table, "11a1")
         expected = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1, 13: 4}
         oracle_ok = all(
             ap_oracle(rec.a_invariants, 11, p) == ap
@@ -152,8 +158,8 @@ class TestCriterion4:
     def test_antiphase_murmuration(self, criterion, dataset_bundle):
         table, matrix = dataset_bundle
         sub = table.filter(conductor_range=(11, 50_000))
-        rank0 = [r.label for r in sub if r.rank == 0]
-        rank1 = [r.label for r in sub if r.rank == 1]
+        rank0 = sub.rows[sub.ranks == 0]
+        rank1 = sub.rows[sub.ranks == 1]
         prof0 = murmuration_profile(rank0, matrix)
         prof1 = murmuration_profile(rank1, matrix)
         corr = float(np.corrcoef(prof0.mean_ap, prof1.mean_ap)[0, 1])
@@ -268,7 +274,7 @@ class TestCriterion7:
             traces = rng.integers(-4, 5, size=(n, 12)).astype(np.int16)
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 12), dtype=bool))
-            rep = permutation_test({"a": labels[:60], "b": labels[60:]},
+            rep = permutation_test({"a": np.arange(60), "b": np.arange(60, n)},
                                    matrix, n_shuffles=199, seed=run)
             pvals.append(rep.p_value)
         ks = stats.kstest(pvals, "uniform")
@@ -346,7 +352,7 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_zero_finder(self, criterion, known_table):
-        series = LSeries.from_curve(known_table.record("11a1"), t_max=9.0)
+        series = LSeries.from_curve(record_of(known_table, "11a1"), t_max=9.0)
         zeros = locate_zeros(series, k=1, t_max=9.0)
         gamma1_err = abs(zeros.gammas[0] - 6.36261389)
         twist = twist_of_11a1(53)  # conductor 30899 <= 50000, root number +1
@@ -433,7 +439,7 @@ class TestCriterion13:
 
         table = make_synthetic_table(1200, seed=131, sha_choices=(1.0, 4.0))
         part = partition(table, SHA_RULE)
-        shift = {lab: 1 for lab in part.groups["group_b"]}
+        shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=131, n_primes=32,
                                        mean_shift=shift)
         mean_ratio, _ = variance_ratio_profile(part.groups["group_a"],
@@ -446,8 +452,8 @@ class TestCriterion13:
 class TestTable2Positivity:
     @requires_dataset
     def test_all_rank01_residual_correlations_positive(self, criterion,
-                                                       dataset_bundle):
-        table, _ = dataset_bundle
+                                                       dataset_table):
+        table = dataset_table
         from murmurlab.curves import INVARIANT_IDS
 
         correlations = {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from murmurlab import lfunctions
-from murmurlab.cli import main
+from murmurlab.cli import build_config, main, make_parser
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 
@@ -166,6 +166,23 @@ class TestErrorReports:
         assert not (out / "zeros.json").exists()
 
 
+class TestSupersetCache:
+    def test_diagnose_with_cache_covering_more_curves(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                     "--primes", "200", "--out", str(out)]) == 0
+        table = twist_table()
+        fewer = tmp_path / "fewer.csv"
+        fewer.write_text(serialize_curve_table(table.subset(range(len(table) - 4))))
+        rc = main(["diagnose", "--curves", str(fewer), "--cache", str(cache),
+                   "--band", "0:100", "--range", "1000:300000", "--primes", "200",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = (out / "reduction_types.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == set(table.labels[:-4])
+
+
 class TestZerosImport:
     def test_imported_zco_sets_drive_statistics(self, twist_csv, tmp_path):
         rng = np.random.default_rng(0)
@@ -253,6 +270,19 @@ class TestConfigFile:
         assert main(["ingest", "--config", str(cfg)]) == 1
         assert (tmp_path / "configured" / "ingest_error.json").exists()
         assert not (tmp_path / "out").exists()
+
+    def test_file_and_flags_give_the_same_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("range=11:500000\nband=1.5:2.5\nprimes=30\nsvg=true\n"
+                       "scan_windows=5000:20000,10000:50000,20000:70000\n")
+        parser = make_parser()
+        from_file = build_config(parser.parse_args(["stratify", "--config", str(cfg)]))
+        from_flags = build_config(parser.parse_args([
+            "stratify", "--range", "11:500000", "--band", "1.5:2.5", "--primes", "30",
+            "--svg", "--scan-windows", "5000:20000,10000:50000,20000:70000"]))
+        assert from_file == from_flags
+        assert from_file.digest() == from_flags.digest()
+        assert from_file.range == (11, 500000)
 
     def test_unknown_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"

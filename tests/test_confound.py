@@ -63,8 +63,8 @@ class TestControlOmega:
 class TestMatchNn:
     def test_identical_key_multisets_zero_distance(self):
         table = make_synthetic_table(40, seed=4)
-        labels = list(table.labels)
-        pairs = match_nn(table, labels[:20], labels[:20], "conductor", 10.0)
+        rows = np.arange(20)
+        pairs = match_nn(table, rows, rows, "conductor", 10.0)
         assert pairs.n_pairs == 20
         assert pairs.mean_distance == 0.0
 
@@ -73,7 +73,7 @@ class TestMatchNn:
         part = partition(table, SHA_RULE)
         pairs = match_nn(table, list(part.groups["group_b"]),
                          list(part.groups["group_a"]), "conductor", 1e12)
-        bs = pairs.labels_b()
+        bs = pairs.rows_b()
         assert len(bs) == len(set(bs))
         assert pairs.n_pairs <= min(len(part.groups["group_a"]),
                                     len(part.groups["group_b"]))
@@ -93,10 +93,10 @@ class TestMatchNn:
             records.append(CurveRecord(f"{c}a{i}", f"{c}a", (0, 0, 0, 1, 1), c,
                                        0, 1, 1.0, 1.0, 1, 1, 1.0, 1.0))
         table = CurveTable(records)
-        a = [records[0].label, records[1].label]
-        b = [r.label for r in records[2:]]
+        a = [table.labels.index(r.label) for r in records[:2]]
+        b = [table.labels.index(r.label) for r in records[2:]]
         pairs = match_nn(table, a, b, "conductor", 1e6)
-        by_a = {pa: (pb, d) for pa, pb, d in pairs.pairs}
+        by_a = {table.labels[pa]: (pb, d) for pa, pb, d in pairs.pairs}
         assert by_a[records[0].label][1] == 10.0
         assert by_a[records[1].label][1] == 500.0
 
@@ -114,7 +114,7 @@ class TestMatchNn:
     def test_empty_group_raises(self):
         table = make_synthetic_table(10, seed=8)
         with pytest.raises(EmptyGroupError):
-            match_nn(table, [], list(table.labels), "conductor", 1.0)
+            match_nn(table, [], table.rows, "conductor", 1.0)
 
 
 class TestLvalueBand:
@@ -172,19 +172,20 @@ class TestBsdRatios:
         table = make_synthetic_table(500, seed=16, sha_choices=(1.0, 4.0, 9.0))
         groups = {}
         for target, name in [(1, "sha1"), (4, "sha4"), (9, "sha9")]:
-            groups[name] = [r.label for r in table if r.sha_rounded() == target]
+            groups[name] = [i for i, r in enumerate(table) if r.sha_rounded() == target]
         ratios = bsd_group_ratios(table, groups)
         assert ratios["sha1"] == pytest.approx(1.0, rel=1e-9)
         assert ratios["sha4"] == pytest.approx(0.25, rel=1e-9)
         assert ratios["sha9"] == pytest.approx(1 / 9, rel=1e-9)
 
     def test_exact_record_with_unit_sha(self, known_table):
-        assert bsd_group_ratios(known_table, {"one": ["11a1"]})["one"] == \
+        one = [known_table.labels.index("11a1")]
+        assert bsd_group_ratios(known_table, {"one": one})["one"] == \
             pytest.approx(1.0, rel=1e-6)
 
     def test_positive_rank_rejected(self, known_table):
         with pytest.raises(ValueError, match="positive rank"):
-            bsd_group_ratios(known_table, {"bad": ["37a1"]})
+            bsd_group_ratios(known_table, {"bad": [known_table.labels.index("37a1")]})
 
 
 class TestEulerCumsum:

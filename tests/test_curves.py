@@ -17,7 +17,7 @@ from murmurlab.curves import (
     validate_record,
 )
 
-from conftest import make_synthetic_table
+from conftest import make_synthetic_table, record_of
 
 HEADER = ",".join(CSV_FIELDS)
 
@@ -33,7 +33,7 @@ class TestParsing:
     def test_known_row(self):
         result = parse_curve_table(HEADER + "\n" + row() + "\n")
         assert not result.errors
-        rec = result.table.record("11a1")
+        rec = record_of(result.table, "11a1")
         assert rec.conductor == 11
         assert rec.rank == 0
         assert rec.torsion_order == 5
@@ -81,7 +81,7 @@ class TestParsing:
         ok = row(label="11a1", sha="4.0003")
         result = parse_curve_table(HEADER + "\n" + ok + "\n")
         assert not result.errors
-        assert result.table.record("11a1").sha_rounded() == 4
+        assert record_of(result.table, "11a1").sha_rounded() == 4
 
     def test_bad_header_fatal(self):
         with pytest.raises(Exception, match="header"):
@@ -95,7 +95,7 @@ class TestTable:
 
     def test_indexes(self, known_table):
         assert known_table.index_by_class["11a"] == (0, 1, 2)
-        assert known_table.record("389a1").rank == 2
+        assert record_of(known_table, "389a1").rank == 2
 
     def test_filter_by_rank_and_range(self, known_table):
         sub = known_table.filter(rank=0, conductor_range=(11, 100))
@@ -129,7 +129,7 @@ class TestBsdResidual:
 
     def test_rank_nonzero_rejected(self, known_table):
         with pytest.raises(ValueError, match="rank 0"):
-            validate_bsd_residual(known_table.record("37a1"))
+            validate_bsd_residual(record_of(known_table, "37a1"))
 
     def test_zero_l_value_inconsistent(self, curve_11a1):
         import dataclasses

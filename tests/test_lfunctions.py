@@ -29,7 +29,7 @@ from murmurlab.lfunctions import (
     write_zero_sets_csv,
 )
 
-from conftest import twist_of_11a1
+from conftest import record_of, twist_of_11a1
 
 mp.mp.dps = 30
 
@@ -40,7 +40,7 @@ MEAN_GAMMAS_SHA4 = (0.627, 1.446, 2.253, 3.026, 3.722)
 
 @pytest.fixture(scope="module")
 def series_11a1(known_table_module):
-    return LSeries.from_curve(known_table_module.record("11a1"), t_max=9.0)
+    return LSeries.from_curve(record_of(known_table_module, "11a1"), t_max=9.0)
 
 
 @pytest.fixture(scope="module")
@@ -111,29 +111,29 @@ class TestIncompleteGamma:
 
 class TestCentralValue:
     def test_11a1_matches_ingested(self, series_11a1, known_table_module):
-        ingested = known_table_module.record("11a1").l_value
+        ingested = record_of(known_table_module, "11a1").l_value
         assert l_value_series(series_11a1) == pytest.approx(ingested, rel=1e-5)
 
     def test_all_rank0_known_curves(self, known_table_module):
         for label in ("11a1", "11a2", "11a3"):
-            rec = known_table_module.record(label)
+            rec = record_of(known_table_module, label)
             series = LSeries.from_curve(rec, t_max=0.0)
             assert l_value_series(series) == pytest.approx(rec.l_value, rel=1e-5)
 
     def test_odd_sign_refused(self, known_table_module):
-        rec = known_table_module.record("37a1")
+        rec = record_of(known_table_module, "37a1")
         series = LSeries.from_curve(rec, t_max=0.0)
         with pytest.raises(ValueError, match="w = -1"):
             l_value_series(series)
 
     def test_truncation_stability(self, known_table_module):
-        rec = known_table_module.record("11a1")
+        rec = record_of(known_table_module, "11a1")
         short = LSeries.from_curve(rec, n_max=60)
         long = LSeries.from_curve(rec, n_max=400)
         assert abs(l_value_series(short) - l_value_series(long)) < 1e-10
 
     def test_shortfall_names_requirement(self, known_table_module):
-        rec = known_table_module.record("11a1")
+        rec = record_of(known_table_module, "11a1")
         series = LSeries(rec.label, rec.conductor, 1, np.array([0.0, 1.0, -2.0]))
         with pytest.raises(CoefficientShortfallError, match="n_max >= "):
             l_value_series(series)
@@ -187,7 +187,7 @@ class TestZeroFinder:
         assert len(zeros.gammas) == 1
 
     def test_grid_refinement_only_adds_zeros(self, known_table_module):
-        rec = known_table_module.record("11a1")
+        rec = record_of(known_table_module, "11a1")
         series = LSeries.from_curve(rec, t_max=12.0)
         coarse = locate_zeros(series, k=6, t_max=12.0, refinement=8)
         fine = locate_zeros(series, k=6, t_max=12.0, refinement=32)
@@ -209,7 +209,7 @@ class TestZeroFinder:
         assert elapsed < 5.0
 
     def test_odd_sign_refused(self, known_table_module):
-        rec = known_table_module.record("37a1")
+        rec = record_of(known_table_module, "37a1")
         series = LSeries.from_curve(rec, t_max=0.0)
         with pytest.raises(ValueError, match="w = \\+1"):
             locate_zeros(series)

@@ -45,7 +45,7 @@ class TestPartition:
         snapped = {table.record(l).sha_rounded() for l in part.groups["group_b"]}
         assert snapped <= {4, 9, 16}
         assert {table.record(l).sha_rounded() for l in part.groups["group_a"]} == {1}
-        assert not part.unassigned
+        assert len(part.unassigned) == 0
 
     def test_quartiles_of_eight_distinct_values(self):
         records = make_synthetic_table(8, seed=3).records
@@ -119,7 +119,7 @@ class TestPermutationTest:
     def test_injected_shift_detected(self):
         table = make_synthetic_table(800, seed=8, sha_choices=(1.0, 4.0))
         part = partition(table, SHA_RULE)
-        shift = {lab: 1 for lab in part.groups["group_b"]}
+        shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=8, mean_shift=shift)
         rep = permutation_test(part.groups, matrix, n_shuffles=2000, seed=3)
         assert rep.p_value <= 1e-3
@@ -143,7 +143,7 @@ class TestPermutationTest:
             traces = rng.integers(-3, 4, size=(n, 12)).astype(np.int16)
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 12), dtype=bool))
-            groups = {"a": labels[: n // 2], "b": labels[n // 2:]}
+            groups = {"a": np.arange(n // 2), "b": np.arange(n // 2, n)}
             rep = permutation_test(groups, matrix, n_shuffles=199, seed=run)
             pvals.append(rep.p_value)
         ks = stats.kstest(pvals, "uniform")
@@ -162,7 +162,7 @@ class TestPermutationTest:
             traces = rng.integers(-4, 5, size=(n, 8)).astype(np.int16)
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 8), dtype=bool))
-            rep = permutation_test({"a": labels[:30], "b": labels[30:]}, matrix,
+            rep = permutation_test({"a": np.arange(30), "b": np.arange(30, n)}, matrix,
                                    n_shuffles=99, seed=10_000 + run)
             hits += rep.p_value <= alpha
         se = np.sqrt(alpha * (1 - alpha) / runs)
@@ -172,7 +172,7 @@ class TestPermutationTest:
         table = make_synthetic_table(10, seed=12)
         matrix = make_synthetic_matrix(table.labels, seed=12)
         with pytest.raises(EmptyGroupError):
-            permutation_test({"a": list(table.labels), "b": []}, matrix, 100, 0)
+            permutation_test({"a": table.rows, "b": []}, matrix, 100, 0)
 
 
 class TestBonferroni:

@@ -1,10 +1,15 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from murmurlab import traces
 from murmurlab.curves import CurveTable
-from murmurlab.primes import first_n_primes, sieve_up_to
+from murmurlab.primes import first_n_primes, is_prime, sieve_up_to
 from murmurlab.traces import (
+    MAX_PRIME,
     CacheCorruptionError,
     CacheFormatError,
     MissingTraceError,
@@ -124,6 +129,35 @@ class TestTraceMatrix:
         assert np.array_equal(one.traces, many.traces)
         assert np.array_equal(one.bad_flags, many.bad_flags)
 
+    def test_max_prime_is_the_last_with_int16_hasse_bound(self):
+        assert is_prime(MAX_PRIME) and math.isqrt(4 * MAX_PRIME) <= 32767
+        assert not any(is_prime(q) for q in range(MAX_PRIME + 1, 2**28))
+        assert math.isqrt(4 * 2**28) > 32767
+
+    def test_prime_above_max_rejected_before_counting(self, known_table,
+                                                      monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("traces computed at an unsupported prime")
+
+        monkeypatch.setattr(traces, "_build_columns", no_counting)
+        with pytest.raises(ValueError, match="supported maximum"):
+            build_trace_matrix(known_table, PrimeList([268_435_459]))
+
+    def test_take_aligns_rows_with_a_table(self, known_table):
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(12)))
+        assert matrix.take(known_table) is matrix
+        sub = CurveTable(known_table.subset([1, 4, 5]))
+        taken = matrix.take(sub)
+        assert taken.curve_labels == sub.labels
+        assert np.array_equal(taken.traces, matrix.traces[[1, 4, 5]])
+        assert np.array_equal(taken.bad_flags, matrix.bad_flags[[1, 4, 5]])
+
+    def test_take_names_a_missing_curve(self, known_table):
+        matrix = build_trace_matrix(known_table.subset([0, 1]),
+                                    PrimeList(first_n_primes(5)))
+        with pytest.raises(ValueError, match=repr(known_table.labels[2])):
+            matrix.take(known_table)
+
     def test_matrix_matches_scalar_path(self, known_table):
         primes = PrimeList(first_n_primes(25))
         matrix = build_trace_matrix(known_table, primes)
@@ -196,4 +230,48 @@ class TestPersistence:
         persist_trace_matrix(matrix, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CacheCorruptionError):
+            load_trace_matrix(path)
+
+
+class TestCacheFuzz:
+    """A damaged cache ends in the loader's own errors, never a crash."""
+
+    ERRORS = (CacheFormatError, CacheCorruptionError, ValueError)
+
+    @pytest.fixture(scope="class")
+    def cache(self, known_table, tmp_path_factory):
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(6)))
+        path = tmp_path_factory.mktemp("fuzz") / "traces.bin"
+        persist_trace_matrix(matrix, path)
+        return path, path.read_bytes()
+
+    def test_every_truncation_rejected(self, cache):
+        path, data = cache
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(self.ERRORS):
+                load_trace_matrix(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_flip_fails_cleanly_or_keeps_header_shape(self, cache, data):
+        path, raw = cache
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        damaged = bytearray(raw)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(damaged))
+        try:
+            matrix = load_trace_matrix(path)
+        except self.ERRORS:
+            return
+        (n_curves,) = struct.unpack_from("<Q", damaged, 8)
+        (n_primes,) = struct.unpack_from("<I", damaged, 16)
+        assert matrix.traces.shape == (n_curves, n_primes)
+
+    def test_huge_prime_count_rejected_before_reading(self, cache):
+        path, raw = cache
+        damaged = bytearray(raw)
+        struct.pack_into("<I", damaged, 16, 2**31)
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CacheCorruptionError, match="prime list"):
             load_trace_matrix(path)

@@ -146,14 +146,14 @@ class TestProfiles:
     def test_single_curve_profile_is_its_row(self):
         table = make_synthetic_table(5, seed=9)
         matrix = make_synthetic_matrix(table.labels, seed=9)
-        prof = murmuration_profile([table.labels[2]], matrix)
+        prof = murmuration_profile([2], matrix)
         assert np.array_equal(prof.mean_ap, matrix.traces[2].astype(float))
 
     def test_union_is_weighted_mean(self):
         table = make_synthetic_table(30, seed=10)
         matrix = make_synthetic_matrix(table.labels, seed=10)
-        a = list(table.labels[:10])
-        b = list(table.labels[10:])
+        a = list(range(10))
+        b = list(range(10, 30))
         pa = murmuration_profile(a, matrix)
         pb = murmuration_profile(b, matrix)
         pu = murmuration_profile(a + b, matrix)
@@ -169,7 +169,7 @@ class TestProfiles:
     def test_hasse_bound_on_profile(self):
         table = make_synthetic_table(20, seed=12)
         matrix = make_synthetic_matrix(table.labels, seed=12)
-        prof = murmuration_profile(list(table.labels), matrix)
+        prof = murmuration_profile(table.rows, matrix)
         assert np.all(np.abs(prof.mean_ap) <= 2 * np.sqrt(prof.primes))
 
     def test_good_prime_profile_drops_bad_columns(self):
@@ -177,8 +177,8 @@ class TestProfiles:
         conductors = [r.conductor for r in table]
         matrix = make_synthetic_matrix(table.labels, seed=13,
                                        bad_conductors=conductors)
-        full = murmuration_profile(list(table.labels), matrix)
-        good = good_prime_profile(list(table.labels), matrix)
+        full = murmuration_profile(table.rows, matrix)
+        good = good_prime_profile(table.rows, matrix)
         assert full.mean_ap.shape == good.mean_ap.shape
 
 
