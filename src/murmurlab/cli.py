@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,7 +103,6 @@ class RunConfig:
     band: tuple[float, float] | None = None
     shuffles: int = 10_000
     seed: int = 1
-    threads: int = os.cpu_count() or 1
     out: str = "out"
     svg: bool = False
     sample: int = 0
@@ -115,11 +113,11 @@ class RunConfig:
     def digest(self) -> str:
         """Hash of the fields that decide a report's content.
 
-        The worker count and the output directory are left out, so the same
-        inputs hash alike on any machine and in any directory.
+        The output directory is left out, so the same inputs hash alike in
+        any directory.
         """
         fields = dataclasses.asdict(self)
-        del fields["threads"], fields["out"]
+        del fields["out"]
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -155,7 +153,6 @@ _FIELDS = {
     "band": (_parse_range, {"help": "L-value band LO:HI"}),
     "shuffles": (int, {"help": "permutation shuffles"}),
     "seed": (int, {"help": "RNG seed (always recorded)"}),
-    "threads": (int, {"help": "worker processes"}),
     "out": (str, {"help": "output directory"}),
     "svg": (lambda text: text.lower() in ("1", "true", "yes"),
             {"action": "store_const", "const": "true", "help": "emit SVG plots"}),
@@ -237,7 +234,7 @@ def _context(cfg: RunConfig):
         if not np.array_equal(matrix.primes.primes, primes.primes):
             raise CliError("trace cache prime list differs from the requested one")
     else:
-        matrix = build_trace_matrix(table, primes, workers=cfg.threads)
+        matrix = build_trace_matrix(table, primes)
     conductor_range = cfg.range or (10_000, 50_000)
     rank0 = table.filter(rank=0, conductor_range=conductor_range)
     return table, matrix, rank0, conductor_range
@@ -283,10 +280,10 @@ def cmd_traces(cfg: RunConfig) -> dict:
                 f"cache {cache_path} holds {len(existing.primes)} primes, "
                 f"{len(primes)} were requested; remove it or point --cache elsewhere"
             )
-        matrix = existing
+        matrix = existing.take(table)
         rebuilt = False
     else:
-        matrix = build_trace_matrix(table, primes, workers=cfg.threads)
+        matrix = build_trace_matrix(table, primes)
         persist_trace_matrix(matrix, cache_path)
         rebuilt = True
     report = _report_base(cfg, {"curves": cfg.curves, "cache": str(cache_path)})

@@ -8,6 +8,11 @@ shared across curves.  p = 2 and p = 3 fall back to direct enumeration of
 the full Weierstrass equation.  At bad primes (p | N) the smooth locus is
 counted, so a_p lands in {-1, 0, +1} (non-split, additive, split).
 
+One kernel, `_trace_columns`, computes every trace: the matrix build, the
+single-trace helper and the Dirichlet coefficients all call it, in one
+process.  It sums the character in place on cache-sized blocks, which on a
+2-vCPU host beat two worker processes splitting the prime axis between them.
+
 A TraceMatrix row belongs to one curve.  `TraceMatrix.take` aligns a matrix
 with a curve table once, after which row i is the table's row i and curve
 groups (int position arrays, see `curves.CurveTable`) index the matrix
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -26,13 +30,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .curves import CurveTable
-from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime
+from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
 MAX_PRIME = 268_435_399
 
-#: cap on elements per vectorised chunk in the matrix build
-_CHUNK_BUDGET = 1 << 22
+#: cap on elements per block of the character sum: one int64 block (512 KiB)
+#: and its int8 gather fit a core's L2 cache; blocks of 1 << 20 and 1 << 22
+#: measured slower, and a 1 << 22 block alone takes 32 MiB
+_CHUNK_BUDGET = 1 << 16
 
 
 class TraceComputationError(RuntimeError):
@@ -133,6 +139,47 @@ def _ap_tiny(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     return p - 1 - _count_affine(a_invariants, p, smooth_only=True)
 
 
+def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors,
+                   primes) -> tuple[np.ndarray, np.ndarray]:
+    """Traces (int16) and bad flags (p | N) of every curve at every prime.
+
+    The one trace kernel.  For p >= 5 the character sum is taken in place
+    on blocks of at most _CHUNK_BUDGET elements; good and bad p share it,
+    because at a bad prime chi(0) = 0 drops the singular point and the sum
+    counts the smooth locus.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    if len(primes) and primes.max() > MAX_PRIME:
+        raise ValueError(f"prime {primes.max()} exceeds the supported maximum {MAX_PRIME}")
+    conductors = np.asarray(conductors)
+    n = len(conductors)
+    models = [short_weierstrass(a) for a in a_invariants]
+    traces = np.empty((n, len(primes)), dtype=np.int16)
+    bad = np.empty((n, len(primes)), dtype=bool)
+    for j, p in enumerate(int(q) for q in primes):
+        bad[:, j] = conductors % p == 0
+        if p < 5:
+            traces[:, j] = [_ap_tiny(a, int(N), p)
+                            for a, N in zip(a_invariants, conductors)]
+            continue
+        chi = _chi_table(p)
+        x = np.arange(p, dtype=np.int64)
+        x3 = x * x % p * x  # < p^2; the block sum stays far below 2^63
+        a_mod = np.fromiter((A % p for A, _ in models), dtype=np.int64, count=n)
+        b_mod = np.fromiter((B % p for _, B in models), dtype=np.int64, count=n)
+        rows = max(1, _CHUNK_BUDGET // p)
+        block = np.empty((min(rows, n), p), dtype=np.int64)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            f = block[: hi - lo]
+            np.multiply(a_mod[lo:hi, None], x, out=f)
+            f += x3
+            f += b_mod[lo:hi, None]
+            f %= p
+            traces[lo:hi, j] = -chi[f].sum(axis=1, dtype=np.int64)
+    return traces, bad
+
+
 def frobenius_trace(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     """a_p for one curve at one prime.
 
@@ -141,17 +188,8 @@ def frobenius_trace(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds the supported maximum {MAX_PRIME}")
-    if p < 5:
-        return _ap_tiny(a_invariants, conductor, p)
-    A, B = short_weierstrass(a_invariants)
-    chi = _chi_table(p)
-    x = np.arange(p, dtype=np.int64)
-    f = (((x * x % p) * x + A % p * x + B % p)) % p
-    # good and bad p >= 5 share this: at a bad prime the sum counts the
-    # smooth locus because chi(0) drops the singular point
-    return -int(chi[f].sum())
+    traces, _ = _trace_columns([a_invariants], [conductor], [p])
+    return int(traces[0, 0])
 
 
 @dataclass(frozen=True)
@@ -181,109 +219,68 @@ class TraceMatrix:
         """This matrix with row i holding the curve of the table's row i.
 
         Returns self when the labels already agree; otherwise the matching
-        rows are copied once.  A curve of the table that the matrix lacks is
-        a ValueError.  Take the full table, not a subset of it: subsets keep
-        their positions in the full table, and those index this alignment.
+        rows are copied once.  A curve of the table that the matrix lacks, or
+        whose bad flags disagree with p | N for its conductor (a cache built
+        from other data under the same labels), is a ValueError.  Take the
+        full table, not a subset of it: subsets keep their positions in the
+        full table, and those index this alignment.
         """
         labels = tuple(table.labels)
         if labels == self.curve_labels:
-            return self
-        row = {lab: i for i, lab in enumerate(self.curve_labels)}
-        try:
-            idx = np.array([row[lab] for lab in labels], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"trace cache lacks curve {exc.args[0]!r} of the "
-                             "ingested table; rebuild with 'traces'") from None
-        return TraceMatrix(labels, self.primes, self.traces[idx], self.bad_flags[idx])
+            taken = self
+        else:
+            row = {lab: i for i, lab in enumerate(self.curve_labels)}
+            try:
+                idx = np.array([row[lab] for lab in labels], dtype=np.int64)
+            except KeyError as exc:
+                raise ValueError(f"trace cache lacks curve {exc.args[0]!r} of the "
+                                 "ingested table; rebuild with 'traces'") from None
+            taken = TraceMatrix(labels, self.primes, self.traces[idx], self.bad_flags[idx])
+        stale = np.zeros(len(labels), dtype=bool)
+        for j, p in enumerate(self.primes.primes):  # column-wise: no int64 matrix
+            stale |= taken.bad_flags[:, j] != (table.conductors % p == 0)
+        if stale.any():
+            raise ValueError(f"trace cache bad-prime flags of curve "
+                             f"{labels[stale.argmax()]!r} disagree with its "
+                             "conductor; rebuild with 'traces'")
+        return taken
 
 
 def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
-                 labels: Sequence[str]) -> None:
-    """Hard assertion: good entries within 2*sqrt(p), bad entries in {-1,0,1}."""
-    bound = np.floor(2.0 * np.sqrt(primes.astype(np.float64))).astype(np.int64)
-    limit = np.where(bad, 1, bound[None, :])
-    viol = np.argwhere(np.abs(traces.astype(np.int64)) > limit)
+                 labels: Sequence[str], error: type[Exception]) -> None:
+    """Raise `error` unless good entries lie within 2*sqrt(p) and bad ones in {-1,0,1}.
+
+    Compares in int16, so the check costs no int64 copy of the matrix; a bound
+    above the int16 range is clipped, as no int16 trace can exceed it.
+    """
+    bound = np.minimum(np.floor(2.0 * np.sqrt(primes.astype(np.float64))), 32767)
+    limit = np.where(bad, np.int16(1), bound.astype(np.int16)[None, :])
+    viol = np.argwhere((traces > limit) | (traces < -limit))
     if viol.size:
         i, j = viol[0]
-        raise TraceComputationError(
+        raise error(
             f"curve {labels[i]}: a_p={traces[i, j]} at p={primes[j]} violates "
             f"{'the bad-prime range' if bad[i, j] else 'the Hasse bound'}"
         )
 
 
-def _build_columns(models: list[tuple[int, int]], conductors: np.ndarray,
-                   tiny_models: list[tuple[int, ...]],
-                   primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace and bad-flag columns for a block of primes (all curves)."""
-    n = len(models)
-    traces = np.empty((n, len(primes)), dtype=np.int16)
-    bad = np.empty((n, len(primes)), dtype=bool)
-    for j, p in enumerate(int(q) for q in primes):
-        bad[:, j] = conductors % p == 0
-        if p < 5:
-            col = [_ap_tiny(m, int(N), p) for m, N in zip(tiny_models, conductors)]
-            traces[:, j] = col
-            continue
-        chi = _chi_table(p)
-        x = np.arange(p, dtype=np.int64)
-        x3 = (x * x % p) * x % p
-        a_mod = np.fromiter((A % p for A, _ in models), dtype=np.int64, count=n)
-        b_mod = np.fromiter((B % p for _, B in models), dtype=np.int64, count=n)
-        chunk = max(1, _CHUNK_BUDGET // p)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            f = (x3[None, :] + a_mod[lo:hi, None] * x[None, :] + b_mod[lo:hi, None]) % p
-            traces[lo:hi, j] = -chi[f].sum(axis=1, dtype=np.int64)
-    return traces, bad
-
-
-def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None,
-                       workers: int = 1) -> TraceMatrix:
+def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> TraceMatrix:
     """Compute a_p for every curve of the table at the shared prime list.
 
-    Iteration is prime-major so each residue table is built once.  With
-    workers > 1 the prime axis is split into blocks computed in separate
-    processes; output regions are disjoint, so the result is identical for
-    any worker count.
+    One process runs the one kernel, prime-major so each residue table is
+    built once, on blocks small enough to stay in a core's cache (see
+    _CHUNK_BUDGET); every entry is then held to the Hasse bound.
     """
     if primes is None:
         primes = default_prime_list()
     labels = tuple(table.labels)
-    p_arr = primes.primes
-    if p_arr[-1] > MAX_PRIME:
-        raise ValueError(f"prime {p_arr[-1]} exceeds the supported maximum {MAX_PRIME}")
-    models = [short_weierstrass(a) for a in table.a_invariants]
-    tiny_models = list(table.a_invariants)
-    conductors = table.conductors
-    if len(labels) == 0:
-        return TraceMatrix(
-            labels,
-            primes,
-            np.empty((0, len(primes)), dtype=np.int16),
-            np.empty((0, len(primes)), dtype=bool),
-        )
     try:
-        if workers > 1 and len(p_arr) > 1:
-            blocks = np.array_split(p_arr, min(workers, len(p_arr)))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        _build_columns,
-                        [models] * len(blocks),
-                        [conductors] * len(blocks),
-                        [tiny_models] * len(blocks),
-                        blocks,
-                    )
-                )
-            traces = np.concatenate([t for t, _ in parts], axis=1)
-            bad = np.concatenate([b for _, b in parts], axis=1)
-        else:
-            traces, bad = _build_columns(models, conductors, tiny_models, p_arr)
-    except TraceComputationError:
+        traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes)
+    except ValueError:  # an unsupported prime, rejected before any counting
         raise
     except Exception as exc:  # pragma: no cover - defensive
         raise TraceComputationError(f"trace build failed: {exc}") from exc
-    _hasse_check(traces, bad, p_arr, labels)
+    _hasse_check(traces, bad, primes.primes, labels, TraceComputationError)
     return TraceMatrix(labels, primes, traces, bad)
 
 
@@ -321,11 +318,9 @@ def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.
 def dirichlet_coefficients(a_invariants: Sequence[int], conductor: int,
                            n_max: int) -> np.ndarray:
     """a_1..a_n_max computed from the model (traces at all primes <= n_max)."""
-    from .primes import sieve_up_to
-
-    ap = {int(p): frobenius_trace(a_invariants, conductor, int(p))
-          for p in sieve_up_to(n_max)}
-    return extend_an(ap, conductor, n_max)
+    primes = sieve_up_to(n_max)
+    traces, _ = _trace_columns([a_invariants], [conductor], primes)
+    return extend_an(dict(zip(primes.tolist(), traces[0].tolist())), conductor, n_max)
 
 
 _MAGIC = b"MURM"
@@ -370,7 +365,8 @@ def load_trace_matrix(path) -> TraceMatrix:
 
     Layout, all integers little-endian: magic "MURM", u32 version, u64 curve
     count, u32 prime count, u32 primes, length-prefixed UTF-8 labels, i16
-    row-major traces, bad-flag bitset.
+    row-major traces, bad-flag bitset.  An entry outside the Hasse bound or
+    the bad-prime range is a CacheCorruptionError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -402,6 +398,6 @@ def load_trace_matrix(path) -> TraceMatrix:
         if fh.read(1):
             raise CacheCorruptionError("trailing bytes after bad-flag bitset")
     bad = np.unpackbits(bits, count=n_bits, bitorder="little").astype(bool)
-    return TraceMatrix(
-        tuple(labels), PrimeList(primes), traces.copy(), bad.reshape(n_curves, n_primes)
-    )
+    bad = bad.reshape(n_curves, n_primes)
+    _hasse_check(traces, bad, primes, labels, CacheCorruptionError)
+    return TraceMatrix(tuple(labels), PrimeList(primes), traces, bad)

@@ -83,8 +83,7 @@ def dataset_bundle(dataset_table):
     if cache and Path(cache).exists():
         matrix = load_trace_matrix(cache)
     else:
-        matrix = build_trace_matrix(below_100k, default_prime_list(),
-                                    workers=os.cpu_count() or 1)
+        matrix = build_trace_matrix(below_100k, default_prime_list())
         if cache:
             persist_trace_matrix(matrix, cache)
     return below_100k, matrix.take(below_100k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from murmurlab import lfunctions
-from murmurlab.cli import build_config, main, make_parser
+from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 
@@ -98,6 +98,23 @@ class TestTraces:
         assert rc == 1
         err = json.loads((out / "traces_error.json").read_text())
         assert "different curve table" in err["error"]
+
+    def test_cache_with_a_changed_conductor_refused(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                     "--primes", "20", "--out", str(out)]) == 0
+        records = list(twist_table())
+        last = records[-1]  # doubling the largest conductor keeps the row order
+        records[-1] = dataclasses.replace(last, conductor=2 * last.conductor)
+        changed = tmp_path / "changed.csv"
+        changed.write_text(serialize_curve_table(CurveTable(records)))
+        rc = main(["traces", "--curves", str(changed), "--cache", str(cache),
+                   "--primes", "20", "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "traces_error.json").read_text())
+        assert repr(last.label) in err["error"]
+        assert "disagree with its conductor" in err["error"]
 
     def test_prime_count_mismatch_refused(self, twist_csv, tmp_path):
         out = tmp_path / "out"
@@ -242,11 +259,11 @@ class TestConfigFile:
         report = read_report(tmp_path / "b", "ingest")
         assert report["seed"] == 111
 
-    def test_config_hash_ignores_out_and_threads(self, known_csv_path, tmp_path):
+    def test_config_hash_ignores_out(self, known_csv_path, tmp_path):
         hashes = set()
-        for out, threads in (("a", "1"), ("b", "2"), ("c", "7")):
-            assert main(["ingest", "--curves", str(known_csv_path), "--threads",
-                         threads, "--out", str(tmp_path / out)]) == 0
+        for out in ("a", "b", "c"):
+            assert main(["ingest", "--curves", str(known_csv_path),
+                         "--out", str(tmp_path / out)]) == 0
             hashes.add(read_report(tmp_path / out, "ingest")["config_hash"])
         assert len(hashes) == 1
         assert main(["ingest", "--curves", str(known_csv_path), "--seed", "2",
@@ -283,6 +300,20 @@ class TestConfigFile:
         assert from_file == from_flags
         assert from_file.digest() == from_flags.digest()
         assert from_file.range == (11, 500000)
+
+    def test_default_config_hash_is_pinned(self):
+        assert RunConfig().digest() == \
+            "24440e54b7a372071e7ad6c9a0c37d5c0903262fd9fba204caf35a9c9151be15"
+
+    def test_removed_threads_key_rejected(self, known_csv_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--config", str(cfg), "--curves",
+                   str(known_csv_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "ingest_error.json").read_text())
+        assert "unknown config key 'threads'" in err["error"]
 
     def test_unknown_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -122,13 +122,6 @@ class TestTraceMatrix:
         rows = matrix.traces
         assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2])
 
-    def test_worker_count_invariance(self, known_table):
-        primes = PrimeList(first_n_primes(40))
-        one = build_trace_matrix(known_table, primes, workers=1)
-        many = build_trace_matrix(known_table, primes, workers=3)
-        assert np.array_equal(one.traces, many.traces)
-        assert np.array_equal(one.bad_flags, many.bad_flags)
-
     def test_max_prime_is_the_last_with_int16_hasse_bound(self):
         assert is_prime(MAX_PRIME) and math.isqrt(4 * MAX_PRIME) <= 32767
         assert not any(is_prime(q) for q in range(MAX_PRIME + 1, 2**28))
@@ -139,7 +132,9 @@ class TestTraceMatrix:
         def no_counting(*args):
             raise AssertionError("traces computed at an unsupported prime")
 
-        monkeypatch.setattr(traces, "_build_columns", no_counting)
+        # the kernel counts through these two; its bound check must come first
+        monkeypatch.setattr(traces, "_chi_table", no_counting)
+        monkeypatch.setattr(traces, "_ap_tiny", no_counting)
         with pytest.raises(ValueError, match="supported maximum"):
             build_trace_matrix(known_table, PrimeList([268_435_459]))
 
@@ -157,6 +152,28 @@ class TestTraceMatrix:
                                     PrimeList(first_n_primes(5)))
         with pytest.raises(ValueError, match=repr(known_table.labels[2])):
             matrix.take(known_table)
+
+    def test_block_edges_match_enumeration_oracle(self, known_table, monkeypatch):
+        # 24-element blocks split the 6-curve table at every prime p >= 5:
+        # 4 + 2 rows at p = 5, 3 + 3 at p = 7, 2 + 2 + 2 at p = 11, then 1 row
+        assert len(known_table) == 6
+        monkeypatch.setattr(traces, "_CHUNK_BUDGET", 24)
+        primes = PrimeList(SMALL_PRIMES)
+        matrix = build_trace_matrix(known_table, primes)
+        for i in range(len(known_table)):
+            model, conductor = known_table.a_invariants[i], int(known_table.conductors[i])
+            for j, p in enumerate(SMALL_PRIMES):
+                assert matrix.traces[i, j] == ap_oracle(model, conductor, p), \
+                    (known_table.labels[i], p)
+                assert matrix.bad_flags[i, j] == (conductor % p == 0)
+
+    def test_take_rejects_flags_of_another_conductor(self, known_table):
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(8)))
+        stale = known_table.subset(range(len(known_table)))  # fresh columns
+        assert stale.conductors[2] % 19
+        stale.conductors[2] *= 19
+        with pytest.raises(ValueError, match=repr(known_table.labels[2])):
+            matrix.take(stale)
 
     def test_matrix_matches_scalar_path(self, known_table):
         primes = PrimeList(first_n_primes(25))
@@ -267,6 +284,17 @@ class TestCacheFuzz:
         (n_curves,) = struct.unpack_from("<Q", damaged, 8)
         (n_primes,) = struct.unpack_from("<I", damaged, 16)
         assert matrix.traces.shape == (n_curves, n_primes)
+
+    def test_trace_outside_hasse_bound_rejected(self, cache, known_table):
+        path, raw = cache
+        n, m = len(known_table), 6
+        trace_block = len(raw) - (n * m + 7) // 8 - 2 * n * m
+        row = known_table.labels.index("11a1")
+        damaged = bytearray(raw)
+        damaged[trace_block + 2 * row * m + 1] ^= 0x40  # a_2: -2 (0xfffe) -> 0xbffe
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CacheCorruptionError, match="11a1: a_p=-16386 at p=2"):
+            load_trace_matrix(path)
 
     def test_huge_prime_count_rejected_before_reading(self, cache):
         path, raw = cache
