@@ -224,12 +224,15 @@ def _load_table(cfg: RunConfig):
 def _context(cfg: RunConfig):
     """The ingested table, its aligned trace matrix, the rank-0 slice and its range.
 
-    The matrix comes from the cache when one exists, else it is built.
+    The matrix comes from the cache when one is named, else it is built; a
+    named cache that does not exist is an error before anything is built.
     Curve groups cut from the table index the matrix directly.
     """
+    if cfg.cache and not Path(cfg.cache).exists():
+        raise CliError(f"trace cache {cfg.cache} does not exist; build it with `traces`")
     table = _load_table(cfg).table
     primes = default_prime_list(cfg.primes)
-    if cfg.cache and Path(cfg.cache).exists():
+    if cfg.cache:
         matrix = load_trace_matrix(cfg.cache).take(table)
         if not np.array_equal(matrix.primes.primes, primes.primes):
             raise CliError("trace cache prime list differs from the requested one")
@@ -566,7 +569,8 @@ def cmd_zeros(cfg: RunConfig) -> dict:
     table, matrix, rank0, _ = _context(cfg)
     band = cfg.band or (1.53, 2.84)
     out = _out_dir(cfg)
-    report = _report_base(cfg, {"curves": cfg.curves, "zeros": cfg.zeros})
+    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache,
+                                "zeros": cfg.zeros})
     banded = lvalue_band(rank0, band)
     part = partition(banded, SHA_RULE)
     groups = {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}

@@ -300,14 +300,12 @@ def _parse_real(raw: str, field: str) -> float:
     return value
 
 
-def parse_curve_table(stream, format: str = "canonical_csv") -> ParseResult:
+def parse_curve_table(stream) -> ParseResult:
     """Parse the canonical curves CSV into a sorted, columnar CurveTable.
 
     Rows failing field-level validation are collected into the error report
     and excluded; a duplicate label is fatal.
     """
-    if format != "canonical_csv":
-        raise ValueError(f"unsupported format {format!r}")
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)

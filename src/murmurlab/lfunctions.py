@@ -12,16 +12,23 @@ On the critical line the smoothed approximate functional equation gives
                                  + w x_n^{s-2} Gamma(2-s, x_n) ],
 
 with x_n = 2 pi n / sqrt(N) and Gamma(s, x) the upper incomplete gamma
-function.  For w = +1 the two sums are conjugate, so Lambda is real on the
-line; zero ordinates found here coincide with the gamma of the analytic
-normalization rho = 1/2 + i*gamma.
+function.  Zero ordinates found here coincide with the gamma of the
+analytic normalization rho = 1/2 + i*gamma.
+
+Only w = +1 is evaluated, and then the second sum is the conjugate of the
+first, so Lambda(1 + it) = sum_n a_n (F_n + conj F_n) with
+F_n = x_n^{-s} Gamma(s, x_n) computed once.  This is exact in floating
+point, not just up to rounding: for s = 1 + it the values 2 - s and s - 2
+are conj(s) and -conj(s) in every bit, the exponential and the incomplete
+gamma kernels commute with conjugation bit for bit, and w = 1, so the
+second term of each summand is conj F_n and every row sum is the one the
+two-sided formula gives.  Lambda is therefore real on the line by
+construction; its imaginary part checks nothing.
 
 The incomplete gamma kernels iterate only the elements that have not yet
 converged, and heights are evaluated in small blocks of rows.  Neither
 changes the arithmetic done for any element or row, so neither changes a
-value.  The zero search scans with both sums, so the realness check still
-compares them; its bisection evaluates the first sum only and adds its
-conjugate, which for w = +1 is the second sum bit for bit (see locate_zeros).
+value.
 """
 
 from __future__ import annotations
@@ -49,8 +56,6 @@ _BLOCK_ROWS = 16
 DEFAULT_T_MAX = 10.0
 #: bisection tolerance on zero ordinates
 ZERO_TOL = 1e-6
-#: admissible imaginary residue of Lambda on the critical line (w = +1)
-REALNESS_TOL = 1e-8
 
 
 class CoefficientShortfallError(ValueError):
@@ -227,14 +232,14 @@ def l_value_series(series: LSeries) -> float:
     return float(2.0 * np.sum(a / n * np.exp(-c * n)))
 
 
-def _lambda_batch(series: LSeries, ts: np.ndarray, one_sided: bool = False) -> np.ndarray:
-    """Lambda(1 + i t) for an array of heights t (complex values returned).
+def _lambda_batch(series: LSeries, ts: np.ndarray) -> np.ndarray:
+    """Lambda(1 + i t) for an array of heights t, for w = +1 (real values).
 
-    Heights are evaluated _BLOCK_ROWS at a time so the (heights x terms)
-    temporaries stay small; each row is summed on its own, so blocking does
-    not change any value.  With one_sided (w = +1 only) the dual sum is taken
-    as the conjugate of the first, which is what the two-sided evaluation
-    computes bit for bit (see locate_zeros).
+    Each row sums a_n (F_n + conj F_n) with F_n = x_n^{-s} Gamma(s, x_n), the
+    one-sum form of the functional equation (see the module docstring), and
+    keeps the real part of the complex sum.  Heights are evaluated
+    _BLOCK_ROWS at a time so the (heights x terms) temporaries stay small;
+    each row is summed on its own, so blocking does not change any value.
     """
     ts = np.asarray(ts, dtype=np.float64)
     N = series.conductor
@@ -243,35 +248,21 @@ def _lambda_batch(series: LSeries, ts: np.ndarray, one_sided: bool = False) -> n
     x = x_all[keep]
     a = series.coefficients[1 : series.n_max + 1][keep]
     lx = np.log(x)[None, :]
-    out = np.empty(len(ts), dtype=np.complex128)
+    out = np.empty(len(ts), dtype=np.float64)
     for start in range(0, len(ts), _BLOCK_ROWS):
         s = (1.0 + 1j * ts[start : start + _BLOCK_ROWS])[:, None]
         shape = (len(s), len(x))
         f = np.exp(-s * lx) * upper_incomplete_gamma(np.broadcast_to(s, shape), x[None, :])
-        if one_sided:
-            dual = np.conj(f)
-        else:
-            g_2ms = upper_incomplete_gamma(np.broadcast_to(2.0 - s, shape), x[None, :])
-            dual = series.root_number * np.exp((s - 2.0) * lx) * g_2ms
-        out[start : start + _BLOCK_ROWS] = (a[None, :] * (f + dual)).sum(axis=1)
+        out[start : start + _BLOCK_ROWS] = (a[None, :] * (f + np.conj(f))).sum(axis=1).real
     return out
 
 
 def lambda_critical(series: LSeries, t: float) -> float:
-    """Completed L-function on the critical line at s = 1 + it (w = +1).
-
-    The value is real up to numerical residue; the residue is checked
-    against REALNESS_TOL.
-    """
+    """Completed L-function on the critical line at s = 1 + it (w = +1)."""
     if series.root_number != 1:
         raise ValueError(f"{series.label}: critical-line scan requires w = +1")
     _require_budget(series, t)
-    val = _lambda_batch(series, np.array([t]))[0]
-    if abs(val.imag) >= REALNESS_TOL:
-        raise ArithmeticError(
-            f"{series.label}: Lambda(1+{t:g}i) imaginary residue {val.imag:.3e}"
-        )
-    return float(val.real)
+    return float(_lambda_batch(series, np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -283,7 +274,6 @@ class ZeroSet:
     k_requested: int
     t_max: float
     complete: bool
-    max_imag_residual: float
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=np.float64)
@@ -302,14 +292,10 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     one.  If fewer than k sign changes occur below t_max the result is
     flagged incomplete.
 
-    The scan evaluates both sums of the functional equation, so the
-    REALNESS_TOL check still tests that they are conjugate.  Bisection
-    midpoints compute F_n = x_n^{-s} Gamma(s, x_n) once and sum
-    a_n (F_n + conj F_n), which halves the incomplete gamma work and is
-    exact: for s = 1 + it the floating-point values 2 - s and s - 2 are
-    conj(s) and -conj(s), the exponential and the gamma kernels commute with
-    conjugation bit for bit, and w = +1, so the second term is conj F_n in
-    every bit and the row sum adds the same numbers in the same order.
+    The scan and every bisection midpoint evaluate Lambda through
+    _lambda_batch, one incomplete gamma per term: for w = +1 the dual sum of
+    the functional equation is the conjugate of the first in every bit, so
+    a_n (F_n + conj F_n) is the two-sided value exactly.
     """
     if series.root_number != 1:
         raise ValueError(f"{series.label}: zero search requires w = +1")
@@ -320,22 +306,16 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     grid = np.arange(0.0, t_max + step, step)
     grid = grid[grid <= t_max]
     vals = _lambda_batch(series, grid)
-    max_imag = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
-    if max_imag >= REALNESS_TOL:
-        raise ArithmeticError(
-            f"{series.label}: Lambda imaginary residue {max_imag:.3e} on scan grid"
-        )
-    re = vals.real
     zeros: list[float] = []
-    sign_change = np.flatnonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)
+    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     for idx in sign_change:
         if len(zeros) >= k:
             break
         lo, hi = float(grid[idx]), float(grid[idx + 1])
-        f_lo = float(re[idx])
+        f_lo = float(vals[idx])
         while hi - lo > ZERO_TOL:
             mid = 0.5 * (lo + hi)
-            f_mid = _lambda_batch(series, np.array([mid]), one_sided=True)[0].real
+            f_mid = _lambda_batch(series, np.array([mid]))[0]
             if f_mid == 0.0:
                 lo = hi = mid
                 break
@@ -350,7 +330,6 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
         k_requested=k,
         t_max=t_max,
         complete=len(zeros) >= k,
-        max_imag_residual=max_imag,
     )
 
 
@@ -550,5 +529,5 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
             gammas = [float(v) for v in row[1:6] if v != ""]
             complete = bool(int(row[6]))
             t_max = float(row[7])
-            out.append(ZeroSet(label, np.array(gammas), 5, t_max, complete, 0.0))
+            out.append(ZeroSet(label, np.array(gammas), 5, t_max, complete))
     return out

@@ -21,6 +21,8 @@ from .traces import TraceMatrix
 from .windows import MurmurationProfile, murmuration_profile
 
 _INF = float("inf")
+#: shuffles per block of the permutation null
+_SHUFFLE_BLOCK = 256
 
 
 class EmptyGroupError(ValueError):
@@ -155,7 +157,7 @@ class StratReport:
 
 def permutation_test(groups: Mapping[str, Sequence[int]] | Sequence[Sequence[int]],
                      matrix: TraceMatrix, n_shuffles: int = 10_000,
-                     seed: int = 0, _shuffle_block: int = 256) -> StratReport:
+                     seed: int = 0) -> StratReport:
     """Permutation null for the RMS separation of group profiles.
 
     Groups are matrix row positions.  Membership is reshuffled preserving
@@ -179,7 +181,7 @@ def permutation_test(groups: Mapping[str, Sequence[int]] | Sequence[Sequence[int
     null = np.empty(n_shuffles)
     done = 0
     # keep the one-hot scatter matrix within ~128 MB regardless of table size
-    max_block = max(1, min(_shuffle_block, (1 << 24) // n_total))
+    max_block = max(1, min(_SHUFFLE_BLOCK, (1 << 24) // n_total))
     while done < n_shuffles:
         block = min(max_block, n_shuffles - done)
         perms = rng.permuted(

@@ -21,6 +21,7 @@ directly; labels are kept only for the cache and for reports.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -82,6 +83,13 @@ class PrimeList:
 
 
 def default_prime_list(count: int = DEFAULT_PRIME_COUNT) -> PrimeList:
+    """The first count primes.
+
+    A count whose last prime must exceed MAX_PRIME is refused before any
+    sieve runs, by Dusart's p_n > n(ln n + ln ln n - 1) for n >= 2.
+    """
+    if count >= 2 and count * (math.log(count) + math.log(math.log(count)) - 1) > MAX_PRIME:
+        raise ValueError(f"{count} primes reach past the supported maximum {MAX_PRIME}")
     return PrimeList(first_n_primes(count))
 
 

@@ -2,9 +2,12 @@
 
 These deliberately avoid the production code paths: point counts come from
 full enumeration of the Weierstrass equation over F_p x F_p (vectorised
-meshgrid, no residue tables, no short-model transform).
+meshgrid, no residue tables, no short-model transform), and values of the
+completed L-function come from both sums of the functional equation in
+mpmath (no float incomplete gamma, no one-sum shortcut).
 """
 
+import mpmath
 import numpy as np
 
 
@@ -71,3 +74,44 @@ def synthetic_conductor(model, primes):
     if n < 11:
         n *= 999983  # prime, far outside any default prime list
     return n
+
+
+def lambda_afe(series, t, cut=1.0, root_number=None):
+    """Lambda(1 + it) from both sums of the smoothed functional equation.
+
+    Returns (value, sum of |terms|) for
+
+        sum_n a_n [x_n^{-s} Gamma(s, cut x_n) + w x_n^{s-2} Gamma(2-s, x_n / cut)]
+
+    with s = 1 + it and x_n = 2 pi n / sqrt(N), term by term in mpmath at 30
+    digits over every coefficient of the series.  The value is independent of
+    the cut-off only when w is the root number of the L-function (Dokchitser,
+    arXiv:math/0207280); w defaults to series.root_number.
+    """
+    w = series.root_number if root_number is None else root_number
+    with mpmath.workdps(30):
+        s = mpmath.mpc(1, t)
+        sqrt_n = mpmath.sqrt(series.conductor)
+        total = mpmath.mpc(0)
+        magnitude = mpmath.mpf(0)
+        for n in range(1, series.n_max + 1):
+            a = int(series.coefficients[n])
+            if a == 0:
+                continue
+            x = 2 * mpmath.pi * n / sqrt_n
+            first = x ** -s * mpmath.gammainc(s, a=cut * x)
+            second = w * x ** (s - 2) * mpmath.gammainc(2 - s, a=x / cut)
+            total += a * (first + second)
+            magnitude += abs(a) * (abs(first) + abs(second))
+        return complex(total), float(magnitude)
+
+
+def afe_cut_residual(series, t, cut=1.25, root_number=None):
+    """|Lambda at cut-off 1 - Lambda at cut-off cut|, relative to the sum of |terms|.
+
+    Rounding-small for the true root number; a wrong root number, conductor
+    or coefficient makes the two cut-offs disagree.
+    """
+    one, scale_one = lambda_afe(series, t, 1.0, root_number)
+    other, scale_other = lambda_afe(series, t, cut, root_number)
+    return abs(one - other) / max(scale_one, scale_other)

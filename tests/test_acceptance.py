@@ -56,7 +56,12 @@ from conftest import (
     requires_dataset,
     twist_of_11a1,
 )
-from oracles import ap_oracle, random_nonsingular_model, synthetic_conductor
+from oracles import (
+    afe_cut_residual,
+    ap_oracle,
+    random_nonsingular_model,
+    synthetic_conductor,
+)
 
 MEAN_GAMMAS_SHA1 = np.array([0.606, 1.483, 2.306, 3.050, 3.732])
 MEAN_GAMMAS_SHA4 = np.array([0.627, 1.446, 2.253, 3.026, 3.722])
@@ -359,14 +364,16 @@ class TestCriterion11:
         start = time.perf_counter()
         twist_zeros = locate_zeros(twist_series, k=5, t_max=10.0)
         elapsed = time.perf_counter() - start
-        ok = (gamma1_err < 1e-3 and zeros.max_imag_residual < 1e-8
+        fe_residual = afe_cut_residual(series, zeros.gammas[0])
+        ok = (gamma1_err < 1e-3 and fe_residual < 1e-12
               and twist_zeros.complete and elapsed < 5.0)
         criterion(11, "first zero of 11a1 matches published tables to 1e-3; "
-                      "real scan residue < 1e-8; 5-zero search < 5 s at "
-                      "N <= 50000", ok,
-                  f"gamma1 err {gamma1_err:.1e}, search {elapsed:.2f}s")
+                      "functional equation at that zero holds to 1e-12 across "
+                      "cut-offs 1 and 1.25; 5-zero search < 5 s at N <= 50000", ok,
+                  f"gamma1 err {gamma1_err:.1e}, FE residual {fe_residual:.1e}, "
+                  f"search {elapsed:.2f}s")
         assert gamma1_err < 1e-3
-        assert zeros.max_imag_residual < 1e-8
+        assert fe_residual < 1e-12
         assert twist_zeros.complete and elapsed < 5.0
 
 

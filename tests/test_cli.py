@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from murmurlab import lfunctions
+from murmurlab import cli, lfunctions, traces
 from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
@@ -127,6 +127,19 @@ class TestTraces:
         err = json.loads((out / "traces_error.json").read_text())
         assert "holds 20 primes, 30 were requested" in err["error"]
 
+    def test_prime_count_past_max_prime_refused_before_sieving(
+            self, twist_csv, tmp_path, monkeypatch):
+        def no_sieve(count):
+            pytest.fail("first_n_primes ran for a refused count")
+
+        monkeypatch.setattr(traces, "first_n_primes", no_sieve)
+        out = tmp_path / "out"
+        rc = main(["traces", "--curves", str(twist_csv), "--primes", "1000000000",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "traces_error.json").read_text())
+        assert "supported maximum" in err["error"]
+
 
 class TestStratify:
     def test_report_fields_and_determinism(self, twist_csv, tmp_path):
@@ -172,6 +185,20 @@ class TestErrorReports:
         assert err["command"] == "stratify"
         assert "truncated cache" in err["error"]
 
+    def test_missing_cache_refused_before_any_build(self, twist_csv, tmp_path,
+                                                    monkeypatch):
+        def no_build(*args, **kwargs):
+            pytest.fail("the trace matrix was built for a missing cache")
+
+        monkeypatch.setattr(cli, "build_trace_matrix", no_build)
+        out = tmp_path / "out"
+        rc = main(["stratify", "--curves", str(twist_csv), "--cache",
+                   str(tmp_path / "none.bin"), "--rule", "sha", "--primes", "20",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "stratify_error.json").read_text())
+        assert "none.bin does not exist" in err["error"]
+
     def test_zeros_gamma_non_convergence(self, twist_csv, tmp_path, monkeypatch):
         monkeypatch.setattr(lfunctions, "_GAMMA_MAX_ITER", 1)
         out = tmp_path / "out"
@@ -200,16 +227,20 @@ class TestSupersetCache:
         assert {row.split(",")[0] for row in rows} == set(table.labels[:-4])
 
 
+def imported_zeros_csv(tmp_path):
+    rng = np.random.default_rng(0)
+    sets = []
+    for rec in twist_table():
+        gammas = np.sort(np.cumsum(rng.uniform(0.4, 0.9, size=5)))
+        sets.append(ZeroSet(rec.label, gammas, 5, 10.0, True))
+    zeros_csv = tmp_path / "zeros.csv"
+    write_zero_sets_csv(zeros_csv, sets)
+    return zeros_csv
+
+
 class TestZerosImport:
     def test_imported_zco_sets_drive_statistics(self, twist_csv, tmp_path):
-        rng = np.random.default_rng(0)
-        table = twist_table()
-        sets = []
-        for i, rec in enumerate(table):
-            gammas = np.sort(np.cumsum(rng.uniform(0.4, 0.9, size=5)))
-            sets.append(ZeroSet(rec.label, gammas, 5, 10.0, True, 0.0))
-        zeros_csv = tmp_path / "zeros.csv"
-        write_zero_sets_csv(zeros_csv, sets)
+        zeros_csv = imported_zeros_csv(tmp_path)
         out = tmp_path / "out"
         rc = main(["zeros", "--curves", str(twist_csv), "--zeros", str(zeros_csv),
                    "--band", "0:100", "--range", "1000:300000", "--primes", "20",
@@ -220,6 +251,19 @@ class TestZerosImport:
         assert "t2" in report["hotelling"]
         assert "correlation" in report["explicit_formula"]
         assert (out / "explicit_prediction.csv").exists()
+
+    def test_report_lists_the_cache(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
+                     "--primes", "20", "--out", str(out)]) == 0
+        rc = main(["zeros", "--curves", str(twist_csv), "--cache", str(cache),
+                   "--zeros", str(imported_zeros_csv(tmp_path)), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "20", "--out", str(out)])
+        assert rc == 0
+        inputs = read_report(out, "zeros")["inputs"]
+        assert inputs["cache"] == {"path": str(cache),
+                                   "sha256": cli._file_digest(cache)}
 
 
 class TestWindowsCommand:

@@ -17,7 +17,12 @@ from murmurlab.curves import (
     validate_record,
 )
 
-from conftest import make_synthetic_table, record_of
+from conftest import (
+    full_dataset_path,
+    make_synthetic_table,
+    record_of,
+    requires_dataset,
+)
 
 HEADER = ",".join(CSV_FIELDS)
 
@@ -188,14 +193,9 @@ def test_validate_record_flags_low_conductor(curve_11a1):
     assert any("conductor" in p for p in validate_record(low))
 
 
-@pytest.mark.usefixtures()
+@requires_dataset
 def test_full_range_rank_histogram():
-    from conftest import full_dataset_path, requires_dataset
-
-    path = full_dataset_path()
-    if path is None:
-        pytest.skip("full-range histogram check needs MURMURLAB_DATASET")
-    with open(path, newline="") as fh:
+    with open(full_dataset_path(), newline="") as fh:
         table = parse_curve_table(fh).table
     assert table.rank_histogram() == {
         0: 1_170_876, 1: 1_535_669, 2: 348_672, 3: 9_487, 4: 1

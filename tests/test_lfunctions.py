@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -30,6 +31,7 @@ from murmurlab.lfunctions import (
 )
 
 from conftest import record_of, twist_of_11a1
+from oracles import afe_cut_residual, lambda_afe
 
 mp.mp.dps = 30
 
@@ -153,10 +155,23 @@ class TestLambdaCritical:
             )
 
     def test_one_sided_evaluation_is_bit_identical(self, series_11a1):
+        # reference: both sums of the functional equation, the dual one with
+        # its own incomplete gamma at 2 - s
         ts = np.linspace(0.0, 9.0, 37)
-        two_sided = lfunctions._lambda_batch(series_11a1, ts)
-        one_sided = lfunctions._lambda_batch(series_11a1, ts, one_sided=True)
-        assert np.array_equal(one_sided, two_sided)
+        n = np.arange(1, series_11a1.n_max + 1)
+        x = 2.0 * math.pi * n / math.sqrt(series_11a1.conductor)
+        keep = x <= lfunctions._X_CUT
+        x, a = x[keep], series_11a1.coefficients[1:][keep]
+        lx = np.log(x)[None, :]
+        s = (1.0 + 1j * ts)[:, None]
+        shape = (len(ts), len(x))
+        first = (np.exp(-s * lx)
+                 * upper_incomplete_gamma(np.broadcast_to(s, shape), x[None, :]))
+        dual = (series_11a1.root_number * np.exp((s - 2.0) * lx)
+                * upper_incomplete_gamma(np.broadcast_to(2.0 - s, shape), x[None, :]))
+        two_sided = (a[None, :] * (first + dual)).sum(axis=1)
+        assert np.array_equal(two_sided.imag, np.zeros(len(ts)))
+        assert np.array_equal(lfunctions._lambda_batch(series_11a1, ts), two_sided.real)
 
     def test_budget_enforced(self, series_11a1):
         too_high = 25.0
@@ -170,7 +185,7 @@ class TestZeroFinder:
         zeros = locate_zeros(series_11a1, k=2, t_max=9.0)
         assert zeros.complete
         assert abs(zeros.gammas[0] - 6.36261389) < 1e-3
-        assert zeros.max_imag_residual < 1e-8
+        assert afe_cut_residual(series_11a1, zeros.gammas[0]) < 1e-12
 
     def test_zeros_strictly_increasing_and_bracketed(self, series_11a1):
         zeros = locate_zeros(series_11a1, k=2, t_max=9.0)
@@ -215,6 +230,38 @@ class TestZeroFinder:
             locate_zeros(series)
 
 
+@functools.lru_cache(maxsize=None)
+def _twist_series(d):
+    return LSeries.from_curve(twist_of_11a1(d), t_max=9.0 if d == 1 else 10.0)
+
+
+#: (twist d, height t); mpmath at t > 0 takes over 10 s for the twists
+FE_POINTS = [(1, 0.0), (1, 1.3), (53, 0.0), (89, 0.0)]
+
+
+class TestFunctionalEquation:
+    """Dokchitser's cut-off test on the independent mpmath oracle.
+
+    Both sums of the functional equation, split at cut-off 1 and at 1.25,
+    give the same Lambda only under the true root number.
+    """
+
+    @pytest.mark.parametrize("d,t", FE_POINTS)
+    def test_cut_offs_agree_under_the_root_number(self, d, t):
+        assert afe_cut_residual(_twist_series(d), t) < 1e-12
+
+    @pytest.mark.parametrize("d,t", FE_POINTS)
+    def test_cut_offs_disagree_under_the_flipped_root_number(self, d, t):
+        series = _twist_series(d)
+        assert afe_cut_residual(series, t, root_number=-series.root_number) > 1e-3
+
+    @pytest.mark.parametrize("d,t", FE_POINTS)
+    def test_lambda_critical_matches_the_oracle(self, d, t):
+        series = _twist_series(d)
+        value, scale = lambda_afe(series, t)
+        assert abs(lambda_critical(series, t) - value) < 1e-12 * scale
+
+
 #: zero ordinates (repr) recorded from the dense-loop zero finder; speed work
 #: on the kernel or the search must reproduce them exactly
 GOLDEN_ZEROS = {
@@ -237,7 +284,7 @@ def test_golden_zero_ordinates(d):
 
 def _toy_zero_sets(matrix, prefix):
     return [
-        ZeroSet(f"{prefix}{i}", np.sort(row), 5, 10.0, True, 0.0)
+        ZeroSet(f"{prefix}{i}", np.sort(row), 5, 10.0, True)
         for i, row in enumerate(matrix)
     ]
 
@@ -296,7 +343,7 @@ class TestOneLevelDensity:
         assert so_even_density(0.5) == pytest.approx(1.0)
 
     def test_single_zero_set_mass_in_one_bin(self):
-        z = ZeroSet("x", np.array([1.0]), 1, 10.0, True, 0.0)
+        z = ZeroSet("x", np.array([1.0]), 1, 10.0, True)
         n_conductor = int(np.exp(2 * np.pi))  # scaled ordinate exactly 1.0
         res = one_level_density([z], [n_conductor])
         assert res.density.sum() * 0.1 == pytest.approx(1.0)
@@ -313,10 +360,10 @@ class TestOneLevelDensity:
         sets = []
         for i in range(n_curves):
             draws = np.sort(rng.choice(xs, size=5, replace=False, p=w)) / scale
-            sets.append(ZeroSet(f"c{i}", draws, 5, 10.0, True, 0.0))
+            sets.append(ZeroSet(f"c{i}", draws, 5, 10.0, True))
         res = one_level_density(sets, [conductor] * n_curves)
         flat = ZeroSet("f", np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / scale, 5, 10.0,
-                       True, 0.0)
+                       True)
         res_flat = one_level_density([flat] * n_curves, [conductor] * n_curves)
         assert res.deviation_so_even < res_flat.deviation_so_even
 
@@ -370,8 +417,8 @@ class TestExplicitPredict:
 class TestZeroCsv:
     def test_round_trip(self, tmp_path):
         sets = [
-            ZeroSet("11a1", np.array([6.362613, 8.603540]), 5, 12.0, False, 0.0),
-            ZeroSet("x1", np.array([0.5, 1.5, 2.5, 3.5, 4.5]), 5, 10.0, True, 0.0),
+            ZeroSet("11a1", np.array([6.362613, 8.603540]), 5, 12.0, False),
+            ZeroSet("x1", np.array([0.5, 1.5, 2.5, 3.5, 4.5]), 5, 10.0, True),
         ]
         path = tmp_path / "zeros.csv"
         write_zero_sets_csv(path, sets)
