@@ -46,10 +46,12 @@ from .export import (
     write_xy_csv,
 )
 from .lfunctions import (
+    FE_TOL,
     GammaConvergenceError,
     LSeries,
     density_comparison,
     explicit_predict,
+    fe_residual,
     hotelling_t2,
     locate_zeros,
     one_level_density,
@@ -582,11 +584,19 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             found[name] = [(i, imported[table.labels[i]]) for i in members
                            if table.labels[i] in imported]
     else:
+        # a curve whose conductor, root number and model fail the functional
+        # equation is neither searched nor counted in the statistics
+        fe_failed = {}
         for name, members in groups.items():
             if cfg.sample and cfg.sample < len(members):
                 members = rng.choice(members, size=cfg.sample, replace=False)
-            found[name] = [(i, locate_zeros(LSeries.from_curve(table.record(i))))
-                           for i in members]
+            found[name], fe_failed[name] = [], []
+            for i in members:
+                series = LSeries.from_curve(table.record(i))
+                if fe_residual(series) > FE_TOL:
+                    fe_failed[name].append(series.label)
+                else:
+                    found[name].append((i, locate_zeros(series)))
             write_zero_sets_csv(out / f"zeros_{name}.csv", [z for _, z in found[name]])
     complete = {name: [z for _, z in pairs if z.complete] for name, pairs in found.items()}
     cond = {name: [int(table.conductors[i]) for i, z in pairs if z.complete]
@@ -595,6 +605,12 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         "band": list(band),
         "n_complete": {k: len(v) for k, v in complete.items()},
     }
+    if not cfg.zeros:
+        zeros_report["fe_gate"] = {
+            "tolerance": FE_TOL,
+            "n_excluded": {k: len(v) for k, v in fe_failed.items()},
+            "excluded": fe_failed,
+        }
     k = 5
     if all(len(v) > k + 1 for v in complete.values()):
         hot = hotelling_t2(complete["sha_1"], complete["sha_ge4"])

@@ -28,7 +28,21 @@ construction; its imaginary part checks nothing.
 The incomplete gamma kernels iterate only the elements that have not yet
 converged, and heights are evaluated in small blocks of rows.  Neither
 changes the arithmetic done for any element or row, so neither changes a
-value.
+value.  The zero search leans on the same fact twice: it scans the grid
+block by block and stops at the block that shows the k-th sign change, and
+it bisects all k brackets together, one Lambda call per halving on the
+midpoints still open.  Each row is summed on its own and each bracket sees
+the midpoints a one-bracket-at-a-time bisection would, so both leave every
+ordinate unchanged.
+
+At t = 0 the smoothed functional equation needs no incomplete gamma:
+Gamma(1, x) = exp(-x), so splitting the sum at cut-off c gives
+
+    Lambda(1; c) = sum_n a_n (exp(-c x_n) + w exp(-x_n / c)) / x_n,
+
+which is independent of c only if N, w and the a_n belong to one
+L-function (Dokchitser, arXiv:math/0207280).  fe_residual compares c = 1
+with c = 1.25, and the zeros step does not search a curve that fails.
 """
 
 from __future__ import annotations
@@ -56,6 +70,9 @@ _BLOCK_ROWS = 16
 DEFAULT_T_MAX = 10.0
 #: bisection tolerance on zero ordinates
 ZERO_TOL = 1e-6
+#: fe_residual above which a curve's conductor, root number and coefficients
+#: do not form one L-function; true inputs measure below 2e-16
+FE_TOL = 1e-10
 
 
 class CoefficientShortfallError(ValueError):
@@ -257,6 +274,27 @@ def _lambda_batch(series: LSeries, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def fe_residual(series: LSeries) -> float:
+    """Relative disagreement of Lambda(1) split at cut-offs 1 and 1.25.
+
+    |Lambda(1; 1) - Lambda(1; 1.25)| from the t = 0 form in the module
+    docstring, over the larger of the two sums of |terms|, each term of both
+    sums counted on its own: rounding-small when the series is an L-function
+    with this conductor and root number, far above FE_TOL when either is
+    wrong.  The 8 sqrt(N) coefficients of a height-0 budget reach x = 16 pi,
+    where exp(-x / 1.25) < 1e-17, so truncation stays far below FE_TOL.
+    """
+    _require_budget(series, 0.0)
+    x = 2.0 * math.pi * np.arange(1, series.n_max + 1) / math.sqrt(series.conductor)
+    a = series.coefficients[1:]
+    sums, scales = [], []
+    for c in (1.0, 1.25):
+        first, second = np.exp(-c * x) / x, np.exp(-x / c) / x
+        sums.append(np.sum(a * (first + series.root_number * second)))
+        scales.append(np.sum(np.abs(a) * (first + second)))
+    return float(abs(sums[0] - sums[1]) / max(scales))
+
+
 def lambda_critical(series: LSeries, t: float) -> float:
     """Completed L-function on the critical line at s = 1 + it (w = +1)."""
     if series.root_number != 1:
@@ -292,6 +330,16 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     one.  If fewer than k sign changes occur below t_max the result is
     flagged incomplete.
 
+    The grid is evaluated _BLOCK_ROWS heights at a time and the scan stops
+    after the block that shows the k-th sign change; an incomplete set
+    still scans to t_max.  The first k brackets are then bisected together:
+    each halving evaluates the midpoints of the brackets still open in one
+    _lambda_batch call, and an exact zero at a midpoint closes only its own
+    bracket.  Every row of _lambda_batch is summed on its own, so a value
+    does not depend on which rows share its call, and each bracket visits
+    the same midpoints as when bisected alone: the early stop and the
+    batching leave every ordinate unchanged.
+
     The scan and every bisection midpoint evaluate Lambda through
     _lambda_batch, one incomplete gamma per term: for w = +1 the dual sum of
     the functional equation is the conjugate of the first in every bit, so
@@ -299,37 +347,40 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     """
     if series.root_number != 1:
         raise ValueError(f"{series.label}: zero search requires w = +1")
+    if k < 1:
+        raise ValueError("k must be a positive number of zeros")
     if refinement < 1:
         raise ValueError("refinement must be a positive grid divider")
     _require_budget(series, t_max)
     step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / refinement
     grid = np.arange(0.0, t_max + step, step)
     grid = grid[grid <= t_max]
-    vals = _lambda_batch(series, grid)
-    zeros: list[float] = []
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    for idx in sign_change:
-        if len(zeros) >= k:
-            break
-        lo, hi = float(grid[idx]), float(grid[idx + 1])
-        f_lo = float(vals[idx])
-        while hi - lo > ZERO_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = _lambda_batch(series, np.array([mid]))[0]
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_lo < 0) != (f_mid < 0):
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        zeros.append(0.5 * (lo + hi))
+    vals = np.empty(len(grid))
+    brackets = np.empty(0, dtype=np.intp)
+    stop = 0
+    while stop < len(grid) and len(brackets) < k:
+        start, stop = stop, stop + _BLOCK_ROWS
+        vals[start:stop] = _lambda_batch(series, grid[start:stop])
+        seen = vals[:stop]
+        brackets = np.flatnonzero(np.sign(seen[:-1]) * np.sign(seen[1:]) < 0)[:k]
+    lo, hi, f_lo = grid[brackets], grid[brackets + 1], vals[brackets]
+    open_ = np.flatnonzero(hi - lo > ZERO_TOL)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = _lambda_batch(series, mid)
+        exact = f_mid == 0.0
+        lo[open_[exact]] = hi[open_[exact]] = mid[exact]
+        flips = ~exact & ((f_lo[open_] < 0) != (f_mid < 0))
+        hi[open_[flips]] = mid[flips]
+        keeps = ~exact & ~flips
+        lo[open_[keeps]], f_lo[open_[keeps]] = mid[keeps], f_mid[keeps]
+        open_ = open_[hi[open_] - lo[open_] > ZERO_TOL]
     return ZeroSet(
         label=series.label,
-        gammas=np.array(zeros),
+        gammas=0.5 * (lo + hi),
         k_requested=k,
         t_max=t_max,
-        complete=len(zeros) >= k,
+        complete=len(brackets) == k,
     )
 
 

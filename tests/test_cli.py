@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from murmurlab import cli, lfunctions, traces
 from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 
-from conftest import make_synthetic_table, twist_of_11a1
+from conftest import make_synthetic_table, record_of, twist_of_11a1
 
 #: squarefree d = 1 mod 4, coprime to 22 and 3: twist conductors 11 d^2
 TWIST_DS = (13, 17, 29, 37, 41, 53, 61, 65, 73, 85, 89, 97, 101, 109, 113, 137)
@@ -266,6 +268,39 @@ class TestZerosImport:
                                    "sha256": cli._file_digest(cache)}
 
 
+class TestZerosFunctionalEquationGate:
+    def test_curve_with_a_false_root_number_excluded_and_counted(
+            self, known_table, tmp_path, monkeypatch):
+        # 37a1 has rank 1 and w = -1; claimed as rank 0 with w = +1 it passes
+        # the parity check of ingest and builds traces like any curve
+        rec = record_of(known_table, "37a1")
+        impostor = dataclasses.replace(rec, rank=0, root_number=1, regulator=1.0,
+                                       l_value=rec.real_period)
+        anchor = record_of(known_table, "11a1")
+        twist = dataclasses.replace(twist_of_11a1(37), sha_an=4.0, l_value=4.0)
+        path = tmp_path / "impostor.csv"
+        path.write_text(serialize_curve_table(CurveTable([anchor, impostor, twist])))
+        searched = []
+        real = cli.locate_zeros
+
+        def recording(series):
+            searched.append(series.label)
+            return real(series)
+
+        monkeypatch.setattr(cli, "locate_zeros", recording)
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(path), "--band", "0:100",
+                   "--range", "11:300000", "--primes", "20", "--out", str(out)])
+        assert rc == 0
+        assert sorted(searched) == ["11a1", twist.label]
+        gate = read_report(out, "zeros")["zeros"]["fe_gate"]
+        assert gate["excluded"] == {"sha_1": ["37a1"], "sha_ge4": []}
+        assert gate["n_excluded"] == {"sha_1": 1, "sha_ge4": 0}
+        assert gate["tolerance"] == lfunctions.FE_TOL
+        rows = (out / "zeros_sha_1.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["11a1"]
+
+
 class TestWindowsCommand:
     def test_windows_report_on_synthetic_table(self, tmp_path):
         rank0 = make_synthetic_table(400, seed=1, conductor_range=(11_000, 49_000))
@@ -365,6 +400,39 @@ class TestConfigFile:
         rc = main(["ingest", "--config", str(cfg), "--curves",
                    str(known_csv_path), "--out", str(tmp_path / "out")])
         assert rc == 1
+
+
+#: values the config parsers treat specially: non-finite, empty, malformed
+_ODD_VALUES = ("nan:5", "5:nan", "inf:inf", "-inf:1", "1e400:2", "nan", "inf", "",
+               ":", "1:2:3", "1:2,", ",", "true", "0x10", "1_000", " 7 ")
+
+
+class TestConfigFuzz:
+    """Any config file ends in a RunConfig or in <cmd>_error.json and exit 1."""
+
+    LINES = st.lists(st.one_of(
+        st.builds("{}={}".format, st.sampled_from([*cli._FIELDS, "threads", ""]),
+                  st.one_of(st.sampled_from(_ODD_VALUES), st.text(max_size=12)))
+        .map(str.encode),
+        st.binary(max_size=24),
+    ), max_size=6)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=LINES)
+    def test_config_file_never_ends_in_a_traceback(self, tmp_path, lines):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        args = ["report", "--config", str(path), "--out", str(out)]
+        rc = main(args)
+        if rc == 0:
+            assert isinstance(build_config(make_parser().parse_args(args)), RunConfig)
+        else:
+            assert rc == 1
+            err = json.loads((out / "report_error.json").read_text())
+            assert err["command"] == "report" and err["error"]
 
 
 class TestReportAggregate:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,8 @@ from scipy import stats
 
 from murmurlab import lfunctions
 from murmurlab.lfunctions import (
+    FE_TOL,
+    ZERO_TOL,
     CoefficientShortfallError,
     DensityComparison,
     GammaConvergenceError,
@@ -16,6 +19,7 @@ from murmurlab.lfunctions import (
     ZeroSet,
     density_comparison,
     explicit_predict,
+    fe_residual,
     hotelling_t2,
     hotelling_t2_from_samples,
     hotelling_to_f,
@@ -229,6 +233,11 @@ class TestZeroFinder:
         with pytest.raises(ValueError, match="w = \\+1"):
             locate_zeros(series)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_zero_count_below_one_refused(self, series_11a1, k):
+        with pytest.raises(ValueError, match="positive number of zeros"):
+            locate_zeros(series_11a1, k=k)
+
 
 @functools.lru_cache(maxsize=None)
 def _twist_series(d):
@@ -280,6 +289,138 @@ def test_golden_zero_ordinates(d):
     assert twist.root_number == 1
     zeros = locate_zeros(LSeries.from_curve(twist))
     assert tuple(repr(float(g)) for g in zeros.gammas) == GOLDEN_ZEROS[d]
+
+
+def _search_grid(series, t_max):
+    """The scan grid of locate_zeros at the default refinement, and its step."""
+    step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / 8
+    grid = np.arange(0.0, t_max + step, step)
+    return step, grid[grid <= t_max]
+
+
+def _max_halvings(step):
+    return math.ceil(math.log2(step / ZERO_TOL)) + 1
+
+
+def _bisect_alone(f, lo, hi):
+    """One bracket bisected on its own, midpoint by midpoint."""
+    f_lo = f(lo)
+    while hi - lo > ZERO_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0) != (f_mid < 0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture()
+def lambda_calls(monkeypatch):
+    """Heights of every _lambda_batch call, in call order."""
+    calls = []
+    real = lfunctions._lambda_batch
+
+    def recording(series, ts):
+        calls.append(np.array(ts, dtype=np.float64))
+        return real(series, ts)
+
+    monkeypatch.setattr(lfunctions, "_lambda_batch", recording)
+    return calls
+
+
+class TestSearchWork:
+    """The scan stops at the k-th bracket and the brackets are bisected together."""
+
+    BLOCK = lfunctions._BLOCK_ROWS
+
+    def test_scan_stops_at_the_block_of_the_last_bracket(self, lambda_calls):
+        series = _twist_series(53)
+        step, grid = _search_grid(series, 10.0)
+        zeros = locate_zeros(series, k=5, t_max=10.0)
+        right_end = int(np.searchsorted(grid, zeros.gammas[-1]))  # of the 5th bracket
+        n_blocks = right_end // self.BLOCK + 1
+        assert n_blocks * self.BLOCK < len(grid)
+        scan, bisection = lambda_calls[:n_blocks], lambda_calls[n_blocks:]
+        for b, ts in enumerate(scan):
+            assert np.array_equal(ts, grid[b * self.BLOCK:(b + 1) * self.BLOCK])
+        assert not any(np.isin(ts, grid).any() for ts in bisection)
+        assert len(bisection[0]) == 5
+        assert all(len(ts) <= 5 for ts in bisection)
+        assert len(bisection) <= _max_halvings(step)
+
+    def test_incomplete_search_scans_the_whole_grid(self, lambda_calls, series_11a1):
+        step, grid = _search_grid(series_11a1, 7.0)
+        zeros = locate_zeros(series_11a1, k=5, t_max=7.0)
+        assert not zeros.complete
+        n_blocks = -(-len(grid) // self.BLOCK)
+        assert np.array_equal(np.concatenate(lambda_calls[:n_blocks]), grid)
+        bisection = lambda_calls[n_blocks:]
+        assert all(len(ts) == 1 for ts in bisection)
+        assert len(bisection) <= _max_halvings(step)
+
+    def test_fewer_zeros_are_a_prefix(self):
+        series = _twist_series(53)
+        five = [repr(float(g)) for g in locate_zeros(series, k=5).gammas]
+        for j in range(1, 5):
+            assert [repr(float(g)) for g in locate_zeros(series, k=j).gammas] == five[:j]
+
+    def test_exact_zero_closes_only_its_own_bracket(self, monkeypatch, series_11a1):
+        step, grid = _search_grid(series_11a1, 9.0)
+        exact = 0.5 * (grid[10] + grid[11])  # the first midpoint of its bracket
+        r = (exact, 2.0 + step / 3, 4.0 + step / 7, 6.0 + step / 5)
+
+        def f(t):  # same operations for a scalar and an array
+            return (t - r[0]) * (t - r[1]) * (t - r[2]) * (t - r[3])
+
+        calls = []
+
+        def synthetic(series, ts):
+            calls.append(np.array(ts, dtype=np.float64))
+            return f(calls[-1])
+
+        monkeypatch.setattr(lfunctions, "_lambda_batch", synthetic)
+        zeros = locate_zeros(series_11a1, k=4, t_max=9.0)
+        vals = f(grid)
+        brackets = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        assert len(brackets) == 4
+        alone = [_bisect_alone(f, grid[i], grid[i + 1]) for i in brackets]
+        assert alone[0] == exact
+        assert [repr(float(g)) for g in zeros.gammas] == [repr(float(g)) for g in alone]
+        bisection = [len(ts) for ts in calls if not np.isin(ts, grid).any()]
+        assert bisection[0] == 4
+        assert bisection[1:] == [3] * (len(bisection) - 1)
+        assert len(bisection) <= _max_halvings(step)
+
+
+class TestFeResidual:
+    """Dokchitser's cut-off test at t = 0, as the zeros step runs it."""
+
+    @pytest.mark.parametrize("d", sorted(GOLDEN_ZEROS))
+    def test_true_inputs_pass(self, d):
+        assert fe_residual(_twist_series(d)) < 1e-14  # measured <= 1.3e-16
+
+    @pytest.mark.parametrize("wrong", ["root_number", "conductor_x4", "conductor_plus_2"])
+    @pytest.mark.parametrize("d", sorted(GOLDEN_ZEROS))
+    def test_wrong_inputs_caught(self, d, wrong):
+        series = _twist_series(d)
+        change = {"root_number": {"root_number": -series.root_number},
+                  "conductor_x4": {"conductor": 4 * series.conductor},
+                  "conductor_plus_2": {"conductor": series.conductor + 2}}[wrong]
+        assert fe_residual(dataclasses.replace(series, **change)) > FE_TOL
+
+    def test_matches_the_oracle_at_t_zero(self):
+        series = _twist_series(1)
+        flipped = dataclasses.replace(series, root_number=-1)
+        assert fe_residual(flipped) == pytest.approx(
+            afe_cut_residual(series, 0.0, root_number=-1), rel=1e-9)
+
+    def test_shortfall_refused(self, known_table_module):
+        series = LSeries.from_curve(record_of(known_table_module, "11a1"), n_max=20)
+        with pytest.raises(CoefficientShortfallError):
+            fe_residual(series)
 
 
 def _toy_zero_sets(matrix, prefix):
