@@ -46,6 +46,7 @@ from .export import (
     write_xy_csv,
 )
 from .lfunctions import (
+    DEFAULT_T_MAX,
     FE_TOL,
     GammaConvergenceError,
     LSeries,
@@ -577,26 +578,29 @@ def cmd_zeros(cfg: RunConfig) -> dict:
     part = partition(banded, SHA_RULE)
     groups = {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
     rng = np.random.default_rng(cfg.seed)
-    found = {}  # group -> [(row, zero set)]
-    if cfg.zeros:
-        imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)}
-        for name, members in groups.items():
-            found[name] = [(i, imported[table.labels[i]]) for i in members
-                           if table.labels[i] in imported]
-    else:
-        # a curve whose conductor, root number and model fail the functional
-        # equation is neither searched nor counted in the statistics
-        fe_failed = {}
-        for name, members in groups.items():
-            if cfg.sample and cfg.sample < len(members):
-                members = rng.choice(members, size=cfg.sample, replace=False)
-            found[name], fe_failed[name] = [], []
-            for i in members:
-                series = LSeries.from_curve(table.record(i))
-                if fe_residual(series) > FE_TOL:
-                    fe_failed[name].append(series.label)
-                else:
-                    found[name].append((i, locate_zeros(series)))
+    imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)} if cfg.zeros else None
+    # a curve whose conductor, root number and model fail the functional
+    # equation is neither searched nor counted in the statistics, whether its
+    # zeros are searched or imported
+    found, fe_failed = {}, {}  # group -> [(row, zero set)], [label]
+    for name, members in groups.items():
+        if imported is not None:
+            members = [i for i in members if table.labels[i] in imported]
+        elif cfg.sample and cfg.sample < len(members):
+            members = rng.choice(members, size=cfg.sample, replace=False)
+        # one trace count per group, one series held at a time; imported sets
+        # need only the gate's height 0
+        all_series = LSeries.from_curves([table.record(i) for i in members],
+                                         DEFAULT_T_MAX if imported is None else 0.0)
+        found[name], fe_failed[name] = [], []
+        for i, series in zip(members, all_series):
+            if fe_residual(series) > FE_TOL:
+                fe_failed[name].append(series.label)
+            elif imported is None:
+                found[name].append((i, locate_zeros(series)))
+            else:
+                found[name].append((i, imported[series.label]))
+        if imported is None:
             write_zero_sets_csv(out / f"zeros_{name}.csv", [z for _, z in found[name]])
     complete = {name: [z for _, z in pairs if z.complete] for name, pairs in found.items()}
     cond = {name: [int(table.conductors[i]) for i, z in pairs if z.complete]
@@ -604,13 +608,12 @@ def cmd_zeros(cfg: RunConfig) -> dict:
     zeros_report = {
         "band": list(band),
         "n_complete": {k: len(v) for k, v in complete.items()},
-    }
-    if not cfg.zeros:
-        zeros_report["fe_gate"] = {
+        "fe_gate": {
             "tolerance": FE_TOL,
             "n_excluded": {k: len(v) for k, v in fe_failed.items()},
             "excluded": fe_failed,
-        }
+        },
+    }
     k = 5
     if all(len(v) > k + 1 for v in complete.values()):
         hot = hotelling_t2(complete["sha_1"], complete["sha_ge4"])

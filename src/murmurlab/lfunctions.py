@@ -50,7 +50,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import special, stats
@@ -202,13 +202,25 @@ class LSeries:
         return len(self.coefficients) - 1
 
     @classmethod
+    def from_curves(cls, records: Sequence[CurveRecord], t_max: float = DEFAULT_T_MAX,
+                    n_max: int | None = None) -> Iterator["LSeries"]:
+        """The series of each record in turn, from traces counted for them all.
+
+        Each has n_max coefficients, or by default the budget its own
+        conductor needs up to height t_max.  The series are made as they are
+        taken, so a caller that keeps none holds one at a time.
+        """
+        n_maxes = [required_n_max(r.conductor, t_max) if n_max is None else n_max
+                   for r in records]
+        coefficients = dirichlet_coefficients([r.a_invariants for r in records],
+                                              [r.conductor for r in records], n_maxes)
+        for r, an in zip(records, coefficients):
+            yield cls(r.label, r.conductor, r.root_number, an.astype(np.float64))
+
+    @classmethod
     def from_curve(cls, record: CurveRecord, t_max: float = DEFAULT_T_MAX,
                    n_max: int | None = None) -> "LSeries":
-        if n_max is None:
-            n_max = required_n_max(record.conductor, t_max)
-        an = dirichlet_coefficients(record.a_invariants, record.conductor, n_max)
-        return cls(record.label, record.conductor, record.root_number,
-                   an.astype(np.float64))
+        return next(cls.from_curves([record], t_max, n_max))
 
 
 def required_n_max(conductor: int, t: float) -> int:

@@ -8,10 +8,17 @@ shared across curves.  p = 2 and p = 3 fall back to direct enumeration of
 the full Weierstrass equation.  At bad primes (p | N) the smooth locus is
 counted, so a_p lands in {-1, 0, +1} (non-split, additive, split).
 
-One kernel, `_trace_columns`, computes every trace: the matrix build, the
-single-trace helper and the Dirichlet coefficients all call it, in one
-process.  It sums the character in place on cache-sized blocks, which on a
-2-vCPU host beat two worker processes splitting the prime axis between them.
+One kernel, `_trace_column`, computes every trace at one prime: the matrix
+build, the single-trace helper and the Dirichlet coefficients all call it,
+in one process.  At each prime p >= 5 it sums the character once per twist
+class, not once per curve.  A short model (A, B) with AB != 0 mod p is the
+quadratic twist by lam = B/A of y^2 = x^3 + rx + r with r = A^3/B^2, and
+a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC III.1, X.5); a model with
+A = 0 or B = 0 mod p (j = 0, j = 1728, the cusp) is its own class.  So a
+prime takes at most 3p - 2 sums however many curves share it.  The sums
+are exact integers, so every trace is the one a per-curve sum gives.  They
+run in place on cache-sized blocks, which on a 2-vCPU host beat two worker
+processes splitting the prime axis between them.
 
 A TraceMatrix row belongs to one curve.  `TraceMatrix.take` aligns a matrix
 with a curve table once, after which row i is the table's row i and curve
@@ -26,7 +33,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -147,44 +154,103 @@ def _ap_tiny(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     return p - 1 - _count_affine(a_invariants, p, smooth_only=True)
 
 
+def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
+    """v^(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0.
+
+    Fermat by square-and-multiply on the array; every product of two
+    residues is below MAX_PRIME^2 < 2^63.
+    """
+    out = np.ones_like(v)
+    base = v.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _character_sums(a: np.ndarray, b: np.ndarray, p: int, chi: np.ndarray) -> np.ndarray:
+    """sum_x chi(x^3 + a x + b) over F_p for each row of residues (a, b).
+
+    In place on blocks of at most _CHUNK_BUDGET elements.
+    """
+    x = np.arange(p, dtype=np.int64)
+    x3 = x * x % p * x  # < p^2; the block sum stays far below 2^63
+    k = len(a)
+    rows = max(1, _CHUNK_BUDGET // p)
+    block = np.empty((min(rows, k), p), dtype=np.int64)
+    sums = np.empty(k, dtype=np.int64)
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        f = block[: hi - lo]
+        np.multiply(a[lo:hi, None], x, out=f)
+        f += x3
+        f += b[lo:hi, None]
+        f %= p
+        sums[lo:hi] = chi[f].sum(axis=1, dtype=np.int64)
+    return sums
+
+
+def _check_supported(largest_prime: int) -> None:
+    if largest_prime > MAX_PRIME:
+        raise ValueError(f"prime {largest_prime} exceeds the supported maximum {MAX_PRIME}")
+
+
+def _trace_column(a_invariants: Sequence[Sequence[int]], models: Sequence[tuple[int, int]],
+                  conductors: np.ndarray, p: int) -> np.ndarray:
+    """Traces of the given curves at one prime p: the one trace kernel.
+
+    models are the curves' short models (`short_weierstrass`).  For p >= 5
+    each curve is keyed by its twist class (module docstring): (r, r) with
+    r = A^3/B^2 when AB != 0 mod p, else (A, B) itself.  One character sum
+    is taken per distinct key and each curve gets -chi(B/A) times its
+    class's sum, with chi(B/A) read as 1 when AB = 0.  Substituting
+    x = (B/A) u shows the identity for the sum itself, so good and bad p
+    share one path: at a bad prime chi(0) = 0 drops the singular point and
+    the sum counts the smooth locus.  The sums are exact integers, so every
+    trace is the one a per-curve sum gives.  A lone curve has no class to
+    share and is summed as it is.
+    """
+    if p < 5:
+        return np.array([_ap_tiny(a, int(N), p) for a, N in zip(a_invariants, conductors)],
+                        dtype=np.int64)
+    chi = _chi_table(p)
+    n = len(models)
+    a = np.fromiter((A % p for A, _ in models), dtype=np.int64, count=n)
+    b = np.fromiter((B % p for _, B in models), dtype=np.int64, count=n)
+    if n == 1:
+        return -_character_sums(a, b, p, chi)
+    inv = _inverse_mod(a * b % p, p)
+    twist = inv != 0
+    lam = b * b % p * inv % p  # B/A
+    lam_inv = a * a % p * inv % p  # A/B
+    r = a * lam_inv % p * lam_inv % p  # A^3/B^2
+    key = np.where(twist, r * (p + 1), a * p + b)
+    classes, back = np.unique(key, return_inverse=True)
+    sums = _character_sums(classes // p, classes % p, p, chi)
+    return -np.where(twist, chi[lam], 1) * sums[back]
+
+
 def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors,
                    primes) -> tuple[np.ndarray, np.ndarray]:
     """Traces (int16) and bad flags (p | N) of every curve at every prime.
 
-    The one trace kernel.  For p >= 5 the character sum is taken in place
-    on blocks of at most _CHUNK_BUDGET elements; good and bad p share it,
-    because at a bad prime chi(0) = 0 drops the singular point and the sum
-    counts the smooth locus.
+    One `_trace_column` per prime; a prime above MAX_PRIME is refused before
+    any counting.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    if len(primes) and primes.max() > MAX_PRIME:
-        raise ValueError(f"prime {primes.max()} exceeds the supported maximum {MAX_PRIME}")
+    if len(primes):
+        _check_supported(int(primes.max()))
     conductors = np.asarray(conductors)
     n = len(conductors)
     models = [short_weierstrass(a) for a in a_invariants]
     traces = np.empty((n, len(primes)), dtype=np.int16)
     bad = np.empty((n, len(primes)), dtype=bool)
-    for j, p in enumerate(int(q) for q in primes):
+    for j, p in enumerate(primes.tolist()):
         bad[:, j] = conductors % p == 0
-        if p < 5:
-            traces[:, j] = [_ap_tiny(a, int(N), p)
-                            for a, N in zip(a_invariants, conductors)]
-            continue
-        chi = _chi_table(p)
-        x = np.arange(p, dtype=np.int64)
-        x3 = x * x % p * x  # < p^2; the block sum stays far below 2^63
-        a_mod = np.fromiter((A % p for A, _ in models), dtype=np.int64, count=n)
-        b_mod = np.fromiter((B % p for _, B in models), dtype=np.int64, count=n)
-        rows = max(1, _CHUNK_BUDGET // p)
-        block = np.empty((min(rows, n), p), dtype=np.int64)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            f = block[: hi - lo]
-            np.multiply(a_mod[lo:hi, None], x, out=f)
-            f += x3
-            f += b_mod[lo:hi, None]
-            f %= p
-            traces[lo:hi, j] = -chi[f].sum(axis=1, dtype=np.int64)
+        traces[:, j] = _trace_column(a_invariants, models, conductors, p)
     return traces, bad
 
 
@@ -323,12 +389,34 @@ def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.
     return an
 
 
-def dirichlet_coefficients(a_invariants: Sequence[int], conductor: int,
-                           n_max: int) -> np.ndarray:
-    """a_1..a_n_max computed from the model (traces at all primes <= n_max)."""
-    primes = sieve_up_to(n_max)
-    traces, _ = _trace_columns([a_invariants], [conductor], primes)
-    return extend_an(dict(zip(primes.tolist(), traces[0].tolist())), conductor, n_max)
+def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
+                           n_maxes: Sequence[int]) -> Iterator[np.ndarray]:
+    """a_1..a_n_max of each curve, computed from its model, one curve at a time.
+
+    The traces come first, prime by prime, each prime counted once for all
+    the curves whose n_max reaches it: curves of one twist class share their
+    sums, and no curve is counted past its own n_max.  Only that trace table
+    and the coefficients of the curve being yielded are held at once.
+    """
+    n_maxes = [int(n) for n in n_maxes]
+    if not n_maxes:
+        return
+    order = sorted(range(len(n_maxes)), key=n_maxes.__getitem__, reverse=True)
+    curves = [a_invariants[i] for i in order]
+    models = [short_weierstrass(a) for a in curves]
+    conds = np.asarray(conductors)[order]
+    primes = sieve_up_to(n_maxes[order[0]]).tolist()
+    if primes:
+        _check_supported(primes[-1])
+    traces = np.zeros((len(order), len(primes)), dtype=np.int16)
+    k = len(order)
+    for j, p in enumerate(primes):
+        while n_maxes[order[k - 1]] < p:  # the curves that stop below p
+            k -= 1
+        traces[:k, j] = _trace_column(curves[:k], models[:k], conds[:k], p)
+    row = np.argsort(order)
+    for i, (conductor, n_max) in enumerate(zip(conductors, n_maxes)):
+        yield extend_an(dict(zip(primes, traces[row[i]].tolist())), int(conductor), n_max)
 
 
 _MAGIC = b"MURM"

@@ -37,6 +37,12 @@ def curve_11a1(known_table) -> CurveRecord:
     return record_of(known_table, "11a1")
 
 
+#: squarefree d = 1 mod 4, coprime to 22 and 3, whose twists of 11a1 have
+#: w = +1 and L(E_d, 1) > 0.27: conductors 11 d^2 from 5,819 to 292,259
+TWIST_DS = (37, 53, 89, 97, 113, 137, 157,
+            -23, -31, -59, -67, -71, -91, -115, -155, -163)
+
+
 def twist_of_11a1(d: int) -> CurveRecord:
     """Minimal model of the quadratic twist of 11a1 by squarefree d = 1 mod 4,
     gcd(d, 22) = 1: conductor 11 d^2, additive at primes dividing d.
@@ -52,7 +58,8 @@ def twist_of_11a1(d: int) -> CurveRecord:
         v = pow(a % p, (p - 1) // 2, p)
         return -1 if v == p - 1 else v
 
-    w = kronecker(d, 11)  # w(E_d) = chi_d(-11) w(E) = (d|11) for d > 0, d = 1 mod 4
+    # w(E_d) = chi_d(-11) w(E) = sign(d) (d|11) for d = 1 mod 4
+    w = (1 if d > 0 else -1) * kronecker(d, 11)
     return CurveRecord(
         label=f"{n}x1",
         isogeny_class=f"{n}x",

@@ -11,10 +11,7 @@ from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 
-from conftest import make_synthetic_table, record_of, twist_of_11a1
-
-#: squarefree d = 1 mod 4, coprime to 22 and 3: twist conductors 11 d^2
-TWIST_DS = (13, 17, 29, 37, 41, 53, 61, 65, 73, 85, 89, 97, 101, 109, 113, 137)
+from conftest import TWIST_DS, make_synthetic_table, record_of, twist_of_11a1
 
 
 def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
@@ -26,8 +23,6 @@ def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
         records.append(
             dataclasses.replace(
                 base,
-                rank=0,
-                root_number=1,
                 sha_an=sha,
                 real_period=period,
                 tamagawa_product=1,
@@ -250,6 +245,7 @@ class TestZerosImport:
         assert rc == 0
         report = read_report(out, "zeros")["zeros"]
         assert report["n_complete"] == {"sha_1": 8, "sha_ge4": 8}
+        assert report["fe_gate"]["n_excluded"] == {"sha_1": 0, "sha_ge4": 0}
         assert "t2" in report["hotelling"]
         assert "correlation" in report["explicit_formula"]
         assert (out / "explicit_prediction.csv").exists()
@@ -269,10 +265,13 @@ class TestZerosImport:
 
 
 class TestZerosFunctionalEquationGate:
-    def test_curve_with_a_false_root_number_excluded_and_counted(
-            self, known_table, tmp_path, monkeypatch):
-        # 37a1 has rank 1 and w = -1; claimed as rank 0 with w = +1 it passes
-        # the parity check of ingest and builds traces like any curve
+    @pytest.fixture()
+    def impostor_csv(self, known_table, tmp_path):
+        """11a1 (Sha 1), a twist (Sha 4) and 37a1 claimed as rank 0 with w = +1.
+
+        37a1 has rank 1 and w = -1; the impostor passes the parity check of
+        ingest and builds traces like any curve.
+        """
         rec = record_of(known_table, "37a1")
         impostor = dataclasses.replace(rec, rank=0, root_number=1, regulator=1.0,
                                        l_value=rec.real_period)
@@ -280,6 +279,11 @@ class TestZerosFunctionalEquationGate:
         twist = dataclasses.replace(twist_of_11a1(37), sha_an=4.0, l_value=4.0)
         path = tmp_path / "impostor.csv"
         path.write_text(serialize_curve_table(CurveTable([anchor, impostor, twist])))
+        return path, twist.label
+
+    def test_curve_with_a_false_root_number_excluded_and_counted(
+            self, impostor_csv, tmp_path, monkeypatch):
+        path, twist_label = impostor_csv
         searched = []
         real = cli.locate_zeros
 
@@ -292,13 +296,32 @@ class TestZerosFunctionalEquationGate:
         rc = main(["zeros", "--curves", str(path), "--band", "0:100",
                    "--range", "11:300000", "--primes", "20", "--out", str(out)])
         assert rc == 0
-        assert sorted(searched) == ["11a1", twist.label]
+        assert sorted(searched) == ["11a1", twist_label]
         gate = read_report(out, "zeros")["zeros"]["fe_gate"]
         assert gate["excluded"] == {"sha_1": ["37a1"], "sha_ge4": []}
         assert gate["n_excluded"] == {"sha_1": 1, "sha_ge4": 0}
         assert gate["tolerance"] == lfunctions.FE_TOL
         rows = (out / "zeros_sha_1.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["11a1"]
+
+    def test_imported_zero_set_of_the_impostor_excluded_and_counted(
+            self, impostor_csv, tmp_path, monkeypatch):
+        path, twist_label = impostor_csv
+        monkeypatch.setattr(cli, "locate_zeros", lambda series: pytest.fail(
+            f"{series.label} searched although its zeros were imported"))
+        zeros_csv = tmp_path / "zeros.csv"
+        write_zero_sets_csv(zeros_csv, [
+            ZeroSet(label, np.arange(1.0, 6.0), 5, 10.0, True)
+            for label in ("11a1", "37a1", twist_label)])
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(path), "--zeros", str(zeros_csv),
+                   "--band", "0:100", "--range", "11:300000", "--primes", "20",
+                   "--out", str(out)])
+        assert rc == 0
+        report = read_report(out, "zeros")["zeros"]
+        assert report["fe_gate"]["excluded"] == {"sha_1": ["37a1"], "sha_ge4": []}
+        assert report["fe_gate"]["n_excluded"] == {"sha_1": 1, "sha_ge4": 0}
+        assert report["n_complete"] == {"sha_1": 1, "sha_ge4": 1}
 
 
 class TestWindowsCommand:

@@ -115,6 +115,24 @@ class TestIncompleteGamma:
             upper_incomplete_gamma(np.array([1.0 + 2.0j, 1.0 - 0.3j]), np.full(2, x))
 
 
+class TestFromCurves:
+    def test_batch_equals_one_curve_at_a_time(self, known_table_module):
+        # five conductors, five n_max; in the batch the twists share one class
+        # per prime with 11a1, one curve at a time each sums alone
+        records = [record_of(known_table_module, label) for label in ("11a1", "37a1")]
+        records += [twist_of_11a1(d) for d in (53, -23, 37)]
+        batch = list(LSeries.from_curves(records, t_max=2.0))
+        assert len({series.n_max for series in batch}) == len(records)
+        for rec, series in zip(records, batch):
+            single = LSeries.from_curve(rec, t_max=2.0)
+            assert (series.label, series.conductor, series.root_number, series.n_max) \
+                == (single.label, single.conductor, single.root_number, single.n_max)
+            assert np.array_equal(series.coefficients, single.coefficients)
+
+    def test_no_records_no_series(self):
+        assert list(LSeries.from_curves([])) == []
+
+
 class TestCentralValue:
     def test_11a1_matches_ingested(self, series_11a1, known_table_module):
         ingested = record_of(known_table_module, "11a1").l_value

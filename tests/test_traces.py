@@ -1,9 +1,10 @@
+import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from murmurlab import traces
 from murmurlab.curves import CurveTable
@@ -21,10 +22,12 @@ from murmurlab.traces import (
     frobenius_trace,
     load_trace_matrix,
     persist_trace_matrix,
+    short_weierstrass,
 )
 
-from conftest import twist_of_11a1
-from oracles import ap_oracle, random_nonsingular_model, synthetic_conductor
+from conftest import TWIST_DS, twist_of_11a1
+from oracles import (ap_oracle, model_discriminant, random_nonsingular_model,
+                     synthetic_conductor)
 
 SMALL_PRIMES = [int(p) for p in sieve_up_to(200)]
 
@@ -138,6 +141,17 @@ class TestTraceMatrix:
         with pytest.raises(ValueError, match="supported maximum"):
             build_trace_matrix(known_table, PrimeList([268_435_459]))
 
+    def test_coefficients_past_max_prime_rejected_before_counting(self, curve_11a1,
+                                                                monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("traces computed at an unsupported prime")
+
+        monkeypatch.setattr(traces, "MAX_PRIME", 97)
+        monkeypatch.setattr(traces, "_chi_table", no_counting)
+        monkeypatch.setattr(traces, "_ap_tiny", no_counting)
+        with pytest.raises(ValueError, match="prime 101 exceeds the supported maximum 97"):
+            next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [101]))
+
     def test_take_aligns_rows_with_a_table(self, known_table):
         matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(12)))
         assert matrix.take(known_table) is matrix
@@ -186,9 +200,148 @@ class TestTraceMatrix:
                 )
 
 
+def _pinned_models():
+    """400 seeded models: 250 random, 30 short models with three integer
+    twists each (four rows of one twist class), 15 with j = 0, 15 with j = 1728."""
+    rng = np.random.default_rng(7)
+    models = [random_nonsingular_model(rng) for _ in range(250)]
+    while len(models) < 370:
+        a4, a6 = (int(v) for v in rng.integers(-20, 21, size=2))
+        if 4 * a4**3 + 27 * a6**2 == 0:
+            continue
+        signs, sizes = rng.choice([-1, 1], size=3), rng.integers(2, 8, size=3)
+        for lam in (1, *(int(s * k) for s, k in zip(signs, sizes))):
+            models.append((0, 0, 0, lam**2 * a4, lam**3 * a6))
+    for j_model in (lambda c: (0, 0, 0, 0, c), lambda c: (0, 0, 0, c, 0)):
+        for c in rng.integers(1, 60, size=15) * rng.choice([-1, 1], size=15):
+            models.append(j_model(int(c)))
+    return models
+
+
+class TestKernelPinned:
+    def test_traces_and_flags_bit_identical_to_the_per_curve_kernel(self):
+        # digests recorded from the kernel that summed every curve on its own;
+        # conductor |disc| keeps p | N <=> p | disc, so the bad flags are honest
+        models = _pinned_models()
+        conductors = [abs(model_discriminant(m)) for m in models]
+        got, bad = traces._trace_columns(models, conductors, first_n_primes(200))
+        assert got.shape == (400, 200)
+        assert hashlib.sha256(got.astype("<i2").tobytes()).hexdigest() == \
+            "7aeba80ff02ab76e17f9b9ac5f22a1dfb144afed377b613402e43628601de31b"
+        assert hashlib.sha256(bad.tobytes()).hexdigest() == \
+            "8df84899d8aeff8072e3d49c86019fb057e47ec619e09adb7733d365b83dad12"
+
+
+def _legendre(a: int, p: int) -> int:
+    v = pow(a % p, (p - 1) // 2, p)
+    return -1 if v == p - 1 else v
+
+
+class TestTwistClassKernel:
+    """One character sum per twist class and prime, scattered back with chi(B/A)."""
+
+    def test_zero_coefficients_match_enumeration_oracle(self):
+        twist = twist_of_11a1(37)
+        models = [(0, 0, 0, 0, 1), (0, 0, 1, 0, -7),  # j = 0: A = 0
+                  (0, 0, 0, -1, 0), (0, 0, 0, 3, 0),  # j = 1728: B = 0
+                  (0, 0, 0, 5, 5),  # y^2 = x^3 mod 5: additive, A = B = 0 mod 5
+                  twist.a_invariants,  # additive at 37, A = B = 0 mod 37
+                  (0, -1, 1, -10, -20)]  # 11a1
+        short = [short_weierstrass(m) for m in models]
+        assert [A for A, _ in short[:2]] == [0, 0] and [B for _, B in short[2:4]] == [0, 0]
+        conductors = [synthetic_conductor(m, SMALL_PRIMES) for m in models]
+        for row, p in ((4, 5), (5, 37)):
+            assert short[row][0] % p == short[row][1] % p == conductors[row] % p == 0
+        got, _ = traces._trace_columns(models, conductors, SMALL_PRIMES)
+        for i, model in enumerate(models):
+            for j, p in enumerate(SMALL_PRIMES):
+                assert got[i, j] == ap_oracle(model, conductors[i], p), (model, p)
+
+    def test_shared_classes_at_block_edges_match_enumeration_oracle(self, monkeypatch):
+        # four short models and four integer twists of each, interleaved so that
+        # rows of one class sit in different 24-element blocks
+        monkeypatch.setattr(traces, "_CHUNK_BUDGET", 24)
+        rng = np.random.default_rng(11)
+        bases = []
+        while len(bases) < 4:
+            a4, a6 = (int(v) for v in rng.integers(-15, 16, size=2))
+            if 4 * a4**3 + 27 * a6**2:
+                bases.append((a4, a6))
+        models = [(0, 0, 0, lam**2 * a4, lam**3 * a6)
+                  for lam in (1, 2, -3, 5, 7) for a4, a6 in bases]
+        conductors = [synthetic_conductor(m, SMALL_PRIMES) for m in models]
+        got, bad = traces._trace_columns(models, conductors, SMALL_PRIMES)
+        for i, model in enumerate(models):
+            for j, p in enumerate(SMALL_PRIMES):
+                assert got[i, j] == ap_oracle(model, conductors[i], p), (model, p)
+                assert bad[i, j] == (conductors[i] % p == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(-40, 40).filter(bool), st.sampled_from(SMALL_PRIMES[2:]))
+    def test_twist_by_lambda_multiplies_the_trace_by_chi(self, a4, a6, lam, p):
+        assume(4 * a4**3 + 27 * a6**2 != 0)
+        model = (0, 0, 0, a4, a6)
+        twisted = (0, 0, 0, lam**2 * a4, lam**3 * a6)
+        conductors = [synthetic_conductor(m, [p]) for m in (model, twisted)]
+        got, _ = traces._trace_columns([model, twisted], conductors, [p])
+        assert got[0, 0] == ap_oracle(model, conductors[0], p)
+        assert got[1, 0] == _legendre(lam, p) * got[0, 0]
+
+    @pytest.fixture()
+    def rows_summed(self, monkeypatch):
+        """Rows the blocked character sum takes at each prime."""
+        counts = {}
+        real = traces._character_sums
+
+        def counting(a, b, p, chi):
+            counts[p] = counts.get(p, 0) + len(a)
+            return real(a, b, p, chi)
+
+        monkeypatch.setattr(traces, "_character_sums", counting)
+        return counts
+
+    def test_twists_of_11a1_take_one_sum_per_prime(self, curve_11a1, rows_summed):
+        # E_d has the short model (d^2 A, d^3 B) of 11a1, one class wherever
+        # p divides none of A, B and d; bad p = 11 included
+        A, B = short_weierstrass(curve_11a1.a_invariants)
+        assert (A, B) == (-27 * 496, -54 * 20008)  # 496 = 2^4 31, 20008 = 2^3 41 61
+        twists = [twist_of_11a1(d) for d in TWIST_DS]
+        traces._trace_columns([t.a_invariants for t in twists],
+                              [t.conductor for t in twists], SMALL_PRIMES)
+        product = math.prod(abs(d) for d in TWIST_DS)
+        shared = [p for p in SMALL_PRIMES if p >= 5 and product % p and A * B % p]
+        assert 11 in shared and len(shared) == 26
+        assert {p: rows_summed[p] for p in shared} == {p: 1 for p in shared}
+
+    def test_never_more_than_3p_minus_2_sums(self, rows_summed):
+        # every residue pair (a4, a6) mod 5, 7, 11 and 13: exactly p - 1 classes
+        # (r, r), p pairs (0, b) and p - 1 pairs (a, 0)
+        models = [(0, 0, 0, a4, a6) for a4 in range(14) for a6 in range(14)
+                  if a4 or a6]
+        conductors = [abs(model_discriminant(m)) for m in models]
+        traces._trace_columns(models, conductors, SMALL_PRIMES)
+        assert {p: rows_summed[p] for p in (5, 7, 11, 13)} == \
+            {p: 3 * p - 2 for p in (5, 7, 11, 13)}
+        assert all(rows_summed[p] <= min(3 * p - 2, len(models))
+                   for p in SMALL_PRIMES[2:])
+
+    def test_coefficients_count_no_curve_past_its_own_n_max(self, curve_11a1,
+                                                          rows_summed):
+        # 11a1 stops at 60 and 37a1 at 200: above 60 each prime sums one row
+        models, conductors = [curve_11a1.a_invariants, (0, 0, 1, -1, 0)], [11, 37]
+        both = list(dirichlet_coefficients(models, conductors, [60, 200]))
+        assert [len(an) - 1 for an in both] == [60, 200]
+        assert all(rows_summed[p] == 1 for p in SMALL_PRIMES if 60 < p <= 200)
+        assert all(rows_summed[p] <= 2 for p in SMALL_PRIMES if 5 <= p <= 60)
+        for an, model, N, n_max in zip(both, models, conductors, [60, 200]):
+            alone = next(dirichlet_coefficients([model], [N], [n_max]))
+            assert np.array_equal(an, alone)
+
+
 class TestExtendAn:
     def test_known_11a1_prime_powers(self, curve_11a1):
-        an = dirichlet_coefficients(curve_11a1.a_invariants, 11, 16)
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [16]))
         assert an[1] == 1
         assert an[4] == 2    # a_2^2 - 2
         assert an[6] == 2    # a_2 a_3
@@ -198,7 +351,7 @@ class TestExtendAn:
 
     def test_multiplicativity_exhaustive(self, curve_11a1):
         n_max = 10_000
-        an = dirichlet_coefficients(curve_11a1.a_invariants, 11, n_max)
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [n_max]))
         import math
 
         for m in range(2, 101):
@@ -211,7 +364,7 @@ class TestExtendAn:
             extend_an({2: -2, 3: -1, 5: 1}, 11, 10)
 
     def test_bad_prime_powers_multiply(self, curve_11a1):
-        an = dirichlet_coefficients(curve_11a1.a_invariants, 11, 121)
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [121]))
         assert an[121] == 1  # a_11 = +1, so a_{11^2} = 1
 
 
