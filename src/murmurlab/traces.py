@@ -14,11 +14,17 @@ in one process.  At each prime p >= 5 it sums the character once per twist
 class, not once per curve.  A short model (A, B) with AB != 0 mod p is the
 quadratic twist by lam = B/A of y^2 = x^3 + rx + r with r = A^3/B^2, and
 a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC III.1, X.5); a model with
-A = 0 or B = 0 mod p (j = 0, j = 1728, the cusp) is its own class.  So a
-prime takes at most 3p - 2 sums however many curves share it.  The sums
-are exact integers, so every trace is the one a per-curve sum gives.  They
-run in place on cache-sized blocks, which on a 2-vCPU host beat two worker
-processes splitting the prime axis between them.
+A = 0 or B = 0 mod p (j = 0, j = 1728, the cusp) is its own class.  When
+many classes (r, r) meet at a prime, one cyclic correlation of length p
+gives the sums of all p of them (`_class_table`), so the cost of a prime no
+longer grows with the number of classes; a few classes, and the classes
+(A, B), are summed one by one, in place on cache-sized blocks.  Every sum
+is an exact integer, so every trace is the one a per-curve sum gives.  A
+and B are split once per sweep into int64 digits (`_limbs`) and reduced
+mod p from those, so the work per prime is array work for integers of any
+size; p = 2 and 3 enumerate each distinct reduction once.  One process
+serves every prime: on a 2-vCPU host that beat two worker processes
+splitting the prime axis between them.
 
 A TraceMatrix row belongs to one curve.  `TraceMatrix.take` aligns a matrix
 with a curve table once, after which row i is the table's row i and curve
@@ -32,7 +38,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +52,17 @@ MAX_PRIME = 268_435_399
 #: and its int8 gather fit a core's L2 cache; blocks of 1 << 20 and 1 << 22
 #: measured slower, and a 1 << 22 block alone takes 32 MiB
 _CHUNK_BUDGET = 1 << 16
+
+#: more distinct classes (r, r) than this at one prime take their sums from
+#: one `_class_table` instead of one `_character_sums` row each.  Measured on
+#: a 2-vCPU host over a whole column of k classes, two curves each, the table
+#: wins from k ~ 50 at p = 101, ~26 at 541, ~24 at 1,223, ~12-14 at 2,003 and
+#: 3,571, and ~28 at 10,007
+_TABLE_CROSSOVER = 32
+
+#: digit width of `_limbs`: a digit below 2^62 plus a product of two residues
+#: below MAX_PRIME < 2^28 stays below 2^63
+_LIMB_BITS = 62
 
 
 class TraceComputationError(RuntimeError):
@@ -114,14 +130,16 @@ def short_weierstrass(a_invariants: Sequence[int]) -> tuple[int, int]:
     return -27 * c4, -54 * c6
 
 
-@lru_cache(maxsize=None)
 def _chi_table(p: int) -> np.ndarray:
-    """Quadratic residue character mod p: chi[0] = 0, squares +1, else -1."""
-    x = np.arange(p, dtype=np.int64)
+    """Quadratic residue character mod p: chi[0] = 0, squares +1, else -1.
+
+    Built afresh at each prime and not cached: the kernel visits every
+    prime once per sweep, so a cache would only hold tables past their use.
+    """
+    x = np.arange(1, (p + 1) // 2, dtype=np.int64)  # x and -x share a square
     chi = np.full(p, -1, dtype=np.int8)
-    chi[(x * x) % p] = 1
+    chi[x * x % p] = 1
     chi[0] = 0
-    chi.setflags(write=False)
     return chi
 
 
@@ -154,21 +172,32 @@ def _ap_tiny(a_invariants: Sequence[int], conductor: int, p: int) -> int:
     return p - 1 - _count_affine(a_invariants, p, smooth_only=True)
 
 
-def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
-    """v^(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0.
+def _inverse_table(p: int) -> np.ndarray:
+    """1/v mod p at index v (0 at index 0), from the powers of a primitive root.
 
-    Fermat by square-and-multiply on the array; every product of two
-    residues is below MAX_PRIME^2 < 2^63.
+    About p products in all, where Fermat on the same p residues takes
+    2 log2 p passes: at p = 3,571, 69 against 334 microseconds.
     """
-    out = np.ones_like(v)
-    base = v.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+    m, factors, q = p - 1, [], 2
+    while q * q <= m:  # the prime factors of p - 1, by trial division
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    powers = np.empty(p - 1, dtype=np.int64)  # powers[k] = g^k
+    powers[0] = done = 1
+    while done < p - 1:  # g^(k + done) = g^k g^done doubles the filled prefix
+        step = min(done, p - 1 - done)
+        np.multiply(powers[:step], pow(g, done, p), out=powers[done:done + step])
+        powers[done:done + step] %= p
+        done += step
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[powers] = np.roll(powers[::-1], 1)  # 1/g^k = g^(p - 1 - k)
+    return inverse
 
 
 def _character_sums(a: np.ndarray, b: np.ndarray, p: int, chi: np.ndarray) -> np.ndarray:
@@ -193,64 +222,152 @@ def _character_sums(a: np.ndarray, b: np.ndarray, p: int, chi: np.ndarray) -> np
     return sums
 
 
+def _class_table(p: int, chi: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """T[r] = sum_x chi(x^3 + rx + r) for every r in F_p, from one correlation.
+
+    For x != -1, x^3 + r(x + 1) = (x + 1)(y + r) with y = x^3/(x + 1), so
+    T[r] = chi(-1) + sum_y c(y) chi(y + r), where c(y) sums chi(x + 1) over
+    the x != -1 with x^3/(x + 1) = y: the cyclic cross-correlation of c
+    with chi, taken with real FFTs.  Both are padded to a power of two
+    >= 2p - 1, chi repeated once, which gives the cyclic values without a
+    prime-length transform (that one measured ~5x slower at p = 3,571).
+    The sums are integers; a value further than 0.25 from one is a
+    TraceComputationError, never a rounded guess.
+    """
+    x = np.arange(p - 1, dtype=np.int64)  # every x but -1
+    y = x * x % p * x % p * inverse[1:] % p  # inverse[1:] holds 1/(x + 1)
+    c = np.bincount(y, weights=chi[1:], minlength=p)
+    size = 1 << (2 * p - 2).bit_length()
+    spectrum = np.conj(np.fft.rfft(c, size)) * np.fft.rfft(np.tile(chi, 2), size)
+    corr = np.fft.irfft(spectrum, size)[:p]
+    sums = np.rint(corr)
+    off = np.abs(corr - sums).max()
+    if off > 0.25:
+        raise TraceComputationError(f"character sums at p={p} are not integers: "
+                                    f"the correlation is off by up to {off:.3g}")
+    return sums.astype(np.int64) + chi[-1]
+
+
+def _limbs(models: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Signed base-2^62 digits of every short model, least significant first.
+
+    Shape (k, 2, n): A of curve j is sum_i limbs[i, 0, j] 2^(62 i), B the
+    same from limbs[:, 1], every digit with the sign of its integer.  Split
+    once per sweep, so that `_residues` reduces integers of any size at
+    every prime with int64 arithmetic alone.
+    """
+    values = np.array([A for A, _ in models] + [B for _, B in models], dtype=object)
+    mags = np.abs(values)
+    width = max(map(int.bit_length, mags), default=0)
+    limbs = np.empty((max(1, -(-width // _LIMB_BITS)), len(values)), dtype=np.int64)
+    for i, row in enumerate(limbs):
+        row[:] = mags >> (_LIMB_BITS * i) & (1 << _LIMB_BITS) - 1
+    np.negative(limbs, out=limbs, where=values < 0)
+    return limbs.reshape(len(limbs), 2, len(models))
+
+
+def _residues(limbs: np.ndarray, p: int) -> np.ndarray:
+    """(A mod p, B mod p) of every curve from its `_limbs`, by Horner in base 2^62.
+
+    Every step stays below 2^63: a residue below MAX_PRIME < 2^28 times
+    2^62 mod p, plus one digit below 2^62 in size.
+    """
+    radix = (1 << _LIMB_BITS) % p
+    res = limbs[-1] % p
+    for digit in limbs[-2::-1]:
+        res *= radix
+        res += digit
+        res %= p
+    return res
+
+
 def _check_supported(largest_prime: int) -> None:
     if largest_prime > MAX_PRIME:
         raise ValueError(f"prime {largest_prime} exceeds the supported maximum {MAX_PRIME}")
 
 
-def _trace_column(a_invariants: Sequence[Sequence[int]], models: Sequence[tuple[int, int]],
-                  conductors: np.ndarray, p: int) -> np.ndarray:
-    """Traces of the given curves at one prime p: the one trace kernel.
+def _trace_column(a_invariants: Sequence[Sequence[int]], conductors: np.ndarray,
+                  limbs: np.ndarray, p: int,
+                  labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Traces and bad flags (p | N) of the given curves at one prime p: the one trace kernel.
 
-    models are the curves' short models (`short_weierstrass`).  For p >= 5
-    each curve is keyed by its twist class (module docstring): (r, r) with
-    r = A^3/B^2 when AB != 0 mod p, else (A, B) itself.  One character sum
-    is taken per distinct key and each curve gets -chi(B/A) times its
-    class's sum, with chi(B/A) read as 1 when AB = 0.  Substituting
-    x = (B/A) u shows the identity for the sum itself, so good and bad p
-    share one path: at a bad prime chi(0) = 0 drops the singular point and
-    the sum counts the smooth locus.  The sums are exact integers, so every
-    trace is the one a per-curve sum gives.  A lone curve has no class to
-    share and is summed as it is.
+    limbs are the curves' short models (`short_weierstrass`) as `_limbs`.
+    For p >= 5 each curve is keyed by its twist class (module docstring):
+    (r, r) with r = A^3/B^2 when AB != 0 mod p, else (A, B) itself.  Each
+    curve gets -chi(B/A) times its class's sum, with chi(B/A) read as 1 when
+    AB = 0.  Substituting x = (B/A) u shows the identity for the sum itself,
+    so good and bad p share one path: at a bad prime chi(0) = 0 drops the
+    singular point and the sum counts the smooth locus.  When more than
+    _TABLE_CROSSOVER distinct classes (r, r) meet at p, one `_class_table`
+    gives all their sums; fewer, and the classes (A, B), are summed one by
+    one.  A lone curve has no class to share and is summed as it is.  The
+    sums are exact integers, so every trace is the one a per-curve sum gives.
+
+    With labels, a curve whose conductor and discriminant 4A^3 + 27B^2
+    disagree on whether p divides them is a TraceComputationError naming
+    it: its conductor is wrong, or its model is not minimal at p, and
+    either way the model mod p does not give its trace.
     """
-    if p < 5:
-        return np.array([_ap_tiny(a, int(N), p) for a, N in zip(a_invariants, conductors)],
-                        dtype=np.int64)
+    bad = conductors % p == 0
+    if p < 5:  # enumerated once per reduction mod p and bad flag
+        keys = [(*(v % p for v in a), flag) for a, flag in zip(a_invariants, bad.tolist())]
+        counted = {}
+        for key, a, N in zip(keys, a_invariants, conductors):
+            if key not in counted:
+                counted[key] = _ap_tiny(a, int(N), p)
+        return np.array([counted[key] for key in keys], dtype=np.int64), bad
     chi = _chi_table(p)
-    n = len(models)
-    a = np.fromiter((A % p for A, _ in models), dtype=np.int64, count=n)
-    b = np.fromiter((B % p for _, B in models), dtype=np.int64, count=n)
-    if n == 1:
-        return -_character_sums(a, b, p, chi)
-    inv = _inverse_mod(a * b % p, p)
-    twist = inv != 0
-    lam = b * b % p * inv % p  # B/A
-    lam_inv = a * a % p * inv % p  # A/B
-    r = a * lam_inv % p * lam_inv % p  # A^3/B^2
-    key = np.where(twist, r * (p + 1), a * p + b)
-    classes, back = np.unique(key, return_inverse=True)
-    sums = _character_sums(classes // p, classes % p, p, chi)
-    return -np.where(twist, chi[lam], 1) * sums[back]
+    a, b = _residues(limbs, p)
+    if labels is not None:
+        wrong = np.flatnonzero(((4 * a * a % p * a + 27 * b * b) % p == 0) != bad)
+        if wrong.size:
+            i = wrong[0]
+            what = ("the conductor but not the discriminant" if bad[i]
+                    else "the discriminant but not the conductor")
+            raise TraceComputationError(f"curve {labels[i]}: p={p} divides {what}; "
+                                        "a wrong conductor, or a model not minimal at p")
+    if len(a) == 1:
+        return -_character_sums(a, b, p, chi), bad
+    # 1/B: one pow per curve, or a p-sized table once that is cheaper; a
+    # table took as long as 130-190 pows at p <= 3,571 and p/31 at p >= 10,007
+    inverse = _inverse_table(p) if len(b) > 128 + p // 32 else None
+    inv_b = inverse[b] if inverse is not None else \
+        np.array([pow(v, -1, p) if v else 0 for v in b.tolist()], dtype=np.int64)
+    r = a * a % p * a % p * inv_b % p * inv_b % p  # A^3/B^2, 0 only where AB = 0
+    seen = np.zeros(p, dtype=bool)
+    seen[r] = True
+    classes = np.flatnonzero(seen[1:]) + 1
+    if len(classes) > _TABLE_CROSSOVER:
+        sums = _class_table(p, chi, _inverse_table(p) if inverse is None else inverse)
+    else:
+        sums = np.zeros(p, dtype=np.int64)
+        sums[classes] = _character_sums(classes, classes, p, chi)
+    traces = chi[a] * chi[b] * sums[r]  # chi(B/A) = chi(A) chi(B), 0 where AB = 0
+    rest = np.flatnonzero(r == 0)
+    if rest.size:
+        keys, back = np.unique(a[rest] * p + b[rest], return_inverse=True)
+        traces[rest] = _character_sums(keys // p, keys % p, p, chi)[back]
+    return -traces, bad
 
 
-def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors,
-                   primes) -> tuple[np.ndarray, np.ndarray]:
+def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
+                   labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Traces (int16) and bad flags (p | N) of every curve at every prime.
 
-    One `_trace_column` per prime; a prime above MAX_PRIME is refused before
-    any counting.
+    One `_trace_column` per prime, on short models split into limbs once; a
+    prime above MAX_PRIME is refused before any counting.  labels turn on
+    the kernel's conductor check.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if len(primes):
         _check_supported(int(primes.max()))
     conductors = np.asarray(conductors)
     n = len(conductors)
-    models = [short_weierstrass(a) for a in a_invariants]
+    limbs = _limbs([short_weierstrass(a) for a in a_invariants])
     traces = np.empty((n, len(primes)), dtype=np.int16)
     bad = np.empty((n, len(primes)), dtype=bool)
     for j, p in enumerate(primes.tolist()):
-        bad[:, j] = conductors % p == 0
-        traces[:, j] = _trace_column(a_invariants, models, conductors, p)
+        traces[:, j], bad[:, j] = _trace_column(a_invariants, conductors, limbs, p, labels)
     return traces, bad
 
 
@@ -341,16 +458,20 @@ def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
 def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> TraceMatrix:
     """Compute a_p for every curve of the table at the shared prime list.
 
-    One process runs the one kernel, prime-major so each residue table is
+    One process runs the one kernel, prime-major so each prime's tables are
     built once, on blocks small enough to stay in a core's cache (see
-    _CHUNK_BUDGET); every entry is then held to the Hasse bound.
+    _CHUNK_BUDGET).  At every p >= 5 a curve whose conductor and
+    discriminant disagree on whether p divides them is refused, naming the
+    curve and p: its model mod p would give a wrong trace, which the Hasse
+    bound need not catch.  Every entry is then held to the Hasse bound.
     """
     if primes is None:
         primes = default_prime_list()
     labels = tuple(table.labels)
     try:
-        traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes)
-    except ValueError:  # an unsupported prime, rejected before any counting
+        traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes,
+                                     labels)
+    except (ValueError, TraceComputationError):  # an unsupported prime, a wrong conductor
         raise
     except Exception as exc:  # pragma: no cover - defensive
         raise TraceComputationError(f"trace build failed: {exc}") from exc
@@ -403,7 +524,7 @@ def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
         return
     order = sorted(range(len(n_maxes)), key=n_maxes.__getitem__, reverse=True)
     curves = [a_invariants[i] for i in order]
-    models = [short_weierstrass(a) for a in curves]
+    limbs = _limbs([short_weierstrass(a) for a in curves])
     conds = np.asarray(conductors)[order]
     primes = sieve_up_to(n_maxes[order[0]]).tolist()
     if primes:
@@ -413,7 +534,7 @@ def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
     for j, p in enumerate(primes):
         while n_maxes[order[k - 1]] < p:  # the curves that stop below p
             k -= 1
-        traces[:k, j] = _trace_column(curves[:k], models[:k], conds[:k], p)
+        traces[:k, j], _ = _trace_column(curves[:k], conds[:k], limbs[..., :k], p)
     row = np.argsort(order)
     for i, (conductor, n_max) in enumerate(zip(conductors, n_maxes)):
         yield extend_an(dict(zip(primes, traces[row[i]].tolist())), int(conductor), n_max)

@@ -113,6 +113,19 @@ class TestTraces:
         assert repr(last.label) in err["error"]
         assert "disagree with its conductor" in err["error"]
 
+    def test_conductor_that_disagrees_with_the_model_refused(self, tmp_path):
+        records = list(twist_table())
+        first = records[0]  # 11 * 37^2; 7 divides neither it nor the discriminant
+        records[0] = dataclasses.replace(first, conductor=7 * first.conductor)
+        wrong = tmp_path / "wrong.csv"
+        wrong.write_text(serialize_curve_table(CurveTable(records)))
+        out = tmp_path / "out"
+        rc = main(["traces", "--curves", str(wrong), "--primes", "20", "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "traces_error.json").read_text())
+        assert f"curve {first.label}: p=7 divides the conductor" in err["error"]
+        assert not (out / "traces.bin").exists()
+
     def test_prime_count_mismatch_refused(self, twist_csv, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"

@@ -1,10 +1,14 @@
+import dataclasses
+import gc
 import hashlib
 import math
+import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from murmurlab import traces
 from murmurlab.curves import CurveTable
@@ -15,6 +19,7 @@ from murmurlab.traces import (
     CacheFormatError,
     MissingTraceError,
     PrimeList,
+    TraceComputationError,
     build_trace_matrix,
     default_prime_list,
     dirichlet_coefficients,
@@ -135,9 +140,9 @@ class TestTraceMatrix:
         def no_counting(*args):
             raise AssertionError("traces computed at an unsupported prime")
 
-        # the kernel counts through these two; its bound check must come first
-        monkeypatch.setattr(traces, "_chi_table", no_counting)
-        monkeypatch.setattr(traces, "_ap_tiny", no_counting)
+        # the kernel counts through these; its bound check must come first
+        for counting in ("_chi_table", "_inverse_table", "_class_table", "_ap_tiny"):
+            monkeypatch.setattr(traces, counting, no_counting)
         with pytest.raises(ValueError, match="supported maximum"):
             build_trace_matrix(known_table, PrimeList([268_435_459]))
 
@@ -147,8 +152,8 @@ class TestTraceMatrix:
             raise AssertionError("traces computed at an unsupported prime")
 
         monkeypatch.setattr(traces, "MAX_PRIME", 97)
-        monkeypatch.setattr(traces, "_chi_table", no_counting)
-        monkeypatch.setattr(traces, "_ap_tiny", no_counting)
+        for counting in ("_chi_table", "_inverse_table", "_class_table", "_ap_tiny"):
+            monkeypatch.setattr(traces, counting, no_counting)
         with pytest.raises(ValueError, match="prime 101 exceeds the supported maximum 97"):
             next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [101]))
 
@@ -188,6 +193,28 @@ class TestTraceMatrix:
         stale.conductors[2] *= 19
         with pytest.raises(ValueError, match=repr(known_table.labels[2])):
             matrix.take(stale)
+
+    def test_prime_dividing_the_conductor_but_not_the_discriminant_refused(
+            self, known_table):
+        wrong = known_table.subset(range(len(known_table)))  # fresh columns
+        assert model_discriminant(wrong.a_invariants[2]) % 7 and wrong.conductors[2] % 7
+        wrong.conductors[2] *= 7
+        message = f"curve {wrong.labels[2]}: p=7 divides the conductor but not the discriminant"
+        with pytest.raises(TraceComputationError, match=re.escape(message)):
+            build_trace_matrix(wrong, PrimeList(first_n_primes(8)))
+
+    def test_model_not_minimal_at_a_good_prime_refused(self, curve_11a1):
+        # 11a1's short model scaled by u = 5 is y^2 = x^3 mod 5, where counting
+        # it gives a_5 = 0, not 11a1's a_5 = 1, inside the Hasse bound
+        A, B = short_weierstrass(curve_11a1.a_invariants)
+        scaled = (0, 0, 0, 5**4 * A, 5**6 * B)
+        got, _ = traces._trace_columns([scaled], [11], [5])
+        assert got[0, 0] == 0 and frobenius_trace(curve_11a1.a_invariants, 11, 5) == 1
+        table = CurveTable([dataclasses.replace(curve_11a1, label="11a9",
+                                                a_invariants=scaled)])
+        message = "curve 11a9: p=5 divides the discriminant but not the conductor"
+        with pytest.raises(TraceComputationError, match=re.escape(message)):
+            build_trace_matrix(table, PrimeList(first_n_primes(5)))
 
     def test_matrix_matches_scalar_path(self, known_table):
         primes = PrimeList(first_n_primes(25))
@@ -326,6 +353,55 @@ class TestTwistClassKernel:
         assert all(rows_summed[p] <= min(3 * p - 2, len(models))
                    for p in SMALL_PRIMES[2:])
 
+    def test_tiny_primes_enumerate_each_reduction_once(self, monkeypatch):
+        calls = []
+        real = traces._ap_tiny
+
+        def counting(a_invariants, conductor, p):
+            calls.append((tuple(v % p for v in a_invariants), conductor % p == 0, p))
+            return real(a_invariants, conductor, p)
+
+        monkeypatch.setattr(traces, "_ap_tiny", counting)
+        models = [m for m in ((a1, 0, 0, a4, a6) for a1 in (0, 1) for a4 in range(-6, 6)
+                              for a6 in range(-6, 6)) if model_discriminant(m)]
+        conductors = [synthetic_conductor(m, [2, 3]) for m in models]
+        got, _ = traces._trace_columns(models, conductors, [2, 3])
+        assert len(calls) == len(set(calls)) < len(models)
+        for i, model in enumerate(models):
+            assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in (2, 3)]
+
+    @pytest.fixture()
+    def tables_built(self, monkeypatch):
+        """Class tables the kernel builds at each prime."""
+        counts = {}
+        real = traces._class_table
+
+        def counting(p, chi, inverse):
+            counts[p] = counts.get(p, 0) + 1
+            return real(p, chi, inverse)
+
+        monkeypatch.setattr(traces, "_class_table", counting)
+        return counts
+
+    def test_twist_batches_build_no_table(self, tables_built):
+        # one class a prime: the traces build and the coefficients alike
+        twists = [twist_of_11a1(d) for d in TWIST_DS]
+        models, conductors = [t.a_invariants for t in twists], [t.conductor for t in twists]
+        traces._trace_columns(models, conductors, SMALL_PRIMES)
+        list(dirichlet_coefficients(models, conductors, [1000] * len(twists)))
+        assert tables_built == {}
+
+    def test_every_residue_pair_builds_one_table(self, tables_built, rows_summed):
+        # the 52 classes (r, r) share one table; the 104 pairs (0, b) and (a, 0)
+        # are summed one by one
+        p = 53
+        models = [(0, 0, 0, a4, a6) for a4 in range(p) for a6 in range(p) if a4 or a6]
+        got, _ = traces._trace_columns(models, [1] * len(models), [p])
+        assert tables_built == {p: 1} and rows_summed == {p: 2 * (p - 1)}
+        short = np.array([short_weierstrass(m) for m in models]) % p
+        direct = traces._character_sums(short[:, 0], short[:, 1], p, traces._chi_table(p))
+        assert np.array_equal(got[:, 0], -direct)
+
     def test_coefficients_count_no_curve_past_its_own_n_max(self, curve_11a1,
                                                           rows_summed):
         # 11a1 stops at 60 and 37a1 at 200: above 60 each prime sums one row
@@ -337,6 +413,69 @@ class TestTwistClassKernel:
         for an, model, N, n_max in zip(both, models, conductors, [60, 200]):
             alone = next(dirichlet_coefficients([model], [N], [n_max]))
             assert np.array_equal(an, alone)
+
+
+TABLE_PRIMES = [p for p in sieve_up_to(500).tolist() if p >= 5] + [3571, 10007]
+
+
+class TestClassTable:
+    """Every sum (r, r) at one prime from one correlation, and the exact residues."""
+
+    def test_table_equals_the_sums_it_replaces(self):
+        for p in TABLE_PRIMES:
+            chi, r = traces._chi_table(p), np.arange(p)
+            table = traces._class_table(p, chi, traces._inverse_table(p))
+            assert np.array_equal(table, traces._character_sums(r, r, p, chi)), p
+
+    def test_character_and_inverse_tables(self):
+        for p in TABLE_PRIMES:
+            v = np.arange(p)
+            chi, inverse = traces._chi_table(p), traces._inverse_table(p)
+            euler = np.array([_legendre(int(x), p) for x in v])
+            assert np.array_equal(chi, euler), p
+            assert inverse[0] == 0 and np.all(v[1:] * inverse[1:] % p == 1), p
+
+    def test_perturbed_correlation_fails_the_integrality_guard(self, monkeypatch):
+        real = np.fft.irfft
+
+        def perturbed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[7] += 0.3
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        p = 101
+        with pytest.raises(TraceComputationError, match="p=101 are not integers"):
+            traces._class_table(p, traces._chi_table(p), traces._inverse_table(p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2**200, 2**200), st.integers(-2**200, 2**200)),
+                    max_size=6),
+           st.sampled_from([5, 7, 53, 3571, 10007, 2**27 - 39, MAX_PRIME]))
+    @example([(2**62 - 1, 1 - 2**62), (2**62, -2**62), (2**124 + 1, -2**124), (0, -1)],
+             MAX_PRIME)
+    @example([(-2**200, 2**200)], 5)
+    def test_limb_residues_equal_python_modulo(self, models, p):
+        a, b = traces._residues(traces._limbs(models), p)
+        assert a.tolist() == [A % p for A, _ in models]
+        assert b.tolist() == [B % p for _, B in models]
+
+    def test_coefficients_leave_no_character_table_alive(self, curve_11a1, monkeypatch):
+        # one table a prime, built in the kernel and dropped after it: 1,227
+        # primes 5 <= p <= 10,000 leave none behind
+        built = []
+        real = traces._chi_table
+
+        def tracked(p):
+            chi = real(p)
+            built.append(weakref.ref(chi))
+            return chi
+
+        monkeypatch.setattr(traces, "_chi_table", tracked)
+        list(dirichlet_coefficients([curve_11a1.a_invariants], [11], [10_000]))
+        gc.collect()
+        assert len(built) == 1227
+        assert sum(ref() is not None for ref in built) == 0
 
 
 class TestExtendAn:
