@@ -200,6 +200,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # a config file bypasses the parser's choices for --rule
     if cfg.rule != "all" and cfg.rule not in RULES_BY_NAME:
         raise CliError(f"unknown rule {cfg.rule!r}")
+    if cfg.sample < 0:
+        raise CliError(f"sample must be >= 0, got {cfg.sample}")
+    if cfg.range is not None and cfg.range[0] > cfg.range[1]:
+        raise CliError(f"range {cfg.range[0]}:{cfg.range[1]} has LO > HI")
     return cfg
 
 

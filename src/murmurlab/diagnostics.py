@@ -3,7 +3,9 @@
 Per-prime moment profiles, Sato-Tate angle comparison, crossover detection
 in difference profiles, reduction-type classification from bad-prime traces,
 and the bad-prime share of a profile separation.  Curve groups are int
-arrays of trace-matrix row positions.
+arrays of trace-matrix row positions.  scipy.stats is imported inside the
+functions that call it, so steps that never call them do not pay for
+loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .curves import CurveTable
 from .stratify import rms_separation
@@ -62,6 +63,8 @@ def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
     p = matrix.primes.primes.astype(np.float64)
     mean = traces.mean(axis=0)
     var = traces.var(axis=0, ddof=1)
+    from scipy import stats
+
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
         # degenerate columns are flagged NaN below; silence scipy's warning
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -133,6 +136,8 @@ def satotate_ks(group_a: Sequence[int], group_b: Sequence[int],
     """
     pool_a = _angle_pool(group_a, matrix, p_min)
     pool_b = _angle_pool(group_b, matrix, p_min)
+    from scipy import stats
+
     res = stats.ks_2samp(pool_a, pool_b, method="asymp")
     return KsResult(float(res.statistic), float(res.pvalue),
                     int(pool_a.size), int(pool_b.size))

@@ -43,6 +43,9 @@ Gamma(1, x) = exp(-x), so splitting the sum at cut-off c gives
 which is independent of c only if N, w and the a_n belong to one
 L-function (Dokchitser, arXiv:math/0207280).  fe_residual compares c = 1
 with c = 1.25, and the zeros step does not search a curve that fails.
+
+scipy.special and scipy.stats are imported inside the functions that call
+them, so steps that never call them do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .curves import CurveRecord
 from .traces import dirichlet_coefficients
@@ -131,6 +133,8 @@ def _gamma_upper_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
             term, total = term[keep], total[keep]
     lower = np.exp(s * np.log(np.where(x > 0, x, 1.0)) - x) * total_out
     lower = np.where(x > 0, lower, 0.0)
+    from scipy import special
+
     return special.gamma(s) - lower
 
 
@@ -439,6 +443,8 @@ def hotelling_t2_from_samples(xa: np.ndarray, xb: np.ndarray) -> HotellingResult
     t2 = float(n1 * n2 / (n1 + n2) * diff @ solved)
     f_stat = hotelling_to_f(t2, k, n1, n2)
     df = (k, n1 + n2 - k - 1)
+    from scipy import stats
+
     p = float(stats.f.sf(f_stat, *df))
     return HotellingResult(t2, f_stat, p, df, n1, n2)
 
@@ -511,6 +517,8 @@ def density_comparison(zeros_a: Sequence[ZeroSet], conductors_a: Sequence[int],
     """SO(even) deviations per group plus two-sample KS on scaled zeros."""
     da = one_level_density(zeros_a, conductors_a, bin_width, x_max)
     db = one_level_density(zeros_b, conductors_b, bin_width, x_max)
+    from scipy import stats
+
     ks_all = stats.ks_2samp(da.scaled_zeros, db.scaled_zeros, method="asymp")
     ks_first = stats.ks_2samp(da.scaled_first, db.scaled_first, method="asymp")
     return DensityComparison(

@@ -165,6 +165,8 @@ def permutation_test(groups: Mapping[str, Sequence[int]] | Sequence[Sequence[int
     (1 + #{null >= observed}) / (1 + n_shuffles) and is bit-reproducible for
     a given seed.
     """
+    if n_shuffles < 1:
+        raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
     member_lists = list(groups.values() if isinstance(groups, Mapping) else groups)
     if len(member_lists) < 2 or any(len(g) == 0 for g in member_lists):
         raise EmptyGroupError("permutation test needs at least two nonempty groups")

@@ -5,7 +5,8 @@ conductor windows [N0 - W/2, N0 + W/2]; murmuration profiles are per-prime
 means of a_p over a curve group, given as trace-matrix row positions.
 Detrending uses a Savitzky-Golay local polynomial fit with residuals emitted
 only where the filter window is fully interior.  All functions are pure over
-immutable inputs.
+immutable inputs.  scipy.signal is imported inside the two functions that
+call it, so steps that never call them do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal
 
 from .curves import CurveTable, invariant_values
 from .traces import TraceMatrix
@@ -126,6 +126,8 @@ def savgol_detrend(series: WindowSeries, window: int = 101,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("detrending requires a gap-free series; use .finite() first")
+    from scipy import signal
+
     coeffs = signal.savgol_coeffs(window, degree)
     smooth = np.convolve(values, coeffs, mode="valid")
     half = window // 2
@@ -187,6 +189,8 @@ def welch_psd(values: np.ndarray, segment: int = 256, overlap: float = 0.5,
         raise SeriesTooShortError(
             f"series of length {len(values)} shorter than one segment ({segment})"
         )
+    from scipy import signal
+
     freqs, power = signal.welch(
         values,
         fs=1.0 / sample_spacing,

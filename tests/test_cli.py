@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,18 @@ class TestStratify:
         assert (out / "diff_sha.csv").exists()
         assert main(args) == 0
         assert (out / "stratify.json").read_bytes() == first
+
+    @pytest.mark.parametrize("shuffles", ["0", "-3"])
+    def test_fewer_than_one_shuffle_is_structured_error(self, twist_csv, tmp_path,
+                                                        shuffles):
+        out = tmp_path / "out"
+        rc = main(["stratify", "--curves", str(twist_csv), "--rule", "sha",
+                   "--range", "1000:300000", "--primes", "10",
+                   "--shuffles", shuffles, "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "stratify_error.json").read_text())
+        assert "at least one shuffle" in err["error"]
+        assert not (out / "stratify.json").exists()
 
     def test_empty_group_is_structured_error(self, tmp_path):
         path = tmp_path / "onesha.csv"
@@ -430,6 +446,30 @@ class TestConfigFile:
         err = json.loads((out / "ingest_error.json").read_text())
         assert "unknown config key 'threads'" in err["error"]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("zeros", "sample", "-2"),
+        ("stratify", "range", "50000:10000"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unusable_value_rejected_naming_the_key(self, twist_csv, tmp_path,
+                                                    command, key, value, source):
+        out = tmp_path / "out"
+        args = [command, "--curves", str(twist_csv), "--primes", "10",
+                "--out", str(out)]
+        if source == "flag":
+            args += ["--" + key, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        err = json.loads((out / f"{command}_error.json").read_text())
+        assert err["error"].startswith(f"{key} ")
+
+    def test_range_of_one_conductor_accepted(self):
+        cfg = build_config(make_parser().parse_args(["stratify", "--range", "11:11"]))
+        assert cfg.range == (11, 11)
+
     def test_unknown_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")
@@ -479,3 +519,66 @@ class TestReportAggregate:
         assert main(["report", "--out", str(out)]) == 0
         agg = read_report(out, "report")
         assert "ingest" in agg["reports"]
+
+
+_SCIPY_AFTER = """
+import json, sys
+import murmurlab.cli
+for argv in json.loads(sys.argv[1]):
+    assert murmurlab.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(*argvs) -> set[str]:
+    """scipy modules held by a fresh interpreter that imports the CLI and runs argvs."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestImportOnUse:
+    """A step loads only the scipy modules of the functions it calls."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert scipy_modules_after() == set()
+
+    def test_steps_without_statistics_load_no_scipy(self, tmp_path):
+        # both Tamagawa groups nonempty, so confound runs its whole battery
+        path = tmp_path / "twists.csv"
+        path.write_text(serialize_curve_table(CurveTable([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache.bin")
+        common = ["--curves", str(path), "--range", "1000:300000",
+                  "--primes", "20", "--out", out]
+        assert scipy_modules_after(
+            ["ingest", *common],
+            ["traces", "--cache", cache, *common],
+            ["stratify", "--cache", cache, "--shuffles", "50", *common],
+            ["confound", "--cache", cache, "--shuffles", "50", *common],
+            ["report", "--out", out],
+        ) == set()
+
+    def test_windows_loads_scipy_signal_when_it_runs(self, tmp_path):
+        # series long enough for the 101-point filter, so savgol_detrend runs
+        records = [*make_synthetic_table(400, seed=1).records,
+                   *make_synthetic_table(400, seed=2, rank=1).records]
+        path = tmp_path / "synthetic.csv"
+        path.write_text(serialize_curve_table(CurveTable(records)))
+        args = ["--curves", str(path), "--window", "4000", "--step", "250",
+                "--out", str(tmp_path / "out")]
+        assert scipy_modules_after(["ingest", *args]) == set()
+        assert "scipy.signal" in scipy_modules_after(["windows", *args])
+
+    def test_diagnose_and_zeros_leave_scipy_signal_out(self, twist_csv, tmp_path):
+        # 200 primes reach past p = 1000, where the Sato-Tate pools start
+        common = ["--curves", str(twist_csv), "--band", "0:100", "--range",
+                  "1000:300000", "--primes", "200", "--out", str(tmp_path / "out")]
+        loaded = scipy_modules_after(["diagnose", *common], ["zeros", *common])
+        assert {"scipy.special", "scipy.stats"} <= loaded
+        assert "scipy.signal" not in loaded

@@ -174,6 +174,14 @@ class TestPermutationTest:
         with pytest.raises(EmptyGroupError):
             permutation_test({"a": table.rows, "b": []}, matrix, 100, 0)
 
+    @pytest.mark.parametrize("n_shuffles", [0, -3])
+    def test_fewer_than_one_shuffle_rejected(self, n_shuffles):
+        table = make_synthetic_table(10, seed=12)
+        matrix = make_synthetic_matrix(table.labels, seed=12)
+        groups = {"a": table.rows[:5], "b": table.rows[5:]}
+        with pytest.raises(ValueError, match="at least one shuffle"):
+            permutation_test(groups, matrix, n_shuffles, 0)
+
 
 class TestBonferroni:
     def test_five_tests_at_one_per_mille(self):
