@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -81,7 +82,6 @@ from .traces import (
     persist_trace_matrix,
 )
 from .windows import (
-    MurmurationProfile,
     cross_correlation,
     murmuration_profile,
     residual_correlation,
@@ -382,13 +382,9 @@ def cmd_stratify(cfg: RunConfig) -> dict:
             base = rank0
         part, strat_report = stratify(base, matrix, rule,
                                       n_shuffles=cfg.shuffles, seed=cfg.seed)
-        profiles = {
-            name: murmuration_profile(members, matrix)
-            for name, members in part.groups.items()
-        }
-        names = list(profiles)
-        if len(names) == 2:
-            diff = profiles[names[1]].mean_ap - profiles[names[0]].mean_ap
+        if rule.kind == "two_group":
+            diff = (murmuration_profile(part.groups["group_b"], matrix)
+                    - murmuration_profile(part.groups["group_a"], matrix))
             write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
                          diff, ("prime", "mean_ap_diff"))
         entries[rule.name] = {
@@ -428,32 +424,40 @@ def cmd_confound(cfg: RunConfig) -> dict:
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     battery = {}
 
-    tam_part = partition(rank0, TAMAGAWA_RULE)
-    for k in (2, 3, 4):
-        try:
-            _, rep = control_omega(table, matrix, tam_part, k,
-                                   n_shuffles=cfg.shuffles, seed=cfg.seed)
-            battery[f"tamagawa_omega_{k}"] = rep.to_dict()
-        except ValueError as exc:
-            battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
-
     try:
-        matches = match_nn(table, tam_part.groups["group_a"],
-                           tam_part.groups["group_b"], "conductor", 500.0)
-        paired = matched_rms(matches, matrix)
-        battery["tamagawa_conductor_matched"] = {
-            "n_pairs": matches.n_pairs,
-            "mean_distance": matches.mean_distance,
-            "rms_group": paired.rms_group,
-            "rms_per_pair": paired.rms_per_pair,
-        }
-        write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
-            "key": matches.key,
-            "max_distance": matches.max_distance,
-            "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in matches.pairs],
-        })
+        tam_part = partition(rank0, TAMAGAWA_RULE)
     except ValueError as exc:
-        battery["tamagawa_conductor_matched"] = {"error": str(exc)}
+        # every Tamagawa control carries the error; the Sha controls still run
+        for name in ("tamagawa_omega_2", "tamagawa_omega_3", "tamagawa_omega_4",
+                     "tamagawa_conductor_matched"):
+            battery[name] = {"error": str(exc)}
+    else:
+        for k in (2, 3, 4):
+            try:
+                _, rep = control_omega(table, matrix, tam_part, k,
+                                       n_shuffles=cfg.shuffles, seed=cfg.seed)
+                battery[f"tamagawa_omega_{k}"] = rep.to_dict()
+            except ValueError as exc:
+                battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
+
+        try:
+            matches = match_nn(table, tam_part.groups["group_a"],
+                               tam_part.groups["group_b"], "conductor", 500.0)
+            paired = matched_rms(matches, matrix)
+            battery["tamagawa_conductor_matched"] = {
+                "n_pairs": matches.n_pairs,
+                "mean_distance": matches.mean_distance,
+                "rms_group": paired.rms_group,
+                "rms_per_pair": paired.rms_per_pair,
+            }
+            write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
+                "key": matches.key,
+                "max_distance": matches.max_distance,
+                "pairs": [[table.labels[a], table.labels[b], d]
+                          for a, b, d in matches.pairs],
+            })
+        except ValueError as exc:
+            battery["tamagawa_conductor_matched"] = {"error": str(exc)}
 
     band = cfg.band or (1.53, 2.84)
     try:
@@ -491,9 +495,9 @@ def cmd_confound(cfg: RunConfig) -> dict:
         groups = {"sha_1": sha_part.groups["group_a"],
                   "sha_ge4": sha_part.groups["group_b"]}
         battery["bsd_group_ratios"] = bsd_group_ratios(table, groups)
-        prof_a = murmuration_profile(groups["sha_1"], matrix)
-        prof_b = murmuration_profile(groups["sha_ge4"], matrix)
-        cum = euler_cumsum(prof_a, prof_b)
+        cum = euler_cumsum(matrix.primes.primes,
+                           murmuration_profile(groups["sha_1"], matrix),
+                           murmuration_profile(groups["sha_ge4"], matrix))
         battery["euler_cumsum"] = {
             "argmax_prime": cum.argmax_prime,
             "terminal": list(cum.terminal),
@@ -540,11 +544,9 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     ks = satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
     diag["sato_tate_ks"] = {"D": ks.statistic, "p": ks.p_value,
                             "n_a": ks.n_a, "n_b": ks.n_b}
-    prof_a = murmuration_profile(groups["sha_1"], matrix)
-    prof_b = murmuration_profile(groups["sha_ge4"], matrix)
-    diff = MurmurationProfile(prof_a.primes, prof_b.mean_ap - prof_a.mean_ap,
-                              prof_a.n_curves + prof_b.n_curves)
-    cross = crossover_scan(diff)
+    diff = (murmuration_profile(groups["sha_ge4"], matrix)
+            - murmuration_profile(groups["sha_1"], matrix))
+    cross = crossover_scan(matrix.primes.primes, diff)
     diag["crossover"] = {
         "crossing_prime": cross.crossing_prime,
         "direction": cross.direction,
@@ -638,9 +640,8 @@ def cmd_zeros(cfg: RunConfig) -> dict:
                          dens.density, ("scaled_ordinate", "density"))
         mean_a = np.vstack([z.gammas for z in complete["sha_1"]]).mean(axis=0)
         mean_b = np.vstack([z.gammas for z in complete["sha_ge4"]]).mean(axis=0)
-        prof_a = murmuration_profile(groups["sha_1"], matrix)
-        prof_b = murmuration_profile(groups["sha_ge4"], matrix)
-        observed = prof_b.mean_ap - prof_a.mean_ap
+        observed = (murmuration_profile(groups["sha_ge4"], matrix)
+                    - murmuration_profile(groups["sha_1"], matrix))
         pred = explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
         zeros_report["explicit_formula"] = {
             "correlation": pred.correlation,
@@ -698,6 +699,7 @@ def make_parser() -> argparse.ArgumentParser:
 _USER_ERRORS = (
     CliError,
     ValueError,
+    csv.Error,
     OSError,
     ArithmeticError,
     GammaConvergenceError,

@@ -6,6 +6,8 @@ restriction, the combined L-value/period/conductor control, per-group BSD
 ratio validation, and cumulative Euler-sum decompositions.  Curve groups
 are int arrays of aligned row positions (see `curves.CurveTable`); a table
 passed alongside a group is the aligned table those positions index.
+Murmuration profiles are per-prime mean-a_p arrays aligned with a prime
+list (see `windows.murmuration_profile`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .stratify import (
     rms_separation,
 )
 from .traces import TraceMatrix
-from .windows import MurmurationProfile
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,16 @@ class EulerCumsum:
         return float(self.cum_a[-1]), float(self.cum_b[-1]), float(self.delta[-1])
 
 
-def euler_cumsum(profile_a: MurmurationProfile,
-                 profile_b: MurmurationProfile) -> EulerCumsum:
-    """Running sums of mean(a_q)/q per group and their difference Delta(P)."""
-    if not np.array_equal(profile_a.primes, profile_b.primes):
-        raise ValueError("profiles computed on different prime lists")
-    p = profile_a.primes.astype(np.float64)
-    cum_a = np.cumsum(profile_a.mean_ap / p)
-    cum_b = np.cumsum(profile_b.mean_ap / p)
-    return EulerCumsum(profile_a.primes, cum_a, cum_b, cum_b - cum_a)
+def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
+                 profile_b: np.ndarray) -> EulerCumsum:
+    """Running sums of mean(a_q)/q per group and their difference Delta(P).
+
+    Both profiles are per-prime mean-a_p arrays aligned with `primes`.
+    """
+    p = primes.astype(np.float64)
+    cum_a = np.cumsum(profile_a / p)
+    cum_b = np.cumsum(profile_b / p)
+    return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
 
 
 def invariant_correlation(table: CurveTable, x: str, y: str,

@@ -40,8 +40,6 @@ CSV_FIELDS = (
 
 #: relative tolerance for snapping analytic Sha to an integer square
 SHA_SQUARE_RTOL = 1e-3
-#: rank-0 BSD residual at or below this is treated as consistent
-BSD_RTOL = 1e-3
 
 VALID_RANKS = (0, 1, 2, 3, 4)
 MIN_CONDUCTOR = 11
@@ -390,7 +388,8 @@ def serialize_curve_table(table: CurveTable) -> str:
 def validate_bsd_residual(record: CurveRecord) -> float:
     """Relative rank-0 residual |L - Sha * Omega * prod(c_p) / T^2| / L.
 
-    Residuals at or below BSD_RTOL are treated as consistent downstream.
+    The residual is only measured: no pipeline step calls this check or
+    holds a curve to a tolerance on it.
     """
     if record.rank != 0:
         raise ValueError(f"{record.label}: BSD residual check requires rank 0")

@@ -3,8 +3,9 @@
 Per-prime moment profiles, Sato-Tate angle comparison, crossover detection
 in difference profiles, reduction-type classification from bad-prime traces,
 and the bad-prime share of a profile separation.  Curve groups are int
-arrays of trace-matrix row positions.  scipy.stats is imported inside the
-functions that call it, so steps that never call them do not pay for
+arrays of trace-matrix row positions; a difference profile is a per-prime
+array aligned with the matrix's prime list.  scipy.stats is imported inside
+the functions that call it, so steps that never call them do not pay for
 loading it.
 """
 
@@ -20,7 +21,6 @@ import numpy as np
 from .curves import CurveTable
 from .stratify import rms_separation
 from .traces import TraceMatrix
-from .windows import MurmurationProfile
 
 
 class ReductionDataError(ValueError):
@@ -152,17 +152,17 @@ class CrossoverReport:
     primes: np.ndarray
 
 
-def crossover_scan(diff_profile: MurmurationProfile, smooth_width: int = 11,
+def crossover_scan(primes: np.ndarray, diff: np.ndarray, smooth_width: int = 11,
                    landmarks: Sequence[int] = (5, 37, 251, 1009)) -> CrossoverReport:
     """Stable sign change of a difference profile.
 
-    The profile is smoothed with a centered moving average (width 11 primes
-    by default, truncated at the ends); the crossing is the first prime from
-    which the smoothed sign stays opposite to the initial sign.  Landmark
-    entries report the raw difference at the requested primes.
+    `diff` is the per-prime difference of two murmuration profiles, aligned
+    with `primes`.  It is smoothed with a centered moving average (width 11
+    primes by default, truncated at the ends); the crossing is the first
+    prime from which the smoothed sign stays opposite to the initial sign.
+    Landmark entries report the raw difference at the requested primes.
     """
-    values = np.asarray(diff_profile.mean_ap, dtype=np.float64)
-    primes = diff_profile.primes
+    values = np.asarray(diff, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("empty difference profile")
     half = smooth_width // 2

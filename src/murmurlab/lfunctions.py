@@ -588,14 +588,23 @@ def write_zero_sets_csv(path, zero_sets: Sequence[ZeroSet]) -> None:
 
 
 def read_zero_sets_csv(path) -> list[ZeroSet]:
-    """Import externally computed zeros in the same CSV layout."""
+    """Import externally computed zeros in the same CSV layout.
+
+    An empty file, and a row without exactly one cell per field, raise
+    ValueError naming the line.
+    """
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"zeros CSV {path} line 1: empty file, header required")
         if tuple(header) != ZERO_CSV_FIELDS:
             raise ValueError(f"bad zeros CSV header: {header}")
         for row in reader:
+            if len(row) != len(ZERO_CSV_FIELDS):
+                raise ValueError(f"zeros CSV {path} line {reader.line_num}: "
+                                 f"{len(row)} cells, expected {len(ZERO_CSV_FIELDS)}")
             label = row[0]
             gammas = [float(v) for v in row[1:6] if v != ""]
             complete = bool(int(row[6]))

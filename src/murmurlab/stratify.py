@@ -2,10 +2,11 @@
 
 A StratRule partitions a fixed-rank curve set by a BSD invariant into
 groups of row positions (int arrays indexing the aligned table and trace
-matrix); profile separation is the RMS difference of subgroup murmuration
-profiles, and significance comes from reshuffling group membership while
-preserving group sizes.  All randomness flows through an explicit 64-bit
-seed.
+matrix).  Profile separation is the RMS difference of the groups'
+murmuration profiles, per-prime mean-a_p arrays over one prime list, and
+`rms_separation` is the one place it is computed.  Significance comes from
+reshuffling group membership while preserving group sizes.  All randomness
+flows through an explicit 64-bit seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .curves import CurveTable, invariant_values
 from .traces import TraceMatrix
-from .windows import MurmurationProfile, murmuration_profile
+from .windows import murmuration_profile
 
 _INF = float("inf")
 #: shuffles per block of the permutation null
@@ -127,14 +128,6 @@ def rms_separation(means: Sequence[np.ndarray]) -> np.ndarray:
     sq = [np.mean((means[i] - means[j]) ** 2, axis=-1)
           for i in range(k) for j in range(i + 1, k)]
     return np.sqrt(np.mean(sq, axis=0))
-
-
-def profile_rms(profiles: Sequence[MurmurationProfile]) -> float:
-    """rms_separation of murmuration profiles computed on one prime list."""
-    for prof in profiles[1:]:
-        if not np.array_equal(prof.primes, profiles[0].primes):
-            raise ValueError("profiles computed on different prime lists")
-    return float(rms_separation([prof.mean_ap for prof in profiles]))
 
 
 @dataclass(frozen=True)
@@ -279,8 +272,8 @@ def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
     for lo, hi in windows:
         sub = table.filter(conductor_range=(int(lo), int(hi)))
         part = partition(sub, rule)
-        profiles = [murmuration_profile(m, matrix) for m in part.groups.values()]
-        rms_values.append(profile_rms(profiles))
+        rms_values.append(float(rms_separation(
+            [murmuration_profile(m, matrix) for m in part.groups.values()])))
         centers.append(math.sqrt(lo * hi))
         sizes.append(tuple(len(m) for m in part.groups.values()))
     centers = np.array(centers)

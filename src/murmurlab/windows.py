@@ -1,8 +1,9 @@
 """Sliding-window invariant averages and per-prime murmuration profiles.
 
 Window series are means of a BSD invariant over rank-r curves in closed
-conductor windows [N0 - W/2, N0 + W/2]; murmuration profiles are per-prime
-means of a_p over a curve group, given as trace-matrix row positions.
+conductor windows [N0 - W/2, N0 + W/2].  A murmuration profile is a plain
+float64 array: the per-prime mean of a_p over a curve group (trace-matrix
+row positions), aligned with the matrix's prime list.
 Detrending uses a Savitzky-Golay local polynomial fit with residuals emitted
 only where the filter window is fully interior.  All functions are pure over
 immutable inputs.  scipy.signal is imported inside the two functions that
@@ -55,21 +56,6 @@ class WindowSeries:
             values=self.values[keep],
             counts=None if self.counts is None else self.counts[keep],
         )
-
-
-@dataclass(frozen=True)
-class MurmurationProfile:
-    """Per-prime mean of a_p over a curve set."""
-
-    primes: np.ndarray
-    mean_ap: np.ndarray
-    n_curves: int
-
-    def __post_init__(self):
-        if len(self.primes) != len(self.mean_ap):
-            raise ValueError("prime/mean length mismatch")
-        if self.n_curves <= 0:
-            raise ValueError("profile over an empty curve set")
 
 
 def sliding_window_series(table: CurveTable, invariant: str, rank: int,
@@ -155,27 +141,14 @@ def residual_correlation(res_a: WindowSeries, res_b: WindowSeries) -> float:
     return _pearson(res_a.values[ia], res_b.values[ib])
 
 
-def murmuration_profile(rows, matrix: TraceMatrix) -> MurmurationProfile:
-    """Per-prime mean of a_p over the given matrix rows (bad primes included)."""
+def murmuration_profile(rows, matrix: TraceMatrix) -> np.ndarray:
+    """Per-prime mean of a_p over the given matrix rows (bad primes included).
+
+    The float64 array is aligned with `matrix.primes.primes`.
+    """
     if not len(rows):
         raise ValueError("murmuration profile over an empty subset")
-    return MurmurationProfile(
-        primes=matrix.primes.primes,
-        mean_ap=matrix.traces[rows].mean(axis=0, dtype=np.float64),
-        n_curves=len(rows),
-    )
-
-
-def good_prime_profile(rows, matrix: TraceMatrix) -> MurmurationProfile:
-    """Sensitivity variant: per-prime mean over good-reduction entries only."""
-    if not len(rows):
-        raise ValueError("murmuration profile over an empty subset")
-    traces = matrix.traces[rows].astype(np.float64)
-    good = ~matrix.bad_flags[rows]
-    counts = good.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, (traces * good).sum(axis=0) / counts, np.nan)
-    return MurmurationProfile(matrix.primes.primes, means, len(rows))
+    return matrix.traces[rows].mean(axis=0, dtype=np.float64)
 
 
 def welch_psd(values: np.ndarray, segment: int = 256, overlap: float = 0.5,

@@ -70,6 +70,19 @@ class TestIngest:
         assert rc == 0
         assert read_report(out, "ingest")["ingest"]["n_curves"] == 0
 
+    def test_field_over_the_csv_limit_is_structured_error(self, tmp_path):
+        from murmurlab.curves import CSV_FIELDS
+
+        csv_path = tmp_path / "huge.csv"
+        row = ["x" * 200_000] + ["1"] * (len(CSV_FIELDS) - 1)
+        csv_path.write_text(",".join(CSV_FIELDS) + "\n" + ",".join(row) + "\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--curves", str(csv_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "ingest_error.json").read_text())
+        assert "field limit" in err["error"]
+        assert not (out / "ingest.json").exists()
+
     def test_missing_curves_flag_errors(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["ingest", "--out", str(out)])
@@ -196,6 +209,26 @@ class TestStratify:
         assert "group_b" in err["error"]
 
 
+class TestConfound:
+    def test_empty_tamagawa_group_leaves_the_sha_controls_running(self, twist_csv,
+                                                                  tmp_path):
+        # every Tamagawa product of the twist table is 1, so group_b is empty
+        out = tmp_path / "out"
+        rc = main(["confound", "--curves", str(twist_csv), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "20", "--shuffles", "50",
+                   "--out", str(out)])
+        assert rc == 0
+        assert not (out / "confound_error.json").exists()
+        battery = read_report(out, "confound")["confound"]["battery"]
+        for name in ("tamagawa_omega_2", "tamagawa_omega_3", "tamagawa_omega_4",
+                     "tamagawa_conductor_matched"):
+            assert "'group_b' of rule 'tamagawa' is empty" in battery[name]["error"]
+        assert set(battery["sha_triple_control"]) == {"small_period", "large_period"}
+        assert battery["bsd_group_ratios"] == {"sha_1": 1.0, "sha_ge4": 0.25}
+        assert "argmax_prime" in battery["euler_cumsum"]
+        assert isinstance(battery["period_vs_log_conductor"], float)
+
+
 class TestErrorReports:
     def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
@@ -291,6 +324,33 @@ class TestZerosImport:
         inputs = read_report(out, "zeros")["inputs"]
         assert inputs["cache"] == {"path": str(cache),
                                    "sha256": cli._file_digest(cache)}
+
+
+    def _zeros_error(self, twist_csv, zeros_csv, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(twist_csv), "--zeros", str(zeros_csv),
+                   "--band", "0:100", "--range", "1000:300000", "--primes", "20",
+                   "--out", str(out)])
+        assert rc == 1
+        assert not (out / "zeros.json").exists()
+        return json.loads((out / "zeros_error.json").read_text())["error"]
+
+    def test_empty_zeros_file_is_structured_error(self, twist_csv, tmp_path):
+        zeros_csv = tmp_path / "zeros.csv"
+        zeros_csv.write_text("")
+        assert "line 1: empty file" in self._zeros_error(twist_csv, zeros_csv,
+                                                          tmp_path)
+
+    @pytest.mark.parametrize("cells", [7, 9])
+    def test_row_without_eight_cells_is_structured_error(self, twist_csv, tmp_path,
+                                                         cells):
+        zeros_csv = imported_zeros_csv(tmp_path)
+        lines = zeros_csv.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join(row[:7] if cells == 7 else [*row, "0.5"])
+        zeros_csv.write_text("\n".join(lines) + "\n")
+        error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
+        assert f"line 3: {cells} cells, expected 8" in error
 
 
 class TestZerosFunctionalEquationGate:

@@ -16,7 +16,6 @@ from murmurlab.curves import CurveRecord, CurveTable
 from murmurlab.primes import omega
 from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition
 from murmurlab.traces import default_prime_list
-from murmurlab.windows import MurmurationProfile, murmuration_profile
 
 from conftest import make_synthetic_matrix, make_synthetic_table
 
@@ -191,24 +190,22 @@ class TestBsdRatios:
 class TestEulerCumsum:
     def test_identical_profiles_zero_delta(self):
         primes = default_prime_list(20).primes
-        prof = MurmurationProfile(primes, np.linspace(-1, 1, 20), 3)
-        cum = euler_cumsum(prof, prof)
+        prof = np.linspace(-1, 1, 20)
+        cum = euler_cumsum(primes, prof, prof)
         assert np.allclose(cum.delta, 0.0)
 
     def test_antisymmetry(self):
         primes = default_prime_list(15).primes
         rng = np.random.default_rng(17)
-        a = MurmurationProfile(primes, rng.normal(size=15), 2)
-        b = MurmurationProfile(primes, rng.normal(size=15), 2)
-        ab = euler_cumsum(a, b)
-        ba = euler_cumsum(b, a)
+        a = rng.normal(size=15)
+        b = rng.normal(size=15)
+        ab = euler_cumsum(primes, a, b)
+        ba = euler_cumsum(primes, b, a)
         assert np.allclose(ab.delta, -ba.delta)
 
     def test_terminal_values_are_running_sums(self):
         primes = default_prime_list(10).primes
-        a = MurmurationProfile(primes, np.ones(10), 1)
-        b = MurmurationProfile(primes, np.zeros(10), 1)
-        cum = euler_cumsum(a, b)
+        cum = euler_cumsum(primes, np.ones(10), np.zeros(10))
         expected = float(np.sum(1.0 / primes))
         assert cum.terminal[0] == pytest.approx(expected)
         assert cum.terminal[2] == pytest.approx(-expected)
@@ -217,9 +214,7 @@ class TestEulerCumsum:
         primes = default_prime_list(10).primes
         diff = np.zeros(10)
         diff[3] = 5.0  # spike at the 4th prime
-        a = MurmurationProfile(primes, np.zeros(10), 1)
-        b = MurmurationProfile(primes, diff, 1)
-        assert euler_cumsum(a, b).argmax_prime >= int(primes[3])
+        assert euler_cumsum(primes, np.zeros(10), diff).argmax_prime >= int(primes[3])
 
 
 class TestInvariantCorrelation:

@@ -15,7 +15,7 @@ from murmurlab.diagnostics import (
     variance_ratio_profile,
 )
 from murmurlab.traces import PrimeList, TraceMatrix, build_trace_matrix, first_n_primes
-from murmurlab.windows import MurmurationProfile, murmuration_profile
+from murmurlab.windows import murmuration_profile
 
 from conftest import make_synthetic_matrix, make_synthetic_table
 
@@ -48,7 +48,7 @@ class TestMomentProfile:
         matrix = make_synthetic_matrix(table.labels, seed=1)
         mom = moment_profile(table.rows, matrix)
         prof = murmuration_profile(table.rows, matrix)
-        assert np.allclose(mom.mean, prof.mean_ap)
+        assert np.allclose(mom.mean, prof)
 
     def test_identical_rows_flag_shape_moments(self):
         primes = PrimeList(first_n_primes(6))
@@ -120,33 +120,33 @@ class TestSatoTate:
 
 
 class TestCrossover:
-    def _profile(self, values):
-        primes = first_n_primes(len(values))
-        return MurmurationProfile(primes, np.asarray(values, float), 1)
+    def _scan(self, values, **kwargs):
+        return crossover_scan(first_n_primes(len(values)),
+                              np.asarray(values, float), **kwargs)
 
     def test_clean_crossover_detected(self):
         values = np.concatenate([np.full(60, 0.2), np.full(140, -0.15)])
-        report = crossover_scan(self._profile(values))
+        report = self._scan(values)
         assert report.direction == "positive_to_negative"
         crossing_index = int(np.searchsorted(first_n_primes(200),
                                              report.crossing_prime))
         assert 55 <= crossing_index <= 66  # smoothing blurs the edge
 
     def test_all_positive_no_crossing(self):
-        report = crossover_scan(self._profile(np.full(50, 0.3)))
+        report = self._scan(np.full(50, 0.3))
         assert report.crossing_prime is None
 
     def test_mirrored_input(self):
         values = np.concatenate([np.full(60, 0.2), np.full(140, -0.15)])
-        up = crossover_scan(self._profile(values))
-        down = crossover_scan(self._profile(-values))
+        up = self._scan(values)
+        down = self._scan(-values)
         assert up.crossing_prime == down.crossing_prime
         assert down.direction == "negative_to_positive"
         assert down.landmarks == {k: -v for k, v in up.landmarks.items()}
 
     def test_landmarks_report_raw_values(self):
         values = np.linspace(1, -1, 500)
-        report = crossover_scan(self._profile(values), landmarks=(5, 1009))
+        report = self._scan(values, landmarks=(5, 1009))
         primes = first_n_primes(500)
         idx5 = int(np.searchsorted(primes, 5))
         assert report.landmarks[5] == pytest.approx(values[idx5])

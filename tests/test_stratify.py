@@ -13,17 +13,12 @@ from murmurlab.stratify import (
     fit_power_law,
     partition,
     permutation_test,
-    profile_rms,
+    rms_separation,
     scale_scan,
 )
 from murmurlab.traces import TraceMatrix, default_prime_list
-from murmurlab.windows import MurmurationProfile, murmuration_profile
 
 from conftest import make_synthetic_matrix, make_synthetic_table
-
-
-def profile(primes, values, n=1):
-    return MurmurationProfile(primes, np.asarray(values, dtype=np.float64), n)
 
 
 class TestPartition:
@@ -64,37 +59,29 @@ class TestPartition:
 
 
 class TestProfileRms:
+    """rms_separation on murmuration profiles (per-prime mean arrays)."""
+
     def test_identical_profiles_zero(self):
-        primes = default_prime_list(10).primes
-        p = profile(primes, np.arange(10.0))
-        assert profile_rms([p, p]) == 0.0
+        p = np.arange(10.0)
+        assert rms_separation([p, p]) == 0.0
 
     def test_constant_offset_gives_offset(self):
-        primes = default_prime_list(10).primes
-        a = profile(primes, np.zeros(10))
-        b = profile(primes, np.full(10, -2.5))
-        assert profile_rms([a, b]) == pytest.approx(2.5)
+        a = np.zeros(10)
+        b = np.full(10, -2.5)
+        assert float(rms_separation([a, b])) == pytest.approx(2.5)
 
     def test_symmetry(self):
-        primes = default_prime_list(6).primes
         rng = np.random.default_rng(5)
-        a = profile(primes, rng.normal(size=6))
-        b = profile(primes, rng.normal(size=6))
-        assert profile_rms([a, b]) == profile_rms([b, a])
+        a = rng.normal(size=6)
+        b = rng.normal(size=6)
+        assert rms_separation([a, b]) == rms_separation([b, a])
 
     def test_multigroup_reduces_to_pairwise_mean(self):
-        primes = default_prime_list(4).primes
-        a = profile(primes, [0, 0, 0, 0])
-        b = profile(primes, [1, 1, 1, 1])
-        c = profile(primes, [2, 2, 2, 2])
+        a = np.array([0.0, 0, 0, 0])
+        b = np.array([1.0, 1, 1, 1])
+        c = np.array([2.0, 2, 2, 2])
         # pairwise squared separations 1, 4, 1
-        assert profile_rms([a, b, c]) == pytest.approx(np.sqrt((1 + 4 + 1) / 3))
-
-    def test_mismatched_prime_lists_rejected(self):
-        a = profile(default_prime_list(4).primes, np.zeros(4))
-        b = profile(default_prime_list(5).primes[1:], np.zeros(4))
-        with pytest.raises(ValueError, match="prime"):
-            profile_rms([a, b])
+        assert float(rms_separation([a, b, c])) == pytest.approx(np.sqrt((1 + 4 + 1) / 3))
 
 
 class TestPermutationTest:

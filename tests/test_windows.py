@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from murmurlab.windows import (
     DegenerateSeriesError,
-    MurmurationProfile,
     SeriesTooShortError,
     WindowSeries,
     cross_correlation,
-    good_prime_profile,
     murmuration_profile,
     residual_correlation,
     savgol_detrend,
@@ -147,7 +145,7 @@ class TestProfiles:
         table = make_synthetic_table(5, seed=9)
         matrix = make_synthetic_matrix(table.labels, seed=9)
         prof = murmuration_profile([2], matrix)
-        assert np.array_equal(prof.mean_ap, matrix.traces[2].astype(float))
+        assert np.array_equal(prof, matrix.traces[2].astype(float))
 
     def test_union_is_weighted_mean(self):
         table = make_synthetic_table(30, seed=10)
@@ -157,8 +155,8 @@ class TestProfiles:
         pa = murmuration_profile(a, matrix)
         pb = murmuration_profile(b, matrix)
         pu = murmuration_profile(a + b, matrix)
-        weighted = (10 * pa.mean_ap + 20 * pb.mean_ap) / 30
-        assert np.allclose(pu.mean_ap, weighted)
+        weighted = (10 * pa + 20 * pb) / 30
+        assert np.allclose(pu, weighted)
 
     def test_empty_subset_raises(self):
         table = make_synthetic_table(5, seed=11)
@@ -170,16 +168,7 @@ class TestProfiles:
         table = make_synthetic_table(20, seed=12)
         matrix = make_synthetic_matrix(table.labels, seed=12)
         prof = murmuration_profile(table.rows, matrix)
-        assert np.all(np.abs(prof.mean_ap) <= 2 * np.sqrt(prof.primes))
-
-    def test_good_prime_profile_drops_bad_columns(self):
-        table = make_synthetic_table(8, seed=13, conductor_range=(11_000, 12_000))
-        conductors = [r.conductor for r in table]
-        matrix = make_synthetic_matrix(table.labels, seed=13,
-                                       bad_conductors=conductors)
-        full = murmuration_profile(table.rows, matrix)
-        good = good_prime_profile(table.rows, matrix)
-        assert full.mean_ap.shape == good.mean_ap.shape
+        assert np.all(np.abs(prof) <= 2 * np.sqrt(matrix.primes.primes))
 
 
 class TestWelch:
