@@ -47,9 +47,7 @@ from .export import (
     write_xy_csv,
 )
 from .lfunctions import (
-    DEFAULT_T_MAX,
     FE_TOL,
-    GammaConvergenceError,
     LSeries,
     density_comparison,
     explicit_predict,
@@ -469,16 +467,20 @@ def cmd_confound(cfg: RunConfig) -> dict:
             "report": rep.to_dict(),
             "group_sizes": part.sizes(),
         }
-        matches = match_nn(table, part.groups["group_b"],
-                           part.groups["group_a"], "l_value", 0.1)
-        paired = matched_rms(matches, matrix)
-        battery["sha_lvalue_matched"] = {
-            "n_pairs": matches.n_pairs,
-            "mean_distance": matches.mean_distance,
-            "rms_group": paired.rms_group,
-        }
     except ValueError as exc:
         battery["sha_lvalue_band"] = {"error": str(exc)}
+    else:
+        try:
+            matches = match_nn(table, part.groups["group_b"],
+                               part.groups["group_a"], "l_value", 0.1)
+            paired = matched_rms(matches, matrix)
+            battery["sha_lvalue_matched"] = {
+                "n_pairs": matches.n_pairs,
+                "mean_distance": matches.mean_distance,
+                "rms_group": paired.rms_group,
+            }
+        except ValueError as exc:
+            battery["sha_lvalue_matched"] = {"error": str(exc)}
 
     try:
         triple = triple_control(table, matrix, band, conductor_range,
@@ -594,10 +596,8 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             members = [i for i in members if table.labels[i] in imported]
         elif cfg.sample and cfg.sample < len(members):
             members = rng.choice(members, size=cfg.sample, replace=False)
-        # one trace count per group, one series held at a time; imported sets
-        # need only the gate's height 0
-        all_series = LSeries.from_curves([table.record(i) for i in members],
-                                         DEFAULT_T_MAX if imported is None else 0.0)
+        # one trace count per group, one series held at a time
+        all_series = LSeries.from_curves([table.record(i) for i in members])
         found[name], fe_failed[name] = [], []
         for i, series in zip(members, all_series):
             if fe_residual(series) > FE_TOL:
@@ -702,7 +702,6 @@ _USER_ERRORS = (
     csv.Error,
     OSError,
     ArithmeticError,
-    GammaConvergenceError,
     CacheFormatError,
     CacheCorruptionError,
     TraceComputationError,

@@ -8,32 +8,37 @@ s <-> 2 - s for the completed function
 
 On the critical line the smoothed approximate functional equation gives
 
-    Lambda(1 + it) = sum_n a_n [ x_n^{-s} Gamma(s, x_n)
-                                 + w x_n^{s-2} Gamma(2-s, x_n) ],
+    Lambda(1 + it) = sum_n a_n [ F_n(s) + w x_n^{s-2} Gamma(2-s, x_n) ],
+    F_n(s) = x_n^{-s} Gamma(s, x_n),
 
 with x_n = 2 pi n / sqrt(N) and Gamma(s, x) the upper incomplete gamma
 function.  Zero ordinates found here coincide with the gamma of the
 analytic normalization rho = 1/2 + i*gamma.
 
 Only w = +1 is evaluated, and then the second sum is the conjugate of the
-first, so Lambda(1 + it) = sum_n a_n (F_n + conj F_n) with
-F_n = x_n^{-s} Gamma(s, x_n) computed once.  This is exact in floating
-point, not just up to rounding: for s = 1 + it the values 2 - s and s - 2
-are conj(s) and -conj(s) in every bit, the exponential and the incomplete
-gamma kernels commute with conjugation bit for bit, and w = 1, so the
-second term of each summand is conj F_n and every row sum is the one the
-two-sided formula gives.  Lambda is therefore real on the line by
-construction; its imaginary part checks nothing.
+first, so Lambda(1 + it) = 2 Re sum_n a_n F_n.  Substituting u = x_n e^v in
+the incomplete gamma integral gives
 
-The incomplete gamma kernels iterate only the elements that have not yet
-converged, and heights are evaluated in small blocks of rows.  Neither
-changes the arithmetic done for any element or row, so neither changes a
-value.  The zero search leans on the same fact twice: it scans the grid
-block by block and stops at the block that shows the k-th sign change, and
-it bisects all k brackets together, one Lambda call per halving on the
-midpoints still open.  Each row is summed on its own and each bracket sees
-the midpoints a one-bracket-at-a-time bisection would, so both leave every
-ordinate unchanged.
+    F_n(1 + it) = integral_0^inf exp(-x_n e^v) e^v e^{itv} dv,
+
+so with the theta sum g(v) = e^v sum_n a_n exp(-x_n e^v)
+
+    Lambda(1 + it) = 2 integral_0^V g(v) cos(tv) dv.
+
+The sum keeps the terms with x_n <= _X_CUT, and V = log(_X_CUT / x_1), past
+which every exp(-x_n e^v) is below exp(-_X_CUT).  One Gauss-Legendre rule
+on [0, V] turns this into a weighted sum over its nodes: g is evaluated once
+per rule, and then every height t is one row of cos(t v) times w g(v).
+Lambda is real by construction.
+
+The rule comes in two sizes, M nodes sized from t_max and V, and 2M nodes.
+The 2M-node rule gives every value; both rules evaluate the heights a
+search scans, and if they disagree by more than QUAD_TOL relative to the
+sum of |terms| the evaluation is refused with QuadratureError.  Each row is
+summed on its own, so a value does not depend on which heights share its
+call: the zero search scans its grid in one call and bisects all k brackets
+together, one call per halving on the midpoints still open, and each
+bracket visits the midpoints a one-bracket-at-a-time bisection would.
 
 At t = 0 the smoothed functional equation needs no incomplete gamma:
 Gamma(1, x) = exp(-x), so splitting the sum at cut-off c gives
@@ -44,13 +49,15 @@ which is independent of c only if N, w and the a_n belong to one
 L-function (Dokchitser, arXiv:math/0207280).  fe_residual compares c = 1
 with c = 1.25, and the zeros step does not search a curve that fails.
 
-scipy.special and scipy.stats are imported inside the functions that call
-them, so steps that never call them do not pay for loading them.
+scipy.stats is imported inside the functions that call it, so steps that
+never call those do not pay for loading it; Lambda and the zero search use
+NumPy alone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -62,11 +69,6 @@ from .traces import dirichlet_coefficients
 
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
 _X_CUT = 46.0
-#: per-element relative target for the incomplete gamma evaluation
-_GAMMA_TOL = 1e-14
-_GAMMA_MAX_ITER = 600
-#: heights per block in _lambda_batch; keeps the gamma temporaries in cache
-_BLOCK_ROWS = 16
 
 #: default search ceiling for low-lying zeros
 DEFAULT_T_MAX = 10.0
@@ -75,106 +77,17 @@ ZERO_TOL = 1e-6
 #: fe_residual above which a curve's conductor, root number and coefficients
 #: do not form one L-function; true inputs measure below 2e-16
 FE_TOL = 1e-10
+#: largest disagreement of the M- and 2M-node rules, relative to the sum of
+#: |terms| 2 sum w |g|, that an evaluation accepts; sized rules agree to ~1e-14
+QUAD_TOL = 1e-12
 
 
 class CoefficientShortfallError(ValueError):
     pass
 
 
-class GammaConvergenceError(RuntimeError):
+class QuadratureError(ValueError):
     pass
-
-
-def upper_incomplete_gamma(s, x):
-    """Elementwise Gamma(s, x) for complex s and real x >= 0.
-
-    Series for the lower function when x < |s| + 1, modified Lentz continued
-    fraction otherwise; both iterated to ~1e-14 relative.  Shapes of s and x
-    must broadcast to a common shape.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.float64)
-    s, x = np.broadcast_arrays(s, x)
-    out = np.empty(s.shape, dtype=np.complex128)
-    flat_s = s.ravel()
-    flat_x = x.ravel()
-    flat_out = out.ravel()
-    use_series = flat_x < np.abs(flat_s) + 1.0
-    if np.any(use_series):
-        flat_out[use_series] = _gamma_upper_series(flat_s[use_series], flat_x[use_series])
-    if np.any(~use_series):
-        flat_out[~use_series] = _gamma_upper_cf(flat_s[~use_series], flat_x[~use_series])
-    return out if out.shape else out[()]
-
-
-def _gamma_upper_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gamma(s) - lower gamma via the standard ascending series.
-
-    Each pass updates only the elements still short of convergence; an
-    element's partial sum is written out once, on the pass that converges it.
-    """
-    total_out = np.empty(s.shape, dtype=np.complex128)
-    idx = np.arange(s.size)
-    s_a, x_a = s, x
-    term = 1.0 / s
-    total = term.copy()
-    k = 0
-    while idx.size:
-        k += 1
-        if k > _GAMMA_MAX_ITER:
-            raise GammaConvergenceError("incomplete gamma series did not converge")
-        term = term * x_a / (s_a + k)
-        total = total + term
-        done = ~(np.abs(term) > _GAMMA_TOL * np.abs(total))
-        if done.any():
-            total_out[idx[done]] = total[done]
-            keep = ~done
-            idx, s_a, x_a = idx[keep], s_a[keep], x_a[keep]
-            term, total = term[keep], total[keep]
-    lower = np.exp(s * np.log(np.where(x > 0, x, 1.0)) - x) * total_out
-    lower = np.where(x > 0, lower, 0.0)
-    from scipy import special
-
-    return special.gamma(s) - lower
-
-
-def _gamma_upper_cf(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Modified Lentz continued fraction for the upper function.
-
-    Active-set iteration as in the series: only unconverged elements are
-    updated, so the work is the sum of the per-element iteration counts
-    rather than their maximum times the batch size.
-    """
-    tiny = 1e-300
-    h_out = np.empty(s.shape, dtype=np.complex128)
-    idx = np.arange(s.size)
-    s_a = s
-    b = x + 1.0 - s
-    c = np.full(s.shape, 1.0 / tiny, dtype=np.complex128)
-    d = 1.0 / np.where(b != 0, b, tiny)
-    h = d.copy()
-    i = 0
-    while idx.size:
-        i += 1
-        if i > _GAMMA_MAX_ITER:
-            raise GammaConvergenceError(
-                "incomplete gamma continued fraction did not converge")
-        an = -i * (i - s_a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = ~(np.abs(delta - 1.0) > _GAMMA_TOL)
-        if done.any():
-            h_out[idx[done]] = h[done]
-            keep = ~done
-            idx, s_a = idx[keep], s_a[keep]
-            b, c, d, h = b[keep], c[keep], d[keep], h[keep]
-    return np.exp(-x + s * np.log(x)) * h_out
 
 
 @dataclass(frozen=True)
@@ -206,15 +119,15 @@ class LSeries:
         return len(self.coefficients) - 1
 
     @classmethod
-    def from_curves(cls, records: Sequence[CurveRecord], t_max: float = DEFAULT_T_MAX,
+    def from_curves(cls, records: Sequence[CurveRecord],
                     n_max: int | None = None) -> Iterator["LSeries"]:
         """The series of each record in turn, from traces counted for them all.
 
         Each has n_max coefficients, or by default the budget its own
-        conductor needs up to height t_max.  The series are made as they are
-        taken, so a caller that keeps none holds one at a time.
+        conductor needs.  The series are made as they are taken, so a caller
+        that keeps none holds one at a time.
         """
-        n_maxes = [required_n_max(r.conductor, t_max) if n_max is None else n_max
+        n_maxes = [required_n_max(r.conductor) if n_max is None else n_max
                    for r in records]
         coefficients = dirichlet_coefficients([r.a_invariants for r in records],
                                               [r.conductor for r in records], n_maxes)
@@ -222,22 +135,24 @@ class LSeries:
             yield cls(r.label, r.conductor, r.root_number, an.astype(np.float64))
 
     @classmethod
-    def from_curve(cls, record: CurveRecord, t_max: float = DEFAULT_T_MAX,
-                   n_max: int | None = None) -> "LSeries":
-        return next(cls.from_curves([record], t_max, n_max))
+    def from_curve(cls, record: CurveRecord, n_max: int | None = None) -> "LSeries":
+        return next(cls.from_curves([record], n_max))
 
 
-def required_n_max(conductor: int, t: float) -> int:
-    """Coefficient budget for evaluating Lambda up to height t."""
-    return int(math.ceil(math.sqrt(conductor) * (abs(t) + 8.0)))
+def required_n_max(conductor: int) -> int:
+    """Coefficient budget of Lambda and fe_residual at any height.
+
+    8 sqrt(N) coefficients reach x = 16 pi: past every term Lambda sums
+    (x_n <= _X_CUT) and far enough for fe_residual.
+    """
+    return int(math.ceil(8.0 * math.sqrt(conductor)))
 
 
-def _require_budget(series: LSeries, t: float) -> None:
-    need = required_n_max(series.conductor, t)
+def _require_budget(series: LSeries) -> None:
+    need = required_n_max(series.conductor)
     if series.n_max < need:
         raise CoefficientShortfallError(
-            f"{series.label}: height t={t:g} needs n_max >= {need}, "
-            f"series has {series.n_max}"
+            f"{series.label}: needs n_max >= {need}, series has {series.n_max}"
         )
 
 
@@ -265,29 +180,73 @@ def l_value_series(series: LSeries) -> float:
     return float(2.0 * np.sum(a / n * np.exp(-c * n)))
 
 
-def _lambda_batch(series: LSeries, ts: np.ndarray) -> np.ndarray:
-    """Lambda(1 + i t) for an array of heights t, for w = +1 (real values).
+@functools.lru_cache(maxsize=16)
+def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    unit, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    unit.flags.writeable = weights.flags.writeable = False
+    return unit, weights
 
-    Each row sums a_n (F_n + conj F_n) with F_n = x_n^{-s} Gamma(s, x_n), the
-    one-sum form of the functional equation (see the module docstring), and
-    keeps the real part of the complex sum.  Heights are evaluated
-    _BLOCK_ROWS at a time so the (heights x terms) temporaries stay small;
-    each row is summed on its own, so blocking does not change any value.
+
+def _node_count(span: float, t_max: float) -> int:
+    """M, the smaller rule's nodes on [0, span] for heights |t| <= t_max.
+
+    The error of M nodes falls geometrically in M / span and grows with t.
+    On twists of 11a1 with span 3.2-8.3 and t_max 0-20, this count is 8 to
+    20 nodes above the fewest that met 1e-13 of the sum of |terms|.  It is a
+    multiple of 8 so that searches share rules.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    N = series.conductor
-    x_all = 2.0 * math.pi * np.arange(1, series.n_max + 1) / math.sqrt(N)
-    keep = x_all <= _X_CUT
-    x = x_all[keep]
-    a = series.coefficients[1 : series.n_max + 1][keep]
-    lx = np.log(x)[None, :]
-    out = np.empty(len(ts), dtype=np.float64)
-    for start in range(0, len(ts), _BLOCK_ROWS):
-        s = (1.0 + 1j * ts[start : start + _BLOCK_ROWS])[:, None]
-        shape = (len(s), len(x))
-        f = np.exp(-s * lx) * upper_incomplete_gamma(np.broadcast_to(s, shape), x[None, :])
-        out[start : start + _BLOCK_ROWS] = (a[None, :] * (f + np.conj(f))).sum(axis=1).real
-    return out
+    return 8 * math.ceil((span * (t_max + 24.0) / 4.0 + 8.0) / 8.0)
+
+
+def _theta_terms(series: LSeries) -> tuple[np.ndarray, np.ndarray, float]:
+    """x_n and a_n of the terms with x_n <= _X_CUT, and V = log(_X_CUT / x_1)."""
+    _require_budget(series)
+    x = 2.0 * math.pi * np.arange(1, series.n_max + 1) / math.sqrt(series.conductor)
+    keep = x <= _X_CUT
+    return x[keep], series.coefficients[1:][keep], math.log(_X_CUT / x[0])
+
+
+def _theta_rule(x: np.ndarray, a: np.ndarray, span: float,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v and weights w g(v) of the m-point rule on [0, span].
+
+    g(v) = e^v sum a_n exp(-x_n e^v), so Lambda = 2 int g cos (see the module
+    docstring): m x terms exponentials, once per rule.
+    """
+    unit, weights = _legendre(m)
+    u = np.exp(span * unit)
+    g = u * (np.exp(-np.outer(u, x)) * a).sum(axis=1)
+    return span * unit, span * weights * g
+
+
+def _lambda_batch(rule: tuple[np.ndarray, np.ndarray], ts) -> np.ndarray:
+    """Lambda(1 + i t) for an array of heights t, one row of the rule per height."""
+    v, wg = rule
+    return 2.0 * (np.cos(np.outer(ts, v)) * wg).sum(axis=1)
+
+
+def _checked_rule(series: LSeries, ts: np.ndarray):
+    """Lambda at heights ts from the 2M-node rule, and that rule.
+
+    M is sized from max |ts|.  QuadratureError if the M-node rule disagrees
+    at any height by more than QUAD_TOL of the sum of |terms| 2 sum w |g|.
+    """
+    x, a, span = _theta_terms(series)
+    t_max = float(np.max(np.abs(ts)))
+    m = _node_count(span, t_max)
+    rule = _theta_rule(x, a, span, 2 * m)
+    vals = _lambda_batch(rule, ts)
+    gap = np.max(np.abs(_lambda_batch(_theta_rule(x, a, span, m), ts) - vals))
+    scale = 2.0 * np.sum(np.abs(rule[1]))
+    if not gap <= QUAD_TOL * scale:
+        raise QuadratureError(
+            f"{series.label}: Lambda from {m} and {2 * m} quadrature nodes differs "
+            f"by {gap / scale:.1e} of the sum of |terms| up to t = {t_max:g}, "
+            f"above {QUAD_TOL:g}"
+        )
+    return vals, rule
 
 
 def fe_residual(series: LSeries) -> float:
@@ -297,10 +256,10 @@ def fe_residual(series: LSeries) -> float:
     docstring, over the larger of the two sums of |terms|, each term of both
     sums counted on its own: rounding-small when the series is an L-function
     with this conductor and root number, far above FE_TOL when either is
-    wrong.  The 8 sqrt(N) coefficients of a height-0 budget reach x = 16 pi,
-    where exp(-x / 1.25) < 1e-17, so truncation stays far below FE_TOL.
+    wrong.  The 8 sqrt(N) coefficients of the budget reach x = 16 pi, where
+    exp(-x / 1.25) < 1e-17, so truncation stays far below FE_TOL.
     """
-    _require_budget(series, 0.0)
+    _require_budget(series)
     x = 2.0 * math.pi * np.arange(1, series.n_max + 1) / math.sqrt(series.conductor)
     a = series.coefficients[1:]
     sums, scales = [], []
@@ -315,8 +274,7 @@ def lambda_critical(series: LSeries, t: float) -> float:
     """Completed L-function on the critical line at s = 1 + it (w = +1)."""
     if series.root_number != 1:
         raise ValueError(f"{series.label}: critical-line scan requires w = +1")
-    _require_budget(series, t)
-    return float(_lambda_batch(series, np.array([t]))[0])
+    return float(_checked_rule(series, np.array([t], dtype=np.float64))[0][0])
 
 
 @dataclass(frozen=True)
@@ -346,20 +304,13 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     one.  If fewer than k sign changes occur below t_max the result is
     flagged incomplete.
 
-    The grid is evaluated _BLOCK_ROWS heights at a time and the scan stops
-    after the block that shows the k-th sign change; an incomplete set
-    still scans to t_max.  The first k brackets are then bisected together:
-    each halving evaluates the midpoints of the brackets still open in one
-    _lambda_batch call, and an exact zero at a midpoint closes only its own
-    bracket.  Every row of _lambda_batch is summed on its own, so a value
-    does not depend on which rows share its call, and each bracket visits
-    the same midpoints as when bisected alone: the early stop and the
-    batching leave every ordinate unchanged.
-
-    The scan and every bisection midpoint evaluate Lambda through
-    _lambda_batch, one incomplete gamma per term: for w = +1 the dual sum of
-    the functional equation is the conjugate of the first in every bit, so
-    a_n (F_n + conj F_n) is the two-sided value exactly.
+    The quadrature rule is built once per search, sized for t_max and
+    checked on the whole grid, which it evaluates in one call.  The first k
+    brackets are then bisected together: each halving evaluates the
+    midpoints of the brackets still open in one _lambda_batch call, and an
+    exact zero at a midpoint closes only its own bracket.  Every row is
+    summed on its own, so each bracket visits the same midpoints as when
+    bisected alone.
     """
     if series.root_number != 1:
         raise ValueError(f"{series.label}: zero search requires w = +1")
@@ -367,23 +318,16 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
         raise ValueError("k must be a positive number of zeros")
     if refinement < 1:
         raise ValueError("refinement must be a positive grid divider")
-    _require_budget(series, t_max)
     step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / refinement
     grid = np.arange(0.0, t_max + step, step)
     grid = grid[grid <= t_max]
-    vals = np.empty(len(grid))
-    brackets = np.empty(0, dtype=np.intp)
-    stop = 0
-    while stop < len(grid) and len(brackets) < k:
-        start, stop = stop, stop + _BLOCK_ROWS
-        vals[start:stop] = _lambda_batch(series, grid[start:stop])
-        seen = vals[:stop]
-        brackets = np.flatnonzero(np.sign(seen[:-1]) * np.sign(seen[1:]) < 0)[:k]
+    vals, rule = _checked_rule(series, grid)
+    brackets = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[:k]
     lo, hi, f_lo = grid[brackets], grid[brackets + 1], vals[brackets]
     open_ = np.flatnonzero(hi - lo > ZERO_TOL)
     while open_.size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        f_mid = _lambda_batch(series, mid)
+        f_mid = _lambda_batch(rule, mid)
         exact = f_mid == 0.0
         lo[open_[exact]] = hi[open_[exact]] = mid[exact]
         flips = ~exact & ((f_lo[open_] < 0) != (f_mid < 0))
@@ -590,10 +534,11 @@ def write_zero_sets_csv(path, zero_sets: Sequence[ZeroSet]) -> None:
 def read_zero_sets_csv(path) -> list[ZeroSet]:
     """Import externally computed zeros in the same CSV layout.
 
-    An empty file, and a row without exactly one cell per field, raise
-    ValueError naming the line.
+    An empty file, a row without exactly one cell per field, a cell that is
+    not a number, and a label listed twice raise ValueError naming the file
+    and the line.
     """
-    out = []
+    out, lines = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -602,12 +547,18 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
         if tuple(header) != ZERO_CSV_FIELDS:
             raise ValueError(f"bad zeros CSV header: {header}")
         for row in reader:
+            where = f"zeros CSV {path} line {reader.line_num}"
             if len(row) != len(ZERO_CSV_FIELDS):
-                raise ValueError(f"zeros CSV {path} line {reader.line_num}: "
-                                 f"{len(row)} cells, expected {len(ZERO_CSV_FIELDS)}")
+                raise ValueError(f"{where}: {len(row)} cells, expected {len(ZERO_CSV_FIELDS)}")
             label = row[0]
-            gammas = [float(v) for v in row[1:6] if v != ""]
-            complete = bool(int(row[6]))
-            t_max = float(row[7])
-            out.append(ZeroSet(label, np.array(gammas), 5, t_max, complete))
+            if label in lines:
+                raise ValueError(f"{where}: label {label!r} already listed on line "
+                                 f"{lines[label]}")
+            lines[label] = reader.line_num
+            try:
+                gammas = [float(v) for v in row[1:6] if v != ""]
+                complete = bool(int(row[6]))
+                out.append(ZeroSet(label, np.array(gammas), 5, float(row[7]), complete))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return out

@@ -145,7 +145,7 @@ class TestCriterion3:
             and frobenius_trace(rec.a_invariants, 11, p) == ap
             for p, ap in expected.items()
         )
-        series = LSeries.from_curve(rec, t_max=0.0)
+        series = LSeries.from_curve(rec)
         central = l_value_series(series)
         rel = abs(central - rec.l_value) / rec.l_value
         ok = oracle_ok and rel < 1e-5
@@ -355,7 +355,7 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_zero_finder(self, criterion, known_table):
-        series = LSeries.from_curve(record_of(known_table, "11a1"), t_max=9.0)
+        series = LSeries.from_curve(record_of(known_table, "11a1"))
         zeros = locate_zeros(series, k=1, t_max=9.0)
         gamma1_err = abs(zeros.gammas[0] - 6.36261389)
         twist = twist_of_11a1(53)  # conductor 30899 <= 50000, root number +1

@@ -228,6 +228,21 @@ class TestConfound:
         assert "argmax_prime" in battery["euler_cumsum"]
         assert isinstance(battery["period_vs_log_conductor"], float)
 
+    def test_no_matched_pairs_leaves_the_band_report(self, twist_csv, tmp_path):
+        # Sha 1 and Sha 4 L-values of the twist table lie ~1.2 apart, so no
+        # pair matches within 0.1
+        out = tmp_path / "out"
+        rc = main(["confound", "--curves", str(twist_csv), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "20", "--shuffles", "50",
+                   "--out", str(out)])
+        assert rc == 0
+        battery = read_report(out, "confound")["confound"]["battery"]
+        band = battery["sha_lvalue_band"]
+        assert band["band"] == [0.0, 100.0]
+        assert band["group_sizes"] == {"group_a": 8, "group_b": 8}
+        assert "p_value" in band["report"]
+        assert battery["sha_lvalue_matched"] == {"error": "no matched pairs"}
+
 
 class TestErrorReports:
     def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
@@ -258,14 +273,14 @@ class TestErrorReports:
         err = json.loads((out / "stratify_error.json").read_text())
         assert "none.bin does not exist" in err["error"]
 
-    def test_zeros_gamma_non_convergence(self, twist_csv, tmp_path, monkeypatch):
-        monkeypatch.setattr(lfunctions, "_GAMMA_MAX_ITER", 1)
+    def test_zeros_quadrature_refusal(self, twist_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(lfunctions, "_node_count", lambda span, t_max: 8)
         out = tmp_path / "out"
         rc = main(["zeros", "--curves", str(twist_csv), "--band", "0:100",
                    "--range", "1000:300000", "--primes", "20", "--out", str(out)])
         assert rc == 1
         err = json.loads((out / "zeros_error.json").read_text())
-        assert "did not converge" in err["error"]
+        assert "8 and 16 quadrature nodes" in err["error"]
         assert not (out / "zeros.json").exists()
 
 
@@ -351,6 +366,28 @@ class TestZerosImport:
         zeros_csv.write_text("\n".join(lines) + "\n")
         error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
         assert f"line 3: {cells} cells, expected 8" in error
+
+    def test_label_listed_twice_is_structured_error(self, twist_csv, tmp_path):
+        zeros_csv = imported_zeros_csv(tmp_path)
+        lines = zeros_csv.read_text().splitlines()
+        label = lines[2].split(",")[0]
+        lines.append(lines[2])
+        zeros_csv.write_text("\n".join(lines) + "\n")
+        error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
+        assert str(zeros_csv) in error
+        assert f"line {len(lines)}: label '{label}' already listed on line 3" in error
+
+    @pytest.mark.parametrize("column", [3, 6, 7], ids=["gamma3", "complete", "t_max"])
+    def test_non_numeric_cell_is_structured_error(self, twist_csv, tmp_path, column):
+        zeros_csv = imported_zeros_csv(tmp_path)
+        lines = zeros_csv.read_text().splitlines()
+        row = lines[4].split(",")
+        row[column] = "x"
+        lines[4] = ",".join(row)
+        zeros_csv.write_text("\n".join(lines) + "\n")
+        error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
+        assert f"zeros CSV {zeros_csv} line 5: " in error
+        assert "'x'" in error
 
 
 class TestZerosFunctionalEquationGate:
@@ -590,11 +627,23 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_after(*argvs) -> set[str]:
+_SCIPY_AFTER_LAMBDA = """
+import json, sys
+from conftest import twist_of_11a1
+from murmurlab.lfunctions import LSeries, lambda_critical, locate_zeros
+series = LSeries.from_curve(twist_of_11a1(53))
+assert locate_zeros(series).complete
+lambda_critical(series, 2.5)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(*argvs, script=_SCIPY_AFTER) -> set[str]:
     """scipy modules held by a fresh interpreter that imports the CLI and runs argvs."""
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -605,6 +654,9 @@ class TestImportOnUse:
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert scipy_modules_after() == set()
+
+    def test_lambda_and_the_zero_search_load_no_scipy(self):
+        assert scipy_modules_after(script=_SCIPY_AFTER_LAMBDA) == set()
 
     def test_steps_without_statistics_load_no_scipy(self, tmp_path):
         # both Tamagawa groups nonempty, so confound runs its whole battery

@@ -14,8 +14,8 @@ from murmurlab.lfunctions import (
     ZERO_TOL,
     CoefficientShortfallError,
     DensityComparison,
-    GammaConvergenceError,
     LSeries,
+    QuadratureError,
     ZeroSet,
     density_comparison,
     explicit_predict,
@@ -30,7 +30,6 @@ from murmurlab.lfunctions import (
     read_zero_sets_csv,
     required_n_max,
     so_even_density,
-    upper_incomplete_gamma,
     write_zero_sets_csv,
 )
 
@@ -46,7 +45,7 @@ MEAN_GAMMAS_SHA4 = (0.627, 1.446, 2.253, 3.026, 3.722)
 
 @pytest.fixture(scope="module")
 def series_11a1(known_table_module):
-    return LSeries.from_curve(record_of(known_table_module, "11a1"), t_max=9.0)
+    return LSeries.from_curve(record_of(known_table_module, "11a1"))
 
 
 @pytest.fixture(scope="module")
@@ -64,67 +63,16 @@ def known_csv_path_module():
     return Path(__file__).parent / "data" / "curves_small.csv"
 
 
-class TestIncompleteGamma:
-    def test_against_mpmath_grid(self):
-        worst = 0.0
-        for t in (0.0, 0.3, 1.7, 4.2, 9.9, -6.1):
-            s = complex(1.0, t)
-            for x in (1e-4, 0.05, 0.6, 1.0, 2.5, 7.0, 12.0, 25.0, 44.0):
-                got = complex(upper_incomplete_gamma(np.array([s]), np.array([x]))[0])
-                ref = complex(mp.gammainc(mp.mpc(s.real, s.imag), a=x, b=mp.inf))
-                worst = max(worst, abs(got - ref) / abs(ref))
-        assert worst < 1e-10
-
-    def test_at_s_equal_one_reduces_to_exp(self):
-        x = np.array([0.3, 1.0, 5.0, 20.0])
-        vals = upper_incomplete_gamma(np.full(4, 1.0 + 0j), x)
-        assert np.allclose(vals, np.exp(-x), rtol=1e-13)
-
-    def test_conjugation_symmetry(self):
-        x = np.linspace(0.1, 30, 50)
-        s = np.full(50, 1 + 2.4j)
-        assert np.allclose(upper_incomplete_gamma(np.conj(s), x),
-                           np.conj(upper_incomplete_gamma(s, x)), rtol=1e-12)
-
-    def test_conjugation_symmetry_is_exact(self):
-        # the one-sided bisection in locate_zeros relies on this holding bit for bit
-        t = np.repeat(np.linspace(-10.0, 10.0, 41), 47)
-        x = np.tile(np.linspace(0.0, 46.0, 47), 41)
-        s = 1.0 + 1j * t
-        assert np.array_equal(upper_incomplete_gamma(np.conj(s), x),
-                              np.conj(upper_incomplete_gamma(s, x)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 46.0)),
-                    min_size=1, max_size=40))
-    def test_batch_element_equals_single_call(self, pairs):
-        # one series element (x < |s| + 1) and one continued-fraction element
-        # ride along so every batch mixes both branches and convergence speeds
-        pairs = [(0.5, 0.5), (0.5, 30.0), *pairs]
-        s = np.array([1.0 + 1j * t for t, _ in pairs])
-        x = np.array([xv for _, xv in pairs])
-        batch = upper_incomplete_gamma(s, x)
-        singles = np.array([upper_incomplete_gamma(s[i:i + 1], x[i:i + 1])[0]
-                            for i in range(len(pairs))])
-        assert np.array_equal(batch, singles)
-
-    @pytest.mark.parametrize("x", [0.5, 30.0], ids=["series", "continued_fraction"])
-    def test_non_convergence_raises(self, monkeypatch, x):
-        monkeypatch.setattr(lfunctions, "_GAMMA_MAX_ITER", 1)
-        with pytest.raises(GammaConvergenceError, match="did not converge"):
-            upper_incomplete_gamma(np.array([1.0 + 2.0j, 1.0 - 0.3j]), np.full(2, x))
-
-
 class TestFromCurves:
     def test_batch_equals_one_curve_at_a_time(self, known_table_module):
         # five conductors, five n_max; in the batch the twists share one class
         # per prime with 11a1, one curve at a time each sums alone
         records = [record_of(known_table_module, label) for label in ("11a1", "37a1")]
         records += [twist_of_11a1(d) for d in (53, -23, 37)]
-        batch = list(LSeries.from_curves(records, t_max=2.0))
+        batch = list(LSeries.from_curves(records))
         assert len({series.n_max for series in batch}) == len(records)
         for rec, series in zip(records, batch):
-            single = LSeries.from_curve(rec, t_max=2.0)
+            single = LSeries.from_curve(rec)
             assert (series.label, series.conductor, series.root_number, series.n_max) \
                 == (single.label, single.conductor, single.root_number, single.n_max)
             assert np.array_equal(series.coefficients, single.coefficients)
@@ -141,12 +89,12 @@ class TestCentralValue:
     def test_all_rank0_known_curves(self, known_table_module):
         for label in ("11a1", "11a2", "11a3"):
             rec = record_of(known_table_module, label)
-            series = LSeries.from_curve(rec, t_max=0.0)
+            series = LSeries.from_curve(rec)
             assert l_value_series(series) == pytest.approx(rec.l_value, rel=1e-5)
 
     def test_odd_sign_refused(self, known_table_module):
         rec = record_of(known_table_module, "37a1")
-        series = LSeries.from_curve(rec, t_max=0.0)
+        series = LSeries.from_curve(rec)
         with pytest.raises(ValueError, match="w = -1"):
             l_value_series(series)
 
@@ -176,30 +124,22 @@ class TestLambdaCritical:
                 lambda_critical(series_11a1, -t), rel=1e-12
             )
 
-    def test_one_sided_evaluation_is_bit_identical(self, series_11a1):
-        # reference: both sums of the functional equation, the dual one with
-        # its own incomplete gamma at 2 - s
-        ts = np.linspace(0.0, 9.0, 37)
-        n = np.arange(1, series_11a1.n_max + 1)
-        x = 2.0 * math.pi * n / math.sqrt(series_11a1.conductor)
-        keep = x <= lfunctions._X_CUT
-        x, a = x[keep], series_11a1.coefficients[1:][keep]
-        lx = np.log(x)[None, :]
-        s = (1.0 + 1j * ts)[:, None]
-        shape = (len(ts), len(x))
-        first = (np.exp(-s * lx)
-                 * upper_incomplete_gamma(np.broadcast_to(s, shape), x[None, :]))
-        dual = (series_11a1.root_number * np.exp((s - 2.0) * lx)
-                * upper_incomplete_gamma(np.broadcast_to(2.0 - s, shape), x[None, :]))
-        two_sided = (a[None, :] * (first + dual)).sum(axis=1)
-        assert np.array_equal(two_sided.imag, np.zeros(len(ts)))
-        assert np.array_equal(lfunctions._lambda_batch(series_11a1, ts), two_sided.real)
+    def test_budget_enforced(self, known_table_module):
+        # the budget does not depend on the height: the full series evaluates
+        # high on the line, one coefficient fewer is refused at any height
+        rec = record_of(known_table_module, "11a1")
+        full = LSeries.from_curve(rec)
+        assert full.n_max == required_n_max(11) == math.ceil(8 * math.sqrt(11))
+        assert math.isfinite(lambda_critical(full, 25.0))
+        short = LSeries.from_curve(rec, n_max=required_n_max(11) - 1)
+        for evaluate in (lambda s: lambda_critical(s, 0.0), locate_zeros, fe_residual):
+            with pytest.raises(CoefficientShortfallError, match="needs n_max >= 27"):
+                evaluate(short)
 
-    def test_budget_enforced(self, series_11a1):
-        too_high = 25.0
-        assert required_n_max(11, too_high) > series_11a1.n_max
-        with pytest.raises(CoefficientShortfallError):
-            lambda_critical(series_11a1, too_high)
+    def test_budget_covers_every_summed_term(self):
+        for conductor in (11, 30_899, 292_259):
+            x_past = 2 * math.pi * (required_n_max(conductor) + 1) / math.sqrt(conductor)
+            assert x_past > lfunctions._X_CUT
 
 
 class TestZeroFinder:
@@ -225,7 +165,7 @@ class TestZeroFinder:
 
     def test_grid_refinement_only_adds_zeros(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
-        series = LSeries.from_curve(rec, t_max=12.0)
+        series = LSeries.from_curve(rec)
         coarse = locate_zeros(series, k=6, t_max=12.0, refinement=8)
         fine = locate_zeros(series, k=6, t_max=12.0, refinement=32)
         assert len(fine.gammas) >= len(coarse.gammas)
@@ -247,7 +187,7 @@ class TestZeroFinder:
 
     def test_odd_sign_refused(self, known_table_module):
         rec = record_of(known_table_module, "37a1")
-        series = LSeries.from_curve(rec, t_max=0.0)
+        series = LSeries.from_curve(rec)
         with pytest.raises(ValueError, match="w = \\+1"):
             locate_zeros(series)
 
@@ -259,11 +199,11 @@ class TestZeroFinder:
 
 @functools.lru_cache(maxsize=None)
 def _twist_series(d):
-    return LSeries.from_curve(twist_of_11a1(d), t_max=9.0 if d == 1 else 10.0)
+    return LSeries.from_curve(twist_of_11a1(d))
 
 
 #: (twist d, height t); mpmath at t > 0 takes over 10 s for the twists
-FE_POINTS = [(1, 0.0), (1, 1.3), (53, 0.0), (89, 0.0)]
+FE_POINTS = [(1, 0.0), (1, 1.3), (1, 5.0), (1, 9.0), (53, 0.0), (89, 0.0)]
 
 
 class TestFunctionalEquation:
@@ -337,34 +277,37 @@ def _bisect_alone(f, lo, hi):
 
 @pytest.fixture()
 def lambda_calls(monkeypatch):
-    """Heights of every _lambda_batch call, in call order."""
+    """(nodes of the rule, heights) of every _lambda_batch call, in call order."""
     calls = []
     real = lfunctions._lambda_batch
 
-    def recording(series, ts):
-        calls.append(np.array(ts, dtype=np.float64))
-        return real(series, ts)
+    def recording(rule, ts):
+        calls.append((len(rule[0]), np.array(ts, dtype=np.float64)))
+        return real(rule, ts)
 
     monkeypatch.setattr(lfunctions, "_lambda_batch", recording)
     return calls
 
 
 class TestSearchWork:
-    """The scan stops at the k-th bracket and the brackets are bisected together."""
+    """One product scans the grid, and the brackets are bisected together."""
 
-    BLOCK = lfunctions._BLOCK_ROWS
+    def _split(self, calls, grid):
+        """The scan's two grid calls, checked, and the bisection calls after them."""
+        (nodes, scan), (check_nodes, check) = calls[:2]
+        assert np.array_equal(scan, grid) and np.array_equal(check, grid)
+        assert nodes == 2 * check_nodes  # values from 2M nodes, checked against M
+        bisection = calls[2:]
+        assert all(n == nodes for n, _ in bisection)
+        assert not any(np.isin(ts, grid).any() for _, ts in bisection)
+        return [ts for _, ts in bisection]
 
-    def test_scan_stops_at_the_block_of_the_last_bracket(self, lambda_calls):
+    def test_grid_in_one_call_then_k_midpoints_a_halving(self, lambda_calls):
         series = _twist_series(53)
         step, grid = _search_grid(series, 10.0)
         zeros = locate_zeros(series, k=5, t_max=10.0)
-        right_end = int(np.searchsorted(grid, zeros.gammas[-1]))  # of the 5th bracket
-        n_blocks = right_end // self.BLOCK + 1
-        assert n_blocks * self.BLOCK < len(grid)
-        scan, bisection = lambda_calls[:n_blocks], lambda_calls[n_blocks:]
-        for b, ts in enumerate(scan):
-            assert np.array_equal(ts, grid[b * self.BLOCK:(b + 1) * self.BLOCK])
-        assert not any(np.isin(ts, grid).any() for ts in bisection)
+        assert zeros.complete
+        bisection = self._split(lambda_calls, grid)
         assert len(bisection[0]) == 5
         assert all(len(ts) <= 5 for ts in bisection)
         assert len(bisection) <= _max_halvings(step)
@@ -373,9 +316,7 @@ class TestSearchWork:
         step, grid = _search_grid(series_11a1, 7.0)
         zeros = locate_zeros(series_11a1, k=5, t_max=7.0)
         assert not zeros.complete
-        n_blocks = -(-len(grid) // self.BLOCK)
-        assert np.array_equal(np.concatenate(lambda_calls[:n_blocks]), grid)
-        bisection = lambda_calls[n_blocks:]
+        bisection = self._split(lambda_calls, grid)
         assert all(len(ts) == 1 for ts in bisection)
         assert len(bisection) <= _max_halvings(step)
 
@@ -395,7 +336,7 @@ class TestSearchWork:
 
         calls = []
 
-        def synthetic(series, ts):
+        def synthetic(rule, ts):
             calls.append(np.array(ts, dtype=np.float64))
             return f(calls[-1])
 
@@ -413,6 +354,48 @@ class TestSearchWork:
         assert len(bisection) <= _max_halvings(step)
 
 
+#: Lambda(1 + it) and its sum of |terms| 2 sum |a_n F_n|, recorded from the
+#: incomplete-gamma evaluator that the quadrature replaced
+INCOMPLETE_GAMMA_LAMBDA = {
+    (-163, 2.5): (-0.5031936136183405, 437.2695375921896),
+    (-163, 7.5): (-0.0025116507780623605, 112.92060131345991),
+    (-163, 10.0): (-0.0005675748560369802, 84.2810250344245),
+    (53, 2.5): (0.8467516383797904, 82.25598322582411),
+    (53, 7.5): (-0.0029030617907709207, 21.348406810602707),
+    (53, 10.0): (-0.00036219914642436667, 15.930439151087722),
+    (157, 2.5): (-2.6355254957574155, 413.1441008982521),
+    (157, 7.5): (-0.0060009081180463116, 106.66852380428737),
+    (157, 10.0): (0.0016768520445334043, 79.61357247248746),
+}
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("d,t", sorted(INCOMPLETE_GAMMA_LAMBDA))
+    def test_matches_the_incomplete_gamma_values(self, d, t):
+        value, scale = INCOMPLETE_GAMMA_LAMBDA[d, t]
+        assert abs(lambda_critical(_twist_series(d), t) - value) < 1e-10 * scale
+
+    def test_too_few_nodes_refused(self, monkeypatch):
+        monkeypatch.setattr(lfunctions, "_node_count", lambda span, t_max: 8)
+        series = _twist_series(53)
+        with pytest.raises(QuadratureError, match="8 and 16 quadrature nodes"):
+            locate_zeros(series)
+        with pytest.raises(QuadratureError):
+            lambda_critical(series, 2.5)
+        assert issubclass(QuadratureError, ValueError)
+
+    @pytest.mark.parametrize("d", [1, 53, -163])
+    def test_sized_rules_agree_far_below_the_tolerance(self, d):
+        series = _twist_series(d)
+        x, a, span = lfunctions._theta_terms(series)
+        m = lfunctions._node_count(span, 10.0)
+        ts = np.linspace(0.0, 10.0, 101)
+        fine = lfunctions._theta_rule(x, a, span, 2 * m)
+        gap = np.max(np.abs(lfunctions._lambda_batch(lfunctions._theta_rule(x, a, span, m), ts)
+                            - lfunctions._lambda_batch(fine, ts)))
+        assert gap < 0.1 * lfunctions.QUAD_TOL * 2 * np.sum(np.abs(fine[1]))
+
+
 class TestFeResidual:
     """Dokchitser's cut-off test at t = 0, as the zeros step runs it."""
 
@@ -423,7 +406,9 @@ class TestFeResidual:
     @pytest.mark.parametrize("wrong", ["root_number", "conductor_x4", "conductor_plus_2"])
     @pytest.mark.parametrize("d", sorted(GOLDEN_ZEROS))
     def test_wrong_inputs_caught(self, d, wrong):
-        series = _twist_series(d)
+        # coefficients enough for the budget of every wrong conductor
+        twist = twist_of_11a1(d)
+        series = LSeries.from_curve(twist, n_max=required_n_max(4 * twist.conductor))
         change = {"root_number": {"root_number": -series.root_number},
                   "conductor_x4": {"conductor": 4 * series.conductor},
                   "conductor_plus_2": {"conductor": series.conductor + 2}}[wrong]
