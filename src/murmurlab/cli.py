@@ -619,6 +619,11 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             "n_excluded": {k: len(v) for k, v in fe_failed.items()},
             "excluded": fe_failed,
         },
+        # searched curves with Lambda(1) = 0, and the order of that zero;
+        # unknown (null) for imported zeros, which the CSV does not carry
+        "central_zeros": None if imported is not None else {
+            name: {table.labels[i]: z.central_order for i, z in pairs if z.central_order}
+            for name, pairs in found.items()},
     }
     k = 5
     if all(len(v) > k + 1 for v in complete.values()):

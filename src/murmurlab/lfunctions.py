@@ -48,10 +48,6 @@ Gamma(1, x) = exp(-x), so splitting the sum at cut-off c gives
 which is independent of c only if N, w and the a_n belong to one
 L-function (Dokchitser, arXiv:math/0207280).  fe_residual compares c = 1
 with c = 1.25, and the zeros step does not search a curve that fails.
-
-scipy.stats is imported inside the functions that call it, so steps that
-never call those do not pay for loading it; Lambda and the zero search use
-NumPy alone.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import CurveRecord
+from .diagnostics import ks_2samp
 from .traces import dirichlet_coefficients
 
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
@@ -286,6 +283,9 @@ class ZeroSet:
     k_requested: int
     t_max: float
     complete: bool
+    #: order of the zero at s = 1 that the search found: 0 (none), 2, or 4
+    #: for four or more; the ordinates never include it
+    central_order: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=np.float64)
@@ -303,6 +303,14 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     |dt| < 1e-6.  Refining the grid can only add detected zeros, never drop
     one.  If fewer than k sign changes occur below t_max the result is
     flagged incomplete.
+
+    Lambda(1) counts as zero when it is within QUAD_TOL of the sum of |terms|
+    2 sum w |g| of the rule: on the w = +1 twists of 11a1 with |d| < 400,
+    those of rank 2 measure below 1e-14 of it, the others above 1e-2.
+    Lambda is even in t, so such a central zero has even order: 2, or 4 and
+    more when Lambda''(0) = -2 sum w g v^2 vanishes too, on the same rule.
+    The sign of Lambda at t = 0 is then rounding, so the brackets start past
+    the first grid point.
 
     The quadrature rule is built once per search, sized for t_max and
     checked on the whole grid, which it evaluates in one call.  The first k
@@ -322,7 +330,13 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     grid = np.arange(0.0, t_max + step, step)
     grid = grid[grid <= t_max]
     vals, rule = _checked_rule(series, grid)
-    brackets = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[:k]
+    v, wg = rule
+    central_order, first = 0, 0
+    if abs(vals[0]) <= QUAD_TOL * 2.0 * np.sum(np.abs(wg)):
+        second = abs(np.sum(wg * v**2)) > QUAD_TOL * np.sum(np.abs(wg) * v**2)
+        central_order, first = (2 if second else 4), 1
+    signs = np.sign(vals[first:])
+    brackets = first + np.flatnonzero(signs[:-1] * signs[1:] < 0)[:k]
     lo, hi, f_lo = grid[brackets], grid[brackets + 1], vals[brackets]
     open_ = np.flatnonzero(hi - lo > ZERO_TOL)
     while open_.size:
@@ -341,6 +355,7 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
         k_requested=k,
         t_max=t_max,
         complete=len(brackets) == k,
+        central_order=central_order,
     )
 
 
@@ -387,10 +402,54 @@ def hotelling_t2_from_samples(xa: np.ndarray, xb: np.ndarray) -> HotellingResult
     t2 = float(n1 * n2 / (n1 + n2) * diff @ solved)
     f_stat = hotelling_to_f(t2, k, n1, n2)
     df = (k, n1 + n2 - k - 1)
-    from scipy import stats
+    return HotellingResult(t2, f_stat, f_sf(f_stat, *df), df, n1, n2)
 
-    p = float(stats.f.sf(f_stat, *df))
-    return HotellingResult(t2, f_stat, p, df, n1, n2)
+
+def f_sf(x: float, d1: int, d2: int) -> float:
+    """P(F > x) for Snedecor's F with (d1, d2) degrees of freedom.
+
+    F.sf(x) = I_z(d2/2, d1/2) at z = d2 / (d2 + d1 x), the regularized
+    incomplete beta function.
+    """
+    if math.isnan(x):
+        return x
+    if x <= 0:
+        return 1.0
+    return _beta_reg(d2 / 2, d1 / 2, d2 / (d2 + d1 * x), d1 * x / (d2 + d1 * x))
+
+
+def _beta_reg(a: float, b: float, z: float, z_c: float) -> float:
+    """I_z(a, b), given z and z_c = 1 - z each without cancellation.
+
+    The continued fraction converges fast for z < (a + 1) / (a + b + 2);
+    beyond that I_z(a, b) = 1 - I_{1-z}(b, a).
+    """
+    if z > (a + 1) / (a + b + 2):
+        return 1.0 - _beta_reg(b, a, z_c, z)
+    log_front = (a * math.log(z) + b * math.log1p(-z) if z < 0.5 else
+                 a * math.log1p(-z_c) + b * math.log(z_c))
+    log_front += math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return math.exp(log_front) * _beta_fraction(a, b, z) / a
+
+
+def _beta_fraction(a: float, b: float, z: float) -> float:
+    """Continued fraction of I_z(a, b), evaluated by the modified Lentz method."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * z / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 10_000):
+        for num in (m * (b - m) * z / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * z / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return frac
+    raise ArithmeticError(f"incomplete beta fraction did not converge at "
+                          f"a = {a}, b = {b}, z = {z}")
 
 
 def hotelling_to_f(t2: float, k: int, n1: int, n2: int) -> float:
@@ -458,18 +517,18 @@ class DensityComparison:
 def density_comparison(zeros_a: Sequence[ZeroSet], conductors_a: Sequence[int],
                        zeros_b: Sequence[ZeroSet], conductors_b: Sequence[int],
                        bin_width: float = 0.1, x_max: float = 4.0) -> DensityComparison:
-    """SO(even) deviations per group plus two-sample KS on scaled zeros."""
+    """SO(even) deviations per group plus two-sample KS on scaled zeros.
+
+    The KS pairs are (D, p) of diagnostics.ks_2samp: p is the finite-n
+    two-sided Kolmogorov tail at the effective size round(n_a n_b / (n_a + n_b)).
+    """
     da = one_level_density(zeros_a, conductors_a, bin_width, x_max)
     db = one_level_density(zeros_b, conductors_b, bin_width, x_max)
-    from scipy import stats
-
-    ks_all = stats.ks_2samp(da.scaled_zeros, db.scaled_zeros, method="asymp")
-    ks_first = stats.ks_2samp(da.scaled_first, db.scaled_first, method="asymp")
     return DensityComparison(
         deviation_a=da.deviation_so_even,
         deviation_b=db.deviation_so_even,
-        ks_all=(float(ks_all.statistic), float(ks_all.pvalue)),
-        ks_first=(float(ks_first.statistic), float(ks_first.pvalue)),
+        ks_all=ks_2samp(da.scaled_zeros, db.scaled_zeros),
+        ks_first=ks_2samp(da.scaled_first, db.scaled_first),
     )
 
 

@@ -6,8 +6,7 @@ float64 array: the per-prime mean of a_p over a curve group (trace-matrix
 row positions), aligned with the matrix's prime list.
 Detrending uses a Savitzky-Golay local polynomial fit with residuals emitted
 only where the filter window is fully interior.  All functions are pure over
-immutable inputs.  scipy.signal is imported inside the two functions that
-call it, so steps that never call them do not pay for loading it.
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -112,10 +111,7 @@ def savgol_detrend(series: WindowSeries, window: int = 101,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("detrending requires a gap-free series; use .finite() first")
-    from scipy import signal
-
-    coeffs = signal.savgol_coeffs(window, degree)
-    smooth = np.convolve(values, coeffs, mode="valid")
+    smooth = np.convolve(values, savgol_coeffs(window, degree), mode="valid")
     half = window // 2
     residual = values[half:-half] - smooth
     return WindowSeries(
@@ -124,6 +120,22 @@ def savgol_detrend(series: WindowSeries, window: int = 101,
         None if series.counts is None else series.counts[half:-half],
         {**series.params, "detrend": {"window": window, "degree": degree}},
     )
+
+
+def savgol_coeffs(window: int, degree: int) -> np.ndarray:
+    """Convolution weights of the Savitzky-Golay filter at the window center.
+
+    The minimum-norm solution c of V c = e_0, V[i, k] = k^i over the offsets
+    k = half..-half (reversed, so that np.convolve applies them): c . y is
+    the value at offset 0 of the least-squares degree-`degree` polynomial
+    through y.
+    """
+    half = window // 2
+    offsets = np.arange(half, -half - 1, -1, dtype=np.float64)
+    vander = offsets ** np.arange(degree + 1, dtype=np.float64)[:, None]
+    unit = np.zeros(degree + 1)
+    unit[0] = 1.0
+    return np.linalg.lstsq(vander, unit, rcond=None)[0]
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -153,26 +165,30 @@ def murmuration_profile(rows, matrix: TraceMatrix) -> np.ndarray:
 
 def welch_psd(values: np.ndarray, segment: int = 256, overlap: float = 0.5,
               sample_spacing: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Welch power spectrum: Hann window, mean removed per segment.
+    """Welch power spectral density: the mean periodogram of Hann-windowed segments.
 
-    Frequencies are cycles per unit of sample spacing.
+    Segments of `segment` samples start every segment - int(segment *
+    overlap) samples; each has its mean removed and is multiplied by the
+    periodic Hann window 0.5 - 0.5 cos(2 pi k / segment).  Power is scaled
+    to a density, |FFT|^2 / (fs sum w^2), and doubled at every frequency
+    but 0 and Nyquist for the one-sided spectrum.  Frequencies are cycles
+    per unit of sample spacing.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < segment:
         raise SeriesTooShortError(
             f"series of length {len(values)} shorter than one segment ({segment})"
         )
-    from scipy import signal
-
-    freqs, power = signal.welch(
-        values,
-        fs=1.0 / sample_spacing,
-        window="hann",
-        nperseg=segment,
-        noverlap=int(segment * overlap),
-        detrend="constant",
-    )
-    return freqs, power
+    step = segment - int(segment * overlap)
+    if not 0 < step <= segment:
+        raise ValueError(f"overlap {overlap} must lie in [0, 1)")
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
+    segments = np.lib.stride_tricks.sliding_window_view(values, segment)[::step]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    power = np.abs(np.fft.rfft(hann * segments, axis=1)) ** 2
+    power *= sample_spacing / np.sum(hann**2)
+    power[:, 1:(segment + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(segment, d=sample_spacing), power.mean(axis=0)
 
 
 def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,

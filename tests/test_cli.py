@@ -450,6 +450,42 @@ class TestZerosFunctionalEquationGate:
         assert report["n_complete"] == {"sha_1": 1, "sha_ge4": 1}
 
 
+class TestCentralZeros:
+    ARGS = ["--band", "0:100", "--range", "11:300000", "--primes", "20"]
+
+    def _curves(self, known_table, tmp_path):
+        # the d = -47 twist of 11a1 has w = +1 and L(1) = 0
+        double = dataclasses.replace(twist_of_11a1(-47), sha_an=1.0, l_value=1.0)
+        twist = dataclasses.replace(twist_of_11a1(37), sha_an=4.0, l_value=4.0)
+        path = tmp_path / "central.csv"
+        path.write_text(serialize_curve_table(CurveTable(
+            [record_of(known_table, "11a1"), double, twist])))
+        return path, double.label
+
+    def test_zeros_report_names_the_rank_two_twist(self, known_table, tmp_path):
+        path, double = self._curves(known_table, tmp_path)
+        out = tmp_path / "out"
+        assert main(["zeros", "--curves", str(path), *self.ARGS, "--out", str(out)]) == 0
+        report = read_report(out, "zeros")["zeros"]
+        assert report["central_zeros"] == {"sha_1": {double: 2}, "sha_ge4": {}}
+        rows = (out / "zeros_sha_1.csv").read_text().splitlines()[1:]
+        first = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+        assert first[double] > 1.0  # not a rounding zero near t = 0
+
+    def test_imported_zeros_leave_the_central_order_unknown(self, known_table, tmp_path):
+        path, _ = self._curves(known_table, tmp_path)
+        searched = tmp_path / "searched"
+        assert main(["zeros", "--curves", str(path), *self.ARGS,
+                     "--out", str(searched)]) == 0
+        out = tmp_path / "out"
+        assert main(["zeros", "--curves", str(path), *self.ARGS, "--out", str(out),
+                     "--zeros", str(searched / "zeros_sha_1.csv")]) == 0
+        report = read_report(out, "zeros")["zeros"]
+        searched_report = read_report(searched, "zeros")["zeros"]
+        assert report["n_complete"]["sha_1"] == searched_report["n_complete"]["sha_1"]
+        assert report["central_zeros"] is None
+
+
 class TestWindowsCommand:
     def test_windows_report_on_synthetic_table(self, tmp_path):
         rank0 = make_synthetic_table(400, seed=1, conductor_range=(11_000, 49_000))
@@ -638,6 +674,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # from here on every import of scipy raises ImportError
+import murmurlab.cli
+for argv in json.loads(sys.argv[1]):
+    assert murmurlab.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and mod is not None)))
+"""
+
+
 def scipy_modules_after(*argvs, script=_SCIPY_AFTER) -> set[str]:
     """scipy modules held by a fresh interpreter that imports the CLI and runs argvs."""
     path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent),
@@ -650,7 +697,7 @@ def scipy_modules_after(*argvs, script=_SCIPY_AFTER) -> set[str]:
 
 
 class TestImportOnUse:
-    """A step loads only the scipy modules of the functions it calls."""
+    """No step loads scipy, and every step runs where scipy cannot be imported."""
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert scipy_modules_after() == set()
@@ -676,21 +723,45 @@ class TestImportOnUse:
             ["report", "--out", out],
         ) == set()
 
-    def test_windows_loads_scipy_signal_when_it_runs(self, tmp_path):
-        # series long enough for the 101-point filter, so savgol_detrend runs
-        records = [*make_synthetic_table(400, seed=1).records,
-                   *make_synthetic_table(400, seed=2, rank=1).records]
-        path = tmp_path / "synthetic.csv"
-        path.write_text(serialize_curve_table(CurveTable(records)))
-        args = ["--curves", str(path), "--window", "4000", "--step", "250",
-                "--out", str(tmp_path / "out")]
-        assert scipy_modules_after(["ingest", *args]) == set()
-        assert "scipy.signal" in scipy_modules_after(["windows", *args])
-
     def test_diagnose_and_zeros_leave_scipy_signal_out(self, twist_csv, tmp_path):
-        # 200 primes reach past p = 1000, where the Sato-Tate pools start
+        # 200 primes reach past p = 1000, where the Sato-Tate pools start;
+        # the KS and F tail probabilities are computed in-house, so no part
+        # of scipy is loaded, scipy.signal included
         common = ["--curves", str(twist_csv), "--band", "0:100", "--range",
                   "1000:300000", "--primes", "200", "--out", str(tmp_path / "out")]
-        loaded = scipy_modules_after(["diagnose", *common], ["zeros", *common])
-        assert {"scipy.special", "scipy.stats"} <= loaded
-        assert "scipy.signal" not in loaded
+        assert scipy_modules_after(["diagnose", *common], ["zeros", *common]) == set()
+
+    def test_every_step_runs_without_scipy(self, tmp_path):
+        # twists with both Tamagawa groups nonempty, so confound runs its
+        # whole battery; 200 primes reach past p = 1000, where the Sato-Tate
+        # pools start; the synthetic series are long enough for the 101-point
+        # filter and the Welch segments of the windows step
+        twists = tmp_path / "twists.csv"
+        twists.write_text(serialize_curve_table(CurveTable([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        synthetic = tmp_path / "synthetic.csv"
+        synthetic.write_text(serialize_curve_table(CurveTable([
+            *make_synthetic_table(400, seed=1).records,
+            *make_synthetic_table(400, seed=2, rank=1).records])))
+        out, cache = tmp_path / "out", str(tmp_path / "cache.bin")
+        common = ["--curves", str(twists), "--cache", cache, "--band", "0:100",
+                  "--range", "1000:300000", "--primes", "200", "--out", str(out)]
+        argvs = [
+            ["ingest", *common],
+            ["traces", *common],
+            ["stratify", "--shuffles", "50", *common],
+            ["confound", "--shuffles", "50", *common],
+            ["diagnose", *common],
+            ["windows", "--curves", str(synthetic), "--window", "4000",
+             "--step", "250", "--out", str(tmp_path / "windows")],
+            ["zeros", *common],
+            ["report", "--out", str(out)],
+        ]
+        assert scipy_modules_after(*argvs, script=_WITHOUT_SCIPY) == set()
+        # the statistics ran rather than ending in an error entry
+        assert "p" in read_report(out, "diagnose")["diagnose"]["sato_tate_ks"]
+        zeros = read_report(out, "zeros")["zeros"]
+        assert "p" in zeros["hotelling"] and len(zeros["one_level_density"]["ks_all"]) == 2
+        assert list((tmp_path / "windows").glob("psd_*.csv"))

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from murmurlab import diagnostics
 from murmurlab.diagnostics import (
     ReductionDataError,
     bad_prime_share,
     classify_reduction,
     crossover_scan,
+    kolmogorov_sf,
+    ks_2samp,
     moment_profile,
     sato_tate_cdf,
     satotate_ks,
@@ -73,8 +76,12 @@ class TestMomentProfile:
         mom = moment_profile(table.rows, matrix)
         rows = matrix.traces[table.rows].astype(float)
         assert np.allclose(mom.variance, rows.var(axis=0, ddof=1))
-        assert np.allclose(mom.skewness, stats.skew(rows, axis=0, bias=False),
-                           equal_nan=True)
+        # the same estimators as scipy, to rounding
+        np.testing.assert_allclose(mom.skewness, stats.skew(rows, axis=0, bias=False),
+                                   rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(
+            mom.excess_kurtosis, stats.kurtosis(rows, axis=0, bias=False, fisher=True),
+            rtol=1e-13, atol=1e-15)
 
     def test_variance_ratio_near_unity_for_same_law(self):
         table = make_synthetic_table(600, seed=4)
@@ -117,6 +124,53 @@ class TestSatoTate:
         with pytest.raises(ValueError, match="p_min"):
             satotate_ks(np.arange(5), np.arange(5, 10), matrix,
                         p_min=1000)
+
+
+#: effective sizes on both sides of the boundaries of kolmogorov_sf: n <= 140
+#: takes the small-n rules, n = 100,001 Pelz-Good and a Smirnov sum of more
+#: than one block
+KS_SIZES = (3, 8, 20, 140, 141, 500, 2_500, 10_000, 100_001)
+
+
+class TestKolmogorovAgainstScipy:
+    def test_sf_matches_scipy_on_every_branch(self, monkeypatch):
+        calls = []
+        for name in ("_durbin_cdf", "_pelz_good_cdf", "_smirnov_sf",
+                     "_log_factorial_over_power"):
+            def recording(n, *args, _real=getattr(diagnostics, name), _name=name):
+                calls.append((_name, n, *args))
+                return _real(n, *args)
+
+            monkeypatch.setattr(diagnostics, name, recording)
+        ends = 0
+        for n in KS_SIZES:
+            xs = np.geomspace(0.4 / n, 1.0 - 0.5 / n, 400)
+            got = np.array([kolmogorov_sf(n, float(x)) for x in xs])
+            np.testing.assert_allclose(got, stats.kstwo.sf(xs, n), rtol=1e-12, atol=5e-14,
+                                       err_msg=f"n = {n}")
+            ends += np.any(n * xs <= 1) and np.any(n * xs >= n - 1)
+        assert ends == len(KS_SIZES)  # both Ruben-Gambino closed forms
+        names = {c[0] for c in calls}
+        assert names == {"_durbin_cdf", "_pelz_good_cdf", "_smirnov_sf",
+                         "_log_factorial_over_power"}
+        smirnov = [c[1:] for c in calls if c[0] == "_smirnov_sf"]
+        assert any(math.ceil(n - n * x) > diagnostics._SMIRNOV_BLOCK for n, x in smirnov)
+
+    def test_two_sample_matches_scipy_asymp(self):
+        rng = np.random.default_rng(12)
+        for n_a, n_b, shift in ((5, 7, 0.0), (40, 90, 0.3), (1_000, 3_000, 0.05),
+                                (20_000, 30_000, 0.02)):
+            a = rng.normal(size=n_a)
+            b = rng.normal(shift, 1.0, size=n_b)
+            for pair in ((a, b), (np.round(a, 1), np.round(b, 1))):  # with ties
+                d, p = ks_2samp(*pair)
+                ref = stats.ks_2samp(*pair, method="asymp")
+                assert d == float(ref.statistic)
+                assert p == pytest.approx(float(ref.pvalue), rel=1e-12, abs=5e-14)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ks_2samp([], [1.0, 2.0])
 
 
 class TestCrossover:

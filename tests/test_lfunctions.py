@@ -19,6 +19,7 @@ from murmurlab.lfunctions import (
     ZeroSet,
     density_comparison,
     explicit_predict,
+    f_sf,
     fe_residual,
     hotelling_t2,
     hotelling_t2_from_samples,
@@ -184,6 +185,24 @@ class TestZeroFinder:
         elapsed = time.perf_counter() - start
         assert zeros.complete
         assert elapsed < 5.0
+
+    @pytest.mark.parametrize("d", [-47, 265])
+    def test_central_zero_of_a_rank_two_twist(self, d):
+        # w = +1 and L(E_d, 1) = 0: a double zero at t = 0, which is neither
+        # an ordinate nor able to open a bracket by rounding (at d = 265 the
+        # sign of Lambda(1) once made a zero at t = 3e-7)
+        series = _twist_series(d)
+        zeros = locate_zeros(series)
+        assert zeros.central_order == 2 and zeros.complete
+        first_step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / 8
+        assert zeros.gammas[0] > first_step
+        assert locate_zeros(_twist_series(53)).central_order == 0
+
+    def test_central_zero_of_higher_order(self, monkeypatch):
+        # with a tolerance above every value both Lambda(1) and Lambda''(0)
+        # count as zero, so the order reads "4 or more"
+        monkeypatch.setattr(lfunctions, "QUAD_TOL", 10.0)
+        assert locate_zeros(_twist_series(53), k=1).central_order == 4
 
     def test_odd_sign_refused(self, known_table_module):
         rec = record_of(known_table_module, "37a1")
@@ -465,6 +484,15 @@ class TestHotelling:
         rate = float(np.mean(pvals <= 0.05))
         assert abs(rate - 0.05) <= 0.01
         assert stats.kstest(pvals, "uniform").pvalue > 0.01
+
+    def test_f_sf_matches_scipy(self):
+        # d1 <= 7 zeros against d2 up to 6,000 curves; p down to ~1e-60
+        rng = np.random.default_rng(5)
+        for _ in range(4_000):
+            d1, d2 = int(rng.integers(1, 8)), int(rng.integers(1, 6_001))
+            x = float(np.exp(rng.uniform(-6.0, 4.0)))
+            assert f_sf(x, d1, d2) == pytest.approx(float(stats.f.sf(x, d1, d2)), rel=1e-10)
+        assert f_sf(0.0, 5, 50) == f_sf(-1e-12, 5, 50) == 1.0
 
     def test_singular_covariance_rejected(self):
         xa = np.ones((10, 3))

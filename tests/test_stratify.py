@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from murmurlab import stratify
 from murmurlab.curves import CurveTable
 from murmurlab.stratify import (
     EmptyGroupError,
@@ -135,6 +136,41 @@ class TestPermutationTest:
             pvals.append(rep.p_value)
         ks = stats.kstest(pvals, "uniform")
         assert ks.pvalue > 0.01
+
+    def test_null_mean_square_matches_sampling_without_replacement(self, monkeypatch):
+        # a uniform relabelling at fixed sizes draws group a without
+        # replacement, so at each prime E[(m_a - m_b)^2] = n SS / (n_a n_b (n - 1)),
+        # SS the column's sum of squared deviations; the null's mean RMS^2 is
+        # the mean of that over primes
+        rng = np.random.default_rng(21)
+        n_a, n_b = 9, 31
+        n = n_a + n_b
+        primes = default_prime_list(16)
+        spread = np.floor(2 * np.sqrt(primes.primes)).astype(np.int64)
+        traces = rng.integers(-spread, spread + 1, size=(n, 16)).astype(np.int16)
+        traces[:5] += 3  # a skewed column share, away from any symmetric law
+        matrix = TraceMatrix(tuple(f"c{i}" for i in range(n)), primes, traces,
+                             np.zeros((n, 16), dtype=bool))
+        blocks = []
+
+        def recording(means, _real=stratify.rms_separation):
+            values = _real(means)
+            if np.ndim(values):  # a block of shuffles, not the observed profiles
+                blocks.append(values)
+            return values
+
+        monkeypatch.setattr(stratify, "rms_separation", recording)
+        rep = permutation_test([np.arange(n_a), np.arange(n_a, n)], matrix,
+                               n_shuffles=100_000, seed=22)
+        null_sq = np.concatenate(blocks) ** 2
+        assert null_sq.size == rep.n_shuffles
+        cols = traces.astype(np.float64)
+        ss = ((cols - cols.mean(axis=0)) ** 2).sum(axis=0)
+        expected = np.mean(n * ss / (n_a * n_b * (n - 1)))
+        mc_error = null_sq.std(ddof=1) / np.sqrt(null_sq.size)
+        assert abs(null_sq.mean() - expected) < 4 * mc_error
+        # with replacement the mean would be (n - 1) / n of it, ~19 errors away
+        assert abs(null_sq.mean() - expected * (n - 1) / n) > 4 * mc_error
 
     def test_rejection_rate_calibrated(self):
         # under the null the rejection rate at alpha tracks alpha

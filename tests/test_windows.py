@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from murmurlab.windows import (
     DegenerateSeriesError,
@@ -9,6 +10,7 @@ from murmurlab.windows import (
     cross_correlation,
     murmuration_profile,
     residual_correlation,
+    savgol_coeffs,
     savgol_detrend,
     sliding_window_series,
     welch_psd,
@@ -73,11 +75,16 @@ class TestSavgolDetrend:
         with pytest.raises(SeriesTooShortError):
             savgol_detrend(series_from(np.arange(50.0)), window=101)
 
+    @pytest.mark.parametrize("window, degree", [(101, 3), (5, 2), (11, 3), (51, 4),
+                                                (201, 3), (7, 0)])
+    def test_coeffs_match_scipy(self, window, degree):
+        np.testing.assert_allclose(savgol_coeffs(window, degree),
+                                   signal.savgol_coeffs(window, degree),
+                                   rtol=1e-12, atol=1e-15)
+
     def test_sine_residual_rms_matches_filter_response_oracle(self):
         # closed-form oracle: the residual of a sine at frequency f scales by
         # |1 - H(f)| with H the kernel's cosine transform
-        from scipy.signal import savgol_coeffs
-
         period = 6.0
         x = np.arange(2400.0)
         sine = np.sin(2 * np.pi * x / period)
@@ -85,7 +92,7 @@ class TestSavgolDetrend:
         res = savgol_detrend(series_from(cubic + sine), window=101, degree=3)
         rms = np.sqrt(np.mean(res.values**2))
         k = np.arange(-50, 51)
-        response = np.sum(savgol_coeffs(101, 3) * np.cos(2 * np.pi * k / period))
+        response = np.sum(signal.savgol_coeffs(101, 3) * np.cos(2 * np.pi * k / period))
         expected = abs(1.0 - response) * np.sqrt(0.5)
         assert rms == pytest.approx(expected, rel=1e-3)
         # short-period sines survive detrending nearly intact
@@ -195,6 +202,25 @@ class TestWelch:
         interior = acc[1:-1]  # mean removal suppresses the DC bin
         spread_db = 10 * np.log10(interior.max() / interior.min())
         assert spread_db < 3.0
+
+    @pytest.mark.parametrize("n, segment, overlap, spacing", [
+        (4096, 256, 0.5, 1.0), (1000, 256, 0.5, 250.0), (300, 255, 0.5, 1.0),
+        (777, 100, 0.25, 2.0), (256, 256, 0.5, 1.0)])
+    def test_matches_scipy_welch(self, n, segment, overlap, spacing):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + np.sin(np.arange(n) / 7.0) + 3.0
+        freqs, power = welch_psd(x, segment=segment, overlap=overlap,
+                                 sample_spacing=spacing)
+        ref_freqs, ref_power = signal.welch(
+            x, fs=1.0 / spacing, window="hann", nperseg=segment,
+            noverlap=int(segment * overlap), detrend="constant")
+        np.testing.assert_array_equal(freqs, ref_freqs)
+        np.testing.assert_allclose(power, ref_power, rtol=1e-12,
+                                   atol=1e-14 * ref_power.max())
+
+    def test_overlap_of_a_whole_segment_refused(self):
+        with pytest.raises(ValueError, match="overlap"):
+            welch_psd(np.zeros(300), segment=100, overlap=1.0)
 
     def test_too_short_raises(self):
         with pytest.raises(SeriesTooShortError):
