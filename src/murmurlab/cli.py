@@ -65,6 +65,7 @@ from .stratify import (
     TAMAGAWA_RULE,
     bonferroni,
     partition,
+    permutation_test,
     scale_scan,
     stratify,
 )
@@ -369,8 +370,7 @@ def cmd_stratify(cfg: RunConfig) -> dict:
     out = _out_dir(cfg)
     rules = TABLE_RULES if cfg.rule == "all" else (RULES_BY_NAME[cfg.rule],)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
-    entries = {}
-    p_values = []
+    parts = []
     for rule in rules:
         if rule.name == "root_number":
             # cross-rank calibration baseline: rank 0 vs rank 1
@@ -378,8 +378,13 @@ def cmd_stratify(cfg: RunConfig) -> dict:
             base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
         else:
             base = rank0
-        part, strat_report = stratify(base, matrix, rule,
-                                      n_shuffles=cfg.shuffles, seed=cfg.seed)
+        parts.append(partition(base, rule))
+    # one call, so rules over the same number of curves share their shuffles
+    strat_reports = permutation_test([part.groups for part in parts], matrix,
+                                     n_shuffles=cfg.shuffles, seed=cfg.seed)
+    entries = {}
+    p_values = []
+    for rule, part, strat_report in zip(rules, parts, strat_reports):
         if rule.kind == "two_group":
             diff = (murmuration_profile(part.groups["group_b"], matrix)
                     - murmuration_profile(part.groups["group_a"], matrix))

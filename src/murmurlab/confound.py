@@ -172,7 +172,8 @@ def control_omega(table: CurveTable, matrix: TraceMatrix, part: Partition, k: in
             raise EmptyGroupError(f"group {name!r} empty after omega(N) = {k} restriction")
         restricted[name] = keep
     new_part = Partition(restricted, part.unassigned, part.rule)
-    report = permutation_test(restricted, matrix, n_shuffles=n_shuffles, seed=seed)
+    report = permutation_test([restricted], matrix, n_shuffles=n_shuffles,
+                              seed=seed)[0]
     return new_part, report
 
 
@@ -218,8 +219,8 @@ def triple_control(table: CurveTable, matrix: TraceMatrix,
             part = partition(half_table, rule)
         except EmptyGroupError as exc:
             raise EmptyGroupError(f"{name}: {exc}") from None
-        reports[name] = permutation_test(part.groups, matrix,
-                                         n_shuffles=n_shuffles, seed=seed)
+        reports[name] = permutation_test([part.groups], matrix,
+                                         n_shuffles=n_shuffles, seed=seed)[0]
         sizes[name] = part.sizes()
     return TripleControlResult(band, conductor_range, median_period, reports, sizes)
 

@@ -290,6 +290,8 @@ class ZeroSet:
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=np.float64)
         object.__setattr__(self, "gammas", g)
+        if not (np.all(np.isfinite(g)) and math.isfinite(self.t_max)):
+            raise ValueError(f"{self.label}: zero ordinates and t_max must be finite")
         if len(g) and (np.any(np.diff(g) <= 0) or g[0] <= 0):
             raise ValueError(f"{self.label}: zero ordinates must be positive increasing")
 
@@ -594,8 +596,8 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
     """Import externally computed zeros in the same CSV layout.
 
     An empty file, a row without exactly one cell per field, a cell that is
-    not a number, and a label listed twice raise ValueError naming the file
-    and the line.
+    not a number, an ordinate or t_max that is not finite, and a label
+    listed twice raise ValueError naming the file and the line.
     """
     out, lines = [], {}
     with open(path, newline="") as fh:

@@ -6,7 +6,13 @@ matrix).  Profile separation is the RMS difference of the groups'
 murmuration profiles, per-prime mean-a_p arrays over one prime list, and
 `rms_separation` is the one place it is computed.  Significance comes from
 reshuffling group membership while preserving group sizes.  All randomness
-flows through an explicit 64-bit seed.
+flows through an explicit 64-bit seed: the shuffles of a grouping of n rows
+are the permutations of n that default_rng(seed) draws in turn, so
+groupings of equal n tested together share each drawn block, each applying
+it to its own rows.  Traces are integers, so every group sum is exact: in
+float32 when n * max|a_p| < 2**24, the integers float32 holds exactly, and
+in float64 otherwise.  A grouping's null is therefore the same, bit for
+bit, whether it is tested alone or with others.
 """
 
 from __future__ import annotations
@@ -22,8 +28,13 @@ from .traces import TraceMatrix
 from .windows import murmuration_profile
 
 _INF = float("inf")
-#: shuffles per block of the permutation null
+#: shuffles per block of the permutation null; a block's drawn permutations
+#: and its one-hot scatter matrix are block x n arrays, and the block shrinks
+#: so that each stays within 2**24 entries (128 MB at 8 bytes) whatever the
+#: table size; only the rows of the groupings that share one n are held
 _SHUFFLE_BLOCK = 256
+#: float32 holds every integer up to this magnitude exactly
+_FLOAT32_EXACT = 1 << 24
 
 
 class EmptyGroupError(ValueError):
@@ -148,72 +159,129 @@ class StratReport:
         return asdict(self)
 
 
-def permutation_test(groups: Mapping[str, Sequence[int]] | Sequence[Sequence[int]],
-                     matrix: TraceMatrix, n_shuffles: int = 10_000,
-                     seed: int = 0) -> StratReport:
-    """Permutation null for the RMS separation of group profiles.
+class StratReports(tuple):
+    """One StratReport per grouping, in the order the groupings were given."""
 
-    Groups are matrix row positions.  Membership is reshuffled preserving
-    group sizes; the p-value uses the add-one estimator
-    (1 + #{null >= observed}) / (1 + n_shuffles) and is bit-reproducible for
-    a given seed.
-    """
-    if n_shuffles < 1:
-        raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
-    member_lists = list(groups.values() if isinstance(groups, Mapping) else groups)
-    if len(member_lists) < 2 or any(len(g) == 0 for g in member_lists):
-        raise EmptyGroupError("permutation test needs at least two nonempty groups")
-    sizes = [len(g) for g in member_lists]
-    rows = matrix.traces[np.concatenate(member_lists)].astype(np.float64)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    observed = float(rms_separation(
-        [rows[bounds[i]:bounds[i + 1]].mean(axis=0) for i in range(len(sizes))]
-    ))
+    @property
+    def n_shuffles(self) -> int:
+        """Shuffles evaluated over all groupings (`bench/tracer.py` counts these)."""
+        return sum(report.n_shuffles for report in self)
+
+
+class _Null:
+    """One grouping's rows in its own order, observed separation and null."""
+
+    def __init__(self, members: list[Sequence[int]], matrix: TraceMatrix,
+                 n_shuffles: int):
+        self.sizes = [len(g) for g in members]
+        self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
+        rows = matrix.traces[np.concatenate(members)].astype(np.float64)
+        self.observed = float(rms_separation(
+            [rows[self.bounds[i]:self.bounds[i + 1]].mean(axis=0)
+             for i in range(len(self.sizes))]
+        ))
+        self.total = rows.sum(axis=0)
+        # every partial group sum is an integer of magnitude <= n * max|a_p|
+        exact32 = len(rows) * np.abs(rows).max() < _FLOAT32_EXACT
+        self.rows = rows.astype(np.float32) if exact32 else rows
+        self.largest = int(np.argmax(self.sizes))
+        self.values = np.empty(n_shuffles)
+
+    def means(self, perms: np.ndarray) -> np.ndarray:
+        """Group mean profiles under each permutation of a block (block x n)."""
+        block = len(perms)
+        n_total, n_primes = self.rows.shape
+        means = np.empty((len(self.sizes), block, n_primes))
+        running = np.zeros((block, n_primes))
+        scatter_rows = np.arange(block)[:, None]
+        # one-hot matmuls for the smaller groups; the largest is the complement
+        for i, size in enumerate(self.sizes):
+            if i == self.largest:
+                continue
+            onehot = np.zeros((block, n_total), dtype=self.rows.dtype)
+            onehot[scatter_rows, perms[:, self.bounds[i]:self.bounds[i + 1]]] = 1
+            sums = (onehot @ self.rows).astype(np.float64, copy=False)
+            running += sums
+            means[i] = sums / size
+        means[self.largest] = (self.total[None, :] - running) / self.sizes[self.largest]
+        return means
+
+    def report(self, seed: int) -> StratReport:
+        null = self.values
+        n_shuffles = len(null)
+        p = (1 + int(np.sum(null >= self.observed))) / (1 + n_shuffles)
+        return StratReport(
+            observed_rms=self.observed,
+            null_mean=float(null.mean()),
+            null_sd=float(null.std(ddof=1)) if n_shuffles > 1 else 0.0,
+            null_median=float(np.median(null)),
+            p_value=float(p),
+            n_shuffles=n_shuffles,
+            group_sizes=tuple(self.sizes),
+            seed=seed,
+            low_shuffle_warning=n_shuffles < 100,
+        )
+
+
+def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
+                   n_total: int, n_shuffles: int, seed: int) -> list[StratReport]:
+    """Reports of groupings of n_total rows each, from one drawn stream."""
+    nulls = [_Null(members, matrix, n_shuffles) for members in member_lists]
     rng = np.random.default_rng(seed)
-    n_total, n_primes = rows.shape
-    k = len(sizes)
-    total_sum = rows.sum(axis=0)
-    null = np.empty(n_shuffles)
-    done = 0
-    # keep the one-hot scatter matrix within ~128 MB regardless of table size
     max_block = max(1, min(_SHUFFLE_BLOCK, (1 << 24) // n_total))
+    done = 0
     while done < n_shuffles:
         block = min(max_block, n_shuffles - done)
         perms = rng.permuted(
             np.broadcast_to(np.arange(n_total), (block, n_total)).copy(), axis=1
         )
-        # group sums via one-hot matmuls; the last group is the complement
-        means = np.empty((k, block, n_primes))
-        running = np.zeros((block, n_primes))
-        scatter_rows = np.arange(block)[:, None]
-        for i in range(k - 1):
-            onehot = np.zeros((block, n_total))
-            onehot[scatter_rows, perms[:, bounds[i]:bounds[i + 1]]] = 1.0
-            sums = onehot @ rows
-            running += sums
-            means[i] = sums / sizes[i]
-        means[k - 1] = (total_sum[None, :] - running) / sizes[k - 1]
-        null[done:done + block] = rms_separation(means)
+        for null in nulls:
+            null.values[done:done + block] = rms_separation(null.means(perms))
         done += block
-    p = (1 + int(np.sum(null >= observed))) / (1 + n_shuffles)
-    return StratReport(
-        observed_rms=observed,
-        null_mean=float(null.mean()),
-        null_sd=float(null.std(ddof=1)) if n_shuffles > 1 else 0.0,
-        null_median=float(np.median(null)),
-        p_value=float(p),
-        n_shuffles=n_shuffles,
-        group_sizes=tuple(sizes),
-        seed=seed,
-        low_shuffle_warning=n_shuffles < 100,
-    )
+    return [null.report(seed) for null in nulls]
+
+
+def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
+                                         | Sequence[Sequence[int]]],
+                     matrix: TraceMatrix, n_shuffles: int = 10_000,
+                     seed: int = 0) -> StratReports:
+    """Permutation nulls for the RMS separation of group profiles.
+
+    Each grouping is a mapping or sequence of groups of matrix row
+    positions, and gets its own report.  Membership is reshuffled preserving
+    group sizes; the p-value uses the add-one estimator
+    (1 + #{null >= observed}) / (1 + n_shuffles) and is bit-reproducible for
+    a given seed.  The shuffles of a grouping of n rows are the permutations
+    of n drawn in turn from default_rng(seed), so the groupings of equal n
+    share one stream, drawn once, and each report is the one its grouping
+    gets alone.  Groupings are taken one n at a time, so only the rows of
+    one such bucket are held at once.
+    """
+    if n_shuffles < 1:
+        raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
+    if isinstance(groupings, Mapping):
+        raise TypeError("permutation_test takes a sequence of groupings")
+    member_lists = []
+    for groups in groupings:
+        members = list(groups.values() if isinstance(groups, Mapping) else groups)
+        if len(members) < 2 or any(len(g) == 0 for g in members):
+            raise EmptyGroupError("permutation test needs at least two nonempty groups")
+        member_lists.append(members)
+    buckets: dict[int, list[int]] = {}
+    for index, members in enumerate(member_lists):
+        buckets.setdefault(sum(len(g) for g in members), []).append(index)
+    reports: dict[int, StratReport] = {}
+    for n_total, indices in buckets.items():
+        reports.update(zip(indices, _shared_stream(
+            [member_lists[i] for i in indices], matrix, n_total, n_shuffles, seed)))
+    return StratReports(reports[i] for i in range(len(member_lists)))
 
 
 def stratify(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
              n_shuffles: int = 10_000, seed: int = 0) -> tuple[Partition, StratReport]:
     """Partition, profile, and permutation-test in one step."""
     part = partition(table, rule)
-    report = permutation_test(part.groups, matrix, n_shuffles=n_shuffles, seed=seed)
+    report = permutation_test([part.groups], matrix, n_shuffles=n_shuffles, seed=seed)[0]
     return part, report
 
 

@@ -277,8 +277,8 @@ class TestCriterion7:
             traces = rng.integers(-4, 5, size=(n, 12)).astype(np.int16)
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 12), dtype=bool))
-            rep = permutation_test({"a": np.arange(60), "b": np.arange(60, n)},
-                                   matrix, n_shuffles=199, seed=run)
+            rep = permutation_test([{"a": np.arange(60), "b": np.arange(60, n)}],
+                                   matrix, n_shuffles=199, seed=run)[0]
             pvals.append(rep.p_value)
         ks = stats.kstest(pvals, "uniform")
         ok = ks.pvalue > 0.01
@@ -425,7 +425,7 @@ class TestCriterion13:
         prof_b = moment_profile(part.groups["group_b"], matrix)
         ratio = prof_a.summary()["variance_over_p"] / prof_b.summary()[
             "variance_over_p"]
-        rep = permutation_test(part.groups, matrix, n_shuffles=10_000, seed=13)
+        rep = permutation_test([part.groups], matrix, n_shuffles=10_000, seed=13)[0]
         ok = abs(ratio - 1.0) <= 0.05 and rep.p_value < 1e-3
         criterion(13, "Sha groups: variance ratio 1.00 +- 0.05 with mean gap "
                       "p < 1e-3 (pure mean shift)", ok,
@@ -449,7 +449,7 @@ class TestCriterion13:
                                        mean_shift=shift)
         mean_ratio, _ = variance_ratio_profile(part.groups["group_a"],
                                                part.groups["group_b"], matrix)
-        rep = permutation_test(part.groups, matrix, n_shuffles=2_000, seed=13)
+        rep = permutation_test([part.groups], matrix, n_shuffles=2_000, seed=13)[0]
         assert abs(mean_ratio - 1.0) < 0.1
         assert rep.p_value < 1e-3
 

@@ -209,6 +209,37 @@ class TestStratify:
         assert "group_b" in err["error"]
 
 
+    def test_each_rule_of_all_matches_its_run_alone(self, tmp_path):
+        # both Tamagawa and both torsion groups nonempty, and every fourth
+        # twist claimed as rank 1, so every rule partitions; the four rank-0
+        # rules cover the same curves and so share one shuffle stream,
+        # root_number (ranks 0 and 1) has its own
+        path = tmp_path / "twists.csv"
+        path.write_text(serialize_curve_table(CurveTable([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
+                                torsion_order=1 + (i // 2) % 2,
+                                rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        common = ["--curves", str(path), "--range", "1000:300000", "--primes", "25",
+                  "--shuffles", "300", "--seed", "9"]
+        together = tmp_path / "all"
+        assert main(["stratify", "--rule", "all", *common, "--out", str(together)]) == 0
+        rules = read_report(together, "stratify")["stratify"]["rules"]
+        assert set(rules) == set(cli.RULES_BY_NAME)
+        n_totals = {name: sum(e["group_sizes"].values()) for name, e in rules.items()}
+        assert len({n_totals[name] for name in ("tamagawa", "sha", "period",
+                                                "torsion")}) == 1
+        assert n_totals["root_number"] != n_totals["sha"]
+        for name, entry in rules.items():
+            alone = tmp_path / name
+            assert main(["stratify", "--rule", name, *common, "--out", str(alone)]) == 0
+            assert read_report(alone, "stratify")["stratify"]["rules"] == {name: entry}
+            if cli.RULES_BY_NAME[name].kind == "two_group":
+                assert ((alone / f"diff_{name}.csv").read_bytes()
+                        == (together / f"diff_{name}.csv").read_bytes())
+
+
 class TestConfound:
     def test_empty_tamagawa_group_leaves_the_sha_controls_running(self, twist_csv,
                                                                   tmp_path):
@@ -388,6 +419,21 @@ class TestZerosImport:
         error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
         assert f"zeros CSV {zeros_csv} line 5: " in error
         assert "'x'" in error
+
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (5, "inf"), (7, "nan"),
+                                               (7, "inf")],
+                             ids=["gamma1-nan", "gamma5-inf", "t_max-nan", "t_max-inf"])
+    def test_non_finite_cell_is_structured_error(self, twist_csv, tmp_path, column,
+                                                 value):
+        zeros_csv = imported_zeros_csv(tmp_path)
+        lines = zeros_csv.read_text().splitlines()
+        row = lines[4].split(",")
+        row[column] = value
+        lines[4] = ",".join(row)
+        zeros_csv.write_text("\n".join(lines) + "\n")
+        error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
+        assert f"zeros CSV {zeros_csv} line 5: {row[0]}: " in error
+        assert "must be finite" in error
 
 
 class TestZerosFunctionalEquationGate:

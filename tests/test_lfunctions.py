@@ -598,3 +598,23 @@ class TestZeroCsv:
         assert [z.label for z in loaded] == ["11a1", "x1"]
         assert np.allclose(loaded[1].gammas, sets[1].gammas)
         assert loaded[0].complete is False
+
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (5, "inf"), (7, "nan"),
+                                               (7, "inf")],
+                             ids=["gamma1-nan", "gamma5-inf", "t_max-nan", "t_max-inf"])
+    def test_non_finite_cell_refused_with_its_line(self, tmp_path, column, value):
+        # float() parses nan and inf, and a nan passes every order comparison
+        row = ["11a1", "1.0", "2.0", "3.0", "4.0", "5.0", "1", "10.0"]
+        row[column] = value
+        path = tmp_path / "zeros.csv"
+        path.write_text(",".join(lfunctions.ZERO_CSV_FIELDS) + "\n"
+                        + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match=f"zeros CSV {path} line 2: 11a1: .*finite"):
+            read_zero_sets_csv(path)
+
+    @pytest.mark.parametrize("gammas, t_max", [([np.nan, 2.0], 10.0),
+                                               ([1.0, np.inf], 10.0),
+                                               ([1.0, 2.0], np.nan)])
+    def test_zero_set_requires_finite_values(self, gammas, t_max):
+        with pytest.raises(ValueError, match="finite"):
+            ZeroSet("x", np.array(gammas), 5, t_max, False)

@@ -20,6 +20,7 @@ from murmurlab.stratify import (
 from murmurlab.traces import TraceMatrix, default_prime_list
 
 from conftest import make_synthetic_matrix, make_synthetic_table
+from oracles import permutation_null
 
 
 class TestPartition:
@@ -90,15 +91,15 @@ class TestPermutationTest:
         table = make_synthetic_table(80, seed=6)
         matrix = make_synthetic_matrix(table.labels, seed=6)
         part = partition(table, SHA_RULE)
-        r1 = permutation_test(part.groups, matrix, n_shuffles=300, seed=42)
-        r2 = permutation_test(part.groups, matrix, n_shuffles=300, seed=42)
+        r1 = permutation_test([part.groups], matrix, n_shuffles=300, seed=42)[0]
+        r2 = permutation_test([part.groups], matrix, n_shuffles=300, seed=42)[0]
         assert r1 == r2
 
     def test_pvalue_identity(self):
         table = make_synthetic_table(60, seed=7)
         matrix = make_synthetic_matrix(table.labels, seed=7)
         part = partition(table, SHA_RULE)
-        rep = permutation_test(part.groups, matrix, n_shuffles=199, seed=1)
+        rep = permutation_test([part.groups], matrix, n_shuffles=199, seed=1)[0]
         assert rep.p_value * (1 + rep.n_shuffles) == pytest.approx(round(
             rep.p_value * (1 + rep.n_shuffles)
         ))
@@ -109,7 +110,7 @@ class TestPermutationTest:
         part = partition(table, SHA_RULE)
         shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=8, mean_shift=shift)
-        rep = permutation_test(part.groups, matrix, n_shuffles=2000, seed=3)
+        rep = permutation_test([part.groups], matrix, n_shuffles=2000, seed=3)[0]
         assert rep.p_value <= 1e-3
         assert rep.observed_rms > rep.null_mean + 5 * rep.null_sd
 
@@ -117,7 +118,7 @@ class TestPermutationTest:
         table = make_synthetic_table(40, seed=9)
         matrix = make_synthetic_matrix(table.labels, seed=9)
         part = partition(table, SHA_RULE)
-        rep = permutation_test(part.groups, matrix, n_shuffles=50, seed=1)
+        rep = permutation_test([part.groups], matrix, n_shuffles=50, seed=1)[0]
         assert rep.low_shuffle_warning
 
     def test_null_pvalues_uniform(self):
@@ -132,7 +133,7 @@ class TestPermutationTest:
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 12), dtype=bool))
             groups = {"a": np.arange(n // 2), "b": np.arange(n // 2, n)}
-            rep = permutation_test(groups, matrix, n_shuffles=199, seed=run)
+            rep = permutation_test([groups], matrix, n_shuffles=199, seed=run)[0]
             pvals.append(rep.p_value)
         ks = stats.kstest(pvals, "uniform")
         assert ks.pvalue > 0.01
@@ -160,8 +161,8 @@ class TestPermutationTest:
             return values
 
         monkeypatch.setattr(stratify, "rms_separation", recording)
-        rep = permutation_test([np.arange(n_a), np.arange(n_a, n)], matrix,
-                               n_shuffles=100_000, seed=22)
+        rep = permutation_test([[np.arange(n_a), np.arange(n_a, n)]], matrix,
+                               n_shuffles=100_000, seed=22)[0]
         null_sq = np.concatenate(blocks) ** 2
         assert null_sq.size == rep.n_shuffles
         cols = traces.astype(np.float64)
@@ -185,8 +186,8 @@ class TestPermutationTest:
             traces = rng.integers(-4, 5, size=(n, 8)).astype(np.int16)
             matrix = TraceMatrix(labels, primes, traces,
                                  np.zeros((n, 8), dtype=bool))
-            rep = permutation_test({"a": np.arange(30), "b": np.arange(30, n)}, matrix,
-                                   n_shuffles=99, seed=10_000 + run)
+            rep = permutation_test([{"a": np.arange(30), "b": np.arange(30, n)}], matrix,
+                                   n_shuffles=99, seed=10_000 + run)[0]
             hits += rep.p_value <= alpha
         se = np.sqrt(alpha * (1 - alpha) / runs)
         assert abs(hits / runs - alpha) < 2.5 * se
@@ -195,7 +196,7 @@ class TestPermutationTest:
         table = make_synthetic_table(10, seed=12)
         matrix = make_synthetic_matrix(table.labels, seed=12)
         with pytest.raises(EmptyGroupError):
-            permutation_test({"a": table.rows, "b": []}, matrix, 100, 0)
+            permutation_test([{"a": table.rows, "b": []}], matrix, 100, 0)
 
     @pytest.mark.parametrize("n_shuffles", [0, -3])
     def test_fewer_than_one_shuffle_rejected(self, n_shuffles):
@@ -203,7 +204,91 @@ class TestPermutationTest:
         matrix = make_synthetic_matrix(table.labels, seed=12)
         groups = {"a": table.rows[:5], "b": table.rows[5:]}
         with pytest.raises(ValueError, match="at least one shuffle"):
-            permutation_test(groups, matrix, n_shuffles, 0)
+            permutation_test([groups], matrix, n_shuffles, 0)
+
+
+def _plain_matrix(traces):
+    n, n_primes = traces.shape
+    return TraceMatrix(tuple(f"c{i}" for i in range(n)), default_prime_list(n_primes),
+                       traces, np.zeros((n, n_primes), dtype=bool))
+
+
+@pytest.fixture()
+def null_blocks(monkeypatch):
+    """The null values permutation_test computes, block by block."""
+    blocks = []
+
+    def recording(means, _real=stratify.rms_separation):
+        values = _real(means)
+        if np.ndim(values):  # a block of shuffles, not the observed profiles
+            blocks.append(values)
+        return values
+
+    monkeypatch.setattr(stratify, "rms_separation", recording)
+    return blocks
+
+
+#: group sizes and trace range; n * max|a_p| is below 2**24 for the first
+#: two, so their group sums are formed in float32, and above it for the last two
+ORACLE_CASES = {
+    "float32-k2": ((23, 157), (-30, 31)),
+    "float32-k4": ((11, 40, 64, 85), (-30, 31)),
+    "float64-k2": ((560, 640), (29_500, 32_001)),
+    "float64-k4": ((560, 600, 700, 900), (29_500, 32_001)),
+}
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_null_bit_equal_to_float64_oracle(self, null_blocks, case):
+        sizes, (lo, hi) = ORACLE_CASES[case]
+        rng = np.random.default_rng(41)
+        n = sum(sizes)
+        traces = rng.integers(lo, hi, size=(n, 8)).astype(np.int16)
+        assert (n * int(np.abs(traces).max()) >= 2**24) == case.startswith("float64")
+        if case.startswith("float64"):
+            # the smaller groups' float32 sums would round, so a wrong dtype
+            # would show in the null
+            head = traces[:min(sizes)]
+            rounded = np.ones((1, len(head)), np.float32) @ head.astype(np.float32)
+            assert np.any(rounded[0] != head.sum(axis=0, dtype=np.int64))
+        members = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        rep = permutation_test([members], _plain_matrix(traces), n_shuffles=300,
+                               seed=5)[0]
+        observed, null = permutation_null(members, traces, 300, 5)
+        assert rep.observed_rms == observed
+        assert np.array_equal(np.concatenate(null_blocks), null)
+
+    def test_batched_reports_equal_solo_reports(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        n = 150
+        matrix = _plain_matrix(rng.integers(-20, 21, size=(n, 12)).astype(np.int16))
+        rows = rng.permutation(n)
+        groupings = [
+            {"a": rows[:40], "b": rows[40:120]},  # 120 rows
+            [rows[100:110], rows[30:100], rows[110:150]],  # 120 other rows
+            [rows[:60], rows[60:90]],  # 90
+            {"q1": rows[:20], "q2": rows[20:50], "q3": rows[50:80], "q4": rows[80:120]},
+            [rows[:75], rows[75:]],  # 150
+        ]
+        solo = [permutation_test([g], matrix, n_shuffles=300, seed=7)[0]
+                for g in groupings]
+        seeds = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: seeds.append(seed) or real(seed))
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+            seeds.clear()
+            batched = permutation_test([groupings[i] for i in order], matrix,
+                                       n_shuffles=300, seed=7)
+            assert list(batched) == [solo[i] for i in order]
+            assert batched.n_shuffles == 5 * 300
+            assert seeds == [7, 7, 7]  # one stream for each of 120, 90 and 150 rows
+
+    def test_single_grouping_must_be_wrapped(self):
+        matrix = _plain_matrix(np.zeros((4, 3), dtype=np.int16))
+        with pytest.raises(TypeError, match="sequence of groupings"):
+            permutation_test({"a": [0, 1], "b": [2, 3]}, matrix, 10, 0)
 
 
 class TestBonferroni:
