@@ -67,7 +67,6 @@ from .stratify import (
     partition,
     permutation_test,
     scale_scan,
-    stratify,
 )
 from .traces import (
     CacheCorruptionError,
@@ -173,16 +172,21 @@ def _file_digest(path) -> str:
 
 
 def load_config_file(path) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
-    values = {}
-    for raw in Path(path).read_text().splitlines():
+    """key=value lines; blank lines and # comments ignored, a key set twice refused."""
+    values, lines = {}, {}
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CliError(f"bad config line: {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise CliError(f"config {path}: key {key!r} set on line {lines[key]} "
+                           f"and again on line {number}")
+        lines[key] = number
+        values[key] = value.strip()
     return values
 
 
@@ -247,6 +251,12 @@ def _context(cfg: RunConfig):
     conductor_range = cfg.range or (10_000, 50_000)
     rank0 = table.filter(rank=0, conductor_range=conductor_range)
     return table, matrix, rank0, conductor_range
+
+
+def _sha_groups(table) -> dict[str, np.ndarray]:
+    """The Sha = 1 and Sha >= 4 groups of SHA_RULE, as sha_1 and sha_ge4."""
+    part = partition(table, SHA_RULE)
+    return {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -426,6 +436,8 @@ def cmd_confound(cfg: RunConfig) -> dict:
     table, matrix, rank0, conductor_range = _context(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     battery = {}
+    # (entry, key, groups): the permutation report of groups goes to entry[key]
+    tests = []
 
     try:
         tam_part = partition(rank0, TAMAGAWA_RULE)
@@ -437,9 +449,8 @@ def cmd_confound(cfg: RunConfig) -> dict:
     else:
         for k in (2, 3, 4):
             try:
-                _, rep = control_omega(table, matrix, tam_part, k,
-                                       n_shuffles=cfg.shuffles, seed=cfg.seed)
-                battery[f"tamagawa_omega_{k}"] = rep.to_dict()
+                tests.append((battery, f"tamagawa_omega_{k}",
+                              control_omega(table, tam_part.groups, k)))
             except ValueError as exc:
                 battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
 
@@ -464,17 +475,12 @@ def cmd_confound(cfg: RunConfig) -> dict:
 
     band = cfg.band or (1.53, 2.84)
     try:
-        banded = lvalue_band(rank0, band)
-        part, rep = stratify(banded, matrix, SHA_RULE,
-                             n_shuffles=cfg.shuffles, seed=cfg.seed)
-        battery["sha_lvalue_band"] = {
-            "band": list(band),
-            "report": rep.to_dict(),
-            "group_sizes": part.sizes(),
-        }
+        part = partition(lvalue_band(rank0, band), SHA_RULE)
     except ValueError as exc:
         battery["sha_lvalue_band"] = {"error": str(exc)}
     else:
+        battery["sha_lvalue_band"] = {"band": list(band), "group_sizes": part.sizes()}
+        tests.append((battery["sha_lvalue_band"], "report", part.groups))
         try:
             matches = match_nn(table, part.groups["group_b"],
                                part.groups["group_a"], "l_value", 0.1)
@@ -488,19 +494,23 @@ def cmd_confound(cfg: RunConfig) -> dict:
             battery["sha_lvalue_matched"] = {"error": str(exc)}
 
     try:
-        triple = triple_control(table, matrix, band, conductor_range,
-                                n_shuffles=cfg.shuffles, seed=cfg.seed)
-        battery["sha_triple_control"] = {
-            half: {"report": rep.to_dict(), "sizes": triple.sizes[half]}
-            for half, rep in triple.reports.items()
-        }
+        halves = triple_control(table, band, conductor_range)
     except ValueError as exc:
         battery["sha_triple_control"] = {"error": str(exc)}
+    else:
+        battery["sha_triple_control"] = {half: {"sizes": part.sizes()}
+                                         for half, part in halves.items()}
+        tests.extend((battery["sha_triple_control"][half], "report", part.groups)
+                     for half, part in halves.items())
+
+    # one call, so controls over the same number of curves share their shuffles
+    strat_reports = permutation_test([groups for _, _, groups in tests], matrix,
+                                     n_shuffles=cfg.shuffles, seed=cfg.seed)
+    for (entry, key, _), strat_report in zip(tests, strat_reports):
+        entry[key] = strat_report.to_dict()
 
     try:
-        sha_part = partition(rank0, SHA_RULE)
-        groups = {"sha_1": sha_part.groups["group_a"],
-                  "sha_ge4": sha_part.groups["group_b"]}
+        groups = _sha_groups(rank0)
         battery["bsd_group_ratios"] = bsd_group_ratios(table, groups)
         cum = euler_cumsum(matrix.primes.primes,
                            murmuration_profile(groups["sha_1"], matrix),
@@ -532,9 +542,7 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
     out = _out_dir(cfg)
     diag = {}
-    banded = lvalue_band(rank0, band)
-    part = partition(banded, SHA_RULE)
-    groups = {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
+    groups = _sha_groups(lvalue_band(rank0, band))
     moments = {}
     for name, members in groups.items():
         prof = moment_profile(members, matrix)
@@ -587,9 +595,7 @@ def cmd_zeros(cfg: RunConfig) -> dict:
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache,
                                 "zeros": cfg.zeros})
-    banded = lvalue_band(rank0, band)
-    part = partition(banded, SHA_RULE)
-    groups = {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
+    groups = _sha_groups(lvalue_band(rank0, band))
     rng = np.random.default_rng(cfg.seed)
     imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)} if cfg.zeros else None
     # a curve whose conductor, root number and model fail the functional

@@ -3,9 +3,12 @@
 Covers restriction to a fixed number of conductor prime factors, greedy
 nearest-neighbor matching on a one-dimensional key, L-value band
 restriction, the combined L-value/period/conductor control, per-group BSD
-ratio validation, and cumulative Euler-sum decompositions.  Curve groups
-are int arrays of aligned row positions (see `curves.CurveTable`); a table
-passed alongside a group is the aligned table those positions index.
+ratio validation, and cumulative Euler-sum decompositions.  A control only
+builds and measures groups: `control_omega` and `triple_control` return
+groupings, and the `confound` command tests them all in one
+`stratify.permutation_test` call.  Curve groups are int arrays of aligned
+row positions (see `curves.CurveTable`); a table passed alongside a group
+is the aligned table those positions index.
 Murmuration profiles are per-prime mean-a_p arrays aligned with a prime
 list (see `windows.murmuration_profile`).
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,10 +28,8 @@ from .stratify import (
     EmptyGroupError,
     Partition,
     SHA_RULE,
-    StratReport,
     StratRule,
     partition,
-    permutation_test,
     rms_separation,
 )
 from .traces import TraceMatrix
@@ -141,7 +142,6 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
 
 @dataclass(frozen=True)
 class PairedProfiles:
-    matched: MatchedPairs
     rms_group: float
     rms_per_pair: float
 
@@ -158,23 +158,19 @@ def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> PairedProfiles:
     rows_b = matrix.traces[matched.rows_b()].astype(np.float64)
     group = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
     pair = float(rms_separation([rows_a.ravel(), rows_b.ravel()]))
-    return PairedProfiles(matched, group, pair)
+    return PairedProfiles(group, pair)
 
 
-def control_omega(table: CurveTable, matrix: TraceMatrix, part: Partition, k: int,
-                  n_shuffles: int = 10_000, seed: int = 0
-                  ) -> tuple[Partition, StratReport]:
-    """Restrict both groups to conductors with omega(N) = k, then re-test."""
+def control_omega(table: CurveTable, groups: Mapping[str, np.ndarray],
+                  k: int) -> dict[str, np.ndarray]:
+    """The groups restricted to conductors with omega(N) = k."""
     restricted = {}
-    for name, members in part.groups.items():
+    for name, members in groups.items():
         keep = members[[omega(int(n)) == k for n in table.conductors[members]]]
         if not len(keep):
             raise EmptyGroupError(f"group {name!r} empty after omega(N) = {k} restriction")
         restricted[name] = keep
-    new_part = Partition(restricted, part.unassigned, part.rule)
-    report = permutation_test([restricted], matrix, n_shuffles=n_shuffles,
-                              seed=seed)[0]
-    return new_part, report
+    return restricted
 
 
 def lvalue_band(table: CurveTable, band: tuple[float, float]) -> CurveTable:
@@ -187,42 +183,25 @@ def lvalue_band(table: CurveTable, band: tuple[float, float]) -> CurveTable:
                                        & (l_values <= hi)))
 
 
-@dataclass(frozen=True)
-class TripleControlResult:
-    band: tuple[float, float]
-    conductor_range: tuple[int, int]
-    median_period: float
-    reports: dict[str, StratReport]
-    sizes: dict[str, dict[str, int]]
+def triple_control(table: CurveTable, band: tuple[float, float],
+                   conductor_range: tuple[int, int],
+                   rule: StratRule = SHA_RULE) -> dict[str, Partition]:
+    """Sha groupings with L-value band, conductor range, and period held fixed.
 
-
-def triple_control(table: CurveTable, matrix: TraceMatrix,
-                   band: tuple[float, float], conductor_range: tuple[int, int],
-                   rule: StratRule = SHA_RULE, n_shuffles: int = 10_000,
-                   seed: int = 0) -> TripleControlResult:
-    """Sha separation with L-value band, conductor range, and period held fixed.
-
-    Within band and range, curves are split at the median real period; each
-    half gets its own partition and permutation test.
+    Within band and range, curves are split at the median real period, and
+    each half, "small_period" and "large_period", is partitioned by the rule.
     """
     banded = lvalue_band(table.filter(conductor_range=conductor_range), band)
     if len(banded) == 0:
         raise EmptyGroupError("no curves inside the band and conductor range")
-    median_period = float(np.median(banded.real_periods))
-    small = banded.real_periods <= median_period
-    halves = {"small_period": small, "large_period": ~small}
-    reports: dict[str, StratReport] = {}
-    sizes: dict[str, dict[str, int]] = {}
-    for name, mask in halves.items():
-        half_table = banded.subset(np.flatnonzero(mask))
+    small = banded.real_periods <= np.median(banded.real_periods)
+    halves = {}
+    for name, mask in (("small_period", small), ("large_period", ~small)):
         try:
-            part = partition(half_table, rule)
+            halves[name] = partition(banded.subset(np.flatnonzero(mask)), rule)
         except EmptyGroupError as exc:
             raise EmptyGroupError(f"{name}: {exc}") from None
-        reports[name] = permutation_test([part.groups], matrix,
-                                         n_shuffles=n_shuffles, seed=seed)[0]
-        sizes[name] = part.sizes()
-    return TripleControlResult(band, conductor_range, median_period, reports, sizes)
+    return halves
 
 
 def bsd_group_ratios(table: CurveTable,

@@ -294,6 +294,12 @@ class ZeroSet:
             raise ValueError(f"{self.label}: zero ordinates and t_max must be finite")
         if len(g) and (np.any(np.diff(g) <= 0) or g[0] <= 0):
             raise ValueError(f"{self.label}: zero ordinates must be positive increasing")
+        if len(g) > self.k_requested:
+            raise ValueError(f"{self.label}: {len(g)} zero ordinates, more than "
+                             f"k = {self.k_requested}")
+        if self.complete and len(g) != self.k_requested:
+            raise ValueError(f"{self.label}: complete set has {len(g)} zero ordinates, "
+                             f"not k = {self.k_requested}")
 
 
 def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
@@ -596,7 +602,8 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
     """Import externally computed zeros in the same CSV layout.
 
     An empty file, a row without exactly one cell per field, a cell that is
-    not a number, an ordinate or t_max that is not finite, and a label
+    not a number, an ordinate or t_max that is not finite, a `complete` cell
+    other than 0 or 1, a complete row without five ordinates, and a label
     listed twice raise ValueError naming the file and the line.
     """
     out, lines = [], {}
@@ -616,10 +623,12 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
                 raise ValueError(f"{where}: label {label!r} already listed on line "
                                  f"{lines[label]}")
             lines[label] = reader.line_num
+            if row[6] not in ("0", "1"):
+                raise ValueError(f"{where}: complete must be 0 or 1, got {row[6]!r}")
             try:
                 gammas = [float(v) for v in row[1:6] if v != ""]
-                complete = bool(int(row[6]))
-                out.append(ZeroSet(label, np.array(gammas), 5, float(row[7]), complete))
+                out.append(ZeroSet(label, np.array(gammas), 5, float(row[7]),
+                                   row[6] == "1"))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return out

@@ -5,9 +5,10 @@ groups of row positions (int arrays indexing the aligned table and trace
 matrix).  Profile separation is the RMS difference of the groups'
 murmuration profiles, per-prime mean-a_p arrays over one prime list, and
 `rms_separation` is the one place it is computed.  Significance comes from
-reshuffling group membership while preserving group sizes.  All randomness
-flows through an explicit 64-bit seed: the shuffles of a grouping of n rows
-are the permutations of n that default_rng(seed) draws in turn, so
+reshuffling group membership while preserving group sizes, and each CLI
+command tests all its groupings in one `permutation_test` call.  All
+randomness flows through an explicit 64-bit seed: the shuffles of a grouping
+of n rows are the permutations of n that default_rng(seed) draws in turn, so
 groupings of equal n tested together share each drawn block, each applying
 it to its own rows.  Traces are integers, so every group sum is exact: in
 float32 when n * max|a_p| < 2**24, the integers float32 holds exactly, and
@@ -84,7 +85,6 @@ class Partition:
 
     groups: dict[str, np.ndarray]
     unassigned: np.ndarray
-    rule: StratRule
 
     def sizes(self) -> dict[str, int]:
         return {k: len(v) for k, v in self.groups.items()}
@@ -122,7 +122,7 @@ def partition(table: CurveTable, rule: StratRule) -> Partition:
     for name, members in groups.items():
         if not len(members):
             raise EmptyGroupError(f"group {name!r} of rule {rule.name or rule.invariant!r} is empty")
-    return Partition(groups, unassigned, rule)
+    return Partition(groups, unassigned)
 
 
 def rms_separation(means: Sequence[np.ndarray]) -> np.ndarray:
@@ -255,7 +255,8 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     of n drawn in turn from default_rng(seed), so the groupings of equal n
     share one stream, drawn once, and each report is the one its grouping
     gets alone.  Groupings are taken one n at a time, so only the rows of
-    one such bucket are held at once.
+    one such bucket are held at once.  A command gathers every grouping it
+    tests and makes one call, so no stream is drawn twice.
     """
     if n_shuffles < 1:
         raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
@@ -275,14 +276,6 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
         reports.update(zip(indices, _shared_stream(
             [member_lists[i] for i in indices], matrix, n_total, n_shuffles, seed)))
     return StratReports(reports[i] for i in range(len(member_lists)))
-
-
-def stratify(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
-             n_shuffles: int = 10_000, seed: int = 0) -> tuple[Partition, StratReport]:
-    """Partition, profile, and permutation-test in one step."""
-    part = partition(table, rule)
-    report = permutation_test([part.groups], matrix, n_shuffles=n_shuffles, seed=seed)[0]
-    return part, report
 
 
 @dataclass(frozen=True)
@@ -305,11 +298,9 @@ def bonferroni(p_values: Sequence[float], alpha: float = 0.001) -> BonferroniRes
 @dataclass(frozen=True)
 class ScaleScanResult:
     windows: tuple[tuple[float, float], ...]
-    centers: np.ndarray
     rms_values: np.ndarray
     alpha: float
     r_squared: float
-    group_sizes: tuple[tuple[int, ...], ...]
 
 
 def fit_power_law(centers: np.ndarray, rms_values: np.ndarray) -> tuple[float, float]:
@@ -335,19 +326,12 @@ def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
     if len(windows) < 3:
         raise ValueError("scale scan needs at least 3 windows for the fit")
     rms_values = []
-    centers = []
-    sizes = []
     for lo, hi in windows:
-        sub = table.filter(conductor_range=(int(lo), int(hi)))
-        part = partition(sub, rule)
+        part = partition(table.filter(conductor_range=(int(lo), int(hi))), rule)
         rms_values.append(float(rms_separation(
             [murmuration_profile(m, matrix) for m in part.groups.values()])))
-        centers.append(math.sqrt(lo * hi))
-        sizes.append(tuple(len(m) for m in part.groups.values()))
-    centers = np.array(centers)
     rms_values = np.array(rms_values)
-    alpha, r2 = fit_power_law(centers, rms_values)
+    alpha, r2 = fit_power_law([math.sqrt(lo * hi) for lo, hi in windows], rms_values)
     return ScaleScanResult(
-        tuple((float(lo), float(hi)) for lo, hi in windows),
-        centers, rms_values, alpha, r2, tuple(sizes),
+        tuple((float(lo), float(hi)) for lo, hi in windows), rms_values, alpha, r2,
     )

@@ -31,7 +31,6 @@ from murmurlab.stratify import (
     partition,
     permutation_test,
     scale_scan,
-    stratify,
 )
 from murmurlab.traces import (
     PrimeList,
@@ -187,11 +186,10 @@ class TestCriterion5:
             [i for i, r in enumerate(in_range.records) if r.rank in (0, 1)]
         )
         full_slice = len(rank0) >= 50_000
-        results = {}
-        for rule in TABLE_RULES:
-            base = rank01 if rule.name == "root_number" else rank0
-            _, rep = stratify(base, matrix, rule, n_shuffles=10_000, seed=1)
-            results[rule.name] = rep
+        groupings = [partition(rank01 if rule.name == "root_number" else rank0,
+                               rule).groups for rule in TABLE_RULES]
+        reports = permutation_test(groupings, matrix, n_shuffles=10_000, seed=1)
+        results = {rule.name: rep for rule, rep in zip(TABLE_RULES, reports)}
         every_p_ok = all(rep.p_value < 1e-3 for rep in results.values())
         if full_slice:
             rms_ok = all(

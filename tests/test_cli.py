@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from murmurlab import cli, lfunctions, traces
 from murmurlab.cli import RunConfig, build_config, main, make_parser
+from murmurlab.confound import control_omega, lvalue_band, triple_control
 from murmurlab.curves import CurveTable, serialize_curve_table
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
+from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
 
 from conftest import TWIST_DS, make_synthetic_table, record_of, twist_of_11a1
 
@@ -185,18 +187,6 @@ class TestStratify:
         assert main(args) == 0
         assert (out / "stratify.json").read_bytes() == first
 
-    @pytest.mark.parametrize("shuffles", ["0", "-3"])
-    def test_fewer_than_one_shuffle_is_structured_error(self, twist_csv, tmp_path,
-                                                        shuffles):
-        out = tmp_path / "out"
-        rc = main(["stratify", "--curves", str(twist_csv), "--rule", "sha",
-                   "--range", "1000:300000", "--primes", "10",
-                   "--shuffles", shuffles, "--out", str(out)])
-        assert rc == 1
-        err = json.loads((out / "stratify_error.json").read_text())
-        assert "at least one shuffle" in err["error"]
-        assert not (out / "stratify.json").exists()
-
     def test_empty_group_is_structured_error(self, tmp_path):
         path = tmp_path / "onesha.csv"
         path.write_text(serialize_curve_table(twist_table(sha_pattern=(1.0,))))
@@ -275,7 +265,57 @@ class TestConfound:
         assert battery["sha_lvalue_matched"] == {"error": "no matched pairs"}
 
 
+    def test_each_control_matches_its_test_alone(self, tmp_path):
+        # alternating Tamagawa products 1 and 6, so the Tamagawa controls
+        # partition; omega(N) = 4 empties both groups, and the two period
+        # halves hold 8 curves each and so share one shuffle stream
+        path = tmp_path / "twists.csv"
+        path.write_text(serialize_curve_table(CurveTable([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        args = ["confound", "--curves", str(path), "--band", "0:100",
+                "--range", "1000:300000", "--primes", "20", "--shuffles", "300",
+                "--seed", "9", "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        battery = read_report(tmp_path / "out", "confound")["confound"]["battery"]
+        table, matrix, rank0, conductor_range = cli._context(
+            build_config(make_parser().parse_args(args)))
+        tamagawa = partition(rank0, TAMAGAWA_RULE).groups
+        halves = triple_control(table, (0.0, 100.0), conductor_range)
+        tested = {
+            "tamagawa_omega_2": (battery["tamagawa_omega_2"],
+                                 control_omega(table, tamagawa, 2)),
+            "tamagawa_omega_3": (battery["tamagawa_omega_3"],
+                                 control_omega(table, tamagawa, 3)),
+            "sha_lvalue_band": (battery["sha_lvalue_band"]["report"],
+                                partition(lvalue_band(rank0, (0.0, 100.0)),
+                                          SHA_RULE).groups),
+            **{half: (battery["sha_triple_control"][half]["report"], part.groups)
+               for half, part in halves.items()},
+        }
+        for name, (entry, groups) in tested.items():
+            alone, = permutation_test([groups], matrix, n_shuffles=300, seed=9)
+            assert entry == json.loads(json.dumps(alone.to_dict())), name
+        assert "omega(N) = 4" in battery["tamagawa_omega_4"]["error"]
+        assert (sum(tested["small_period"][0]["group_sizes"])
+                == sum(tested["large_period"][0]["group_sizes"]))
+
+
 class TestErrorReports:
+    @pytest.mark.parametrize("shuffles", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["stratify", "confound"])
+    def test_fewer_than_one_shuffle_is_structured_error(self, twist_csv, tmp_path,
+                                                        command, shuffles):
+        out = tmp_path / "out"
+        rc = main([command, "--curves", str(twist_csv), "--rule", "sha",
+                   "--band", "0:100", "--range", "1000:300000", "--primes", "10",
+                   "--shuffles", shuffles, "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / f"{command}_error.json").read_text())
+        assert "at least one shuffle" in err["error"]
+        assert not (out / f"{command}.json").exists()
+
     def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"
@@ -419,6 +459,18 @@ class TestZerosImport:
         error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
         assert f"zeros CSV {zeros_csv} line 5: " in error
         assert "'x'" in error
+
+    def test_complete_row_without_five_ordinates_is_structured_error(self, twist_csv,
+                                                                     tmp_path):
+        zeros_csv = imported_zeros_csv(tmp_path)
+        lines = zeros_csv.read_text().splitlines()
+        row = lines[4].split(",")
+        row[4:6] = ["", ""]
+        lines[4] = ",".join(row)
+        zeros_csv.write_text("\n".join(lines) + "\n")
+        error = self._zeros_error(twist_csv, zeros_csv, tmp_path)
+        assert error == (f"zeros CSV {zeros_csv} line 5: {row[0]}: complete set has "
+                         "3 zero ordinates, not k = 5")
 
     @pytest.mark.parametrize("column, value", [(1, "nan"), (5, "inf"), (7, "nan"),
                                                (7, "inf")],
@@ -614,6 +666,18 @@ class TestConfigFile:
     def test_default_config_hash_is_pinned(self):
         assert RunConfig().digest() == \
             "24440e54b7a372071e7ad6c9a0c37d5c0903262fd9fba204caf35a9c9151be15"
+
+    def test_key_set_twice_rejected_naming_both_lines(self, known_csv_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\n# a second seed\nseed = 2\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--config", str(cfg), "--curves",
+                   str(known_csv_path), "--out", str(out)])
+        assert rc == 1
+        assert not (out / "ingest.json").exists()
+        err = json.loads((out / "ingest_error.json").read_text())
+        assert err["error"] == (f"config {cfg}: key 'seed' set on line 1 "
+                                "and again on line 3")
 
     def test_removed_threads_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -14,7 +14,7 @@ from murmurlab.confound import (
 )
 from murmurlab.curves import CurveRecord, CurveTable
 from murmurlab.primes import omega
-from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition
+from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
 from murmurlab.traces import default_prime_list
 
 from conftest import make_synthetic_matrix, make_synthetic_table
@@ -34,28 +34,27 @@ class TestOmega:
 class TestControlOmega:
     def test_restriction_filters_conductors(self):
         table = make_synthetic_table(400, seed=1)
-        matrix = make_synthetic_matrix(table.labels, seed=1)
         part = partition(table, SHA_RULE)
         k = 2
-        restricted, report = control_omega(table, matrix, part, k,
-                                           n_shuffles=100, seed=0)
-        for members in restricted.groups.values():
+        restricted = control_omega(table, part.groups, k)
+        assert set(restricted) == set(part.groups)
+        for name, members in restricted.items():
             assert all(omega(table.record(l).conductor) == k for l in members)
-        assert report.group_sizes == tuple(len(v) for v in restricted.groups.values())
+            assert set(members) <= set(part.groups[name])
 
     def test_empty_restriction_raises(self):
         table = make_synthetic_table(30, seed=2, conductor_range=(11_213, 11_214))
         # 11213 is prime: omega = 1 everywhere, so omega = 4 empties the groups
-        matrix = make_synthetic_matrix(table.labels, seed=2)
         part = partition(table, SHA_RULE)
         with pytest.raises(EmptyGroupError):
-            control_omega(table, matrix, part, 4, n_shuffles=50, seed=0)
+            control_omega(table, part.groups, 4)
 
     def test_null_after_restriction_behaves(self):
         table = make_synthetic_table(600, seed=3)
         matrix = make_synthetic_matrix(table.labels, seed=3)
         part = partition(table, SHA_RULE)
-        _, report = control_omega(table, matrix, part, 2, n_shuffles=400, seed=5)
+        report, = permutation_test([control_omega(table, part.groups, 2)], matrix,
+                                   n_shuffles=400, seed=5)
         assert report.p_value > 1e-3  # no injected effect
 
 
@@ -144,26 +143,26 @@ class TestLvalueBand:
 class TestTripleControl:
     def test_halves_split_at_median_period(self):
         table = make_synthetic_table(600, seed=13)
-        matrix = make_synthetic_matrix(table.labels, seed=13)
-        res = triple_control(table, matrix, (0.1, 10.0), (11_000, 49_000),
-                             n_shuffles=100, seed=0)
-        assert set(res.reports) == {"small_period", "large_period"}
-        for half, sizes in res.sizes.items():
-            assert sizes["group_a"] > 0 and sizes["group_b"] > 0
+        halves = triple_control(table, (0.1, 10.0), (11_000, 49_000))
+        assert set(halves) == {"small_period", "large_period"}
+        for part in halves.values():
+            assert min(part.sizes().values()) > 0
+        periods = {half: table.real_periods[np.concatenate(list(part.groups.values()))]
+                   for half, part in halves.items()}
+        assert periods["small_period"].max() < periods["large_period"].min()
 
     def test_sha_independent_traces_give_null_p(self):
         table = make_synthetic_table(800, seed=14)
         matrix = make_synthetic_matrix(table.labels, seed=14)
-        res = triple_control(table, matrix, (0.1, 10.0), (11_000, 49_000),
-                             n_shuffles=300, seed=1)
-        assert all(rep.p_value > 1e-3 for rep in res.reports.values())
+        halves = triple_control(table, (0.1, 10.0), (11_000, 49_000))
+        reports = permutation_test([part.groups for part in halves.values()], matrix,
+                                   n_shuffles=300, seed=1)
+        assert all(rep.p_value > 1e-3 for rep in reports)
 
     def test_empty_intersection_raises(self):
         table = make_synthetic_table(50, seed=15)
-        matrix = make_synthetic_matrix(table.labels, seed=15)
         with pytest.raises(EmptyGroupError):
-            triple_control(table, matrix, (100.0, 200.0), (11_000, 49_000),
-                           n_shuffles=50, seed=0)
+            triple_control(table, (100.0, 200.0), (11_000, 49_000))
 
 
 class TestBsdRatios:

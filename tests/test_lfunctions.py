@@ -612,6 +612,31 @@ class TestZeroCsv:
         with pytest.raises(ValueError, match=f"zeros CSV {path} line 2: 11a1: .*finite"):
             read_zero_sets_csv(path)
 
+    def test_complete_row_without_five_ordinates_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text(",".join(lfunctions.ZERO_CSV_FIELDS) + "\n"
+                        + "11a1,1.0,2.0,3.0,,,1,10.0\n")
+        with pytest.raises(ValueError, match=f"zeros CSV {path} line 2: 11a1: "
+                                             "complete set has 3 zero ordinates"):
+            read_zero_sets_csv(path)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "01"])
+    def test_complete_cell_other_than_0_or_1_refused_with_its_line(self, tmp_path,
+                                                                    value):
+        path = tmp_path / "zeros.csv"
+        path.write_text(",".join(lfunctions.ZERO_CSV_FIELDS) + "\n"
+                        + "11a1,1.0,2.0,3.0,4.0,5.0,1,10.0\n"
+                        + f"11a2,1.0,2.0,3.0,4.0,5.0,{value},10.0\n")
+        with pytest.raises(ValueError, match=f"zeros CSV {path} line 3: complete "
+                                             f"must be 0 or 1, got '{value}'"):
+            read_zero_sets_csv(path)
+
+    @pytest.mark.parametrize("n_gammas, complete", [(3, True), (6, True), (6, False)])
+    def test_zero_set_refuses_an_ordinate_count_that_breaks_k(self, n_gammas,
+                                                               complete):
+        with pytest.raises(ValueError, match="zero ordinates"):
+            ZeroSet("x", np.arange(1.0, n_gammas + 1), 5, 10.0, complete)
+
     @pytest.mark.parametrize("gammas, t_max", [([np.nan, 2.0], 10.0),
                                                ([1.0, np.inf], 10.0),
                                                ([1.0, 2.0], np.nan)])
