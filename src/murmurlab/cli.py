@@ -735,10 +735,13 @@ def main(argv=None) -> int:
         error_report = {"command": args.command, "error": str(exc)}
         out = Path(cfg.out if cfg else args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
+        # an earlier success of this step no longer describes the out directory
+        (out / f"{args.command}.json").unlink(missing_ok=True)
         write_json(out / f"{args.command}_error.json", error_report)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _out_dir(cfg)
+    (out / f"{args.command}_error.json").unlink(missing_ok=True)
     write_json(out / f"{args.command}.json", report)
     print(f"{args.command}: report written to {out / (args.command + '.json')}")
     return 0

@@ -10,15 +10,21 @@ command tests all its groupings in one `permutation_test` call.  All
 randomness flows through an explicit 64-bit seed: the shuffles of a grouping
 of n rows are the permutations of n that default_rng(seed) draws in turn, so
 groupings of equal n tested together share each drawn block, each applying
-it to its own rows.  Traces are integers, so every group sum is exact: in
-float32 when n * max|a_p| < 2**24, the integers float32 holds exactly, and
-in float64 otherwise.  A grouping's null is therefore the same, bit for
-bit, whether it is tested alone or with others.
+it to its own rows.  The streams of different n are independent, so each
+runs as one task on a thread pool of as many workers as the process has
+CPUs; NumPy's draws and matrix products release the GIL.  Traces are
+integers, so every group sum is exact: in float32 when
+n * max|a_p| < 2**24, the integers float32 holds exactly, and in float64
+otherwise.  A grouping's null is therefore the same, bit for bit, whether
+it is tested alone or with others, and whatever the scheduling of the
+streams or the threading of the BLAS.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
@@ -29,11 +35,12 @@ from .traces import TraceMatrix
 from .windows import murmuration_profile
 
 _INF = float("inf")
-#: shuffles per block of the permutation null; a block's drawn permutations
-#: and its one-hot scatter matrix are block x n arrays, and the block shrinks
-#: so that each stays within 2**24 entries (128 MB at 8 bytes) whatever the
-#: table size; only the rows of the groupings that share one n are held
-_SHUFFLE_BLOCK = 256
+#: shuffles per block of the permutation null, the memory bound of one running
+#: stream: its drawn permutations and one one-hot scatter matrix are block x n
+#: arrays, and the block shrinks so that each stays within 2**24 entries
+#: (128 MB at 8 bytes) whatever the table size.  A block's rows are drawn in
+#: turn, so its size moves no bit of the null
+_SHUFFLE_BLOCK = 128
 #: float32 holds every integer up to this magnitude exactly
 _FLOAT32_EXACT = 1 << 24
 
@@ -193,13 +200,14 @@ class _Null:
         n_total, n_primes = self.rows.shape
         means = np.empty((len(self.sizes), block, n_primes))
         running = np.zeros((block, n_primes))
-        scatter_rows = np.arange(block)[:, None]
+        row_starts = np.arange(block)[:, None] * n_total
         # one-hot matmuls for the smaller groups; the largest is the complement
         for i, size in enumerate(self.sizes):
             if i == self.largest:
                 continue
             onehot = np.zeros((block, n_total), dtype=self.rows.dtype)
-            onehot[scatter_rows, perms[:, self.bounds[i]:self.bounds[i + 1]]] = 1
+            picked = perms[:, self.bounds[i]:self.bounds[i + 1]] + row_starts
+            onehot.reshape(-1)[picked.ravel()] = 1
             sums = (onehot @ self.rows).astype(np.float64, copy=False)
             running += sums
             means[i] = sums / size
@@ -223,6 +231,14 @@ class _Null:
         )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the most streams worth running at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
                    n_total: int, n_shuffles: int, seed: int) -> list[StratReport]:
     """Reports of groupings of n_total rows each, from one drawn stream."""
@@ -232,9 +248,8 @@ def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
     done = 0
     while done < n_shuffles:
         block = min(max_block, n_shuffles - done)
-        perms = rng.permuted(
-            np.broadcast_to(np.arange(n_total), (block, n_total)).copy(), axis=1
-        )
+        perms = np.broadcast_to(np.arange(n_total), (block, n_total)).copy()
+        rng.permuted(perms, axis=1, out=perms)
         for null in nulls:
             null.values[done:done + block] = rms_separation(null.means(perms))
         done += block
@@ -254,9 +269,12 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     a given seed.  The shuffles of a grouping of n rows are the permutations
     of n drawn in turn from default_rng(seed), so the groupings of equal n
     share one stream, drawn once, and each report is the one its grouping
-    gets alone.  Groupings are taken one n at a time, so only the rows of
-    one such bucket are held at once.  A command gathers every grouping it
-    tests and makes one call, so no stream is drawn twice.
+    gets alone.  Each such bucket is one task on a thread pool, largest n
+    first, with as many workers as the process may use CPUs (at most one
+    per bucket), so the rows of up to that many buckets are held at once.
+    Reports come back in call order whatever the scheduling.  A command
+    gathers every grouping it tests and makes one call, so no stream is
+    drawn twice.
     """
     if n_shuffles < 1:
         raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
@@ -271,10 +289,15 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     buckets: dict[int, list[int]] = {}
     for index, members in enumerate(member_lists):
         buckets.setdefault(sum(len(g) for g in members), []).append(index)
+    workers = min(_usable_cpus(), len(buckets))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        streams = {n_total: pool.submit(_shared_stream,
+                                        [member_lists[i] for i in buckets[n_total]],
+                                        matrix, n_total, n_shuffles, seed)
+                   for n_total in sorted(buckets, reverse=True)}
     reports: dict[int, StratReport] = {}
-    for n_total, indices in buckets.items():
-        reports.update(zip(indices, _shared_stream(
-            [member_lists[i] for i in indices], matrix, n_total, n_shuffles, seed)))
+    for n_total, indices in buckets.items():  # a failure surfaces in call order
+        reports.update(zip(indices, streams[n_total].result()))
     return StratReports(reports[i] for i in range(len(member_lists)))
 
 

@@ -316,6 +316,20 @@ class TestErrorReports:
         assert "at least one shuffle" in err["error"]
         assert not (out / f"{command}.json").exists()
 
+    @pytest.mark.parametrize("runs, listed", [
+        (("50", "0"), "stratify_error"),
+        (("0", "50"), "stratify"),
+    ])
+    def test_report_lists_only_the_last_run_of_a_step(self, twist_csv, tmp_path,
+                                                      runs, listed):
+        out = tmp_path / "out"
+        for shuffles in runs:
+            main(["stratify", "--curves", str(twist_csv), "--rule", "sha",
+                  "--range", "1000:300000", "--primes", "10",
+                  "--shuffles", shuffles, "--out", str(out)])
+        assert main(["report", "--out", str(out)]) == 0
+        assert list(read_report(out, "report")["reports"]) == [listed]
+
     def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -284,6 +287,50 @@ class TestSharedStream:
             assert list(batched) == [solo[i] for i in order]
             assert batched.n_shuffles == 5 * 300
             assert seeds == [7, 7, 7]  # one stream for each of 120, 90 and 150 rows
+
+    def test_scheduling_moves_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        matrix = _plain_matrix(rng.integers(-25, 26, size=(160, 10)).astype(np.int16))
+        rows = rng.permutation(160)
+        groupings = [
+            [rows[:30], rows[30:100]],  # 100 rows
+            {"a": rows[:80], "b": rows[80:160]},  # 160
+            [rows[10:20], rows[20:60], rows[60:70], rows[70:120]],  # 110
+            [rows[:45], rows[45:100]],  # 100 other rows
+            [rows[:5], rows[5:40]],  # 40
+            [rows[50:60], rows[60:70], rows[70:160]],  # 110
+            [rows[100:125], rows[125:]],  # 60
+        ]
+        solo = [permutation_test([g], matrix, n_shuffles=200, seed=3)[0]
+                for g in groupings]
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+        try:
+            for cpus in (1, 4):  # four workers on five streams
+                monkeypatch.setattr(stratify, "_usable_cpus", lambda: cpus)
+                reports = permutation_test(groupings, matrix, n_shuffles=200, seed=3)
+                assert list(reports) == solo
+                assert threading.active_count() == threads
+                bad = groupings[:3] + [[rows[:10], np.array([3, 160])]] + groupings[3:]
+                with pytest.raises(IndexError, match="index 160 is out of bounds"):
+                    permutation_test(bad, matrix, n_shuffles=200, seed=3)
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_null_independent_of_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(53)
+        matrix = _plain_matrix(rng.integers(-25, 26, size=(130, 10)).astype(np.int16))
+        rows = rng.permutation(130)
+        groupings = [[rows[:35], rows[35:]],
+                     [rows[:20], rows[20:50], rows[50:90], rows[90:]]]
+        default = [permutation_test([g], matrix, n_shuffles=300, seed=11)[0]
+                   for g in groupings]
+        monkeypatch.setattr(stratify, "_SHUFFLE_BLOCK", block)
+        assert [permutation_test([g], matrix, n_shuffles=300, seed=11)[0]
+                for g in groupings] == default
 
     def test_single_grouping_must_be_wrapped(self):
         matrix = _plain_matrix(np.zeros((4, 3), dtype=np.int16))
