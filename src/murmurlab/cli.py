@@ -638,24 +638,27 @@ def cmd_zeros(cfg: RunConfig) -> dict:
     }
     k = 5
     if all(len(v) > k + 1 for v in complete.values()):
-        hot = hotelling_t2(complete["sha_1"], complete["sha_ge4"])
+        # one row of ordinates per complete set
+        samples = {name: np.vstack([z.gammas for z in sets])
+                   for name, sets in complete.items()}
+        hot = hotelling_t2(samples["sha_1"], samples["sha_ge4"])
         zeros_report["hotelling"] = {
             "t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df),
         }
-        comp = density_comparison(complete["sha_1"], cond["sha_1"],
-                                  complete["sha_ge4"], cond["sha_ge4"])
+        dens = {name: one_level_density(sets, cond[name])
+                for name, sets in complete.items()}
+        comp = density_comparison(dens["sha_1"], dens["sha_ge4"])
         zeros_report["one_level_density"] = {
             "deviation_sha_1": comp.deviation_a,
             "deviation_sha_ge4": comp.deviation_b,
             "ks_all": list(comp.ks_all),
             "ks_first": list(comp.ks_first),
         }
-        for name in ("sha_1", "sha_ge4"):
-            dens = one_level_density(complete[name], cond[name])
-            write_xy_csv(out / f"density_{name}.csv", dens.bin_centers,
-                         dens.density, ("scaled_ordinate", "density"))
-        mean_a = np.vstack([z.gammas for z in complete["sha_1"]]).mean(axis=0)
-        mean_b = np.vstack([z.gammas for z in complete["sha_ge4"]]).mean(axis=0)
+        for name, result in dens.items():
+            write_xy_csv(out / f"density_{name}.csv", result.bin_centers,
+                         result.density, ("scaled_ordinate", "density"))
+        mean_a = samples["sha_1"].mean(axis=0)
+        mean_b = samples["sha_ge4"].mean(axis=0)
         observed = (murmuration_profile(groups["sha_ge4"], matrix)
                     - murmuration_profile(groups["sha_1"], matrix))
         pred = explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
@@ -675,13 +678,15 @@ def cmd_zeros(cfg: RunConfig) -> dict:
 
 
 def cmd_report(cfg: RunConfig) -> dict:
+    """The last report, or error report, of every other step in the out directory."""
     out = _out_dir(cfg)
-    aggregate = {"version": __version__, "reports": {}}
-    for path in sorted(out.glob("*.json")):
-        if path.name == "report.json":
-            continue
-        aggregate["reports"][path.stem] = json.loads(path.read_text())
-    return aggregate
+    reports = {}
+    for cmd in _SUBCOMMANDS:
+        for name in (cmd, f"{cmd}_error"):
+            path = out / f"{name}.json"
+            if cmd != "report" and path.is_file():
+                reports[name] = json.loads(path.read_text())
+    return {"version": __version__, "reports": reports}
 
 
 _SUBCOMMANDS = {
@@ -731,18 +736,21 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         report = _SUBCOMMANDS[args.command](cfg)
+        out = _out_dir(cfg)
+        (out / f"{args.command}_error.json").unlink(missing_ok=True)
+        write_json(out / f"{args.command}.json", report)
     except _USER_ERRORS as exc:
-        error_report = {"command": args.command, "error": str(exc)}
-        out = Path(cfg.out if cfg else args.out or "out")
-        out.mkdir(parents=True, exist_ok=True)
-        # an earlier success of this step no longer describes the out directory
-        (out / f"{args.command}.json").unlink(missing_ok=True)
-        write_json(out / f"{args.command}_error.json", error_report)
         print(f"error: {exc}", file=sys.stderr)
+        out = Path(cfg.out if cfg else args.out or "out")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            # an earlier success of this step no longer describes the out directory
+            (out / f"{args.command}.json").unlink(missing_ok=True)
+            write_json(out / f"{args.command}_error.json",
+                       {"command": args.command, "error": str(exc)})
+        except OSError:
+            pass  # an out path that is no directory: the line above is the report
         return 1
-    out = _out_dir(cfg)
-    (out / f"{args.command}_error.json").unlink(missing_ok=True)
-    write_json(out / f"{args.command}.json", report)
     print(f"{args.command}: report written to {out / (args.command + '.json')}")
     return 0
 

@@ -55,10 +55,6 @@ class DuplicateLabelError(CurveDataError):
     pass
 
 
-class BsdInconsistencyError(CurveDataError):
-    pass
-
-
 @dataclass(frozen=True)
 class RowError:
     """One rejected CSV row."""
@@ -83,14 +79,6 @@ class CurveRecord:
     torsion_order: int
     sha_an: float
     l_value: float
-
-    def sha_rounded(self) -> int:
-        """Analytic Sha snapped to the nearest integer (used for grouping)."""
-        return int(round(self.sha_an))
-
-    def bsd_ratio(self) -> float:
-        """Omega * prod(c_p) / torsion^2, the rank-0 right-hand side per unit Sha."""
-        return self.real_period * self.tamagawa_product / self.torsion_order**2
 
 
 def isogeny_class_of(label: str) -> str:
@@ -354,54 +342,6 @@ def parse_curve_table(stream) -> ParseResult:
         seen.add(rec.label)
         records.append(rec)
     return ParseResult(CurveTable(records), tuple(errors))
-
-
-def serialize_curve_table(table: CurveTable) -> str:
-    """Canonical CSV text for a table; parse(serialize(t)) round-trips exactly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in table:
-        a1, a2, a3, a4, a6 = r.a_invariants
-        writer.writerow(
-            [
-                r.label,
-                r.conductor,
-                r.rank,
-                a1,
-                a2,
-                a3,
-                a4,
-                a6,
-                r.root_number,
-                repr(r.sha_an),
-                repr(r.real_period),
-                repr(r.regulator),
-                r.tamagawa_product,
-                r.torsion_order,
-                repr(r.l_value),
-            ]
-        )
-    return out.getvalue()
-
-
-def validate_bsd_residual(record: CurveRecord) -> float:
-    """Relative rank-0 residual |L - Sha * Omega * prod(c_p) / T^2| / L.
-
-    The residual is only measured: no pipeline step calls this check or
-    holds a curve to a tolerance on it.
-    """
-    if record.rank != 0:
-        raise ValueError(f"{record.label}: BSD residual check requires rank 0")
-    if record.l_value <= 0:
-        raise BsdInconsistencyError(f"{record.label}: rank 0 but L-value is 0")
-    predicted = (
-        record.sha_an
-        * record.real_period
-        * record.tamagawa_product
-        / record.torsion_order**2
-    )
-    return abs(record.l_value - predicted) / record.l_value
 
 
 def dedupe_isogeny(table: CurveTable) -> CurveTable:

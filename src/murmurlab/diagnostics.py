@@ -87,23 +87,6 @@ def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
     )
 
 
-def variance_ratio_profile(group_a: Sequence[int], group_b: Sequence[int],
-                           matrix: TraceMatrix) -> tuple[float, float]:
-    """Mean and sd over primes of Var_a(a_p) / Var_b(a_p)."""
-    prof_a = moment_profile(group_a, matrix)
-    prof_b = moment_profile(group_b, matrix)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = prof_a.variance / prof_b.variance
-    ratio = ratio[np.isfinite(ratio)]
-    return float(ratio.mean()), float(ratio.std(ddof=1))
-
-
-def sato_tate_cdf(theta) -> np.ndarray:
-    """CDF of the Sato-Tate angle density (2/pi) sin^2(theta) on [0, pi]."""
-    t = np.asarray(theta, dtype=np.float64)
-    return (t - np.sin(t) * np.cos(t)) / math.pi
-
-
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -381,13 +364,12 @@ def crossover_scan(primes: np.ndarray, diff: np.ndarray, smooth_width: int = 11,
     direction = None
     if len(nonzero):
         initial = signs[nonzero[0]]
-        opposite = np.flatnonzero(signs == -initial)
-        for idx in opposite:
-            if np.all(signs[idx:] == -initial):
-                crossing = int(primes[idx])
-                direction = ("positive_to_negative" if initial > 0
-                             else "negative_to_positive")
-                break
+        # one past the last sign that is not opposite: the opposite run's start
+        start = np.flatnonzero(signs != -initial)[-1] + 1
+        if start < len(signs):
+            crossing = int(primes[start])
+            direction = ("positive_to_negative" if initial > 0
+                         else "negative_to_positive")
     landmark_values = {
         int(p): float(values[np.searchsorted(primes, p)])
         for p in landmarks
@@ -419,37 +401,24 @@ def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionRepor
     """
     if matrix.curve_labels != tuple(table.labels):
         raise ValueError("trace matrix is not aligned with the curve table")
-    entries = []
-    agree = 0
-    classified = 0
-    unclassifiable = 0
-    counts = {name: 0 for name in REDUCTION_TYPES.values()}
-    primes = matrix.primes.primes
-    for i, label in enumerate(matrix.curve_labels):
-        bad_cols = np.flatnonzero(matrix.bad_flags[i])
-        if len(bad_cols) == 0:
-            unclassifiable += 1
-            continue
-        any_multiplicative = False
-        for j in bad_cols:
-            a = int(matrix.traces[i, j])
-            if a not in REDUCTION_TYPES:
-                raise ReductionDataError(
-                    f"{label}: bad-prime trace {a} at p={primes[j]} outside {{-1,0,1}}"
-                )
-            name = REDUCTION_TYPES[a]
-            counts[name] += 1
-            entries.append((label, int(primes[j]), name))
-            if a != 0:
-                any_multiplicative = True
-        classified += 1
-        predicted_trivial = not any_multiplicative
-        actual_trivial = table.tamagawa_products[i] == 1
-        if predicted_trivial == actual_trivial:
-            agree += 1
+    labels, primes, bad = matrix.curve_labels, matrix.primes.primes, matrix.bad_flags
+    rows, cols = np.nonzero(bad)  # row-major: curve by curve, primes ascending
+    values = matrix.traces[rows, cols]
+    wrong = np.flatnonzero((values < -1) | (values > 1))
+    if wrong.size:
+        k = wrong[0]
+        raise ReductionDataError(f"{labels[rows[k]]}: bad-prime trace {values[k]} "
+                                 f"at p={primes[cols[k]]} outside {{-1,0,1}}")
+    names = [REDUCTION_TYPES[a] for a in values.tolist()]
+    entries = tuple(zip([labels[i] for i in rows.tolist()], primes[cols].tolist(), names))
+    counts = {name: names.count(name) for name in REDUCTION_TYPES.values()}
+    has_bad = bad.any(axis=1)
+    multiplicative = (bad & (matrix.traces != 0)).any(axis=1)
+    classified = int(has_bad.sum())
+    agree = int((has_bad & (multiplicative != (table.tamagawa_products == 1))).sum())
     fraction = agree / classified if classified else float("nan")
-    return ReductionReport(tuple(entries), counts, fraction, classified,
-                           unclassifiable)
+    return ReductionReport(entries, counts, fraction, classified,
+                           len(labels) - classified)
 
 
 @dataclass(frozen=True)

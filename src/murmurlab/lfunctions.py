@@ -62,6 +62,7 @@ import numpy as np
 
 from .curves import CurveRecord
 from .diagnostics import ks_2samp
+from .primes import sieve_up_to
 from .traces import dirichlet_coefficients
 
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
@@ -103,8 +104,6 @@ class LSeries:
             raise ValueError(f"{self.label}: a_1 must be 1")
         if self.root_number not in (-1, 1):
             raise ValueError(f"{self.label}: root number must be +-1")
-        from .primes import sieve_up_to
-
         for p in sieve_up_to(self.n_max):
             if self.conductor % int(p) != 0 and abs(a[p]) > 2.0 * math.sqrt(p):
                 raise ValueError(
@@ -151,30 +150,6 @@ def _require_budget(series: LSeries) -> None:
         raise CoefficientShortfallError(
             f"{series.label}: needs n_max >= {need}, series has {series.n_max}"
         )
-
-
-def l_value_series(series: LSeries) -> float:
-    """Central value L(E,1) = 2 sum (a_n/n) exp(-2 pi n / sqrt(N)) for w = +1.
-
-    The sum is truncated once the geometric tail bound falls below 1e-10.
-    """
-    if series.root_number != 1:
-        raise ValueError(
-            f"{series.label}: w = -1 forces L(1) = 0 by the odd functional equation"
-        )
-    N = series.conductor
-    sqrt_n = math.sqrt(N)
-    c = 2.0 * math.pi / sqrt_n
-    # tail: 2 * sum_{m>n} exp(-c m) <= 2 exp(-c n)/(1 - exp(-c)) < 1e-10
-    need = int(math.ceil((math.log(2.0 / (1.0 - math.exp(-c))) + 10 * math.log(10)) / c))
-    if series.n_max < need:
-        raise CoefficientShortfallError(
-            f"{series.label}: central value needs n_max >= {need}, "
-            f"series has {series.n_max}"
-        )
-    n = np.arange(1, need + 1, dtype=np.float64)
-    a = series.coefficients[1 : need + 1]
-    return float(2.0 * np.sum(a / n * np.exp(-c * n)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -377,23 +352,8 @@ class HotellingResult:
     n_b: int
 
 
-def _zero_matrix(zero_sets: Sequence[ZeroSet]) -> np.ndarray:
-    ks = {len(z.gammas) for z in zero_sets}
-    if len(ks) != 1:
-        raise ValueError("zero sets have unequal lengths")
-    if not all(z.complete for z in zero_sets):
-        raise ValueError("incomplete zero sets cannot enter statistics")
-    return np.vstack([z.gammas for z in zero_sets])
-
-
-def hotelling_t2(zeros_a: Sequence[ZeroSet], zeros_b: Sequence[ZeroSet]) -> HotellingResult:
-    """Two-sample Hotelling T^2 on zero vectors with pooled covariance."""
-    xa = _zero_matrix(zeros_a)
-    xb = _zero_matrix(zeros_b)
-    return hotelling_t2_from_samples(xa, xb)
-
-
-def hotelling_t2_from_samples(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
+def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
+    """Two-sample Hotelling T^2 with pooled covariance, one sample per row."""
     n1, k = xa.shape
     n2, k2 = xb.shape
     if k != k2:
@@ -480,25 +440,20 @@ class DensityResult:
     scaled_first: np.ndarray
 
 
-def scale_zeros(zero_sets: Sequence[ZeroSet], conductors: Sequence[int]) -> np.ndarray:
-    """Scaled ordinates x = gamma * log(N) / (2 pi), one row per curve."""
-    if len(zero_sets) != len(conductors):
-        raise ValueError("zero sets and conductors must align")
-    rows = [z.gammas * math.log(N) / (2.0 * math.pi)
-            for z, N in zip(zero_sets, conductors)]
-    return np.vstack(rows)
-
-
 def one_level_density(zero_sets: Sequence[ZeroSet], conductors: Sequence[int],
                       bin_width: float = 0.1, x_max: float = 4.0) -> DensityResult:
     """Scaled zero histogram and integrated squared deviation from SO(even).
 
+    Ordinates are scaled to x = gamma * log(N) / (2 pi), one row per curve.
     The empirical density counts zeros per curve per unit of scaled ordinate;
     the deviation from W1 is a trapezoid-rule integral over bin centers.
     """
     if len(zero_sets) == 0:
         raise ValueError("no zero sets supplied")
-    scaled = scale_zeros(zero_sets, conductors)
+    if len(zero_sets) != len(conductors):
+        raise ValueError("zero sets and conductors must align")
+    scaled = np.vstack([z.gammas * math.log(N) / (2.0 * math.pi)
+                        for z, N in zip(zero_sets, conductors)])
     edges = np.arange(0.0, x_max + bin_width / 2, bin_width)
     counts, _ = np.histogram(scaled.ravel(), bins=edges)
     density = counts / (len(zero_sets) * bin_width)
@@ -522,16 +477,12 @@ class DensityComparison:
     ks_first: tuple[float, float]
 
 
-def density_comparison(zeros_a: Sequence[ZeroSet], conductors_a: Sequence[int],
-                       zeros_b: Sequence[ZeroSet], conductors_b: Sequence[int],
-                       bin_width: float = 0.1, x_max: float = 4.0) -> DensityComparison:
-    """SO(even) deviations per group plus two-sample KS on scaled zeros.
+def density_comparison(da: DensityResult, db: DensityResult) -> DensityComparison:
+    """SO(even) deviations of two groups' densities plus two-sample KS on scaled zeros.
 
     The KS pairs are (D, p) of diagnostics.ks_2samp: p is the finite-n
     two-sided Kolmogorov tail at the effective size round(n_a n_b / (n_a + n_b)).
     """
-    da = one_level_density(zeros_a, conductors_a, bin_width, x_max)
-    db = one_level_density(zeros_b, conductors_b, bin_width, x_max)
     return DensityComparison(
         deviation_a=da.deviation_so_even,
         deviation_b=db.deviation_so_even,

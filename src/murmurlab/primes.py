@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 DEFAULT_PRIME_COUNT = 500
-LAST_DEFAULT_PRIME = 3571  # the 500th prime
 
 
 def sieve_up_to(limit: int) -> np.ndarray:

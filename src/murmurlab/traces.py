@@ -9,9 +9,9 @@ the full Weierstrass equation.  At bad primes (p | N) the smooth locus is
 counted, so a_p lands in {-1, 0, +1} (non-split, additive, split).
 
 One kernel, `_trace_column`, computes every trace at one prime: the matrix
-build, the single-trace helper and the Dirichlet coefficients all call it,
-in one process.  At each prime p >= 5 it sums the character once per twist
-class, not once per curve.  A short model (A, B) with AB != 0 mod p is the
+build and the Dirichlet coefficients both call it, in one process.  At
+each prime p >= 5 it sums the character once per twist class, not once
+per curve.  A short model (A, B) with AB != 0 mod p is the
 quadratic twist by lam = B/A of y^2 = x^3 + rx + r with r = A^3/B^2, and
 a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC III.1, X.5); a model with
 A = 0 or B = 0 mod p (j = 0, j = 1728, the cusp) is its own class.  When
@@ -369,18 +369,6 @@ def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
     for j, p in enumerate(primes.tolist()):
         traces[:, j], bad[:, j] = _trace_column(a_invariants, conductors, limbs, p, labels)
     return traces, bad
-
-
-def frobenius_trace(a_invariants: Sequence[int], conductor: int, p: int) -> int:
-    """a_p for one curve at one prime.
-
-    Good p: p + 1 - #E(F_p).  Bad p (p | conductor): p - #E_ns(F_p) with the
-    singular point excluded, which is 0, +1 or -1 by reduction type.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    traces, _ = _trace_columns([a_invariants], [conductor], [p])
-    return int(traces[0, 0])
 
 
 @dataclass(frozen=True)

@@ -195,14 +195,13 @@ def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,
                       max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Pearson correlation of aligned series at lags -max_lag..+max_lag.
 
-    Lag k correlates a[t] with b[t+k] over the overlapping support.
+    Lag k correlates a[t] with b[t+k] over the overlapping support; a lag
+    whose overlap has zero variance raises DegenerateSeriesError.
     """
     if len(res_a) != len(res_b) or not np.array_equal(res_a.centers, res_b.centers):
         raise ValueError("cross-correlation requires series on identical centers")
     a = np.asarray(res_a.values, dtype=np.float64)
     b = np.asarray(res_b.values, dtype=np.float64)
-    if a.std() == 0 or b.std() == 0:
-        raise DegenerateSeriesError("correlation undefined for zero-variance input")
     n = len(a)
     if max_lag >= n - 2:
         raise ValueError("max_lag leaves fewer than 3 overlapping points")

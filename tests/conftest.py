@@ -1,10 +1,12 @@
+import csv
+import io
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from murmurlab.curves import CurveRecord, CurveTable, parse_curve_table
+from murmurlab.curves import CSV_FIELDS, CurveRecord, CurveTable, parse_curve_table
 from murmurlab.traces import PrimeList, TraceMatrix, default_prime_list
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,6 +27,18 @@ def known_table(known_csv_path) -> CurveTable:
         result = parse_curve_table(fh)
     assert not result.errors
     return result.table
+
+
+def serialize_curve_table(table: CurveTable) -> str:
+    """Canonical CSV text for a table; parse(serialize(t)) round-trips exactly."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for r in table:
+        writer.writerow([r.label, r.conductor, r.rank, *r.a_invariants, r.root_number,
+                         repr(r.sha_an), repr(r.real_period), repr(r.regulator),
+                         r.tamagawa_product, r.torsion_order, repr(r.l_value)])
+    return out.getvalue()
 
 
 def record_of(table: CurveTable, label: str) -> CurveRecord:

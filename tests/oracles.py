@@ -7,10 +7,13 @@ completed L-function come from both sums of the functional equation in
 mpmath (no float incomplete gamma, no one-sum shortcut).  The permutation
 null is the float64 one-hot computation of one grouping at a time, with its
 own draw of the stream and every group but the last summed by matmul.
+Reduction types are classified by a walk over every curve and bad prime.
 """
 
 import mpmath
 import numpy as np
+
+from murmurlab.diagnostics import REDUCTION_TYPES, ReductionDataError
 
 
 def enumeration_count(a_invariants, p, smooth_only=False):
@@ -165,3 +168,41 @@ def permutation_null(member_lists, traces, n_shuffles, seed):
         null[done:done + block] = rms(means)
         done += block
     return observed, null
+
+
+def classify_reduction_oracle(matrix, table):
+    """(entries, type counts, agreement fraction, classified, unclassifiable).
+
+    One curve at a time and one bad prime at a time: a_p = 0 additive, +1
+    split, -1 non-split, anything else a ReductionDataError at the first such
+    entry.  A curve with a bad prime in the list is classified, and agrees
+    when "no multiplicative bad prime" matches prod c_p = 1.
+    """
+    entries = []
+    agree = 0
+    classified = 0
+    unclassifiable = 0
+    counts = {name: 0 for name in REDUCTION_TYPES.values()}
+    primes = matrix.primes.primes
+    for i, label in enumerate(matrix.curve_labels):
+        bad_cols = np.flatnonzero(matrix.bad_flags[i])
+        if len(bad_cols) == 0:
+            unclassifiable += 1
+            continue
+        any_multiplicative = False
+        for j in bad_cols:
+            a = int(matrix.traces[i, j])
+            if a not in REDUCTION_TYPES:
+                raise ReductionDataError(
+                    f"{label}: bad-prime trace {a} at p={primes[j]} outside {{-1,0,1}}"
+                )
+            name = REDUCTION_TYPES[a]
+            counts[name] += 1
+            entries.append((label, int(primes[j]), name))
+            if a != 0:
+                any_multiplicative = True
+        classified += 1
+        if (not any_multiplicative) == (table.tamagawa_products[i] == 1):
+            agree += 1
+    fraction = agree / classified if classified else float("nan")
+    return tuple(entries), counts, fraction, classified, unclassifiable

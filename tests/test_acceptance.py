@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from murmurlab.curves import CurveTable, parse_curve_table
+from murmurlab.curves import CurveRecord, CurveTable, parse_curve_table
 from murmurlab.lfunctions import (
     LSeries,
-    hotelling_t2_from_samples,
+    hotelling_t2,
     hotelling_to_f,
-    l_value_series,
+    lambda_critical,
     locate_zeros,
     explicit_predict,
 )
@@ -38,13 +38,12 @@ from murmurlab.traces import (
     build_trace_matrix,
     default_prime_list,
     first_n_primes,
-    frobenius_trace,
     load_trace_matrix,
     persist_trace_matrix,
 )
 from murmurlab.windows import murmuration_profile, savgol_detrend, welch_psd, \
     WindowSeries, sliding_window_series, residual_correlation
-from murmurlab.diagnostics import moment_profile, variance_ratio_profile
+from murmurlab.diagnostics import moment_profile
 
 from conftest import (
     TRACE_CACHE_ENV,
@@ -98,15 +97,20 @@ class TestCriterion1:
         primes = [int(p) for p in first_n_primes(46)]  # all p <= 200
         assert primes[-1] == 199
         start = time.perf_counter()
-        mismatches = 0
-        for _ in range(100):
+        records = []
+        for i in range(100):
             model = random_nonsingular_model(rng)
             conductor = synthetic_conductor(model, primes)
-            for p in primes:
-                if frobenius_trace(model, conductor, p) != ap_oracle(
-                    model, conductor, p
-                ):
-                    mismatches += 1
+            records.append(CurveRecord(
+                label=f"{conductor}a{i}", isogeny_class=f"{conductor}a",
+                a_invariants=model, conductor=conductor, rank=0, root_number=1,
+                real_period=1.0, regulator=1.0, tamagawa_product=1, torsion_order=1,
+                sha_an=1.0, l_value=1.0))
+        table = CurveTable(records)
+        matrix = build_trace_matrix(table, PrimeList(primes))
+        mismatches = sum(
+            int(matrix.traces[i, j]) != ap_oracle(rec.a_invariants, rec.conductor, p)
+            for i, rec in enumerate(table) for j, p in enumerate(primes))
         elapsed = time.perf_counter() - start
         ok = mismatches == 0 and elapsed < 30.0
         criterion(1, "character-sum a_p equals full enumeration "
@@ -139,13 +143,14 @@ class TestCriterion3:
     def test_known_curve_validation(self, criterion, known_table):
         rec = record_of(known_table, "11a1")
         expected = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1, 13: 4}
+        matrix = build_trace_matrix(CurveTable([rec]), PrimeList(list(expected)))
         oracle_ok = all(
-            ap_oracle(rec.a_invariants, 11, p) == ap
-            and frobenius_trace(rec.a_invariants, 11, p) == ap
-            for p, ap in expected.items()
+            ap_oracle(rec.a_invariants, 11, p) == ap and matrix.traces[0, j] == ap
+            for j, (p, ap) in enumerate(expected.items())
         )
         series = LSeries.from_curve(rec)
-        central = l_value_series(series)
+        # Lambda(1) = sqrt(N) / (2 pi) L(1)
+        central = 2 * math.pi / math.sqrt(11) * lambda_critical(series, 0.0)
         rel = abs(central - rec.l_value) / rec.l_value
         ok = oracle_ok and rel < 1e-5
         criterion(3, "11a1 traces confirmed by enumeration oracle; central "
@@ -334,7 +339,7 @@ class TestCriterion10:
         draws = rng.normal(size=(n_sims, 2 * n, k))
         rejections = 0
         for i in range(n_sims):
-            res = hotelling_t2_from_samples(draws[i, :n], draws[i, n:])
+            res = hotelling_t2(draws[i, :n], draws[i, n:])
             rejections += res.p_value <= 0.05
         rate = rejections / n_sims
         rate_ok = abs(rate - 0.05) <= 0.01
@@ -445,8 +450,8 @@ class TestCriterion13:
         shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=131, n_primes=32,
                                        mean_shift=shift)
-        mean_ratio, _ = variance_ratio_profile(part.groups["group_a"],
-                                               part.groups["group_b"], matrix)
+        mean_ratio = np.mean(moment_profile(part.groups["group_a"], matrix).variance
+                             / moment_profile(part.groups["group_b"], matrix).variance)
         rep = permutation_test([part.groups], matrix, n_shuffles=2_000, seed=13)[0]
         assert abs(mean_ratio - 1.0) < 0.1
         assert rep.p_value < 1e-3

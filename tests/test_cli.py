@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from murmurlab import cli, lfunctions, traces
 from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.confound import control_omega, lvalue_band, triple_control
-from murmurlab.curves import CurveTable, serialize_curve_table
+from murmurlab.curves import CurveTable
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
 
-from conftest import TWIST_DS, make_synthetic_table, record_of, twist_of_11a1
+from conftest import (TWIST_DS, make_synthetic_table, record_of, serialize_curve_table,
+                      twist_of_11a1)
 
 
 def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
@@ -329,6 +330,22 @@ class TestErrorReports:
                   "--shuffles", shuffles, "--out", str(out)])
         assert main(["report", "--out", str(out)]) == 0
         assert list(read_report(out, "report")["reports"]) == [listed]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["ingest", "stratify"])
+    def test_out_that_is_no_directory_is_one_error_line(self, twist_csv, tmp_path,
+                                                        capsys, command, below):
+        # ingest never creates the out directory itself, stratify does
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "x" if below else blocker
+        rc = main([command, "--curves", str(twist_csv), "--rule", "sha",
+                   "--range", "1000:300000", "--primes", "10", "--shuffles", "50",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
 
     def test_stratify_on_truncated_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
@@ -776,6 +793,17 @@ class TestReportAggregate:
         assert main(["report", "--out", str(out)]) == 0
         agg = read_report(out, "report")
         assert "ingest" in agg["reports"]
+
+    def test_lists_the_step_reports_and_nothing_else(self, twist_csv, tmp_path):
+        # windows leaves a .meta.json sidecar beside each series CSV
+        out = tmp_path / "out"
+        assert main(["windows", "--curves", str(twist_csv), "--out", str(out)]) == 0
+        assert main(["confound", "--curves", str(twist_csv), "--band", "0:100",
+                     "--range", "1000:300000", "--primes", "20", "--shuffles", "50",
+                     "--out", str(out)]) == 0
+        assert list(out.glob("*.meta.json"))
+        assert main(["report", "--out", str(out)]) == 0
+        assert sorted(read_report(out, "report")["reports"]) == ["confound", "windows"]
 
 
 _SCIPY_AFTER = """

@@ -170,7 +170,7 @@ class TestBsdRatios:
         table = make_synthetic_table(500, seed=16, sha_choices=(1.0, 4.0, 9.0))
         groups = {}
         for target, name in [(1, "sha1"), (4, "sha4"), (9, "sha9")]:
-            groups[name] = [i for i, r in enumerate(table) if r.sha_rounded() == target]
+            groups[name] = [i for i, r in enumerate(table) if round(r.sha_an) == target]
         ratios = bsd_group_ratios(table, groups)
         assert ratios["sha1"] == pytest.approx(1.0, rel=1e-9)
         assert ratios["sha4"] == pytest.approx(0.25, rel=1e-9)

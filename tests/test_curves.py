@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from murmurlab.curves import (
-    BsdInconsistencyError,
     CSV_FIELDS,
     CurveRecord,
+    CurveTable,
     DuplicateLabelError,
     dedupe_isogeny,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
-    serialize_curve_table,
-    validate_bsd_residual,
     validate_record,
 )
 
@@ -22,6 +20,7 @@ from conftest import (
     make_synthetic_table,
     record_of,
     requires_dataset,
+    serialize_curve_table,
 )
 
 HEADER = ",".join(CSV_FIELDS)
@@ -86,7 +85,7 @@ class TestParsing:
         ok = row(label="11a1", sha="4.0003")
         result = parse_curve_table(HEADER + "\n" + ok + "\n")
         assert not result.errors
-        assert record_of(result.table, "11a1").sha_rounded() == 4
+        assert round(record_of(result.table, "11a1").sha_an) == 4
 
     def test_bad_header_fatal(self):
         with pytest.raises(Exception, match="header"):
@@ -122,33 +121,26 @@ class TestTable:
         assert known_table.rank_histogram() == {0: 3, 1: 1, 2: 1, 3: 1}
 
 
+def bsd_residual(record: CurveRecord) -> float:
+    """Relative rank-0 residual |L - Sha * bsd_ratio| / L, bsd_ratio as the windows use it."""
+    ratio = invariant_values(CurveTable([record]), "bsd_ratio")[0]
+    return abs(record.l_value - record.sha_an * ratio) / record.l_value
+
+
 class TestBsdResidual:
     def test_11a1_consistent(self, curve_11a1):
-        assert validate_bsd_residual(curve_11a1) < 1e-3
+        assert bsd_residual(curve_11a1) < 1e-3
 
     def test_doubled_sha_moves_residual_to_one(self, curve_11a1):
         import dataclasses
 
         doubled = dataclasses.replace(curve_11a1, sha_an=2.0)
-        assert validate_bsd_residual(doubled) == pytest.approx(1.0, abs=1e-6)
-
-    def test_rank_nonzero_rejected(self, known_table):
-        with pytest.raises(ValueError, match="rank 0"):
-            validate_bsd_residual(record_of(known_table, "37a1"))
-
-    def test_zero_l_value_inconsistent(self, curve_11a1):
-        import dataclasses
-
-        broken = dataclasses.replace(curve_11a1, l_value=0.0)
-        with pytest.raises(BsdInconsistencyError):
-            validate_bsd_residual(broken)
+        assert bsd_residual(doubled) == pytest.approx(1.0, abs=1e-6)
 
     def test_group_ratio_is_inverse_sha(self):
         # mean(Omega c / T^2) / mean(L) = 1/|Sha| within a fixed-Sha group
         table = make_synthetic_table(400, seed=11, sha_choices=(4.0,))
-        ratio = np.mean([r.bsd_ratio() for r in table]) / np.mean(
-            [r.l_value for r in table]
-        )
+        ratio = np.mean(invariant_values(table, "bsd_ratio")) / np.mean(table.l_values)
         assert ratio == pytest.approx(0.25, rel=1e-9)
 
 

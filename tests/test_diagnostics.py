@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from murmurlab import diagnostics
@@ -13,14 +14,13 @@ from murmurlab.diagnostics import (
     kolmogorov_sf,
     ks_2samp,
     moment_profile,
-    sato_tate_cdf,
     satotate_ks,
-    variance_ratio_profile,
 )
 from murmurlab.traces import PrimeList, TraceMatrix, build_trace_matrix, first_n_primes
 from murmurlab.windows import murmuration_profile
 
 from conftest import make_synthetic_matrix, make_synthetic_table
+from oracles import classify_reduction_oracle
 
 
 def sato_tate_matrix(n_curves, seed, n_primes=40, p_offset=200):
@@ -86,8 +86,9 @@ class TestMomentProfile:
     def test_variance_ratio_near_unity_for_same_law(self):
         table = make_synthetic_table(600, seed=4)
         matrix = make_synthetic_matrix(table.labels, seed=4)
-        mean, sd = variance_ratio_profile(np.arange(300), np.arange(300, 600), matrix)
-        assert mean == pytest.approx(1.0, abs=0.1)
+        ratio = (moment_profile(np.arange(300), matrix).variance
+                 / moment_profile(np.arange(300, 600), matrix).variance)
+        assert np.mean(ratio) == pytest.approx(1.0, abs=0.1)
 
 
 class TestSatoTate:
@@ -110,6 +111,10 @@ class TestSatoTate:
         p = matrix.primes.primes[cols].astype(float)
         ratio = matrix.traces[:, cols] / (2 * np.sqrt(p))[None, :]
         theta = np.arccos(np.clip(ratio, -1, 1)).ravel()
+
+        def sato_tate_cdf(t):  # of the density (2/pi) sin^2 on [0, pi]
+            return (t - np.sin(t) * np.cos(t)) / math.pi
+
         res = stats.kstest(theta, sato_tate_cdf)
         assert res.pvalue > 0.01
 
@@ -205,6 +210,21 @@ class TestCrossover:
         idx5 = int(np.searchsorted(primes, 5))
         assert report.landmarks[5] == pytest.approx(values[idx5])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=30))
+    def test_crossing_is_the_first_index_from_which_signs_stay_opposite(self, signs):
+        # width 1 leaves the signs unsmoothed; the reference is the direct search
+        report = self._scan(signs, smooth_width=1)
+        signs, primes = np.array(signs), first_n_primes(len(signs))
+        nonzero = np.flatnonzero(signs)
+        expected = None
+        if len(nonzero):
+            initial = signs[nonzero[0]]
+            expected = next((int(primes[i]) for i in range(len(signs))
+                             if np.all(signs[i:] == -initial)), None)
+        assert report.crossing_prime == expected
+        assert (report.direction is None) == (expected is None)
+
 
 class TestReduction:
     def test_11a1_split_multiplicative(self, known_table):
@@ -233,6 +253,43 @@ class TestReduction:
         matrix = TraceMatrix((table.labels[0],), primes, traces, bad)
         with pytest.raises(ReductionDataError):
             classify_reduction(matrix, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 10))
+    def test_matches_the_walk_over_every_bad_prime(self, seed, n, m):
+        # some rows without a bad prime, Tamagawa products of 1 and above
+        rng = np.random.default_rng(seed)
+        table = make_synthetic_table(n, seed=seed).subset(range(n))
+        table.tamagawa_products[:] = rng.choice([1, 1, 2, 4], size=n)
+        bad = rng.random((n, m)) < rng.uniform(0.0, 0.6)
+        traces = np.where(bad, rng.integers(-1, 2, size=(n, m)),
+                          rng.integers(-3, 4, size=(n, m))).astype(np.int16)
+        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(m)), traces, bad)
+        report = classify_reduction(matrix, table)
+        entries, counts, fraction, classified, unclassifiable = \
+            classify_reduction_oracle(matrix, table)
+        assert report.entries == entries
+        assert report.type_counts == counts
+        assert report.agreement_fraction == fraction or (
+            math.isnan(fraction) and math.isnan(report.agreement_fraction))
+        assert (report.n_classified_curves, report.n_unclassifiable) == \
+            (classified, unclassifiable)
+
+    def test_first_out_of_range_entry_named_like_the_walk(self):
+        table = make_synthetic_table(3, seed=10)
+        bad = np.array([[False, True, False, True],
+                        [True, False, True, True],
+                        [True, True, True, True]])
+        traces = np.array([[0, 1, 0, -1],
+                           [0, 0, -2, 7],
+                           [9, 1, 0, 0]], dtype=np.int16)
+        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(4)), traces, bad)
+        with pytest.raises(ReductionDataError) as walked:
+            classify_reduction_oracle(matrix, table)
+        with pytest.raises(ReductionDataError) as got:
+            classify_reduction(matrix, table)
+        assert str(got.value) == str(walked.value)
+        assert str(got.value).startswith(f"{table.labels[1]}: bad-prime trace -2 at p=5 ")
 
     def test_curve_without_listed_bad_primes_unclassifiable(self):
         table = make_synthetic_table(6, seed=11)

@@ -22,9 +22,7 @@ from murmurlab.lfunctions import (
     f_sf,
     fe_residual,
     hotelling_t2,
-    hotelling_t2_from_samples,
     hotelling_to_f,
-    l_value_series,
     lambda_critical,
     locate_zeros,
     one_level_density,
@@ -82,41 +80,45 @@ class TestFromCurves:
         assert list(LSeries.from_curves([])) == []
 
 
+def central_value(series):
+    """L(1) = 2 pi / sqrt(N) Lambda(1), from the quadrature the zero search runs."""
+    return 2 * math.pi / math.sqrt(series.conductor) * lambda_critical(series, 0.0)
+
+
 class TestCentralValue:
     def test_11a1_matches_ingested(self, series_11a1, known_table_module):
         ingested = record_of(known_table_module, "11a1").l_value
-        assert l_value_series(series_11a1) == pytest.approx(ingested, rel=1e-5)
+        assert central_value(series_11a1) == pytest.approx(ingested, rel=1e-5)
 
     def test_all_rank0_known_curves(self, known_table_module):
         for label in ("11a1", "11a2", "11a3"):
             rec = record_of(known_table_module, label)
             series = LSeries.from_curve(rec)
-            assert l_value_series(series) == pytest.approx(rec.l_value, rel=1e-5)
+            assert central_value(series) == pytest.approx(rec.l_value, rel=1e-5)
 
     def test_odd_sign_refused(self, known_table_module):
         rec = record_of(known_table_module, "37a1")
         series = LSeries.from_curve(rec)
-        with pytest.raises(ValueError, match="w = -1"):
-            l_value_series(series)
+        with pytest.raises(ValueError, match="requires w = \\+1"):
+            central_value(series)
 
     def test_truncation_stability(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
         short = LSeries.from_curve(rec, n_max=60)
         long = LSeries.from_curve(rec, n_max=400)
-        assert abs(l_value_series(short) - l_value_series(long)) < 1e-10
+        assert abs(central_value(short) - central_value(long)) < 1e-10
 
     def test_shortfall_names_requirement(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
         series = LSeries(rec.label, rec.conductor, 1, np.array([0.0, 1.0, -2.0]))
         with pytest.raises(CoefficientShortfallError, match="n_max >= "):
-            l_value_series(series)
+            central_value(series)
 
 
 class TestLambdaCritical:
     def test_t_zero_equals_completion_of_central_value(self, series_11a1):
         lam = lambda_critical(series_11a1, 0.0)
-        expected = math.sqrt(11) / (2 * math.pi) * l_value_series(series_11a1)
-        assert lam == pytest.approx(expected, rel=1e-10)
+        assert lam == pytest.approx(lambda_afe(series_11a1, 0.0)[0].real, rel=1e-10)
         assert lam == pytest.approx(0.1340, abs=2e-4)
 
     def test_even_in_t(self, series_11a1):
@@ -461,7 +463,7 @@ class TestHotelling:
     def test_identical_groups_zero(self):
         rng = np.random.default_rng(1)
         xa = rng.normal(size=(40, 5))
-        res = hotelling_t2_from_samples(xa, xa.copy())
+        res = hotelling_t2(xa, xa.copy())
         assert res.t2 == pytest.approx(0.0, abs=1e-9)
         assert res.p_value == pytest.approx(1.0)
 
@@ -469,7 +471,9 @@ class TestHotelling:
         rng = np.random.default_rng(2)
         base = np.cumsum(rng.uniform(0.5, 1.0, size=(30, 5)), axis=1)
         other = np.cumsum(rng.uniform(0.5, 1.0, size=(30, 5)), axis=1)
-        res = hotelling_t2(_toy_zero_sets(base, "a"), _toy_zero_sets(other, "b"))
+        # as the zeros step stacks them: one row of ordinates per complete set
+        res = hotelling_t2(*(np.vstack([z.gammas for z in _toy_zero_sets(x, name)])
+                             for x, name in ((base, "a"), (other, "b"))))
         assert res.n_a == res.n_b == 30
 
     def test_null_rejection_rate_and_uniformity(self):
@@ -479,7 +483,7 @@ class TestHotelling:
         draws = rng.normal(size=(n_sims, 2 * n, k))
         pvals = np.empty(n_sims)
         for i in range(n_sims):
-            res = hotelling_t2_from_samples(draws[i, :n], draws[i, n:])
+            res = hotelling_t2(draws[i, :n], draws[i, n:])
             pvals[i] = res.p_value
         rate = float(np.mean(pvals <= 0.05))
         assert abs(rate - 0.05) <= 0.01
@@ -500,13 +504,12 @@ class TestHotelling:
         xb = np.ones((10, 3)) * 2
         xb[:, 1] = xb[:, 0]
         with pytest.raises(ValueError, match="singular|exceed"):
-            hotelling_t2_from_samples(xa, xb)
+            hotelling_t2(xa, xb)
 
     def test_small_groups_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="k\\+1"):
-            hotelling_t2_from_samples(rng.normal(size=(5, 5)),
-                                      rng.normal(size=(40, 5)))
+            hotelling_t2(rng.normal(size=(5, 5)), rng.normal(size=(40, 5)))
 
 
 class TestOneLevelDensity:
@@ -543,8 +546,8 @@ class TestOneLevelDensity:
         rng = np.random.default_rng(6)
         a = np.cumsum(rng.uniform(0.4, 0.9, size=(50, 5)), axis=1)
         b = np.cumsum(rng.uniform(0.4, 0.9, size=(50, 5)), axis=1)
-        comp = density_comparison(_toy_zero_sets(a, "a"), [20_000] * 50,
-                                  _toy_zero_sets(b, "b"), [20_000] * 50)
+        comp = density_comparison(one_level_density(_toy_zero_sets(a, "a"), [20_000] * 50),
+                                  one_level_density(_toy_zero_sets(b, "b"), [20_000] * 50))
         assert isinstance(comp, DensityComparison)
         assert 0 <= comp.ks_all[0] <= 1
         assert 0 <= comp.ks_first[0] <= 1

@@ -24,7 +24,6 @@ from murmurlab.traces import (
     default_prime_list,
     dirichlet_coefficients,
     extend_an,
-    frobenius_trace,
     load_trace_matrix,
     persist_trace_matrix,
     short_weierstrass,
@@ -35,6 +34,12 @@ from oracles import (ap_oracle, model_discriminant, random_nonsingular_model,
                      synthetic_conductor)
 
 SMALL_PRIMES = [int(p) for p in sieve_up_to(200)]
+
+
+def frobenius_trace(a_invariants, conductor, p):
+    """a_p of one curve at one prime, from the kernel every trace comes from."""
+    got, _ = traces._trace_columns([a_invariants], [conductor], [p])
+    return int(got[0, 0])
 
 
 class TestPrimeList:
@@ -103,10 +108,6 @@ class TestFrobeniusTrace:
             legendre = pow(d % p, (p - 1) // 2, p)
             legendre = -1 if legendre == p - 1 else legendre
             assert got == legendre * frobenius_trace(base, 11, p), p
-
-    def test_composite_p_rejected(self):
-        with pytest.raises(ValueError, match="not prime"):
-            frobenius_trace((0, 0, 0, 1, 1), 11, 15)
 
 
 class TestTraceMatrix:
