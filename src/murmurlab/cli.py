@@ -74,6 +74,7 @@ from .traces import (
     MissingTraceError,
     PrimeList,
     TraceComputationError,
+    TraceMatrix,
     build_trace_matrix,
     default_prime_list,
     load_trace_matrix,
@@ -210,43 +211,63 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _report_base(cfg: RunConfig, inputs: dict[str, str | None]) -> dict:
+def _report_base(cfg: RunConfig, inputs: dict[str, str | None],
+                 csv_sha256: str | None = None) -> dict:
+    """The report's common head; csv_sha256 is the curves CSV's, if already hashed."""
     return {
         "version": __version__,
         "config_hash": cfg.digest(),
         "seed": cfg.seed,
         "inputs": {
-            name: {"path": str(path), "sha256": _file_digest(path)}
+            name: {"path": str(path),
+                   "sha256": (name == "curves" and csv_sha256) or _file_digest(path)}
             for name, path in inputs.items()
             if path
         },
     }
 
 
-def _load_table(cfg: RunConfig):
+def _curves(cfg: RunConfig) -> str:
     if not cfg.curves:
         raise CliError("a curves CSV is required (--curves)")
-    with open(cfg.curves, newline="") as fh:
-        result = parse_curve_table(fh)
-    return result
+    return cfg.curves
 
 
-def _context(cfg: RunConfig):
+def _load_table(cfg: RunConfig):
+    with open(_curves(cfg), newline="") as fh:
+        return parse_curve_table(fh)
+
+
+def _load_cache(path, cfg: RunConfig, csv_sha256: str, primes: PrimeList) -> TraceMatrix:
+    """The cached matrix, with its table, unless built from other CSV bytes or primes."""
+    cache = load_trace_matrix(path)
+    if cache.csv_sha256 != csv_sha256:
+        problem = (f"was built for a different curve table: a CSV with SHA-256 "
+                   f"{cache.csv_sha256}, not {cfg.curves} with SHA-256 {csv_sha256}")
+    elif not np.array_equal(cache.primes.primes, primes.primes):
+        problem = f"holds {len(cache.primes)} primes, {len(primes)} were requested"
+    else:
+        return cache
+    raise CliError(f"cache {path} {problem}; remove it or point --cache elsewhere")
+
+
+def _context(cfg: RunConfig, csv_sha256: str):
     """The ingested table, its aligned trace matrix, the rank-0 slice and its range.
 
-    The matrix comes from the cache when one is named, else it is built; a
-    named cache that does not exist is an error before anything is built.
-    Curve groups cut from the table index the matrix directly.
+    With a cache, table and matrix come from it and the CSV, whose SHA-256
+    the caller has taken, is not parsed; a cache of other CSV bytes or
+    primes is refused, a missing one before anything is built.  Without a
+    cache the CSV is parsed and the matrix built.  Groups cut from the table
+    index it.
     """
     if cfg.cache and not Path(cfg.cache).exists():
         raise CliError(f"trace cache {cfg.cache} does not exist; build it with `traces`")
-    table = _load_table(cfg).table
     primes = default_prime_list(cfg.primes)
     if cfg.cache:
-        matrix = load_trace_matrix(cfg.cache).take(table)
-        if not np.array_equal(matrix.primes.primes, primes.primes):
-            raise CliError("trace cache prime list differs from the requested one")
+        matrix = _load_cache(cfg.cache, cfg, csv_sha256, primes)
+        table = matrix.table
     else:
+        table = _load_table(cfg).table
         matrix = build_trace_matrix(table, primes)
     conductor_range = cfg.range or (10_000, 50_000)
     rank0 = table.filter(rank=0, conductor_range=conductor_range)
@@ -284,28 +305,16 @@ def cmd_ingest(cfg: RunConfig) -> dict:
 
 
 def cmd_traces(cfg: RunConfig) -> dict:
-    table = _load_table(cfg).table
+    csv_sha256 = _file_digest(_curves(cfg))
     primes = default_prime_list(cfg.primes)
     cache_path = Path(cfg.cache) if cfg.cache else _out_dir(cfg) / "traces.bin"
-    if cache_path.exists():
-        existing = load_trace_matrix(cache_path)
-        if tuple(existing.curve_labels) != tuple(table.labels):
-            raise CliError(
-                f"cache {cache_path} was built for a different curve table; "
-                "remove it or point --cache elsewhere"
-            )
-        if not np.array_equal(existing.primes.primes, primes.primes):
-            raise CliError(
-                f"cache {cache_path} holds {len(existing.primes)} primes, "
-                f"{len(primes)} were requested; remove it or point --cache elsewhere"
-            )
-        matrix = existing.take(table)
-        rebuilt = False
+    rebuilt = not cache_path.exists()
+    if rebuilt:
+        matrix = build_trace_matrix(_load_table(cfg).table, primes)
+        persist_trace_matrix(matrix, cache_path, csv_sha256)
     else:
-        matrix = build_trace_matrix(table, primes)
-        persist_trace_matrix(matrix, cache_path)
-        rebuilt = True
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": str(cache_path)})
+        matrix = _load_cache(cache_path, cfg, csv_sha256, primes)
+    report = _report_base(cfg, {"curves": cfg.curves, "cache": str(cache_path)}, csv_sha256)
     report["traces"] = {
         "n_curves": len(matrix),
         "n_primes": len(matrix.primes),
@@ -376,10 +385,11 @@ def cmd_windows(cfg: RunConfig) -> dict:
 
 
 def cmd_stratify(cfg: RunConfig) -> dict:
-    table, matrix, rank0, conductor_range = _context(cfg)
+    csv_sha256 = _file_digest(_curves(cfg))
+    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
     out = _out_dir(cfg)
     rules = TABLE_RULES if cfg.rule == "all" else (RULES_BY_NAME[cfg.rule],)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
+    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
     parts = []
     for rule in rules:
         if rule.name == "root_number":
@@ -433,8 +443,9 @@ def cmd_stratify(cfg: RunConfig) -> dict:
 
 
 def cmd_confound(cfg: RunConfig) -> dict:
-    table, matrix, rank0, conductor_range = _context(cfg)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
+    csv_sha256 = _file_digest(_curves(cfg))
+    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
+    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
     battery = {}
     # (entry, key, groups): the permutation report of groups goes to entry[key]
     tests = []
@@ -537,9 +548,10 @@ def cmd_confound(cfg: RunConfig) -> dict:
 
 
 def cmd_diagnose(cfg: RunConfig) -> dict:
-    table, matrix, rank0, conductor_range = _context(cfg)
+    csv_sha256 = _file_digest(_curves(cfg))
+    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
     band = cfg.band or (1.10, 3.28)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache})
+    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
     out = _out_dir(cfg)
     diag = {}
     groups = _sha_groups(lvalue_band(rank0, band))
@@ -590,11 +602,12 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
 
 
 def cmd_zeros(cfg: RunConfig) -> dict:
-    table, matrix, rank0, _ = _context(cfg)
+    csv_sha256 = _file_digest(_curves(cfg))
+    table, matrix, rank0, _ = _context(cfg, csv_sha256)
     band = cfg.band or (1.53, 2.84)
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache,
-                                "zeros": cfg.zeros})
+                                "zeros": cfg.zeros}, csv_sha256)
     groups = _sha_groups(lvalue_band(rank0, band))
     rng = np.random.default_rng(cfg.seed)
     imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)} if cfg.zeros else None
@@ -607,8 +620,9 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             members = [i for i in members if table.labels[i] in imported]
         elif cfg.sample and cfg.sample < len(members):
             members = rng.choice(members, size=cfg.sample, replace=False)
-        # one trace count per group, one series held at a time
-        all_series = LSeries.from_curves([table.record(i) for i in members])
+        # a_p from the matrix, counted past its last prime; one series held at a time
+        all_series = LSeries.from_curves([table.record(i) for i in members],
+                                         known=matrix.traces[members])
         found[name], fe_failed[name] = [], []
         for i, series in zip(members, all_series):
             if fe_residual(series) > FE_TOL:

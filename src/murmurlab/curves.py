@@ -7,6 +7,10 @@ The single ingest format is the canonical curves CSV (UTF-8, header row):
 
 Converting upstream database dumps into this layout is an external
 preprocessing step, not handled here.
+
+The parse converts the CSV column by column and checks the invariants as
+array masks; only a row that a conversion or a mask flags is looked at on
+its own (`validate_record`), so each rejection reads as a row-wise parse's.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,8 +132,8 @@ def validate_record(rec: CurveRecord) -> list[str]:
     return problems
 
 
-#: numeric CurveTable columns: attribute -> (CurveRecord field, dtype)
-_NUMERIC_COLUMNS = {
+#: numeric CurveTable columns: attribute -> (CSV field, dtype)
+NUMERIC_COLUMNS = {
     "conductors": ("conductor", np.int64),
     "ranks": ("rank", np.int8),
     "root_numbers": ("root_number", np.int8),
@@ -145,31 +149,23 @@ _NUMERIC_COLUMNS = {
 class CurveTable:
     """Immutable, sorted collection of curves, stored column by column.
 
-    Rows are sorted by (conductor, label); labels are unique.  Labels and
-    isogeny classes are tuples, the a-invariants an (n, 5) object array of
-    exact Python ints, every other invariant a NumPy column.  `rows` holds
-    each row's position in the aligned table: a table built from records
-    (or parsed) has rows 0..n-1, and `subset`/`filter` keep those positions.
-    Curve groups throughout the package are int arrays of such positions;
-    they index the aligned table's columns and the trace matrix aligned with
-    it (`TraceMatrix.take`).  A CurveRecord is built only on request.
+    Rows are sorted by (conductor, label); labels are unique.  Labels are a
+    tuple, the a-invariants an (n, 5) object array of exact Python ints,
+    every other invariant a NumPy column.  `rows` holds each row's position
+    in the aligned table: a parsed or cached table has rows 0..n-1, and
+    `subset`/`filter` keep those positions.  Curve groups throughout the
+    package are int arrays of such positions; they index the aligned
+    table's columns and the trace matrix aligned with it.  A CurveRecord is
+    built only on request.
     """
 
-    def __init__(self, records: Iterable[CurveRecord]):
-        recs = sorted(records, key=lambda r: (r.conductor, r.label))
-        seen: set[str] = set()
-        for r in recs:
-            if r.label in seen:
-                raise DuplicateLabelError(f"duplicate label {r.label!r}")
-            seen.add(r.label)
-        self.labels = tuple(r.label for r in recs)
-        self.isogeny_classes = tuple(r.isogeny_class for r in recs)
-        self.a_invariants = np.array(
-            [r.a_invariants for r in recs], dtype=object
-        ).reshape(-1, 5)
-        for column, (name, dtype) in _NUMERIC_COLUMNS.items():
-            setattr(self, column, np.array([getattr(r, name) for r in recs], dtype=dtype))
-        self.rows = np.arange(len(recs))
+    def __init__(self, labels: Sequence[str], a_invariants, **columns):
+        """The table of these columns (one per NUMERIC_COLUMNS), already in order."""
+        self.labels = tuple(labels)
+        self.a_invariants = np.asarray(a_invariants, dtype=object).reshape(-1, 5)
+        for column, (_, dtype) in NUMERIC_COLUMNS.items():
+            setattr(self, column, np.asarray(columns[column], dtype=dtype))
+        self.rows = np.arange(len(self.labels))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -185,16 +181,16 @@ class CurveTable:
         """The full record of row i of this table."""
         return CurveRecord(
             self.labels[i],
-            self.isogeny_classes[i],
+            isogeny_class_of(self.labels[i]),
             tuple(self.a_invariants[i]),
             **{name: getattr(self, column)[i].item()
-               for column, (name, _) in _NUMERIC_COLUMNS.items()},
+               for column, (name, _) in NUMERIC_COLUMNS.items()},
         )
 
     @property
     def index_by_class(self) -> dict[str, tuple[int, ...]]:
         by_class: dict[str, list[int]] = {}
-        for i, cls in enumerate(self.isogeny_classes):
+        for i, cls in enumerate(map(isogeny_class_of, self.labels)):
             by_class.setdefault(cls, []).append(i)
         return {k: tuple(v) for k, v in by_class.items()}
 
@@ -203,8 +199,7 @@ class CurveTable:
         idx = np.unique(np.asarray(indices, dtype=np.int64))
         sub = object.__new__(CurveTable)
         sub.labels = tuple(self.labels[i] for i in idx)
-        sub.isogeny_classes = tuple(self.isogeny_classes[i] for i in idx)
-        for column in ("a_invariants", *_NUMERIC_COLUMNS, "rows"):
+        for column in ("a_invariants", *NUMERIC_COLUMNS, "rows"):
             setattr(sub, column, getattr(self, column)[idx])
         return sub
 
@@ -269,21 +264,56 @@ class ParseResult:
     errors: tuple[RowError, ...]
 
 
-def _parse_int(raw: str, field: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"field {field}={raw!r} is not an integer") from None
+#: CSV fields in the order a row's cells are converted; a row that fails
+#: is rejected with the message of the first field that does
+_CONVERTED = ("a1", "a2", "a3", "a4", "a6", "conductor", "rank", "root_number",
+              "real_period", "regulator", "tamagawa_product", "torsion_order",
+              "sha_an", "l_value")
+_REAL_FIELDS = ("real_period", "regulator", "sha_an", "l_value")
 
 
-def _parse_real(raw: str, field: str) -> float:
+def _convert(cells: Sequence[str], field: str,
+             first: dict[int, str]) -> tuple[list, np.ndarray]:
+    """One column's cells as ints (floats for a real field), and their array.
+
+    A bad cell, or a real one not finite, puts its row's message in first
+    unless an earlier field failed there.  int and float strip no more than
+    str.strip, so a column that converts whole needs no strip.
+    """
+    kind = float if field in _REAL_FIELDS else int
     try:
-        value = float(raw)
+        values = list(map(kind, cells))
     except ValueError:
-        raise ValueError(f"field {field}={raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"field {field}={raw!r} is not finite")
-    return value
+        values = []
+        for i, cell in enumerate(cells):
+            try:
+                values.append(kind(cell.strip()))
+            except ValueError:
+                what = "a number" if kind is float else "an integer"
+                first.setdefault(i, f"field {field}={cell.strip()!r} is not {what}")
+                values.append(0)
+    if kind is float:
+        array = np.array(values, dtype=np.float64)
+        for i in np.flatnonzero(~np.isfinite(array)).tolist():
+            first.setdefault(i, f"field {field}={cells[i].strip()!r} is not finite")
+        return values, array
+    try:
+        return values, np.array(values, dtype=np.int64)
+    except OverflowError:
+        return values, np.array(values, dtype=object)
+
+
+def _suspects(v: dict[str, np.ndarray]) -> np.ndarray:
+    """Rows that may fail `validate_record`: every one that does, and maybe more."""
+    rank, sha, regulator, l_value = v["rank"], v["sha_an"], v["regulator"], v["l_value"]
+    with np.errstate(invalid="ignore"):
+        root = np.round(np.sqrt(np.where(sha > 0, sha, 1.0)))
+        return ~((v["conductor"] >= MIN_CONDUCTOR) & (rank >= 0) & (rank <= 4)
+                 & (v["root_number"] == np.where(rank % 2 == 0, 1, -1))
+                 & (v["real_period"] > 0) & (regulator > 0) & (l_value >= 0)
+                 & (v["tamagawa_product"] >= 1) & (v["torsion_order"] >= 1) & (sha > 0)
+                 & (root >= 1) & (np.abs(root * root - sha) <= SHA_SQUARE_RTOL * sha)
+                 & ((rank != 0) | ((np.abs(regulator - 1.0) <= 1e-6) & (l_value > 0))))
 
 
 def parse_curve_table(stream) -> ParseResult:
@@ -303,45 +333,51 @@ def parse_curve_table(stream) -> ParseResult:
         raise CurveDataError(
             f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
-    records: list[CurveRecord] = []
-    errors: list[RowError] = []
-    seen: set[str] = set()
+    lines, rows, errors = [], [], {}
     for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_FIELDS):
-            errors.append(RowError(line, f"expected {len(CSV_FIELDS)} columns, got {len(row)}"))
-            continue
-        raw = dict(zip(CSV_FIELDS, (cell.strip() for cell in row)))
-        try:
-            rec = CurveRecord(
-                label=raw["label"],
-                isogeny_class=isogeny_class_of(raw["label"]),
-                a_invariants=tuple(
-                    _parse_int(raw[f], f) for f in ("a1", "a2", "a3", "a4", "a6")
-                ),
-                conductor=_parse_int(raw["conductor"], "conductor"),
-                rank=_parse_int(raw["rank"], "rank"),
-                root_number=_parse_int(raw["root_number"], "root_number"),
-                real_period=_parse_real(raw["real_period"], "real_period"),
-                regulator=_parse_real(raw["regulator"], "regulator"),
-                tamagawa_product=_parse_int(raw["tamagawa_product"], "tamagawa_product"),
-                torsion_order=_parse_int(raw["torsion_order"], "torsion_order"),
-                sha_an=_parse_real(raw["sha_an"], "sha_an"),
-                l_value=_parse_real(raw["l_value"], "l_value"),
-            )
-        except (ValueError, CurveDataError) as exc:
-            errors.append(RowError(line, str(exc)))
-            continue
-        if rec.label in seen:
-            raise DuplicateLabelError(f"duplicate label {rec.label!r} at line {line}")
-        problems = validate_record(rec)
+        if len(row) == len(CSV_FIELDS):
+            lines.append(line)
+            rows.append(row)
+        elif row:  # blank lines are skipped
+            errors[line] = f"expected {len(CSV_FIELDS)} columns, got {len(row)}"
+    cells = dict(zip(CSV_FIELDS, zip(*rows))) if rows else dict.fromkeys(CSV_FIELDS, ())
+    del rows  # the cells hold the strings, each column until it is converted
+    labels = list(map(str.strip, cells["label"]))
+    first = {i: f"label {labels[i]!r} is not Cremona-style"
+             for i, m in enumerate(map(_LABEL_RE.match, labels)) if m is None}
+    values, arrays = {}, {}
+    for field in _CONVERTED:
+        values[field], arrays[field] = _convert(cells.pop(field), field, first)
+    parsed = np.ones(len(lines), dtype=bool)
+    parsed[list(first)] = False
+    keep = parsed.copy()
+    for i in np.flatnonzero(parsed & _suspects(arrays)).tolist():
+        problems = validate_record(CurveRecord(
+            labels[i], isogeny_class_of(labels[i]),
+            tuple(values[f][i] for f in ("a1", "a2", "a3", "a4", "a6")),
+            **{name: values[name][i] for name, _ in NUMERIC_COLUMNS.values()}))
         if problems:
-            errors.append(RowError(line, "; ".join(problems)))
-            continue
-        seen.add(rec.label)
-        records.append(rec)
-    return ParseResult(CurveTable(records), tuple(errors))
+            first[i], keep[i] = "; ".join(problems), False
+    if len(set(labels)) < len(labels):  # fatal: a parsed row with an earlier kept label
+        seen: set[str] = set()
+        for i in np.flatnonzero(parsed).tolist():
+            if labels[i] in seen:
+                raise DuplicateLabelError(
+                    f"duplicate label {labels[i]!r} at line {lines[i]}")
+            if keep[i]:
+                seen.add(labels[i])
+    errors.update((lines[i], message) for i, message in first.items())
+    kept = np.flatnonzero(keep)
+    order = kept[np.lexsort((np.array([labels[i] for i in kept], dtype=str),
+                             np.asarray(arrays["conductor"][kept], dtype=np.int64)))]
+    a_invariants = np.empty((len(order), 5), dtype=object)
+    for k, field in enumerate(("a1", "a2", "a3", "a4", "a6")):
+        a_invariants[:, k] = np.array(values[field], dtype=object)[order]
+    table = CurveTable([labels[i] for i in order.tolist()], a_invariants,
+                       **{column: arrays[name][order]
+                          for column, (name, _) in NUMERIC_COLUMNS.items()})
+    return ParseResult(table, tuple(RowError(line, errors[line])
+                                    for line in sorted(errors)))
 
 
 def dedupe_isogeny(table: CurveTable) -> CurveTable:

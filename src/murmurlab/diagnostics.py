@@ -393,7 +393,7 @@ class ReductionReport:
 def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionReport:
     """Reduction type at every bad prime in the list, from the trace value.
 
-    The matrix must be aligned with the table (`TraceMatrix.take`).  a_p = 0
+    Row i of the matrix must be the curve of the table's row i.  a_p = 0
     is additive, +1 split multiplicative, -1 non-split.  The agreement
     fraction compares the predicate "no multiplicative bad prime" against
     the Tamagawa condition prod c_p = 1, over curves with at least one bad

@@ -62,7 +62,6 @@ import numpy as np
 
 from .curves import CurveRecord
 from .diagnostics import ks_2samp
-from .primes import sieve_up_to
 from .traces import dirichlet_coefficients
 
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
@@ -104,29 +103,26 @@ class LSeries:
             raise ValueError(f"{self.label}: a_1 must be 1")
         if self.root_number not in (-1, 1):
             raise ValueError(f"{self.label}: root number must be +-1")
-        for p in sieve_up_to(self.n_max):
-            if self.conductor % int(p) != 0 and abs(a[p]) > 2.0 * math.sqrt(p):
-                raise ValueError(
-                    f"{self.label}: a_{p} = {a[p]:g} violates the Hasse bound"
-                )
 
     @property
     def n_max(self) -> int:
         return len(self.coefficients) - 1
 
     @classmethod
-    def from_curves(cls, records: Sequence[CurveRecord],
-                    n_max: int | None = None) -> Iterator["LSeries"]:
+    def from_curves(cls, records: Sequence[CurveRecord], n_max: int | None = None,
+                    known: np.ndarray | None = None) -> Iterator["LSeries"]:
         """The series of each record in turn, from traces counted for them all.
 
         Each has n_max coefficients, or by default the budget its own
-        conductor needs.  The series are made as they are taken, so a caller
-        that keeps none holds one at a time.
+        conductor needs; known, the records' rows of a trace matrix over the
+        first primes, spares counting the traces it holds.  The series are
+        made as taken, so a caller that keeps none holds one at a time.
         """
         n_maxes = [required_n_max(r.conductor) if n_max is None else n_max
                    for r in records]
         coefficients = dirichlet_coefficients([r.a_invariants for r in records],
-                                              [r.conductor for r in records], n_maxes)
+                                              [r.conductor for r in records], n_maxes,
+                                              known)
         for r, an in zip(records, coefficients):
             yield cls(r.label, r.conductor, r.root_number, an.astype(np.float64))
 

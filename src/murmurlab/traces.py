@@ -1,39 +1,35 @@
-"""Frobenius trace engine.
+"""Frobenius trace engine and trace cache.
 
 Traces a_p = p + 1 - #E(F_p) are computed for every curve of a table at a
-shared prime list.  For p >= 5 the Weierstrass model is reduced mod p and
-transformed to y^2 = x^3 + Ax + B; the point count is then a quadratic
-residue character sum over x, using a residue table built once per prime and
-shared across curves.  p = 2 and p = 3 fall back to direct enumeration of
-the full Weierstrass equation.  At bad primes (p | N) the smooth locus is
-counted, so a_p lands in {-1, 0, +1} (non-split, additive, split).
+shared prime list.  For p >= 5 the model is transformed to
+y^2 = x^3 + Ax + B mod p and the count is a quadratic character sum over
+x; p = 2 and p = 3 count the full Weierstrass equation.  At bad primes
+(p | N) the smooth locus is counted, so a_p lands in {-1, 0, +1}.
 
 One kernel, `_trace_column`, computes every trace at one prime: the matrix
-build and the Dirichlet coefficients both call it, in one process.  At
-each prime p >= 5 it sums the character once per twist class, not once
-per curve.  A short model (A, B) with AB != 0 mod p is the
-quadratic twist by lam = B/A of y^2 = x^3 + rx + r with r = A^3/B^2, and
-a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC III.1, X.5); a model with
-A = 0 or B = 0 mod p (j = 0, j = 1728, the cusp) is its own class.  When
-many classes (r, r) meet at a prime, one cyclic correlation of length p
-gives the sums of all p of them (`_class_table`), so the cost of a prime no
-longer grows with the number of classes; a few classes, and the classes
-(A, B), are summed one by one, in place on cache-sized blocks.  Every sum
-is an exact integer, so every trace is the one a per-curve sum gives.  A
-and B are split once per sweep into int64 digits (`_limbs`) and reduced
-mod p from those, so the work per prime is array work for integers of any
-size; p = 2 and 3 enumerate each distinct reduction once.  One process
-serves every prime: on a 2-vCPU host that beat two worker processes
-splitting the prime axis between them.
+build calls it, and so do the Dirichlet coefficients at primes past the
+trace matrix they are given.  At each prime p >= 5 it sums the character
+once per twist class, not once per curve: a short model (A, B) with
+AB != 0 mod p is the quadratic twist by lam = B/A of y^2 = x^3 + rx + r
+with r = A^3/B^2, and a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC
+III.1, X.5); a model with A = 0 or B = 0 mod p is its own class.  Many
+classes (r, r) at a prime take their sums from one cyclic correlation of
+length p (`_class_table`).  Every sum is an exact integer, so every trace
+is the one a per-curve sum gives.  Models are split once per sweep into
+int64 digits (`_limbs`) and reduced mod p from those, so the work per
+prime is array work for integers of any size, p = 2 and 3 included.  One
+process serves every prime: on a 2-vCPU host that beat two worker
+processes splitting the prime axis.
 
-A TraceMatrix row belongs to one curve.  `TraceMatrix.take` aligns a matrix
-with a curve table once, after which row i is the table's row i and curve
-groups (int position arrays, see `curves.CurveTable`) index the matrix
-directly; labels are kept only for the cache and for reports.
+A TraceMatrix row belongs to one curve.  The cache holds a matrix with the
+table whose rows it holds and the SHA-256 of the CSV that table was parsed
+from (`load_trace_matrix`), so row i of the matrix is row i of the table,
+and curve groups (int position arrays, see `curves.CurveTable`) index both.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -42,7 +38,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .curves import CurveTable
+from .curves import NUMERIC_COLUMNS, CurveTable
 from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
@@ -248,26 +244,31 @@ def _class_table(p: int, chi: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return sums.astype(np.int64) + chi[-1]
 
 
-def _limbs(models: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Signed base-2^62 digits of every short model, least significant first.
+def _limbs(rows: Sequence[Sequence[int]], width: int = 2) -> np.ndarray:
+    """Signed base-2^62 digits of rows of `width` integers, least significant first.
 
-    Shape (k, 2, n): A of curve j is sum_i limbs[i, 0, j] 2^(62 i), B the
-    same from limbs[:, 1], every digit with the sign of its integer.  Split
-    once per sweep, so that `_residues` reduces integers of any size at
-    every prime with int64 arithmetic alone.
+    Shape (k, width, n), each digit with the sign of its integer, so that
+    `_residues` reduces integers of any size with int64 arithmetic alone.
     """
-    values = np.array([A for A, _ in models] + [B for _, B in models], dtype=object)
+    values = np.array(rows, dtype=object).reshape(-1, width).T
+    try:
+        small = values.astype(np.int64)
+        if small.size == 0 or (small.min() > -(1 << _LIMB_BITS)
+                               and small.max() < 1 << _LIMB_BITS):
+            return small[None]
+    except OverflowError:
+        pass
     mags = np.abs(values)
-    width = max(map(int.bit_length, mags), default=0)
-    limbs = np.empty((max(1, -(-width // _LIMB_BITS)), len(values)), dtype=np.int64)
-    for i, row in enumerate(limbs):
-        row[:] = mags >> (_LIMB_BITS * i) & (1 << _LIMB_BITS) - 1
+    bits = max(map(int.bit_length, mags.ravel().tolist()), default=0)
+    limbs = np.empty((-(-bits // _LIMB_BITS), *values.shape), dtype=np.int64)
+    for i, digit in enumerate(limbs):
+        digit[...] = mags >> (_LIMB_BITS * i) & (1 << _LIMB_BITS) - 1
     np.negative(limbs, out=limbs, where=values < 0)
-    return limbs.reshape(len(limbs), 2, len(models))
+    return limbs
 
 
 def _residues(limbs: np.ndarray, p: int) -> np.ndarray:
-    """(A mod p, B mod p) of every curve from its `_limbs`, by Horner in base 2^62.
+    """Every integer of `_limbs` mod p, by Horner in base 2^62: shape (width, n).
 
     Every step stays below 2^63: a residue below MAX_PRIME < 2^28 times
     2^62 mod p, plus one digit below 2^62 in size.
@@ -286,22 +287,24 @@ def _check_supported(largest_prime: int) -> None:
         raise ValueError(f"prime {largest_prime} exceeds the supported maximum {MAX_PRIME}")
 
 
-def _trace_column(a_invariants: Sequence[Sequence[int]], conductors: np.ndarray,
-                  limbs: np.ndarray, p: int,
+def _model_limbs(a_invariants: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The `_limbs` of the curves' a-invariants and of their short models."""
+    return (_limbs(a_invariants, 5),
+            _limbs([short_weierstrass(a) for a in a_invariants]))
+
+
+def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, p: int,
                   labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Traces and bad flags (p | N) of the given curves at one prime p: the one trace kernel.
 
-    limbs are the curves' short models (`short_weierstrass`) as `_limbs`.
-    For p >= 5 each curve is keyed by its twist class (module docstring):
-    (r, r) with r = A^3/B^2 when AB != 0 mod p, else (A, B) itself.  Each
-    curve gets -chi(B/A) times its class's sum, with chi(B/A) read as 1 when
-    AB = 0.  Substituting x = (B/A) u shows the identity for the sum itself,
-    so good and bad p share one path: at a bad prime chi(0) = 0 drops the
-    singular point and the sum counts the smooth locus.  When more than
-    _TABLE_CROSSOVER distinct classes (r, r) meet at p, one `_class_table`
-    gives all their sums; fewer, and the classes (A, B), are summed one by
-    one.  A lone curve has no class to share and is summed as it is.  The
-    sums are exact integers, so every trace is the one a per-curve sum gives.
+    limbs are the curves' `_model_limbs`.  At p = 2 and 3 the full model is
+    counted once per distinct (a-invariants mod p, bad flag).  For p >= 5
+    each curve gets -chi(B/A) times the sum of its twist class (module
+    docstring), with chi(B/A) read as 1 when AB = 0; x = (B/A) u shows the
+    identity for the sum itself, so good and bad p share one path: chi(0) = 0
+    drops the singular point.  More than _TABLE_CROSSOVER distinct classes
+    (r, r) take their sums from one `_class_table`; fewer, and the classes
+    (A, B), are summed one by one, and a lone curve as it is.
 
     With labels, a curve whose conductor and discriminant 4A^3 + 27B^2
     disagree on whether p divides them is a TraceComputationError naming
@@ -309,15 +312,15 @@ def _trace_column(a_invariants: Sequence[Sequence[int]], conductors: np.ndarray,
     either way the model mod p does not give its trace.
     """
     bad = conductors % p == 0
-    if p < 5:  # enumerated once per reduction mod p and bad flag
-        keys = [(*(v % p for v in a), flag) for a, flag in zip(a_invariants, bad.tolist())]
-        counted = {}
-        for key, a, N in zip(keys, a_invariants, conductors):
-            if key not in counted:
-                counted[key] = _ap_tiny(a, int(N), p)
-        return np.array([counted[key] for key in keys], dtype=np.int64), bad
+    if p < 5:  # one integer per (a-invariants mod p, bad flag)
+        residues = _residues(limbs[0], p)
+        keys = p ** np.arange(5) @ residues + p**5 * bad
+        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        counted = [_ap_tiny(residues[:, i].tolist(), int(conductors[i]), p)
+                   for i in first.tolist()]
+        return np.array(counted, dtype=np.int64)[back], bad
     chi = _chi_table(p)
-    a, b = _residues(limbs, p)
+    a, b = _residues(limbs[1], p)
     if labels is not None:
         wrong = np.flatnonzero(((4 * a * a % p * a + 27 * b * b) % p == 0) != bad)
         if wrong.size:
@@ -354,7 +357,7 @@ def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
                    labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Traces (int16) and bad flags (p | N) of every curve at every prime.
 
-    One `_trace_column` per prime, on short models split into limbs once; a
+    One `_trace_column` per prime, on models split into limbs once; a
     prime above MAX_PRIME is refused before any counting.  labels turn on
     the kernel's conductor check.
     """
@@ -363,11 +366,11 @@ def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
         _check_supported(int(primes.max()))
     conductors = np.asarray(conductors)
     n = len(conductors)
-    limbs = _limbs([short_weierstrass(a) for a in a_invariants])
+    limbs = _model_limbs(a_invariants)
     traces = np.empty((n, len(primes)), dtype=np.int16)
     bad = np.empty((n, len(primes)), dtype=bool)
     for j, p in enumerate(primes.tolist()):
-        traces[:, j], bad[:, j] = _trace_column(a_invariants, conductors, limbs, p, labels)
+        traces[:, j], bad[:, j] = _trace_column(limbs, conductors, p, labels)
     return traces, bad
 
 
@@ -379,6 +382,8 @@ class TraceMatrix:
     primes: PrimeList
     traces: np.ndarray  # int16, shape (n_curves, n_primes)
     bad_flags: np.ndarray  # bool, same shape
+    table: CurveTable | None = None  # built or cached: the table of these rows
+    csv_sha256: str | None = None  # cached: the SHA-256 of the table's CSV
 
     def __post_init__(self):
         n, m = self.traces.shape
@@ -394,36 +399,6 @@ class TraceMatrix:
         """Row of one curve by label (a linear scan, for spot checks)."""
         return self.curve_labels.index(label)
 
-    def take(self, table: CurveTable) -> "TraceMatrix":
-        """This matrix with row i holding the curve of the table's row i.
-
-        Returns self when the labels already agree; otherwise the matching
-        rows are copied once.  A curve of the table that the matrix lacks, or
-        whose bad flags disagree with p | N for its conductor (a cache built
-        from other data under the same labels), is a ValueError.  Take the
-        full table, not a subset of it: subsets keep their positions in the
-        full table, and those index this alignment.
-        """
-        labels = tuple(table.labels)
-        if labels == self.curve_labels:
-            taken = self
-        else:
-            row = {lab: i for i, lab in enumerate(self.curve_labels)}
-            try:
-                idx = np.array([row[lab] for lab in labels], dtype=np.int64)
-            except KeyError as exc:
-                raise ValueError(f"trace cache lacks curve {exc.args[0]!r} of the "
-                                 "ingested table; rebuild with 'traces'") from None
-            taken = TraceMatrix(labels, self.primes, self.traces[idx], self.bad_flags[idx])
-        stale = np.zeros(len(labels), dtype=bool)
-        for j, p in enumerate(self.primes.primes):  # column-wise: no int64 matrix
-            stale |= taken.bad_flags[:, j] != (table.conductors % p == 0)
-        if stale.any():
-            raise ValueError(f"trace cache bad-prime flags of curve "
-                             f"{labels[stale.argmax()]!r} disagree with its "
-                             "conductor; rebuild with 'traces'")
-        return taken
-
 
 def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
                  labels: Sequence[str], error: type[Exception]) -> None:
@@ -434,9 +409,9 @@ def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
     """
     bound = np.minimum(np.floor(2.0 * np.sqrt(primes.astype(np.float64))), 32767)
     limit = np.where(bad, np.int16(1), bound.astype(np.int16)[None, :])
-    viol = np.argwhere((traces > limit) | (traces < -limit))
-    if viol.size:
-        i, j = viol[0]
+    outside = (traces > limit) | (traces < -limit)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
         raise error(
             f"curve {labels[i]}: a_p={traces[i, j]} at p={primes[j]} violates "
             f"{'the bad-prime range' if bad[i, j] else 'the Hasse bound'}"
@@ -464,7 +439,7 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> Tr
     except Exception as exc:  # pragma: no cover - defensive
         raise TraceComputationError(f"trace build failed: {exc}") from exc
     _hasse_check(traces, bad, primes.primes, labels, TraceComputationError)
-    return TraceMatrix(labels, primes, traces, bad)
+    return TraceMatrix(labels, primes, traces, bad, table)
 
 
 def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.ndarray:
@@ -489,9 +464,7 @@ def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.
             raise MissingTraceError(f"no trace supplied for prime {p}")
         m = n // p
         ap = ap_by_prime[p]
-        if m % p != 0:
-            an[n] = ap * an[m]
-        elif conductor % p == 0:
+        if m % p != 0 or conductor % p == 0:
             an[n] = ap * an[m]
         else:
             an[n] = ap * an[m] - p * an[m // p]
@@ -499,110 +472,140 @@ def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.
 
 
 def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
-                           n_maxes: Sequence[int]) -> Iterator[np.ndarray]:
-    """a_1..a_n_max of each curve, computed from its model, one curve at a time.
+                           n_maxes: Sequence[int],
+                           known: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """a_1..a_n_max of each curve, one curve at a time.
 
-    The traces come first, prime by prime, each prime counted once for all
-    the curves whose n_max reaches it: curves of one twist class share their
-    sums, and no curve is counted past its own n_max.  Only that trace table
-    and the coefficients of the curve being yielded are held at once.
+    known holds the curves' traces at the first known.shape[1] primes (their
+    rows of a trace matrix), which are not counted again.  Each prime past
+    them is counted once for all the curves whose n_max reaches it.  Only
+    that trace table and the coefficients being yielded are held at once.
     """
     n_maxes = [int(n) for n in n_maxes]
     if not n_maxes:
         return
     order = sorted(range(len(n_maxes)), key=n_maxes.__getitem__, reverse=True)
-    curves = [a_invariants[i] for i in order]
-    limbs = _limbs([short_weierstrass(a) for a in curves])
-    conds = np.asarray(conductors)[order]
     primes = sieve_up_to(n_maxes[order[0]]).tolist()
-    if primes:
-        _check_supported(primes[-1])
     traces = np.zeros((len(order), len(primes)), dtype=np.int16)
-    k = len(order)
-    for j, p in enumerate(primes):
-        while n_maxes[order[k - 1]] < p:  # the curves that stop below p
-            k -= 1
-        traces[:k, j], _ = _trace_column(curves[:k], conds[:k], limbs[..., :k], p)
+    start = 0 if known is None else min(known.shape[1], len(primes))
+    if start:
+        traces[:, :start] = known[order, :start]
+    if start < len(primes):
+        _check_supported(primes[-1])
+        limbs = _model_limbs([a_invariants[i] for i in order])
+        conds = np.asarray(conductors)[order]
+        k = len(order)
+        for j in range(start, len(primes)):
+            p = primes[j]
+            while n_maxes[order[k - 1]] < p:  # the curves that stop below p
+                k -= 1
+            traces[:k, j], _ = _trace_column((limbs[0][..., :k], limbs[1][..., :k]),
+                                             conds[:k], p)
     row = np.argsort(order)
     for i, (conductor, n_max) in enumerate(zip(conductors, n_maxes)):
         yield extend_an(dict(zip(primes, traces[row[i]].tolist())), int(conductor), n_max)
 
 
-_MAGIC = b"MURM"
-_VERSION = 1
+_MAGIC, _VERSION = b"MURM", 2
+#: magic, version, curve count n, prime count m, label block bytes, a-invariant
+#: text bytes (0 when they are int64), SHA-256 of the CSV the table came from
+_HEADER = struct.Struct("<4sIQQQQ32s")
 
 
-def persist_trace_matrix(matrix: TraceMatrix, path) -> None:
-    """Write the binary trace cache (see load_trace_matrix for the layout)."""
-    label_block = b"".join(
-        struct.pack("<I", len(lab.encode())) + lab.encode()
-        for lab in matrix.curve_labels
-    )
-    bits = np.packbits(matrix.bad_flags.ravel(), bitorder="little")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(matrix.curve_labels)))
-        fh.write(struct.pack("<I", len(matrix.primes)))
-        fh.write(matrix.primes.primes.astype("<u4").tobytes())
-        fh.write(label_block)
-        fh.write(matrix.traces.astype("<i2").tobytes())
-        fh.write(bits.tobytes())
+def _layout(n: int, m: int, label_bytes: int, a_text: int) -> list[tuple[str, str, int]]:
+    """(name, little-endian dtype, items) of each section of a cache, in file order."""
+    return [("prime list", "<i8", m), ("label ends", "<i8", n),
+            ("a-invariants", "u1", a_text) if a_text else ("a-invariants", "<i8", 5 * n),
+            *((column, np.dtype(dtype).newbyteorder("<").str, n)
+              for column, (_, dtype) in NUMERIC_COLUMNS.items()),
+            ("trace matrix", "<i2", n * m), ("bad-flag bitset", "u1", (n * m + 7) // 8),
+            ("labels", "u1", label_bytes)]
 
 
-def _require(fh, n: int, what: str) -> None:
-    """Raise unless n more bytes are left in the file.
+def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
+    """Write the cache of a built matrix and its table.
 
-    Sizes taken from the header are checked before anything is read, so a
-    corrupt count cannot trigger a huge allocation.
+    csv_sha256 is the hex SHA-256 of the CSV the table was parsed from; see
+    load_trace_matrix for the layout.
     """
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CacheCorruptionError(f"truncated cache while reading {what}")
+    table, a_text = matrix.table, b""
+    labels = [label.encode() for label in matrix.curve_labels]
+    try:
+        a_invariants = table.a_invariants.astype(np.int64)
+    except OverflowError:  # their exact decimal text, only when an int64 cannot hold one
+        a_text = ",".join(map(str, table.a_invariants.ravel().tolist())).encode()
+        a_invariants = np.frombuffer(a_text, dtype=np.uint8)
+    sections = {
+        "prime list": matrix.primes.primes,
+        "label ends": np.cumsum([len(label) for label in labels]),
+        "a-invariants": a_invariants,
+        **{column: getattr(table, column) for column in NUMERIC_COLUMNS},
+        "trace matrix": matrix.traces,
+        "bad-flag bitset": np.packbits(matrix.bad_flags, axis=None, bitorder="little"),
+        "labels": np.frombuffer(b"".join(labels), dtype=np.uint8),
+    }
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(block: bytes) -> None:
+            fh.write(block)
+            digest.update(block)
 
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    _require(fh, n, what)
-    return fh.read(n)
+        write(_HEADER.pack(_MAGIC, _VERSION, len(labels), len(matrix.primes),
+                           len(sections["labels"]), len(a_text),
+                           bytes.fromhex(csv_sha256)))
+        for name, dtype, _ in _layout(len(labels), len(matrix.primes),
+                                      len(sections["labels"]), len(a_text)):
+            block = np.asarray(sections[name], dtype=dtype).tobytes()
+            write(block)
+            write(bytes(-len(block) % 8))
+        fh.write(digest.digest())
 
 
 def load_trace_matrix(path) -> TraceMatrix:
-    """Read a binary trace cache written by persist_trace_matrix.
+    """Read a cache written by persist_trace_matrix: the matrix, with its table.
 
-    Layout, all integers little-endian: magic "MURM", u32 version, u64 curve
-    count, u32 prime count, u32 primes, length-prefixed UTF-8 labels, i16
-    row-major traces, bad-flag bitset.  An entry outside the Hasse bound or
-    the bad-prime range is a CacheCorruptionError.
+    Little-endian: the `_HEADER`, the sections of `_layout` each zero-padded
+    to a multiple of 8 bytes, and the SHA-256 of every byte before it.  The
+    a-invariants are int64, or, only when one overflows, their decimal text
+    joined by commas; labels are one UTF-8 block and the end of each in it.
+    Section sizes are checked against the file before any is read, and each
+    is a slice of one read.  Another version is a CacheFormatError; a wrong
+    digest, or an entry outside the Hasse bound or the bad-prime range, a
+    CacheCorruptionError.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != _VERSION:
-            raise CacheFormatError(f"unsupported cache version {version}")
-        (n_curves,) = struct.unpack("<Q", _read_exact(fh, 8, "curve count"))
-        (n_primes,) = struct.unpack("<I", _read_exact(fh, 4, "prime count"))
-        primes = np.frombuffer(
-            _read_exact(fh, 4 * n_primes, "prime list"), dtype="<u4"
-        ).astype(np.int64)
-        _require(fh, 4 * n_curves, "label lengths")
-        labels = []
-        for _ in range(n_curves):
-            (ln,) = struct.unpack("<I", _read_exact(fh, 4, "label length"))
-            labels.append(_read_exact(fh, ln, "label").decode())
-        traces = (
-            np.frombuffer(
-                _read_exact(fh, 2 * n_curves * n_primes, "trace matrix"), dtype="<i2"
-            )
-            .astype(np.int16)
-            .reshape(n_curves, n_primes)
-        )
-        n_bits = n_curves * n_primes
-        n_bytes = (n_bits + 7) // 8
-        bits = np.frombuffer(_read_exact(fh, n_bytes, "bad-flag bitset"), dtype=np.uint8)
-        if fh.read(1):
-            raise CacheCorruptionError("trailing bytes after bad-flag bitset")
-    bad = np.unpackbits(bits, count=n_bits, bitorder="little").astype(bool)
-    bad = bad.reshape(n_curves, n_primes)
-    _hasse_check(traces, bad, primes, labels, CacheCorruptionError)
-    return TraceMatrix(tuple(labels), PrimeList(primes), traces, bad)
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    if data[:4] != _MAGIC:
+        raise CacheFormatError(f"bad magic {bytes(data[:4])!r}")
+    version = int.from_bytes(data[4:8], "little")
+    if version != _VERSION:
+        raise CacheFormatError(f"unsupported cache version {version} (this version reads "
+                               f"{_VERSION}); remove it and rebuild it with `traces`")
+    if len(data) < _HEADER.size + 32:
+        raise CacheCorruptionError("truncated cache while reading the header")
+    _, _, n, m, label_bytes, a_text, csv_sha256 = _HEADER.unpack_from(data)
+    body, offset, blocks = memoryview(data)[:-32], _HEADER.size, {}
+    for name, dtype, items in _layout(n, m, label_bytes, a_text):
+        size = items * np.dtype(dtype).itemsize
+        if offset + size > len(body):
+            raise CacheCorruptionError(f"truncated cache while reading {name}")
+        blocks[name] = np.frombuffer(body, dtype, items, offset)
+        offset += size + -size % 8
+    if offset != len(body):
+        raise CacheCorruptionError("cache size does not match its header")
+    if hashlib.sha256(body).digest() != data[-32:]:
+        raise CacheCorruptionError(f"cache {path} does not match its own SHA-256: "
+                                   "it is damaged; rebuild it with `traces`")
+    text, ends = blocks["labels"].tobytes(), blocks["label ends"].tolist()
+    labels = tuple(text[i:j].decode() for i, j in zip([0, *ends], ends))
+    a_invariants = blocks["a-invariants"]
+    a_invariants = (np.array([int(v) for v in a_invariants.tobytes().split(b",")],
+                             dtype=object) if a_text else a_invariants.astype(object))
+    table = CurveTable(labels, a_invariants, **{c: blocks[c] for c in NUMERIC_COLUMNS})
+    traces = blocks["trace matrix"].reshape(n, m)
+    bad = np.unpackbits(blocks["bad-flag bitset"], count=n * m,
+                        bitorder="little").view(bool).reshape(n, m)
+    _hasse_check(traces, bad, blocks["prime list"], labels, CacheCorruptionError)
+    return TraceMatrix(labels, PrimeList(blocks["prime list"]), traces, bad, table,
+                       csv_sha256.hex())

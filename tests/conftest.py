@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from murmurlab.curves import CSV_FIELDS, CurveRecord, CurveTable, parse_curve_table
+from murmurlab.curves import (CSV_FIELDS, NUMERIC_COLUMNS, CurveRecord, CurveTable,
+                              parse_curve_table)
 from murmurlab.traces import PrimeList, TraceMatrix, default_prime_list
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -39,6 +40,15 @@ def serialize_curve_table(table: CurveTable) -> str:
                          repr(r.sha_an), repr(r.real_period), repr(r.regulator),
                          r.tamagawa_product, r.torsion_order, repr(r.l_value)])
     return out.getvalue()
+
+
+def table_of(records) -> CurveTable:
+    """The table of these records (labels unique), sorted by (conductor, label)."""
+    recs = sorted(records, key=lambda r: (r.conductor, r.label))
+    assert len({r.label for r in recs}) == len(recs), "duplicate label"
+    return CurveTable([r.label for r in recs], [r.a_invariants for r in recs],
+                      **{column: [getattr(r, name) for r in recs]
+                         for column, (name, _) in NUMERIC_COLUMNS.items()})
 
 
 def record_of(table: CurveTable, label: str) -> CurveRecord:
@@ -122,7 +132,7 @@ def make_synthetic_table(n: int, seed: int, conductor_range=(11_000, 49_000),
                 l_value=l_value,
             )
         )
-    return CurveTable(records)
+    return table_of(records)
 
 
 def make_synthetic_matrix(labels, seed: int, n_primes: int = 24,

@@ -8,12 +8,22 @@ mpmath (no float incomplete gamma, no one-sum shortcut).  The permutation
 null is the float64 one-hot computation of one grouping at a time, with its
 own draw of the stream and every group but the last summed by matmul.
 Reduction types are classified by a walk over every curve and bad prime.
+The curves CSV is parsed row by row, one CurveRecord and one
+validate_record per row.
 """
+
+import csv
+import io
+import math
 
 import mpmath
 import numpy as np
 
+from murmurlab.curves import (CSV_FIELDS, CurveDataError, CurveRecord, DuplicateLabelError,
+                              ParseResult, RowError, isogeny_class_of, validate_record)
 from murmurlab.diagnostics import REDUCTION_TYPES, ReductionDataError
+
+from conftest import table_of
 
 
 def enumeration_count(a_invariants, p, smooth_only=False):
@@ -206,3 +216,74 @@ def classify_reduction_oracle(matrix, table):
             agree += 1
     fraction = agree / classified if classified else float("nan")
     return tuple(entries), counts, fraction, classified, unclassifiable
+
+
+def _parse_int(raw: str, field: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"field {field}={raw!r} is not an integer") from None
+
+
+def _parse_real(raw: str, field: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"field {field}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"field {field}={raw!r} is not finite")
+    return value
+
+
+def parse_curve_table_oracle(stream) -> ParseResult:
+    """The curves CSV parsed one row at a time: a record, then its checks."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CurveDataError("empty stream: header row required") from None
+    if tuple(h.strip() for h in header) != CSV_FIELDS:
+        raise CurveDataError(
+            f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
+        )
+    records: list[CurveRecord] = []
+    errors: list[RowError] = []
+    seen: set[str] = set()
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_FIELDS):
+            errors.append(RowError(line, f"expected {len(CSV_FIELDS)} columns, got {len(row)}"))
+            continue
+        raw = dict(zip(CSV_FIELDS, (cell.strip() for cell in row)))
+        try:
+            rec = CurveRecord(
+                label=raw["label"],
+                isogeny_class=isogeny_class_of(raw["label"]),
+                a_invariants=tuple(
+                    _parse_int(raw[f], f) for f in ("a1", "a2", "a3", "a4", "a6")
+                ),
+                conductor=_parse_int(raw["conductor"], "conductor"),
+                rank=_parse_int(raw["rank"], "rank"),
+                root_number=_parse_int(raw["root_number"], "root_number"),
+                real_period=_parse_real(raw["real_period"], "real_period"),
+                regulator=_parse_real(raw["regulator"], "regulator"),
+                tamagawa_product=_parse_int(raw["tamagawa_product"], "tamagawa_product"),
+                torsion_order=_parse_int(raw["torsion_order"], "torsion_order"),
+                sha_an=_parse_real(raw["sha_an"], "sha_an"),
+                l_value=_parse_real(raw["l_value"], "l_value"),
+            )
+        except (ValueError, CurveDataError) as exc:
+            errors.append(RowError(line, str(exc)))
+            continue
+        if rec.label in seen:
+            raise DuplicateLabelError(f"duplicate label {rec.label!r} at line {line}")
+        problems = validate_record(rec)
+        if problems:
+            errors.append(RowError(line, "; ".join(problems)))
+            continue
+        seen.add(rec.label)
+        records.append(rec)
+    return ParseResult(table_of(records), tuple(errors))

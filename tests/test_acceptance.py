@@ -6,6 +6,7 @@ MURMURLAB_DATASET environment variable points at a canonical curves CSV
 skipped otherwise, and every desk-scale criterion runs unconditionally.
 """
 
+import hashlib
 import math
 import os
 import time
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from murmurlab.curves import CurveRecord, CurveTable, parse_curve_table
+from murmurlab.curves import CurveRecord, parse_curve_table
 from murmurlab.lfunctions import (
     LSeries,
     hotelling_t2,
@@ -51,6 +52,7 @@ from conftest import (
     make_synthetic_table,
     record_of,
     requires_dataset,
+    table_of,
     twist_of_11a1,
 )
 from oracles import (
@@ -79,16 +81,21 @@ def dataset_table():
 
 @pytest.fixture(scope="session")
 def dataset_bundle(dataset_table):
-    """Curves up to conductor 100000 and their aligned trace matrix."""
-    below_100k = CurveTable(dataset_table.filter(conductor_range=(11, 100_000)))
+    """Curves up to conductor 100000 and their aligned trace matrix.
+
+    A cache at MURMURLAB_TRACE_CACHE keeps both, keyed by the dataset CSV.
+    """
+    csv_sha256 = hashlib.sha256(full_dataset_path().read_bytes()).hexdigest()
     cache = os.environ.get(TRACE_CACHE_ENV)
     if cache and Path(cache).exists():
         matrix = load_trace_matrix(cache)
-    else:
-        matrix = build_trace_matrix(below_100k, default_prime_list())
-        if cache:
-            persist_trace_matrix(matrix, cache)
-    return below_100k, matrix.take(below_100k)
+        assert matrix.csv_sha256 == csv_sha256, f"{cache} holds another dataset's traces"
+        return matrix.table, matrix
+    below_100k = table_of(dataset_table.filter(conductor_range=(11, 100_000)))
+    matrix = build_trace_matrix(below_100k, default_prime_list())
+    if cache:
+        persist_trace_matrix(matrix, cache, csv_sha256)
+    return below_100k, matrix
 
 
 class TestCriterion1:
@@ -106,7 +113,7 @@ class TestCriterion1:
                 a_invariants=model, conductor=conductor, rank=0, root_number=1,
                 real_period=1.0, regulator=1.0, tamagawa_product=1, torsion_order=1,
                 sha_an=1.0, l_value=1.0))
-        table = CurveTable(records)
+        table = table_of(records)
         matrix = build_trace_matrix(table, PrimeList(primes))
         mismatches = sum(
             int(matrix.traces[i, j]) != ap_oracle(rec.a_invariants, rec.conductor, p)
@@ -123,9 +130,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_hasse_bound_hard_assertion(self, criterion, known_table):
         tables = [known_table]
-        from murmurlab.curves import CurveTable
-
-        tables.append(CurveTable([twist_of_11a1(d) for d in (13, 29, 53)]))
+        tables.append(table_of([twist_of_11a1(d) for d in (13, 29, 53)]))
         violations = 0
         for table in tables:
             matrix = build_trace_matrix(table, default_prime_list(120))
@@ -143,7 +148,7 @@ class TestCriterion3:
     def test_known_curve_validation(self, criterion, known_table):
         rec = record_of(known_table, "11a1")
         expected = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1, 13: 4}
-        matrix = build_trace_matrix(CurveTable([rec]), PrimeList(list(expected)))
+        matrix = build_trace_matrix(table_of([rec]), PrimeList(list(expected)))
         oracle_ok = all(
             ap_oracle(rec.a_invariants, 11, p) == ap and matrix.traces[0, j] == ap
             for j, (p, ap) in enumerate(expected.items())
@@ -221,7 +226,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_synthetic_power_law_recovery(self, criterion):
-        from murmurlab.curves import CurveRecord, CurveTable
+        from murmurlab.curves import CurveRecord
 
         n_per = 4000
         primes = default_prime_list(8)
@@ -243,7 +248,7 @@ class TestCriterion6:
                 shifted = sha == 4.0 and i - n_per // 2 < k
                 rows[label] = np.full(8, 1 if shifted else 0, dtype=np.int16)
             lo = int(lo * 1.35)
-        table = CurveTable(records)
+        table = table_of(records)
         traces = np.vstack([rows[lab] for lab in table.labels])
         matrix = TraceMatrix(tuple(table.labels), primes, traces,
                              np.zeros_like(traces, dtype=bool))

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,15 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from murmurlab import cli, lfunctions, traces
+from murmurlab import cli, curves, lfunctions, traces
 from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.confound import control_omega, lvalue_band, triple_control
 from murmurlab.curves import CurveTable
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
 from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
+from murmurlab.traces import build_trace_matrix, default_prime_list
 
 from conftest import (TWIST_DS, make_synthetic_table, record_of, serialize_curve_table,
-                      twist_of_11a1)
+                      table_of, twist_of_11a1)
 
 
 def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
@@ -38,7 +41,7 @@ def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
                 l_value=sha * period,
             )
         )
-    return CurveTable(records)
+    return table_of(records)
 
 
 @pytest.fixture()
@@ -125,20 +128,45 @@ class TestTraces:
         last = records[-1]  # doubling the largest conductor keeps the row order
         records[-1] = dataclasses.replace(last, conductor=2 * last.conductor)
         changed = tmp_path / "changed.csv"
-        changed.write_text(serialize_curve_table(CurveTable(records)))
+        changed.write_text(serialize_curve_table(table_of(records)))
         rc = main(["traces", "--curves", str(changed), "--cache", str(cache),
                    "--primes", "20", "--out", str(out)])
         assert rc == 1
         err = json.loads((out / "traces_error.json").read_text())
-        assert repr(last.label) in err["error"]
-        assert "disagree with its conductor" in err["error"]
+        for csv_path in (twist_csv, changed):
+            assert hashlib.sha256(csv_path.read_bytes()).hexdigest() in err["error"]
+
+    def test_csv_edited_after_traces_refused_naming_both_digests(self, twist_csv,
+                                                                 tmp_path):
+        out = tmp_path / "out"
+        cache = tmp_path / "cache.bin"
+        common = ["--curves", str(twist_csv), "--cache", str(cache), "--primes", "20",
+                  "--out", str(out)]
+        stratify = ["stratify", *common, "--rule", "sha", "--range", "1000:300000",
+                    "--shuffles", "20"]
+        assert main(["traces", *common]) == 0 and main(stratify) == 0
+        built = hashlib.sha256(twist_csv.read_bytes()).hexdigest()
+        # one byte of one model under the same label: a6 of the first twist
+        first = twist_table().record(0)
+        text = twist_csv.read_text()
+        row = next(line for line in text.splitlines() if line.startswith(first.label + ","))
+        a6 = str(first.a_invariants[4])
+        edited = row.replace("," + a6 + ",", "," + a6[:-1] + str(int(a6[-1]) ^ 1) + ",")
+        assert edited != row
+        twist_csv.write_text(text.replace(row, edited))
+        now = hashlib.sha256(twist_csv.read_bytes()).hexdigest()
+        for argv in (["traces", *common], stratify):
+            assert main(argv) == 1
+            err = json.loads((out / f"{argv[0]}_error.json").read_text())
+            assert built in err["error"] and now in err["error"], argv[0]
+            assert not (out / f"{argv[0]}.json").exists()
 
     def test_conductor_that_disagrees_with_the_model_refused(self, tmp_path):
         records = list(twist_table())
         first = records[0]  # 11 * 37^2; 7 divides neither it nor the discriminant
         records[0] = dataclasses.replace(first, conductor=7 * first.conductor)
         wrong = tmp_path / "wrong.csv"
-        wrong.write_text(serialize_curve_table(CurveTable(records)))
+        wrong.write_text(serialize_curve_table(table_of(records)))
         out = tmp_path / "out"
         rc = main(["traces", "--curves", str(wrong), "--primes", "20", "--out", str(out)])
         assert rc == 1
@@ -206,7 +234,7 @@ class TestStratify:
         # rules cover the same curves and so share one shuffle stream,
         # root_number (ranks 0 and 1) has its own
         path = tmp_path / "twists.csv"
-        path.write_text(serialize_curve_table(CurveTable([
+        path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
                                 torsion_order=1 + (i // 2) % 2,
                                 rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
@@ -271,7 +299,7 @@ class TestConfound:
         # partition; omega(N) = 4 empties both groups, and the two period
         # halves hold 8 curves each and so share one shuffle stream
         path = tmp_path / "twists.csv"
-        path.write_text(serialize_curve_table(CurveTable([
+        path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
             for i, r in enumerate(twist_table().records)
         ])))
@@ -281,7 +309,7 @@ class TestConfound:
         assert main(args) == 0
         battery = read_report(tmp_path / "out", "confound")["confound"]["battery"]
         table, matrix, rank0, conductor_range = cli._context(
-            build_config(make_parser().parse_args(args)))
+            build_config(make_parser().parse_args(args)), cli._file_digest(path))
         tamagawa = partition(rank0, TAMAGAWA_RULE).groups
         halves = triple_control(table, (0.0, 100.0), conductor_range)
         tested = {
@@ -375,6 +403,27 @@ class TestErrorReports:
         err = json.loads((out / "stratify_error.json").read_text())
         assert "none.bin does not exist" in err["error"]
 
+    def test_version_1_cache_asks_for_a_rebuild(self, twist_csv, tmp_path):
+        # the layout every cache had before the table moved into it
+        matrix = build_trace_matrix(twist_table(), default_prime_list(20))
+        cache = tmp_path / "cache.bin"
+        with open(cache, "wb") as fh:
+            fh.write(b"MURM" + struct.pack("<IQI", 1, len(matrix), len(matrix.primes)))
+            fh.write(matrix.primes.primes.astype("<u4").tobytes())
+            for label in matrix.curve_labels:
+                fh.write(struct.pack("<I", len(label)) + label.encode())
+            fh.write(matrix.traces.astype("<i2").tobytes())
+            fh.write(np.packbits(matrix.bad_flags.ravel(), bitorder="little").tobytes())
+        out = tmp_path / "out"
+        common = ["--curves", str(twist_csv), "--cache", str(cache), "--primes", "20",
+                  "--out", str(out)]
+        for argv in (["traces", *common],
+                     ["stratify", *common, "--rule", "sha", "--shuffles", "20"]):
+            assert main(argv) == 1
+            err = json.loads((out / f"{argv[0]}_error.json").read_text())
+            assert "cache version 1" in err["error"], argv[0]
+            assert "rebuild it with `traces`" in err["error"], argv[0]
+
     def test_zeros_quadrature_refusal(self, twist_csv, tmp_path, monkeypatch):
         monkeypatch.setattr(lfunctions, "_node_count", lambda span, t_max: 8)
         out = tmp_path / "out"
@@ -386,8 +435,47 @@ class TestErrorReports:
         assert not (out / "zeros.json").exists()
 
 
+class TestCachedStepsParseNothing:
+    """With a matching cache the table comes from it, and zeros counts no cached trace."""
+
+    def test_cached_steps_never_parse_the_csv(self, twist_csv, tmp_path, monkeypatch):
+        out, cache = tmp_path / "out", tmp_path / "cache.bin"
+        common = ["--curves", str(twist_csv), "--cache", str(cache), "--primes", "200",
+                  "--band", "0:100", "--range", "1000:300000", "--out", str(out)]
+        assert main(["traces", *common]) == 0
+
+        def no_parse(*args, **kwargs):
+            pytest.fail("a cached step parsed the CSV")
+
+        monkeypatch.setattr(curves, "parse_curve_table", no_parse)
+        monkeypatch.setattr(cli, "parse_curve_table", no_parse)
+        for argv in (["stratify", *common, "--rule", "sha", "--shuffles", "20"],
+                     ["confound", *common, "--shuffles", "20"],
+                     ["diagnose", *common], ["zeros", *common]):
+            assert main(argv) == 0, argv[0]
+
+    def test_zeros_counts_no_trace_a_covering_cache_holds(self, twist_csv, tmp_path,
+                                                          monkeypatch):
+        # 600 primes reach 4,409 > 8 sqrt(11 * 163^2): every a_p zeros needs
+        out, cache = tmp_path / "out", tmp_path / "cache.bin"
+        common = ["--curves", str(twist_csv), "--cache", str(cache), "--primes", "600",
+                  "--band", "0:100", "--range", "1000:300000", "--out", str(out)]
+        assert main(["traces", *common]) == 0
+        counted = (out / "zeros_sha_1.csv", out / "zeros_sha_ge4.csv", out / "zeros.json")
+        assert main(["zeros", *common]) == 0
+        before = [path.read_bytes() for path in counted]
+
+        def no_count(*args, **kwargs):
+            pytest.fail("zeros counted a trace the cache holds")
+
+        monkeypatch.setattr(traces, "_trace_column", no_count)
+        assert main(["zeros", *common]) == 0
+        assert [path.read_bytes() for path in counted] == before
+
+
 class TestSupersetCache:
     def test_diagnose_with_cache_covering_more_curves(self, twist_csv, tmp_path):
+        # a cache serves the CSV bytes it was built from, not a subset of them
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"
         assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
@@ -398,9 +486,11 @@ class TestSupersetCache:
         rc = main(["diagnose", "--curves", str(fewer), "--cache", str(cache),
                    "--band", "0:100", "--range", "1000:300000", "--primes", "200",
                    "--out", str(out)])
-        assert rc == 0
-        rows = (out / "reduction_types.csv").read_text().splitlines()[1:]
-        assert {row.split(",")[0] for row in rows} == set(table.labels[:-4])
+        assert rc == 1
+        err = json.loads((out / "diagnose_error.json").read_text())
+        for csv_path in (twist_csv, fewer):
+            assert hashlib.sha256(csv_path.read_bytes()).hexdigest() in err["error"]
+        assert not (out / "diagnose.json").exists()
 
 
 def imported_zeros_csv(tmp_path):
@@ -533,7 +623,7 @@ class TestZerosFunctionalEquationGate:
         anchor = record_of(known_table, "11a1")
         twist = dataclasses.replace(twist_of_11a1(37), sha_an=4.0, l_value=4.0)
         path = tmp_path / "impostor.csv"
-        path.write_text(serialize_curve_table(CurveTable([anchor, impostor, twist])))
+        path.write_text(serialize_curve_table(table_of([anchor, impostor, twist])))
         return path, twist.label
 
     def test_curve_with_a_false_root_number_excluded_and_counted(
@@ -587,7 +677,7 @@ class TestCentralZeros:
         double = dataclasses.replace(twist_of_11a1(-47), sha_an=1.0, l_value=1.0)
         twist = dataclasses.replace(twist_of_11a1(37), sha_an=4.0, l_value=4.0)
         path = tmp_path / "central.csv"
-        path.write_text(serialize_curve_table(CurveTable(
+        path.write_text(serialize_curve_table(table_of(
             [record_of(known_table, "11a1"), double, twist])))
         return path, double.label
 
@@ -620,7 +710,7 @@ class TestWindowsCommand:
         rank0 = make_synthetic_table(400, seed=1, conductor_range=(11_000, 49_000))
         rank1 = make_synthetic_table(400, seed=2, conductor_range=(11_000, 49_000),
                                      rank=1)
-        table = CurveTable(list(rank0.records) + list(rank1.records))
+        table = table_of(list(rank0.records) + list(rank1.records))
         path = tmp_path / "synthetic.csv"
         path.write_text(serialize_curve_table(table))
         out = tmp_path / "out"
@@ -860,7 +950,7 @@ class TestImportOnUse:
     def test_steps_without_statistics_load_no_scipy(self, tmp_path):
         # both Tamagawa groups nonempty, so confound runs its whole battery
         path = tmp_path / "twists.csv"
-        path.write_text(serialize_curve_table(CurveTable([
+        path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
             for i, r in enumerate(twist_table().records)
         ])))
@@ -889,12 +979,12 @@ class TestImportOnUse:
         # pools start; the synthetic series are long enough for the 101-point
         # filter and the Welch segments of the windows step
         twists = tmp_path / "twists.csv"
-        twists.write_text(serialize_curve_table(CurveTable([
+        twists.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
             for i, r in enumerate(twist_table().records)
         ])))
         synthetic = tmp_path / "synthetic.csv"
-        synthetic.write_text(serialize_curve_table(CurveTable([
+        synthetic.write_text(serialize_curve_table(table_of([
             *make_synthetic_table(400, seed=1).records,
             *make_synthetic_table(400, seed=2, rank=1).records])))
         out, cache = tmp_path / "out", str(tmp_path / "cache.bin")

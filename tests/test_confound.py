@@ -12,12 +12,12 @@ from murmurlab.confound import (
     matched_rms,
     triple_control,
 )
-from murmurlab.curves import CurveRecord, CurveTable
+from murmurlab.curves import CurveRecord
 from murmurlab.primes import omega
 from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
 from murmurlab.traces import default_prime_list
 
-from conftest import make_synthetic_matrix, make_synthetic_table
+from conftest import make_synthetic_matrix, make_synthetic_table, table_of
 
 
 class TestOmega:
@@ -90,7 +90,7 @@ class TestMatchNn:
         for i, c in enumerate(conductors_a + conductors_b):
             records.append(CurveRecord(f"{c}a{i}", f"{c}a", (0, 0, 0, 1, 1), c,
                                        0, 1, 1.0, 1.0, 1, 1, 1.0, 1.0))
-        table = CurveTable(records)
+        table = table_of(records)
         a = [table.labels.index(r.label) for r in records[:2]]
         b = [table.labels.index(r.label) for r in records[2:]]
         pairs = match_nn(table, a, b, "conductor", 1e6)

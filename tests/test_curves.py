@@ -1,12 +1,14 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from murmurlab.curves import (
     CSV_FIELDS,
+    NUMERIC_COLUMNS,
     CurveRecord,
-    CurveTable,
     DuplicateLabelError,
     dedupe_isogeny,
     invariant_values,
@@ -15,12 +17,14 @@ from murmurlab.curves import (
     validate_record,
 )
 
+from oracles import parse_curve_table_oracle
 from conftest import (
     full_dataset_path,
     make_synthetic_table,
     record_of,
     requires_dataset,
     serialize_curve_table,
+    table_of,
 )
 
 HEADER = ",".join(CSV_FIELDS)
@@ -92,6 +96,74 @@ class TestParsing:
             parse_curve_table("label,conductor\n")
 
 
+#: cells a row may carry in place of a valid one
+ODD_CELLS = ("x", "nan", "inf", "-inf", "1_0", " 7 ", "", "1e3", "2.5", "-3", "\x1c5",
+             "0", "4", "11a1")
+
+
+@st.composite
+def csv_rows(draw):
+    """One CSV line: a curve, often with odd cells, a wrong width or blank."""
+    conductor = draw(st.integers(1, 60_000))
+    rank = draw(st.integers(0, 2))
+    w = (1 if rank % 2 == 0 else -1) * draw(st.sampled_from([1, 1, 1, -1]))
+    label = f"{conductor}{draw(st.sampled_from(['a', 'b', 'ba']))}{draw(st.integers(1, 3))}"
+    a_invariants = [draw(st.integers(-50, 50)) for _ in range(4)]
+    a_invariants.append(draw(st.one_of(st.integers(-50, 50), st.integers(-2**70, 2**70))))
+    regulator = "1.0" if rank == 0 else draw(st.sampled_from(["0.7", "1.0"]))
+    cells = [label, str(conductor), str(rank), *map(str, a_invariants), str(w),
+             draw(st.sampled_from(["1.0", "4.0", "9.0003", "2.0", "1", "0.0"])),
+             draw(st.sampled_from(["0.5", "1.25", "-1.0", "3"])),
+             draw(st.sampled_from([regulator, regulator, "1.5"])),
+             str(draw(st.integers(0, 12))), str(draw(st.integers(0, 8))),
+             draw(st.sampled_from(["0.3", "1.7", "0", "-0.1"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        cells[draw(st.integers(0, 14))] = draw(st.sampled_from(ODD_CELLS))
+    shape = draw(st.integers(0, 11))
+    if shape == 0:
+        return ""
+    return ",".join(cells[:-1] if shape == 1 else cells + ["1"] if shape == 2 else cells)
+
+
+@st.composite
+def csv_texts(draw):
+    lines = draw(st.lists(csv_rows(), max_size=14))
+    if lines and draw(st.booleans()):  # a row again: its label twice
+        lines.insert(draw(st.integers(0, len(lines))),
+                     lines[draw(st.integers(0, len(lines) - 1))])
+    return HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+class TestColumnParse:
+    """The column-wise parse gives the table and errors of the row-wise oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_equals_the_row_oracle(self, text):
+        try:
+            want = parse_curve_table_oracle(text)
+        except DuplicateLabelError as exc:
+            with pytest.raises(DuplicateLabelError, match=f"^{re.escape(str(exc))}$"):
+                parse_curve_table(text)
+            return
+        got = parse_curve_table(text)
+        assert got.errors == want.errors
+        assert got.table.labels == want.table.labels
+        assert got.table.a_invariants.dtype == want.table.a_invariants.dtype == object
+        assert got.table.a_invariants.shape == want.table.a_invariants.shape
+        assert got.table.a_invariants.tolist() == want.table.a_invariants.tolist()
+        for column in NUMERIC_COLUMNS:
+            g, w = getattr(got.table, column), getattr(want.table, column)
+            assert g.dtype == w.dtype and np.array_equal(g, w), column
+        assert np.array_equal(got.table.rows, want.table.rows)
+        assert got.table.records == want.table.records
+
+    def test_known_csv_equals_the_row_oracle(self, known_csv_path):
+        text = known_csv_path.read_text()
+        assert parse_curve_table(text).table.records == \
+            parse_curve_table_oracle(text).table.records
+
+
 class TestTable:
     def test_sorted_by_conductor_then_label(self, known_table):
         pairs = [(r.conductor, r.label) for r in known_table]
@@ -123,7 +195,7 @@ class TestTable:
 
 def bsd_residual(record: CurveRecord) -> float:
     """Relative rank-0 residual |L - Sha * bsd_ratio| / L, bsd_ratio as the windows use it."""
-    ratio = invariant_values(CurveTable([record]), "bsd_ratio")[0]
+    ratio = invariant_values(table_of([record]), "bsd_ratio")[0]
     return abs(record.l_value - record.sha_an * ratio) / record.l_value
 
 

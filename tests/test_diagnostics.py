@@ -19,7 +19,7 @@ from murmurlab.diagnostics import (
 from murmurlab.traces import PrimeList, TraceMatrix, build_trace_matrix, first_n_primes
 from murmurlab.windows import murmuration_profile
 
-from conftest import make_synthetic_matrix, make_synthetic_table
+from conftest import make_synthetic_matrix, make_synthetic_table, table_of
 from oracles import classify_reduction_oracle
 
 
@@ -235,10 +235,9 @@ class TestReduction:
 
     def test_additive_twist_classified(self, known_table, curve_11a1):
         from conftest import twist_of_11a1
-        from murmurlab.curves import CurveTable
 
         twist = twist_of_11a1(53)
-        table = CurveTable([twist])
+        table = table_of([twist])
         matrix = build_trace_matrix(table, PrimeList(first_n_primes(20)))
         report = classify_reduction(matrix, table)
         assert (twist.label, 11, "split_mult") in report.entries

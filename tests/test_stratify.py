@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from murmurlab import stratify
-from murmurlab.curves import CurveTable
 from murmurlab.stratify import (
     EmptyGroupError,
     PERIOD_QUARTILE_RULE,
@@ -22,7 +21,7 @@ from murmurlab.stratify import (
 )
 from murmurlab.traces import TraceMatrix, default_prime_list
 
-from conftest import make_synthetic_matrix, make_synthetic_table
+from conftest import make_synthetic_matrix, make_synthetic_table, table_of
 from oracles import permutation_null
 
 
@@ -53,7 +52,7 @@ class TestPartition:
 
         records = [dataclasses.replace(r, real_period=float(i + 1))
                    for i, r in enumerate(records)]
-        table = CurveTable(records)
+        table = table_of(records)
         part = partition(table, PERIOD_QUARTILE_RULE)
         assert sorted(len(v) for v in part.groups.values()) == [2, 2, 2, 2]
 
@@ -405,7 +404,7 @@ class TestScaleScan:
                     n_primes, dtype=np.int16
                 )
             lo = int(lo * 1.35)
-        table = CurveTable(records)
+        table = table_of(records)
         traces = np.vstack([row_by_label[lab] for lab in table.labels])
         matrix = TraceMatrix(tuple(table.labels), primes, traces,
                              np.zeros_like(traces, dtype=bool))
