@@ -8,16 +8,17 @@ The single ingest format is the canonical curves CSV (UTF-8, header row):
 Converting upstream database dumps into this layout is an external
 preprocessing step, not handled here.
 
-The parse converts the CSV column by column and checks the invariants as
-array masks; only a row that a conversion or a mask flags is looked at on
-its own (`validate_record`), so each rejection reads as a row-wise parse's.
+The parse converts the CSV a block of rows at a time, column by column.  A
+row whose label or a cell does not convert is rejected with that field's
+message; a converted row that breaks a rule of the one ordered table of
+array masks (`_rules`) is rejected with the texts of all it breaks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -91,45 +92,6 @@ def isogeny_class_of(label: str) -> str:
     if m is None:
         raise CurveDataError(f"label {label!r} is not Cremona-style")
     return m.group(1) + m.group(2)
-
-
-def validate_record(rec: CurveRecord) -> list[str]:
-    """Return the list of invariant violations for a record (empty if valid)."""
-    problems = []
-    if _LABEL_RE.match(rec.label) is None:
-        problems.append(f"label {rec.label!r} is not Cremona-style")
-    if rec.conductor < MIN_CONDUCTOR:
-        problems.append(f"conductor {rec.conductor} < {MIN_CONDUCTOR}")
-    if rec.rank not in VALID_RANKS:
-        problems.append(f"rank {rec.rank} outside {VALID_RANKS}")
-    if rec.root_number not in (-1, 1):
-        problems.append(f"root number {rec.root_number} not in {{-1,+1}}")
-    elif rec.rank in VALID_RANKS and rec.root_number != (1 if rec.rank % 2 == 0 else -1):
-        problems.append(
-            f"parity violation: rank {rec.rank} with root number {rec.root_number:+d}"
-        )
-    if not rec.real_period > 0:
-        problems.append(f"real period {rec.real_period} not positive")
-    if not rec.regulator > 0:
-        problems.append(f"regulator {rec.regulator} not positive")
-    if rec.tamagawa_product < 1:
-        problems.append(f"Tamagawa product {rec.tamagawa_product} not positive")
-    if rec.torsion_order < 1:
-        problems.append(f"torsion order {rec.torsion_order} not positive")
-    if not rec.sha_an > 0:
-        problems.append(f"analytic Sha {rec.sha_an} not positive")
-    else:
-        root = round(math.sqrt(rec.sha_an))
-        if root < 1 or abs(root * root - rec.sha_an) > SHA_SQUARE_RTOL * rec.sha_an:
-            problems.append(f"analytic Sha {rec.sha_an} is not a perfect square")
-    if rec.l_value < 0:
-        problems.append(f"leading L-value {rec.l_value} negative")
-    if rec.rank == 0:
-        if abs(rec.regulator - 1.0) > 1e-6:
-            problems.append(f"rank 0 with regulator {rec.regulator} != 1")
-        if not rec.l_value > 0:
-            problems.append("rank 0 with vanishing L-value")
-    return problems
 
 
 #: numeric CurveTable columns: attribute -> (CSV field, dtype)
@@ -264,21 +226,22 @@ class ParseResult:
     errors: tuple[RowError, ...]
 
 
+_A_FIELDS = ("a1", "a2", "a3", "a4", "a6")
 #: CSV fields in the order a row's cells are converted; a row that fails
 #: is rejected with the message of the first field that does
-_CONVERTED = ("a1", "a2", "a3", "a4", "a6", "conductor", "rank", "root_number",
-              "real_period", "regulator", "tamagawa_product", "torsion_order",
-              "sha_an", "l_value")
+_CONVERTED = (*_A_FIELDS, "conductor", "rank", "root_number", "real_period", "regulator",
+              "tamagawa_product", "torsion_order", "sha_an", "l_value")
 _REAL_FIELDS = ("real_period", "regulator", "sha_an", "l_value")
 
 
-def _convert(cells: Sequence[str], field: str,
-             first: dict[int, str]) -> tuple[list, np.ndarray]:
-    """One column's cells as ints (floats for a real field), and their array.
+def _convert(cells: Sequence[str], field: str, first: dict[int, str]) -> np.ndarray:
+    """One column's cells as an int64 array (float64 for a real field).
 
     A bad cell, or a real one not finite, puts its row's message in first
     unless an earlier field failed there.  int and float strip no more than
-    str.strip, so a column that converts whole needs no strip.
+    str.strip, so a column that converts whole needs no strip.  The exact
+    Python ints of an a-invariant, or of a column too wide for int64, are
+    an object array.
     """
     kind = float if field in _REAL_FIELDS else int
     try:
@@ -296,24 +259,88 @@ def _convert(cells: Sequence[str], field: str,
         array = np.array(values, dtype=np.float64)
         for i in np.flatnonzero(~np.isfinite(array)).tolist():
             first.setdefault(i, f"field {field}={cells[i].strip()!r} is not finite")
-        return values, array
+        return array
     try:
-        return values, np.array(values, dtype=np.int64)
+        return np.array(values, dtype=object if field in _A_FIELDS else np.int64)
     except OverflowError:
-        return values, np.array(values, dtype=object)
+        return np.array(values, dtype=object)
 
 
-def _suspects(v: dict[str, np.ndarray]) -> np.ndarray:
-    """Rows that may fail `validate_record`: every one that does, and maybe more."""
-    rank, sha, regulator, l_value = v["rank"], v["sha_an"], v["regulator"], v["l_value"]
-    with np.errstate(invalid="ignore"):
-        root = np.round(np.sqrt(np.where(sha > 0, sha, 1.0)))
-        return ~((v["conductor"] >= MIN_CONDUCTOR) & (rank >= 0) & (rank <= 4)
-                 & (v["root_number"] == np.where(rank % 2 == 0, 1, -1))
-                 & (v["real_period"] > 0) & (regulator > 0) & (l_value >= 0)
-                 & (v["tamagawa_product"] >= 1) & (v["torsion_order"] >= 1) & (sha > 0)
-                 & (root >= 1) & (np.abs(root * root - sha) <= SHA_SQUARE_RTOL * sha)
-                 & ((rank != 0) | ((np.abs(regulator - 1.0) <= 1e-6) & (l_value > 0))))
+def _rules(v: dict[str, np.ndarray]) -> tuple[tuple[np.ndarray, str], ...]:
+    """The invariants a converted row must hold, in the order its message lists them.
+
+    Each is the mask of the rows of v that break it and the message template
+    that such a row's values format.  Every mask decides as the same test on
+    the row's Python values: the Sha root is an integer that a float holds
+    exactly, and its square is the float that a Python int square rounds to.
+    """
+    rank, w, sha, regulator, l_value = (
+        v[field] for field in ("rank", "root_number", "sha_an", "regulator", "l_value"))
+    valid_rank = (rank >= VALID_RANKS[0]) & (rank <= VALID_RANKS[-1])
+    unit = (w == 1) | (w == -1)
+    root = np.round(np.sqrt(np.where(sha > 0, sha, 1.0)))
+    return (
+        (v["conductor"] < MIN_CONDUCTOR, f"conductor {{conductor}} < {MIN_CONDUCTOR}"),
+        (~valid_rank, f"rank {{rank}} outside {VALID_RANKS}"),
+        (~unit, "root number {root_number} not in {{-1,+1}}"),
+        (valid_rank & unit & (w != np.where(rank % 2 == 0, 1, -1)),
+         "parity violation: rank {rank} with root number {root_number:+d}"),
+        (~(v["real_period"] > 0), "real period {real_period} not positive"),
+        (~(regulator > 0), "regulator {regulator} not positive"),
+        (v["tamagawa_product"] < 1, "Tamagawa product {tamagawa_product} not positive"),
+        (v["torsion_order"] < 1, "torsion order {torsion_order} not positive"),
+        (~(sha > 0), "analytic Sha {sha_an} not positive"),
+        ((sha > 0) & ((root < 1) | (np.abs(root * root - sha) > SHA_SQUARE_RTOL * sha)),
+         "analytic Sha {sha_an} is not a perfect square"),
+        (l_value < 0, "leading L-value {l_value} negative"),
+        ((rank == 0) & (np.abs(regulator - 1.0) > 1e-6),
+         "rank 0 with regulator {regulator} != 1"),
+        ((rank == 0) & ~(l_value > 0), "rank 0 with vanishing L-value"),
+    )
+
+
+#: CSV records converted and checked at a time; only the kept rows' labels
+#: and columns, and the set of their labels, outlive their block
+_PARSE_BLOCK = 1 << 14
+
+
+def _parse_block(block: list[tuple[int, list[str]]], errors: dict[int, str],
+                 seen: set[str]) -> dict[str, np.ndarray]:
+    """The labels and converted columns of the block's kept rows.
+
+    A rejected row's message goes into errors under its line.  seen holds
+    the labels kept so far; a converted row that repeats one is fatal.
+    """
+    lines, rows = [], []
+    for line, row in block:
+        if len(row) == len(CSV_FIELDS):
+            lines.append(line)
+            rows.append(row)
+        elif row:  # blank lines are skipped
+            errors[line] = f"expected {len(CSV_FIELDS)} columns, got {len(row)}"
+    cells = dict(zip(CSV_FIELDS, zip(*rows))) if rows else dict.fromkeys(CSV_FIELDS, ())
+    labels = list(map(str.strip, cells["label"]))
+    first = {i: f"label {labels[i]!r} is not Cremona-style"
+             for i, m in enumerate(map(_LABEL_RE.match, labels)) if m is None}
+    arrays = {field: _convert(cells[field], field, first) for field in _CONVERTED}
+    converted = np.delete(np.arange(len(lines)), list(first))
+    columns = {field: array[converted] for field, array in arrays.items()}
+    rules = _rules(columns)
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    values = {field: column[bad].tolist() for field, column in columns.items()}
+    hits = [(mask[bad].tolist(), template) for mask, template in rules]
+    for k, i in enumerate(converted[bad].tolist()):
+        found = {field: column[k] for field, column in values.items()}
+        first[i] = "; ".join(template.format_map(found) for hit, template in hits if hit[k])
+    errors.update((lines[i], message) for i, message in first.items())
+    for i, passed in zip(converted.tolist(), (~bad).tolist()):
+        if labels[i] in seen:
+            raise DuplicateLabelError(f"duplicate label {labels[i]!r} at line {lines[i]}")
+        if passed:
+            seen.add(labels[i])
+    kept = converted[~bad]
+    return {"label": np.array(labels, dtype=object)[kept],
+            **{field: array[kept] for field, array in arrays.items()}}
 
 
 def parse_curve_table(stream) -> ParseResult:
@@ -333,48 +360,19 @@ def parse_curve_table(stream) -> ParseResult:
         raise CurveDataError(
             f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
-    lines, rows, errors = [], [], {}
-    for line, row in enumerate(reader, start=2):
-        if len(row) == len(CSV_FIELDS):
-            lines.append(line)
-            rows.append(row)
-        elif row:  # blank lines are skipped
-            errors[line] = f"expected {len(CSV_FIELDS)} columns, got {len(row)}"
-    cells = dict(zip(CSV_FIELDS, zip(*rows))) if rows else dict.fromkeys(CSV_FIELDS, ())
-    del rows  # the cells hold the strings, each column until it is converted
-    labels = list(map(str.strip, cells["label"]))
-    first = {i: f"label {labels[i]!r} is not Cremona-style"
-             for i, m in enumerate(map(_LABEL_RE.match, labels)) if m is None}
-    values, arrays = {}, {}
-    for field in _CONVERTED:
-        values[field], arrays[field] = _convert(cells.pop(field), field, first)
-    parsed = np.ones(len(lines), dtype=bool)
-    parsed[list(first)] = False
-    keep = parsed.copy()
-    for i in np.flatnonzero(parsed & _suspects(arrays)).tolist():
-        problems = validate_record(CurveRecord(
-            labels[i], isogeny_class_of(labels[i]),
-            tuple(values[f][i] for f in ("a1", "a2", "a3", "a4", "a6")),
-            **{name: values[name][i] for name, _ in NUMERIC_COLUMNS.values()}))
-        if problems:
-            first[i], keep[i] = "; ".join(problems), False
-    if len(set(labels)) < len(labels):  # fatal: a parsed row with an earlier kept label
-        seen: set[str] = set()
-        for i in np.flatnonzero(parsed).tolist():
-            if labels[i] in seen:
-                raise DuplicateLabelError(
-                    f"duplicate label {labels[i]!r} at line {lines[i]}")
-            if keep[i]:
-                seen.add(labels[i])
-    errors.update((lines[i], message) for i, message in first.items())
-    kept = np.flatnonzero(keep)
-    order = kept[np.lexsort((np.array([labels[i] for i in kept], dtype=str),
-                             np.asarray(arrays["conductor"][kept], dtype=np.int64)))]
-    a_invariants = np.empty((len(order), 5), dtype=object)
-    for k, field in enumerate(("a1", "a2", "a3", "a4", "a6")):
-        a_invariants[:, k] = np.array(values[field], dtype=object)[order]
+    numbered, errors, seen = enumerate(reader, start=2), {}, set()
+    blocks = iter(lambda: list(itertools.islice(numbered, _PARSE_BLOCK)), [])
+    # the empty block first gives a CSV without rows its (empty) columns
+    parts = [_parse_block(block, errors, seen) for block in itertools.chain([[]], blocks)]
+    columns = {field: np.concatenate([part.pop(field) for part in parts])
+               for field in ("label", *_CONVERTED)}
+    del seen
+    labels = columns.pop("label").tolist()
+    order = np.lexsort((np.array(labels, dtype=str),
+                        np.asarray(columns["conductor"], dtype=np.int64)))
+    a_invariants = np.stack([columns[field][order] for field in _A_FIELDS], axis=1)
     table = CurveTable([labels[i] for i in order.tolist()], a_invariants,
-                       **{column: arrays[name][order]
+                       **{column: columns[name][order]
                           for column, (name, _) in NUMERIC_COLUMNS.items()})
     return ParseResult(table, tuple(RowError(line, errors[line])
                                     for line in sorted(errors)))

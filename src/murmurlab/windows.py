@@ -64,8 +64,8 @@ def sliding_window_series(table: CurveTable, invariant: str, rank: int,
     Centers run over multiples of the step covering the table's conductor
     range; window membership uses the closed interval on both ends.
     """
-    if width <= 0 or step <= 0:
-        raise ValueError("window width and step must be positive")
+    if not (0 < width < math.inf and 0 < step < math.inf):
+        raise ValueError(f"window width {width} and step {step} must be finite and positive")
     values_all = invariant_values(table, invariant)
     mask = table.ranks == rank
     conductors = table.conductors[mask].astype(np.float64)

@@ -9,18 +9,20 @@ null is the float64 one-hot computation of one grouping at a time, with its
 own draw of the stream and every group but the last summed by matmul.
 Reduction types are classified by a walk over every curve and bad prime.
 The curves CSV is parsed row by row, one CurveRecord and one
-validate_record per row.
+validate_record per row, with its own copy of the label pattern and of
+every invariant rule.
 """
 
 import csv
 import io
 import math
+import re
 
 import mpmath
 import numpy as np
 
 from murmurlab.curves import (CSV_FIELDS, CurveDataError, CurveRecord, DuplicateLabelError,
-                              ParseResult, RowError, isogeny_class_of, validate_record)
+                              ParseResult, RowError)
 from murmurlab.diagnostics import REDUCTION_TYPES, ReductionDataError
 
 from conftest import table_of
@@ -218,6 +220,59 @@ def classify_reduction_oracle(matrix, table):
     return tuple(entries), counts, fraction, classified, unclassifiable
 
 
+#: the invariant rules of the row-wise parse, kept apart from the package's
+SHA_SQUARE_RTOL = 1e-3
+VALID_RANKS = (0, 1, 2, 3, 4)
+MIN_CONDUCTOR = 11
+_LABEL_RE = re.compile(r"^([0-9]+)([a-z]+)([0-9]+)$")
+
+
+def validate_record(rec: CurveRecord) -> list[str]:
+    """Return the list of invariant violations for a record (empty if valid)."""
+    problems = []
+    if _LABEL_RE.match(rec.label) is None:
+        problems.append(f"label {rec.label!r} is not Cremona-style")
+    if rec.conductor < MIN_CONDUCTOR:
+        problems.append(f"conductor {rec.conductor} < {MIN_CONDUCTOR}")
+    if rec.rank not in VALID_RANKS:
+        problems.append(f"rank {rec.rank} outside {VALID_RANKS}")
+    if rec.root_number not in (-1, 1):
+        problems.append(f"root number {rec.root_number} not in {{-1,+1}}")
+    elif rec.rank in VALID_RANKS and rec.root_number != (1 if rec.rank % 2 == 0 else -1):
+        problems.append(
+            f"parity violation: rank {rec.rank} with root number {rec.root_number:+d}"
+        )
+    if not rec.real_period > 0:
+        problems.append(f"real period {rec.real_period} not positive")
+    if not rec.regulator > 0:
+        problems.append(f"regulator {rec.regulator} not positive")
+    if rec.tamagawa_product < 1:
+        problems.append(f"Tamagawa product {rec.tamagawa_product} not positive")
+    if rec.torsion_order < 1:
+        problems.append(f"torsion order {rec.torsion_order} not positive")
+    if not rec.sha_an > 0:
+        problems.append(f"analytic Sha {rec.sha_an} not positive")
+    else:
+        root = round(math.sqrt(rec.sha_an))
+        if root < 1 or abs(root * root - rec.sha_an) > SHA_SQUARE_RTOL * rec.sha_an:
+            problems.append(f"analytic Sha {rec.sha_an} is not a perfect square")
+    if rec.l_value < 0:
+        problems.append(f"leading L-value {rec.l_value} negative")
+    if rec.rank == 0:
+        if abs(rec.regulator - 1.0) > 1e-6:
+            problems.append(f"rank 0 with regulator {rec.regulator} != 1")
+        if not rec.l_value > 0:
+            problems.append("rank 0 with vanishing L-value")
+    return problems
+
+
+def _isogeny_class(label: str) -> str:
+    m = _LABEL_RE.match(label)
+    if m is None:
+        raise CurveDataError(f"label {label!r} is not Cremona-style")
+    return m.group(1) + m.group(2)
+
+
 def _parse_int(raw: str, field: str) -> int:
     try:
         return int(raw)
@@ -261,7 +316,7 @@ def parse_curve_table_oracle(stream) -> ParseResult:
         try:
             rec = CurveRecord(
                 label=raw["label"],
-                isogeny_class=isogeny_class_of(raw["label"]),
+                isogeny_class=_isogeny_class(raw["label"]),
                 a_invariants=tuple(
                     _parse_int(raw[f], f) for f in ("a1", "a2", "a3", "a4", "a6")
                 ),

@@ -345,6 +345,16 @@ class TestErrorReports:
         assert "at least one shuffle" in err["error"]
         assert not (out / f"{command}.json").exists()
 
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_window_not_finite_is_structured_error(self, twist_csv, tmp_path, width):
+        out = tmp_path / "out"
+        rc = main(["windows", "--curves", str(twist_csv), "--window", width,
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads((out / "windows_error.json").read_text())
+        assert "finite and positive" in err["error"]
+        assert not (out / "windows.json").exists()
+
     @pytest.mark.parametrize("runs, listed", [
         (("50", "0"), "stratify_error"),
         (("0", "50"), "stratify"),

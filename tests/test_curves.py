@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from murmurlab import curves
 from murmurlab.curves import (
     CSV_FIELDS,
     NUMERIC_COLUMNS,
     CurveRecord,
     DuplicateLabelError,
+    RowError,
     dedupe_isogeny,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
-    validate_record,
 )
 
 from oracles import parse_curve_table_oracle
@@ -96,6 +97,66 @@ class TestParsing:
             parse_curve_table("label,conductor\n")
 
 
+#: one 11a1 row per invariant rule that it breaks, with the exact rejection
+REJECTIONS = {
+    "conductor": (row(conductor=7), "conductor 7 < 11"),
+    "rank": (row(rank=5, w=-1), "rank 5 outside (0, 1, 2, 3, 4)"),
+    "root number": (row(w=0), "root number 0 not in {-1,+1}"),
+    "parity": (row(w=-1), "parity violation: rank 0 with root number -1"),
+    "real period": (row(period="-1.0"), "real period -1.0 not positive"),
+    "regulator": (row(rank=1, w=-1, reg="-0.5"), "regulator -0.5 not positive"),
+    "Tamagawa": (row(tam=0), "Tamagawa product 0 not positive"),
+    "torsion": (row(tor=0), "torsion order 0 not positive"),
+    "Sha positive": (row(sha="0.0"), "analytic Sha 0.0 not positive"),
+    "Sha square": (row(sha="2.0"), "analytic Sha 2.0 is not a perfect square"),
+    "L-value": (row(rank=1, w=-1, lval="-0.1"), "leading L-value -0.1 negative"),
+    "rank 0 regulator": (row(reg="1.5"), "rank 0 with regulator 1.5 != 1"),
+    "rank 0 L-value": (row(lval="0"), "rank 0 with vanishing L-value"),
+    "three rules": (row(conductor=7, tam=0, lval="0"),
+                    "conductor 7 < 11; Tamagawa product 0 not positive; "
+                    "rank 0 with vanishing L-value"),
+}
+
+
+@pytest.mark.parametrize("line, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_each_rule_rejects_with_its_message(line, message):
+    result = parse_curve_table(HEADER + "\n" + line + "\n")
+    assert len(result.table) == 0
+    assert result.errors == (RowError(2, message),)
+
+
+PERIOD_TO_TORSION = ("real period -1.0 not positive; regulator -0.5 not positive; "
+                     "Tamagawa product 0 not positive; torsion order 0 not positive")
+RANK_0 = "rank 0 with regulator -0.5 != 1; rank 0 with vanishing L-value"
+#: rows that break every rule their rank, root number and Sha leave open;
+#: each pair of rules that one row can break together meets in one of them
+MANY_RULES = {
+    "rank 5, Sha 0": (dict(rank=5, w=0, sha="0.0"), [
+        "conductor 7 < 11", "rank 5 outside (0, 1, 2, 3, 4)", "root number 0 not in {-1,+1}",
+        PERIOD_TO_TORSION, "analytic Sha 0.0 not positive", "leading L-value -0.1 negative"]),
+    "rank 5, Sha 2": (dict(rank=5, w=0, sha="2.0"), [
+        "conductor 7 < 11", "rank 5 outside (0, 1, 2, 3, 4)", "root number 0 not in {-1,+1}",
+        PERIOD_TO_TORSION, "analytic Sha 2.0 is not a perfect square",
+        "leading L-value -0.1 negative"]),
+    "parity, Sha 0": (dict(w=-1, sha="0.0"), [
+        "conductor 7 < 11", "parity violation: rank 0 with root number -1", PERIOD_TO_TORSION,
+        "analytic Sha 0.0 not positive", "leading L-value -0.1 negative", RANK_0]),
+    "parity, Sha 2": (dict(w=-1, sha="2.0"), [
+        "conductor 7 < 11", "parity violation: rank 0 with root number -1", PERIOD_TO_TORSION,
+        "analytic Sha 2.0 is not a perfect square", "leading L-value -0.1 negative", RANK_0]),
+    "root number 0 at rank 0": (dict(w=0, sha="2.0"), [
+        "conductor 7 < 11", "root number 0 not in {-1,+1}", PERIOD_TO_TORSION,
+        "analytic Sha 2.0 is not a perfect square", "leading L-value -0.1 negative", RANK_0]),
+}
+
+
+@pytest.mark.parametrize("cells, messages", MANY_RULES.values(), ids=MANY_RULES)
+def test_broken_rules_join_in_table_order(cells, messages):
+    line = row(conductor=7, period="-1.0", reg="-0.5", tam=0, tor=0, lval="-0.1", **cells)
+    result = parse_curve_table(HEADER + "\n" + line + "\n")
+    assert result.errors == (RowError(2, "; ".join(messages)),)
+
+
 #: cells a row may carry in place of a valid one
 ODD_CELLS = ("x", "nan", "inf", "-inf", "1_0", " 7 ", "", "1e3", "2.5", "-3", "\x1c5",
              "0", "4", "11a1")
@@ -140,6 +201,18 @@ class TestColumnParse:
     @settings(max_examples=400, deadline=None)
     @given(csv_texts())
     def test_equals_the_row_oracle(self, text):
+        self.check(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_blocks_of_three_rows_equal_the_row_oracle(self, text):
+        # patched per example: a function-scoped fixture would span them all
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves, "_PARSE_BLOCK", 3)
+            self.check(text)
+
+    @staticmethod
+    def check(text):
         try:
             want = parse_curve_table_oracle(text)
         except DuplicateLabelError as exc:
@@ -248,13 +321,6 @@ def test_invariant_values(known_table):
     )
     with pytest.raises(KeyError):
         invariant_values(known_table, "nope")
-
-
-def test_validate_record_flags_low_conductor(curve_11a1):
-    import dataclasses
-
-    low = dataclasses.replace(curve_11a1, conductor=7)
-    assert any("conductor" in p for p in validate_record(low))
 
 
 @requires_dataset

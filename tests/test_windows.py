@@ -46,6 +46,14 @@ class TestSlidingWindows:
         series = sliding_window_series(table, "period", rank=3, width=2000, step=500)
         assert len(series) == 0 or np.all(np.isnan(series.values))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize("name", ["width", "step"])
+    def test_width_or_step_not_finite_and_positive_is_refused(self, name, value):
+        table = make_synthetic_table(10, seed=4)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            sliding_window_series(table, "sha", 0, **{"width": 4000.0, "step": 1000.0,
+                                                      name: value})
+
     def test_unknown_invariant(self):
         table = make_synthetic_table(10, seed=4)
         with pytest.raises(KeyError):
