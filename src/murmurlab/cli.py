@@ -5,6 +5,13 @@ an optional key=value config file overridden by command-line flags.  Every
 report embeds the config hash, the seed, and SHA-256 digests of the input
 files, and contains no timestamps, so identical inputs produce byte-identical
 reports.
+
+Each subcommand runs in its own process, so start-up is part of every step.
+The package registers its submodules lazily, and this module binds them with
+`from . import ...` and calls them qualified (`stratify.permutation_test`):
+a step loads, and compiles, only the modules it calls.  Nothing at module
+level touches a step module, and NumPy is imported only inside the steps
+that use it, so `report` and `--version` run without it.
 """
 
 from __future__ import annotations
@@ -17,79 +24,16 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import (__version__, confound, curves, diagnostics, export, lfunctions, stratify,
+               traces, windows)
 
-from . import __version__
-from .confound import (
-    bsd_group_ratios,
-    control_omega,
-    euler_cumsum,
-    invariant_correlation,
-    lvalue_band,
-    match_nn,
-    matched_rms,
-    triple_control,
-)
-from .curves import INVARIANT_IDS, dedupe_isogeny, parse_curve_table
-from .diagnostics import (
-    bad_prime_share,
-    classify_reduction,
-    crossover_scan,
-    moment_profile,
-    satotate_ks,
-)
-from .export import (
-    write_json,
-    write_series_csv,
-    write_svg_lineplot,
-    write_table_csv,
-    write_xy_csv,
-)
-from .lfunctions import (
-    FE_TOL,
-    LSeries,
-    density_comparison,
-    explicit_predict,
-    fe_residual,
-    hotelling_t2,
-    locate_zeros,
-    one_level_density,
-    read_zero_sets_csv,
-    write_zero_sets_csv,
-)
-from .stratify import (
-    SCALE_WINDOWS,
-    SHA_RULE,
-    TABLE_RULES,
-    TAMAGAWA_RULE,
-    bonferroni,
-    partition,
-    permutation_test,
-    scale_scan,
-)
-from .traces import (
-    CacheCorruptionError,
-    CacheFormatError,
-    MissingTraceError,
-    PrimeList,
-    TraceComputationError,
-    TraceMatrix,
-    build_trace_matrix,
-    default_prime_list,
-    load_trace_matrix,
-    persist_trace_matrix,
-)
-from .windows import (
-    cross_correlation,
-    murmuration_profile,
-    residual_correlation,
-    savgol_detrend,
-    sliding_window_series,
-    welch_psd,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
-RULES_BY_NAME = {rule.name: rule for rule in TABLE_RULES}
+#: the names of stratify.TABLE_RULES, which the parser offers without loading stratify
+RULE_NAMES = ("tamagawa", "sha", "period", "torsion", "root_number")
 
 
 @dataclass
@@ -108,9 +52,9 @@ class RunConfig:
     out: str = "out"
     svg: bool = False
     sample: int = 0
-    scan_windows: tuple[tuple[int, int], ...] = tuple(
-        (int(a), int(b)) for a, b in SCALE_WINDOWS
-    )
+    #: stratify.SCALE_WINDOWS, spelled out so that a RunConfig loads no stratify
+    scan_windows: tuple[tuple[int, int], ...] = ((5_000, 20_000), (10_000, 50_000),
+                                                 (20_000, 70_000), (50_000, 100_000))
 
     def digest(self) -> str:
         """Hash of the fields that decide a report's content.
@@ -151,7 +95,7 @@ _FIELDS = {
     "window": (float, {"help": "window width W"}),
     "step": (float, {"help": "window step S"}),
     "range": (_int_range, {"help": "conductor range LO:HI"}),
-    "rule": (str, {"choices": [*RULES_BY_NAME, "all"], "help": "stratification rule"}),
+    "rule": (str, {"choices": [*RULE_NAMES, "all"], "help": "stratification rule"}),
     "band": (_parse_range, {"help": "L-value band LO:HI"}),
     "shuffles": (int, {"help": "permutation shuffles"}),
     "seed": (int, {"help": "RNG seed (always recorded)"}),
@@ -202,7 +146,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = getattr(args, key)
     cfg = RunConfig(**{key: _FIELDS[key][0](text) for key, text in values.items()})
     # a config file bypasses the parser's choices for --rule
-    if cfg.rule != "all" and cfg.rule not in RULES_BY_NAME:
+    if cfg.rule != "all" and cfg.rule not in RULE_NAMES:
         raise CliError(f"unknown rule {cfg.rule!r}")
     if cfg.sample < 0:
         raise CliError(f"sample must be >= 0, got {cfg.sample}")
@@ -235,12 +179,15 @@ def _curves(cfg: RunConfig) -> str:
 
 def _load_table(cfg: RunConfig):
     with open(_curves(cfg), newline="") as fh:
-        return parse_curve_table(fh)
+        return curves.parse_curve_table(fh)
 
 
-def _load_cache(path, cfg: RunConfig, csv_sha256: str, primes: PrimeList) -> TraceMatrix:
+def _load_cache(path, cfg: RunConfig, csv_sha256: str,
+                primes: traces.PrimeList) -> traces.TraceMatrix:
     """The cached matrix, with its table, unless built from other CSV bytes or primes."""
-    cache = load_trace_matrix(path)
+    import numpy as np
+
+    cache = traces.load_trace_matrix(path)
     if cache.csv_sha256 != csv_sha256:
         problem = (f"was built for a different curve table: a CSV with SHA-256 "
                    f"{cache.csv_sha256}, not {cfg.curves} with SHA-256 {csv_sha256}")
@@ -262,21 +209,21 @@ def _context(cfg: RunConfig, csv_sha256: str):
     """
     if cfg.cache and not Path(cfg.cache).exists():
         raise CliError(f"trace cache {cfg.cache} does not exist; build it with `traces`")
-    primes = default_prime_list(cfg.primes)
+    primes = traces.default_prime_list(cfg.primes)
     if cfg.cache:
         matrix = _load_cache(cfg.cache, cfg, csv_sha256, primes)
         table = matrix.table
     else:
         table = _load_table(cfg).table
-        matrix = build_trace_matrix(table, primes)
+        matrix = traces.build_trace_matrix(table, primes)
     conductor_range = cfg.range or (10_000, 50_000)
     rank0 = table.filter(rank=0, conductor_range=conductor_range)
     return table, matrix, rank0, conductor_range
 
 
 def _sha_groups(table) -> dict[str, np.ndarray]:
-    """The Sha = 1 and Sha >= 4 groups of SHA_RULE, as sha_1 and sha_ge4."""
-    part = partition(table, SHA_RULE)
+    """The Sha = 1 and Sha >= 4 groups of stratify.SHA_RULE, as sha_1 and sha_ge4."""
+    part = stratify.partition(table, stratify.SHA_RULE)
     return {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
 
 
@@ -289,7 +236,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_ingest(cfg: RunConfig) -> dict:
     result = _load_table(cfg)
     table = result.table
-    deduped = dedupe_isogeny(table)
+    deduped = curves.dedupe_isogeny(table)
     report = _report_base(cfg, {"curves": cfg.curves})
     report["ingest"] = {
         "n_curves": len(table),
@@ -306,12 +253,12 @@ def cmd_ingest(cfg: RunConfig) -> dict:
 
 def cmd_traces(cfg: RunConfig) -> dict:
     csv_sha256 = _file_digest(_curves(cfg))
-    primes = default_prime_list(cfg.primes)
+    primes = traces.default_prime_list(cfg.primes)
     cache_path = Path(cfg.cache) if cfg.cache else _out_dir(cfg) / "traces.bin"
     rebuilt = not cache_path.exists()
     if rebuilt:
-        matrix = build_trace_matrix(_load_table(cfg).table, primes)
-        persist_trace_matrix(matrix, cache_path, csv_sha256)
+        matrix = traces.build_trace_matrix(_load_table(cfg).table, primes)
+        traces.persist_trace_matrix(matrix, cache_path, csv_sha256)
     else:
         matrix = _load_cache(cache_path, cfg, csv_sha256, primes)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": str(cache_path)}, csv_sha256)
@@ -326,30 +273,32 @@ def cmd_traces(cfg: RunConfig) -> dict:
 
 
 def cmd_windows(cfg: RunConfig) -> dict:
+    import numpy as np
+
     table = _load_table(cfg).table
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves})
     per_invariant = {}
-    for invariant in INVARIANT_IDS:
+    for invariant in curves.INVARIANT_IDS:
         entry = {}
         residuals = {}
         for rank in (0, 1):
-            series = sliding_window_series(table, invariant, rank,
-                                           cfg.window, cfg.step).finite()
-            write_series_csv(out / f"windows_{invariant}_rank{rank}.csv",
-                             series, ("center", "mean"))
+            series = windows.sliding_window_series(table, invariant, rank,
+                                                   cfg.window, cfg.step).finite()
+            export.write_series_csv(out / f"windows_{invariant}_rank{rank}.csv",
+                                    series, ("center", "mean"))
             if cfg.svg and len(series):
-                write_svg_lineplot(out / f"windows_{invariant}_rank{rank}.svg",
-                                   series.centers, {invariant: series.values},
-                                   f"{invariant}, rank {rank}")
+                export.write_svg_lineplot(out / f"windows_{invariant}_rank{rank}.svg",
+                                          series.centers, {invariant: series.values},
+                                          f"{invariant}, rank {rank}")
             entry[f"rank{rank}_windows"] = int(len(series))
             try:
-                residuals[rank] = savgol_detrend(series)
+                residuals[rank] = windows.savgol_detrend(series)
             except ValueError:
                 residuals[rank] = None
         if residuals[0] is not None and residuals[1] is not None:
             try:
-                entry["residual_correlation"] = residual_correlation(
+                entry["residual_correlation"] = windows.residual_correlation(
                     residuals[0], residuals[1]
                 )
             except ValueError:
@@ -357,14 +306,14 @@ def cmd_windows(cfg: RunConfig) -> dict:
             for rank in (0, 1):
                 res = residuals[rank]
                 try:
-                    freqs, power = welch_psd(res.values, segment=min(256, len(res)))
-                    write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
-                                 freqs, power, ("frequency", "power"))
+                    freqs, power = windows.welch_psd(res.values, segment=min(256, len(res)))
+                    export.write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
+                                        freqs, power, ("frequency", "power"))
                 except ValueError:
                     pass
             if np.array_equal(residuals[0].centers, residuals[1].centers):
                 try:
-                    lags, corr = cross_correlation(
+                    lags, corr = windows.cross_correlation(
                         residuals[0], residuals[1],
                         max_lag=min(20, len(residuals[0]) - 3),
                     )
@@ -385,10 +334,13 @@ def cmd_windows(cfg: RunConfig) -> dict:
 
 
 def cmd_stratify(cfg: RunConfig) -> dict:
+    import numpy as np
+
     csv_sha256 = _file_digest(_curves(cfg))
     table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
     out = _out_dir(cfg)
-    rules = TABLE_RULES if cfg.rule == "all" else (RULES_BY_NAME[cfg.rule],)
+    by_name = {rule.name: rule for rule in stratify.TABLE_RULES}
+    rules = stratify.TABLE_RULES if cfg.rule == "all" else (by_name[cfg.rule],)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
     parts = []
     for rule in rules:
@@ -398,25 +350,25 @@ def cmd_stratify(cfg: RunConfig) -> dict:
             base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
         else:
             base = rank0
-        parts.append(partition(base, rule))
+        parts.append(stratify.partition(base, rule))
     # one call, so rules over the same number of curves share their shuffles
-    strat_reports = permutation_test([part.groups for part in parts], matrix,
-                                     n_shuffles=cfg.shuffles, seed=cfg.seed)
+    strat_reports = stratify.permutation_test([part.groups for part in parts], matrix,
+                                              n_shuffles=cfg.shuffles, seed=cfg.seed)
     entries = {}
     p_values = []
     for rule, part, strat_report in zip(rules, parts, strat_reports):
         if rule.kind == "two_group":
-            diff = (murmuration_profile(part.groups["group_b"], matrix)
-                    - murmuration_profile(part.groups["group_a"], matrix))
-            write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
-                         diff, ("prime", "mean_ap_diff"))
+            diff = (windows.murmuration_profile(part.groups["group_b"], matrix)
+                    - windows.murmuration_profile(part.groups["group_a"], matrix))
+            export.write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
+                                diff, ("prime", "mean_ap_diff"))
         entries[rule.name] = {
             "report": strat_report.to_dict(),
             "group_sizes": part.sizes(),
             "n_unassigned": len(part.unassigned),
         }
         p_values.append(strat_report.p_value)
-    adj = bonferroni(p_values)
+    adj = stratify.bonferroni(p_values)
     report["stratify"] = {
         "conductor_range": list(conductor_range),
         "rules": entries,
@@ -428,9 +380,9 @@ def cmd_stratify(cfg: RunConfig) -> dict:
     }
     if len(cfg.scan_windows) >= 3:
         try:
-            scan = scale_scan(table.filter(rank=0), matrix,
-                              RULES_BY_NAME[cfg.rule if cfg.rule != "all" else "sha"],
-                              cfg.scan_windows)
+            scan = stratify.scale_scan(table.filter(rank=0), matrix,
+                                       by_name[cfg.rule if cfg.rule != "all" else "sha"],
+                                       cfg.scan_windows)
             report["stratify"]["scale_scan"] = {
                 "windows": [list(w) for w in scan.windows],
                 "rms": [float(v) for v in scan.rms_values],
@@ -451,7 +403,7 @@ def cmd_confound(cfg: RunConfig) -> dict:
     tests = []
 
     try:
-        tam_part = partition(rank0, TAMAGAWA_RULE)
+        tam_part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
     except ValueError as exc:
         # every Tamagawa control carries the error; the Sha controls still run
         for name in ("tamagawa_omega_2", "tamagawa_omega_3", "tamagawa_omega_4",
@@ -461,21 +413,21 @@ def cmd_confound(cfg: RunConfig) -> dict:
         for k in (2, 3, 4):
             try:
                 tests.append((battery, f"tamagawa_omega_{k}",
-                              control_omega(table, tam_part.groups, k)))
+                              confound.control_omega(table, tam_part.groups, k)))
             except ValueError as exc:
                 battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
 
         try:
-            matches = match_nn(table, tam_part.groups["group_a"],
-                               tam_part.groups["group_b"], "conductor", 500.0)
-            paired = matched_rms(matches, matrix)
+            matches = confound.match_nn(table, tam_part.groups["group_a"],
+                                        tam_part.groups["group_b"], "conductor", 500.0)
+            paired = confound.matched_rms(matches, matrix)
             battery["tamagawa_conductor_matched"] = {
                 "n_pairs": matches.n_pairs,
                 "mean_distance": matches.mean_distance,
                 "rms_group": paired.rms_group,
                 "rms_per_pair": paired.rms_per_pair,
             }
-            write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
+            export.write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
                 "key": matches.key,
                 "max_distance": matches.max_distance,
                 "pairs": [[table.labels[a], table.labels[b], d]
@@ -486,16 +438,16 @@ def cmd_confound(cfg: RunConfig) -> dict:
 
     band = cfg.band or (1.53, 2.84)
     try:
-        part = partition(lvalue_band(rank0, band), SHA_RULE)
+        part = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
     except ValueError as exc:
         battery["sha_lvalue_band"] = {"error": str(exc)}
     else:
         battery["sha_lvalue_band"] = {"band": list(band), "group_sizes": part.sizes()}
         tests.append((battery["sha_lvalue_band"], "report", part.groups))
         try:
-            matches = match_nn(table, part.groups["group_b"],
-                               part.groups["group_a"], "l_value", 0.1)
-            paired = matched_rms(matches, matrix)
+            matches = confound.match_nn(table, part.groups["group_b"],
+                                        part.groups["group_a"], "l_value", 0.1)
+            paired = confound.matched_rms(matches, matrix)
             battery["sha_lvalue_matched"] = {
                 "n_pairs": matches.n_pairs,
                 "mean_distance": matches.mean_distance,
@@ -505,7 +457,7 @@ def cmd_confound(cfg: RunConfig) -> dict:
             battery["sha_lvalue_matched"] = {"error": str(exc)}
 
     try:
-        halves = triple_control(table, band, conductor_range)
+        halves = confound.triple_control(table, band, conductor_range)
     except ValueError as exc:
         battery["sha_triple_control"] = {"error": str(exc)}
     else:
@@ -515,28 +467,28 @@ def cmd_confound(cfg: RunConfig) -> dict:
                      for half, part in halves.items())
 
     # one call, so controls over the same number of curves share their shuffles
-    strat_reports = permutation_test([groups for _, _, groups in tests], matrix,
-                                     n_shuffles=cfg.shuffles, seed=cfg.seed)
+    strat_reports = stratify.permutation_test([groups for _, _, groups in tests], matrix,
+                                              n_shuffles=cfg.shuffles, seed=cfg.seed)
     for (entry, key, _), strat_report in zip(tests, strat_reports):
         entry[key] = strat_report.to_dict()
 
     try:
         groups = _sha_groups(rank0)
-        battery["bsd_group_ratios"] = bsd_group_ratios(table, groups)
-        cum = euler_cumsum(matrix.primes.primes,
-                           murmuration_profile(groups["sha_1"], matrix),
-                           murmuration_profile(groups["sha_ge4"], matrix))
+        battery["bsd_group_ratios"] = confound.bsd_group_ratios(table, groups)
+        cum = confound.euler_cumsum(matrix.primes.primes,
+                                    windows.murmuration_profile(groups["sha_1"], matrix),
+                                    windows.murmuration_profile(groups["sha_ge4"], matrix))
         battery["euler_cumsum"] = {
             "argmax_prime": cum.argmax_prime,
             "terminal": list(cum.terminal),
         }
-        write_xy_csv(_out_dir(cfg) / "euler_delta.csv", cum.primes, cum.delta,
-                     ("prime", "delta"))
+        export.write_xy_csv(_out_dir(cfg) / "euler_delta.csv", cum.primes, cum.delta,
+                            ("prime", "delta"))
     except (ValueError, ZeroDivisionError) as exc:
         battery["bsd_group_ratios"] = {"error": str(exc)}
 
     try:
-        battery["period_vs_log_conductor"] = invariant_correlation(
+        battery["period_vs_log_conductor"] = confound.invariant_correlation(
             rank0, "period", "conductor", log_y=True
         )
     except ValueError as exc:
@@ -554,12 +506,12 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
     out = _out_dir(cfg)
     diag = {}
-    groups = _sha_groups(lvalue_band(rank0, band))
+    groups = _sha_groups(confound.lvalue_band(rank0, band))
     moments = {}
     for name, members in groups.items():
-        prof = moment_profile(members, matrix)
+        prof = diagnostics.moment_profile(members, matrix)
         moments[name] = prof.summary()
-        write_table_csv(
+        export.write_table_csv(
             out / f"moments_{name}.csv",
             ("prime", "mean", "variance", "variance_over_p", "skewness",
              "excess_kurtosis"),
@@ -568,27 +520,27 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
                 prof.excess_kurtosis.tolist()),
         )
     diag["moments"] = moments
-    ks = satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
+    ks = diagnostics.satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
     diag["sato_tate_ks"] = {"D": ks.statistic, "p": ks.p_value,
                             "n_a": ks.n_a, "n_b": ks.n_b}
-    diff = (murmuration_profile(groups["sha_ge4"], matrix)
-            - murmuration_profile(groups["sha_1"], matrix))
-    cross = crossover_scan(matrix.primes.primes, diff)
+    diff = (windows.murmuration_profile(groups["sha_ge4"], matrix)
+            - windows.murmuration_profile(groups["sha_1"], matrix))
+    cross = diagnostics.crossover_scan(matrix.primes.primes, diff)
     diag["crossover"] = {
         "crossing_prime": cross.crossing_prime,
         "direction": cross.direction,
         "landmarks": {str(k): v for k, v in cross.landmarks.items()},
     }
-    red = classify_reduction(matrix, table)
-    write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"),
-                    red.entries)
+    red = diagnostics.classify_reduction(matrix, table)
+    export.write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"),
+                           red.entries)
     diag["reduction"] = {
         "type_counts": red.type_counts,
         "tamagawa_agreement": red.agreement_fraction,
         "n_classified": red.n_classified_curves,
         "n_unclassifiable": red.n_unclassifiable,
     }
-    share = bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix)
+    share = diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix)
     diag["bad_prime_share"] = {
         "full_rms": share.full_rms,
         "masked_rms": share.masked_rms,
@@ -602,15 +554,18 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
 
 
 def cmd_zeros(cfg: RunConfig) -> dict:
+    import numpy as np
+
     csv_sha256 = _file_digest(_curves(cfg))
     table, matrix, rank0, _ = _context(cfg, csv_sha256)
     band = cfg.band or (1.53, 2.84)
     out = _out_dir(cfg)
     report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache,
                                 "zeros": cfg.zeros}, csv_sha256)
-    groups = _sha_groups(lvalue_band(rank0, band))
-    rng = np.random.default_rng(cfg.seed)
-    imported = {z.label: z for z in read_zero_sets_csv(cfg.zeros)} if cfg.zeros else None
+    groups = _sha_groups(confound.lvalue_band(rank0, band))
+    rng = None  # made at the first draw: a run that samples nothing imports no numpy.random
+    imported = ({z.label: z for z in lfunctions.read_zero_sets_csv(cfg.zeros)}
+                if cfg.zeros else None)
     # a curve whose conductor, root number and model fail the functional
     # equation is neither searched nor counted in the statistics, whether its
     # zeros are searched or imported
@@ -619,20 +574,23 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         if imported is not None:
             members = [i for i in members if table.labels[i] in imported]
         elif cfg.sample and cfg.sample < len(members):
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed)
             members = rng.choice(members, size=cfg.sample, replace=False)
         # a_p from the matrix, counted past its last prime; one series held at a time
-        all_series = LSeries.from_curves([table.record(i) for i in members],
-                                         known=matrix.traces[members])
+        all_series = lfunctions.LSeries.from_curves([table.record(i) for i in members],
+                                                    known=matrix.traces[members])
         found[name], fe_failed[name] = [], []
         for i, series in zip(members, all_series):
-            if fe_residual(series) > FE_TOL:
+            if lfunctions.fe_residual(series) > lfunctions.FE_TOL:
                 fe_failed[name].append(series.label)
             elif imported is None:
-                found[name].append((i, locate_zeros(series)))
+                found[name].append((i, lfunctions.locate_zeros(series)))
             else:
                 found[name].append((i, imported[series.label]))
         if imported is None:
-            write_zero_sets_csv(out / f"zeros_{name}.csv", [z for _, z in found[name]])
+            lfunctions.write_zero_sets_csv(out / f"zeros_{name}.csv",
+                                           [z for _, z in found[name]])
     complete = {name: [z for _, z in pairs if z.complete] for name, pairs in found.items()}
     cond = {name: [int(table.conductors[i]) for i, z in pairs if z.complete]
             for name, pairs in found.items()}
@@ -640,7 +598,7 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         "band": list(band),
         "n_complete": {k: len(v) for k, v in complete.items()},
         "fe_gate": {
-            "tolerance": FE_TOL,
+            "tolerance": lfunctions.FE_TOL,
             "n_excluded": {k: len(v) for k, v in fe_failed.items()},
             "excluded": fe_failed,
         },
@@ -655,13 +613,13 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         # one row of ordinates per complete set
         samples = {name: np.vstack([z.gammas for z in sets])
                    for name, sets in complete.items()}
-        hot = hotelling_t2(samples["sha_1"], samples["sha_ge4"])
+        hot = lfunctions.hotelling_t2(samples["sha_1"], samples["sha_ge4"])
         zeros_report["hotelling"] = {
             "t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df),
         }
-        dens = {name: one_level_density(sets, cond[name])
+        dens = {name: lfunctions.one_level_density(sets, cond[name])
                 for name, sets in complete.items()}
-        comp = density_comparison(dens["sha_1"], dens["sha_ge4"])
+        comp = lfunctions.density_comparison(dens["sha_1"], dens["sha_ge4"])
         zeros_report["one_level_density"] = {
             "deviation_sha_1": comp.deviation_a,
             "deviation_sha_ge4": comp.deviation_b,
@@ -669,20 +627,20 @@ def cmd_zeros(cfg: RunConfig) -> dict:
             "ks_first": list(comp.ks_first),
         }
         for name, result in dens.items():
-            write_xy_csv(out / f"density_{name}.csv", result.bin_centers,
-                         result.density, ("scaled_ordinate", "density"))
+            export.write_xy_csv(out / f"density_{name}.csv", result.bin_centers,
+                                result.density, ("scaled_ordinate", "density"))
         mean_a = samples["sha_1"].mean(axis=0)
         mean_b = samples["sha_ge4"].mean(axis=0)
-        observed = (murmuration_profile(groups["sha_ge4"], matrix)
-                    - murmuration_profile(groups["sha_1"], matrix))
-        pred = explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
+        observed = (windows.murmuration_profile(groups["sha_ge4"], matrix)
+                    - windows.murmuration_profile(groups["sha_1"], matrix))
+        pred = lfunctions.explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
         zeros_report["explicit_formula"] = {
             "correlation": pred.correlation,
             "rms_predicted": pred.rms_predicted,
             "rms_observed": pred.rms_observed,
         }
-        write_xy_csv(out / "explicit_prediction.csv", pred.primes,
-                     pred.predicted_diff, ("prime", "predicted_diff"))
+        export.write_xy_csv(out / "explicit_prediction.csv", pred.primes,
+                            pred.predicted_diff, ("prime", "predicted_diff"))
     else:
         zeros_report["hotelling"] = {
             "error": "not enough complete zero sets per group (need > k+1)"
@@ -730,18 +688,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1
-_USER_ERRORS = (
-    CliError,
-    ValueError,
-    csv.Error,
-    OSError,
-    ArithmeticError,
-    CacheFormatError,
-    CacheCorruptionError,
-    TraceComputationError,
-    MissingTraceError,
-)
+def _user_errors() -> tuple[type[Exception], ...]:
+    """Failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
+
+    Asked for only when a step fails, so a step that succeeds loads no traces.
+    """
+    return (CliError, ValueError, csv.Error, OSError, ArithmeticError,
+            traces.CacheFormatError, traces.CacheCorruptionError,
+            traces.TraceComputationError, traces.MissingTraceError)
 
 
 def main(argv=None) -> int:
@@ -752,16 +706,16 @@ def main(argv=None) -> int:
         report = _SUBCOMMANDS[args.command](cfg)
         out = _out_dir(cfg)
         (out / f"{args.command}_error.json").unlink(missing_ok=True)
-        write_json(out / f"{args.command}.json", report)
-    except _USER_ERRORS as exc:
+        export.write_json(out / f"{args.command}.json", report)
+    except _user_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         out = Path(cfg.out if cfg else args.out or "out")
         try:
             out.mkdir(parents=True, exist_ok=True)
             # an earlier success of this step no longer describes the out directory
             (out / f"{args.command}.json").unlink(missing_ok=True)
-            write_json(out / f"{args.command}_error.json",
-                       {"command": args.command, "error": str(exc)})
+            export.write_json(out / f"{args.command}_error.json",
+                              {"command": args.command, "error": str(exc)})
         except OSError:
             pass  # an out path that is no directory: the line above is the report
         return 1

@@ -18,21 +18,25 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .curves import CurveTable, invariant_values
+from .curves import invariant_values
 from .primes import omega
 from .stratify import (
     EmptyGroupError,
     Partition,
     SHA_RULE,
     StratRule,
+    median,
     partition,
     rms_separation,
 )
-from .traces import TraceMatrix
+
+if TYPE_CHECKING:
+    from .curves import CurveTable
+    from .traces import TraceMatrix
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ def triple_control(table: CurveTable, band: tuple[float, float],
     banded = lvalue_band(table.filter(conductor_range=conductor_range), band)
     if len(banded) == 0:
         raise EmptyGroupError("no curves inside the band and conductor range")
-    small = banded.real_periods <= np.median(banded.real_periods)
+    small = banded.real_periods <= median(banded.real_periods)
     halves = {}
     for name, mask in (("small_period", small), ("large_period", ~small)):
         try:

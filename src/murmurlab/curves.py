@@ -48,6 +48,8 @@ SHA_SQUARE_RTOL = 1e-3
 
 VALID_RANKS = (0, 1, 2, 3, 4)
 MIN_CONDUCTOR = 11
+#: the largest conductor, Tamagawa product or torsion order a table column holds
+MAX_INT64 = (1 << 63) - 1
 
 _LABEL_RE = re.compile(r"^([0-9]+)([a-z]+)([0-9]+)$")
 
@@ -158,7 +160,7 @@ class CurveTable:
 
     def subset(self, indices: Sequence[int]) -> "CurveTable":
         """The rows at the given positions of this table, each once, in table order."""
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        idx = distinct(np.asarray(indices, dtype=np.int64))[0]
         sub = object.__new__(CurveTable)
         sub.labels = tuple(self.labels[i] for i in idx)
         for column in ("a_invariants", *NUMERIC_COLUMNS, "rows"):
@@ -178,8 +180,28 @@ class CurveTable:
         return self.subset(idx)
 
     def rank_histogram(self) -> dict[int, int]:
-        vals, counts = np.unique(self.ranks, return_counts=True)
+        vals, _, _, counts = distinct(self.ranks)
         return {int(v): int(c) for v, c in zip(vals, counts)}
+
+
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique of a 1-D integer array with its first indices, inverse and counts.
+
+    The distinct values in ascending order, the position of each one's first
+    occurrence, the index into them of every element, and how often each
+    occurs: one stable sort and one comparison of neighbours.  np.unique
+    gives the same, but called for the values alone it imports numpy.ma
+    (~20 ms) on its first call in a process.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[starts], order[starts], inverse, np.diff(starts, append=len(ordered))
 
 
 #: invariant ids usable in window averages and correlations
@@ -281,6 +303,7 @@ def _rules(v: dict[str, np.ndarray]) -> tuple[tuple[np.ndarray, str], ...]:
     root = np.round(np.sqrt(np.where(sha > 0, sha, 1.0)))
     return (
         (v["conductor"] < MIN_CONDUCTOR, f"conductor {{conductor}} < {MIN_CONDUCTOR}"),
+        (v["conductor"] > MAX_INT64, f"conductor {{conductor}} > {MAX_INT64}"),
         (~valid_rank, f"rank {{rank}} outside {VALID_RANKS}"),
         (~unit, "root number {root_number} not in {{-1,+1}}"),
         (valid_rank & unit & (w != np.where(rank % 2 == 0, 1, -1)),
@@ -288,7 +311,10 @@ def _rules(v: dict[str, np.ndarray]) -> tuple[tuple[np.ndarray, str], ...]:
         (~(v["real_period"] > 0), "real period {real_period} not positive"),
         (~(regulator > 0), "regulator {regulator} not positive"),
         (v["tamagawa_product"] < 1, "Tamagawa product {tamagawa_product} not positive"),
+        (v["tamagawa_product"] > MAX_INT64,
+         f"Tamagawa product {{tamagawa_product}} > {MAX_INT64}"),
         (v["torsion_order"] < 1, "torsion order {torsion_order} not positive"),
+        (v["torsion_order"] > MAX_INT64, f"torsion order {{torsion_order}} > {MAX_INT64}"),
         (~(sha > 0), "analytic Sha {sha_an} not positive"),
         ((sha > 0) & ((root < 1) | (np.abs(root * root - sha) > SHA_SQUARE_RTOL * sha)),
          "analytic Sha {sha_an} is not a perfect square"),

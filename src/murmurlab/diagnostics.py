@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .curves import CurveTable
 from .stratify import rms_separation
-from .traces import TraceMatrix
+
+if TYPE_CHECKING:
+    from .curves import CurveTable
+    from .traces import TraceMatrix
 
 
 class ReductionDataError(ValueError):

@@ -1,13 +1,16 @@
-"""Report writers: two-column CSV, JSON with stable formatting, simple SVG."""
+"""Report writers: two-column CSV, JSON with stable formatting, simple SVG.
+
+Only the SVG plot imports NumPy, so a step that writes JSON alone (`report`)
+runs without it.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 
 def write_json(path, payload: dict) -> None:
@@ -22,7 +25,7 @@ def write_xy_csv(path, x: Sequence, y: Sequence, header: tuple[str, str]) -> Non
         writer = csv.writer(fh)
         writer.writerow(header)
         for xv, yv in zip(x, y):
-            if not np.isfinite(yv):
+            if not math.isfinite(yv):
                 continue
             writer.writerow([xv, repr(float(yv))])
 
@@ -52,6 +55,8 @@ def write_table_csv(path, header: Sequence[str], rows) -> None:
 def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence],
                        title: str = "", width: int = 800, height: int = 480) -> None:
     """Minimal SVG polyline plot of one or more series against shared x."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     margin = 50
     colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")

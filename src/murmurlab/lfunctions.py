@@ -56,13 +56,15 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .curves import CurveRecord
 from .diagnostics import ks_2samp
 from .traces import dirichlet_coefficients
+
+if TYPE_CHECKING:
+    from .curves import CurveRecord
 
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
 _X_CUT = 46.0

@@ -38,7 +38,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .curves import NUMERIC_COLUMNS, CurveTable
+from .curves import NUMERIC_COLUMNS, CurveTable, distinct
 from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
@@ -315,7 +315,7 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
     if p < 5:  # one integer per (a-invariants mod p, bad flag)
         residues = _residues(limbs[0], p)
         keys = p ** np.arange(5) @ residues + p**5 * bad
-        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, back, _ = distinct(keys)
         counted = [_ap_tiny(residues[:, i].tolist(), int(conductors[i]), p)
                    for i in first.tolist()]
         return np.array(counted, dtype=np.int64)[back], bad
@@ -348,7 +348,7 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
     traces = chi[a] * chi[b] * sums[r]  # chi(B/A) = chi(A) chi(B), 0 where AB = 0
     rest = np.flatnonzero(r == 0)
     if rest.size:
-        keys, back = np.unique(a[rest] * p + b[rest], return_inverse=True)
+        keys, _, back, _ = distinct(a[rest] * p + b[rest])
         traces[rest] = _character_sums(keys // p, keys % p, p, chi)[back]
     return -traces, bad
 

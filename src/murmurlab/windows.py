@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import CurveTable, invariant_values
-from .traces import TraceMatrix
+from .curves import invariant_values
+
+if TYPE_CHECKING:
+    from .curves import CurveTable
+    from .traces import TraceMatrix
 
 
 class DegenerateSeriesError(ValueError):

@@ -224,6 +224,7 @@ def classify_reduction_oracle(matrix, table):
 SHA_SQUARE_RTOL = 1e-3
 VALID_RANKS = (0, 1, 2, 3, 4)
 MIN_CONDUCTOR = 11
+MAX_INT64 = 2**63 - 1
 _LABEL_RE = re.compile(r"^([0-9]+)([a-z]+)([0-9]+)$")
 
 
@@ -234,6 +235,8 @@ def validate_record(rec: CurveRecord) -> list[str]:
         problems.append(f"label {rec.label!r} is not Cremona-style")
     if rec.conductor < MIN_CONDUCTOR:
         problems.append(f"conductor {rec.conductor} < {MIN_CONDUCTOR}")
+    if rec.conductor > MAX_INT64:
+        problems.append(f"conductor {rec.conductor} > {MAX_INT64}")
     if rec.rank not in VALID_RANKS:
         problems.append(f"rank {rec.rank} outside {VALID_RANKS}")
     if rec.root_number not in (-1, 1):
@@ -248,8 +251,12 @@ def validate_record(rec: CurveRecord) -> list[str]:
         problems.append(f"regulator {rec.regulator} not positive")
     if rec.tamagawa_product < 1:
         problems.append(f"Tamagawa product {rec.tamagawa_product} not positive")
+    if rec.tamagawa_product > MAX_INT64:
+        problems.append(f"Tamagawa product {rec.tamagawa_product} > {MAX_INT64}")
     if rec.torsion_order < 1:
         problems.append(f"torsion order {rec.torsion_order} not positive")
+    if rec.torsion_order > MAX_INT64:
+        problems.append(f"torsion order {rec.torsion_order} > {MAX_INT64}")
     if not rec.sha_an > 0:
         problems.append(f"analytic Sha {rec.sha_an} not positive")
     else:

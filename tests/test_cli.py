@@ -17,11 +17,15 @@ from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.confound import control_omega, lvalue_band, triple_control
 from murmurlab.curves import CurveTable
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
-from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
+from murmurlab.stratify import (SCALE_WINDOWS, SHA_RULE, TABLE_RULES, TAMAGAWA_RULE,
+                                partition, permutation_test)
 from murmurlab.traces import build_trace_matrix, default_prime_list
 
 from conftest import (TWIST_DS, make_synthetic_table, record_of, serialize_curve_table,
                       table_of, twist_of_11a1)
+
+
+RULES_BY_NAME = {rule.name: rule for rule in TABLE_RULES}
 
 
 def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
@@ -88,6 +92,19 @@ class TestIngest:
         err = json.loads((out / "ingest_error.json").read_text())
         assert "field limit" in err["error"]
         assert not (out / "ingest.json").exists()
+
+    def test_conductor_too_wide_for_int64_rejects_its_row(self, known_csv_path, tmp_path):
+        header, first, *rest = known_csv_path.read_text().splitlines()
+        _, _, *cells = first.split(",")
+        wide = ",".join(["37b9", str(10**20), *cells])
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("\n".join([header, first, wide, *rest, ""]))
+        out = tmp_path / "out"
+        assert main(["ingest", "--curves", str(csv_path), "--out", str(out)]) == 0
+        report = read_report(out, "ingest")["ingest"]
+        assert report["n_curves"] == 1 + len(rest)
+        assert report["rejected"] == [
+            {"line": 3, "message": "conductor 100000000000000000000 > 9223372036854775807"}]
 
     def test_missing_curves_flag_errors(self, tmp_path):
         out = tmp_path / "out"
@@ -245,7 +262,7 @@ class TestStratify:
         together = tmp_path / "all"
         assert main(["stratify", "--rule", "all", *common, "--out", str(together)]) == 0
         rules = read_report(together, "stratify")["stratify"]["rules"]
-        assert set(rules) == set(cli.RULES_BY_NAME)
+        assert set(rules) == set(RULES_BY_NAME)
         n_totals = {name: sum(e["group_sizes"].values()) for name, e in rules.items()}
         assert len({n_totals[name] for name in ("tamagawa", "sha", "period",
                                                 "torsion")}) == 1
@@ -254,7 +271,7 @@ class TestStratify:
             alone = tmp_path / name
             assert main(["stratify", "--rule", name, *common, "--out", str(alone)]) == 0
             assert read_report(alone, "stratify")["stratify"]["rules"] == {name: entry}
-            if cli.RULES_BY_NAME[name].kind == "two_group":
+            if RULES_BY_NAME[name].kind == "two_group":
                 assert ((alone / f"diff_{name}.csv").read_bytes()
                         == (together / f"diff_{name}.csv").read_bytes())
 
@@ -404,7 +421,7 @@ class TestErrorReports:
         def no_build(*args, **kwargs):
             pytest.fail("the trace matrix was built for a missing cache")
 
-        monkeypatch.setattr(cli, "build_trace_matrix", no_build)
+        monkeypatch.setattr(traces, "build_trace_matrix", no_build)
         out = tmp_path / "out"
         rc = main(["stratify", "--curves", str(twist_csv), "--cache",
                    str(tmp_path / "none.bin"), "--rule", "sha", "--primes", "20",
@@ -458,7 +475,6 @@ class TestCachedStepsParseNothing:
             pytest.fail("a cached step parsed the CSV")
 
         monkeypatch.setattr(curves, "parse_curve_table", no_parse)
-        monkeypatch.setattr(cli, "parse_curve_table", no_parse)
         for argv in (["stratify", *common, "--rule", "sha", "--shuffles", "20"],
                      ["confound", *common, "--shuffles", "20"],
                      ["diagnose", *common], ["zeros", *common]):
@@ -640,13 +656,13 @@ class TestZerosFunctionalEquationGate:
             self, impostor_csv, tmp_path, monkeypatch):
         path, twist_label = impostor_csv
         searched = []
-        real = cli.locate_zeros
+        real = lfunctions.locate_zeros
 
         def recording(series):
             searched.append(series.label)
             return real(series)
 
-        monkeypatch.setattr(cli, "locate_zeros", recording)
+        monkeypatch.setattr(lfunctions, "locate_zeros", recording)
         out = tmp_path / "out"
         rc = main(["zeros", "--curves", str(path), "--band", "0:100",
                    "--range", "11:300000", "--primes", "20", "--out", str(out)])
@@ -662,7 +678,7 @@ class TestZerosFunctionalEquationGate:
     def test_imported_zero_set_of_the_impostor_excluded_and_counted(
             self, impostor_csv, tmp_path, monkeypatch):
         path, twist_label = impostor_csv
-        monkeypatch.setattr(cli, "locate_zeros", lambda series: pytest.fail(
+        monkeypatch.setattr(lfunctions, "locate_zeros", lambda series: pytest.fail(
             f"{series.label} searched although its zeros were imported"))
         zeros_csv = tmp_path / "zeros.csv"
         write_zero_sets_csv(zeros_csv, [
@@ -797,6 +813,11 @@ class TestConfigFile:
     def test_default_config_hash_is_pinned(self):
         assert RunConfig().digest() == \
             "24440e54b7a372071e7ad6c9a0c37d5c0903262fd9fba204caf35a9c9151be15"
+
+    def test_literal_defaults_are_the_stratify_ones(self):
+        # cli spells them out, so that its parser and RunConfig load no stratify
+        assert cli.RULE_NAMES == tuple(rule.name for rule in TABLE_RULES)
+        assert RunConfig().scan_windows == tuple((int(a), int(b)) for a, b in SCALE_WINDOWS)
 
     def test_key_set_twice_rejected_naming_both_lines(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1017,3 +1038,139 @@ class TestImportOnUse:
         zeros = read_report(out, "zeros")["zeros"]
         assert "p" in zeros["hotelling"] and len(zeros["one_level_density"]["ks_all"]) == 2
         assert list((tmp_path / "windows").glob("psd_*.csv"))
+
+
+_MODULES_AFTER = """
+import json, sys, types
+import murmurlab.cli
+from murmurlab.cli import main
+
+def submodules():
+    return {n: m for n, m in sys.modules.items()
+            if n.startswith("murmurlab.") and n != "murmurlab.cli"}
+
+def executed():
+    return sorted(n for n, m in submodules().items() if type(m) is types.ModuleType)
+
+registered = sorted(submodules())
+before = executed()
+for argv in json.loads(sys.argv[1]):
+    try:
+        assert main(argv) == 0, argv
+    except SystemExit as exc:  # --version
+        assert exc.code == 0, argv
+print(json.dumps({"registered": registered, "before": before, "executed": executed(),
+                  "numpy": sorted(m for m in ("numpy", "numpy.ma", "numpy.random")
+                                  if m in sys.modules)}))
+"""
+
+
+_TRACER_MISSING = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import murmurlab.cli
+from tracer import TARGETS
+
+lazy = [n for n, m in sys.modules.items() if n.startswith("murmurlab.")
+        and type(m) is not types.ModuleType]
+if sys.argv[2] == "eager":
+    for name in lazy:
+        vars(sys.modules[name])  # runs the module
+    lazy = []
+missing = []
+for _, target, _ in TARGETS:  # as Recorder.install resolves them, wrapping nothing
+    module_name, _, qualname = target.partition(".")
+    owner = sys.modules.get(f"murmurlab.{module_name}")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part, None)
+    if (vars(owner).get(attr) if owner is not None else None) is None:
+        missing.append(target)
+print(json.dumps({"lazy_before": sorted(lazy), "missing": missing}))
+"""
+
+
+def run_fresh(script: str, *args: str) -> dict:
+    """The JSON that script prints last in a fresh interpreter, warnings as errors."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(*argvs) -> dict:
+    """Registered and executed murmurlab submodules, and NumPy parts, after argvs."""
+    return run_fresh(_MODULES_AFTER, json.dumps(argvs))
+
+
+SUBMODULES = sorted(f"murmurlab.{path.stem}"
+                    for path in Path(cli.__file__).parent.glob("*.py")
+                    if path.stem not in ("__init__", "cli"))
+
+
+class TestLazySubmodules:
+    """A CLI step runs only the submodules it calls, and no step needs numpy.ma."""
+
+    def test_importing_the_cli_runs_no_submodule(self):
+        after = modules_after()
+        assert after["registered"] == SUBMODULES
+        assert after["before"] == after["executed"] == []
+        assert after["numpy"] == []
+
+    def test_report_and_version_import_no_numpy(self, tmp_path):
+        assert modules_after(["--version"])["numpy"] == []
+        after = modules_after(["report", "--out", str(tmp_path / "out")])
+        assert after["executed"] == ["murmurlab.export"]
+        assert after["numpy"] == []
+
+    def test_ingest_runs_only_curves_and_export(self, twist_csv, tmp_path):
+        after = modules_after(["ingest", "--curves", str(twist_csv),
+                               "--out", str(tmp_path / "out")])
+        assert after["executed"] == ["murmurlab.curves", "murmurlab.export"]
+        assert after["numpy"] == ["numpy"]
+
+    def test_windows_runs_no_trace_module(self, twist_csv, tmp_path):
+        after = modules_after(["windows", "--curves", str(twist_csv),
+                               "--out", str(tmp_path / "out")])
+        assert after["executed"] == ["murmurlab.curves", "murmurlab.export",
+                                     "murmurlab.windows"]
+
+    def test_zeros_without_sample_draws_nothing(self, twist_csv, tmp_path):
+        common = ["--curves", str(twist_csv), "--cache", str(tmp_path / "cache.bin"),
+                  "--band", "0:100", "--range", "1000:300000", "--primes", "20",
+                  "--out", str(tmp_path / "out")]
+        after = modules_after(["traces", *common], ["zeros", *common])
+        assert after["numpy"] == ["numpy"]
+        assert read_report(tmp_path / "out", "zeros")["zeros"]["n_complete"]
+
+    def test_no_step_imports_numpy_ma(self, tmp_path):
+        twists = tmp_path / "twists.csv"
+        twists.write_text(serialize_curve_table(table_of([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        out, cache = tmp_path / "out", str(tmp_path / "cache.bin")
+        common = ["--curves", str(twists), "--cache", cache, "--band", "0:100",
+                  "--range", "1000:300000", "--primes", "200", "--out", str(out)]
+        after = modules_after(
+            ["ingest", *common],
+            ["traces", *common],
+            ["stratify", "--shuffles", "50", *common],
+            ["confound", "--shuffles", "50", *common],
+            ["diagnose", *common],
+            ["windows", *common],
+            ["zeros", "--sample", "6", *common],
+            ["report", "--out", str(out)],
+        )
+        assert after["executed"] == SUBMODULES
+        assert after["numpy"] == ["numpy", "numpy.random"]
+
+    def test_the_bench_tracer_misses_what_an_eager_import_misses(self):
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        lazy = run_fresh(_TRACER_MISSING, bench, "lazy")
+        eager = run_fresh(_TRACER_MISSING, bench, "eager")
+        assert lazy["lazy_before"] == SUBMODULES
+        assert eager["lazy_before"] == []
+        assert lazy["missing"] == eager["missing"]

@@ -13,6 +13,7 @@ from murmurlab.curves import (
     DuplicateLabelError,
     RowError,
     dedupe_isogeny,
+    distinct,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
@@ -112,6 +113,12 @@ REJECTIONS = {
     "L-value": (row(rank=1, w=-1, lval="-0.1"), "leading L-value -0.1 negative"),
     "rank 0 regulator": (row(reg="1.5"), "rank 0 with regulator 1.5 != 1"),
     "rank 0 L-value": (row(lval="0"), "rank 0 with vanishing L-value"),
+    "conductor width": (row(conductor=2**64),
+                        "conductor 18446744073709551616 > 9223372036854775807"),
+    "Tamagawa width": (row(tam=2**63),
+                       "Tamagawa product 9223372036854775808 > 9223372036854775807"),
+    "torsion width": (row(tor=10**20),
+                      "torsion order 100000000000000000000 > 9223372036854775807"),
     "three rules": (row(conductor=7, tam=0, lval="0"),
                     "conductor 7 < 11; Tamagawa product 0 not positive; "
                     "rank 0 with vanishing L-value"),
@@ -123,6 +130,16 @@ def test_each_rule_rejects_with_its_message(line, message):
     result = parse_curve_table(HEADER + "\n" + line + "\n")
     assert len(result.table) == 0
     assert result.errors == (RowError(2, message),)
+
+
+def test_a_cell_too_wide_for_int64_rejects_only_its_row():
+    text = "\n".join([HEADER, row(), row(label="37a1", conductor=10**20, ainv="0,0,1,-1,0"),
+                      row(label="14a1", conductor=14, tor=2**64), ""])
+    result = parse_curve_table(text)
+    assert result.table.labels == ("11a1",)
+    assert result.errors == (
+        RowError(3, "conductor 100000000000000000000 > 9223372036854775807"),
+        RowError(4, "torsion order 18446744073709551616 > 9223372036854775807"))
 
 
 PERIOD_TO_TORSION = ("real period -1.0 not positive; regulator -0.5 not positive; "
@@ -159,7 +176,7 @@ def test_broken_rules_join_in_table_order(cells, messages):
 
 #: cells a row may carry in place of a valid one
 ODD_CELLS = ("x", "nan", "inf", "-inf", "1_0", " 7 ", "", "1e3", "2.5", "-3", "\x1c5",
-             "0", "4", "11a1")
+             "0", "4", "11a1", str(2**63), str(-2**63 - 1), "9223372036854775807")
 
 
 @st.composite
@@ -303,6 +320,19 @@ class TestDedupe:
     def test_identity_when_already_unique(self, known_table):
         once = dedupe_isogeny(known_table)
         assert dedupe_isogeny(once).records == once.records
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5) | st.integers(-2**63, 2**63 - 1), max_size=40),
+       st.sampled_from([np.int8, np.int64]))
+def test_distinct_equals_np_unique(values, dtype):
+    if dtype is np.int8:
+        values = [v % 256 - 128 for v in values]
+    array = np.array(values, dtype=dtype)
+    want = np.unique(array, return_index=True, return_inverse=True, return_counts=True)
+    got = distinct(array)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_isogeny_class_strips_trailing_index():

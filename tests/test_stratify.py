@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from murmurlab import stratify
@@ -14,6 +15,7 @@ from murmurlab.stratify import (
     TAMAGAWA_RULE,
     bonferroni,
     fit_power_law,
+    median,
     partition,
     permutation_test,
     rms_separation,
@@ -60,6 +62,26 @@ class TestPartition:
         table = make_synthetic_table(50, seed=4, sha_choices=(1.0,))
         with pytest.raises(EmptyGroupError, match="group_b"):
             partition(table, SHA_RULE)
+
+
+finite_samples = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 2.5]),
+    min_size=1, max_size=60).map(np.array)
+
+
+class TestOrderStatistics:
+    """The median and quartile edges equal NumPy's, which import numpy.ma."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_samples)
+    def test_median_equals_np_median(self, values):
+        assert median(values) == np.median(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_samples)
+    def test_quartiles_equal_np_quantile(self, values):
+        assert np.array_equal(stratify._quartiles(values),
+                              np.quantile(values, [0.25, 0.5, 0.75]))
 
 
 class TestProfileRms:
