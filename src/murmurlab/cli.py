@@ -1,10 +1,12 @@
 """Command-line orchestrator.
 
 One subcommand per analysis stage, all driven by a RunConfig assembled from
-an optional key=value config file overridden by command-line flags.  Every
-report embeds the config hash, the seed, and SHA-256 digests of the input
-files, and contains no timestamps, so identical inputs produce byte-identical
-reports.
+an optional key=value config file overridden by command-line flags.  A step
+is a function of (config, Context) and returns only its report section; the
+Context reads each input once, on first use.  `main` adds the report head:
+the version, the config hash, the seed, and the SHA-256 of each input file
+the step's `_SUBCOMMANDS` entry names.  Reports hold no timestamps, so
+identical inputs produce byte-identical reports.
 
 Each subcommand runs in its own process, so start-up is part of every step.
 The package registers its submodules lazily, and this module binds them with
@@ -23,6 +25,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -155,90 +158,127 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _report_base(cfg: RunConfig, inputs: dict[str, str | None],
-                 csv_sha256: str | None = None) -> dict:
-    """The report's common head; csv_sha256 is the curves CSV's, if already hashed."""
+class Context:
+    """What a step reads, each part made on first use and then kept.
+
+    With a cache, table and matrix come from it and the CSV is hashed but not
+    parsed; a cache of other CSV bytes or primes is refused, a missing one
+    before anything is built.  Without a cache the CSV is parsed and the
+    matrix built.  Groups cut from the table index it.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.conductor_range = cfg.range or (10_000, 50_000)
+
+    @cached_property
+    def out(self) -> Path:
+        out = Path(self.cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    @property
+    def csv_path(self) -> str:
+        if not self.cfg.curves:
+            raise CliError("a curves CSV is required (--curves)")
+        return self.cfg.curves
+
+    @cached_property
+    def csv_sha256(self) -> str:
+        return _file_digest(self.csv_path)
+
+    @cached_property
+    def parsed(self) -> curves.ParseResult:
+        with open(self.csv_path, newline="") as fh:
+            return curves.parse_curve_table(fh)
+
+    @property
+    def trace_cache(self) -> Path:
+        """The cache of `traces`: --cache, else traces.bin in the out directory."""
+        return Path(self.cfg.cache) if self.cfg.cache else self.out / "traces.bin"
+
+    def cached_matrix(self, path, primes: traces.PrimeList) -> traces.TraceMatrix:
+        """The cached matrix and its table, unless built from other CSV bytes or primes."""
+        import numpy as np
+
+        cache = traces.load_trace_matrix(path)
+        if cache.csv_sha256 != self.csv_sha256:
+            problem = (f"was built for a different curve table: a CSV with SHA-256 "
+                       f"{cache.csv_sha256}, not {self.cfg.curves} with SHA-256 "
+                       f"{self.csv_sha256}")
+        elif not np.array_equal(cache.primes.primes, primes.primes):
+            problem = f"holds {len(cache.primes)} primes, {len(primes)} were requested"
+        else:
+            return cache
+        raise CliError(f"cache {path} {problem}; remove it or point --cache elsewhere")
+
+    @cached_property
+    def matrix(self) -> traces.TraceMatrix:
+        """The trace matrix; its `table` is the ingested CSV."""
+        self.csv_sha256  # taken first, so an unreadable CSV is the error reported
+        cache = self.cfg.cache
+        if cache and not Path(cache).exists():
+            raise CliError(f"trace cache {cache} does not exist; build it with `traces`")
+        primes = traces.default_prime_list(self.cfg.primes)
+        if cache:
+            return self.cached_matrix(cache, primes)
+        return traces.build_trace_matrix(self.parsed.table, primes)
+
+    @property
+    def table(self) -> curves.CurveTable:
+        return self.matrix.table
+
+    @cached_property
+    def rank0(self) -> curves.CurveTable:
+        return self.table.filter(rank=0, conductor_range=self.conductor_range)
+
+    def sha_groups(self, band: tuple[float, float] | None = None) -> dict[str, np.ndarray]:
+        """The Sha = 1 and Sha >= 4 groups of SHA_RULE in rank0, or in its L-value band."""
+        table = self.rank0 if band is None else confound.lvalue_band(self.rank0, band)
+        part = stratify.partition(table, stratify.SHA_RULE)
+        return {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
+
+
+def _report_head(command: str, cfg: RunConfig, ctx: Context) -> dict:
+    """Version, config hash, seed, and the path and SHA-256 of each input file of a step."""
+    paths = {name: getattr(cfg, name) for name in _SUBCOMMANDS[command][1]}
+    if command == "traces":  # the cache it wrote or read
+        paths["cache"] = str(ctx.trace_cache)
     return {
         "version": __version__,
         "config_hash": cfg.digest(),
         "seed": cfg.seed,
         "inputs": {
             name: {"path": str(path),
-                   "sha256": (name == "curves" and csv_sha256) or _file_digest(path)}
-            for name, path in inputs.items()
+                   "sha256": ctx.csv_sha256 if name == "curves" else _file_digest(path)}
+            for name, path in paths.items()
             if path
         },
     }
 
 
-def _curves(cfg: RunConfig) -> str:
-    if not cfg.curves:
-        raise CliError("a curves CSV is required (--curves)")
-    return cfg.curves
+def _part(compute, *args, **kwargs):
+    """compute(*args, **kwargs), or {"error": ...} if it raises ValueError.
 
-
-def _load_table(cfg: RunConfig):
-    with open(_curves(cfg), newline="") as fh:
-        return curves.parse_curve_table(fh)
-
-
-def _load_cache(path, cfg: RunConfig, csv_sha256: str,
-                primes: traces.PrimeList) -> traces.TraceMatrix:
-    """The cached matrix, with its table, unless built from other CSV bytes or primes."""
-    import numpy as np
-
-    cache = traces.load_trace_matrix(path)
-    if cache.csv_sha256 != csv_sha256:
-        problem = (f"was built for a different curve table: a CSV with SHA-256 "
-                   f"{cache.csv_sha256}, not {cfg.curves} with SHA-256 {csv_sha256}")
-    elif not np.array_equal(cache.primes.primes, primes.primes):
-        problem = f"holds {len(cache.primes)} primes, {len(primes)} were requested"
-    else:
-        return cache
-    raise CliError(f"cache {path} {problem}; remove it or point --cache elsewhere")
-
-
-def _context(cfg: RunConfig, csv_sha256: str):
-    """The ingested table, its aligned trace matrix, the rank-0 slice and its range.
-
-    With a cache, table and matrix come from it and the CSV, whose SHA-256
-    the caller has taken, is not parsed; a cache of other CSV bytes or
-    primes is refused, a missing one before anything is built.  Without a
-    cache the CSV is parsed and the matrix built.  Groups cut from the table
-    index it.
+    A report part the inputs cannot give records why, and the other parts still run.
     """
-    if cfg.cache and not Path(cfg.cache).exists():
-        raise CliError(f"trace cache {cfg.cache} does not exist; build it with `traces`")
-    primes = traces.default_prime_list(cfg.primes)
-    if cfg.cache:
-        matrix = _load_cache(cfg.cache, cfg, csv_sha256, primes)
-        table = matrix.table
-    else:
-        table = _load_table(cfg).table
-        matrix = traces.build_trace_matrix(table, primes)
-    conductor_range = cfg.range or (10_000, 50_000)
-    rank0 = table.filter(rank=0, conductor_range=conductor_range)
-    return table, matrix, rank0, conductor_range
+    try:
+        return compute(*args, **kwargs)
+    except ValueError as exc:
+        return {"error": str(exc)}
 
 
-def _sha_groups(table) -> dict[str, np.ndarray]:
-    """The Sha = 1 and Sha >= 4 groups of stratify.SHA_RULE, as sha_1 and sha_ge4."""
-    part = stratify.partition(table, stratify.SHA_RULE)
-    return {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
+def _profile_gap(matrix: traces.TraceMatrix, rows_a, rows_b) -> np.ndarray:
+    """The murmuration profile of rows_b minus that of rows_a."""
+    return (windows.murmuration_profile(rows_b, matrix)
+            - windows.murmuration_profile(rows_a, matrix))
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_ingest(cfg: RunConfig) -> dict:
-    result = _load_table(cfg)
+def cmd_ingest(cfg: RunConfig, ctx: Context) -> dict:
+    result = ctx.parsed
     table = result.table
     deduped = curves.dedupe_isogeny(table)
-    report = _report_base(cfg, {"curves": cfg.curves})
-    report["ingest"] = {
+    return {
         "n_curves": len(table),
         "n_rejected_rows": len(result.errors),
         "rejected": [{"line": e.line, "message": e.message} for e in result.errors[:100]],
@@ -248,40 +288,35 @@ def cmd_ingest(cfg: RunConfig) -> dict:
         "n_isogeny_classes": len(table.index_by_class),
         "dedupe_retained_ratio": (len(deduped) / len(table)) if len(table) else None,
     }
-    return report
 
 
-def cmd_traces(cfg: RunConfig) -> dict:
-    csv_sha256 = _file_digest(_curves(cfg))
+def cmd_traces(cfg: RunConfig, ctx: Context) -> dict:
+    csv_sha256 = ctx.csv_sha256
     primes = traces.default_prime_list(cfg.primes)
-    cache_path = Path(cfg.cache) if cfg.cache else _out_dir(cfg) / "traces.bin"
+    cache_path = ctx.trace_cache
     rebuilt = not cache_path.exists()
     if rebuilt:
-        matrix = traces.build_trace_matrix(_load_table(cfg).table, primes)
+        matrix = traces.build_trace_matrix(ctx.parsed.table, primes)
         traces.persist_trace_matrix(matrix, cache_path, csv_sha256)
     else:
-        matrix = _load_cache(cache_path, cfg, csv_sha256, primes)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": str(cache_path)}, csv_sha256)
-    report["traces"] = {
+        matrix = ctx.cached_matrix(cache_path, primes)
+    return {
         "n_curves": len(matrix),
         "n_primes": len(matrix.primes),
         "last_prime": int(matrix.primes.primes[-1]),
         "rebuilt": rebuilt,
         "bad_prime_entries": int(matrix.bad_flags.sum()),
     }
-    return report
 
 
-def cmd_windows(cfg: RunConfig) -> dict:
+def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
     import numpy as np
 
-    table = _load_table(cfg).table
-    out = _out_dir(cfg)
-    report = _report_base(cfg, {"curves": cfg.curves})
+    table, out = ctx.parsed.table, ctx.out
     per_invariant = {}
     for invariant in curves.INVARIANT_IDS:
-        entry = {}
-        residuals = {}
+        entry = per_invariant[invariant] = {}
+        per_rank = []
         for rank in (0, 1):
             series = windows.sliding_window_series(table, invariant, rank,
                                                    cfg.window, cfg.step).finite()
@@ -292,221 +327,164 @@ def cmd_windows(cfg: RunConfig) -> dict:
                                           series.centers, {invariant: series.values},
                                           f"{invariant}, rank {rank}")
             entry[f"rank{rank}_windows"] = int(len(series))
+            per_rank.append(series)
+        try:
+            res = [windows.savgol_detrend(series) for series in per_rank]
+        except ValueError:
+            continue  # a series too short to detrend: nothing to correlate
+        try:
+            entry["residual_correlation"] = windows.residual_correlation(*res)
+        except ValueError:
+            entry["residual_correlation"] = None
+        for rank, series in enumerate(res):
+            # a segment no longer than the series, so no ValueError to catch
+            freqs, power = windows.welch_psd(series.values, segment=min(256, len(series)))
+            export.write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
+                                freqs, power, ("frequency", "power"))
+        if np.array_equal(res[0].centers, res[1].centers):
             try:
-                residuals[rank] = windows.savgol_detrend(series)
+                lags, corr = windows.cross_correlation(*res,
+                                                       max_lag=min(20, len(res[0]) - 3))
+                peak = int(np.argmax(corr))
+                entry["cross_correlation_peak"] = {"lag": int(lags[peak]),
+                                                   "value": float(corr[peak])}
             except ValueError:
-                residuals[rank] = None
-        if residuals[0] is not None and residuals[1] is not None:
-            try:
-                entry["residual_correlation"] = windows.residual_correlation(
-                    residuals[0], residuals[1]
-                )
-            except ValueError:
-                entry["residual_correlation"] = None
-            for rank in (0, 1):
-                res = residuals[rank]
-                try:
-                    freqs, power = windows.welch_psd(res.values, segment=min(256, len(res)))
-                    export.write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
-                                        freqs, power, ("frequency", "power"))
-                except ValueError:
-                    pass
-            if np.array_equal(residuals[0].centers, residuals[1].centers):
-                try:
-                    lags, corr = windows.cross_correlation(
-                        residuals[0], residuals[1],
-                        max_lag=min(20, len(residuals[0]) - 3),
-                    )
-                    peak = int(np.argmax(corr))
-                    entry["cross_correlation_peak"] = {
-                        "lag": int(lags[peak]),
-                        "value": float(corr[peak]),
-                    }
-                except ValueError:
-                    entry["cross_correlation_peak"] = None
-        per_invariant[invariant] = entry
-    report["windows"] = {
-        "width": cfg.window,
-        "step": cfg.step,
-        "invariants": per_invariant,
-    }
-    return report
+                entry["cross_correlation_peak"] = None
+    return {"width": cfg.window, "step": cfg.step, "invariants": per_invariant}
 
 
-def cmd_stratify(cfg: RunConfig) -> dict:
+def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
     import numpy as np
 
-    csv_sha256 = _file_digest(_curves(cfg))
-    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
-    out = _out_dir(cfg)
+    table, matrix, out = ctx.table, ctx.matrix, ctx.out
     by_name = {rule.name: rule for rule in stratify.TABLE_RULES}
     rules = stratify.TABLE_RULES if cfg.rule == "all" else (by_name[cfg.rule],)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
-    parts = []
-    for rule in rules:
+    parts = {}  # rule -> partition, for each rule whose groups are all nonempty
+
+    def partitioned(rule: stratify.StratRule) -> dict:
+        base = ctx.rank0
         if rule.name == "root_number":
             # cross-rank calibration baseline: rank 0 vs rank 1
-            in_range = table.filter(conductor_range=conductor_range)
+            in_range = table.filter(conductor_range=ctx.conductor_range)
             base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
-        else:
-            base = rank0
-        parts.append(stratify.partition(base, rule))
-    # one call, so rules over the same number of curves share their shuffles
-    strat_reports = stratify.permutation_test([part.groups for part in parts], matrix,
-                                              n_shuffles=cfg.shuffles, seed=cfg.seed)
-    entries = {}
-    p_values = []
-    for rule, part, strat_report in zip(rules, parts, strat_reports):
-        if rule.kind == "two_group":
-            diff = (windows.murmuration_profile(part.groups["group_b"], matrix)
-                    - windows.murmuration_profile(part.groups["group_a"], matrix))
-            export.write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
-                                diff, ("prime", "mean_ap_diff"))
-        entries[rule.name] = {
-            "report": strat_report.to_dict(),
-            "group_sizes": part.sizes(),
-            "n_unassigned": len(part.unassigned),
-        }
-        p_values.append(strat_report.p_value)
-    adj = stratify.bonferroni(p_values)
-    report["stratify"] = {
-        "conductor_range": list(conductor_range),
-        "rules": entries,
-        "bonferroni": {
-            "alpha": adj.alpha,
-            "threshold": adj.threshold,
-            "all_significant": all(adj.decisions),
-        },
-    }
-    if len(cfg.scan_windows) >= 3:
-        try:
-            scan = stratify.scale_scan(table.filter(rank=0), matrix,
-                                       by_name[cfg.rule if cfg.rule != "all" else "sha"],
-                                       cfg.scan_windows)
-            report["stratify"]["scale_scan"] = {
-                "windows": [list(w) for w in scan.windows],
+        part = parts[rule] = stratify.partition(base, rule)
+        return {"group_sizes": part.sizes(), "n_unassigned": len(part.unassigned)}
+
+    def scale_scan() -> dict:
+        scan = stratify.scale_scan(table.filter(rank=0), matrix,
+                                   by_name[cfg.rule if cfg.rule != "all" else "sha"],
+                                   cfg.scan_windows)
+        return {"windows": [list(w) for w in scan.windows],
                 "rms": [float(v) for v in scan.rms_values],
-                "alpha": scan.alpha,
-                "r_squared": scan.r_squared,
-            }
-        except ValueError as exc:
-            report["stratify"]["scale_scan"] = {"error": str(exc)}
-    return report
+                "alpha": scan.alpha, "r_squared": scan.r_squared}
 
-
-def cmd_confound(cfg: RunConfig) -> dict:
-    csv_sha256 = _file_digest(_curves(cfg))
-    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
-    battery = {}
-    # (entry, key, groups): the permutation report of groups goes to entry[key]
-    tests = []
-
-    try:
-        tam_part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
-    except ValueError as exc:
-        # every Tamagawa control carries the error; the Sha controls still run
-        for name in ("tamagawa_omega_2", "tamagawa_omega_3", "tamagawa_omega_4",
-                     "tamagawa_conductor_matched"):
-            battery[name] = {"error": str(exc)}
-    else:
-        for k in (2, 3, 4):
-            try:
-                tests.append((battery, f"tamagawa_omega_{k}",
-                              confound.control_omega(table, tam_part.groups, k)))
-            except ValueError as exc:
-                battery[f"tamagawa_omega_{k}"] = {"error": str(exc)}
-
-        try:
-            matches = confound.match_nn(table, tam_part.groups["group_a"],
-                                        tam_part.groups["group_b"], "conductor", 500.0)
-            paired = confound.matched_rms(matches, matrix)
-            battery["tamagawa_conductor_matched"] = {
-                "n_pairs": matches.n_pairs,
-                "mean_distance": matches.mean_distance,
-                "rms_group": paired.rms_group,
-                "rms_per_pair": paired.rms_per_pair,
-            }
-            export.write_json(_out_dir(cfg) / "matched_pairs_tamagawa.json", {
-                "key": matches.key,
-                "max_distance": matches.max_distance,
-                "pairs": [[table.labels[a], table.labels[b], d]
-                          for a, b, d in matches.pairs],
-            })
-        except ValueError as exc:
-            battery["tamagawa_conductor_matched"] = {"error": str(exc)}
-
-    band = cfg.band or (1.53, 2.84)
-    try:
-        part = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
-    except ValueError as exc:
-        battery["sha_lvalue_band"] = {"error": str(exc)}
-    else:
-        battery["sha_lvalue_band"] = {"band": list(band), "group_sizes": part.sizes()}
-        tests.append((battery["sha_lvalue_band"], "report", part.groups))
-        try:
-            matches = confound.match_nn(table, part.groups["group_b"],
-                                        part.groups["group_a"], "l_value", 0.1)
-            paired = confound.matched_rms(matches, matrix)
-            battery["sha_lvalue_matched"] = {
-                "n_pairs": matches.n_pairs,
-                "mean_distance": matches.mean_distance,
-                "rms_group": paired.rms_group,
-            }
-        except ValueError as exc:
-            battery["sha_lvalue_matched"] = {"error": str(exc)}
-
-    try:
-        halves = confound.triple_control(table, band, conductor_range)
-    except ValueError as exc:
-        battery["sha_triple_control"] = {"error": str(exc)}
-    else:
-        battery["sha_triple_control"] = {half: {"sizes": part.sizes()}
-                                         for half, part in halves.items()}
-        tests.extend((battery["sha_triple_control"][half], "report", part.groups)
-                     for half, part in halves.items())
-
-    # one call, so controls over the same number of curves share their shuffles
-    strat_reports = stratify.permutation_test([groups for _, _, groups in tests], matrix,
+    entries = {rule.name: _part(partitioned, rule) for rule in rules}
+    if not parts:
+        raise ValueError(entries[rules[0].name]["error"])
+    # one call, so rules over the same number of curves share their shuffles
+    strat_reports = stratify.permutation_test([p.groups for p in parts.values()], matrix,
                                               n_shuffles=cfg.shuffles, seed=cfg.seed)
-    for (entry, key, _), strat_report in zip(tests, strat_reports):
-        entry[key] = strat_report.to_dict()
+    for (rule, part), strat_report in zip(parts.items(), strat_reports):
+        entries[rule.name]["report"] = strat_report.to_dict()
+        if rule.kind == "two_group":
+            export.write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
+                                _profile_gap(matrix, part.groups["group_a"],
+                                             part.groups["group_b"]),
+                                ("prime", "mean_ap_diff"))
+    # the threshold counts only the rules that ran
+    adj = stratify.bonferroni([strat_report.p_value for strat_report in strat_reports])
+    section = {"conductor_range": list(ctx.conductor_range), "rules": entries,
+               "bonferroni": {"alpha": adj.alpha, "threshold": adj.threshold,
+                              "all_significant": all(adj.decisions)}}
+    if len(cfg.scan_windows) >= 3:
+        section["scale_scan"] = _part(scale_scan)
+    return section
 
-    try:
-        groups = _sha_groups(rank0)
-        battery["bsd_group_ratios"] = confound.bsd_group_ratios(table, groups)
+
+def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
+    table, matrix, rank0 = ctx.table, ctx.matrix, ctx.rank0
+    band = cfg.band or (1.53, 2.84)
+    battery = {}
+    tests = []  # (entry, groups): the permutation report of groups fills entry
+
+    def tested(groups: dict[str, np.ndarray]) -> dict:
+        entry = {}
+        tests.append((entry, groups))
+        return entry
+
+    # each control partitions for itself, so a partition that fails is the
+    # error of every control built on it
+    def tamagawa_omega(k: int) -> dict:
+        part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
+        return tested(confound.control_omega(table, part.groups, k))
+
+    def tamagawa_conductor_matched() -> dict:
+        part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
+        matches = confound.match_nn(table, part.groups["group_a"], part.groups["group_b"],
+                                    "conductor", 500.0)
+        paired = confound.matched_rms(matches, matrix)
+        export.write_json(ctx.out / "matched_pairs_tamagawa.json", {
+            "key": matches.key,
+            "max_distance": matches.max_distance,
+            "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in matches.pairs],
+        })
+        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance,
+                **dataclasses.asdict(paired)}
+
+    def sha_lvalue_matched(part: stratify.Partition) -> dict:
+        matches = confound.match_nn(table, part.groups["group_b"], part.groups["group_a"],
+                                    "l_value", 0.1)
+        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance,
+                "rms_group": confound.matched_rms(matches, matrix).rms_group}
+
+    def sha_lvalue_band() -> dict:
+        part = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
+        # the matched pairs are reported only when the band partitions
+        battery["sha_lvalue_matched"] = _part(sha_lvalue_matched, part)
+        return {"band": list(band), "group_sizes": part.sizes(),
+                "report": tested(part.groups)}
+
+    def sha_triple_control() -> dict:
+        halves = confound.triple_control(table, band, ctx.conductor_range)
+        return {half: {"sizes": part.sizes(), "report": tested(part.groups)}
+                for half, part in halves.items()}
+
+    def bsd_group_ratios() -> dict:
+        groups = ctx.sha_groups()
+        ratios = confound.bsd_group_ratios(table, groups)
         cum = confound.euler_cumsum(matrix.primes.primes,
                                     windows.murmuration_profile(groups["sha_1"], matrix),
                                     windows.murmuration_profile(groups["sha_ge4"], matrix))
-        battery["euler_cumsum"] = {
-            "argmax_prime": cum.argmax_prime,
-            "terminal": list(cum.terminal),
-        }
-        export.write_xy_csv(_out_dir(cfg) / "euler_delta.csv", cum.primes, cum.delta,
+        # the Euler sums are reported only when the ratios are
+        battery["euler_cumsum"] = {"argmax_prime": cum.argmax_prime,
+                                   "terminal": list(cum.terminal)}
+        export.write_xy_csv(ctx.out / "euler_delta.csv", cum.primes, cum.delta,
                             ("prime", "delta"))
-    except (ValueError, ZeroDivisionError) as exc:
-        battery["bsd_group_ratios"] = {"error": str(exc)}
+        return ratios
 
-    try:
-        battery["period_vs_log_conductor"] = confound.invariant_correlation(
-            rank0, "period", "conductor", log_y=True
-        )
-    except ValueError as exc:
-        battery["period_vs_log_conductor"] = {"error": str(exc)}
+    for k in (2, 3, 4):
+        battery[f"tamagawa_omega_{k}"] = _part(tamagawa_omega, k)
+    battery["tamagawa_conductor_matched"] = _part(tamagawa_conductor_matched)
+    battery["sha_lvalue_band"] = _part(sha_lvalue_band)
+    battery["sha_triple_control"] = _part(sha_triple_control)
+    # one call, so controls over the same number of curves share their shuffles
+    strat_reports = stratify.permutation_test([groups for _, groups in tests], matrix,
+                                              n_shuffles=cfg.shuffles, seed=cfg.seed)
+    for (entry, _), strat_report in zip(tests, strat_reports):
+        entry.update(strat_report.to_dict())
+    battery["bsd_group_ratios"] = _part(bsd_group_ratios)
+    battery["period_vs_log_conductor"] = _part(confound.invariant_correlation, rank0,
+                                               "period", "conductor", log_y=True)
+    return {"conductor_range": list(ctx.conductor_range), "battery": battery}
 
-    report["confound"] = {"conductor_range": list(conductor_range),
-                          "battery": battery}
-    return report
 
-
-def cmd_diagnose(cfg: RunConfig) -> dict:
-    csv_sha256 = _file_digest(_curves(cfg))
-    table, matrix, rank0, conductor_range = _context(cfg, csv_sha256)
+def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
+    table, matrix, out = ctx.table, ctx.matrix, ctx.out
     band = cfg.band or (1.10, 3.28)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache}, csv_sha256)
-    out = _out_dir(cfg)
-    diag = {}
-    groups = _sha_groups(confound.lvalue_band(rank0, band))
+    groups = ctx.sha_groups(band)
+    section = {"band": list(band),
+               "conductor_range": list(ctx.conductor_range),
+               "groups": {k: len(v) for k, v in groups.items()}}
     moments = {}
     for name, members in groups.items():
         prof = diagnostics.moment_profile(members, matrix)
@@ -519,14 +497,13 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
                 prof.variance_over_p.tolist(), prof.skewness.tolist(),
                 prof.excess_kurtosis.tolist()),
         )
-    diag["moments"] = moments
+    section["moments"] = moments
     ks = diagnostics.satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
-    diag["sato_tate_ks"] = {"D": ks.statistic, "p": ks.p_value,
-                            "n_a": ks.n_a, "n_b": ks.n_b}
-    diff = (windows.murmuration_profile(groups["sha_ge4"], matrix)
-            - windows.murmuration_profile(groups["sha_1"], matrix))
+    section["sato_tate_ks"] = {"D": ks.statistic, "p": ks.p_value,
+                               "n_a": ks.n_a, "n_b": ks.n_b}
+    diff = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
     cross = diagnostics.crossover_scan(matrix.primes.primes, diff)
-    diag["crossover"] = {
+    section["crossover"] = {
         "crossing_prime": cross.crossing_prime,
         "direction": cross.direction,
         "landmarks": {str(k): v for k, v in cross.landmarks.items()},
@@ -534,38 +511,26 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     red = diagnostics.classify_reduction(matrix, table)
     export.write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"),
                            red.entries)
-    diag["reduction"] = {
+    section["reduction"] = {
         "type_counts": red.type_counts,
         "tamagawa_agreement": red.agreement_fraction,
         "n_classified": red.n_classified_curves,
         "n_unclassifiable": red.n_unclassifiable,
     }
-    share = diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix)
-    diag["bad_prime_share"] = {
-        "full_rms": share.full_rms,
-        "masked_rms": share.masked_rms,
-        "share_percent": share.share_percent,
-    }
-    report["diagnose"] = {"band": list(band),
-                          "conductor_range": list(conductor_range),
-                          "groups": {k: len(v) for k, v in groups.items()},
-                          **diag}
-    return report
+    section["bad_prime_share"] = dataclasses.asdict(
+        diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix))
+    return section
 
 
-def cmd_zeros(cfg: RunConfig) -> dict:
+def cmd_zeros(cfg: RunConfig, ctx: Context) -> dict:
     import numpy as np
 
-    csv_sha256 = _file_digest(_curves(cfg))
-    table, matrix, rank0, _ = _context(cfg, csv_sha256)
+    table, matrix, out = ctx.table, ctx.matrix, ctx.out
     band = cfg.band or (1.53, 2.84)
-    out = _out_dir(cfg)
-    report = _report_base(cfg, {"curves": cfg.curves, "cache": cfg.cache,
-                                "zeros": cfg.zeros}, csv_sha256)
-    groups = _sha_groups(confound.lvalue_band(rank0, band))
-    rng = None  # made at the first draw: a run that samples nothing imports no numpy.random
     imported = ({z.label: z for z in lfunctions.read_zero_sets_csv(cfg.zeros)}
                 if cfg.zeros else None)
+    groups = ctx.sha_groups(band)
+    rng = None  # made at the first draw: a run that samples nothing imports no numpy.random
     # a curve whose conductor, root number and model fail the functional
     # equation is neither searched nor counted in the statistics, whether its
     # zeros are searched or imported
@@ -631,8 +596,7 @@ def cmd_zeros(cfg: RunConfig) -> dict:
                                 result.density, ("scaled_ordinate", "density"))
         mean_a = samples["sha_1"].mean(axis=0)
         mean_b = samples["sha_ge4"].mean(axis=0)
-        observed = (windows.murmuration_profile(groups["sha_ge4"], matrix)
-                    - windows.murmuration_profile(groups["sha_1"], matrix))
+        observed = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
         pred = lfunctions.explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
         zeros_report["explicit_formula"] = {
             "correlation": pred.correlation,
@@ -645,13 +609,12 @@ def cmd_zeros(cfg: RunConfig) -> dict:
         zeros_report["hotelling"] = {
             "error": "not enough complete zero sets per group (need > k+1)"
         }
-    report["zeros"] = zeros_report
-    return report
+    return zeros_report
 
 
-def cmd_report(cfg: RunConfig) -> dict:
+def cmd_report(cfg: RunConfig, ctx: Context) -> dict:
     """The last report, or error report, of every other step in the out directory."""
-    out = _out_dir(cfg)
+    out = ctx.out
     reports = {}
     for cmd in _SUBCOMMANDS:
         for name in (cmd, f"{cmd}_error"):
@@ -661,15 +624,18 @@ def cmd_report(cfg: RunConfig) -> dict:
     return {"version": __version__, "reports": reports}
 
 
+#: step -> (its function of (config, context), which gives its report
+#: section, and the RunConfig fields naming the input files its report head
+#: hashes); `report` has no head, its section is its report
 _SUBCOMMANDS = {
-    "ingest": cmd_ingest,
-    "traces": cmd_traces,
-    "windows": cmd_windows,
-    "stratify": cmd_stratify,
-    "confound": cmd_confound,
-    "diagnose": cmd_diagnose,
-    "zeros": cmd_zeros,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, ("curves",)),
+    "traces": (cmd_traces, ("curves", "cache")),
+    "windows": (cmd_windows, ("curves",)),
+    "stratify": (cmd_stratify, ("curves", "cache")),
+    "confound": (cmd_confound, ("curves", "cache")),
+    "diagnose": (cmd_diagnose, ("curves", "cache")),
+    "zeros": (cmd_zeros, ("curves", "cache", "zeros")),
+    "report": (cmd_report, None),
 }
 
 
@@ -703,8 +669,12 @@ def main(argv=None) -> int:
     cfg = None
     try:
         cfg = build_config(args)
-        report = _SUBCOMMANDS[args.command](cfg)
-        out = _out_dir(cfg)
+        ctx = Context(cfg)
+        step, inputs = _SUBCOMMANDS[args.command]
+        report = step(cfg, ctx)
+        if inputs is not None:
+            report = {**_report_head(args.command, cfg, ctx), args.command: report}
+        out = ctx.out
         (out / f"{args.command}_error.json").unlink(missing_ok=True)
         export.write_json(out / f"{args.command}.json", report)
     except _user_errors() as exc:

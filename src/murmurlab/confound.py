@@ -33,6 +33,7 @@ from .stratify import (
     partition,
     rms_separation,
 )
+from .windows import pearson
 
 if TYPE_CHECKING:
     from .curves import CurveTable
@@ -218,7 +219,7 @@ def bsd_group_ratios(table: CurveTable,
             raise ValueError(f"group {name!r} contains curves of positive rank")
         mean_l = float(np.mean(table.l_values[rows]))
         if mean_l == 0:
-            raise ZeroDivisionError(f"group {name!r} has zero mean L-value")
+            raise ValueError(f"group {name!r} has zero mean L-value")
         out[name] = float(np.mean(bsd_ratios[rows])) / mean_l
     return out
 
@@ -251,23 +252,12 @@ def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
     return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
 
 
-def invariant_correlation(table: CurveTable, x: str, y: str,
-                          log_x: bool = False, log_y: bool = False) -> float:
-    """Pearson correlation between two per-curve invariants."""
+def invariant_correlation(table: CurveTable, x: str, y: str, log_y: bool = False) -> float:
+    """Pearson correlation between two per-curve invariants, "conductor" among them."""
     if len(table) < 3:
         raise ValueError("need at least 3 records")
-    if x == "conductor":
-        xv = table.conductors.astype(np.float64)
-    else:
-        xv = invariant_values(table, x)
-    if y == "conductor":
-        yv = table.conductors.astype(np.float64)
-    else:
-        yv = invariant_values(table, y)
-    if log_x:
-        xv = np.log(xv)
+    xv, yv = (table.conductors.astype(np.float64) if name == "conductor"
+              else invariant_values(table, name) for name in (x, y))
     if log_y:
         yv = np.log(yv)
-    if xv.std() == 0 or yv.std() == 0:
-        raise ValueError("correlation undefined for zero-variance invariant")
-    return float(np.corrcoef(xv, yv)[0, 1])
+    return pearson(xv, yv)

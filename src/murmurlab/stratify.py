@@ -315,6 +315,8 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
         if len(members) < 2 or any(len(g) == 0 for g in members):
             raise EmptyGroupError("permutation test needs at least two nonempty groups")
         member_lists.append(members)
+    if not member_lists:
+        return StratReports()
     buckets: dict[int, list[int]] = {}
     for index, members in enumerate(member_lists):
         buckets.setdefault(sum(len(g) for g in members), []).append(index)

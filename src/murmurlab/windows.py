@@ -142,9 +142,10 @@ def savgol_coeffs(window: int, degree: int) -> np.ndarray:
     return np.linalg.lstsq(vander, unit, rcond=None)[0]
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two equal-length arrays, neither of them constant."""
     if a.std() == 0 or b.std() == 0:
-        raise DegenerateSeriesError("correlation undefined for zero-variance input")
+        raise DegenerateSeriesError("correlation undefined for zero-variance invariant")
     return float(np.corrcoef(a, b)[0, 1])
 
 
@@ -154,7 +155,7 @@ def residual_correlation(res_a: WindowSeries, res_b: WindowSeries) -> float:
                                     return_indices=True)
     if len(common) < 3:
         raise ValueError(f"only {len(common)} aligned points; need at least 3")
-    return _pearson(res_a.values[ia], res_b.values[ib])
+    return pearson(res_a.values[ia], res_b.values[ib])
 
 
 def murmuration_profile(rows, matrix: TraceMatrix) -> np.ndarray:
@@ -216,5 +217,5 @@ def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,
             x, y = a[: n - k], b[k:]
         else:
             x, y = a[-k:], b[: n + k]
-        corr[i] = _pearson(x, y)
+        corr[i] = pearson(x, y)
     return lags, corr

@@ -276,6 +276,32 @@ class TestStratify:
                         == (together / f"diff_{name}.csv").read_bytes())
 
 
+    def test_a_rule_with_an_empty_group_leaves_the_others_reporting(self, tmp_path):
+        # as above, but torsion is 1 throughout, so only its group_b is empty
+        path = tmp_path / "twists.csv"
+        path.write_text(serialize_curve_table(table_of([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
+                                rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        common = ["--curves", str(path), "--range", "1000:300000", "--primes", "25",
+                  "--shuffles", "100", "--seed", "9"]
+        together = tmp_path / "all"
+        assert main(["stratify", "--rule", "all", *common, "--out", str(together)]) == 0
+        section = read_report(together, "stratify")["stratify"]
+        rules = section["rules"]
+        assert rules.pop("torsion") == {"error": "group 'group_b' of rule 'torsion' is empty"}
+        assert set(rules) == {"tamagawa", "sha", "period", "root_number"}
+        assert all(0 < entry["report"]["p_value"] <= 1 for entry in rules.values())
+        # the threshold counts the four rules that ran
+        assert section["bonferroni"]["threshold"] == section["bonferroni"]["alpha"] / 4
+        assert not (together / "diff_torsion.csv").exists()
+        alone = tmp_path / "torsion"
+        assert main(["stratify", "--rule", "torsion", *common, "--out", str(alone)]) == 1
+        err = read_report(alone, "stratify_error")
+        assert err["error"] == "group 'group_b' of rule 'torsion' is empty"
+
+
 class TestConfound:
     def test_empty_tamagawa_group_leaves_the_sha_controls_running(self, twist_csv,
                                                                   tmp_path):
@@ -311,6 +337,20 @@ class TestConfound:
         assert battery["sha_lvalue_matched"] == {"error": "no matched pairs"}
 
 
+    def test_no_control_to_test_leaves_the_others_reporting(self, tmp_path):
+        # Sha and Tamagawa groups both empty: every tested control fails
+        path = tmp_path / "onesha.csv"
+        path.write_text(serialize_curve_table(twist_table(sha_pattern=(1.0,))))
+        out = tmp_path / "out"
+        rc = main(["confound", "--curves", str(path), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "20", "--shuffles", "50",
+                   "--out", str(out)])
+        assert rc == 0
+        battery = read_report(out, "confound")["confound"]["battery"]
+        assert "'group_b' of rule 'sha' is empty" in battery["sha_lvalue_band"]["error"]
+        assert "'group_b' of rule 'sha' is empty" in battery["bsd_group_ratios"]["error"]
+        assert isinstance(battery["period_vs_log_conductor"], float)
+
     def test_each_control_matches_its_test_alone(self, tmp_path):
         # alternating Tamagawa products 1 and 6, so the Tamagawa controls
         # partition; omega(N) = 4 empties both groups, and the two period
@@ -325,8 +365,9 @@ class TestConfound:
                 "--seed", "9", "--out", str(tmp_path / "out")]
         assert main(args) == 0
         battery = read_report(tmp_path / "out", "confound")["confound"]["battery"]
-        table, matrix, rank0, conductor_range = cli._context(
-            build_config(make_parser().parse_args(args)), cli._file_digest(path))
+        ctx = cli.Context(build_config(make_parser().parse_args(args)))
+        table, matrix, rank0, conductor_range = (ctx.table, ctx.matrix, ctx.rank0,
+                                                 ctx.conductor_range)
         tamagawa = partition(rank0, TAMAGAWA_RULE).groups
         halves = triple_control(table, (0.0, 100.0), conductor_range)
         tested = {
@@ -497,6 +538,37 @@ class TestCachedStepsParseNothing:
         monkeypatch.setattr(traces, "_trace_column", no_count)
         assert main(["zeros", *common]) == 0
         assert [path.read_bytes() for path in counted] == before
+
+
+class TestCacheAndBuildAgree:
+    def test_each_analysis_step_gives_the_same_section_either_way(self, tmp_path):
+        # every rule and every confound control partitions: Tamagawa products
+        # 1 and 6, torsion orders 1 and 2, and every fourth twist claimed as rank 1
+        path = tmp_path / "twists.csv"
+        path.write_text(serialize_curve_table(table_of([
+            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
+                                torsion_order=1 + (i // 2) % 2,
+                                rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
+            for i, r in enumerate(twist_table().records)
+        ])))
+        cache = tmp_path / "cache.bin"
+        common = ["--curves", str(path), "--band", "0:100", "--range", "1000:300000",
+                  "--primes", "200", "--rule", "all", "--shuffles", "50"]
+        assert main(["traces", *common, "--cache", str(cache),
+                     "--out", str(tmp_path / "setup")]) == 0
+        for step in ("stratify", "confound", "diagnose", "zeros"):
+            cached, built = tmp_path / step / "cached", tmp_path / step / "built"
+            assert main([step, *common, "--cache", str(cache), "--out", str(cached)]) == 0
+            assert main([step, *common, "--out", str(built)]) == 0
+            reports = [read_report(out, step) for out in (cached, built)]
+            for report in reports:
+                del report["inputs"], report["config_hash"]
+            assert reports[0] == reports[1], step
+            written = sorted(p.name for p in cached.iterdir())
+            assert written == sorted(p.name for p in built.iterdir()), step
+            for name in written:
+                if name != f"{step}.json":
+                    assert (cached / name).read_bytes() == (built / name).read_bytes(), name
 
 
 class TestSupersetCache:
