@@ -6,7 +6,9 @@ is a function of (config, Context) and returns only its report section; the
 Context reads each input once, on first use.  `main` adds the report head:
 the version, the config hash, the seed, and the SHA-256 of each input file
 the step's `_SUBCOMMANDS` entry names.  Reports hold no timestamps, so
-identical inputs produce byte-identical reports.
+identical inputs produce byte-identical reports.  Every exception class of
+the package is a ValueError, so one fixed tuple of built-in classes catches
+each failure a user's inputs can cause (`_USER_ERRORS`).
 
 Each subcommand runs in its own process, so start-up is part of every step.
 The package registers its submodules lazily, and this module binds them with
@@ -71,7 +73,7 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-class CliError(RuntimeError):
+class CliError(ValueError):
     pass
 
 
@@ -216,8 +218,8 @@ class Context:
     def matrix(self) -> traces.TraceMatrix:
         """The trace matrix; its `table` is the ingested CSV."""
         self.csv_sha256  # taken first, so an unreadable CSV is the error reported
-        cache = self.cfg.cache
-        if cache and not Path(cache).exists():
+        cache = self.trace_cache if self.cfg.cache else None
+        if cache and not cache.exists():
             raise CliError(f"trace cache {cache} does not exist; build it with `traces`")
         primes = traces.default_prime_list(self.cfg.primes)
         if cache:
@@ -243,13 +245,13 @@ def _report_head(command: str, cfg: RunConfig, ctx: Context) -> dict:
     """Version, config hash, seed, and the path and SHA-256 of each input file of a step."""
     paths = {name: getattr(cfg, name) for name in _SUBCOMMANDS[command][1]}
     if command == "traces":  # the cache it wrote or read
-        paths["cache"] = str(ctx.trace_cache)
+        paths["cache"] = ctx.trace_cache
     return {
         "version": __version__,
         "config_hash": cfg.digest(),
         "seed": cfg.seed,
         "inputs": {
-            name: {"path": str(path),
+            name: {"path": str(Path(path)),  # one spelling: ./c.bin is c.bin
                    "sha256": ctx.csv_sha256 if name == "curves" else _file_digest(path)}
             for name, path in paths.items()
             if path
@@ -261,6 +263,8 @@ def _part(compute, *args, **kwargs):
     """compute(*args, **kwargs), or {"error": ...} if it raises ValueError.
 
     A report part the inputs cannot give records why, and the other parts still run.
+    Every step reads ctx.table and ctx.matrix before its first part, so a bad
+    CSV or cache fails the step, not a part.
     """
     try:
         return compute(*args, **kwargs)
@@ -498,9 +502,12 @@ def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
                 prof.excess_kurtosis.tolist()),
         )
     section["moments"] = moments
-    ks = diagnostics.satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
-    section["sato_tate_ks"] = {"D": ks.statistic, "p": ks.p_value,
-                               "n_a": ks.n_a, "n_b": ks.n_b}
+
+    def sato_tate_ks() -> dict:
+        ks = diagnostics.satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
+        return {"D": ks.statistic, "p": ks.p_value, "n_a": ks.n_a, "n_b": ks.n_b}
+
+    section["sato_tate_ks"] = _part(sato_tate_ks)
     diff = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
     cross = diagnostics.crossover_scan(matrix.primes.primes, diff)
     section["crossover"] = {
@@ -597,14 +604,15 @@ def cmd_zeros(cfg: RunConfig, ctx: Context) -> dict:
         mean_a = samples["sha_1"].mean(axis=0)
         mean_b = samples["sha_ge4"].mean(axis=0)
         observed = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
-        pred = lfunctions.explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
-        zeros_report["explicit_formula"] = {
-            "correlation": pred.correlation,
-            "rms_predicted": pred.rms_predicted,
-            "rms_observed": pred.rms_observed,
-        }
-        export.write_xy_csv(out / "explicit_prediction.csv", pred.primes,
-                            pred.predicted_diff, ("prime", "predicted_diff"))
+
+        def explicit_formula() -> dict:
+            pred = lfunctions.explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
+            export.write_xy_csv(out / "explicit_prediction.csv", pred.primes,
+                                pred.predicted_diff, ("prime", "predicted_diff"))
+            return {"correlation": pred.correlation, "rms_predicted": pred.rms_predicted,
+                    "rms_observed": pred.rms_observed}
+
+        zeros_report["explicit_formula"] = _part(explicit_formula)
     else:
         zeros_report["hotelling"] = {
             "error": "not enough complete zero sets per group (need > k+1)"
@@ -654,14 +662,10 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _user_errors() -> tuple[type[Exception], ...]:
-    """Failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
-
-    Asked for only when a step fails, so a step that succeeds loads no traces.
-    """
-    return (CliError, ValueError, csv.Error, OSError, ArithmeticError,
-            traces.CacheFormatError, traces.CacheCorruptionError,
-            traces.TraceComputationError, traces.MissingTraceError)
+#: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
+#: Every exception class of the package is a ValueError; an infinite --range
+#: bound reaches int(inf), an OverflowError
+_USER_ERRORS = (ValueError, ArithmeticError, OSError, csv.Error)
 
 
 def main(argv=None) -> int:
@@ -677,7 +681,7 @@ def main(argv=None) -> int:
         out = ctx.out
         (out / f"{args.command}_error.json").unlink(missing_ok=True)
         export.write_json(out / f"{args.command}.json", report)
-    except _user_errors() as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         out = Path(cfg.out if cfg else args.out or "out")
         try:

@@ -58,12 +58,6 @@ class MatchedPairs:
             return 0.0
         return float(np.mean([d for _, _, d in self.pairs]))
 
-    def rows_a(self) -> np.ndarray:
-        return np.array([a for a, _, _ in self.pairs], dtype=np.int64)
-
-    def rows_b(self) -> np.ndarray:
-        return np.array([b for _, b, _ in self.pairs], dtype=np.int64)
-
 
 def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
              key: str = "conductor", max_distance: float = math.inf) -> MatchedPairs:
@@ -75,9 +69,8 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
     """
     if not len(group_a) or not len(group_b):
         raise EmptyGroupError("matching requires two nonempty groups")
-    if key not in ("conductor", "l_value"):
-        raise KeyError(f"unsupported matching key {key!r}")
-    values = table.l_values if key == "l_value" else table.conductors.astype(np.float64)
+    values = {"conductor": table.conductors.astype(np.float64),
+              "l_value": table.l_values}[key]
     a_vals, b_vals = values[group_a], values[group_b]
     labels = table.labels
     a_order = sorted(range(len(group_a)), key=lambda i: (a_vals[i], labels[group_a[i]]))
@@ -86,62 +79,36 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
     b_rows = [int(group_b[i]) for i in b_order]
     b_labels = [labels[r] for r in b_rows]
     m = len(b_sorted)
-    # doubly linked alive-list over sorted B positions; slot j+1 holds item j,
-    # slots 0 and m+1 are sentinels.  Dead slots keep stale pointers that are
-    # path-compressed during walks, so scans stay near-linear overall.
-    alive = [True] * m
-    nxt = list(range(1, m + 2))   # nxt[slot], slot 0 is the head sentinel
-    prv = list(range(-1, m))      # prv[slot]; prv[0] unused
+    # two union-find arrays over sorted B positions: right[j] leads to the
+    # first unused position >= j (m if none), left[j] to one past the last
+    # unused position < j (0 if none)
+    right = list(range(m + 1))
+    left = list(range(m + 1))
 
-    def right_item(pos: int) -> int | None:
-        s = pos + 1
-        seen = []
-        while s <= m and not alive[s - 1]:
-            seen.append(s)
-            s = nxt[s]
-        for t in seen:
-            nxt[t] = s
-        return s - 1 if s <= m else None
-
-    def left_item(pos: int) -> int | None:
-        s = pos
-        seen = []
-        while s >= 1 and not alive[s - 1]:
-            seen.append(s)
-            s = prv[s]
-        for t in seen:
-            prv[t] = s
-        return s - 1 if s >= 1 else None
-
-    def remove(item: int) -> None:
-        s = item + 1
-        alive[item] = False
-        nxt[prv[s]] = nxt[s]
-        if nxt[s] <= m:
-            prv[nxt[s]] = prv[s]
+    def find(parent: list[int], j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]  # path halving
+            j = parent[j]
+        return j
 
     pairs = []
-    used = 0
     for ai in a_order:
-        if used == m:
+        if len(pairs) == m:
             break
         target = a_vals[ai]
         pos = bisect.bisect_left(b_sorted, target)
-        best = None
-        left = left_item(pos)
-        if left is not None:
-            best = (abs(b_sorted[left] - target), b_labels[left], left)
-        right = right_item(pos)
-        if right is not None:
-            cand = (abs(b_sorted[right] - target), b_labels[right], right)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        if best is None or best[0] > max_distance:
+        lo, hi = find(left, pos) - 1, find(right, pos)
+        bj = hi if lo < 0 else lo
+        # the closer candidate, a tie in distance to the smaller label
+        if lo >= 0 and hi < m and ((abs(b_sorted[hi] - target), b_labels[hi])
+                                   < (abs(b_sorted[lo] - target), b_labels[lo])):
+            bj = hi
+        dist = abs(b_sorted[bj] - target)
+        if dist > max_distance:
             continue
-        dist, _, bj = best
         pairs.append((int(group_a[ai]), b_rows[bj], float(dist)))
-        remove(bj)
-        used += 1
+        right[bj] = bj + 1
+        left[bj + 1] = bj
     return MatchedPairs(tuple(pairs), key, max_distance)
 
 
@@ -159,8 +126,8 @@ def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> PairedProfiles:
     """
     if matched.n_pairs == 0:
         raise EmptyGroupError("no matched pairs")
-    rows_a = matrix.traces[matched.rows_a()].astype(np.float64)
-    rows_b = matrix.traces[matched.rows_b()].astype(np.float64)
+    rows = np.array([(a, b) for a, b, _ in matched.pairs], dtype=np.int64)
+    rows_a, rows_b = matrix.traces[rows.T].astype(np.float64)
     group = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
     pair = float(rms_separation([rows_a.ravel(), rows_b.ravel()]))
     return PairedProfiles(group, pair)

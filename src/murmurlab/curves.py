@@ -21,7 +21,7 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,13 +133,6 @@ class CurveTable:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __iter__(self) -> Iterator[CurveRecord]:
-        return map(self.record, range(len(self)))
-
-    @property
-    def records(self) -> tuple[CurveRecord, ...]:
-        return tuple(self)
 
     def record(self, i: int) -> CurveRecord:
         """The full record of row i of this table."""

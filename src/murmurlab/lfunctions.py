@@ -62,6 +62,7 @@ import numpy as np
 
 from .diagnostics import ks_2samp
 from .traces import dirichlet_coefficients
+from .windows import pearson
 
 if TYPE_CHECKING:
     from .curves import CurveRecord
@@ -512,7 +513,8 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
     The contribution of each zero ordinate gamma to the mean trace at p is
     modeled as -(2 sqrt(p)/log p) cos(gamma log p); the prediction is the
     group A minus group B contribution.  If an observed difference profile
-    is supplied, its Pearson correlation and RMS are reported alongside.
+    is supplied, its Pearson correlation and RMS are reported alongside; a
+    constant prediction or profile has no correlation and is a ValueError.
     """
     ga = np.asarray(mean_gammas_a, dtype=np.float64)
     gb = np.asarray(mean_gammas_b, dtype=np.float64)
@@ -528,7 +530,7 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
     obs = np.asarray(observed_diff, dtype=np.float64)
     if obs.shape != pred.shape:
         raise ValueError("observed profile does not match the prime list")
-    corr = float(np.corrcoef(pred, obs)[0, 1])
+    corr = pearson(pred, obs)
     rms_obs = float(np.sqrt(np.mean(obs**2)))
     return ExplicitPrediction(primes, pred, corr, rms_pred, rms_obs)
 

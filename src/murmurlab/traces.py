@@ -61,19 +61,19 @@ _TABLE_CROSSOVER = 32
 _LIMB_BITS = 62
 
 
-class TraceComputationError(RuntimeError):
+class TraceComputationError(ValueError):
     pass
 
 
-class MissingTraceError(KeyError):
+class MissingTraceError(ValueError):
     """A Dirichlet coefficient was requested beyond the supplied prime traces."""
 
 
-class CacheFormatError(RuntimeError):
+class CacheFormatError(ValueError):
     pass
 
 
-class CacheCorruptionError(RuntimeError):
+class CacheCorruptionError(ValueError):
     pass
 
 
@@ -434,7 +434,7 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> Tr
     try:
         traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes,
                                      labels)
-    except (ValueError, TraceComputationError):  # an unsupported prime, a wrong conductor
+    except ValueError:  # an unsupported prime, a wrong conductor
         raise
     except Exception as exc:  # pragma: no cover - defensive
         raise TraceComputationError(f"trace build failed: {exc}") from exc

@@ -35,11 +35,16 @@ def serialize_curve_table(table: CurveTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in table:
+    for r in records(table):
         writer.writerow([r.label, r.conductor, r.rank, *r.a_invariants, r.root_number,
                          repr(r.sha_an), repr(r.real_period), repr(r.regulator),
                          r.tamagawa_product, r.torsion_order, repr(r.l_value)])
     return out.getvalue()
+
+
+def records(table: CurveTable) -> tuple[CurveRecord, ...]:
+    """Every record of the table, in row order."""
+    return tuple(map(table.record, range(len(table))))
 
 
 def table_of(records) -> CurveTable:

@@ -10,7 +10,8 @@ own draw of the stream and every group but the last summed by matmul.
 Reduction types are classified by a walk over every curve and bad prime.
 The curves CSV is parsed row by row, one CurveRecord and one
 validate_record per row, with its own copy of the label pattern and of
-every invariant rule.
+every invariant rule.  Nearest-neighbour matching scans every unused curve
+for each match.
 """
 
 import csv
@@ -180,6 +181,35 @@ def permutation_null(member_lists, traces, n_shuffles, seed):
         null[done:done + block] = rms(means)
         done += block
     return observed, null
+
+
+def match_nn_oracle(keys, labels, group_a, group_b, max_distance):
+    """Greedy one-to-one matching of group_a rows to group_b rows, by brute force.
+
+    A rows are taken in (key, label) order.  Each scans every unused B row:
+    below its key the candidate is the last unused one in (key, label) order,
+    at or above it the first.  The closer candidate wins, a tie in distance
+    goes to the smaller label, and a pair farther apart than max_distance is
+    dropped, leaving its B row unused.  Returns [(row a, row b, distance)].
+    """
+    def order(row):
+        return keys[row], labels[row]
+
+    unused = sorted(group_b, key=order)
+    pairs = []
+    for a in sorted(group_a, key=order):
+        target = keys[a]
+        below = [b for b in unused if keys[b] < target]
+        at_or_above = [b for b in unused if keys[b] >= target]
+        candidates = below[-1:] + at_or_above[:1]
+        if not candidates:
+            break
+        b = min(candidates, key=lambda row: (abs(keys[row] - target), labels[row]))
+        distance = abs(keys[b] - target)
+        if distance <= max_distance:
+            pairs.append((a, b, distance))
+            unused.remove(b)
+    return pairs
 
 
 def classify_reduction_oracle(matrix, table):

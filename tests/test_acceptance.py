@@ -51,6 +51,7 @@ from conftest import (
     full_dataset_path,
     make_synthetic_table,
     record_of,
+    records,
     requires_dataset,
     table_of,
     twist_of_11a1,
@@ -104,20 +105,20 @@ class TestCriterion1:
         primes = [int(p) for p in first_n_primes(46)]  # all p <= 200
         assert primes[-1] == 199
         start = time.perf_counter()
-        records = []
+        recs = []
         for i in range(100):
             model = random_nonsingular_model(rng)
             conductor = synthetic_conductor(model, primes)
-            records.append(CurveRecord(
+            recs.append(CurveRecord(
                 label=f"{conductor}a{i}", isogeny_class=f"{conductor}a",
                 a_invariants=model, conductor=conductor, rank=0, root_number=1,
                 real_period=1.0, regulator=1.0, tamagawa_product=1, torsion_order=1,
                 sha_an=1.0, l_value=1.0))
-        table = table_of(records)
+        table = table_of(recs)
         matrix = build_trace_matrix(table, PrimeList(primes))
         mismatches = sum(
             int(matrix.traces[i, j]) != ap_oracle(rec.a_invariants, rec.conductor, p)
-            for i, rec in enumerate(table) for j, p in enumerate(primes))
+            for i, rec in enumerate(records(table)) for j, p in enumerate(primes))
         elapsed = time.perf_counter() - start
         ok = mismatches == 0 and elapsed < 30.0
         criterion(1, "character-sum a_p equals full enumeration "
@@ -193,7 +194,7 @@ class TestCriterion5:
         rank0 = table.filter(rank=0, conductor_range=(10_000, 50_000))
         in_range = table.filter(conductor_range=(10_000, 50_000))
         rank01 = in_range.subset(
-            [i for i, r in enumerate(in_range.records) if r.rank in (0, 1)]
+            [i for i, r in enumerate(records(in_range)) if r.rank in (0, 1)]
         )
         full_slice = len(rank0) >= 50_000
         groupings = [partition(rank01 if rule.name == "root_number" else rank0,

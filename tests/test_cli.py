@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -21,8 +22,8 @@ from murmurlab.stratify import (SCALE_WINDOWS, SHA_RULE, TABLE_RULES, TAMAGAWA_R
                                 partition, permutation_test)
 from murmurlab.traces import build_trace_matrix, default_prime_list
 
-from conftest import (TWIST_DS, make_synthetic_table, record_of, serialize_curve_table,
-                      table_of, twist_of_11a1)
+from conftest import (TWIST_DS, make_synthetic_table, record_of, records,
+                      serialize_curve_table, table_of, twist_of_11a1)
 
 
 RULES_BY_NAME = {rule.name: rule for rule in TABLE_RULES}
@@ -141,11 +142,11 @@ class TestTraces:
         cache = tmp_path / "cache.bin"
         assert main(["traces", "--curves", str(twist_csv), "--cache", str(cache),
                      "--primes", "20", "--out", str(out)]) == 0
-        records = list(twist_table())
-        last = records[-1]  # doubling the largest conductor keeps the row order
-        records[-1] = dataclasses.replace(last, conductor=2 * last.conductor)
+        recs = list(records(twist_table()))
+        last = recs[-1]  # doubling the largest conductor keeps the row order
+        recs[-1] = dataclasses.replace(last, conductor=2 * last.conductor)
         changed = tmp_path / "changed.csv"
-        changed.write_text(serialize_curve_table(table_of(records)))
+        changed.write_text(serialize_curve_table(table_of(recs)))
         rc = main(["traces", "--curves", str(changed), "--cache", str(cache),
                    "--primes", "20", "--out", str(out)])
         assert rc == 1
@@ -179,11 +180,11 @@ class TestTraces:
             assert not (out / f"{argv[0]}.json").exists()
 
     def test_conductor_that_disagrees_with_the_model_refused(self, tmp_path):
-        records = list(twist_table())
-        first = records[0]  # 11 * 37^2; 7 divides neither it nor the discriminant
-        records[0] = dataclasses.replace(first, conductor=7 * first.conductor)
+        recs = list(records(twist_table()))
+        first = recs[0]  # 11 * 37^2; 7 divides neither it nor the discriminant
+        recs[0] = dataclasses.replace(first, conductor=7 * first.conductor)
         wrong = tmp_path / "wrong.csv"
-        wrong.write_text(serialize_curve_table(table_of(records)))
+        wrong.write_text(serialize_curve_table(table_of(recs)))
         out = tmp_path / "out"
         rc = main(["traces", "--curves", str(wrong), "--primes", "20", "--out", str(out)])
         assert rc == 1
@@ -214,6 +215,17 @@ class TestTraces:
         assert rc == 1
         err = json.loads((out / "traces_error.json").read_text())
         assert "supported maximum" in err["error"]
+
+    def test_every_step_spells_a_cache_path_alike(self, twist_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        common = ["--curves", str(twist_csv), "--cache", "./c.bin", "--rule", "sha",
+                  "--range", "1000:300000", "--shuffles", "50", "--out", "out"]
+        for step in ("traces", "stratify"):
+            assert main([step, *common, "--primes", "20"]) == 0
+            assert read_report(tmp_path / "out", step)["inputs"]["cache"]["path"] == "c.bin"
+            assert main([step, *common, "--primes", "30"]) == 1
+            error = read_report(tmp_path / "out", f"{step}_error")["error"]
+            assert error.startswith("cache c.bin holds 20 primes, 30 were requested")
 
 
 class TestStratify:
@@ -255,7 +267,7 @@ class TestStratify:
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
                                 torsion_order=1 + (i // 2) % 2,
                                 rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         common = ["--curves", str(path), "--range", "1000:300000", "--primes", "25",
                   "--shuffles", "300", "--seed", "9"]
@@ -282,7 +294,7 @@ class TestStratify:
         path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
                                 rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         common = ["--curves", str(path), "--range", "1000:300000", "--primes", "25",
                   "--shuffles", "100", "--seed", "9"]
@@ -300,6 +312,22 @@ class TestStratify:
         assert main(["stratify", "--rule", "torsion", *common, "--out", str(alone)]) == 1
         err = read_report(alone, "stratify_error")
         assert err["error"] == "group 'group_b' of rule 'torsion' is empty"
+
+
+class TestDiagnose:
+    def test_a_prime_list_below_the_ks_cut_leaves_the_other_parts(self, twist_csv,
+                                                                    tmp_path):
+        # 30 primes stop at 113, below the Sato-Tate KS part's p_min of 1,000
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--curves", str(twist_csv), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "30", "--out", str(out)])
+        assert rc == 0
+        section = read_report(out, "diagnose")["diagnose"]
+        assert "p_min = 1000.0" in section["sato_tate_ks"]["error"]
+        assert set(section["moments"]) == {"sha_1", "sha_ge4"}
+        assert "direction" in section["crossover"]
+        assert "type_counts" in section["reduction"]
+        assert set(section["bad_prime_share"]) == {"full_rms", "masked_rms", "share_percent"}
 
 
 class TestConfound:
@@ -358,7 +386,7 @@ class TestConfound:
         path = tmp_path / "twists.csv"
         path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         args = ["confound", "--curves", str(path), "--band", "0:100",
                 "--range", "1000:300000", "--primes", "20", "--shuffles", "300",
@@ -502,6 +530,17 @@ class TestErrorReports:
         assert "8 and 16 quadrature nodes" in err["error"]
         assert not (out / "zeros.json").exists()
 
+    def test_every_exception_class_of_the_package_is_a_value_error(self):
+        # so main catches every failure of a user's inputs with one fixed tuple
+        classes = {f"{name}.{cls.__name__}": cls
+                   for name in SUBMODULES + ["murmurlab.cli"]
+                   for cls in vars(importlib.import_module(name)).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__ == name}
+        assert {"murmurlab.cli.CliError", "murmurlab.traces.MissingTraceError",
+                "murmurlab.traces.CacheFormatError"} <= set(classes)
+        assert [name for name, cls in classes.items() if not issubclass(cls, ValueError)] == []
+
 
 class TestCachedStepsParseNothing:
     """With a matching cache the table comes from it, and zeros counts no cached trace."""
@@ -549,7 +588,7 @@ class TestCacheAndBuildAgree:
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
                                 torsion_order=1 + (i // 2) % 2,
                                 rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         cache = tmp_path / "cache.bin"
         common = ["--curves", str(path), "--band", "0:100", "--range", "1000:300000",
@@ -594,7 +633,7 @@ class TestSupersetCache:
 def imported_zeros_csv(tmp_path):
     rng = np.random.default_rng(0)
     sets = []
-    for rec in twist_table():
+    for rec in records(twist_table()):
         gammas = np.sort(np.cumsum(rng.uniform(0.4, 0.9, size=5)))
         sets.append(ZeroSet(rec.label, gammas, 5, 10.0, True))
     zeros_csv = tmp_path / "zeros.csv"
@@ -616,6 +655,30 @@ class TestZerosImport:
         assert "t2" in report["hotelling"]
         assert "correlation" in report["explicit_formula"]
         assert (out / "explicit_prediction.csv").exists()
+
+    def test_groups_with_the_same_zeros_give_no_explicit_formula(self, twist_csv,
+                                                                  tmp_path):
+        # the k-th curve of either Sha group gets the k-th zero set, so the
+        # predicted difference is 0 at every prime and has no correlation
+        table = twist_table()
+        rng = np.random.default_rng(0)
+        gammas = [np.sort(np.cumsum(rng.uniform(0.4, 0.9, size=5))) for _ in range(8)]
+        sets = []
+        for sha in (1.0, 4.0):
+            rows = np.flatnonzero(table.sha_values == sha)
+            sets += [ZeroSet(table.labels[i], g, 5, 10.0, True) for i, g in zip(rows, gammas)]
+        zeros_csv = tmp_path / "zeros.csv"
+        write_zero_sets_csv(zeros_csv, sets)
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(twist_csv), "--zeros", str(zeros_csv),
+                   "--band", "0:100", "--range", "1000:300000", "--primes", "20",
+                   "--out", str(out)])
+        assert rc == 0
+        report = read_report(out, "zeros")["zeros"]
+        assert report["n_complete"] == {"sha_1": 8, "sha_ge4": 8}
+        assert "t2" in report["hotelling"]
+        assert "zero-variance" in report["explicit_formula"]["error"]
+        assert not (out / "explicit_prediction.csv").exists()
 
     def test_report_lists_the_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
@@ -808,7 +871,7 @@ class TestWindowsCommand:
         rank0 = make_synthetic_table(400, seed=1, conductor_range=(11_000, 49_000))
         rank1 = make_synthetic_table(400, seed=2, conductor_range=(11_000, 49_000),
                                      rank=1)
-        table = table_of(list(rank0.records) + list(rank1.records))
+        table = table_of(records(rank0) + records(rank1))
         path = tmp_path / "synthetic.csv"
         path.write_text(serialize_curve_table(table))
         out = tmp_path / "out"
@@ -1055,7 +1118,7 @@ class TestImportOnUse:
         path = tmp_path / "twists.csv"
         path.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         out, cache = str(tmp_path / "out"), str(tmp_path / "cache.bin")
         common = ["--curves", str(path), "--range", "1000:300000",
@@ -1084,12 +1147,12 @@ class TestImportOnUse:
         twists = tmp_path / "twists.csv"
         twists.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         synthetic = tmp_path / "synthetic.csv"
         synthetic.write_text(serialize_curve_table(table_of([
-            *make_synthetic_table(400, seed=1).records,
-            *make_synthetic_table(400, seed=2, rank=1).records])))
+            *records(make_synthetic_table(400, seed=1)),
+            *records(make_synthetic_table(400, seed=2, rank=1))])))
         out, cache = tmp_path / "out", str(tmp_path / "cache.bin")
         common = ["--curves", str(twists), "--cache", cache, "--band", "0:100",
                   "--range", "1000:300000", "--primes", "200", "--out", str(out)]
@@ -1221,7 +1284,7 @@ class TestLazySubmodules:
         twists = tmp_path / "twists.csv"
         twists.write_text(serialize_curve_table(table_of([
             dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2))
-            for i, r in enumerate(twist_table().records)
+            for i, r in enumerate(records(twist_table()))
         ])))
         out, cache = tmp_path / "out", str(tmp_path / "cache.bin")
         common = ["--curves", str(twists), "--cache", cache, "--band", "0:100",

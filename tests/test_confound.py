@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from murmurlab.primes import omega
 from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
 from murmurlab.traces import default_prime_list
 
-from conftest import make_synthetic_matrix, make_synthetic_table, table_of
+from conftest import make_synthetic_matrix, make_synthetic_table, records, table_of
+from oracles import match_nn_oracle
 
 
 class TestOmega:
@@ -58,6 +61,19 @@ class TestControlOmega:
         assert report.p_value > 1e-3  # no injected effect
 
 
+def curve(label: str, conductor: int, l_value: float = 1.0) -> CurveRecord:
+    return CurveRecord(label, label.rstrip("0123456789"), (0, 0, 0, 1, 1), conductor, 0, 1,
+                       1.0, 1.0, 1, 1, 1.0, l_value)
+
+
+def tied_table(rng, n: int):
+    """n curves over few conductors and L-values, so that keys tie often."""
+    conductors = rng.integers(100, 112, size=n)
+    return table_of([curve(f"{c}{'abc'[i % 3]}{i}", int(c),
+                           float(rng.choice([0.5, 1.0, 1.25, 2.0])))
+                     for i, c in enumerate(conductors)])
+
+
 class TestMatchNn:
     def test_identical_key_multisets_zero_distance(self):
         table = make_synthetic_table(40, seed=4)
@@ -71,7 +87,7 @@ class TestMatchNn:
         part = partition(table, SHA_RULE)
         pairs = match_nn(table, list(part.groups["group_b"]),
                          list(part.groups["group_a"]), "conductor", 1e12)
-        bs = pairs.rows_b()
+        bs = [b for _, b, _ in pairs.pairs]
         assert len(bs) == len(set(bs))
         assert pairs.n_pairs <= min(len(part.groups["group_a"]),
                                     len(part.groups["group_b"]))
@@ -114,13 +130,38 @@ class TestMatchNn:
         with pytest.raises(EmptyGroupError):
             match_nn(table, [], table.rows, "conductor", 1.0)
 
+    @pytest.mark.parametrize("max_distance", [0.0, 0.1, 3.0, 500.0, math.inf])
+    @pytest.mark.parametrize("key", ["conductor", "l_value"])
+    def test_agrees_with_the_brute_force_greedy(self, key, max_distance):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            table = tied_table(rng, int(rng.integers(2, 40)))
+            perm = rng.permutation(len(table))
+            cut = int(rng.integers(1, len(table)))
+            group_a, group_b = perm[:cut], perm[cut:]
+            keys = (table.conductors.astype(np.float64) if key == "conductor"
+                    else table.l_values).tolist()
+            got = match_nn(table, group_a, group_b, key, max_distance)
+            assert list(got.pairs) == match_nn_oracle(keys, table.labels, group_a.tolist(),
+                                                      group_b.tolist(), max_distance)
+
+    @pytest.mark.parametrize("conductor, taken", [(101, "100b1"), (99, "100a1")])
+    def test_equal_keys_below_take_the_last_label_above_the_first(self, conductor,
+                                                                   taken):
+        table = table_of([curve(label, c) for label, c in (
+            ("100a1", 100), ("100b1", 100), (f"{conductor}c1", conductor))])
+        a = [table.labels.index(f"{conductor}c1")]
+        b = [table.labels.index("100a1"), table.labels.index("100b1")]
+        (_, row_b, distance), = match_nn(table, a, b).pairs
+        assert (table.labels[row_b], distance) == (taken, 1.0)
+
 
 class TestLvalueBand:
     def test_band_keeps_rank0_inside(self):
         table = make_synthetic_table(300, seed=9)
         band = (0.5, 1.5)
         sub = lvalue_band(table, band)
-        assert all(0.5 <= r.l_value <= 1.5 and r.rank == 0 for r in sub)
+        assert all(0.5 <= r.l_value <= 1.5 and r.rank == 0 for r in records(sub))
 
     def test_full_band_is_identity_on_rank0(self):
         table = make_synthetic_table(100, seed=10)
@@ -132,7 +173,7 @@ class TestLvalueBand:
         outer = lvalue_band(table, (0.2, 3.0))
         inner = lvalue_band(outer, (0.5, 1.5))
         direct = lvalue_band(table, (0.5, 1.5))
-        assert inner.records == direct.records
+        assert records(inner) == records(direct)
 
     def test_bad_band_rejected(self):
         table = make_synthetic_table(10, seed=12)
@@ -170,7 +211,8 @@ class TestBsdRatios:
         table = make_synthetic_table(500, seed=16, sha_choices=(1.0, 4.0, 9.0))
         groups = {}
         for target, name in [(1, "sha1"), (4, "sha4"), (9, "sha9")]:
-            groups[name] = [i for i, r in enumerate(table) if round(r.sha_an) == target]
+            groups[name] = [i for i, r in enumerate(records(table))
+                            if round(r.sha_an) == target]
         ratios = bsd_group_ratios(table, groups)
         assert ratios["sha1"] == pytest.approx(1.0, rel=1e-9)
         assert ratios["sha4"] == pytest.approx(0.25, rel=1e-9)

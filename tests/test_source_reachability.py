@@ -3,8 +3,9 @@
 A definition that only tests call belongs in the tests, and a private helper
 that a refactor left behind belongs nowhere: the module parses each source
 file and looks for a reference, by name or attribute, to every module-level
-function and class outside its own definition, and to every method and
-property of a class, dunders aside, outside that method.
+function and class outside its own definition, and for an attribute
+reference (`x.name`) to every method and property of a class, dunders aside,
+outside that method.  A bare name such as a local variable uses no method.
 """
 
 import ast
@@ -22,11 +23,14 @@ ALLOWED = {
     "traces.TraceMatrix.row_index",
     # the bench tracer's span for the Dirichlet coefficients of one curve
     "lfunctions.LSeries.from_curve",
+    # the bench tracer's shuffle counter
+    "stratify.StratReports.n_shuffles",
 }
 
 
 def _names(node) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr
+    """The names the node uses, an attribute spelt ".name"."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
@@ -52,18 +56,19 @@ def unreferenced_definitions(src: Path) -> list[str]:
     """Qualified name of each definition that no other code in src names."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     statements = [entry for tree in modules.values() for entry in _statements(tree)]
-    definitions = []  # (qualified name, name, the statements that define it)
+    # (qualified name, the spellings that use it, the statements that define it)
+    definitions = []
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}.{node.name}", node.name,
+                definitions.append((f"{module}.{node.name}", {node.name, "." + node.name},
                                     {id(n) for n in ast.walk(node)}))
             if isinstance(node, ast.ClassDef):
-                definitions += [(f"{module}.{node.name}.{method.name}", method.name,
+                definitions += [(f"{module}.{node.name}.{method.name}", {"." + method.name},
                                  {id(method)}) for method in node.body if _is_method(method)]
-    return [qualified for qualified, name, own in definitions
+    return [qualified for qualified, spellings, own in definitions
             if qualified not in ALLOWED
-            and not any(name in used for stmt, used in statements if id(stmt) not in own)]
+            and not any(spellings & used for stmt, used in statements if id(stmt) not in own)]
 
 
 def test_every_definition_is_used_by_the_package():
@@ -106,3 +111,20 @@ def test_a_method_only_tests_call_is_caught(tmp_path):
     # rows_of names itself, which is no use
     assert unreferenced_definitions(copy) == ["traces.TraceMatrix.bad_entry_count",
                                               "traces.TraceMatrix.rows_of"]
+
+
+def test_a_method_named_like_a_local_variable_is_caught(tmp_path):
+    # lfunctions has a local variable `records`, which uses no method of that name
+    lfunctions = ast.parse((SRC / "lfunctions.py").read_text())
+    assert "records" in {n.id for n in ast.walk(lfunctions) if isinstance(n, ast.Name)}
+    copy = tmp_path / "murmurlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / "curves.py").read_text()
+    anchor = "    def record(self, i: int) -> CurveRecord:\n"
+    assert anchor in source
+    (copy / "curves.py").write_text(source.replace(anchor, (
+        "    @property\n"
+        "    def records(self) -> tuple[CurveRecord, ...]:\n"
+        "        return tuple(map(self.record, range(len(self))))\n"
+        "\n" + anchor)))
+    assert unreferenced_definitions(copy) == ["curves.CurveTable.records"]

@@ -23,7 +23,7 @@ from murmurlab.stratify import (
 )
 from murmurlab.traces import TraceMatrix, default_prime_list
 
-from conftest import make_synthetic_matrix, make_synthetic_table, table_of
+from conftest import make_synthetic_matrix, make_synthetic_table, records, table_of
 from oracles import permutation_null
 
 
@@ -49,12 +49,10 @@ class TestPartition:
         assert len(part.unassigned) == 0
 
     def test_quartiles_of_eight_distinct_values(self):
-        records = make_synthetic_table(8, seed=3).records
         import dataclasses
 
-        records = [dataclasses.replace(r, real_period=float(i + 1))
-                   for i, r in enumerate(records)]
-        table = table_of(records)
+        table = table_of([dataclasses.replace(r, real_period=float(i + 1))
+                          for i, r in enumerate(records(make_synthetic_table(8, seed=3)))])
         part = partition(table, PERIOD_QUARTILE_RULE)
         assert sorted(len(v) for v in part.groups.values()) == [2, 2, 2, 2]
 

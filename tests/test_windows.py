@@ -16,7 +16,7 @@ from murmurlab.windows import (
     welch_psd,
 )
 
-from conftest import make_synthetic_matrix, make_synthetic_table, table_of
+from conftest import make_synthetic_matrix, make_synthetic_table, records, table_of
 
 
 def series_from(values, start=0.0, step=1.0, counts=None):
@@ -36,7 +36,7 @@ class TestSlidingWindows:
         # curves at 20000 and 24000 are both endpoints of the center-22000 window
         half = make_synthetic_table(20, seed=2, conductor_range=(20_000, 20_001))
         other = make_synthetic_table(20, seed=5, conductor_range=(24_000, 24_001))
-        table = table_of(list(half.records) + list(other.records))
+        table = table_of(records(half) + records(other))
         series = sliding_window_series(table, "sha", rank=0, width=4000, step=2000)
         idx = int(np.where(series.centers == 22_000)[0][0])
         assert series.counts[idx] == 40
