@@ -29,7 +29,10 @@ The sum keeps the terms with x_n <= _X_CUT, and V = log(_X_CUT / x_1), past
 which every exp(-x_n e^v) is below exp(-_X_CUT).  One Gauss-Legendre rule
 on [0, V] turns this into a weighted sum over its nodes: g is evaluated once
 per rule, and then every height t is one row of cos(t v) times w g(v).
-Lambda is real by construction.
+Lambda is real by construction.  g is summed over blocks of nodes of at
+most _NODE_BUDGET exponentials each, so no node x term matrix is built
+whatever the conductor; every node's row is still summed on its own, so g
+is the same bit for bit whatever the blocks.
 
 The rule comes in two sizes, M nodes sized from t_max and V, and 2M nodes.
 The 2M-node rule gives every value; both rules evaluate the heights a
@@ -80,6 +83,9 @@ FE_TOL = 1e-10
 #: largest disagreement of the M- and 2M-node rules, relative to the sum of
 #: |terms| 2 sum w |g|, that an evaluation accepts; sized rules agree to ~1e-14
 QUAD_TOL = 1e-12
+#: float64 elements of one block of the theta sum, 256 KiB per temporary;
+#: each node's row is summed on its own, so the blocks move no bit
+_NODE_BUDGET = 1 << 15
 
 
 class CoefficientShortfallError(ValueError):
@@ -184,12 +190,16 @@ def _theta_rule(x: np.ndarray, a: np.ndarray, span: float,
     """Nodes v and weights w g(v) of the m-point rule on [0, span].
 
     g(v) = e^v sum a_n exp(-x_n e^v), so Lambda = 2 int g cos (see the module
-    docstring): m x terms exponentials, once per rule.
+    docstring): m x terms exponentials, once per rule, over blocks of nodes
+    of at most _NODE_BUDGET exponentials.
     """
     unit, weights = _legendre(m)
     u = np.exp(span * unit)
-    g = u * (np.exp(-np.outer(u, x)) * a).sum(axis=1)
-    return span * unit, span * weights * g
+    g = np.empty(m)
+    step = max(1, _NODE_BUDGET // len(x))  # a row wider than the budget is a block
+    for lo in range(0, m, step):
+        g[lo:lo + step] = (np.exp(-np.outer(u[lo:lo + step], x)) * a).sum(axis=1)
+    return span * unit, span * weights * (u * g)
 
 
 def _lambda_batch(rule: tuple[np.ndarray, np.ndarray], ts) -> np.ndarray:

@@ -13,11 +13,12 @@ groupings of equal n tested together share each drawn block, each applying
 it to its own rows.  The streams of different n are independent, so each
 runs as one task on a thread pool of as many workers as the process has
 CPUs; NumPy's draws and matrix products release the GIL.  Traces are
-integers, so every group sum is exact: in float32 when
-n * max|a_p| < 2**24, the integers float32 holds exactly, and in float64
-otherwise.  A grouping's null is therefore the same, bit for bit, whether
-it is tested alone or with others, and whatever the scheduling of the
-streams or the threading of the BLAS.
+integers, so every group sum is exact: the observed separation and the
+total take theirs in int64 from the int16 rows, and the shuffles in float32
+when n * max|a_p| < 2**24, the integers float32 holds exactly, and in
+float64 otherwise.  A grouping's null is therefore the same, bit for bit,
+whether it is tested alone or with others, and whatever the scheduling of
+the streams or the threading of the BLAS.
 """
 
 from __future__ import annotations
@@ -205,21 +206,28 @@ class StratReports(tuple):
 
 
 class _Null:
-    """One grouping's rows in its own order, observed separation and null."""
+    """One grouping's rows in its own order, observed separation and null.
+
+    The observed group means and the total come from int64 sums of the
+    integer trace rows, exact and so equal to any float64 sum of them; the
+    rows the shuffles scatter are converted once, to float32 when that sums
+    them exactly.
+    """
 
     def __init__(self, members: list[Sequence[int]], matrix: TraceMatrix,
                  n_shuffles: int):
         self.sizes = [len(g) for g in members]
         self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
-        rows = matrix.traces[np.concatenate(members)].astype(np.float64)
-        self.observed = float(rms_separation(
-            [rows[self.bounds[i]:self.bounds[i + 1]].mean(axis=0)
-             for i in range(len(self.sizes))]
-        ))
-        self.total = rows.sum(axis=0)
-        # every partial group sum is an integer of magnitude <= n * max|a_p|
-        exact32 = len(rows) * np.abs(rows).max() < _FLOAT32_EXACT
-        self.rows = rows.astype(np.float32) if exact32 else rows
+        rows = matrix.traces[np.concatenate(members)]
+        sums = [rows[self.bounds[i]:self.bounds[i + 1]].sum(axis=0, dtype=np.int64)
+                for i in range(len(self.sizes))]
+        self.observed = float(rms_separation([s / n for s, n in zip(sums, self.sizes)]))
+        self.total = np.sum(sums, axis=0).astype(np.float64)
+        # every partial group sum is an integer of magnitude <= n * max|a_p|,
+        # bounded in Python ints: np.abs of int16 -32768 is -32768
+        peak = max(-int(rows.min()), int(rows.max()))
+        exact32 = len(rows) * peak < _FLOAT32_EXACT
+        self.rows = rows.astype(np.float32 if exact32 else np.float64)
         self.largest = int(np.argmax(self.sizes))
         self.values = np.empty(n_shuffles)
 

@@ -145,7 +145,7 @@ def savgol_coeffs(window: int, degree: int) -> np.ndarray:
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two equal-length arrays, neither of them constant."""
     if a.std() == 0 or b.std() == 0:
-        raise DegenerateSeriesError("correlation undefined for zero-variance invariant")
+        raise DegenerateSeriesError("correlation undefined: a series is constant")
     return float(np.corrcoef(a, b)[0, 1])
 
 

@@ -677,7 +677,7 @@ class TestZerosImport:
         report = read_report(out, "zeros")["zeros"]
         assert report["n_complete"] == {"sha_1": 8, "sha_ge4": 8}
         assert "t2" in report["hotelling"]
-        assert "zero-variance" in report["explicit_formula"]["error"]
+        assert "a series is constant" in report["explicit_formula"]["error"]
         assert not (out / "explicit_prediction.csv").exists()
 
     def test_report_lists_the_cache(self, twist_csv, tmp_path):

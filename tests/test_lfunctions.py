@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -417,6 +418,41 @@ class TestQuadrature:
         assert gap < 0.1 * lfunctions.QUAD_TOL * 2 * np.sum(np.abs(fine[1]))
 
 
+class TestBlockedQuadrature:
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_blocks_give_the_one_shot_rule(self, monkeypatch, rows_per_block):
+        # rows_per_block None keeps _NODE_BUDGET; 3 splits the nodes unevenly,
+        # no m being a multiple of 3
+        rng = np.random.default_rng(53)
+        for n_terms, m in [(7, 16), (2_400, 160), (33_000, 8), (40_000, 16)]:
+            x = np.sort(rng.uniform(0.01, lfunctions._X_CUT, n_terms))
+            a = rng.normal(size=n_terms)
+            span = float(rng.uniform(1.0, 9.0))
+            unit, weights = lfunctions._legendre(m)
+            u = np.exp(span * unit)
+            wg = span * weights * (u * (np.exp(-np.outer(u, x)) * a).sum(1))
+            if rows_per_block:
+                monkeypatch.setattr(lfunctions, "_NODE_BUDGET", rows_per_block * n_terms)
+            rule = lfunctions._theta_rule(x, a, span, m)
+            assert np.array_equal(rule[0], span * unit)
+            assert np.array_equal(rule[1], wg)
+            monkeypatch.undo()
+
+    def test_a_rule_over_many_terms_traces_under_4_mib(self):
+        # one-shot, 256 nodes x 40,000 terms traces 156 MiB
+        rng = np.random.default_rng(59)
+        x = np.sort(rng.uniform(0.01, lfunctions._X_CUT, 40_000))
+        a = rng.normal(size=len(x))
+        lfunctions._legendre(256)
+        tracemalloc.start()
+        try:
+            lfunctions._theta_rule(x, a, 5.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
 class TestFeResidual:
     """Dokchitser's cut-off test at t = 0, as the zeros step runs it."""
 
@@ -583,6 +619,18 @@ class TestExplicitPredict:
                                 observed_diff=pred.predicted_diff)
         assert echo.correlation == pytest.approx(1.0)
         assert echo.rms_observed == pytest.approx(echo.rms_predicted)
+
+    def test_constant_prediction_refused(self):
+        primes = np.array([2, 3, 5, 7, 11])
+        with pytest.raises(ValueError, match="a series is constant"):
+            explicit_predict(MEAN_GAMMAS_SHA1, MEAN_GAMMAS_SHA1, primes,
+                             observed_diff=np.arange(5.0))
+
+    def test_constant_observed_profile_refused(self):
+        primes = np.array([2, 3, 5, 7, 11])
+        with pytest.raises(ValueError, match="a series is constant"):
+            explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
+                             observed_diff=np.full(5, 0.25))
 
     def test_empty_primes_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -250,24 +250,31 @@ def null_blocks(monkeypatch):
     return blocks
 
 
-#: group sizes and trace range; n * max|a_p| is below 2**24 for the first
-#: two, so their group sums are formed in float32, and above it for the last two
+#: group sizes, trace range and the share of traces set to -32768, the
+#: int16 minimum; n * max|a_p| is below 2**24 for the first two, so their
+#: group sums are formed in float32, and above it for the others.  In the
+#: last, max|a_p| is 32768 only through the minimum, whose np.abs wraps to
+#: itself: a bound taken that way would pick float32 and round the sums
 ORACLE_CASES = {
-    "float32-k2": ((23, 157), (-30, 31)),
-    "float32-k4": ((11, 40, 64, 85), (-30, 31)),
-    "float64-k2": ((560, 640), (29_500, 32_001)),
-    "float64-k4": ((560, 600, 700, 900), (29_500, 32_001)),
+    "float32-k2": ((23, 157), (-30, 31), 0.0),
+    "float32-k4": ((11, 40, 64, 85), (-30, 31), 0.0),
+    "float64-k2": ((560, 640), (29_500, 32_001), 0.0),
+    "float64-k4": ((560, 600, 700, 900), (29_500, 32_001), 0.0),
+    "float64-int16-min": ((700, 800), (-30, 31), 0.9),
 }
 
 
 class TestSharedStream:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_null_bit_equal_to_float64_oracle(self, null_blocks, case):
-        sizes, (lo, hi) = ORACLE_CASES[case]
+        sizes, (lo, hi), at_min = ORACLE_CASES[case]
         rng = np.random.default_rng(41)
         n = sum(sizes)
         traces = rng.integers(lo, hi, size=(n, 8)).astype(np.int16)
-        assert (n * int(np.abs(traces).max()) >= 2**24) == case.startswith("float64")
+        if at_min:
+            traces[rng.random(traces.shape) < at_min] = np.iinfo(np.int16).min
+        peak = max(-int(traces.min()), int(traces.max()))
+        assert (n * peak >= 2**24) == case.startswith("float64")
         if case.startswith("float64"):
             # the smaller groups' float32 sums would round, so a wrong dtype
             # would show in the null
