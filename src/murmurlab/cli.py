@@ -37,7 +37,7 @@ from . import (__version__, confound, curves, diagnostics, export, lfunctions, s
 if TYPE_CHECKING:
     import numpy as np
 
-#: the names of stratify.TABLE_RULES, which the parser offers without loading stratify
+#: the invariants of stratify.TABLE_RULES, which the parser offers without loading stratify
 RULE_NAMES = ("tamagawa", "sha", "period", "torsion", "root_number")
 
 
@@ -57,7 +57,7 @@ class RunConfig:
     out: str = "out"
     svg: bool = False
     sample: int = 0
-    #: stratify.SCALE_WINDOWS, spelled out so that a RunConfig loads no stratify
+    #: conductor windows of the scale-invariance scan
     scan_windows: tuple[tuple[int, int], ...] = ((5_000, 20_000), (10_000, 50_000),
                                                  (20_000, 70_000), (50_000, 100_000))
 
@@ -86,7 +86,10 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _int_range(text: str) -> tuple[int, int]:
+    """LO:HI with integer bounds, such as 10000:50000 or 1e4:5e4."""
     lo, hi = _parse_range(text)
+    if not (lo.is_integer() and hi.is_integer()):
+        raise CliError(f"expected integer bounds LO:HI, got {text!r}")
     return int(lo), int(hi)
 
 
@@ -361,13 +364,13 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
     import numpy as np
 
     table, matrix, out = ctx.table, ctx.matrix, ctx.out
-    by_name = {rule.name: rule for rule in stratify.TABLE_RULES}
+    by_name = {rule.invariant: rule for rule in stratify.TABLE_RULES}
     rules = stratify.TABLE_RULES if cfg.rule == "all" else (by_name[cfg.rule],)
     parts = {}  # rule -> partition, for each rule whose groups are all nonempty
 
     def partitioned(rule: stratify.StratRule) -> dict:
         base = ctx.rank0
-        if rule.name == "root_number":
+        if rule.invariant == "root_number":
             # cross-rank calibration baseline: rank 0 vs rank 1
             in_range = table.filter(conductor_range=ctx.conductor_range)
             base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
@@ -382,16 +385,16 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
                 "rms": [float(v) for v in scan.rms_values],
                 "alpha": scan.alpha, "r_squared": scan.r_squared}
 
-    entries = {rule.name: _part(partitioned, rule) for rule in rules}
+    entries = {rule.invariant: _part(partitioned, rule) for rule in rules}
     if not parts:
-        raise ValueError(entries[rules[0].name]["error"])
+        raise ValueError(entries[rules[0].invariant]["error"])
     # one call, so rules over the same number of curves share their shuffles
     strat_reports = stratify.permutation_test([p.groups for p in parts.values()], matrix,
                                               n_shuffles=cfg.shuffles, seed=cfg.seed)
     for (rule, part), strat_report in zip(parts.items(), strat_reports):
-        entries[rule.name]["report"] = strat_report.to_dict()
+        entries[rule.invariant]["report"] = strat_report.to_dict()
         if rule.kind == "two_group":
-            export.write_xy_csv(out / f"diff_{rule.name}.csv", matrix.primes.primes,
+            export.write_xy_csv(out / f"diff_{rule.invariant}.csv", matrix.primes.primes,
                                 _profile_gap(matrix, part.groups["group_a"],
                                              part.groups["group_b"]),
                                 ("prime", "mean_ap_diff"))
@@ -483,7 +486,7 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
 
 
 def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
-    table, matrix, out = ctx.table, ctx.matrix, ctx.out
+    matrix, out = ctx.matrix, ctx.out
     band = cfg.band or (1.10, 3.28)
     groups = ctx.sha_groups(band)
     section = {"band": list(band),
@@ -515,7 +518,7 @@ def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
         "direction": cross.direction,
         "landmarks": {str(k): v for k, v in cross.landmarks.items()},
     }
-    red = diagnostics.classify_reduction(matrix, table)
+    red = diagnostics.classify_reduction(matrix)
     export.write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"),
                            red.entries)
     section["reduction"] = {
@@ -524,8 +527,8 @@ def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
         "n_classified": red.n_classified_curves,
         "n_unclassifiable": red.n_unclassifiable,
     }
-    section["bad_prime_share"] = dataclasses.asdict(
-        diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix))
+    section["bad_prime_share"] = _part(lambda: dataclasses.asdict(
+        diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix)))
     return section
 
 
@@ -580,15 +583,16 @@ def cmd_zeros(cfg: RunConfig, ctx: Context) -> dict:
             name: {table.labels[i]: z.central_order for i, z in pairs if z.central_order}
             for name, pairs in found.items()},
     }
-    k = 5
-    if all(len(v) > k + 1 for v in complete.values()):
+    if all(len(v) > lfunctions.ZERO_COUNT + 1 for v in complete.values()):
         # one row of ordinates per complete set
         samples = {name: np.vstack([z.gammas for z in sets])
                    for name, sets in complete.items()}
-        hot = lfunctions.hotelling_t2(samples["sha_1"], samples["sha_ge4"])
-        zeros_report["hotelling"] = {
-            "t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df),
-        }
+
+        def hotelling() -> dict:
+            hot = lfunctions.hotelling_t2(samples["sha_1"], samples["sha_ge4"])
+            return {"t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df)}
+
+        zeros_report["hotelling"] = _part(hotelling)
         dens = {name: lfunctions.one_level_density(sets, cond[name])
                 for name, sets in complete.items()}
         comp = lfunctions.density_comparison(dens["sha_1"], dens["sha_ge4"])
@@ -663,8 +667,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 #: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
-#: Every exception class of the package is a ValueError; an infinite --range
-#: bound reaches int(inf), an OverflowError
+#: Every exception class of the package is a ValueError; an incomplete beta
+#: fraction that does not converge is an ArithmeticError
 _USER_ERRORS = (ValueError, ArithmeticError, OSError, csv.Error)
 
 

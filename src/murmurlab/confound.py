@@ -16,7 +16,6 @@ list (see `windows.murmuration_profile`).
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -28,7 +27,6 @@ from .stratify import (
     EmptyGroupError,
     Partition,
     SHA_RULE,
-    StratRule,
     median,
     partition,
     rms_separation,
@@ -60,7 +58,7 @@ class MatchedPairs:
 
 
 def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
-             key: str = "conductor", max_distance: float = math.inf) -> MatchedPairs:
+             key: str, max_distance: float) -> MatchedPairs:
     """Greedy nearest-neighbor matching of A-curves to distinct B-curves.
 
     A-curves are processed in ascending key order (ties by label); each takes
@@ -156,12 +154,11 @@ def lvalue_band(table: CurveTable, band: tuple[float, float]) -> CurveTable:
 
 
 def triple_control(table: CurveTable, band: tuple[float, float],
-                   conductor_range: tuple[int, int],
-                   rule: StratRule = SHA_RULE) -> dict[str, Partition]:
+                   conductor_range: tuple[int, int]) -> dict[str, Partition]:
     """Sha groupings with L-value band, conductor range, and period held fixed.
 
     Within band and range, curves are split at the median real period, and
-    each half, "small_period" and "large_period", is partitioned by the rule.
+    each half, "small_period" and "large_period", is partitioned by SHA_RULE.
     """
     banded = lvalue_band(table.filter(conductor_range=conductor_range), band)
     if len(banded) == 0:
@@ -170,7 +167,7 @@ def triple_control(table: CurveTable, band: tuple[float, float],
     halves = {}
     for name, mask in (("small_period", small), ("large_period", ~small)):
         try:
-            halves[name] = partition(banded.subset(np.flatnonzero(mask)), rule)
+            halves[name] = partition(banded.subset(np.flatnonzero(mask)), SHA_RULE)
         except EmptyGroupError as exc:
             raise EmptyGroupError(f"{name}: {exc}") from None
     return halves
@@ -219,7 +216,7 @@ def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
     return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
 
 
-def invariant_correlation(table: CurveTable, x: str, y: str, log_y: bool = False) -> float:
+def invariant_correlation(table: CurveTable, x: str, y: str, log_y: bool) -> float:
     """Pearson correlation between two per-curve invariants, "conductor" among them."""
     if len(table) < 3:
         raise ValueError("need at least 3 records")

@@ -25,8 +25,16 @@ import numpy as np
 from .stratify import rms_separation
 
 if TYPE_CHECKING:
-    from .curves import CurveTable
     from .traces import TraceMatrix
+
+
+#: Sato-Tate angles are pooled over primes above this: a_p / 2 sqrt(p) is
+#: near its limiting distribution only at large p
+SATO_TATE_P_MIN = 1000.0
+#: primes in the centered moving average of `crossover_scan`
+CROSSOVER_SMOOTH_WIDTH = 11
+#: primes at which `crossover_scan` reports the raw difference
+CROSSOVER_LANDMARKS = (5, 37, 251, 1009)
 
 
 class ReductionDataError(ValueError):
@@ -43,7 +51,6 @@ class MomentProfile:
     variance_over_p: np.ndarray
     skewness: np.ndarray          # bias-corrected; NaN when undefined
     excess_kurtosis: np.ndarray   # bias-corrected excess; NaN when undefined
-    n_curves: int
 
     def summary(self) -> dict[str, float]:
         """Unweighted means over primes (NaN-aware for the shape moments)."""
@@ -85,7 +92,6 @@ def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
         variance_over_p=var / p,
         skewness=skew,
         excess_kurtosis=kurt,
-        n_curves=n,
     )
 
 
@@ -97,10 +103,10 @@ class KsResult:
     n_b: int
 
 
-def _angle_pool(rows: Sequence[int], matrix: TraceMatrix, p_min: float) -> np.ndarray:
-    cols = matrix.primes.primes > p_min
+def _angle_pool(rows: Sequence[int], matrix: TraceMatrix) -> np.ndarray:
+    cols = matrix.primes.primes > SATO_TATE_P_MIN
     if not np.any(cols):
-        raise ValueError(f"no primes above p_min = {p_min} in the prime list")
+        raise ValueError(f"no primes above p_min = {SATO_TATE_P_MIN} in the prime list")
     traces = matrix.traces[rows][:, cols].astype(np.float64)
     good = ~matrix.bad_flags[rows][:, cols]
     p = matrix.primes.primes[cols].astype(np.float64)
@@ -115,14 +121,14 @@ def _angle_pool(rows: Sequence[int], matrix: TraceMatrix, p_min: float) -> np.nd
 
 
 def satotate_ks(group_a: Sequence[int], group_b: Sequence[int],
-                matrix: TraceMatrix, p_min: float = 1000.0) -> KsResult:
+                matrix: TraceMatrix) -> KsResult:
     """Two-sample KS on pooled Sato-Tate angles arccos(a_p / 2 sqrt p).
 
-    Pools run over good (curve, prime) pairs with p > p_min; the p-value is
-    that of ks_2samp.
+    Pools run over good (curve, prime) pairs with p > SATO_TATE_P_MIN; the
+    p-value is that of ks_2samp.
     """
-    pool_a = _angle_pool(group_a, matrix, p_min)
-    pool_b = _angle_pool(group_b, matrix, p_min)
+    pool_a = _angle_pool(group_a, matrix)
+    pool_b = _angle_pool(group_b, matrix)
     statistic, p_value = ks_2samp(pool_a, pool_b)
     return KsResult(statistic, p_value, int(pool_a.size), int(pool_b.size))
 
@@ -338,24 +344,22 @@ class CrossoverReport:
     crossing_prime: int | None
     direction: str | None  # "positive_to_negative" or "negative_to_positive"
     landmarks: dict[int, float]
-    smoothed: np.ndarray
-    primes: np.ndarray
 
 
-def crossover_scan(primes: np.ndarray, diff: np.ndarray, smooth_width: int = 11,
-                   landmarks: Sequence[int] = (5, 37, 251, 1009)) -> CrossoverReport:
+def crossover_scan(primes: np.ndarray, diff: np.ndarray) -> CrossoverReport:
     """Stable sign change of a difference profile.
 
     `diff` is the per-prime difference of two murmuration profiles, aligned
-    with `primes`.  It is smoothed with a centered moving average (width 11
-    primes by default, truncated at the ends); the crossing is the first
-    prime from which the smoothed sign stays opposite to the initial sign.
-    Landmark entries report the raw difference at the requested primes.
+    with `primes`.  It is smoothed with a centered moving average over
+    CROSSOVER_SMOOTH_WIDTH primes, truncated at the ends; the crossing is
+    the first prime from which the smoothed sign stays opposite to the
+    initial sign.  Landmark entries report the raw difference at those of
+    CROSSOVER_LANDMARKS in the prime list.
     """
     values = np.asarray(diff, dtype=np.float64)
     if len(values) == 0:
         raise ValueError("empty difference profile")
-    half = smooth_width // 2
+    half = CROSSOVER_SMOOTH_WIDTH // 2
     smoothed = np.empty_like(values)
     for i in range(len(values)):
         lo, hi = max(0, i - half), min(len(values), i + half + 1)
@@ -374,10 +378,10 @@ def crossover_scan(primes: np.ndarray, diff: np.ndarray, smooth_width: int = 11,
                          else "negative_to_positive")
     landmark_values = {
         int(p): float(values[np.searchsorted(primes, p)])
-        for p in landmarks
+        for p in CROSSOVER_LANDMARKS
         if p in primes
     }
-    return CrossoverReport(crossing, direction, landmark_values, smoothed, primes)
+    return CrossoverReport(crossing, direction, landmark_values)
 
 
 REDUCTION_TYPES = {0: "additive", 1: "split_mult", -1: "nonsplit_mult"}
@@ -392,17 +396,14 @@ class ReductionReport:
     n_unclassifiable: int
 
 
-def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionReport:
+def classify_reduction(matrix: TraceMatrix) -> ReductionReport:
     """Reduction type at every bad prime in the list, from the trace value.
 
-    Row i of the matrix must be the curve of the table's row i.  a_p = 0
-    is additive, +1 split multiplicative, -1 non-split.  The agreement
-    fraction compares the predicate "no multiplicative bad prime" against
-    the Tamagawa condition prod c_p = 1, over curves with at least one bad
-    prime inside the prime list.
+    a_p = 0 is additive, +1 split multiplicative, -1 non-split.  The
+    agreement fraction compares the predicate "no multiplicative bad prime"
+    against the Tamagawa condition prod c_p = 1 of the matrix's table, over
+    curves with at least one bad prime inside the prime list.
     """
-    if matrix.curve_labels != tuple(table.labels):
-        raise ValueError("trace matrix is not aligned with the curve table")
     labels, primes, bad = matrix.curve_labels, matrix.primes.primes, matrix.bad_flags
     rows, cols = np.nonzero(bad)  # row-major: curve by curve, primes ascending
     values = matrix.traces[rows, cols]
@@ -417,7 +418,7 @@ def classify_reduction(matrix: TraceMatrix, table: CurveTable) -> ReductionRepor
     has_bad = bad.any(axis=1)
     multiplicative = (bad & (matrix.traces != 0)).any(axis=1)
     classified = int(has_bad.sum())
-    agree = int((has_bad & (multiplicative != (table.tamagawa_products == 1))).sum())
+    agree = int((has_bad & (multiplicative != (matrix.table.tamagawa_products == 1))).sum())
     fraction = agree / classified if classified else float("nan")
     return ReductionReport(entries, counts, fraction, classified,
                            len(labels) - classified)
@@ -441,7 +442,7 @@ def bad_prime_share(group_a: Sequence[int], group_b: Sequence[int],
     rows_b = matrix.traces[group_b].astype(np.float64)
     full = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
     if full == 0:
-        raise ZeroDivisionError("zero full RMS; share undefined")
+        raise ValueError("zero full RMS; share undefined")
     masked_a = np.where(matrix.bad_flags[group_a], 0.0, rows_a)
     masked_b = np.where(matrix.bad_flags[group_b], 0.0, rows_b)
     masked = float(rms_separation([masked_a.mean(0), masked_b.mean(0)]))

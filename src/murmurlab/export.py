@@ -12,6 +12,10 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+#: size in pixels of `write_svg_lineplot`'s plots
+SVG_WIDTH = 800
+SVG_HEIGHT = 480
+
 
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, fixed indentation, trailing newline."""
@@ -30,7 +34,7 @@ def write_xy_csv(path, x: Sequence, y: Sequence, header: tuple[str, str]) -> Non
             writer.writerow([xv, repr(float(yv))])
 
 
-def write_series_csv(path, series, header: tuple[str, str] = ("x", "value")) -> None:
+def write_series_csv(path, series, header: tuple[str, str]) -> None:
     """Series CSV plus a .meta.json sidecar with parameters and counts."""
     write_xy_csv(path, series.centers, series.values, header)
     sidecar = {
@@ -52,11 +56,11 @@ def write_table_csv(path, header: Sequence[str], rows) -> None:
             )
 
 
-def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence],
-                       title: str = "", width: int = 800, height: int = 480) -> None:
-    """Minimal SVG polyline plot of one or more series against shared x."""
+def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence], title: str) -> None:
+    """Minimal SVG polyline plot, SVG_WIDTH x SVG_HEIGHT, of series against shared x."""
     import numpy as np
 
+    width, height = SVG_WIDTH, SVG_HEIGHT
     x = np.asarray(x, dtype=np.float64)
     margin = 50
     colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")

@@ -73,10 +73,17 @@ if TYPE_CHECKING:
 #: terms with x_n beyond this contribute below 1e-18 and are skipped
 _X_CUT = 46.0
 
-#: default search ceiling for low-lying zeros
+#: low-lying zeros searched for on each curve, the paper's five
+ZERO_COUNT = 5
+#: search ceiling for low-lying zeros
 DEFAULT_T_MAX = 10.0
+#: zero-search grid steps per expected mean zero gap
+GRID_REFINEMENT = 8
 #: bisection tolerance on zero ordinates
 ZERO_TOL = 1e-6
+#: bin width and upper end of the one-level density's scaled-ordinate histogram
+DENSITY_BIN_WIDTH = 0.1
+DENSITY_X_MAX = 4.0
 #: fe_residual above which a curve's conductor, root number and coefficients
 #: do not form one L-function; true inputs measure below 2e-16
 FE_TOL = 1e-10
@@ -286,15 +293,14 @@ class ZeroSet:
                              f"not k = {self.k_requested}")
 
 
-def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
-                 refinement: int = 8) -> ZeroSet:
-    """First k zero ordinates on the critical line, for w = +1 series.
+def locate_zeros(series: LSeries) -> ZeroSet:
+    """First k = ZERO_COUNT zero ordinates on the critical line, for w = +1 series.
 
-    Lambda(1+it) is scanned on a grid of 1/refinement of the expected mean
-    zero gap (refinement 8 by default); each sign change is bisected to
-    |dt| < 1e-6.  Refining the grid can only add detected zeros, never drop
-    one.  If fewer than k sign changes occur below t_max the result is
-    flagged incomplete.
+    Lambda(1+it) is scanned on a grid of 1/GRID_REFINEMENT of the expected
+    mean zero gap; each sign change is bisected to |dt| < ZERO_TOL.
+    Refining the grid can only add detected zeros, never drop one.  If
+    fewer than k sign changes occur below t_max = DEFAULT_T_MAX the result
+    is flagged incomplete.
 
     Lambda(1) counts as zero when it is within QUAD_TOL of the sum of |terms|
     2 sum w |g| of the rule: on the w = +1 twists of 11a1 with |d| < 400,
@@ -314,11 +320,8 @@ def locate_zeros(series: LSeries, k: int = 5, t_max: float = DEFAULT_T_MAX,
     """
     if series.root_number != 1:
         raise ValueError(f"{series.label}: zero search requires w = +1")
-    if k < 1:
-        raise ValueError("k must be a positive number of zeros")
-    if refinement < 1:
-        raise ValueError("refinement must be a positive grid divider")
-    step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / refinement
+    k, t_max = ZERO_COUNT, DEFAULT_T_MAX
+    step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / GRID_REFINEMENT
     grid = np.arange(0.0, t_max + step, step)
     grid = grid[grid <= t_max]
     vals, rule = _checked_rule(series, grid)
@@ -357,8 +360,6 @@ class HotellingResult:
     f_stat: float
     p_value: float
     df: tuple[int, int]
-    n_a: int
-    n_b: int
 
 
 def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
@@ -379,7 +380,7 @@ def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
     t2 = float(n1 * n2 / (n1 + n2) * diff @ solved)
     f_stat = hotelling_to_f(t2, k, n1, n2)
     df = (k, n1 + n2 - k - 1)
-    return HotellingResult(t2, f_stat, f_sf(f_stat, *df), df, n1, n2)
+    return HotellingResult(t2, f_stat, f_sf(f_stat, *df), df)
 
 
 def f_sf(x: float, d1: int, d2: int) -> float:
@@ -444,18 +445,18 @@ class DensityResult:
     bin_centers: np.ndarray
     density: np.ndarray
     deviation_so_even: float
-    n_curves: int
     scaled_zeros: np.ndarray
     scaled_first: np.ndarray
 
 
-def one_level_density(zero_sets: Sequence[ZeroSet], conductors: Sequence[int],
-                      bin_width: float = 0.1, x_max: float = 4.0) -> DensityResult:
+def one_level_density(zero_sets: Sequence[ZeroSet],
+                      conductors: Sequence[int]) -> DensityResult:
     """Scaled zero histogram and integrated squared deviation from SO(even).
 
     Ordinates are scaled to x = gamma * log(N) / (2 pi), one row per curve.
-    The empirical density counts zeros per curve per unit of scaled ordinate;
-    the deviation from W1 is a trapezoid-rule integral over bin centers.
+    The empirical density counts zeros per curve per unit of scaled ordinate
+    in bins of DENSITY_BIN_WIDTH up to DENSITY_X_MAX; the deviation from W1
+    is a trapezoid-rule integral over bin centers.
     """
     if len(zero_sets) == 0:
         raise ValueError("no zero sets supplied")
@@ -463,16 +464,15 @@ def one_level_density(zero_sets: Sequence[ZeroSet], conductors: Sequence[int],
         raise ValueError("zero sets and conductors must align")
     scaled = np.vstack([z.gammas * math.log(N) / (2.0 * math.pi)
                         for z, N in zip(zero_sets, conductors)])
-    edges = np.arange(0.0, x_max + bin_width / 2, bin_width)
+    edges = np.arange(0.0, DENSITY_X_MAX + DENSITY_BIN_WIDTH / 2, DENSITY_BIN_WIDTH)
     counts, _ = np.histogram(scaled.ravel(), bins=edges)
-    density = counts / (len(zero_sets) * bin_width)
+    density = counts / (len(zero_sets) * DENSITY_BIN_WIDTH)
     centers = 0.5 * (edges[:-1] + edges[1:])
     deviation = float(np.trapezoid((density - so_even_density(centers)) ** 2, centers))
     return DensityResult(
         bin_centers=centers,
         density=density,
         deviation_so_even=deviation,
-        n_curves=len(zero_sets),
         scaled_zeros=scaled.ravel(),
         scaled_first=scaled[:, 0] if scaled.shape[1] else np.empty(0),
     )
@@ -504,9 +504,9 @@ def density_comparison(da: DensityResult, db: DensityResult) -> DensityCompariso
 class ExplicitPrediction:
     primes: np.ndarray
     predicted_diff: np.ndarray
-    correlation: float | None
+    correlation: float
     rms_predicted: float
-    rms_observed: float | None
+    rms_observed: float
 
 
 def _zero_contribution(mean_gammas: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -516,15 +516,14 @@ def _zero_contribution(mean_gammas: np.ndarray, primes: np.ndarray) -> np.ndarra
 
 
 def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[float],
-                     primes: np.ndarray,
-                     observed_diff: np.ndarray | None = None) -> ExplicitPrediction:
+                     primes: np.ndarray, observed_diff: np.ndarray) -> ExplicitPrediction:
     """Per-prime murmuration difference predicted from group-mean zeros.
 
     The contribution of each zero ordinate gamma to the mean trace at p is
     modeled as -(2 sqrt(p)/log p) cos(gamma log p); the prediction is the
-    group A minus group B contribution.  If an observed difference profile
-    is supplied, its Pearson correlation and RMS are reported alongside; a
-    constant prediction or profile has no correlation and is a ValueError.
+    group A minus group B contribution.  The observed difference profile's
+    Pearson correlation with it and RMS are reported alongside; a constant
+    prediction or profile has no correlation and is a ValueError.
     """
     ga = np.asarray(mean_gammas_a, dtype=np.float64)
     gb = np.asarray(mean_gammas_b, dtype=np.float64)
@@ -535,8 +534,6 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
         raise ValueError("empty prime list")
     pred = _zero_contribution(ga, primes) - _zero_contribution(gb, primes)
     rms_pred = float(np.sqrt(np.mean(pred**2)))
-    if observed_diff is None:
-        return ExplicitPrediction(primes, pred, None, rms_pred, None)
     obs = np.asarray(observed_diff, dtype=np.float64)
     if obs.shape != pred.shape:
         raise ValueError("observed profile does not match the prime list")
@@ -545,7 +542,7 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
     return ExplicitPrediction(primes, pred, corr, rms_pred, rms_obs)
 
 
-ZERO_CSV_FIELDS = ("label", "gamma1", "gamma2", "gamma3", "gamma4", "gamma5",
+ZERO_CSV_FIELDS = ("label", *(f"gamma{j}" for j in range(1, ZERO_COUNT + 1)),
                    "complete", "t_max")
 
 
@@ -555,7 +552,7 @@ def write_zero_sets_csv(path, zero_sets: Sequence[ZeroSet]) -> None:
         writer.writerow(ZERO_CSV_FIELDS)
         for z in zero_sets:
             cells = [repr(float(g)) for g in z.gammas]
-            cells += [""] * (5 - len(cells))
+            cells += [""] * (ZERO_COUNT - len(cells))
             writer.writerow([z.label, *cells, int(z.complete), repr(float(z.t_max))])
 
 
@@ -564,7 +561,7 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
 
     An empty file, a row without exactly one cell per field, a cell that is
     not a number, an ordinate or t_max that is not finite, a `complete` cell
-    other than 0 or 1, a complete row without five ordinates, and a label
+    other than 0 or 1, a complete row without ZERO_COUNT ordinates, and a label
     listed twice raise ValueError naming the file and the line.
     """
     out, lines = [], {}
@@ -584,12 +581,13 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
                 raise ValueError(f"{where}: label {label!r} already listed on line "
                                  f"{lines[label]}")
             lines[label] = reader.line_num
-            if row[6] not in ("0", "1"):
-                raise ValueError(f"{where}: complete must be 0 or 1, got {row[6]!r}")
+            *cells, complete, t_max = row[1:]
+            if complete not in ("0", "1"):
+                raise ValueError(f"{where}: complete must be 0 or 1, got {complete!r}")
             try:
-                gammas = [float(v) for v in row[1:6] if v != ""]
-                out.append(ZeroSet(label, np.array(gammas), 5, float(row[7]),
-                                   row[6] == "1"))
+                gammas = [float(v) for v in cells if v != ""]
+                out.append(ZeroSet(label, np.array(gammas), ZERO_COUNT, float(t_max),
+                                   complete == "1"))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return out

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 
-DEFAULT_PRIME_COUNT = 500
-
 
 def sieve_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending."""

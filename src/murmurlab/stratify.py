@@ -47,6 +47,8 @@ _INF = float("inf")
 _SHUFFLE_BLOCK = 128
 #: float32 holds every integer up to this magnitude exactly
 _FLOAT32_EXACT = 1 << 24
+#: family-wise significance level of `bonferroni`, the paper's p < 0.001
+BONFERRONI_ALPHA = 0.001
 
 
 class EmptyGroupError(ValueError):
@@ -66,7 +68,6 @@ class StratRule:
     kind: str  # "two_group" | "quartiles"
     group_a: tuple[float, float] | None = None
     group_b: tuple[float, float] | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("two_group", "quartiles"):
@@ -75,19 +76,14 @@ class StratRule:
             raise ValueError("two_group rule needs both group intervals")
 
 
-TAMAGAWA_RULE = StratRule("tamagawa", "two_group", (1, 1), (5, _INF), name="tamagawa")
-SHA_RULE = StratRule("sha", "two_group", (1, 1), (4, _INF), name="sha")
-PERIOD_QUARTILE_RULE = StratRule("period", "quartiles", name="period")
-TORSION_RULE = StratRule("torsion", "two_group", (1, 1), (2, _INF), name="torsion")
-ROOT_NUMBER_RULE = StratRule("root_number", "two_group", (1, 1), (-1, -1),
-                             name="root_number")
+TAMAGAWA_RULE = StratRule("tamagawa", "two_group", (1, 1), (5, _INF))
+SHA_RULE = StratRule("sha", "two_group", (1, 1), (4, _INF))
+PERIOD_QUARTILE_RULE = StratRule("period", "quartiles")
+TORSION_RULE = StratRule("torsion", "two_group", (1, 1), (2, _INF))
+ROOT_NUMBER_RULE = StratRule("root_number", "two_group", (1, 1), (-1, -1))
 
 TABLE_RULES = (TAMAGAWA_RULE, SHA_RULE, PERIOD_QUARTILE_RULE, TORSION_RULE,
                ROOT_NUMBER_RULE)
-
-#: conductor windows used for the scale-invariance scan
-SCALE_WINDOWS = ((5_000, 20_000), (10_000, 50_000), (20_000, 70_000),
-                 (50_000, 100_000))
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ def partition(table: CurveTable, rule: StratRule) -> Partition:
     groups = {name: table.rows[mask] for name, mask in masks.items()}
     for name, members in groups.items():
         if not len(members):
-            raise EmptyGroupError(f"group {name!r} of rule {rule.name or rule.invariant!r} is empty")
+            raise EmptyGroupError(f"group {name!r} of rule {rule.invariant!r} is empty")
     return Partition(groups, unassigned)
 
 
@@ -295,8 +291,7 @@ def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
 
 def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
                                          | Sequence[Sequence[int]]],
-                     matrix: TraceMatrix, n_shuffles: int = 10_000,
-                     seed: int = 0) -> StratReports:
+                     matrix: TraceMatrix, n_shuffles: int, seed: int) -> StratReports:
     """Permutation nulls for the RMS separation of group profiles.
 
     Each grouping is a mapping or sequence of groups of matrix row
@@ -347,13 +342,13 @@ class BonferroniResult:
     decisions: tuple[bool, ...]
 
 
-def bonferroni(p_values: Sequence[float], alpha: float = 0.001) -> BonferroniResult:
-    """Bonferroni-adjusted threshold alpha/m with a reject decision per test."""
+def bonferroni(p_values: Sequence[float]) -> BonferroniResult:
+    """Bonferroni-adjusted threshold BONFERRONI_ALPHA / m with a reject decision per test."""
     if len(p_values) == 0:
         raise ValueError("no p-values supplied")
-    threshold = alpha / len(p_values)
+    threshold = BONFERRONI_ALPHA / len(p_values)
     return BonferroniResult(
-        alpha, threshold, tuple(p < threshold for p in p_values)
+        BONFERRONI_ALPHA, threshold, tuple(p < threshold for p in p_values)
     )
 
 
@@ -380,7 +375,7 @@ def fit_power_law(centers: np.ndarray, rms_values: np.ndarray) -> tuple[float, f
 
 
 def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
-               windows: Sequence[tuple[float, float]] = SCALE_WINDOWS) -> ScaleScanResult:
+               windows: Sequence[tuple[float, float]]) -> ScaleScanResult:
     """Per-window RMS separation plus a power-law fit across window centers.
 
     Window centers are geometric means of the conductor bounds.

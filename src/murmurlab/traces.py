@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .curves import NUMERIC_COLUMNS, CurveTable, distinct
-from .primes import DEFAULT_PRIME_COUNT, first_n_primes, is_prime, sieve_up_to
+from .primes import first_n_primes, is_prime, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
 MAX_PRIME = 268_435_399
@@ -101,7 +101,7 @@ class PrimeList:
         return isinstance(other, PrimeList) and np.array_equal(self.primes, other.primes)
 
 
-def default_prime_list(count: int = DEFAULT_PRIME_COUNT) -> PrimeList:
+def default_prime_list(count: int) -> PrimeList:
     """The first count primes.
 
     A count whose last prime must exceed MAX_PRIME is refused before any
@@ -354,7 +354,7 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
 
 
 def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
-                   labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   labels: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray]:
     """Traces (int16) and bad flags (p | N) of every curve at every prime.
 
     One `_trace_column` per prime, on models split into limbs once; a
@@ -418,7 +418,7 @@ def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
         )
 
 
-def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> TraceMatrix:
+def build_trace_matrix(table: CurveTable, primes: PrimeList) -> TraceMatrix:
     """Compute a_p for every curve of the table at the shared prime list.
 
     One process runs the one kernel, prime-major so each prime's tables are
@@ -428,8 +428,6 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList | None = None) -> Tr
     curve and p: its model mod p would give a wrong trace, which the Hasse
     bound need not catch.  Every entry is then held to the Hasse bound.
     """
-    if primes is None:
-        primes = default_prime_list()
     labels = tuple(table.labels)
     try:
         traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes,
@@ -473,7 +471,7 @@ def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.
 
 def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
                            n_maxes: Sequence[int],
-                           known: np.ndarray | None = None) -> Iterator[np.ndarray]:
+                           known: np.ndarray | None) -> Iterator[np.ndarray]:
     """a_1..a_n_max of each curve, one curve at a time.
 
     known holds the curves' traces at the first known.shape[1] primes (their

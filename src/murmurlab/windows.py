@@ -24,6 +24,11 @@ if TYPE_CHECKING:
     from .traces import TraceMatrix
 
 
+#: points and polynomial degree of the Savitzky-Golay fit that `savgol_detrend` removes
+SAVGOL_WINDOW = 101
+SAVGOL_DEGREE = 3
+
+
 class DegenerateSeriesError(ValueError):
     """Zero-variance input where a correlation is requested."""
 
@@ -62,7 +67,7 @@ class WindowSeries:
 
 
 def sliding_window_series(table: CurveTable, invariant: str, rank: int,
-                          width: float = 5000.0, step: float = 500.0) -> WindowSeries:
+                          width: float, step: float) -> WindowSeries:
     """Mean of an invariant over rank-r curves in sliding conductor windows.
 
     Centers run over multiples of the step covering the table's conductor
@@ -99,15 +104,14 @@ def sliding_window_series(table: CurveTable, invariant: str, rank: int,
     )
 
 
-def savgol_detrend(series: WindowSeries, window: int = 101,
-                   degree: int = 3) -> WindowSeries:
+def savgol_detrend(series: WindowSeries) -> WindowSeries:
     """Residuals after a Savitzky-Golay local polynomial fit.
 
-    Only positions where the filter window lies fully inside the series are
-    emitted (no padded extrapolation at the edges).
+    The fit has degree SAVGOL_DEGREE over SAVGOL_WINDOW points, an odd count
+    above the degree.  Only positions where the filter window lies fully
+    inside the series are emitted (no padded extrapolation at the edges).
     """
-    if window % 2 != 1 or window < degree + 2:
-        raise ValueError("filter window must be odd and exceed the degree")
+    window, degree = SAVGOL_WINDOW, SAVGOL_DEGREE
     values = np.asarray(series.values, dtype=np.float64)
     if len(values) < window:
         raise SeriesTooShortError(
@@ -168,32 +172,29 @@ def murmuration_profile(rows, matrix: TraceMatrix) -> np.ndarray:
     return matrix.traces[rows].mean(axis=0, dtype=np.float64)
 
 
-def welch_psd(values: np.ndarray, segment: int = 256, overlap: float = 0.5,
-              sample_spacing: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def welch_psd(values: np.ndarray, segment: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch power spectral density: the mean periodogram of Hann-windowed segments.
 
-    Segments of `segment` samples start every segment - int(segment *
-    overlap) samples; each has its mean removed and is multiplied by the
-    periodic Hann window 0.5 - 0.5 cos(2 pi k / segment).  Power is scaled
-    to a density, |FFT|^2 / (fs sum w^2), and doubled at every frequency
-    but 0 and Nyquist for the one-sided spectrum.  Frequencies are cycles
-    per unit of sample spacing.
+    Segments of `segment` samples overlap by half: they start every
+    segment - segment // 2 samples.  Each has its mean removed and is
+    multiplied by the periodic Hann window 0.5 - 0.5 cos(2 pi k / segment).
+    Power is scaled to a density, |FFT|^2 / sum w^2 at unit sample spacing,
+    and doubled at every frequency but 0 and Nyquist for the one-sided
+    spectrum.  Frequencies are cycles per sample.
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < segment:
         raise SeriesTooShortError(
             f"series of length {len(values)} shorter than one segment ({segment})"
         )
-    step = segment - int(segment * overlap)
-    if not 0 < step <= segment:
-        raise ValueError(f"overlap {overlap} must lie in [0, 1)")
+    step = segment - segment // 2
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
     segments = np.lib.stride_tricks.sliding_window_view(values, segment)[::step]
     segments = segments - segments.mean(axis=1, keepdims=True)
     power = np.abs(np.fft.rfft(hann * segments, axis=1)) ** 2
-    power *= sample_spacing / np.sum(hann**2)
+    power *= 1.0 / np.sum(hann**2)
     power[:, 1:(segment + 1) // 2] *= 2.0
-    return np.fft.rfftfreq(segment, d=sample_spacing), power.mean(axis=0)
+    return np.fft.rfftfreq(segment), power.mean(axis=0)
 
 
 def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,

@@ -2,10 +2,12 @@ import csv
 import io
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from murmurlab import lfunctions
 from murmurlab.curves import (CSV_FIELDS, NUMERIC_COLUMNS, CurveRecord, CurveTable,
                               parse_curve_table)
 from murmurlab.traces import PrimeList, TraceMatrix, default_prime_list
@@ -15,6 +17,15 @@ DATA_DIR = Path(__file__).parent / "data"
 #: full-dataset runs are enabled by pointing this at a canonical curves CSV
 DATASET_ENV = "MURMURLAB_DATASET"
 TRACE_CACHE_ENV = "MURMURLAB_TRACE_CACHE"
+
+
+def locate_zeros_with(series, k: int = lfunctions.ZERO_COUNT,
+                      t_max: float = lfunctions.DEFAULT_T_MAX,
+                      refinement: int = lfunctions.GRID_REFINEMENT) -> lfunctions.ZeroSet:
+    """lfunctions.locate_zeros with its search constants set for this one call."""
+    with mock.patch.multiple(lfunctions, ZERO_COUNT=k, DEFAULT_T_MAX=t_max,
+                             GRID_REFINEMENT=refinement):
+        return lfunctions.locate_zeros(series)
 
 
 @pytest.fixture(scope="session")

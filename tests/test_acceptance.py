@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from murmurlab.cli import RunConfig
 from murmurlab.curves import CurveRecord, parse_curve_table
 from murmurlab.lfunctions import (
     LSeries,
@@ -48,6 +49,7 @@ from murmurlab.diagnostics import moment_profile
 
 from conftest import (
     TRACE_CACHE_ENV,
+    locate_zeros_with,
     full_dataset_path,
     make_synthetic_table,
     record_of,
@@ -93,7 +95,7 @@ def dataset_bundle(dataset_table):
         assert matrix.csv_sha256 == csv_sha256, f"{cache} holds another dataset's traces"
         return matrix.table, matrix
     below_100k = table_of(dataset_table.filter(conductor_range=(11, 100_000)))
-    matrix = build_trace_matrix(below_100k, default_prime_list())
+    matrix = build_trace_matrix(below_100k, default_prime_list(RunConfig().primes))
     if cache:
         persist_trace_matrix(matrix, cache, csv_sha256)
     return below_100k, matrix
@@ -197,10 +199,10 @@ class TestCriterion5:
             [i for i, r in enumerate(records(in_range)) if r.rank in (0, 1)]
         )
         full_slice = len(rank0) >= 50_000
-        groupings = [partition(rank01 if rule.name == "root_number" else rank0,
+        groupings = [partition(rank01 if rule.invariant == "root_number" else rank0,
                                rule).groups for rule in TABLE_RULES]
         reports = permutation_test(groupings, matrix, n_shuffles=10_000, seed=1)
-        results = {rule.name: rep for rule, rep in zip(TABLE_RULES, reports)}
+        results = {rule.invariant: rep for rule, rep in zip(TABLE_RULES, reports)}
         every_p_ok = all(rep.p_value < 1e-3 for rep in results.values())
         if full_slice:
             rms_ok = all(
@@ -263,7 +265,7 @@ class TestCriterion6:
     @requires_dataset
     def test_full_scale_sha_exponent(self, criterion, dataset_bundle):
         table, matrix = dataset_bundle
-        scan = scale_scan(table.filter(rank=0), matrix, SHA_RULE)
+        scan = scale_scan(table.filter(rank=0), matrix, SHA_RULE, RunConfig().scan_windows)
         ok = abs(scan.alpha - 0.24) <= 0.06
         criterion("6b", "full-scale Sha-rule decay exponent in 0.24 +- 0.06",
                   ok, f"alpha {scan.alpha:.3f}")
@@ -306,7 +308,7 @@ class TestCriterion8:
             x = np.linspace(-4, 4, 241)
             cubic = coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * x**3
             series = WindowSeries(np.arange(241.0), cubic, None)
-            res = savgol_detrend(series, window=101, degree=3)
+            res = savgol_detrend(series)
             scale = max(np.abs(cubic).max(), 1e-30)
             worst = max(worst, float(np.abs(res.values).max()) / scale)
         ok = worst < 1e-10
@@ -365,12 +367,12 @@ class TestCriterion10:
 class TestCriterion11:
     def test_zero_finder(self, criterion, known_table):
         series = LSeries.from_curve(record_of(known_table, "11a1"))
-        zeros = locate_zeros(series, k=1, t_max=9.0)
+        zeros = locate_zeros_with(series, k=1, t_max=9.0)
         gamma1_err = abs(zeros.gammas[0] - 6.36261389)
         twist = twist_of_11a1(53)  # conductor 30899 <= 50000, root number +1
         twist_series = LSeries.from_curve(twist)
         start = time.perf_counter()
-        twist_zeros = locate_zeros(twist_series, k=5, t_max=10.0)
+        twist_zeros = locate_zeros_with(twist_series, k=5, t_max=10.0)
         elapsed = time.perf_counter() - start
         fe_residual = afe_cut_residual(series, zeros.gammas[0])
         ok = (gamma1_err < 1e-3 and fe_residual < 1e-12
@@ -388,7 +390,9 @@ class TestCriterion11:
 class TestCriterion12:
     def test_explicit_formula_sign_pattern(self, criterion):
         landmarks = np.array([5, 37, 251, 1009])
-        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, landmarks)
+        # the observed profile is any non-constant one: only the prediction is checked
+        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, landmarks,
+                                np.arange(4.0))
         signs = np.sign(pred.predicted_diff)
         ok = bool(np.all(signs == np.array([1, 1, -1, -1])))
         criterion("12a", "five-zero prediction positive at p=5,37 and negative "
@@ -474,7 +478,8 @@ class TestTable2Positivity:
         for invariant in INVARIANT_IDS:
             res = {}
             for rank in (0, 1):
-                series = sliding_window_series(table, invariant, rank).finite()
+                series = sliding_window_series(table, invariant, rank,
+                                               RunConfig().window, RunConfig().step).finite()
                 res[rank] = savgol_detrend(series)
             correlations[invariant] = residual_correlation(res[0], res[1])
         ok = all(v > 0 for v in correlations.values())

@@ -18,15 +18,15 @@ from murmurlab.cli import RunConfig, build_config, main, make_parser
 from murmurlab.confound import control_omega, lvalue_band, triple_control
 from murmurlab.curves import CurveTable
 from murmurlab.lfunctions import ZeroSet, write_zero_sets_csv
-from murmurlab.stratify import (SCALE_WINDOWS, SHA_RULE, TABLE_RULES, TAMAGAWA_RULE,
-                                partition, permutation_test)
+from murmurlab.stratify import (SHA_RULE, TABLE_RULES, TAMAGAWA_RULE, partition,
+                                permutation_test)
 from murmurlab.traces import build_trace_matrix, default_prime_list
 
 from conftest import (TWIST_DS, make_synthetic_table, record_of, records,
                       serialize_curve_table, table_of, twist_of_11a1)
 
 
-RULES_BY_NAME = {rule.name: rule for rule in TABLE_RULES}
+RULES_BY_NAME = {rule.invariant: rule for rule in TABLE_RULES}
 
 
 def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
@@ -328,6 +328,27 @@ class TestDiagnose:
         assert "direction" in section["crossover"]
         assert "type_counts" in section["reduction"]
         assert set(section["bad_prime_share"]) == {"full_rms", "masked_rms", "share_percent"}
+
+    def test_groups_with_the_same_models_leave_the_other_parts(self, tmp_path):
+        # each Sha >= 4 curve copies the model of a Sha = 1 curve, so the two
+        # profiles are equal and the bad-prime share has no full RMS to divide by
+        sha_1 = records(twist_table(sha_pattern=(1.0,)))
+        copies = [dataclasses.replace(rec, label=rec.label.replace("x", "y"),
+                                      isogeny_class=rec.isogeny_class.replace("x", "y"),
+                                      sha_an=4.0, l_value=4.0 * rec.real_period)
+                  for rec in sha_1]
+        csv_path = tmp_path / "copies.csv"
+        csv_path.write_text(serialize_curve_table(table_of([*sha_1, *copies])))
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--curves", str(csv_path), "--band", "0:100",
+                   "--range", "1000:300000", "--primes", "30", "--out", str(out)])
+        assert rc == 0
+        section = read_report(out, "diagnose")["diagnose"]
+        assert section["bad_prime_share"] == {"error": "zero full RMS; share undefined"}
+        assert section["groups"]["sha_1"] == section["groups"]["sha_ge4"] >= 4
+        assert set(section["moments"]) == {"sha_1", "sha_ge4"}
+        assert section["crossover"]["crossing_prime"] is None
+        assert "type_counts" in section["reduction"]
 
 
 class TestConfound:
@@ -680,6 +701,30 @@ class TestZerosImport:
         assert "a series is constant" in report["explicit_formula"]["error"]
         assert not (out / "explicit_prediction.csv").exists()
 
+    def test_zeros_equal_within_each_group_leave_the_other_parts(self, twist_csv,
+                                                                   tmp_path):
+        # one zero set for every curve of a Sha group, exact in binary: each
+        # group's covariance is 0, so Hotelling's T^2 has no pooled inverse
+        table = twist_table()
+        sets = [ZeroSet(label, np.arange(1.0, 6.0) + (0.5 if sha == 4.0 else 0.0),
+                        5, 10.0, True)
+                for label, sha in zip(table.labels, table.sha_values)]
+        zeros_csv = tmp_path / "zeros.csv"
+        write_zero_sets_csv(zeros_csv, sets)
+        out = tmp_path / "out"
+        rc = main(["zeros", "--curves", str(twist_csv), "--zeros", str(zeros_csv),
+                   "--band", "0:100", "--range", "1000:300000", "--primes", "20",
+                   "--out", str(out)])
+        assert rc == 0
+        report = read_report(out, "zeros")["zeros"]
+        assert report["hotelling"] == {"error": "singular pooled covariance"}
+        assert report["n_complete"] == {"sha_1": 8, "sha_ge4": 8}
+        assert report["fe_gate"]["n_excluded"] == {"sha_1": 0, "sha_ge4": 0}
+        assert len(report["one_level_density"]["ks_all"]) == 2
+        assert "correlation" in report["explicit_formula"]
+        assert (out / "density_sha_1.csv").exists()
+        assert (out / "explicit_prediction.csv").exists()
+
     def test_report_lists_the_cache(self, twist_csv, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"
@@ -950,9 +995,8 @@ class TestConfigFile:
             "24440e54b7a372071e7ad6c9a0c37d5c0903262fd9fba204caf35a9c9151be15"
 
     def test_literal_defaults_are_the_stratify_ones(self):
-        # cli spells them out, so that its parser and RunConfig load no stratify
-        assert cli.RULE_NAMES == tuple(rule.name for rule in TABLE_RULES)
-        assert RunConfig().scan_windows == tuple((int(a), int(b)) for a, b in SCALE_WINDOWS)
+        # cli spells them out, so that its parser loads no stratify
+        assert cli.RULE_NAMES == tuple(rule.invariant for rule in TABLE_RULES)
 
     def test_key_set_twice_rejected_naming_both_lines(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -999,6 +1043,40 @@ class TestConfigFile:
     def test_range_of_one_conductor_accepted(self):
         cfg = build_config(make_parser().parse_args(["stratify", "--range", "11:11"]))
         assert cfg.range == (11, 11)
+
+    @pytest.mark.parametrize("key, value", [
+        ("range", "10.9:50000.7"), ("range", "10000:inf"),
+        ("scan_windows", "5000:20000,10000:50000.5,20000:70000")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bound_that_is_no_integer_refused(self, twist_csv, tmp_path, key, value,
+                                               source):
+        # a fractional bound was once truncated, so 10.9 let conductor 10 in
+        out = tmp_path / "out"
+        args = ["stratify", "--curves", str(twist_csv), "--primes", "10", "--out", str(out)]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        err = json.loads((out / "stratify_error.json").read_text())
+        assert err["error"].startswith("expected integer bounds LO:HI, got ")
+        assert not (out / "stratify.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_integer_bounds_in_exponent_form_accepted(self, tmp_path, source):
+        args = ["stratify"]
+        if source == "flag":
+            args += ["--range", "1e4:5e4", "--scan-windows", "5e3:2e4,1e4:5e4,2e4:7e4"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("range=1e4:5e4\nscan_windows=5e3:2e4,1e4:5e4,2e4:7e4\n")
+            args += ["--config", str(cfg)]
+        cfg = build_config(make_parser().parse_args(args))
+        assert cfg.range == (10_000, 50_000)
+        assert cfg.scan_windows == ((5_000, 20_000), (10_000, 50_000), (20_000, 70_000))
+        assert all(type(bound) is int for window in cfg.scan_windows for bound in window)
 
     def test_unknown_key_rejected(self, known_csv_path, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -152,7 +152,7 @@ class TestMatchNn:
             ("100a1", 100), ("100b1", 100), (f"{conductor}c1", conductor))])
         a = [table.labels.index(f"{conductor}c1")]
         b = [table.labels.index("100a1"), table.labels.index("100b1")]
-        (_, row_b, distance), = match_nn(table, a, b).pairs
+        (_, row_b, distance), = match_nn(table, a, b, "conductor", math.inf).pairs
         assert (table.labels[row_b], distance) == (taken, 1.0)
 
 
@@ -261,7 +261,8 @@ class TestEulerCumsum:
 class TestInvariantCorrelation:
     def test_self_correlation_is_one(self):
         table = make_synthetic_table(100, seed=18)
-        assert invariant_correlation(table, "period", "period") == pytest.approx(1.0)
+        assert invariant_correlation(table, "period", "period", log_y=False) == \
+            pytest.approx(1.0)
 
     def test_independent_noise_small(self):
         table = make_synthetic_table(2000, seed=19)
@@ -271,4 +272,4 @@ class TestInvariantCorrelation:
     def test_needs_three_records(self):
         table = make_synthetic_table(2, seed=20)
         with pytest.raises(ValueError):
-            invariant_correlation(table, "period", "sha")
+            invariant_correlation(table, "period", "sha", log_y=False)

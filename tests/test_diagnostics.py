@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,13 +97,12 @@ class TestSatoTate:
     def test_identical_pools_d_zero(self):
         labels, matrix = sato_tate_matrix(30, seed=5)
         rows = np.arange(len(labels))
-        res = satotate_ks(rows, rows, matrix, p_min=1000)
+        res = satotate_ks(rows, rows, matrix)
         assert res.statistic == 0.0
 
     def test_same_law_groups_indistinguishable(self):
         labels, matrix = sato_tate_matrix(200, seed=6)
-        res = satotate_ks(np.arange(100), np.arange(100, 200), matrix,
-                          p_min=1000)
+        res = satotate_ks(np.arange(100), np.arange(100, 200), matrix)
         assert res.p_value > 0.01
 
     def test_pool_matches_sato_tate_density(self):
@@ -120,15 +121,14 @@ class TestSatoTate:
 
     def test_angles_inside_range(self):
         labels, matrix = sato_tate_matrix(20, seed=8)
-        res = satotate_ks(np.arange(10), np.arange(10, 20), matrix, p_min=1000)
+        res = satotate_ks(np.arange(10), np.arange(10, 20), matrix)
         assert 0 <= res.statistic <= 1
 
     def test_no_primes_above_cutoff(self):
         table = make_synthetic_table(10, seed=9)
         matrix = make_synthetic_matrix(table.labels, seed=9, n_primes=5)
         with pytest.raises(ValueError, match="p_min"):
-            satotate_ks(np.arange(5), np.arange(5, 10), matrix,
-                        p_min=1000)
+            satotate_ks(np.arange(5), np.arange(5, 10), matrix)
 
 
 #: effective sizes on both sides of the boundaries of kolmogorov_sf: n <= 140
@@ -179,9 +179,11 @@ class TestKolmogorovAgainstScipy:
 
 
 class TestCrossover:
-    def _scan(self, values, **kwargs):
-        return crossover_scan(first_n_primes(len(values)),
-                              np.asarray(values, float), **kwargs)
+    def _scan(self, values, width=diagnostics.CROSSOVER_SMOOTH_WIDTH,
+              landmarks=diagnostics.CROSSOVER_LANDMARKS):
+        with mock.patch.multiple(diagnostics, CROSSOVER_SMOOTH_WIDTH=width,
+                                 CROSSOVER_LANDMARKS=landmarks):
+            return crossover_scan(first_n_primes(len(values)), np.asarray(values, float))
 
     def test_clean_crossover_detected(self):
         values = np.concatenate([np.full(60, 0.2), np.full(140, -0.15)])
@@ -214,7 +216,7 @@ class TestCrossover:
     @given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=30))
     def test_crossing_is_the_first_index_from_which_signs_stay_opposite(self, signs):
         # width 1 leaves the signs unsmoothed; the reference is the direct search
-        report = self._scan(signs, smooth_width=1)
+        report = self._scan(signs, width=1)
         signs, primes = np.array(signs), first_n_primes(len(signs))
         nonzero = np.flatnonzero(signs)
         expected = None
@@ -230,7 +232,7 @@ class TestReduction:
     def test_11a1_split_multiplicative(self, known_table):
         eleven = known_table.filter(conductor_range=(11, 11))
         matrix = build_trace_matrix(eleven, PrimeList(first_n_primes(10)))
-        report = classify_reduction(matrix, eleven)
+        report = classify_reduction(matrix)
         assert ("11a1", 11, "split_mult") in report.entries
 
     def test_additive_twist_classified(self, known_table, curve_11a1):
@@ -239,7 +241,7 @@ class TestReduction:
         twist = twist_of_11a1(53)
         table = table_of([twist])
         matrix = build_trace_matrix(table, PrimeList(first_n_primes(20)))
-        report = classify_reduction(matrix, table)
+        report = classify_reduction(matrix)
         assert (twist.label, 11, "split_mult") in report.entries
         assert (twist.label, 53, "additive") in report.entries
 
@@ -247,11 +249,10 @@ class TestReduction:
         primes = PrimeList(first_n_primes(4))
         traces = np.array([[5, 0, 0, 0]], dtype=np.int16)
         bad = np.array([[True, False, False, False]])
-        matrix = TraceMatrix(("2a1",), primes, traces, bad)
         table = make_synthetic_table(1, seed=10)
-        matrix = TraceMatrix((table.labels[0],), primes, traces, bad)
+        matrix = TraceMatrix((table.labels[0],), primes, traces, bad, table)
         with pytest.raises(ReductionDataError):
-            classify_reduction(matrix, table)
+            classify_reduction(matrix)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 10))
@@ -263,8 +264,8 @@ class TestReduction:
         bad = rng.random((n, m)) < rng.uniform(0.0, 0.6)
         traces = np.where(bad, rng.integers(-1, 2, size=(n, m)),
                           rng.integers(-3, 4, size=(n, m))).astype(np.int16)
-        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(m)), traces, bad)
-        report = classify_reduction(matrix, table)
+        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(m)), traces, bad, table)
+        report = classify_reduction(matrix)
         entries, counts, fraction, classified, unclassifiable = \
             classify_reduction_oracle(matrix, table)
         assert report.entries == entries
@@ -282,18 +283,18 @@ class TestReduction:
         traces = np.array([[0, 1, 0, -1],
                            [0, 0, -2, 7],
                            [9, 1, 0, 0]], dtype=np.int16)
-        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(4)), traces, bad)
+        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(4)), traces, bad, table)
         with pytest.raises(ReductionDataError) as walked:
             classify_reduction_oracle(matrix, table)
         with pytest.raises(ReductionDataError) as got:
-            classify_reduction(matrix, table)
+            classify_reduction(matrix)
         assert str(got.value) == str(walked.value)
         assert str(got.value).startswith(f"{table.labels[1]}: bad-prime trace -2 at p=5 ")
 
     def test_curve_without_listed_bad_primes_unclassifiable(self):
         table = make_synthetic_table(6, seed=11)
         matrix = make_synthetic_matrix(table.labels, seed=11)  # no bad flags
-        report = classify_reduction(matrix, table)
+        report = classify_reduction(dataclasses.replace(matrix, table=table))
         assert report.n_unclassifiable == 6
         assert report.entries == ()
 
@@ -325,5 +326,5 @@ class TestBadPrimeShare:
         traces = np.ones((4, 4), dtype=np.int16)
         matrix = TraceMatrix(("a0", "a1", "b0", "b1"), primes, traces,
                              np.zeros((4, 4), dtype=bool))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="zero full RMS"):
             bad_prime_share([0, 1], [2, 3], matrix)

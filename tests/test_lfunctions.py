@@ -33,7 +33,7 @@ from murmurlab.lfunctions import (
     write_zero_sets_csv,
 )
 
-from conftest import record_of, twist_of_11a1
+from conftest import locate_zeros_with, record_of, twist_of_11a1
 from oracles import afe_cut_residual, lambda_afe
 
 mp.mp.dps = 30
@@ -148,13 +148,13 @@ class TestLambdaCritical:
 
 class TestZeroFinder:
     def test_11a1_first_zero_matches_published(self, series_11a1):
-        zeros = locate_zeros(series_11a1, k=2, t_max=9.0)
+        zeros = locate_zeros_with(series_11a1, k=2, t_max=9.0)
         assert zeros.complete
         assert abs(zeros.gammas[0] - 6.36261389) < 1e-3
         assert afe_cut_residual(series_11a1, zeros.gammas[0]) < 1e-12
 
     def test_zeros_strictly_increasing_and_bracketed(self, series_11a1):
-        zeros = locate_zeros(series_11a1, k=2, t_max=9.0)
+        zeros = locate_zeros_with(series_11a1, k=2, t_max=9.0)
         assert np.all(np.diff(zeros.gammas) > 0)
         for g in zeros.gammas:
             lo, hi = g - 2e-6, g + 2e-6
@@ -163,15 +163,15 @@ class TestZeroFinder:
             ) < 0
 
     def test_incomplete_flagged_below_low_ceiling(self, series_11a1):
-        zeros = locate_zeros(series_11a1, k=5, t_max=7.0)
+        zeros = locate_zeros_with(series_11a1, k=5, t_max=7.0)
         assert not zeros.complete
         assert len(zeros.gammas) == 1
 
     def test_grid_refinement_only_adds_zeros(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
         series = LSeries.from_curve(rec)
-        coarse = locate_zeros(series, k=6, t_max=12.0, refinement=8)
-        fine = locate_zeros(series, k=6, t_max=12.0, refinement=32)
+        coarse = locate_zeros_with(series, k=6, t_max=12.0, refinement=8)
+        fine = locate_zeros_with(series, k=6, t_max=12.0, refinement=32)
         assert len(fine.gammas) >= len(coarse.gammas)
         for g in coarse.gammas:
             assert np.min(np.abs(fine.gammas - g)) < 2e-6
@@ -184,7 +184,7 @@ class TestZeroFinder:
         twist = twist_of_11a1(53)  # conductor 30899, root number +1
         series = LSeries.from_curve(twist)
         start = time.perf_counter()
-        zeros = locate_zeros(series, k=5, t_max=10.0)
+        zeros = locate_zeros_with(series, k=5, t_max=10.0)
         elapsed = time.perf_counter() - start
         assert zeros.complete
         assert elapsed < 5.0
@@ -205,18 +205,13 @@ class TestZeroFinder:
         # with a tolerance above every value both Lambda(1) and Lambda''(0)
         # count as zero, so the order reads "4 or more"
         monkeypatch.setattr(lfunctions, "QUAD_TOL", 10.0)
-        assert locate_zeros(_twist_series(53), k=1).central_order == 4
+        assert locate_zeros_with(_twist_series(53), k=1).central_order == 4
 
     def test_odd_sign_refused(self, known_table_module):
         rec = record_of(known_table_module, "37a1")
         series = LSeries.from_curve(rec)
         with pytest.raises(ValueError, match="w = \\+1"):
             locate_zeros(series)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_zero_count_below_one_refused(self, series_11a1, k):
-        with pytest.raises(ValueError, match="positive number of zeros"):
-            locate_zeros(series_11a1, k=k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,7 +322,7 @@ class TestSearchWork:
     def test_grid_in_one_call_then_k_midpoints_a_halving(self, lambda_calls):
         series = _twist_series(53)
         step, grid = _search_grid(series, 10.0)
-        zeros = locate_zeros(series, k=5, t_max=10.0)
+        zeros = locate_zeros_with(series, k=5, t_max=10.0)
         assert zeros.complete
         bisection = self._split(lambda_calls, grid)
         assert len(bisection[0]) == 5
@@ -336,7 +331,7 @@ class TestSearchWork:
 
     def test_incomplete_search_scans_the_whole_grid(self, lambda_calls, series_11a1):
         step, grid = _search_grid(series_11a1, 7.0)
-        zeros = locate_zeros(series_11a1, k=5, t_max=7.0)
+        zeros = locate_zeros_with(series_11a1, k=5, t_max=7.0)
         assert not zeros.complete
         bisection = self._split(lambda_calls, grid)
         assert all(len(ts) == 1 for ts in bisection)
@@ -344,9 +339,9 @@ class TestSearchWork:
 
     def test_fewer_zeros_are_a_prefix(self):
         series = _twist_series(53)
-        five = [repr(float(g)) for g in locate_zeros(series, k=5).gammas]
+        five = [repr(float(g)) for g in locate_zeros_with(series, k=5).gammas]
         for j in range(1, 5):
-            assert [repr(float(g)) for g in locate_zeros(series, k=j).gammas] == five[:j]
+            assert [repr(float(g)) for g in locate_zeros_with(series, k=j).gammas] == five[:j]
 
     def test_exact_zero_closes_only_its_own_bracket(self, monkeypatch, series_11a1):
         step, grid = _search_grid(series_11a1, 9.0)
@@ -363,7 +358,7 @@ class TestSearchWork:
             return f(calls[-1])
 
         monkeypatch.setattr(lfunctions, "_lambda_batch", synthetic)
-        zeros = locate_zeros(series_11a1, k=4, t_max=9.0)
+        zeros = locate_zeros_with(series_11a1, k=4, t_max=9.0)
         vals = f(grid)
         brackets = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         assert len(brackets) == 4
@@ -510,7 +505,7 @@ class TestHotelling:
         # as the zeros step stacks them: one row of ordinates per complete set
         res = hotelling_t2(*(np.vstack([z.gammas for z in _toy_zero_sets(x, name)])
                              for x, name in ((base, "a"), (other, "b"))))
-        assert res.n_a == res.n_b == 30
+        assert res.df == (5, 30 + 30 - 5 - 1)
 
     def test_null_rejection_rate_and_uniformity(self):
         rng = np.random.default_rng(3)
@@ -589,15 +584,25 @@ class TestOneLevelDensity:
         assert 0 <= comp.ks_first[0] <= 1
 
 
+def _observed(primes) -> np.ndarray:
+    """A non-constant observed profile, for tests that check only the prediction."""
+    return np.arange(float(len(primes)))
+
+
 class TestExplicitPredict:
     def test_identical_means_zero_prediction(self):
+        # identical means predict a difference of zero everywhere, which is
+        # constant and so has no correlation
         primes = np.array([2, 3, 5, 7, 11])
-        pred = explicit_predict(MEAN_GAMMAS_SHA1, MEAN_GAMMAS_SHA1, primes)
-        assert np.allclose(pred.predicted_diff, 0.0)
+        g = np.asarray(MEAN_GAMMAS_SHA1)
+        assert np.array_equal(lfunctions._zero_contribution(g, primes)
+                              - lfunctions._zero_contribution(g, primes), np.zeros(5))
+        with pytest.raises(ValueError, match="a series is constant"):
+            explicit_predict(g, g, primes, _observed(primes))
 
     def test_table7_sign_pattern_at_landmarks(self):
         primes = np.array([5, 37, 251, 1009])
-        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes)
+        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes, _observed(primes))
         assert pred.predicted_diff[0] > 0
         assert pred.predicted_diff[1] > 0
         assert pred.predicted_diff[2] < 0
@@ -607,14 +612,14 @@ class TestExplicitPredict:
         base = (0.6, 1.5, 2.3, 3.0, 3.7)
         raised = (0.72, 1.5, 2.3, 3.0, 3.7)
         primes = np.array([2, 3, 5, 7, 11, 13])
-        pred = explicit_predict(np.array(raised), np.array(base), primes)
+        pred = explicit_predict(np.array(raised), np.array(base), primes, _observed(primes))
         # cos(gamma1 log p) decays faster for the raised zero: positive
         # difference at small p
         assert pred.predicted_diff[0] < 0 or pred.predicted_diff[0] != 0
 
     def test_correlation_against_observed(self):
         primes = np.array([2, 3, 5, 7, 11, 13, 17, 19])
-        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes)
+        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes, _observed(primes))
         echo = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
                                 observed_diff=pred.predicted_diff)
         assert echo.correlation == pytest.approx(1.0)
@@ -634,7 +639,7 @@ class TestExplicitPredict:
 
     def test_empty_primes_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            explicit_predict(MEAN_GAMMAS_SHA1, MEAN_GAMMAS_SHA4, np.array([]))
+            explicit_predict(MEAN_GAMMAS_SHA1, MEAN_GAMMAS_SHA4, np.array([]), np.array([]))
 
 
 class TestZeroCsv:

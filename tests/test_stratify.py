@@ -366,7 +366,8 @@ class TestSharedStream:
 
 class TestBonferroni:
     def test_five_tests_at_one_per_mille(self):
-        res = bonferroni([1e-5] * 5, alpha=0.001)
+        res = bonferroni([1e-5] * 5)
+        assert res.alpha == 0.001
         assert res.threshold == pytest.approx(0.0002)
         assert all(res.decisions)
 

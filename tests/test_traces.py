@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from murmurlab import traces
+from murmurlab.cli import RunConfig
 from murmurlab.curves import NUMERIC_COLUMNS
 from murmurlab.primes import first_n_primes, is_prime, sieve_up_to
 from murmurlab.traces import (
@@ -38,13 +39,14 @@ SMALL_PRIMES = [int(p) for p in sieve_up_to(200)]
 
 def frobenius_trace(a_invariants, conductor, p):
     """a_p of one curve at one prime, from the kernel every trace comes from."""
-    got, _ = traces._trace_columns([a_invariants], [conductor], [p])
+    got, _ = traces._trace_columns([a_invariants], [conductor], [p], None)
     return int(got[0, 0])
 
 
 class TestPrimeList:
     def test_default_is_first_500_ending_at_3571(self):
-        primes = default_prime_list()
+        # the CLI's default prime count
+        primes = default_prime_list(RunConfig().primes)
         assert len(primes) == 500
         assert int(primes.primes[-1]) == 3571
 
@@ -156,7 +158,7 @@ class TestTraceMatrix:
         for counting in ("_chi_table", "_inverse_table", "_class_table", "_ap_tiny"):
             monkeypatch.setattr(traces, counting, no_counting)
         with pytest.raises(ValueError, match="prime 101 exceeds the supported maximum 97"):
-            next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [101]))
+            next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [101], None))
 
     def test_block_edges_match_enumeration_oracle(self, known_table, monkeypatch):
         # 24-element blocks split the 6-curve table at every prime p >= 5:
@@ -186,7 +188,7 @@ class TestTraceMatrix:
         # it gives a_5 = 0, not 11a1's a_5 = 1, inside the Hasse bound
         A, B = short_weierstrass(curve_11a1.a_invariants)
         scaled = (0, 0, 0, 5**4 * A, 5**6 * B)
-        got, _ = traces._trace_columns([scaled], [11], [5])
+        got, _ = traces._trace_columns([scaled], [11], [5], None)
         assert got[0, 0] == 0 and frobenius_trace(curve_11a1.a_invariants, 11, 5) == 1
         table = table_of([dataclasses.replace(curve_11a1, label="11a9",
                                                 a_invariants=scaled)])
@@ -229,7 +231,7 @@ class TestKernelPinned:
         # conductor |disc| keeps p | N <=> p | disc, so the bad flags are honest
         models = _pinned_models()
         conductors = [abs(model_discriminant(m)) for m in models]
-        got, bad = traces._trace_columns(models, conductors, first_n_primes(200))
+        got, bad = traces._trace_columns(models, conductors, first_n_primes(200), None)
         assert got.shape == (400, 200)
         assert hashlib.sha256(got.astype("<i2").tobytes()).hexdigest() == \
             "7aeba80ff02ab76e17f9b9ac5f22a1dfb144afed377b613402e43628601de31b"
@@ -257,7 +259,7 @@ class TestTwistClassKernel:
         conductors = [synthetic_conductor(m, SMALL_PRIMES) for m in models]
         for row, p in ((4, 5), (5, 37)):
             assert short[row][0] % p == short[row][1] % p == conductors[row] % p == 0
-        got, _ = traces._trace_columns(models, conductors, SMALL_PRIMES)
+        got, _ = traces._trace_columns(models, conductors, SMALL_PRIMES, None)
         for i, model in enumerate(models):
             for j, p in enumerate(SMALL_PRIMES):
                 assert got[i, j] == ap_oracle(model, conductors[i], p), (model, p)
@@ -275,7 +277,7 @@ class TestTwistClassKernel:
         models = [(0, 0, 0, lam**2 * a4, lam**3 * a6)
                   for lam in (1, 2, -3, 5, 7) for a4, a6 in bases]
         conductors = [synthetic_conductor(m, SMALL_PRIMES) for m in models]
-        got, bad = traces._trace_columns(models, conductors, SMALL_PRIMES)
+        got, bad = traces._trace_columns(models, conductors, SMALL_PRIMES, None)
         for i, model in enumerate(models):
             for j, p in enumerate(SMALL_PRIMES):
                 assert got[i, j] == ap_oracle(model, conductors[i], p), (model, p)
@@ -289,7 +291,7 @@ class TestTwistClassKernel:
         model = (0, 0, 0, a4, a6)
         twisted = (0, 0, 0, lam**2 * a4, lam**3 * a6)
         conductors = [synthetic_conductor(m, [p]) for m in (model, twisted)]
-        got, _ = traces._trace_columns([model, twisted], conductors, [p])
+        got, _ = traces._trace_columns([model, twisted], conductors, [p], None)
         assert got[0, 0] == ap_oracle(model, conductors[0], p)
         assert got[1, 0] == _legendre(lam, p) * got[0, 0]
 
@@ -313,7 +315,7 @@ class TestTwistClassKernel:
         assert (A, B) == (-27 * 496, -54 * 20008)  # 496 = 2^4 31, 20008 = 2^3 41 61
         twists = [twist_of_11a1(d) for d in TWIST_DS]
         traces._trace_columns([t.a_invariants for t in twists],
-                              [t.conductor for t in twists], SMALL_PRIMES)
+                              [t.conductor for t in twists], SMALL_PRIMES, None)
         product = math.prod(abs(d) for d in TWIST_DS)
         shared = [p for p in SMALL_PRIMES if p >= 5 and product % p and A * B % p]
         assert 11 in shared and len(shared) == 26
@@ -325,7 +327,7 @@ class TestTwistClassKernel:
         models = [(0, 0, 0, a4, a6) for a4 in range(14) for a6 in range(14)
                   if a4 or a6]
         conductors = [abs(model_discriminant(m)) for m in models]
-        traces._trace_columns(models, conductors, SMALL_PRIMES)
+        traces._trace_columns(models, conductors, SMALL_PRIMES, None)
         assert {p: rows_summed[p] for p in (5, 7, 11, 13)} == \
             {p: 3 * p - 2 for p in (5, 7, 11, 13)}
         assert all(rows_summed[p] <= min(3 * p - 2, len(models))
@@ -343,7 +345,7 @@ class TestTwistClassKernel:
         models = [m for m in ((a1, 0, 0, a4, a6) for a1 in (0, 1) for a4 in range(-6, 6)
                               for a6 in range(-6, 6)) if model_discriminant(m)]
         conductors = [synthetic_conductor(m, [2, 3]) for m in models]
-        got, _ = traces._trace_columns(models, conductors, [2, 3])
+        got, _ = traces._trace_columns(models, conductors, [2, 3], None)
         assert len(calls) == len(set(calls)) < len(models)
         for i, model in enumerate(models):
             assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in (2, 3)]
@@ -363,7 +365,7 @@ class TestTwistClassKernel:
                            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1))
             conductors.append(int(rng.choice([1, 2, 3, 6, 5, 7])) * (11 + i))
         assert max(abs(v) for m in models for v in m) >= 2**63
-        got, bad = traces._trace_columns(models, conductors, [2, 3])
+        got, bad = traces._trace_columns(models, conductors, [2, 3], None)
         for i, model in enumerate(models):
             assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in (2, 3)]
             assert list(bad[i]) == [conductors[i] % p == 0 for p in (2, 3)]
@@ -385,8 +387,8 @@ class TestTwistClassKernel:
         # one class a prime: the traces build and the coefficients alike
         twists = [twist_of_11a1(d) for d in TWIST_DS]
         models, conductors = [t.a_invariants for t in twists], [t.conductor for t in twists]
-        traces._trace_columns(models, conductors, SMALL_PRIMES)
-        list(dirichlet_coefficients(models, conductors, [1000] * len(twists)))
+        traces._trace_columns(models, conductors, SMALL_PRIMES, None)
+        list(dirichlet_coefficients(models, conductors, [1000] * len(twists), None))
         assert tables_built == {}
 
     def test_every_residue_pair_builds_one_table(self, tables_built, rows_summed):
@@ -394,7 +396,7 @@ class TestTwistClassKernel:
         # are summed one by one
         p = 53
         models = [(0, 0, 0, a4, a6) for a4 in range(p) for a6 in range(p) if a4 or a6]
-        got, _ = traces._trace_columns(models, [1] * len(models), [p])
+        got, _ = traces._trace_columns(models, [1] * len(models), [p], None)
         assert tables_built == {p: 1} and rows_summed == {p: 2 * (p - 1)}
         short = np.array([short_weierstrass(m) for m in models]) % p
         direct = traces._character_sums(short[:, 0], short[:, 1], p, traces._chi_table(p))
@@ -404,12 +406,12 @@ class TestTwistClassKernel:
                                                           rows_summed):
         # 11a1 stops at 60 and 37a1 at 200: above 60 each prime sums one row
         models, conductors = [curve_11a1.a_invariants, (0, 0, 1, -1, 0)], [11, 37]
-        both = list(dirichlet_coefficients(models, conductors, [60, 200]))
+        both = list(dirichlet_coefficients(models, conductors, [60, 200], None))
         assert [len(an) - 1 for an in both] == [60, 200]
         assert all(rows_summed[p] == 1 for p in SMALL_PRIMES if 60 < p <= 200)
         assert all(rows_summed[p] <= 2 for p in SMALL_PRIMES if 5 <= p <= 60)
         for an, model, N, n_max in zip(both, models, conductors, [60, 200]):
-            alone = next(dirichlet_coefficients([model], [N], [n_max]))
+            alone = next(dirichlet_coefficients([model], [N], [n_max], None))
             assert np.array_equal(an, alone)
 
 
@@ -470,7 +472,7 @@ class TestClassTable:
             return chi
 
         monkeypatch.setattr(traces, "_chi_table", tracked)
-        list(dirichlet_coefficients([curve_11a1.a_invariants], [11], [10_000]))
+        list(dirichlet_coefficients([curve_11a1.a_invariants], [11], [10_000], None))
         gc.collect()
         assert len(built) == 1227
         assert sum(ref() is not None for ref in built) == 0
@@ -478,7 +480,7 @@ class TestClassTable:
 
 class TestExtendAn:
     def test_known_11a1_prime_powers(self, curve_11a1):
-        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [16]))
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [16], None))
         assert an[1] == 1
         assert an[4] == 2    # a_2^2 - 2
         assert an[6] == 2    # a_2 a_3
@@ -488,7 +490,7 @@ class TestExtendAn:
 
     def test_multiplicativity_exhaustive(self, curve_11a1):
         n_max = 10_000
-        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [n_max]))
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [n_max], None))
         import math
 
         for m in range(2, 101):
@@ -506,14 +508,14 @@ class TestExtendAn:
         twists = [twist_of_11a1(d) for d in TWIST_DS[:6]]
         models, conductors = [t.a_invariants for t in twists], [t.conductor for t in twists]
         n_maxes = [600, 300, 600, 50, 1, 450]
-        counted = list(dirichlet_coefficients(models, conductors, n_maxes))
+        counted = list(dirichlet_coefficients(models, conductors, n_maxes, None))
         for count in (30, 120):
-            known, _ = traces._trace_columns(models, conductors, first_n_primes(count))
+            known, _ = traces._trace_columns(models, conductors, first_n_primes(count), None)
             got = list(dirichlet_coefficients(models, conductors, n_maxes, known))
             assert all(np.array_equal(a, b) for a, b in zip(got, counted, strict=True))
 
     def test_bad_prime_powers_multiply(self, curve_11a1):
-        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [121]))
+        an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [121], None))
         assert an[121] == 1  # a_11 = +1, so a_{11^2} = 1
 
 
