@@ -481,7 +481,7 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
         entry.update(strat_report.to_dict())
     battery["bsd_group_ratios"] = _part(bsd_group_ratios)
     battery["period_vs_log_conductor"] = _part(confound.invariant_correlation, rank0,
-                                               "period", "conductor", log_y=True)
+                                               "period", "conductor")
     return {"conductor_range": list(ctx.conductor_range), "battery": battery}
 
 

@@ -216,12 +216,10 @@ def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
     return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
 
 
-def invariant_correlation(table: CurveTable, x: str, y: str, log_y: bool) -> float:
-    """Pearson correlation between two per-curve invariants, "conductor" among them."""
+def invariant_correlation(table: CurveTable, x: str, y: str) -> float:
+    """Pearson correlation of invariant x with the log of invariant y, "conductor" included."""
     if len(table) < 3:
         raise ValueError("need at least 3 records")
     xv, yv = (table.conductors.astype(np.float64) if name == "conductor"
               else invariant_values(table, name) for name in (x, y))
-    if log_y:
-        yv = np.log(yv)
-    return pearson(xv, yv)
+    return pearson(xv, np.log(yv))

@@ -153,7 +153,7 @@ class CurveTable:
 
     def subset(self, indices: Sequence[int]) -> "CurveTable":
         """The rows at the given positions of this table, each once, in table order."""
-        idx = distinct(np.asarray(indices, dtype=np.int64))[0]
+        idx = np.unique_counts(np.asarray(indices, dtype=np.int64)).values
         sub = object.__new__(CurveTable)
         sub.labels = tuple(self.labels[i] for i in idx)
         for column in ("a_invariants", *NUMERIC_COLUMNS, "rows"):
@@ -173,28 +173,8 @@ class CurveTable:
         return self.subset(idx)
 
     def rank_histogram(self) -> dict[int, int]:
-        vals, _, _, counts = distinct(self.ranks)
+        vals, counts = np.unique_counts(self.ranks)
         return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique of a 1-D integer array with its first indices, inverse and counts.
-
-    The distinct values in ascending order, the position of each one's first
-    occurrence, the index into them of every element, and how often each
-    occurs: one stable sort and one comparison of neighbours.  np.unique
-    gives the same, but called for the values alone it imports numpy.ma
-    (~20 ms) on its first call in a process.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    new = np.empty(len(ordered), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    inverse = np.empty(len(ordered), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[starts], order[starts], inverse, np.diff(starts, append=len(ordered))
 
 
 #: invariant ids usable in window averages and correlations

@@ -6,20 +6,23 @@ y^2 = x^3 + Ax + B mod p and the count is a quadratic character sum over
 x; p = 2 and p = 3 count the full Weierstrass equation.  At bad primes
 (p | N) the smooth locus is counted, so a_p lands in {-1, 0, +1}.
 
-One kernel, `_trace_column`, computes every trace at one prime: the matrix
-build calls it, and so do the Dirichlet coefficients at primes past the
-trace matrix they are given.  At each prime p >= 5 it sums the character
-once per twist class, not once per curve: a short model (A, B) with
-AB != 0 mod p is the quadratic twist by lam = B/A of y^2 = x^3 + rx + r
-with r = A^3/B^2, and a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC
-III.1, X.5); a model with A = 0 or B = 0 mod p is its own class.  Many
-classes (r, r) at a prime take their sums from one cyclic correlation of
-length p (`_class_table`).  Every sum is an exact integer, so every trace
-is the one a per-curve sum gives.  Models are split once per sweep into
-int64 digits (`_limbs`) and reduced mod p from those, so the work per
-prime is array work for integers of any size, p = 2 and 3 included.  One
-process serves every prime: on a 2-vCPU host that beat two worker
-processes splitting the prime axis.
+One kernel, `_trace_column`, computes every trace at one prime, and one
+prime loop, `_trace_columns`, calls it: the matrix build runs that loop,
+and so do the Dirichlet coefficients at primes past the trace matrix they
+are given.  At p = 2 and 3 the distinct reductions of the models are
+counted together on the p^2 points of F_p x F_p (`_tiny_traces`).  At
+each prime p >= 5 the kernel sums the character once per twist class,
+not once per curve: a short model (A, B) with AB != 0 mod p is the
+quadratic twist by lam = B/A of y^2 = x^3 + rx + r with r = A^3/B^2, and
+a_p(A, B) = chi(lam) a_p(r, r) (Silverman, AEC III.1, X.5); a model with
+A = 0 or B = 0 mod p is its own class.  Many classes (r, r) at a prime
+take their sums from one cyclic correlation of length p (`_class_table`).
+Every sum is an exact integer, so every trace is the one a per-curve sum
+gives.  The models, and their short models computed on columns of exact
+ints, are split once per sweep into int64 digits (`_limbs`) and reduced
+mod p from those, so the work per prime is array work for integers of
+any size, p = 2 and 3 included.  One process serves every prime: on a
+2-vCPU host that beat two worker processes splitting the prime axis.
 
 A TraceMatrix row belongs to one curve.  The cache holds a matrix with the
 table whose rows it holds and the SHA-256 of the CSV that table was parsed
@@ -38,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .curves import NUMERIC_COLUMNS, CurveTable, distinct
+from .curves import NUMERIC_COLUMNS, CurveTable
 from .primes import first_n_primes, is_prime, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
@@ -112,12 +115,13 @@ def default_prime_list(count: int) -> PrimeList:
     return PrimeList(first_n_primes(count))
 
 
-def short_weierstrass(a_invariants: Sequence[int]) -> tuple[int, int]:
+def short_weierstrass(a_invariants) -> tuple:
     """(A, B) with y^2 = x^3 + Ax + B isomorphic to the model away from 2 and 3.
 
-    A = -27 c4, B = -54 c6; exact integers.
+    A = -27 c4, B = -54 c6, exact: a1..a6 are Python ints, or the five
+    columns of an object array of them, which give A and B as columns.
     """
-    a1, a2, a3, a4, a6 = (int(a) for a in a_invariants)
+    a1, a2, a3, a4, a6 = a_invariants
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -139,33 +143,19 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def _count_affine(a_invariants: Sequence[int], p: int, smooth_only: bool) -> int:
-    """Solutions of the full Weierstrass equation over F_p x F_p.
+def _tiny_traces(residues: np.ndarray, bad: np.ndarray, p: int) -> np.ndarray:
+    """a_p at p = 2 or 3 of each column of a-invariant residues (5, k), by enumeration.
 
-    With smooth_only, points where both partial derivatives vanish are
-    excluded (used at bad primes).
+    The full Weierstrass equation and its two partial derivatives are
+    evaluated on the p^2 points of F_p x F_p: a good column counts every
+    affine solution, a bad one (p | N) only the smooth ones.
     """
-    a1, a2, a3, a4, a6 = (a % p for a in a_invariants)
-    count = 0
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p != 0:
-                continue
-            if smooth_only:
-                dx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-                dy = (2 * y + a1 * x + a3) % p
-                if dx == 0 and dy == 0:
-                    continue
-            count += 1
-    return count
-
-
-def _ap_tiny(a_invariants: Sequence[int], conductor: int, p: int) -> int:
-    good = conductor % p != 0
-    if good:
-        return p - _count_affine(a_invariants, p, smooth_only=False)
-    return p - 1 - _count_affine(a_invariants, p, smooth_only=True)
+    a1, a2, a3, a4, a6 = residues[:, :, None]
+    x, y = np.divmod(np.arange(p * p), p)
+    on = (y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6) % p == 0
+    singular = (on & ((a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0)
+                & ((2 * y + a1 * x + a3) % p == 0))
+    return p - bad - on.sum(axis=1) + bad * singular.sum(axis=1)
 
 
 def _inverse_table(p: int) -> np.ndarray:
@@ -244,13 +234,12 @@ def _class_table(p: int, chi: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return sums.astype(np.int64) + chi[-1]
 
 
-def _limbs(rows: Sequence[Sequence[int]], width: int = 2) -> np.ndarray:
-    """Signed base-2^62 digits of rows of `width` integers, least significant first.
+def _limbs(values: np.ndarray) -> np.ndarray:
+    """Signed base-2^62 digits of a (width, n) object array of ints, least significant first.
 
     Shape (k, width, n), each digit with the sign of its integer, so that
     `_residues` reduces integers of any size with int64 arithmetic alone.
     """
-    values = np.array(rows, dtype=object).reshape(-1, width).T
     try:
         small = values.astype(np.int64)
         if small.size == 0 or (small.min() > -(1 << _LIMB_BITS)
@@ -282,29 +271,19 @@ def _residues(limbs: np.ndarray, p: int) -> np.ndarray:
     return res
 
 
-def _check_supported(largest_prime: int) -> None:
-    if largest_prime > MAX_PRIME:
-        raise ValueError(f"prime {largest_prime} exceeds the supported maximum {MAX_PRIME}")
-
-
-def _model_limbs(a_invariants: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The `_limbs` of the curves' a-invariants and of their short models."""
-    return (_limbs(a_invariants, 5),
-            _limbs([short_weierstrass(a) for a in a_invariants]))
-
-
 def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, p: int,
-                  labels: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  labels: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray]:
     """Traces and bad flags (p | N) of the given curves at one prime p: the one trace kernel.
 
-    limbs are the curves' `_model_limbs`.  At p = 2 and 3 the full model is
-    counted once per distinct (a-invariants mod p, bad flag).  For p >= 5
-    each curve gets -chi(B/A) times the sum of its twist class (module
-    docstring), with chi(B/A) read as 1 when AB = 0; x = (B/A) u shows the
-    identity for the sum itself, so good and bad p share one path: chi(0) = 0
-    drops the singular point.  More than _TABLE_CROSSOVER distinct classes
-    (r, r) take their sums from one `_class_table`; fewer, and the classes
-    (A, B), are summed one by one, and a lone curve as it is.
+    limbs are the `_limbs` of the curves' a-invariants and of their short
+    models.  At p = 2 and 3 the full model is counted once per distinct
+    (a-invariants mod p, bad flag), all of them in one `_tiny_traces`.  For
+    p >= 5 each curve gets -chi(B/A) times the sum of its twist class
+    (module docstring), with chi(B/A) read as 1 when AB = 0; x = (B/A) u
+    shows the identity for the sum itself, so good and bad p share one
+    path: chi(0) = 0 drops the singular point.  More than _TABLE_CROSSOVER
+    distinct classes (r, r) take their sums from one `_class_table`; fewer,
+    and the classes (A, B), are summed one by one.
 
     With labels, a curve whose conductor and discriminant 4A^3 + 27B^2
     disagree on whether p divides them is a TraceComputationError naming
@@ -315,10 +294,8 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
     if p < 5:  # one integer per (a-invariants mod p, bad flag)
         residues = _residues(limbs[0], p)
         keys = p ** np.arange(5) @ residues + p**5 * bad
-        _, first, back, _ = distinct(keys)
-        counted = [_ap_tiny(residues[:, i].tolist(), int(conductors[i]), p)
-                   for i in first.tolist()]
-        return np.array(counted, dtype=np.int64)[back], bad
+        _, first, back, _ = np.unique_all(keys)
+        return _tiny_traces(residues[:, first], bad[first], p)[back], bad
     chi = _chi_table(p)
     a, b = _residues(limbs[1], p)
     if labels is not None:
@@ -329,8 +306,6 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
                     else "the discriminant but not the conductor")
             raise TraceComputationError(f"curve {labels[i]}: p={p} divides {what}; "
                                         "a wrong conductor, or a model not minimal at p")
-    if len(a) == 1:
-        return -_character_sums(a, b, p, chi), bad
     # 1/B: one pow per curve, or a p-sized table once that is cheaper; a
     # table took as long as 130-190 pows at p <= 3,571 and p/31 at p >= 10,007
     inverse = _inverse_table(p) if len(b) > 128 + p // 32 else None
@@ -348,7 +323,7 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
     traces = chi[a] * chi[b] * sums[r]  # chi(B/A) = chi(A) chi(B), 0 where AB = 0
     rest = np.flatnonzero(r == 0)
     if rest.size:
-        keys, _, back, _ = distinct(a[rest] * p + b[rest])
+        keys, _, back, _ = np.unique_all(a[rest] * p + b[rest])
         traces[rest] = _character_sums(keys // p, keys % p, p, chi)[back]
     return -traces, bad
 
@@ -357,16 +332,19 @@ def _trace_columns(a_invariants: Sequence[Sequence[int]], conductors, primes,
                    labels: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray]:
     """Traces (int16) and bad flags (p | N) of every curve at every prime.
 
-    One `_trace_column` per prime, on models split into limbs once; a
-    prime above MAX_PRIME is refused before any counting.  labels turn on
-    the kernel's conductor check.
+    The one prime loop of the trace layer: one `_trace_column` per prime,
+    on models and short models split into limbs once; a prime above
+    MAX_PRIME is refused before any counting.  labels turn on the kernel's
+    conductor check.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    if len(primes):
-        _check_supported(int(primes.max()))
+    if len(primes) and primes.max() > MAX_PRIME:
+        raise ValueError(f"prime {primes.max()} exceeds the supported maximum {MAX_PRIME}")
     conductors = np.asarray(conductors)
     n = len(conductors)
-    limbs = _model_limbs(a_invariants)
+    # Python ints throughout: a NumPy int64 would wrap in the short model's products
+    models = np.frompyfunc(int, 1, 1)(np.array(a_invariants, dtype=object).reshape(-1, 5).T)
+    limbs = _limbs(models), _limbs(np.stack(short_weierstrass(models)))
     traces = np.empty((n, len(primes)), dtype=np.int16)
     bad = np.empty((n, len(primes)), dtype=bool)
     for j, p in enumerate(primes.tolist()):
@@ -476,32 +454,22 @@ def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
 
     known holds the curves' traces at the first known.shape[1] primes (their
     rows of a trace matrix), which are not counted again.  Each prime past
-    them is counted once for all the curves whose n_max reaches it.  Only
-    that trace table and the coefficients being yielded are held at once.
+    them up to the largest n_max is counted once for all the curves, in one
+    `_trace_columns` sweep.  Only that trace table and the coefficients
+    being yielded are held at once.
     """
     n_maxes = [int(n) for n in n_maxes]
     if not n_maxes:
         return
-    order = sorted(range(len(n_maxes)), key=n_maxes.__getitem__, reverse=True)
-    primes = sieve_up_to(n_maxes[order[0]]).tolist()
-    traces = np.zeros((len(order), len(primes)), dtype=np.int16)
+    primes = sieve_up_to(max(n_maxes)).tolist()
+    traces = np.empty((len(n_maxes), len(primes)), dtype=np.int16)
     start = 0 if known is None else min(known.shape[1], len(primes))
     if start:
-        traces[:, :start] = known[order, :start]
+        traces[:, :start] = known[:, :start]
     if start < len(primes):
-        _check_supported(primes[-1])
-        limbs = _model_limbs([a_invariants[i] for i in order])
-        conds = np.asarray(conductors)[order]
-        k = len(order)
-        for j in range(start, len(primes)):
-            p = primes[j]
-            while n_maxes[order[k - 1]] < p:  # the curves that stop below p
-                k -= 1
-            traces[:k, j], _ = _trace_column((limbs[0][..., :k], limbs[1][..., :k]),
-                                             conds[:k], p)
-    row = np.argsort(order)
-    for i, (conductor, n_max) in enumerate(zip(conductors, n_maxes)):
-        yield extend_an(dict(zip(primes, traces[row[i]].tolist())), int(conductor), n_max)
+        traces[:, start:], _ = _trace_columns(a_invariants, conductors, primes[start:], None)
+    for conductor, n_max, row in zip(conductors, n_maxes, traces):
+        yield extend_an(dict(zip(primes, row.tolist())), int(conductor), n_max)
 
 
 _MAGIC, _VERSION = b"MURM", 2

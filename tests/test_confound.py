@@ -260,16 +260,16 @@ class TestEulerCumsum:
 
 class TestInvariantCorrelation:
     def test_self_correlation_is_one(self):
+        # y enters as its log: log_period against period is log Omega against itself
         table = make_synthetic_table(100, seed=18)
-        assert invariant_correlation(table, "period", "period", log_y=False) == \
-            pytest.approx(1.0)
+        assert invariant_correlation(table, "log_period", "period") == pytest.approx(1.0)
 
     def test_independent_noise_small(self):
         table = make_synthetic_table(2000, seed=19)
-        r = invariant_correlation(table, "period", "conductor", log_y=True)
+        r = invariant_correlation(table, "period", "conductor")
         assert abs(r) < 3 / np.sqrt(len(table))
 
     def test_needs_three_records(self):
         table = make_synthetic_table(2, seed=20)
         with pytest.raises(ValueError):
-            invariant_correlation(table, "period", "sha", log_y=False)
+            invariant_correlation(table, "period", "sha")

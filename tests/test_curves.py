@@ -13,7 +13,6 @@ from murmurlab.curves import (
     DuplicateLabelError,
     RowError,
     dedupe_isogeny,
-    distinct,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
@@ -321,19 +320,6 @@ class TestDedupe:
     def test_identity_when_already_unique(self, known_table):
         once = dedupe_isogeny(known_table)
         assert records(dedupe_isogeny(once)) == records(once)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-5, 5) | st.integers(-2**63, 2**63 - 1), max_size=40),
-       st.sampled_from([np.int8, np.int64]))
-def test_distinct_equals_np_unique(values, dtype):
-    if dtype is np.int8:
-        values = [v % 256 - 128 for v in values]
-    array = np.array(values, dtype=dtype)
-    want = np.unique(array, return_index=True, return_inverse=True, return_counts=True)
-    got = distinct(array)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_isogeny_class_strips_trailing_index():

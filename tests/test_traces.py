@@ -144,7 +144,7 @@ class TestTraceMatrix:
             raise AssertionError("traces computed at an unsupported prime")
 
         # the kernel counts through these; its bound check must come first
-        for counting in ("_chi_table", "_inverse_table", "_class_table", "_ap_tiny"):
+        for counting in ("_chi_table", "_inverse_table", "_class_table", "_tiny_traces"):
             monkeypatch.setattr(traces, counting, no_counting)
         with pytest.raises(ValueError, match="supported maximum"):
             build_trace_matrix(known_table, PrimeList([268_435_459]))
@@ -155,7 +155,7 @@ class TestTraceMatrix:
             raise AssertionError("traces computed at an unsupported prime")
 
         monkeypatch.setattr(traces, "MAX_PRIME", 97)
-        for counting in ("_chi_table", "_inverse_table", "_class_table", "_ap_tiny"):
+        for counting in ("_chi_table", "_inverse_table", "_class_table", "_tiny_traces"):
             monkeypatch.setattr(traces, counting, no_counting)
         with pytest.raises(ValueError, match="prime 101 exceeds the supported maximum 97"):
             next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [101], None))
@@ -237,6 +237,19 @@ class TestKernelPinned:
             "7aeba80ff02ab76e17f9b9ac5f22a1dfb144afed377b613402e43628601de31b"
         assert hashlib.sha256(bad.tobytes()).hexdigest() == \
             "8df84899d8aeff8072e3d49c86019fb057e47ec619e09adb7733d365b83dad12"
+
+
+def _moved(model, rng):
+    """The model moved by x -> x + r, y -> y + s x + t, with r, s, t up to 2^70.
+
+    The same curve: c4, c6 and the discriminant stay, the a-invariants pass 2^63.
+    """
+    a1, a2, a3, a4, a6 = model
+    r, s, t = (int(v) * 2**int(e) for v, e in zip(rng.integers(-9, 10, size=3),
+                                                  rng.integers(0, 71, size=3)))
+    return (a1 + 2 * s, a2 - s * a1 + 3 * r - s * s, a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1)
 
 
 def _legendre(a: int, p: int) -> int:
@@ -334,19 +347,21 @@ class TestTwistClassKernel:
                    for p in SMALL_PRIMES[2:])
 
     def test_tiny_primes_enumerate_each_reduction_once(self, monkeypatch):
-        calls = []
-        real = traces._ap_tiny
+        columns = []
+        real = traces._tiny_traces
 
-        def counting(a_invariants, conductor, p):
-            calls.append((tuple(v % p for v in a_invariants), conductor % p == 0, p))
-            return real(a_invariants, conductor, p)
+        def counting(residues, bad, p):
+            columns.extend((tuple(r), b, p) for r, b in zip(residues.T.tolist(), bad.tolist()))
+            return real(residues, bad, p)
 
-        monkeypatch.setattr(traces, "_ap_tiny", counting)
+        monkeypatch.setattr(traces, "_tiny_traces", counting)
         models = [m for m in ((a1, 0, 0, a4, a6) for a1 in (0, 1) for a4 in range(-6, 6)
                               for a6 in range(-6, 6)) if model_discriminant(m)]
         conductors = [synthetic_conductor(m, [2, 3]) for m in models]
         got, _ = traces._trace_columns(models, conductors, [2, 3], None)
-        assert len(calls) == len(set(calls)) < len(models)
+        reductions = {(tuple(v % p for v in m), N % p == 0, p)
+                 for m, N in zip(models, conductors) for p in (2, 3)}
+        assert len(columns) == len(set(columns)) < len(models) and set(columns) == reductions
         for i, model in enumerate(models):
             assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in (2, 3)]
 
@@ -357,18 +372,36 @@ class TestTwistClassKernel:
         rng = np.random.default_rng(23)
         models, conductors = [], []
         for i in range(60):
-            a1, a2, a3, a4, a6 = random_nonsingular_model(rng)
-            r, s, t = (int(v) * 2**int(e) for v, e in zip(rng.integers(-9, 10, size=3),
-                                                          rng.integers(0, 71, size=3)))
-            models.append((a1 + 2 * s, a2 - s * a1 + 3 * r - s * s, a3 + r * a1 + 2 * t,
-                           a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-                           a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1))
+            models.append(_moved(random_nonsingular_model(rng), rng))
             conductors.append(int(rng.choice([1, 2, 3, 6, 5, 7])) * (11 + i))
         assert max(abs(v) for m in models for v in m) >= 2**63
         got, bad = traces._trace_columns(models, conductors, [2, 3], None)
         for i, model in enumerate(models):
             assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in (2, 3)]
             assert list(bad[i]) == [conductors[i] % p == 0 for p in (2, 3)]
+
+    @pytest.mark.parametrize("as_int64", [False, True], ids=["python-ints", "int64-scalars"])
+    def test_short_models_past_int64_match_enumeration_oracle(self, as_int64):
+        # models scaled by u = 2^9 (a_i u^i), minimal at every p >= 5, whose
+        # short models pass 2^63: multi-limb residues at 5 <= p <= 47, where
+        # conductors keep p | N <=> p | disc.  Moved as above, the a-invariants
+        # pass 2^63 too; as NumPy int64 scalars they fit, but A and B do not
+        rng = np.random.default_rng(29)
+        primes = [p for p in SMALL_PRIMES if 5 <= p <= 47]
+        models = [tuple(a * 2 ** (9 * i) for a, i in zip(random_nonsingular_model(rng),
+                                                        (1, 2, 3, 4, 6)))
+                  for _ in range(30)]
+        if as_int64:
+            supplied = [tuple(map(np.int64, m)) for m in models]
+        else:
+            models = supplied = [_moved(m, rng) for m in models]
+            assert max(abs(v) for m in models for v in m) >= 2**63
+        assert max(abs(v) for m in models for v in short_weierstrass(m)) >= 2**63
+        conductors = [synthetic_conductor(m, primes) for m in models]
+        got, bad = traces._trace_columns(supplied, conductors, primes, None)
+        for i, model in enumerate(models):
+            assert list(got[i]) == [ap_oracle(model, conductors[i], p) for p in primes]
+            assert list(bad[i]) == [conductors[i] % p == 0 for p in primes]
 
     @pytest.fixture()
     def tables_built(self, monkeypatch):
@@ -402,14 +435,11 @@ class TestTwistClassKernel:
         direct = traces._character_sums(short[:, 0], short[:, 1], p, traces._chi_table(p))
         assert np.array_equal(got[:, 0], -direct)
 
-    def test_coefficients_count_no_curve_past_its_own_n_max(self, curve_11a1,
-                                                          rows_summed):
-        # 11a1 stops at 60 and 37a1 at 200: above 60 each prime sums one row
+    def test_coefficients_of_curves_together_equal_each_alone(self, curve_11a1):
+        # 11a1 stops at 60 and 37a1 at 200
         models, conductors = [curve_11a1.a_invariants, (0, 0, 1, -1, 0)], [11, 37]
         both = list(dirichlet_coefficients(models, conductors, [60, 200], None))
         assert [len(an) - 1 for an in both] == [60, 200]
-        assert all(rows_summed[p] == 1 for p in SMALL_PRIMES if 60 < p <= 200)
-        assert all(rows_summed[p] <= 2 for p in SMALL_PRIMES if 5 <= p <= 60)
         for an, model, N, n_max in zip(both, models, conductors, [60, 200]):
             alone = next(dirichlet_coefficients([model], [N], [n_max], None))
             assert np.array_equal(an, alone)
@@ -456,7 +486,8 @@ class TestClassTable:
              MAX_PRIME)
     @example([(-2**200, 2**200)], 5)
     def test_limb_residues_equal_python_modulo(self, models, p):
-        a, b = traces._residues(traces._limbs(models), p)
+        columns = np.array(models, dtype=object).reshape(-1, 2).T
+        a, b = traces._residues(traces._limbs(columns), p)
         assert a.tolist() == [A % p for A, _ in models]
         assert b.tolist() == [B % p for _, B in models]
 
