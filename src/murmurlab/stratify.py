@@ -12,13 +12,17 @@ of n rows are the permutations of n that default_rng(seed) draws in turn, so
 groupings of equal n tested together share each drawn block, each applying
 it to its own rows.  The streams of different n are independent, so each
 runs as one task on a thread pool of as many workers as the process has
-CPUs; NumPy's draws and matrix products release the GIL.  Traces are
+CPUs; NumPy's draws and matrix products release the GIL.  A stream holds
+one permutation array and one converted copy of each distinct row set among
+its groupings, so its memory does not grow with the groupings that share a
+row set: the copy is in sorted row order, and each grouping scatters into
+it through a map from its own member order.  Traces are
 integers, so every group sum is exact: the observed separation and the
 total take theirs in int64 from the int16 rows, and the shuffles in float32
 when n * max|a_p| < 2**24, the integers float32 holds exactly, and in
-float64 otherwise.  A grouping's null is therefore the same, bit for bit,
-whether it is tested alone or with others, and whatever the scheduling of
-the streams or the threading of the BLAS.
+float64 otherwise, in whatever row order.  A grouping's null is therefore
+the same, bit for bit, whether it is tested alone or with others, and
+whatever the scheduling of the streams or the threading of the BLAS.
 """
 
 from __future__ import annotations
@@ -202,28 +206,24 @@ class StratReports(tuple):
 
 
 class _Null:
-    """One grouping's rows in its own order, observed separation and null.
+    """One grouping's observed separation and null, over a shared row copy.
 
-    The observed group means and the total come from int64 sums of the
-    integer trace rows, exact and so equal to any float64 sum of them; the
-    rows the shuffles scatter are converted once, to float32 when that sums
-    them exactly.
+    The observed group means and the total come from int64 sums of each
+    group's integer trace rows, exact and so equal to any float64 sum of
+    them.  The shuffles scatter into `rows`, the converted copy of the
+    grouping's row set, through `position`: the copy row of each member in
+    the grouping's own order.
     """
 
-    def __init__(self, members: list[Sequence[int]], matrix: TraceMatrix,
-                 n_shuffles: int):
+    def __init__(self, members: list[Sequence[int]], traces: np.ndarray,
+                 rows: np.ndarray, position: np.ndarray, n_shuffles: int):
         self.sizes = [len(g) for g in members]
         self.bounds = np.concatenate([[0], np.cumsum(self.sizes)])
-        rows = matrix.traces[np.concatenate(members)]
-        sums = [rows[self.bounds[i]:self.bounds[i + 1]].sum(axis=0, dtype=np.int64)
-                for i in range(len(self.sizes))]
+        sums = [traces[g].sum(axis=0, dtype=np.int64) for g in members]
         self.observed = float(rms_separation([s / n for s, n in zip(sums, self.sizes)]))
         self.total = np.sum(sums, axis=0).astype(np.float64)
-        # every partial group sum is an integer of magnitude <= n * max|a_p|,
-        # bounded in Python ints: np.abs of int16 -32768 is -32768
-        peak = max(-int(rows.min()), int(rows.max()))
-        exact32 = len(rows) * peak < _FLOAT32_EXACT
-        self.rows = rows.astype(np.float32 if exact32 else np.float64)
+        self.rows = rows
+        self.position = position
         self.largest = int(np.argmax(self.sizes))
         self.values = np.empty(n_shuffles)
 
@@ -239,11 +239,12 @@ class _Null:
             if i == self.largest:
                 continue
             onehot = np.zeros((block, n_total), dtype=self.rows.dtype)
-            picked = perms[:, self.bounds[i]:self.bounds[i + 1]] + row_starts
+            picked = self.position[perms[:, self.bounds[i]:self.bounds[i + 1]]]
+            picked += row_starts
             onehot.reshape(-1)[picked.ravel()] = 1
-            sums = (onehot @ self.rows).astype(np.float64, copy=False)
+            sums = onehot @ self.rows
             running += sums
-            means[i] = sums / size
+            np.divide(sums, size, out=means[i], dtype=np.float64)
         means[self.largest] = (self.total[None, :] - running) / self.sizes[self.largest]
         return means
 
@@ -272,20 +273,52 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _converted(rows: np.ndarray) -> np.ndarray:
+    """Integer trace rows as float32 when that sums any subset exactly, else float64."""
+    # every partial group sum is an integer of magnitude <= n * max|a_p|,
+    # bounded in Python ints: np.abs of int16 -32768 is -32768
+    peak = max(-int(rows.min()), int(rows.max()))
+    return rows.astype(np.float32 if len(rows) * peak < _FLOAT32_EXACT else np.float64)
+
+
+def _nulls(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
+           n_shuffles: int) -> list[_Null]:
+    """A _Null per grouping, with one converted copy per distinct row set.
+
+    A row set is the grouping's sorted member rows, a row listed twice
+    counting twice, and its copy is in that sorted order.  A grouping's
+    position map sends each member, in its own order, to its own copy row.
+    """
+    copies: dict[bytes, np.ndarray] = {}
+    nulls = []
+    for members in member_lists:
+        order = np.concatenate(members)
+        ranks = np.argsort(order)
+        key = order[ranks].tobytes()
+        if key not in copies:
+            copies[key] = _converted(matrix.traces[order[ranks]])
+        position = np.empty_like(ranks)
+        position[ranks] = np.arange(len(order))
+        nulls.append(_Null(members, matrix.traces, copies[key], position, n_shuffles))
+    return nulls
+
+
 def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
                    n_total: int, n_shuffles: int, seed: int) -> list[StratReport]:
     """Reports of groupings of n_total rows each, from one drawn stream."""
-    nulls = [_Null(members, matrix, n_shuffles) for members in member_lists]
+    nulls = _nulls(member_lists, matrix, n_shuffles)
     rng = np.random.default_rng(seed)
-    max_block = max(1, min(_SHUFFLE_BLOCK, (1 << 24) // n_total))
+    identity = np.arange(n_total)
+    perms = np.empty((max(1, min(_SHUFFLE_BLOCK, (1 << 24) // n_total, n_shuffles)),
+                      n_total), dtype=identity.dtype)
     done = 0
     while done < n_shuffles:
-        block = min(max_block, n_shuffles - done)
-        perms = np.broadcast_to(np.arange(n_total), (block, n_total)).copy()
-        rng.permuted(perms, axis=1, out=perms)
+        block = perms[:n_shuffles - done]
+        block[:] = identity
+        rng.permuted(block, axis=1, out=block)
         for null in nulls:
-            null.values[done:done + block] = rms_separation(null.means(perms))
-        done += block
+            null.values[done:done + len(block)] = rms_separation(null.means(block))
+        done += len(block)
     return [null.report(seed) for null in nulls]
 
 
@@ -303,7 +336,8 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     share one stream, drawn once, and each report is the one its grouping
     gets alone.  Each such bucket is one task on a thread pool, largest n
     first, with as many workers as the process may use CPUs (at most one
-    per bucket), so the rows of up to that many buckets are held at once.
+    per bucket).  A running bucket holds one converted copy of each distinct
+    row set among its groupings and one array of drawn permutations.
     Reports come back in call order whatever the scheduling.  A command
     gathers every grouping it tests and makes one call, so no stream is
     drawn twice.

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,26 +251,29 @@ def null_blocks(monkeypatch):
     return blocks
 
 
-#: group sizes, trace range and the share of traces set to -32768, the
-#: int16 minimum; n * max|a_p| is below 2**24 for the first two, so their
-#: group sums are formed in float32, and above it for the others.  In the
-#: last, max|a_p| is 32768 only through the minimum, whose np.abs wraps to
-#: itself: a bound taken that way would pick float32 and round the sums
+#: group sizes of each grouping, all over one row set in their own member
+#: orders, trace range and the share of traces set to -32768, the int16
+#: minimum; n * max|a_p| is below 2**24 for the first two, so their group
+#: sums are formed in float32, and above it for the others.  In the last,
+#: max|a_p| is 32768 only through the minimum, whose np.abs wraps to itself:
+#: a bound taken that way would pick float32 and round the sums
 ORACLE_CASES = {
-    "float32-k2": ((23, 157), (-30, 31), 0.0),
-    "float32-k4": ((11, 40, 64, 85), (-30, 31), 0.0),
-    "float64-k2": ((560, 640), (29_500, 32_001), 0.0),
-    "float64-k4": ((560, 600, 700, 900), (29_500, 32_001), 0.0),
-    "float64-int16-min": ((700, 800), (-30, 31), 0.9),
+    "float32-k2": (((23, 157),), (-30, 31), 0.0),
+    "float32-k4": (((11, 40, 64, 85),), (-30, 31), 0.0),
+    "float64-k2": (((560, 640),), (29_500, 32_001), 0.0),
+    "float64-k4": (((560, 600, 700, 900),), (29_500, 32_001), 0.0),
+    "float64-k2-k4-one-set": (((1000, 1400), (560, 600, 640, 600)), (29_500, 32_001),
+                              0.0),
+    "float64-int16-min": (((700, 800),), (-30, 31), 0.9),
 }
 
 
 class TestSharedStream:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_null_bit_equal_to_float64_oracle(self, null_blocks, case):
-        sizes, (lo, hi), at_min = ORACLE_CASES[case]
+        shapes, (lo, hi), at_min = ORACLE_CASES[case]
         rng = np.random.default_rng(41)
-        n = sum(sizes)
+        n = sum(shapes[0])
         traces = rng.integers(lo, hi, size=(n, 8)).astype(np.int16)
         if at_min:
             traces[rng.random(traces.shape) < at_min] = np.iinfo(np.int16).min
@@ -278,27 +282,31 @@ class TestSharedStream:
         if case.startswith("float64"):
             # the smaller groups' float32 sums would round, so a wrong dtype
             # would show in the null
-            head = traces[:min(sizes)]
+            head = traces[:min(min(sizes) for sizes in shapes)]
             rounded = np.ones((1, len(head)), np.float32) @ head.astype(np.float32)
             assert np.any(rounded[0] != head.sum(axis=0, dtype=np.int64))
-        members = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
-        rep = permutation_test([members], _plain_matrix(traces), n_shuffles=300,
-                               seed=5)[0]
-        observed, null = permutation_null(members, traces, 300, 5)
-        assert rep.observed_rms == observed
-        assert np.array_equal(np.concatenate(null_blocks), null)
+        groupings = [np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+                     for sizes in shapes]
+        reports = permutation_test(groupings, _plain_matrix(traces), n_shuffles=300,
+                                   seed=5)
+        for i, members in enumerate(groupings):  # the blocks of one stream interleave
+            observed, null = permutation_null(members, traces, 300, 5)
+            assert reports[i].observed_rms == observed
+            assert np.array_equal(np.concatenate(null_blocks[i::len(groupings)]), null)
 
     def test_batched_reports_equal_solo_reports(self, monkeypatch):
         rng = np.random.default_rng(43)
         n = 150
         matrix = _plain_matrix(rng.integers(-20, 21, size=(n, 12)).astype(np.int16))
         rows = rng.permutation(n)
+        backwards = rows[:120][::-1]
         groupings = [
             {"a": rows[:40], "b": rows[40:120]},  # 120 rows
             [rows[100:110], rows[30:100], rows[110:150]],  # 120 other rows
             [rows[:60], rows[60:90]],  # 90
             {"q1": rows[:20], "q2": rows[20:50], "q3": rows[50:80], "q4": rows[80:120]},
             [rows[:75], rows[75:]],  # 150
+            [backwards[:55], backwards[55:]],  # the first 120 rows in another order
         ]
         solo = [permutation_test([g], matrix, n_shuffles=300, seed=7)[0]
                 for g in groupings]
@@ -306,13 +314,33 @@ class TestSharedStream:
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: seeds.append(seed) or real(seed))
-        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+        for order in ([0, 1, 2, 3, 4, 5], [4, 5, 2, 0, 3, 1]):
             seeds.clear()
             batched = permutation_test([groupings[i] for i in order], matrix,
                                        n_shuffles=300, seed=7)
             assert list(batched) == [solo[i] for i in order]
-            assert batched.n_shuffles == 5 * 300
+            assert batched.n_shuffles == 6 * 300
             assert seeds == [7, 7, 7]  # one stream for each of 120, 90 and 150 rows
+
+    def test_memory_independent_of_groupings_over_one_row_set(self):
+        rng = np.random.default_rng(59)
+        n = 3000  # rows outweigh the one block of shuffles
+        matrix = _plain_matrix(rng.integers(-20, 21, size=(n, 500)).astype(np.int16))
+        groupings = []
+        for split in (300, 600, 900, 1200):
+            rows = rng.permutation(n)
+            groupings.append([rows[:split], rows[split:]])
+
+        def peak(tested):
+            tracemalloc.start()
+            try:
+                permutation_test(tested, matrix, n_shuffles=128, seed=13)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone, together = peak(groupings[:1]), peak(groupings)
+        assert together <= 1.25 * alone
 
     def test_scheduling_moves_no_bit(self, monkeypatch):
         rng = np.random.default_rng(47)
