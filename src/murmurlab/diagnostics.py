@@ -115,8 +115,6 @@ def _angle_pool(rows: Sequence[int], matrix: TraceMatrix) -> np.ndarray:
     pool = theta[good]
     if pool.size == 0:
         raise ValueError("empty Sato-Tate angle pool")
-    if np.any(pool < 0) or np.any(pool > math.pi):
-        raise AssertionError("Sato-Tate angles outside [0, pi]")
     return pool
 
 

@@ -13,16 +13,17 @@ groupings of equal n tested together share each drawn block, each applying
 it to its own rows.  The streams of different n are independent, so each
 runs as one task on a thread pool of as many workers as the process has
 CPUs; NumPy's draws and matrix products release the GIL.  A stream holds
-one permutation array and one converted copy of each distinct row set among
-its groupings, so its memory does not grow with the groupings that share a
-row set: the copy is in sorted row order, and each grouping scatters into
-it through a map from its own member order.  Traces are
-integers, so every group sum is exact: the observed separation and the
-total take theirs in int64 from the int16 rows, and the shuffles in float32
-when n * max|a_p| < 2**24, the integers float32 holds exactly, and in
-float64 otherwise, in whatever row order.  A grouping's null is therefore
-the same, bit for bit, whether it is tested alone or with others, and
-whatever the scheduling of the streams or the threading of the BLAS.
+one permutation array, one one-hot buffer per copy dtype and one converted
+copy of each distinct row set among its groupings, so its memory does not
+grow with the groupings that share a row set: the copy is in sorted row
+order, and each grouping scatters into it through a map from its own
+member order.  Traces are integers, so every group sum is exact: the
+observed separation and the total take theirs in int64 from the int16
+rows, and the shuffles in float32 when n * max|a_p| < 2**24, the integers
+float32 holds exactly, and in float64 otherwise, in whatever row order.  A
+grouping's null is therefore the same, bit for bit, whether it is tested
+alone or with others, and whatever the scheduling of the streams or the
+threading of the BLAS.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ if TYPE_CHECKING:
 
 _INF = float("inf")
 #: shuffles per block of the permutation null, the memory bound of one running
-#: stream: its drawn permutations and one one-hot scatter matrix are block x n
+#: stream: its drawn permutations and each one-hot scatter buffer are block x n
 #: arrays, and the block shrinks so that each stays within 2**24 entries
 #: (128 MB at 8 bytes) whatever the table size.  A block's rows are drawn in
 #: turn, so its size moves no bit of the null
@@ -227,25 +228,27 @@ class _Null:
         self.largest = int(np.argmax(self.sizes))
         self.values = np.empty(n_shuffles)
 
-    def means(self, perms: np.ndarray) -> np.ndarray:
-        """Group mean profiles under each permutation of a block (block x n)."""
+    def means(self, perms: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Group mean profiles per permutation; flat, a zeroed one-hot, is left zeroed."""
         block = len(perms)
         n_total, n_primes = self.rows.shape
-        means = np.empty((len(self.sizes), block, n_primes))
-        running = np.zeros((block, n_primes))
+        means = np.zeros((len(self.sizes), block, n_primes))
+        running = means[self.largest]
+        onehot = flat[:block * n_total].reshape(block, n_total)
         row_starts = np.arange(block)[:, None] * n_total
         # one-hot matmuls for the smaller groups; the largest is the complement
         for i, size in enumerate(self.sizes):
             if i == self.largest:
                 continue
-            onehot = np.zeros((block, n_total), dtype=self.rows.dtype)
             picked = self.position[perms[:, self.bounds[i]:self.bounds[i + 1]]]
             picked += row_starts
-            onehot.reshape(-1)[picked.ravel()] = 1
+            flat[picked] = 1
             sums = onehot @ self.rows
+            flat[picked] = 0
             running += sums
             np.divide(sums, size, out=means[i], dtype=np.float64)
-        means[self.largest] = (self.total[None, :] - running) / self.sizes[self.largest]
+        np.subtract(self.total[None, :], running, out=running)
+        running /= self.sizes[self.largest]
         return means
 
     def report(self, seed: int) -> StratReport:
@@ -311,13 +314,15 @@ def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
     identity = np.arange(n_total)
     perms = np.empty((max(1, min(_SHUFFLE_BLOCK, (1 << 24) // n_total, n_shuffles)),
                       n_total), dtype=identity.dtype)
+    onehots = {null.rows.dtype: np.zeros(perms.size, null.rows.dtype) for null in nulls}
     done = 0
     while done < n_shuffles:
         block = perms[:n_shuffles - done]
         block[:] = identity
         rng.permuted(block, axis=1, out=block)
         for null in nulls:
-            null.values[done:done + len(block)] = rms_separation(null.means(block))
+            null.values[done:done + len(block)] = rms_separation(
+                null.means(block, onehots[null.rows.dtype]))
         done += len(block)
     return [null.report(seed) for null in nulls]
 
@@ -337,10 +342,10 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     gets alone.  Each such bucket is one task on a thread pool, largest n
     first, with as many workers as the process may use CPUs (at most one
     per bucket).  A running bucket holds one converted copy of each distinct
-    row set among its groupings and one array of drawn permutations.
-    Reports come back in call order whatever the scheduling.  A command
-    gathers every grouping it tests and makes one call, so no stream is
-    drawn twice.
+    row set among its groupings, one array of drawn permutations and one
+    one-hot buffer per copy dtype.  Reports come back in call order whatever
+    the scheduling.  A command gathers every grouping it tests and makes one
+    call, so no stream is drawn twice.
     """
     if n_shuffles < 1:
         raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")

@@ -37,7 +37,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +59,9 @@ _CHUNK_BUDGET = 1 << 16
 #: 3,571, and ~28 at 10,007
 _TABLE_CROSSOVER = 32
 
+#: cap on the int64 coefficients of one `dirichlet_coefficients` block (8 MiB)
+_COEFFICIENT_BUDGET = 1 << 20
+
 #: digit width of `_limbs`: a digit below 2^62 plus a product of two residues
 #: below MAX_PRIME < 2^28 stays below 2^63
 _LIMB_BITS = 62
@@ -66,10 +69,6 @@ _LIMB_BITS = 62
 
 class TraceComputationError(ValueError):
     pass
-
-
-class MissingTraceError(ValueError):
-    """A Dirichlet coefficient was requested beyond the supplied prime traces."""
 
 
 class CacheFormatError(ValueError):
@@ -418,45 +417,39 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList) -> TraceMatrix:
     return TraceMatrix(labels, primes, traces, bad, table)
 
 
-def extend_an(ap_by_prime: Mapping[int, int], conductor: int, n_max: int) -> np.ndarray:
-    """Dirichlet coefficients a_1..a_n_max from prime traces.
+def _coefficient_sieve(traces: np.ndarray, conductors: np.ndarray, primes: list[int],
+                       n_maxes: list[int]) -> Iterator[np.ndarray]:
+    """a_0..a_n_max of each curve of a block, from one sieve of an (n, curve) int64 array.
 
-    Hecke recursion at good prime powers, a_{p^k} = a_p^k at bad primes,
-    multiplicative across coprime factors.  Returns an array indexed by n
-    (entry 0 unused).
+    a_n is multiplicative: at each prime power q = p^e the rows n with p^e || n are
+    multiplied by a_q, a_p a_{q/p} - p a_{q/p^2} at good p and a_p^e at bad p (p | N).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    spf = np.arange(n_max + 1, dtype=np.int64)  # smallest prime factor
-    for i in range(2, int(n_max**0.5) + 1):
-        if spf[i] == i:
-            block = spf[i * i :: i]
-            np.minimum(block, i, out=block)
-    an = np.zeros(n_max + 1, dtype=np.int64)
-    an[1] = 1
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        if spf[n] == n and p not in ap_by_prime:
-            raise MissingTraceError(f"no trace supplied for prime {p}")
-        m = n // p
-        ap = ap_by_prime[p]
-        if m % p != 0 or conductor % p == 0:
-            an[n] = ap * an[m]
-        else:
-            an[n] = ap * an[m] - p * an[m // p]
-    return an
+    n_max = max(n_maxes)
+    an = np.ones((n_max + 1, len(n_maxes)), dtype=np.int64)
+    an[0] = 0
+    for p, ap in zip(primes, traces.T.astype(np.int64)):
+        bad = conductors % p == 0
+        q, before, power = p, 1, ap
+        while q <= n_max:
+            n = np.arange(q, n_max + 1, q)
+            an[n[n // q % p != 0]] *= power
+            before, power = power, np.where(bad, ap * power, ap * power - p * before)
+            q *= p
+    for column, n_max in zip(an.T, n_maxes):
+        yield column[:n_max + 1].copy()
 
 
 def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
                            n_maxes: Sequence[int],
                            known: np.ndarray | None) -> Iterator[np.ndarray]:
-    """a_1..a_n_max of each curve, one curve at a time.
+    """a_0..a_n_max of each curve (a_0 = 0), yielded in call order.
 
     known holds the curves' traces at the first known.shape[1] primes (their
     rows of a trace matrix), which are not counted again.  Each prime past
     them up to the largest n_max is counted once for all the curves, in one
-    `_trace_columns` sweep.  Only that trace table and the coefficients
-    being yielded are held at once.
+    `_trace_columns` sweep.  One sieve gives each block of curves, as many as
+    `_COEFFICIENT_BUDGET` holds at the largest n_max, their coefficients: only
+    that trace table and one block of coefficients are held at once.
     """
     n_maxes = [int(n) for n in n_maxes]
     if not n_maxes:
@@ -468,8 +461,11 @@ def dirichlet_coefficients(a_invariants: Sequence[Sequence[int]], conductors,
         traces[:, :start] = known[:, :start]
     if start < len(primes):
         traces[:, start:], _ = _trace_columns(a_invariants, conductors, primes[start:], None)
-    for conductor, n_max, row in zip(conductors, n_maxes, traces):
-        yield extend_an(dict(zip(primes, row.tolist())), int(conductor), n_max)
+    conductors = np.asarray(conductors, dtype=np.int64)
+    size = max(1, _COEFFICIENT_BUDGET // (max(n_maxes) + 1))
+    for first in range(0, len(n_maxes), size):
+        block = slice(first, first + size)
+        yield from _coefficient_sieve(traces[block], conductors[block], primes, n_maxes[block])
 
 
 _MAGIC, _VERSION = b"MURM", 2

@@ -2,12 +2,15 @@
 
 These deliberately avoid the production code paths: point counts come from
 full enumeration of the Weierstrass equation over F_p x F_p (vectorised
-meshgrid, no residue tables, no short-model transform), and values of the
-completed L-function come from both sums of the functional equation in
-mpmath (no float incomplete gamma, no one-sum shortcut).  The permutation
-null is the float64 one-hot computation of one grouping at a time, with its
-own draw of the stream and every group but the last summed by matmul.
-Reduction types are classified by a walk over every curve and bad prime.
+meshgrid, no residue tables, no short-model transform).  Dirichlet
+coefficients come one curve and one n at a time from the Hecke recursion
+over a smallest-prime-factor sieve (no prime-power sieve over a block of
+curves), and values of the completed L-function come from both sums of the
+functional equation in mpmath (no float incomplete gamma, no one-sum
+shortcut).  The permutation null is the float64 one-hot computation of one
+grouping at a time, with its own draw of the stream and every group but the
+last summed by matmul.  Reduction types are classified by a walk over every
+curve and bad prime.
 The curves CSV is parsed row by row, one CurveRecord and one
 validate_record per row, with its own copy of the label pattern and of
 every invariant rule.  Nearest-neighbour matching scans every unused curve
@@ -92,6 +95,33 @@ def synthetic_conductor(model, primes):
     if n < 11:
         n *= 999983  # prime, far outside any default prime list
     return n
+
+
+def extend_an(ap_by_prime, conductor, n_max):
+    """Dirichlet coefficients a_1..a_n_max from prime traces.
+
+    Hecke recursion at good prime powers, a_{p^k} = a_p^k at bad primes,
+    multiplicative across coprime factors.  Returns an array indexed by n
+    (entry 0 unused).
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    spf = np.arange(n_max + 1, dtype=np.int64)  # smallest prime factor
+    for i in range(2, int(n_max**0.5) + 1):
+        if spf[i] == i:
+            block = spf[i * i :: i]
+            np.minimum(block, i, out=block)
+    an = np.zeros(n_max + 1, dtype=np.int64)
+    an[1] = 1
+    for n in range(2, n_max + 1):
+        p = int(spf[n])
+        m = n // p
+        ap = ap_by_prime[p]
+        if m % p != 0 or conductor % p == 0:
+            an[n] = ap * an[m]
+        else:
+            an[n] = ap * an[m] - p * an[m // p]
+    return an
 
 
 def lambda_afe(series, t, cut=1.0, root_number=None):

@@ -558,8 +558,7 @@ class TestErrorReports:
                    for cls in vars(importlib.import_module(name)).values()
                    if isinstance(cls, type) and issubclass(cls, BaseException)
                    and cls.__module__ == name}
-        assert {"murmurlab.cli.CliError", "murmurlab.traces.MissingTraceError",
-                "murmurlab.traces.CacheFormatError"} <= set(classes)
+        assert {"murmurlab.cli.CliError", "murmurlab.traces.CacheFormatError"} <= set(classes)
         assert [name for name, cls in classes.items() if not issubclass(cls, ValueError)] == []
 
 

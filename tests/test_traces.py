@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,20 +19,18 @@ from murmurlab.traces import (
     MAX_PRIME,
     CacheCorruptionError,
     CacheFormatError,
-    MissingTraceError,
     PrimeList,
     TraceComputationError,
     build_trace_matrix,
     default_prime_list,
     dirichlet_coefficients,
-    extend_an,
     load_trace_matrix,
     persist_trace_matrix,
     short_weierstrass,
 )
 
 from conftest import TWIST_DS, records, table_of, twist_of_11a1
-from oracles import (ap_oracle, model_discriminant, random_nonsingular_model,
+from oracles import (ap_oracle, extend_an, model_discriminant, random_nonsingular_model,
                      synthetic_conductor)
 
 SMALL_PRIMES = [int(p) for p in sieve_up_to(200)]
@@ -529,10 +528,6 @@ class TestExtendAn:
                 if math.gcd(m, n) == 1:
                     assert an[m * n] == an[m] * an[n]
 
-    def test_missing_prime_named(self):
-        with pytest.raises(MissingTraceError, match="7"):
-            extend_an({2: -2, 3: -1, 5: 1}, 11, 10)
-
     def test_known_traces_give_the_counted_coefficients(self):
         # a matrix over the first 30 primes (to 113) covers part of n_max = 600
         # and the first 120 (to 659) all of it; either way nothing changes
@@ -548,6 +543,49 @@ class TestExtendAn:
     def test_bad_prime_powers_multiply(self, curve_11a1):
         an = next(dirichlet_coefficients([curve_11a1.a_invariants], [11], [121], None))
         assert an[121] == 1  # a_11 = +1, so a_{11^2} = 1
+
+    @pytest.mark.parametrize("curves_per_block", [1, 3, None])
+    def test_sieve_equals_the_per_n_recursion(self, curves_per_block, monkeypatch):
+        # conductors divisible by p^e of every small prime, so bad a_p in
+        # {-1, 0, 1} meet p^e || n for e >= 2; n_max differs per curve, down to
+        # 1; known covers every prime, so no model is read
+        n_maxes = [1, 700, 64, 2, 500, 729, 1000, 9, 343, 128, 31, 999]
+        if curves_per_block:
+            monkeypatch.setattr(traces, "_COEFFICIENT_BUDGET",
+                                curves_per_block * (max(n_maxes) + 1))
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            conductors = [math.prod(p ** int(rng.integers(0, 3)) for p in (2, 3, 5, 7, 11, 31))
+                          for _ in n_maxes]
+            known = random_traces(rng, conductors, sieve_up_to(max(n_maxes)))
+            got = list(dirichlet_coefficients([None] * len(n_maxes), conductors, n_maxes,
+                                              known))
+            primes = sieve_up_to(max(n_maxes)).tolist()
+            for an, row, N, n_max in zip(got, known, conductors, n_maxes, strict=True):
+                assert np.array_equal(an, extend_an(dict(zip(primes, row.tolist())), N, n_max))
+
+    def test_coefficients_hold_one_block(self):
+        # 500 curves at n_max 20,000 hold 80 MB of coefficients, one block 8 MiB;
+        # the bound adds a block for the sieve's row gathers, and the trace table
+        n_max, count = 20_000, 500
+        known = random_traces(np.random.default_rng(5), [20_011] * count, sieve_up_to(n_max))
+        tracemalloc.start()
+        try:
+            for an in dirichlet_coefficients([None] * count, [20_011] * count,
+                                             [n_max] * count, known):
+                assert an.shape == (n_max + 1,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * traces._COEFFICIENT_BUDGET + known.nbytes
+
+
+def random_traces(rng, conductors, primes):
+    """int16 traces of each curve at primes: within the Hasse bound, in {-1, 0, 1} at p | N."""
+    bound = np.floor(2.0 * np.sqrt(primes)).astype(np.int64)
+    bad = np.array(conductors)[:, None] % primes == 0
+    limit = np.where(bad, 1, bound)
+    return rng.integers(-limit, limit + 1).astype(np.int16)
 
 
 #: the SHA-256 a cache records as the CSV's: any 32 bytes
