@@ -326,9 +326,10 @@ def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
         per_rank = []
         for rank in (0, 1):
             series = windows.sliding_window_series(table, invariant, rank,
-                                                   cfg.window, cfg.step).finite()
-            export.write_series_csv(out / f"windows_{invariant}_rank{rank}.csv",
-                                    series, ("center", "mean"))
+                                                   cfg.window, cfg.step)
+            export.write_series_csv(out / f"windows_{invariant}_rank{rank}.csv", series,
+                                    {"invariant": invariant, "rank": rank,
+                                     "width": cfg.window, "step": cfg.step})
             if cfg.svg and len(series):
                 export.write_svg_lineplot(out / f"windows_{invariant}_rank{rank}.svg",
                                           series.centers, {invariant: series.values},
@@ -338,7 +339,7 @@ def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
         try:
             res = [windows.savgol_detrend(series) for series in per_rank]
         except ValueError:
-            continue  # a series too short to detrend: nothing to correlate
+            continue  # a series too short or uneven to detrend: nothing to correlate
         try:
             entry["residual_correlation"] = windows.residual_correlation(*res)
         except ValueError:
@@ -480,8 +481,7 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
     for (entry, _), strat_report in zip(tests, strat_reports):
         entry.update(strat_report.to_dict())
     battery["bsd_group_ratios"] = _part(bsd_group_ratios)
-    battery["period_vs_log_conductor"] = _part(confound.invariant_correlation, rank0,
-                                               "period", "conductor")
+    battery["period_vs_log_conductor"] = _part(confound.invariant_correlation, rank0)
     return {"conductor_range": list(ctx.conductor_range), "battery": battery}
 
 

@@ -216,10 +216,9 @@ def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
     return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
 
 
-def invariant_correlation(table: CurveTable, x: str, y: str) -> float:
-    """Pearson correlation of invariant x with the log of invariant y, "conductor" included."""
+def invariant_correlation(table: CurveTable) -> float:
+    """Pearson correlation of real period with log conductor."""
     if len(table) < 3:
         raise ValueError("need at least 3 records")
-    xv, yv = (table.conductors.astype(np.float64) if name == "conductor"
-              else invariant_values(table, name) for name in (x, y))
-    return pearson(xv, np.log(yv))
+    return pearson(invariant_values(table, "period"),
+                   np.log(table.conductors.astype(np.float64)))

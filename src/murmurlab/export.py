@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 from typing import Sequence
 
@@ -24,23 +23,21 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_xy_csv(path, x: Sequence, y: Sequence, header: tuple[str, str]) -> None:
-    """Two-column CSV; rows with non-finite y are skipped (window gaps)."""
+    """Two-column CSV, y serialised exactly via repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for xv, yv in zip(x, y):
-            if not math.isfinite(yv):
-                continue
             writer.writerow([xv, repr(float(yv))])
 
 
-def write_series_csv(path, series, header: tuple[str, str]) -> None:
-    """Series CSV plus a .meta.json sidecar with parameters and counts."""
-    write_xy_csv(path, series.centers, series.values, header)
+def write_series_csv(path, series, params: dict) -> None:
+    """Window series CSV plus a .meta.json sidecar with params and window counts."""
+    write_xy_csv(path, series.centers, series.values, ("center", "mean"))
     sidecar = {
-        "params": series.params,
+        "params": params,
         "n_points": int(len(series)),
-        "counts": None if series.counts is None else [int(c) for c in series.counts],
+        "counts": [int(c) for c in series.counts],
     }
     write_json(str(path) + ".meta.json", sidecar)
 
@@ -64,12 +61,10 @@ def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence], title: st
     x = np.asarray(x, dtype=np.float64)
     margin = 50
     colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-    finite_vals = np.concatenate(
-        [np.asarray(v, dtype=np.float64)[np.isfinite(v)] for v in series.values()]
-    )
-    if finite_vals.size == 0 or x.size == 0:
+    ys = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
+    if ys.size == 0 or x.size == 0:
         raise ValueError("nothing to plot")
-    y_lo, y_hi = float(finite_vals.min()), float(finite_vals.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     x_lo, x_hi = float(x.min()), float(x.max())
@@ -102,11 +97,7 @@ def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence], title: st
     ]
     for idx, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=np.float64)
-        pts = [
-            f"{sx(xv):.2f},{sy(yv):.2f}"
-            for xv, yv in zip(x, values)
-            if np.isfinite(yv)
-        ]
+        pts = [f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, values)]
         color = colors[idx % len(colors)]
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '

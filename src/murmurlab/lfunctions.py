@@ -125,26 +125,25 @@ class LSeries:
         return len(self.coefficients) - 1
 
     @classmethod
-    def from_curves(cls, records: Sequence[CurveRecord], n_max: int | None = None,
+    def from_curves(cls, records: Sequence[CurveRecord],
                     known: np.ndarray | None = None) -> Iterator["LSeries"]:
         """The series of each record in turn, from traces counted for them all.
 
-        Each has n_max coefficients, or by default the budget its own
-        conductor needs; known, the records' rows of a trace matrix over the
-        first primes, spares counting the traces it holds.  The series are
-        made as taken, so a caller that keeps none holds one at a time.
+        Each has the coefficient budget its own conductor needs; known, the
+        records' rows of a trace matrix over the first primes, spares
+        counting the traces it holds.  The series are made as taken, so a
+        caller that keeps none holds one at a time.
         """
-        n_maxes = [required_n_max(r.conductor) if n_max is None else n_max
-                   for r in records]
         coefficients = dirichlet_coefficients([r.a_invariants for r in records],
-                                              [r.conductor for r in records], n_maxes,
+                                              [r.conductor for r in records],
+                                              [required_n_max(r.conductor) for r in records],
                                               known)
         for r, an in zip(records, coefficients):
             yield cls(r.label, r.conductor, r.root_number, an.astype(np.float64))
 
     @classmethod
-    def from_curve(cls, record: CurveRecord, n_max: int | None = None) -> "LSeries":
-        return next(cls.from_curves([record], n_max))
+    def from_curve(cls, record: CurveRecord) -> "LSeries":
+        return next(cls.from_curves([record]))
 
 
 def required_n_max(conductor: int) -> int:
@@ -258,20 +257,15 @@ def fe_residual(series: LSeries) -> float:
     return float(abs(sums[0] - sums[1]) / max(scales))
 
 
-def lambda_critical(series: LSeries, t: float) -> float:
-    """Completed L-function on the critical line at s = 1 + it (w = +1)."""
-    if series.root_number != 1:
-        raise ValueError(f"{series.label}: critical-line scan requires w = +1")
-    return float(_checked_rule(series, np.array([t], dtype=np.float64))[0][0])
-
-
 @dataclass(frozen=True)
 class ZeroSet:
-    """Ordered imaginary parts of the first low-lying zeros of one L-function."""
+    """Ordered imaginary parts of the first low-lying zeros of one L-function.
+
+    At most ZERO_COUNT of them, and exactly that many in a complete set.
+    """
 
     label: str
     gammas: np.ndarray
-    k_requested: int
     t_max: float
     complete: bool
     #: order of the zero at s = 1 that the search found: 0 (none), 2, or 4
@@ -285,12 +279,12 @@ class ZeroSet:
             raise ValueError(f"{self.label}: zero ordinates and t_max must be finite")
         if len(g) and (np.any(np.diff(g) <= 0) or g[0] <= 0):
             raise ValueError(f"{self.label}: zero ordinates must be positive increasing")
-        if len(g) > self.k_requested:
+        if len(g) > ZERO_COUNT:
             raise ValueError(f"{self.label}: {len(g)} zero ordinates, more than "
-                             f"k = {self.k_requested}")
-        if self.complete and len(g) != self.k_requested:
+                             f"k = {ZERO_COUNT}")
+        if self.complete and len(g) != ZERO_COUNT:
             raise ValueError(f"{self.label}: complete set has {len(g)} zero ordinates, "
-                             f"not k = {self.k_requested}")
+                             f"not k = {ZERO_COUNT}")
 
 
 def locate_zeros(series: LSeries) -> ZeroSet:
@@ -347,7 +341,6 @@ def locate_zeros(series: LSeries) -> ZeroSet:
     return ZeroSet(
         label=series.label,
         gammas=0.5 * (lo + hi),
-        k_requested=k,
         t_max=t_max,
         complete=len(brackets) == k,
         central_order=central_order,
@@ -586,8 +579,7 @@ def read_zero_sets_csv(path) -> list[ZeroSet]:
                 raise ValueError(f"{where}: complete must be 0 or 1, got {complete!r}")
             try:
                 gammas = [float(v) for v in cells if v != ""]
-                out.append(ZeroSet(label, np.array(gammas), ZERO_COUNT, float(t_max),
-                                   complete == "1"))
+                out.append(ZeroSet(label, np.array(gammas), float(t_max), complete == "1"))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return out

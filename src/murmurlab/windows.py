@@ -1,18 +1,19 @@
 """Sliding-window invariant averages and per-prime murmuration profiles.
 
 Window series are means of a BSD invariant over rank-r curves in closed
-conductor windows [N0 - W/2, N0 + W/2].  A murmuration profile is a plain
-float64 array: the per-prime mean of a_p over a curve group (trace-matrix
-row positions), aligned with the matrix's prime list.
-Detrending uses a Savitzky-Golay local polynomial fit with residuals emitted
-only where the filter window is fully interior.  All functions are pure over
-immutable inputs.
+conductor windows [N0 - W/2, N0 + W/2]; a window that holds no curve is left
+out.  A murmuration profile is a plain float64 array: the per-prime mean of
+a_p over a curve group (trace-matrix row positions), aligned with the
+matrix's prime list.
+Detrending needs evenly spaced windows and uses a Savitzky-Golay local
+polynomial fit with residuals emitted only where the filter window is fully
+interior.  All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,12 +40,11 @@ class SeriesTooShortError(ValueError):
 
 @dataclass(frozen=True)
 class WindowSeries:
-    """Per-window means of one invariant; gaps (count 0) are NaN values."""
+    """Per-window means of one invariant and the curve count of each window."""
 
     centers: np.ndarray
     values: np.ndarray
-    counts: np.ndarray | None
-    params: dict = field(default_factory=dict)
+    counts: np.ndarray
 
     def __post_init__(self):
         if len(self.centers) != len(self.values):
@@ -55,23 +55,14 @@ class WindowSeries:
     def __len__(self) -> int:
         return len(self.centers)
 
-    def finite(self) -> "WindowSeries":
-        """Copy restricted to windows that had at least one curve."""
-        keep = np.isfinite(self.values)
-        return replace(
-            self,
-            centers=self.centers[keep],
-            values=self.values[keep],
-            counts=None if self.counts is None else self.counts[keep],
-        )
-
 
 def sliding_window_series(table: CurveTable, invariant: str, rank: int,
                           width: float, step: float) -> WindowSeries:
     """Mean of an invariant over rank-r curves in sliding conductor windows.
 
     Centers run over multiples of the step covering the table's conductor
-    range; window membership uses the closed interval on both ends.
+    range; window membership uses the closed interval on both ends.  Only
+    the windows that hold at least one curve are in the series.
     """
     if not (0 < width < math.inf and 0 < step < math.inf):
         raise ValueError(f"window width {width} and step {step} must be finite and positive")
@@ -80,10 +71,7 @@ def sliding_window_series(table: CurveTable, invariant: str, rank: int,
     conductors = table.conductors[mask].astype(np.float64)
     vals = values_all[mask]
     if len(conductors) == 0:
-        return WindowSeries(
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.int64),
-            {"invariant": invariant, "rank": rank, "width": width, "step": step},
-        )
+        return WindowSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
     lo_center = step * math.ceil(float(table.conductors.min()) / step)
     hi_center = step * math.floor(float(table.conductors.max()) / step)
     centers = np.arange(lo_center, hi_center + step / 2, step)
@@ -96,20 +84,18 @@ def sliding_window_series(table: CurveTable, invariant: str, rank: int,
     stops = np.searchsorted(conductors, centers + half, side="right")
     counts = (stops - starts).astype(np.int64)
     sums = csum[stops] - csum[starts]
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return WindowSeries(
-        centers, means, counts,
-        {"invariant": invariant, "rank": rank, "width": width, "step": step},
-    )
+    keep = counts > 0
+    return WindowSeries(centers[keep], sums[keep] / counts[keep], counts[keep])
 
 
 def savgol_detrend(series: WindowSeries) -> WindowSeries:
     """Residuals after a Savitzky-Golay local polynomial fit.
 
     The fit has degree SAVGOL_DEGREE over SAVGOL_WINDOW points, an odd count
-    above the degree.  Only positions where the filter window lies fully
-    inside the series are emitted (no padded extrapolation at the edges).
+    above the degree, and treats the points as evenly spaced: a series whose
+    centers are not (a window without curves left out of its interior) is
+    refused.  Only positions where the filter window lies fully inside the
+    series are emitted (no padded extrapolation at the edges).
     """
     window, degree = SAVGOL_WINDOW, SAVGOL_DEGREE
     values = np.asarray(series.values, dtype=np.float64)
@@ -117,17 +103,14 @@ def savgol_detrend(series: WindowSeries) -> WindowSeries:
         raise SeriesTooShortError(
             f"series of length {len(values)} shorter than filter window {window}"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("detrending requires a gap-free series; use .finite() first")
+    gaps = np.diff(series.centers)
+    if np.ptp(gaps) > 1e-9 * gaps[0]:
+        raise ValueError(f"detrending needs evenly spaced windows; the gaps between "
+                         f"centers run from {gaps.min():g} to {gaps.max():g}")
     smooth = np.convolve(values, savgol_coeffs(window, degree), mode="valid")
     half = window // 2
-    residual = values[half:-half] - smooth
-    return WindowSeries(
-        series.centers[half:-half],
-        residual,
-        None if series.counts is None else series.counts[half:-half],
-        {**series.params, "detrend": {"window": window, "degree": degree}},
-    )
+    return WindowSeries(series.centers[half:-half], values[half:-half] - smooth,
+                        series.counts[half:-half])
 
 
 def savgol_coeffs(window: int, degree: int) -> np.ndarray:

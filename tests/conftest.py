@@ -28,6 +28,21 @@ def locate_zeros_with(series, k: int = lfunctions.ZERO_COUNT,
         return lfunctions.locate_zeros(series)
 
 
+def lambda_critical(series: lfunctions.LSeries, t: float) -> float:
+    """Completed L-function on the critical line at s = 1 + it (w = +1)."""
+    if series.root_number != 1:
+        raise ValueError(f"{series.label}: critical-line scan requires w = +1")
+    return float(lfunctions._checked_rule(series, np.array([t], dtype=np.float64))[0][0])
+
+
+def series_with_budget(record: CurveRecord, n_max: int) -> lfunctions.LSeries:
+    """The record's L-series with n_max coefficients, not the budget its conductor needs."""
+    (an,) = lfunctions.dirichlet_coefficients([record.a_invariants], [record.conductor],
+                                              [n_max], None)
+    return lfunctions.LSeries(record.label, record.conductor, record.root_number,
+                              an.astype(np.float64))
+
+
 @pytest.fixture(scope="session")
 def known_csv_path() -> Path:
     return DATA_DIR / "curves_small.csv"

@@ -22,7 +22,6 @@ from murmurlab.lfunctions import (
     LSeries,
     hotelling_t2,
     hotelling_to_f,
-    lambda_critical,
     locate_zeros,
     explicit_predict,
 )
@@ -49,6 +48,7 @@ from murmurlab.diagnostics import moment_profile
 
 from conftest import (
     TRACE_CACHE_ENV,
+    lambda_critical,
     locate_zeros_with,
     full_dataset_path,
     make_synthetic_table,
@@ -307,7 +307,7 @@ class TestCriterion8:
             coeffs = rng.uniform(-5, 5, size=4)
             x = np.linspace(-4, 4, 241)
             cubic = coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * x**3
-            series = WindowSeries(np.arange(241.0), cubic, None)
+            series = WindowSeries(np.arange(241.0), cubic, np.ones(241, dtype=np.int64))
             res = savgol_detrend(series)
             scale = max(np.abs(cubic).max(), 1e-30)
             worst = max(worst, float(np.abs(res.values).max()) / scale)
@@ -479,7 +479,7 @@ class TestTable2Positivity:
             res = {}
             for rank in (0, 1):
                 series = sliding_window_series(table, invariant, rank,
-                                               RunConfig().window, RunConfig().step).finite()
+                                               RunConfig().window, RunConfig().step)
                 res[rank] = savgol_detrend(series)
             correlations[invariant] = residual_correlation(res[0], res[1])
         ok = all(v > 0 for v in correlations.values())

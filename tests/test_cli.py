@@ -655,7 +655,7 @@ def imported_zeros_csv(tmp_path):
     sets = []
     for rec in records(twist_table()):
         gammas = np.sort(np.cumsum(rng.uniform(0.4, 0.9, size=5)))
-        sets.append(ZeroSet(rec.label, gammas, 5, 10.0, True))
+        sets.append(ZeroSet(rec.label, gammas, 10.0, True))
     zeros_csv = tmp_path / "zeros.csv"
     write_zero_sets_csv(zeros_csv, sets)
     return zeros_csv
@@ -686,7 +686,7 @@ class TestZerosImport:
         sets = []
         for sha in (1.0, 4.0):
             rows = np.flatnonzero(table.sha_values == sha)
-            sets += [ZeroSet(table.labels[i], g, 5, 10.0, True) for i, g in zip(rows, gammas)]
+            sets += [ZeroSet(table.labels[i], g, 10.0, True) for i, g in zip(rows, gammas)]
         zeros_csv = tmp_path / "zeros.csv"
         write_zero_sets_csv(zeros_csv, sets)
         out = tmp_path / "out"
@@ -706,7 +706,7 @@ class TestZerosImport:
         # group's covariance is 0, so Hotelling's T^2 has no pooled inverse
         table = twist_table()
         sets = [ZeroSet(label, np.arange(1.0, 6.0) + (0.5 if sha == 4.0 else 0.0),
-                        5, 10.0, True)
+                        10.0, True)
                 for label, sha in zip(table.labels, table.sha_values)]
         zeros_csv = tmp_path / "zeros.csv"
         write_zero_sets_csv(zeros_csv, sets)
@@ -861,7 +861,7 @@ class TestZerosFunctionalEquationGate:
             f"{series.label} searched although its zeros were imported"))
         zeros_csv = tmp_path / "zeros.csv"
         write_zero_sets_csv(zeros_csv, [
-            ZeroSet(label, np.arange(1.0, 6.0), 5, 10.0, True)
+            ZeroSet(label, np.arange(1.0, 6.0), 10.0, True)
             for label in ("11a1", "37a1", twist_label)])
         out = tmp_path / "out"
         rc = main(["zeros", "--curves", str(path), "--zeros", str(zeros_csv),
@@ -925,6 +925,30 @@ class TestWindowsCommand:
         report = read_report(out, "windows")
         assert report["windows"]["invariants"]["period"]["rank0_windows"] > 101
         assert (out / "windows_period_rank0.csv").exists()
+
+    def test_rank_with_an_empty_interior_band_gets_no_residual_statistics(self,
+                                                                          tmp_path):
+        # no rank-0 curve in (25000, 35000), wider than a window: the rank-0
+        # series is long enough to detrend but not evenly spaced
+        rank0 = table_of(records(make_synthetic_table(200, seed=1,
+                                                      conductor_range=(11_000, 25_000)))
+                         + records(make_synthetic_table(200, seed=4,
+                                                        conductor_range=(35_000, 49_000))))
+        rank1 = make_synthetic_table(400, seed=2, conductor_range=(11_000, 49_000), rank=1)
+        path = tmp_path / "synthetic.csv"
+        path.write_text(serialize_curve_table(table_of(records(rank0) + records(rank1))))
+        out = tmp_path / "out"
+        assert main(["windows", "--curves", str(path), "--window", "4000",
+                     "--step", "250", "--out", str(out)]) == 0
+        entry = read_report(out, "windows")["windows"]["invariants"]["period"]
+        assert sorted(entry) == ["rank0_windows", "rank1_windows"]
+        assert 101 < entry["rank0_windows"] < entry["rank1_windows"]
+        assert not list(out.glob("psd_*.csv"))
+        sidecar = json.loads((out / "windows_period_rank0.csv.meta.json").read_text())
+        assert sidecar["params"] == {"invariant": "period", "rank": 0,
+                                     "width": 4000.0, "step": 250.0}
+        assert sidecar["n_points"] == len(sidecar["counts"]) == entry["rank0_windows"]
+        assert min(sidecar["counts"]) > 0
 
     def test_svg_emission(self, tmp_path):
         table = make_synthetic_table(200, seed=3)
@@ -1150,8 +1174,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 _SCIPY_AFTER_LAMBDA = """
 import json, sys
-from conftest import twist_of_11a1
-from murmurlab.lfunctions import LSeries, lambda_critical, locate_zeros
+from conftest import lambda_critical, twist_of_11a1
+from murmurlab.lfunctions import LSeries, locate_zeros
 series = LSeries.from_curve(twist_of_11a1(53))
 assert locate_zeros(series).complete
 lambda_critical(series, 2.5)

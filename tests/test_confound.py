@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -259,17 +260,18 @@ class TestEulerCumsum:
 
 
 class TestInvariantCorrelation:
-    def test_self_correlation_is_one(self):
-        # y enters as its log: log_period against period is log Omega against itself
-        table = make_synthetic_table(100, seed=18)
-        assert invariant_correlation(table, "log_period", "period") == pytest.approx(1.0)
+    def test_periods_affine_in_log_conductor_correlate_at_one(self):
+        # the conductor enters as its log
+        table = table_of([dataclasses.replace(r, real_period=0.5 + 0.1 * math.log(r.conductor))
+                          for r in records(make_synthetic_table(100, seed=18))])
+        assert invariant_correlation(table) == pytest.approx(1.0)
 
     def test_independent_noise_small(self):
         table = make_synthetic_table(2000, seed=19)
-        r = invariant_correlation(table, "period", "conductor")
+        r = invariant_correlation(table)
         assert abs(r) < 3 / np.sqrt(len(table))
 
     def test_needs_three_records(self):
         table = make_synthetic_table(2, seed=20)
         with pytest.raises(ValueError):
-            invariant_correlation(table, "period", "sha")
+            invariant_correlation(table)

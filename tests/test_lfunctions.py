@@ -24,7 +24,6 @@ from murmurlab.lfunctions import (
     fe_residual,
     hotelling_t2,
     hotelling_to_f,
-    lambda_critical,
     locate_zeros,
     one_level_density,
     read_zero_sets_csv,
@@ -33,7 +32,8 @@ from murmurlab.lfunctions import (
     write_zero_sets_csv,
 )
 
-from conftest import locate_zeros_with, record_of, twist_of_11a1
+from conftest import (lambda_critical, locate_zeros_with, record_of,
+                      series_with_budget, twist_of_11a1)
 from oracles import afe_cut_residual, lambda_afe
 
 mp.mp.dps = 30
@@ -105,8 +105,8 @@ class TestCentralValue:
 
     def test_truncation_stability(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
-        short = LSeries.from_curve(rec, n_max=60)
-        long = LSeries.from_curve(rec, n_max=400)
+        short = series_with_budget(rec, 60)
+        long = series_with_budget(rec, 400)
         assert abs(central_value(short) - central_value(long)) < 1e-10
 
     def test_shortfall_names_requirement(self, known_table_module):
@@ -135,7 +135,7 @@ class TestLambdaCritical:
         full = LSeries.from_curve(rec)
         assert full.n_max == required_n_max(11) == math.ceil(8 * math.sqrt(11))
         assert math.isfinite(lambda_critical(full, 25.0))
-        short = LSeries.from_curve(rec, n_max=required_n_max(11) - 1)
+        short = series_with_budget(rec, required_n_max(11) - 1)
         for evaluate in (lambda s: lambda_critical(s, 0.0), locate_zeros, fe_residual):
             with pytest.raises(CoefficientShortfallError, match="needs n_max >= 27"):
                 evaluate(short)
@@ -460,7 +460,7 @@ class TestFeResidual:
     def test_wrong_inputs_caught(self, d, wrong):
         # coefficients enough for the budget of every wrong conductor
         twist = twist_of_11a1(d)
-        series = LSeries.from_curve(twist, n_max=required_n_max(4 * twist.conductor))
+        series = series_with_budget(twist, required_n_max(4 * twist.conductor))
         change = {"root_number": {"root_number": -series.root_number},
                   "conductor_x4": {"conductor": 4 * series.conductor},
                   "conductor_plus_2": {"conductor": series.conductor + 2}}[wrong]
@@ -473,14 +473,14 @@ class TestFeResidual:
             afe_cut_residual(series, 0.0, root_number=-1), rel=1e-9)
 
     def test_shortfall_refused(self, known_table_module):
-        series = LSeries.from_curve(record_of(known_table_module, "11a1"), n_max=20)
+        series = series_with_budget(record_of(known_table_module, "11a1"), 20)
         with pytest.raises(CoefficientShortfallError):
             fe_residual(series)
 
 
 def _toy_zero_sets(matrix, prefix):
     return [
-        ZeroSet(f"{prefix}{i}", np.sort(row), 5, 10.0, True)
+        ZeroSet(f"{prefix}{i}", np.sort(row), 10.0, True)
         for i, row in enumerate(matrix)
     ]
 
@@ -549,7 +549,7 @@ class TestOneLevelDensity:
         assert so_even_density(0.5) == pytest.approx(1.0)
 
     def test_single_zero_set_mass_in_one_bin(self):
-        z = ZeroSet("x", np.array([1.0]), 1, 10.0, True)
+        z = ZeroSet("x", np.array([1.0]), 10.0, False)
         n_conductor = int(np.exp(2 * np.pi))  # scaled ordinate exactly 1.0
         res = one_level_density([z], [n_conductor])
         assert res.density.sum() * 0.1 == pytest.approx(1.0)
@@ -566,10 +566,9 @@ class TestOneLevelDensity:
         sets = []
         for i in range(n_curves):
             draws = np.sort(rng.choice(xs, size=5, replace=False, p=w)) / scale
-            sets.append(ZeroSet(f"c{i}", draws, 5, 10.0, True))
+            sets.append(ZeroSet(f"c{i}", draws, 10.0, True))
         res = one_level_density(sets, [conductor] * n_curves)
-        flat = ZeroSet("f", np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / scale, 5, 10.0,
-                       True)
+        flat = ZeroSet("f", np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / scale, 10.0, True)
         res_flat = one_level_density([flat] * n_curves, [conductor] * n_curves)
         assert res.deviation_so_even < res_flat.deviation_so_even
 
@@ -645,8 +644,8 @@ class TestExplicitPredict:
 class TestZeroCsv:
     def test_round_trip(self, tmp_path):
         sets = [
-            ZeroSet("11a1", np.array([6.362613, 8.603540]), 5, 12.0, False),
-            ZeroSet("x1", np.array([0.5, 1.5, 2.5, 3.5, 4.5]), 5, 10.0, True),
+            ZeroSet("11a1", np.array([6.362613, 8.603540]), 12.0, False),
+            ZeroSet("x1", np.array([0.5, 1.5, 2.5, 3.5, 4.5]), 10.0, True),
         ]
         path = tmp_path / "zeros.csv"
         write_zero_sets_csv(path, sets)
@@ -691,11 +690,11 @@ class TestZeroCsv:
     def test_zero_set_refuses_an_ordinate_count_that_breaks_k(self, n_gammas,
                                                                complete):
         with pytest.raises(ValueError, match="zero ordinates"):
-            ZeroSet("x", np.arange(1.0, n_gammas + 1), 5, 10.0, complete)
+            ZeroSet("x", np.arange(1.0, n_gammas + 1), 10.0, complete)
 
     @pytest.mark.parametrize("gammas, t_max", [([np.nan, 2.0], 10.0),
                                                ([1.0, np.inf], 10.0),
                                                ([1.0, 2.0], np.nan)])
     def test_zero_set_requires_finite_values(self, gammas, t_max):
         with pytest.raises(ValueError, match="finite"):
-            ZeroSet("x", np.array(gammas), 5, t_max, False)
+            ZeroSet("x", np.array(gammas), t_max, False)

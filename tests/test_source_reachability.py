@@ -14,19 +14,23 @@ must be passed by at least one call in the package, outside its own
 definition, and omitted by at least one.  A call counts by name or by
 attribute, and `cli._part(fn, *args, **kwargs)` counts as a call of fn; a
 `*` or `**` splat counts as both passing and omitting every parameter.
+
+A parameter every call passes the same constant is the same knob without a
+default: the value is a second copy, and other values are reached only by
+tests.  So no parameter may be passed the same literal, tuple of literals or
+ALL_CAPS name by every call in the package; calls count as for defaults, and
+a splat counts as passing a value that varies.
 """
 
 import ast
 import shutil
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "murmurlab"
 
 #: definitions that may go unreferenced in the package
 ALLOWED = {
-    # the one-height face of the quadrature rule that locate_zeros brackets;
-    # the mpmath and incomplete-gamma oracle tests pin that rule through it
-    "lfunctions.lambda_critical",
     # the bench's twist-cache check looks curves up by label through it
     "traces.TraceMatrix.row_index",
     # the bench tracer's span for the Dirichlet coefficients of one curve
@@ -40,8 +44,6 @@ ALLOWED_DEFAULTS = {
     # the console entry point calls main(), and argv is there for callers
     # that run a step in-process
     "cli.main.argv",
-    # the bench tracer's span wraps from_curve, the one-record face of from_curves
-    "lfunctions.LSeries.from_curve.n_max",
 }
 
 
@@ -97,8 +99,8 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], list[st
     return positional[1:] if is_method else positional, defaulted  # less self or cls
 
 
-def _calls(module: str, tree) -> list[tuple[object, str, int, set[str], bool]]:
-    """(call, callee, positional count, keywords, splat) of each call in a module.
+def _calls(module: str, tree) -> list[tuple[object, str, list, dict, bool]]:
+    """(call, callee, positional arguments, keyword arguments, splat) of each call.
 
     The callee is "module.name" for a bare name the module defines or imports
     from a package module, else ".name"; a nested function of the same name
@@ -122,15 +124,15 @@ def _calls(module: str, tree) -> list[tuple[object, str, int, set[str], bool]]:
             callee = "." + func.attr
         else:
             continue
-        keywords = {k.arg for k in call.keywords if k.arg is not None}
+        keywords = {k.arg: k.value for k in call.keywords if k.arg is not None}
         splat = (any(isinstance(a, ast.Starred) for a in args)
                  or any(k.arg is None for k in call.keywords))
-        calls.append((call, callee, len(args), keywords, splat))
+        calls.append((call, callee, args, keywords, splat))
     return calls
 
 
-def idle_defaults(src: Path) -> list[tuple[str, str]]:
-    """(qualified parameter, fault) of each default no call sets, or every call sets."""
+def _called_functions(src: Path) -> Iterator[tuple[str, ast.FunctionDef, bool, list]]:
+    """(qualified name, definition, is a method, its package calls) of each function."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     calls = [call for module, tree in modules.items() for call in _calls(module, tree)]
     functions = []  # (qualified name, callees that call it, definition, is a method)
@@ -142,22 +144,54 @@ def idle_defaults(src: Path) -> list[tuple[str, str]]:
             if isinstance(node, ast.ClassDef):
                 functions += [(f"{module}.{node.name}.{m.name}", {"." + m.name}, m, True)
                               for m in node.body if isinstance(m, ast.FunctionDef)]
-    faults = []
     for qualified, callees, fn, is_method in functions:
-        positional, defaulted = _defaulted(fn, is_method)
         own = {id(n) for n in ast.walk(fn)}
-        mine = [c for c in calls if c[1] in callees and id(c[0]) not in own]
+        yield (qualified, fn, is_method,
+               [c for c in calls if c[1] in callees and id(c[0]) not in own])
+
+
+def idle_defaults(src: Path) -> list[tuple[str, str]]:
+    """(qualified parameter, fault) of each default no call sets, or every call sets."""
+    faults = []
+    for qualified, fn, is_method, mine in _called_functions(src):
+        positional, defaulted = _defaulted(fn, is_method)
         for param in defaulted:
             if f"{qualified}.{param}" in ALLOWED_DEFAULTS:
                 continue
-            passes = [param in keywords or param in positional[:n_args]
-                      for _, _, n_args, keywords, _ in mine]
+            passes = [param in keywords or param in positional[:len(args)]
+                      for _, _, args, keywords, _ in mine]
             splats = [splat for *_, splat in mine]
             if not any(passes) and not any(splats):
                 faults.append((f"{qualified}.{param}", "no call passes it"))
             elif all(passes) and not any(splats):
                 faults.append((f"{qualified}.{param}", "every call passes it"))
     return faults
+
+
+def _constant(node) -> bool:
+    """Whether an argument is a literal, a tuple of literals or an ALL_CAPS name."""
+    if isinstance(node, ast.Tuple):
+        return all(isinstance(elt, ast.Constant) for elt in node.elts)
+    return isinstance(node, ast.Constant) or (isinstance(node, ast.Name)
+                                              and node.id.isupper())
+
+
+def constant_parameters(src: Path) -> list[str]:
+    """Qualified name of each parameter without a default that every call passes alike."""
+    found = []
+    for qualified, fn, is_method, mine in _called_functions(src):
+        if not mine or any(splat for *_, splat in mine):
+            continue
+        positional, defaulted = _defaulted(fn, is_method)
+        kwonly = [a.arg for a in fn.args.kwonlyargs]
+        for param in (p for p in positional + kwonly if p not in defaulted):
+            values = [keywords.get(param, args[positional.index(param)]
+                                   if param in positional[:len(args)] else None)
+                      for _, _, args, keywords, _ in mine]
+            if (None not in values and all(map(_constant, values))
+                    and len({ast.dump(v) for v in values}) == 1):
+                found.append(f"{qualified}.{param}")
+    return found
 
 
 def test_every_definition_is_used_by_the_package():
@@ -246,3 +280,50 @@ def test_a_default_every_call_overrides_is_caught(tmp_path):
     # both calls pass max_distance, one by position through _part's arguments
     assert idle_defaults(copy) == [("confound.match_nn.max_distance",
                                     "every call passes it")]
+
+
+def test_no_parameter_is_passed_the_same_constant_by_every_call():
+    assert constant_parameters(SRC) == []
+
+
+def test_a_literal_every_call_passes_is_caught(tmp_path):
+    copy = tmp_path / "murmurlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    edits = {"confound.py": ("def invariant_correlation(table: CurveTable) -> float:\n",
+                             "def invariant_correlation(table: CurveTable, x: str, y: str)"
+                             " -> float:\n"),
+             "cli.py": ("_part(confound.invariant_correlation, rank0)",
+                        '_part(confound.invariant_correlation, rank0, "period", "conductor")')}
+    for name, (anchor, replacement) in edits.items():
+        source = (copy / name).read_text()
+        assert anchor in source
+        (copy / name).write_text(source.replace(anchor, replacement))
+    # the one call passes both by position through _part's arguments
+    assert constant_parameters(copy) == ["confound.invariant_correlation.x",
+                                         "confound.invariant_correlation.y"]
+
+
+def test_a_constant_name_or_tuple_by_position_or_keyword_is_caught(tmp_path):
+    copy = tmp_path / "murmurlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "windows.py", "a") as fh:
+        fh.write("\n\ndef _scaled(values, factor, axes):\n"
+                 "    return np.transpose(values * factor, axes)\n"
+                 "\n\ndef _both(values):\n"
+                 "    return (_scaled(values, SAVGOL_WINDOW, (1, 0)),\n"
+                 "            _scaled(values, axes=(1, 0), factor=SAVGOL_WINDOW))\n")
+    assert constant_parameters(copy) == ["windows._scaled.factor", "windows._scaled.axes"]
+
+
+def test_a_value_that_varies_or_a_splat_is_not_caught(tmp_path):
+    copy = tmp_path / "murmurlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "windows.py", "a") as fh:
+        fh.write("\n\ndef _scaled(values, factor):\n"
+                 "    return values * factor\n"
+                 "\n\ndef _shifted(values, offset):\n"
+                 "    return values + offset\n"
+                 "\n\ndef _all(values, *args):\n"
+                 "    return (_scaled(values, SAVGOL_WINDOW), _scaled(values, SAVGOL_DEGREE),\n"
+                 "            _shifted(values, 1), _shifted(*args))\n")
+    assert constant_parameters(copy) == []

@@ -19,18 +19,22 @@ from murmurlab.windows import (
 from conftest import make_synthetic_matrix, make_synthetic_table, records, table_of
 
 
-def series_from(values, start=0.0, step=1.0, counts=None):
+def ones(n):
+    """A count of one curve for each of n windows."""
+    return np.ones(n, dtype=np.int64)
+
+
+def series_from(values, start=0.0, step=1.0):
     centers = start + step * np.arange(len(values))
-    return WindowSeries(centers, np.asarray(values, dtype=np.float64), counts)
+    return WindowSeries(centers, np.asarray(values, dtype=np.float64), ones(len(values)))
 
 
 class TestSlidingWindows:
     def test_constant_invariant_gives_constant_series(self):
         table = make_synthetic_table(300, seed=1, sha_choices=(4.0,))
         series = sliding_window_series(table, "sha", rank=0, width=4000, step=1000)
-        finite = series.finite()
-        assert len(finite) > 0
-        assert np.allclose(finite.values, 4.0)
+        assert len(series) > 0
+        assert np.allclose(series.values, 4.0)
 
     def test_window_membership_is_closed_interval(self):
         # curves at 20000 and 24000 are both endpoints of the center-22000 window
@@ -41,10 +45,23 @@ class TestSlidingWindows:
         idx = int(np.where(series.centers == 22_000)[0][0])
         assert series.counts[idx] == 40
 
-    def test_empty_rank_gives_gap_entries(self):
+    def test_empty_rank_gives_empty_series(self):
         table = make_synthetic_table(40, seed=3)
         series = sliding_window_series(table, "period", rank=3, width=2000, step=500)
-        assert len(series) == 0 or np.all(np.isnan(series.values))
+        assert len(series) == 0
+
+    def test_windows_without_curves_are_absent(self):
+        # no rank-0 conductor lies in (20000, 40000): windows centered in
+        # 22000..38000 hold no curve
+        low = make_synthetic_table(60, seed=6, conductor_range=(11_000, 20_000))
+        high = make_synthetic_table(60, seed=7, conductor_range=(40_000, 49_000))
+        table = table_of(records(low) + records(high))
+        series = sliding_window_series(table, "sha", rank=0, width=2000, step=1000)
+        assert np.all(series.counts > 0)
+        assert not np.any((series.centers >= 22_000) & (series.centers <= 38_000))
+        assert series.centers.min() < 20_000 and series.centers.max() > 40_000
+        for center, count in zip(series.centers, series.counts):
+            assert count == np.sum(np.abs(table.conductors - center) <= 1000)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
     @pytest.mark.parametrize("name", ["width", "step"])
@@ -80,6 +97,22 @@ class TestSavgolDetrend:
     def test_short_series_raises(self):
         with pytest.raises(SeriesTooShortError):
             savgol_detrend(series_from(np.arange(50.0)))
+
+    def test_uneven_windows_refused(self):
+        # ten interior windows without curves: the rest are not evenly spaced
+        series = series_from(np.random.default_rng(7).normal(size=300), start=5_500,
+                             step=500)
+        keep = np.ones(300, dtype=bool)
+        keep[140:150] = False
+        uneven = WindowSeries(series.centers[keep], series.values[keep],
+                              series.counts[keep])
+        with pytest.raises(ValueError, match="evenly spaced"):
+            savgol_detrend(uneven)
+
+    def test_non_integer_step_is_even(self):
+        # centers step * k carry rounding, which is no unevenness
+        res = savgol_detrend(series_from(np.arange(150.0), start=0.1, step=0.1))
+        assert len(res) == 50
 
     @pytest.mark.parametrize("window, degree", [(101, 3), (5, 2), (11, 3), (51, 4),
                                                 (201, 3), (7, 0)])
@@ -123,8 +156,9 @@ class TestResidualCorrelation:
     def test_alignment_on_common_centers(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=60)
-        a = WindowSeries(np.arange(60.0), vals, None)
-        b = WindowSeries(np.arange(10.0, 70.0), np.concatenate([vals[10:], rng.normal(size=10)]), None)
+        a = WindowSeries(np.arange(60.0), vals, ones(60))
+        b = WindowSeries(np.arange(10.0, 70.0), np.concatenate([vals[10:], rng.normal(size=10)]),
+                         ones(60))
         assert residual_correlation(a, b) == pytest.approx(1.0)
 
     def test_degenerate_input_raises(self):
@@ -134,8 +168,8 @@ class TestResidualCorrelation:
             residual_correlation(a, b)
 
     def test_too_few_common_points(self):
-        a = WindowSeries(np.array([0.0, 1.0, 2.0]), np.ones(3), None)
-        b = WindowSeries(np.array([10.0, 11.0]), np.ones(2), None)
+        a = WindowSeries(np.array([0.0, 1.0, 2.0]), np.ones(3), ones(3))
+        b = WindowSeries(np.array([10.0, 11.0]), np.ones(2), ones(2))
         with pytest.raises(ValueError, match="aligned"):
             residual_correlation(a, b)
 
@@ -250,6 +284,6 @@ class TestCrossCorrelation:
 
     def test_mismatched_centers_rejected(self):
         a = series_from(np.arange(50.0))
-        b = WindowSeries(np.arange(1.0, 51.0), np.arange(50.0), None)
+        b = WindowSeries(np.arange(1.0, 51.0), np.arange(50.0), ones(50))
         with pytest.raises(ValueError, match="identical centers"):
             cross_correlation(a, b, 5)
