@@ -10,6 +10,13 @@ identical inputs produce byte-identical reports.  Every exception class of
 the package is a ValueError, so one fixed tuple of built-in classes catches
 each failure a user's inputs can cause (`_USER_ERRORS`).
 
+A step's section is assembled from the report parts its analysis functions
+return: dicts with the report's own keys and JSON types, such as
+`stratify.bonferroni`'s.  A function whose values also fill a CSV returns
+its part together with that array (`confound.euler_cumsum`).  A part is
+computed through `_part` where the inputs may not give it; `_part` then
+records the part's error in its place, and the other parts still run.
+
 Each subcommand runs in its own process, so start-up is part of every step.
 The package registers its submodules lazily, and this module binds them with
 `from . import ...` and calls them qualified (`stratify.permutation_test`):
@@ -338,8 +345,9 @@ def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
             per_rank.append(series)
         try:
             res = [windows.savgol_detrend(series) for series in per_rank]
-        except ValueError:
-            continue  # a series too short or uneven to detrend: nothing to correlate
+        except ValueError as exc:  # a series too short or uneven to detrend
+            entry["residuals"] = {"error": str(exc)}
+            continue
         try:
             entry["residual_correlation"] = windows.residual_correlation(*res)
         except ValueError:
@@ -378,14 +386,6 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
         part = parts[rule] = stratify.partition(base, rule)
         return {"group_sizes": part.sizes(), "n_unassigned": len(part.unassigned)}
 
-    def scale_scan() -> dict:
-        scan = stratify.scale_scan(table.filter(rank=0), matrix,
-                                   by_name[cfg.rule if cfg.rule != "all" else "sha"],
-                                   cfg.scan_windows)
-        return {"windows": [list(w) for w in scan.windows],
-                "rms": [float(v) for v in scan.rms_values],
-                "alpha": scan.alpha, "r_squared": scan.r_squared}
-
     entries = {rule.invariant: _part(partitioned, rule) for rule in rules}
     if not parts:
         raise ValueError(entries[rules[0].invariant]["error"])
@@ -399,13 +399,13 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
                                 _profile_gap(matrix, part.groups["group_a"],
                                              part.groups["group_b"]),
                                 ("prime", "mean_ap_diff"))
-    # the threshold counts only the rules that ran
-    adj = stratify.bonferroni([strat_report.p_value for strat_report in strat_reports])
     section = {"conductor_range": list(ctx.conductor_range), "rules": entries,
-               "bonferroni": {"alpha": adj.alpha, "threshold": adj.threshold,
-                              "all_significant": all(adj.decisions)}}
+               # the threshold counts only the rules that ran
+               "bonferroni": stratify.bonferroni([r.p_value for r in strat_reports])}
     if len(cfg.scan_windows) >= 3:
-        section["scale_scan"] = _part(scale_scan)
+        section["scale_scan"] = _part(stratify.scale_scan, table.filter(rank=0), matrix,
+                                      by_name[cfg.rule if cfg.rule != "all" else "sha"],
+                                      cfg.scan_windows)
     return section
 
 
@@ -436,14 +436,13 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
             "max_distance": matches.max_distance,
             "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in matches.pairs],
         })
-        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance,
-                **dataclasses.asdict(paired)}
+        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance, **paired}
 
     def sha_lvalue_matched(part: stratify.Partition) -> dict:
         matches = confound.match_nn(table, part.groups["group_b"], part.groups["group_a"],
                                     "l_value", 0.1)
         return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance,
-                "rms_group": confound.matched_rms(matches, matrix).rms_group}
+                "rms_group": confound.matched_rms(matches, matrix)["rms_group"]}
 
     def sha_lvalue_band() -> dict:
         part = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
@@ -460,14 +459,12 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
     def bsd_group_ratios() -> dict:
         groups = ctx.sha_groups()
         ratios = confound.bsd_group_ratios(table, groups)
-        cum = confound.euler_cumsum(matrix.primes.primes,
-                                    windows.murmuration_profile(groups["sha_1"], matrix),
-                                    windows.murmuration_profile(groups["sha_ge4"], matrix))
+        primes = matrix.primes.primes
         # the Euler sums are reported only when the ratios are
-        battery["euler_cumsum"] = {"argmax_prime": cum.argmax_prime,
-                                   "terminal": list(cum.terminal)}
-        export.write_xy_csv(ctx.out / "euler_delta.csv", cum.primes, cum.delta,
-                            ("prime", "delta"))
+        battery["euler_cumsum"], delta = confound.euler_cumsum(
+            primes, windows.murmuration_profile(groups["sha_1"], matrix),
+            windows.murmuration_profile(groups["sha_ge4"], matrix))
+        export.write_xy_csv(ctx.out / "euler_delta.csv", primes, delta, ("prime", "delta"))
         return ratios
 
     for k in (2, 3, 4):
@@ -505,30 +502,14 @@ def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
                 prof.excess_kurtosis.tolist()),
         )
     section["moments"] = moments
-
-    def sato_tate_ks() -> dict:
-        ks = diagnostics.satotate_ks(groups["sha_1"], groups["sha_ge4"], matrix)
-        return {"D": ks.statistic, "p": ks.p_value, "n_a": ks.n_a, "n_b": ks.n_b}
-
-    section["sato_tate_ks"] = _part(sato_tate_ks)
-    diff = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
-    cross = diagnostics.crossover_scan(matrix.primes.primes, diff)
-    section["crossover"] = {
-        "crossing_prime": cross.crossing_prime,
-        "direction": cross.direction,
-        "landmarks": {str(k): v for k, v in cross.landmarks.items()},
-    }
-    red = diagnostics.classify_reduction(matrix)
-    export.write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"),
-                           red.entries)
-    section["reduction"] = {
-        "type_counts": red.type_counts,
-        "tamagawa_agreement": red.agreement_fraction,
-        "n_classified": red.n_classified_curves,
-        "n_unclassifiable": red.n_unclassifiable,
-    }
-    section["bad_prime_share"] = _part(lambda: dataclasses.asdict(
-        diagnostics.bad_prime_share(groups["sha_1"], groups["sha_ge4"], matrix)))
+    section["sato_tate_ks"] = _part(diagnostics.satotate_ks, groups["sha_1"],
+                                    groups["sha_ge4"], matrix)
+    section["crossover"] = diagnostics.crossover_scan(
+        matrix.primes.primes, _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"]))
+    section["reduction"], entries = diagnostics.classify_reduction(matrix)
+    export.write_table_csv(out / "reduction_types.csv", ("label", "prime", "type"), entries)
+    section["bad_prime_share"] = _part(diagnostics.bad_prime_share, groups["sha_1"],
+                                       groups["sha_ge4"], matrix)
     return section
 
 
@@ -587,21 +568,11 @@ def cmd_zeros(cfg: RunConfig, ctx: Context) -> dict:
         # one row of ordinates per complete set
         samples = {name: np.vstack([z.gammas for z in sets])
                    for name, sets in complete.items()}
-
-        def hotelling() -> dict:
-            hot = lfunctions.hotelling_t2(samples["sha_1"], samples["sha_ge4"])
-            return {"t2": hot.t2, "f": hot.f_stat, "p": hot.p_value, "df": list(hot.df)}
-
-        zeros_report["hotelling"] = _part(hotelling)
+        zeros_report["hotelling"] = _part(lfunctions.hotelling_t2, samples["sha_1"],
+                                          samples["sha_ge4"])
         dens = {name: lfunctions.one_level_density(sets, cond[name])
                 for name, sets in complete.items()}
-        comp = lfunctions.density_comparison(dens["sha_1"], dens["sha_ge4"])
-        zeros_report["one_level_density"] = {
-            "deviation_sha_1": comp.deviation_a,
-            "deviation_sha_ge4": comp.deviation_b,
-            "ks_all": list(comp.ks_all),
-            "ks_first": list(comp.ks_first),
-        }
+        zeros_report["one_level_density"] = lfunctions.density_comparison(dens)
         for name, result in dens.items():
             export.write_xy_csv(out / f"density_{name}.csv", result.bin_centers,
                                 result.density, ("scaled_ordinate", "density"))
@@ -610,11 +581,11 @@ def cmd_zeros(cfg: RunConfig, ctx: Context) -> dict:
         observed = _profile_gap(matrix, groups["sha_1"], groups["sha_ge4"])
 
         def explicit_formula() -> dict:
-            pred = lfunctions.explicit_predict(mean_b, mean_a, matrix.primes.primes, observed)
-            export.write_xy_csv(out / "explicit_prediction.csv", pred.primes,
-                                pred.predicted_diff, ("prime", "predicted_diff"))
-            return {"correlation": pred.correlation, "rms_predicted": pred.rms_predicted,
-                    "rms_observed": pred.rms_observed}
+            primes = matrix.primes.primes
+            part, predicted = lfunctions.explicit_predict(mean_b, mean_a, primes, observed)
+            export.write_xy_csv(out / "explicit_prediction.csv", primes, predicted,
+                                ("prime", "predicted_diff"))
+            return part
 
         zeros_report["explicit_formula"] = _part(explicit_formula)
     else:

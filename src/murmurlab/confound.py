@@ -110,13 +110,7 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
     return MatchedPairs(tuple(pairs), key, max_distance)
 
 
-@dataclass(frozen=True)
-class PairedProfiles:
-    rms_group: float
-    rms_per_pair: float
-
-
-def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> PairedProfiles:
+def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> dict[str, float]:
     """RMS separation of the two matched sub-profiles.
 
     rms_group compares the two matched-group mean profiles; rms_per_pair
@@ -126,9 +120,8 @@ def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> PairedProfiles:
         raise EmptyGroupError("no matched pairs")
     rows = np.array([(a, b) for a, b, _ in matched.pairs], dtype=np.int64)
     rows_a, rows_b = matrix.traces[rows.T].astype(np.float64)
-    group = float(rms_separation([rows_a.mean(0), rows_b.mean(0)]))
-    pair = float(rms_separation([rows_a.ravel(), rows_b.ravel()]))
-    return PairedProfiles(group, pair)
+    return {"rms_group": float(rms_separation([rows_a.mean(0), rows_b.mean(0)])),
+            "rms_per_pair": float(rms_separation([rows_a.ravel(), rows_b.ravel()]))}
 
 
 def control_omega(table: CurveTable, groups: Mapping[str, np.ndarray],
@@ -188,32 +181,21 @@ def bsd_group_ratios(table: CurveTable,
     return out
 
 
-@dataclass(frozen=True)
-class EulerCumsum:
-    primes: np.ndarray
-    cum_a: np.ndarray
-    cum_b: np.ndarray
-    delta: np.ndarray  # cum_b - cum_a
-
-    @property
-    def argmax_prime(self) -> int:
-        return int(self.primes[int(np.argmax(np.abs(self.delta)))])
-
-    @property
-    def terminal(self) -> tuple[float, float, float]:
-        return float(self.cum_a[-1]), float(self.cum_b[-1]), float(self.delta[-1])
-
-
 def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,
-                 profile_b: np.ndarray) -> EulerCumsum:
+                 profile_b: np.ndarray) -> tuple[dict, np.ndarray]:
     """Running sums of mean(a_q)/q per group and their difference Delta(P).
 
     Both profiles are per-prime mean-a_p arrays aligned with `primes`.
+    Returns the report part, which holds the prime of largest |Delta| and
+    the last value of both sums and of Delta, and Delta at every prime.
     """
     p = primes.astype(np.float64)
     cum_a = np.cumsum(profile_a / p)
     cum_b = np.cumsum(profile_b / p)
-    return EulerCumsum(primes, cum_a, cum_b, cum_b - cum_a)
+    delta = cum_b - cum_a
+    part = {"argmax_prime": int(primes[int(np.argmax(np.abs(delta)))]),
+            "terminal": [float(cum_a[-1]), float(cum_b[-1]), float(delta[-1])]}
+    return part, delta
 
 
 def invariant_correlation(table: CurveTable) -> float:

@@ -95,14 +95,6 @@ def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
     )
 
 
-@dataclass(frozen=True)
-class KsResult:
-    statistic: float
-    p_value: float
-    n_a: int
-    n_b: int
-
-
 def _angle_pool(rows: Sequence[int], matrix: TraceMatrix) -> np.ndarray:
     cols = matrix.primes.primes > SATO_TATE_P_MIN
     if not np.any(cols):
@@ -119,16 +111,16 @@ def _angle_pool(rows: Sequence[int], matrix: TraceMatrix) -> np.ndarray:
 
 
 def satotate_ks(group_a: Sequence[int], group_b: Sequence[int],
-                matrix: TraceMatrix) -> KsResult:
+                matrix: TraceMatrix) -> dict:
     """Two-sample KS on pooled Sato-Tate angles arccos(a_p / 2 sqrt p).
 
     Pools run over good (curve, prime) pairs with p > SATO_TATE_P_MIN; the
-    p-value is that of ks_2samp.
+    report part holds D and the p-value of ks_2samp, and the pool sizes.
     """
     pool_a = _angle_pool(group_a, matrix)
     pool_b = _angle_pool(group_b, matrix)
     statistic, p_value = ks_2samp(pool_a, pool_b)
-    return KsResult(statistic, p_value, int(pool_a.size), int(pool_b.size))
+    return {"D": statistic, "p": p_value, "n_a": int(pool_a.size), "n_b": int(pool_b.size)}
 
 
 def ks_2samp(sample_a, sample_b) -> tuple[float, float]:
@@ -337,21 +329,16 @@ def kolmogorov_sf(n: int, x: float) -> float:
     return min(max(1.0 - cdf, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    crossing_prime: int | None
-    direction: str | None  # "positive_to_negative" or "negative_to_positive"
-    landmarks: dict[int, float]
-
-
-def crossover_scan(primes: np.ndarray, diff: np.ndarray) -> CrossoverReport:
+def crossover_scan(primes: np.ndarray, diff: np.ndarray) -> dict:
     """Stable sign change of a difference profile.
 
     `diff` is the per-prime difference of two murmuration profiles, aligned
     with `primes`.  It is smoothed with a centered moving average over
     CROSSOVER_SMOOTH_WIDTH primes, truncated at the ends; the crossing is
     the first prime from which the smoothed sign stays opposite to the
-    initial sign.  Landmark entries report the raw difference at those of
+    initial sign, and the direction "positive_to_negative" or
+    "negative_to_positive" (both None without a crossing).  Landmark entries,
+    keyed by the prime's decimal text, report the raw difference at those of
     CROSSOVER_LANDMARKS in the prime list.
     """
     values = np.asarray(diff, dtype=np.float64)
@@ -374,33 +361,23 @@ def crossover_scan(primes: np.ndarray, diff: np.ndarray) -> CrossoverReport:
             crossing = int(primes[start])
             direction = ("positive_to_negative" if initial > 0
                          else "negative_to_positive")
-    landmark_values = {
-        int(p): float(values[np.searchsorted(primes, p)])
-        for p in CROSSOVER_LANDMARKS
-        if p in primes
-    }
-    return CrossoverReport(crossing, direction, landmark_values)
+    landmarks = {str(p): float(values[np.searchsorted(primes, p)])
+                 for p in CROSSOVER_LANDMARKS if p in primes}
+    return {"crossing_prime": crossing, "direction": direction, "landmarks": landmarks}
 
 
 REDUCTION_TYPES = {0: "additive", 1: "split_mult", -1: "nonsplit_mult"}
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    entries: tuple[tuple[str, int, str], ...]  # (label, prime, type)
-    type_counts: dict[str, int]
-    agreement_fraction: float
-    n_classified_curves: int
-    n_unclassifiable: int
-
-
-def classify_reduction(matrix: TraceMatrix) -> ReductionReport:
+def classify_reduction(matrix: TraceMatrix) -> tuple[dict, tuple[tuple, ...]]:
     """Reduction type at every bad prime in the list, from the trace value.
 
-    a_p = 0 is additive, +1 split multiplicative, -1 non-split.  The
-    agreement fraction compares the predicate "no multiplicative bad prime"
-    against the Tamagawa condition prod c_p = 1 of the matrix's table, over
-    curves with at least one bad prime inside the prime list.
+    a_p = 0 is additive, +1 split multiplicative, -1 non-split.  Returns the
+    report part, and the (label, prime, type) entries curve by curve.  The
+    part counts each type and the curves with and without a bad prime inside
+    the prime list; its Tamagawa agreement compares, over the former, the
+    predicate "no multiplicative bad prime" against the Tamagawa condition
+    prod c_p = 1 of the matrix's table.
     """
     labels, primes, bad = matrix.curve_labels, matrix.primes.primes, matrix.bad_flags
     rows, cols = np.nonzero(bad)  # row-major: curve by curve, primes ascending
@@ -417,20 +394,14 @@ def classify_reduction(matrix: TraceMatrix) -> ReductionReport:
     multiplicative = (bad & (matrix.traces != 0)).any(axis=1)
     classified = int(has_bad.sum())
     agree = int((has_bad & (multiplicative != (matrix.table.tamagawa_products == 1))).sum())
-    fraction = agree / classified if classified else float("nan")
-    return ReductionReport(entries, counts, fraction, classified,
-                           len(labels) - classified)
-
-
-@dataclass(frozen=True)
-class BadPrimeShare:
-    full_rms: float
-    masked_rms: float
-    share_percent: float
+    part = {"type_counts": counts,
+            "tamagawa_agreement": agree / classified if classified else float("nan"),
+            "n_classified": classified, "n_unclassifiable": len(labels) - classified}
+    return part, entries
 
 
 def bad_prime_share(group_a: Sequence[int], group_b: Sequence[int],
-                    matrix: TraceMatrix) -> BadPrimeShare:
+                    matrix: TraceMatrix) -> dict:
     """Share of the squared RMS separation attributable to bad-prime entries.
 
     The masked RMS recomputes profiles with bad-prime trace entries zeroed;
@@ -444,5 +415,5 @@ def bad_prime_share(group_a: Sequence[int], group_b: Sequence[int],
     masked_a = np.where(matrix.bad_flags[group_a], 0.0, rows_a)
     masked_b = np.where(matrix.bad_flags[group_b], 0.0, rows_b)
     masked = float(rms_separation([masked_a.mean(0), masked_b.mean(0)]))
-    share = 100.0 * (1.0 - masked**2 / full**2)
-    return BadPrimeShare(full, masked, share)
+    return {"full_rms": full, "masked_rms": masked,
+            "share_percent": 100.0 * (1.0 - masked**2 / full**2)}

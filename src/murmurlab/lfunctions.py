@@ -59,7 +59,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -347,16 +347,12 @@ def locate_zeros(series: LSeries) -> ZeroSet:
     )
 
 
-@dataclass(frozen=True)
-class HotellingResult:
-    t2: float
-    f_stat: float
-    p_value: float
-    df: tuple[int, int]
+def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> dict:
+    """Two-sample Hotelling T^2 with pooled covariance, one sample per row.
 
-
-def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
-    """Two-sample Hotelling T^2 with pooled covariance, one sample per row."""
+    The report part holds T^2, its F statistic, the F tail p and the F
+    degrees of freedom.
+    """
     n1, k = xa.shape
     n2, k2 = xb.shape
     if k != k2:
@@ -372,8 +368,8 @@ def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> HotellingResult:
         raise ValueError("singular pooled covariance") from None
     t2 = float(n1 * n2 / (n1 + n2) * diff @ solved)
     f_stat = hotelling_to_f(t2, k, n1, n2)
-    df = (k, n1 + n2 - k - 1)
-    return HotellingResult(t2, f_stat, f_sf(f_stat, *df), df)
+    df = [k, n1 + n2 - k - 1]
+    return {"t2": t2, "f": f_stat, "p": f_sf(f_stat, *df), "df": df}
 
 
 def f_sf(x: float, d1: int, d2: int) -> float:
@@ -471,35 +467,20 @@ def one_level_density(zero_sets: Sequence[ZeroSet],
     )
 
 
-@dataclass(frozen=True)
-class DensityComparison:
-    deviation_a: float
-    deviation_b: float
-    ks_all: tuple[float, float]
-    ks_first: tuple[float, float]
-
-
-def density_comparison(da: DensityResult, db: DensityResult) -> DensityComparison:
+def density_comparison(densities: Mapping[str, DensityResult]) -> dict:
     """SO(even) deviations of two groups' densities plus two-sample KS on scaled zeros.
 
-    The KS pairs are (D, p) of diagnostics.ks_2samp: p is the finite-n
-    two-sided Kolmogorov tail at the effective size round(n_a n_b / (n_a + n_b)).
+    `densities` holds the two groups' densities by group name; the deviation
+    of group g is "deviation_g".  The KS pairs are [D, p] of
+    diagnostics.ks_2samp: p is the finite-n two-sided Kolmogorov tail at the
+    effective size round(n_a n_b / (n_a + n_b)).
     """
-    return DensityComparison(
-        deviation_a=da.deviation_so_even,
-        deviation_b=db.deviation_so_even,
-        ks_all=ks_2samp(da.scaled_zeros, db.scaled_zeros),
-        ks_first=ks_2samp(da.scaled_first, db.scaled_first),
-    )
-
-
-@dataclass(frozen=True)
-class ExplicitPrediction:
-    primes: np.ndarray
-    predicted_diff: np.ndarray
-    correlation: float
-    rms_predicted: float
-    rms_observed: float
+    da, db = densities.values()
+    return {
+        **{f"deviation_{name}": d.deviation_so_even for name, d in densities.items()},
+        "ks_all": list(ks_2samp(da.scaled_zeros, db.scaled_zeros)),
+        "ks_first": list(ks_2samp(da.scaled_first, db.scaled_first)),
+    }
 
 
 def _zero_contribution(mean_gammas: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -509,13 +490,14 @@ def _zero_contribution(mean_gammas: np.ndarray, primes: np.ndarray) -> np.ndarra
 
 
 def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[float],
-                     primes: np.ndarray, observed_diff: np.ndarray) -> ExplicitPrediction:
+                     primes: np.ndarray, observed_diff: np.ndarray) -> tuple[dict, np.ndarray]:
     """Per-prime murmuration difference predicted from group-mean zeros.
 
     The contribution of each zero ordinate gamma to the mean trace at p is
     modeled as -(2 sqrt(p)/log p) cos(gamma log p); the prediction is the
-    group A minus group B contribution.  The observed difference profile's
-    Pearson correlation with it and RMS are reported alongside; a constant
+    group A minus group B contribution.  Returns the report part, which holds
+    the observed difference profile's Pearson correlation with the
+    prediction and the RMS of both, and the prediction.  A constant
     prediction or profile has no correlation and is a ValueError.
     """
     ga = np.asarray(mean_gammas_a, dtype=np.float64)
@@ -530,9 +512,9 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
     obs = np.asarray(observed_diff, dtype=np.float64)
     if obs.shape != pred.shape:
         raise ValueError("observed profile does not match the prime list")
-    corr = pearson(pred, obs)
-    rms_obs = float(np.sqrt(np.mean(obs**2)))
-    return ExplicitPrediction(primes, pred, corr, rms_pred, rms_obs)
+    part = {"correlation": pearson(pred, obs), "rms_predicted": rms_pred,
+            "rms_observed": float(np.sqrt(np.mean(obs**2)))}
+    return part, pred
 
 
 ZERO_CSV_FIELDS = ("label", *(f"gamma{j}" for j in range(1, ZERO_COUNT + 1)),

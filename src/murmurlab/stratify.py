@@ -374,29 +374,13 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     return StratReports(reports[i] for i in range(len(member_lists)))
 
 
-@dataclass(frozen=True)
-class BonferroniResult:
-    alpha: float
-    threshold: float
-    decisions: tuple[bool, ...]
-
-
-def bonferroni(p_values: Sequence[float]) -> BonferroniResult:
-    """Bonferroni-adjusted threshold BONFERRONI_ALPHA / m with a reject decision per test."""
+def bonferroni(p_values: Sequence[float]) -> dict:
+    """Bonferroni-adjusted threshold BONFERRONI_ALPHA / m, and whether every p is below it."""
     if len(p_values) == 0:
         raise ValueError("no p-values supplied")
     threshold = BONFERRONI_ALPHA / len(p_values)
-    return BonferroniResult(
-        BONFERRONI_ALPHA, threshold, tuple(p < threshold for p in p_values)
-    )
-
-
-@dataclass(frozen=True)
-class ScaleScanResult:
-    windows: tuple[tuple[float, float], ...]
-    rms_values: np.ndarray
-    alpha: float
-    r_squared: float
+    return {"alpha": BONFERRONI_ALPHA, "threshold": threshold,
+            "all_significant": all(p < threshold for p in p_values)}
 
 
 def fit_power_law(centers: np.ndarray, rms_values: np.ndarray) -> tuple[float, float]:
@@ -414,10 +398,11 @@ def fit_power_law(centers: np.ndarray, rms_values: np.ndarray) -> tuple[float, f
 
 
 def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
-               windows: Sequence[tuple[float, float]]) -> ScaleScanResult:
+               windows: Sequence[tuple[float, float]]) -> dict:
     """Per-window RMS separation plus a power-law fit across window centers.
 
-    Window centers are geometric means of the conductor bounds.
+    Window centers are geometric means of the conductor bounds.  The report
+    part holds the windows, the RMS of each, and the fit's alpha and r^2.
     """
     if len(windows) < 3:
         raise ValueError("scale scan needs at least 3 windows for the fit")
@@ -426,8 +411,6 @@ def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
         part = partition(table.filter(conductor_range=(int(lo), int(hi))), rule)
         rms_values.append(float(rms_separation(
             [murmuration_profile(m, matrix) for m in part.groups.values()])))
-    rms_values = np.array(rms_values)
     alpha, r2 = fit_power_law([math.sqrt(lo * hi) for lo, hi in windows], rms_values)
-    return ScaleScanResult(
-        tuple((float(lo), float(hi)) for lo, hi in windows), rms_values, alpha, r2,
-    )
+    return {"windows": [[float(lo), float(hi)] for lo, hi in windows], "rms": rms_values,
+            "alpha": alpha, "r_squared": r2}

@@ -37,7 +37,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -378,8 +379,8 @@ class TraceMatrix:
 
 
 def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
-                 labels: Sequence[str], error: type[Exception]) -> None:
-    """Raise `error` unless good entries lie within 2*sqrt(p) and bad ones in {-1,0,1}.
+                 labels: Sequence[str], error: Callable[[str], Exception]) -> None:
+    """Raise error(text) unless good entries lie within 2*sqrt(p) and bad ones in {-1,0,1}.
 
     Compares in int16, so the check costs no int64 copy of the matrix; a bound
     above the int16 range is clipped, as no int16 trace can exceed it.
@@ -488,7 +489,9 @@ def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
     """Write the cache of a built matrix and its table.
 
     csv_sha256 is the hex SHA-256 of the CSV the table was parsed from; see
-    load_trace_matrix for the layout.
+    load_trace_matrix for the layout.  The bytes go to `<path>.tmp` first,
+    which then replaces `path`, so a write that fails leaves no partial cache
+    at `path`; the temporary file is removed on failure.
     """
     table, a_text = matrix.table, b""
     labels = [label.encode() for label in matrix.curve_labels]
@@ -506,21 +509,26 @@ def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
         "bad-flag bitset": np.packbits(matrix.bad_flags, axis=None, bitorder="little"),
         "labels": np.frombuffer(b"".join(labels), dtype=np.uint8),
     }
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def write(block: bytes) -> None:
-            fh.write(block)
-            digest.update(block)
+    digest, tmp = hashlib.sha256(), f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            def write(block: bytes) -> None:
+                fh.write(block)
+                digest.update(block)
 
-        write(_HEADER.pack(_MAGIC, _VERSION, len(labels), len(matrix.primes),
-                           len(sections["labels"]), len(a_text),
-                           bytes.fromhex(csv_sha256)))
-        for name, dtype, _ in _layout(len(labels), len(matrix.primes),
-                                      len(sections["labels"]), len(a_text)):
-            block = np.asarray(sections[name], dtype=dtype).tobytes()
-            write(block)
-            write(bytes(-len(block) % 8))
-        fh.write(digest.digest())
+            write(_HEADER.pack(_MAGIC, _VERSION, len(labels), len(matrix.primes),
+                               len(sections["labels"]), len(a_text),
+                               bytes.fromhex(csv_sha256)))
+            for name, dtype, _ in _layout(len(labels), len(matrix.primes),
+                                          len(sections["labels"]), len(a_text)):
+                block = np.asarray(sections[name], dtype=dtype).tobytes()
+                write(block)
+                write(bytes(-len(block) % 8))
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_trace_matrix(path) -> TraceMatrix:
@@ -531,10 +539,12 @@ def load_trace_matrix(path) -> TraceMatrix:
     a-invariants are int64, or, only when one overflows, their decimal text
     joined by commas; labels are one UTF-8 block and the end of each in it.
     Section sizes are checked against the file before any is read, and each
-    is a slice of one read.  Another version is a CacheFormatError; a wrong
-    digest, or an entry outside the Hasse bound or the bad-prime range, a
-    CacheCorruptionError.
+    is a slice of one read.  Another version is a CacheFormatError; a
+    truncated file, a wrong size or digest, or an entry outside the Hasse
+    bound or the bad-prime range, a CacheCorruptionError.  Either error of a
+    file that is a cache tells its user to remove it and rebuild it.
     """
+    fix = f"remove {path} and rebuild it with `traces`"
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
         del data[fh.readinto(data):]
@@ -543,22 +553,22 @@ def load_trace_matrix(path) -> TraceMatrix:
     version = int.from_bytes(data[4:8], "little")
     if version != _VERSION:
         raise CacheFormatError(f"unsupported cache version {version} (this version reads "
-                               f"{_VERSION}); remove it and rebuild it with `traces`")
+                               f"{_VERSION}); {fix}")
     if len(data) < _HEADER.size + 32:
-        raise CacheCorruptionError("truncated cache while reading the header")
+        raise CacheCorruptionError(f"truncated cache while reading the header; {fix}")
     _, _, n, m, label_bytes, a_text, csv_sha256 = _HEADER.unpack_from(data)
     body, offset, blocks = memoryview(data)[:-32], _HEADER.size, {}
     for name, dtype, items in _layout(n, m, label_bytes, a_text):
         size = items * np.dtype(dtype).itemsize
         if offset + size > len(body):
-            raise CacheCorruptionError(f"truncated cache while reading {name}")
+            raise CacheCorruptionError(f"truncated cache while reading {name}; {fix}")
         blocks[name] = np.frombuffer(body, dtype, items, offset)
         offset += size + -size % 8
     if offset != len(body):
-        raise CacheCorruptionError("cache size does not match its header")
+        raise CacheCorruptionError(f"cache size does not match its header; {fix}")
     if hashlib.sha256(body).digest() != data[-32:]:
-        raise CacheCorruptionError(f"cache {path} does not match its own SHA-256: "
-                                   "it is damaged; rebuild it with `traces`")
+        raise CacheCorruptionError(f"cache does not match its own SHA-256, so it is "
+                                   f"damaged; {fix}")
     text, ends = blocks["labels"].tobytes(), blocks["label ends"].tolist()
     labels = tuple(text[i:j].decode() for i, j in zip([0, *ends], ends))
     a_invariants = blocks["a-invariants"]
@@ -568,6 +578,7 @@ def load_trace_matrix(path) -> TraceMatrix:
     traces = blocks["trace matrix"].reshape(n, m)
     bad = np.unpackbits(blocks["bad-flag bitset"], count=n * m,
                         bitorder="little").view(bool).reshape(n, m)
-    _hasse_check(traces, bad, blocks["prime list"], labels, CacheCorruptionError)
+    _hasse_check(traces, bad, blocks["prime list"], labels,
+                 lambda problem: CacheCorruptionError(f"{problem}; {fix}"))
     return TraceMatrix(labels, PrimeList(blocks["prime list"]), traces, bad, table,
                        csv_sha256.hex())

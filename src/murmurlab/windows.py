@@ -97,31 +97,30 @@ def savgol_detrend(series: WindowSeries) -> WindowSeries:
     refused.  Only positions where the filter window lies fully inside the
     series are emitted (no padded extrapolation at the edges).
     """
-    window, degree = SAVGOL_WINDOW, SAVGOL_DEGREE
     values = np.asarray(series.values, dtype=np.float64)
-    if len(values) < window:
+    if len(values) < SAVGOL_WINDOW:
         raise SeriesTooShortError(
-            f"series of length {len(values)} shorter than filter window {window}"
+            f"series of length {len(values)} shorter than filter window {SAVGOL_WINDOW}"
         )
     gaps = np.diff(series.centers)
     if np.ptp(gaps) > 1e-9 * gaps[0]:
         raise ValueError(f"detrending needs evenly spaced windows; the gaps between "
                          f"centers run from {gaps.min():g} to {gaps.max():g}")
-    smooth = np.convolve(values, savgol_coeffs(window, degree), mode="valid")
-    half = window // 2
+    smooth = np.convolve(values, savgol_coeffs(), mode="valid")
+    half = SAVGOL_WINDOW // 2
     return WindowSeries(series.centers[half:-half], values[half:-half] - smooth,
                         series.counts[half:-half])
 
 
-def savgol_coeffs(window: int, degree: int) -> np.ndarray:
+def savgol_coeffs() -> np.ndarray:
     """Convolution weights of the Savitzky-Golay filter at the window center.
 
     The minimum-norm solution c of V c = e_0, V[i, k] = k^i over the offsets
-    k = half..-half (reversed, so that np.convolve applies them): c . y is
-    the value at offset 0 of the least-squares degree-`degree` polynomial
-    through y.
+    k = half..-half of SAVGOL_WINDOW points (reversed, so that np.convolve
+    applies them): c . y is the value at offset 0 of the least-squares
+    polynomial of degree SAVGOL_DEGREE through y.
     """
-    half = window // 2
+    half, degree = SAVGOL_WINDOW // 2, SAVGOL_DEGREE
     offsets = np.arange(half, -half - 1, -1, dtype=np.float64)
     vander = offsets ** np.arange(degree + 1, dtype=np.float64)[:, None]
     unit = np.zeros(degree + 1)

@@ -126,6 +126,22 @@ class TestTraces:
         assert main(args) == 0
         assert read_report(out, "traces")["traces"]["rebuilt"] is False
 
+    def test_a_damaged_cache_names_its_removal_and_then_rebuilds(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        args = ["traces", "--curves", str(twist_csv), "--primes", "30", "--out", str(out)]
+        assert main(args) == 0
+        cache = out / "traces.bin"
+        built = cache.read_bytes()
+        cache.write_bytes(built[:len(built) // 2] + bytes([built[len(built) // 2] ^ 1])
+                          + built[len(built) // 2 + 1:])
+        assert main(args) == 1
+        err = json.loads((out / "traces_error.json").read_text())["error"]
+        assert err.endswith(f"damaged; remove {cache} and rebuild it with `traces`")
+        cache.unlink()
+        assert main(args) == 0
+        assert read_report(out, "traces")["traces"]["rebuilt"] is True
+        assert cache.read_bytes() == built
+
     def test_cache_coherence_refusal(self, twist_csv, known_csv_path, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"
@@ -630,6 +646,113 @@ class TestCacheAndBuildAgree:
                     assert (cached / name).read_bytes() == (built / name).read_bytes(), name
 
 
+def json_shape(value):
+    """The key tree of a JSON value, each leaf replaced by the name of its JSON type."""
+    if isinstance(value, dict):
+        return {key: json_shape(v) for key, v in value.items()}
+    return {int: "int", float: "float", str: "str", bool: "bool", type(None): "null",
+            list: "list"}[type(value)]
+
+
+#: the shape of StratReport.to_dict(), a permutation test's report
+PERMUTATION_SHAPE = {"group_sizes": "list", "low_shuffle_warning": "bool", "n_shuffles": "int",
+                     "null_mean": "float", "null_median": "float", "null_sd": "float",
+                     "observed_rms": "float", "p_value": "float", "seed": "int"}
+TWO_GROUPS = {"group_a": "int", "group_b": "int"}
+SHA_GROUPS = {"sha_1": "int", "sha_ge4": "int"}
+MOMENTS = {"mean": "float", "variance": "float", "variance_over_p": "float",
+           "skewness": "float", "excess_kurtosis": "float"}
+ERROR = {"error": "str"}
+
+
+def report_shape(step: str, section: dict, inputs=("curves",)) -> dict:
+    return {"version": "str", "config_hash": "str", "seed": "int",
+            "inputs": {name: {"path": "str", "sha256": "str"} for name in inputs},
+            step: section}
+
+
+#: every step's report on the twist table; a part a step adds or renames changes this
+REPORT_SHAPES = {
+    "ingest": report_shape("ingest", {
+        "n_curves": "int", "n_rejected_rows": "int", "rejected": "list",
+        "rank_histogram": {"0": "int"}, "conductor_min": "int", "conductor_max": "int",
+        "n_isogeny_classes": "int", "dedupe_retained_ratio": "float"}),
+    "traces": report_shape("traces", {
+        "n_curves": "int", "n_primes": "int", "last_prime": "int", "rebuilt": "bool",
+        "bad_prime_entries": "int"}, inputs=("curves", "cache")),
+    "windows": report_shape("windows", {
+        "width": "float", "step": "float",
+        # the twists' conductors leave windows without curves: no series is evenly spaced
+        "invariants": {invariant: {"rank0_windows": "int", "rank1_windows": "int",
+                                   "residuals": ERROR}
+                       for invariant in ("period", "log_period", "tamagawa", "torsion",
+                                         "regulator", "sha", "l_value", "bsd_ratio")}}),
+    "stratify": report_shape("stratify", {
+        "conductor_range": "list",
+        "rules": {
+            "tamagawa": ERROR,
+            "sha": {"group_sizes": TWO_GROUPS, "n_unassigned": "int",
+                    "report": PERMUTATION_SHAPE},
+            "period": {"group_sizes": {q: "int" for q in ("q1", "q2", "q3", "q4")},
+                       "n_unassigned": "int", "report": PERMUTATION_SHAPE},
+            "torsion": ERROR,
+            "root_number": ERROR},
+        "bonferroni": {"alpha": "float", "threshold": "float", "all_significant": "bool"},
+        "scale_scan": {"windows": "list", "rms": "list", "alpha": "float",
+                       "r_squared": "float"}}),
+    "confound": report_shape("confound", {
+        "conductor_range": "list",
+        "battery": {
+            "tamagawa_omega_2": ERROR, "tamagawa_omega_3": ERROR, "tamagawa_omega_4": ERROR,
+            "tamagawa_conductor_matched": ERROR,
+            "sha_lvalue_band": {"band": "list", "group_sizes": TWO_GROUPS,
+                                "report": PERMUTATION_SHAPE},
+            "sha_lvalue_matched": ERROR,
+            "sha_triple_control": {half: {"sizes": TWO_GROUPS, "report": PERMUTATION_SHAPE}
+                                   for half in ("small_period", "large_period")},
+            "bsd_group_ratios": {"sha_1": "float", "sha_ge4": "float"},
+            "euler_cumsum": {"argmax_prime": "int", "terminal": "list"},
+            "period_vs_log_conductor": "float"}}),
+    "diagnose": report_shape("diagnose", {
+        "band": "list", "conductor_range": "list", "groups": SHA_GROUPS,
+        "moments": {"sha_1": MOMENTS, "sha_ge4": MOMENTS},
+        "sato_tate_ks": {"D": "float", "p": "float", "n_a": "int", "n_b": "int"},
+        "crossover": {"crossing_prime": "int", "direction": "str",
+                      "landmarks": {p: "float" for p in ("5", "37", "251", "1009")}},
+        "reduction": {"type_counts": {"additive": "int", "split_mult": "int",
+                                      "nonsplit_mult": "int"},
+                      "tamagawa_agreement": "float", "n_classified": "int",
+                      "n_unclassifiable": "int"},
+        "bad_prime_share": {"full_rms": "float", "masked_rms": "float",
+                            "share_percent": "float"}}),
+    "zeros": report_shape("zeros", {
+        "band": "list", "n_complete": SHA_GROUPS,
+        "fe_gate": {"tolerance": "float", "n_excluded": SHA_GROUPS,
+                    "excluded": {"sha_1": "list", "sha_ge4": "list"}},
+        "central_zeros": {"sha_1": {}, "sha_ge4": {}},
+        "hotelling": {"t2": "float", "f": "float", "p": "float", "df": "list"},
+        "one_level_density": {"deviation_sha_1": "float", "deviation_sha_ge4": "float",
+                              "ks_all": "list", "ks_first": "list"},
+        "explicit_formula": {"correlation": "float", "rms_predicted": "float",
+                             "rms_observed": "float"}}),
+}
+
+
+class TestReportShapes:
+    def test_every_report_has_its_pinned_shape(self, twist_csv, tmp_path):
+        out = tmp_path / "out"
+        common = ["--curves", str(twist_csv), "--band", "0:100", "--range", "1000:300000",
+                  "--primes", "200", "--shuffles", "20", "--out", str(out)]
+        for step in REPORT_SHAPES:
+            extra = ["--rule", "all"] if step == "stratify" else []
+            assert main([step, *common, *extra]) == 0, step
+            assert json_shape(read_report(out, step)) == REPORT_SHAPES[step], step
+        assert main(["report", *common]) == 0
+        assert read_report(out, "report") == {
+            "version": cli.__version__,
+            "reports": {step: read_report(out, step) for step in REPORT_SHAPES}}
+
+
 class TestSupersetCache:
     def test_diagnose_with_cache_covering_more_curves(self, twist_csv, tmp_path):
         # a cache serves the CSV bytes it was built from, not a subset of them
@@ -941,7 +1064,8 @@ class TestWindowsCommand:
         assert main(["windows", "--curves", str(path), "--window", "4000",
                      "--step", "250", "--out", str(out)]) == 0
         entry = read_report(out, "windows")["windows"]["invariants"]["period"]
-        assert sorted(entry) == ["rank0_windows", "rank1_windows"]
+        assert sorted(entry) == ["rank0_windows", "rank1_windows", "residuals"]
+        assert entry["residuals"]["error"].startswith("detrending needs evenly spaced windows")
         assert 101 < entry["rank0_windows"] < entry["rank1_windows"]
         assert not list(out.glob("psd_*.csv"))
         sidecar = json.loads((out / "windows_period_rank0.csv.meta.json").read_text())

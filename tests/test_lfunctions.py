@@ -14,7 +14,6 @@ from murmurlab.lfunctions import (
     FE_TOL,
     ZERO_TOL,
     CoefficientShortfallError,
-    DensityComparison,
     LSeries,
     QuadratureError,
     ZeroSet,
@@ -495,8 +494,8 @@ class TestHotelling:
         rng = np.random.default_rng(1)
         xa = rng.normal(size=(40, 5))
         res = hotelling_t2(xa, xa.copy())
-        assert res.t2 == pytest.approx(0.0, abs=1e-9)
-        assert res.p_value == pytest.approx(1.0)
+        assert res["t2"] == pytest.approx(0.0, abs=1e-9)
+        assert res["p"] == pytest.approx(1.0)
 
     def test_zero_set_interface(self):
         rng = np.random.default_rng(2)
@@ -505,7 +504,8 @@ class TestHotelling:
         # as the zeros step stacks them: one row of ordinates per complete set
         res = hotelling_t2(*(np.vstack([z.gammas for z in _toy_zero_sets(x, name)])
                              for x, name in ((base, "a"), (other, "b"))))
-        assert res.df == (5, 30 + 30 - 5 - 1)
+        assert res["df"] == [5, 30 + 30 - 5 - 1]
+        assert res["f"] == hotelling_to_f(res["t2"], 5, 30, 30)
 
     def test_null_rejection_rate_and_uniformity(self):
         rng = np.random.default_rng(3)
@@ -515,7 +515,7 @@ class TestHotelling:
         pvals = np.empty(n_sims)
         for i in range(n_sims):
             res = hotelling_t2(draws[i, :n], draws[i, n:])
-            pvals[i] = res.p_value
+            pvals[i] = res["p"]
         rate = float(np.mean(pvals <= 0.05))
         assert abs(rate - 0.05) <= 0.01
         assert stats.kstest(pvals, "uniform").pvalue > 0.01
@@ -576,11 +576,13 @@ class TestOneLevelDensity:
         rng = np.random.default_rng(6)
         a = np.cumsum(rng.uniform(0.4, 0.9, size=(50, 5)), axis=1)
         b = np.cumsum(rng.uniform(0.4, 0.9, size=(50, 5)), axis=1)
-        comp = density_comparison(one_level_density(_toy_zero_sets(a, "a"), [20_000] * 50),
-                                  one_level_density(_toy_zero_sets(b, "b"), [20_000] * 50))
-        assert isinstance(comp, DensityComparison)
-        assert 0 <= comp.ks_all[0] <= 1
-        assert 0 <= comp.ks_first[0] <= 1
+        dens = {name: one_level_density(_toy_zero_sets(x, name), [20_000] * 50)
+                for name, x in (("a", a), ("b", b))}
+        comp = density_comparison(dens)
+        assert sorted(comp) == ["deviation_a", "deviation_b", "ks_all", "ks_first"]
+        assert comp["deviation_b"] == dens["b"].deviation_so_even
+        assert 0 <= comp["ks_all"][0] <= 1
+        assert 0 <= comp["ks_first"][0] <= 1
 
 
 def _observed(primes) -> np.ndarray:
@@ -601,28 +603,31 @@ class TestExplicitPredict:
 
     def test_table7_sign_pattern_at_landmarks(self):
         primes = np.array([5, 37, 251, 1009])
-        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes, _observed(primes))
-        assert pred.predicted_diff[0] > 0
-        assert pred.predicted_diff[1] > 0
-        assert pred.predicted_diff[2] < 0
-        assert pred.predicted_diff[3] < 0
+        _, pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
+                                   _observed(primes))
+        assert pred[0] > 0
+        assert pred[1] > 0
+        assert pred[2] < 0
+        assert pred[3] < 0
 
     def test_raised_first_zero_flips_beyond_quarter_period(self):
         base = (0.6, 1.5, 2.3, 3.0, 3.7)
         raised = (0.72, 1.5, 2.3, 3.0, 3.7)
         primes = np.array([2, 3, 5, 7, 11, 13])
-        pred = explicit_predict(np.array(raised), np.array(base), primes, _observed(primes))
+        _, pred = explicit_predict(np.array(raised), np.array(base), primes,
+                                   _observed(primes))
         # cos(gamma1 log p) decays faster for the raised zero: positive
         # difference at small p
-        assert pred.predicted_diff[0] < 0 or pred.predicted_diff[0] != 0
+        assert pred[0] < 0 or pred[0] != 0
 
     def test_correlation_against_observed(self):
         primes = np.array([2, 3, 5, 7, 11, 13, 17, 19])
-        pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes, _observed(primes))
-        echo = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
-                                observed_diff=pred.predicted_diff)
-        assert echo.correlation == pytest.approx(1.0)
-        assert echo.rms_observed == pytest.approx(echo.rms_predicted)
+        _, pred = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
+                                   _observed(primes))
+        echo, _ = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1, primes,
+                                   observed_diff=pred)
+        assert echo["correlation"] == pytest.approx(1.0)
+        assert echo["rms_observed"] == pytest.approx(echo["rms_predicted"])
 
     def test_constant_prediction_refused(self):
         primes = np.array([2, 3, 5, 7, 11])

@@ -19,11 +19,13 @@ A parameter every call passes the same constant is the same knob without a
 default: the value is a second copy, and other values are reached only by
 tests.  So no parameter may be passed the same literal, tuple of literals or
 ALL_CAPS name by every call in the package; calls count as for defaults, and
-a splat counts as passing a value that varies.
+a splat counts as passing a value that varies.  A name bound once in the
+calling function, by assignment or tuple unpacking, is the value bound to it.
 """
 
 import ast
 import shutil
+from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
@@ -99,6 +101,24 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], list[st
     return positional[1:] if is_method else positional, defaulted  # less self or cls
 
 
+def _bound_once(fn: ast.FunctionDef) -> dict[str, ast.expr]:
+    """Name -> value of each name fn binds once, by `name = value` or `a, b = x, y`."""
+    stores = Counter(n.id for n in ast.walk(fn)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    stores.update(a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg))
+    values = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                    and len(target.elts) == len(value.elts)):
+                pairs = zip(target.elts, value.elts)
+            values.update((t.id, v) for t, v in pairs
+                          if isinstance(t, ast.Name) and stores[t.id] == 1)
+    return values
+
+
 def _calls(module: str, tree) -> list[tuple[object, str, list, dict, bool]]:
     """(call, callee, positional arguments, keyword arguments, splat) of each call.
 
@@ -106,16 +126,25 @@ def _calls(module: str, tree) -> list[tuple[object, str, list, dict, bool]]:
     from a package module, else ".name"; a nested function of the same name
     as another module's function calls no function of that module.
     `_part(fn, *args, **kwargs)` is a call of fn with the arguments after it.
+    An argument that is a name the innermost function around the call binds
+    once is given as the value bound to it.
     """
     bound = {node.name: module for node in tree.body if isinstance(node, ast.FunctionDef)}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level and node.module:
             bound.update((alias.asname or alias.name, node.module) for alias in node.names)
+    local = {}  # id of a node -> the names its innermost function binds once
+    for fn in ast.walk(tree):  # breadth first, so an inner function overrides its outer
+        if isinstance(fn, ast.FunctionDef):
+            once = _bound_once(fn)
+            local.update((id(node), once) for node in ast.walk(fn))
     calls = []
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
             continue
-        func, args = call.func, call.args
+        once = local.get(id(call), {})
+        func, args = call.func, [once.get(a.id, a) if isinstance(a, ast.Name) else a
+                                 for a in call.args]
         if isinstance(func, ast.Name) and func.id == "_part" and args:
             func, args = args[0], args[1:]
         if isinstance(func, ast.Name) and func.id in bound:
@@ -124,7 +153,8 @@ def _calls(module: str, tree) -> list[tuple[object, str, list, dict, bool]]:
             callee = "." + func.attr
         else:
             continue
-        keywords = {k.arg: k.value for k in call.keywords if k.arg is not None}
+        keywords = {k.arg: once.get(k.value.id, k.value) if isinstance(k.value, ast.Name)
+                    else k.value for k in call.keywords if k.arg is not None}
         splat = (any(isinstance(a, ast.Starred) for a in args)
                  or any(k.arg is None for k in call.keywords))
         calls.append((call, callee, args, keywords, splat))
@@ -261,11 +291,11 @@ def test_a_default_no_call_sets_is_caught(tmp_path):
     copy = tmp_path / "murmurlab"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = (copy / "stratify.py").read_text()
-    anchor = "def bonferroni(p_values: Sequence[float]) -> BonferroniResult:\n"
+    anchor = "def bonferroni(p_values: Sequence[float]) -> dict:\n"
     assert anchor in source
     (copy / "stratify.py").write_text(source.replace(anchor, (
         "def bonferroni(p_values: Sequence[float], alpha: float = 0.001) "
-        "-> BonferroniResult:\n")))
+        "-> dict:\n")))
     assert idle_defaults(copy) == [("stratify.bonferroni.alpha", "no call passes it")]
 
 
@@ -327,3 +357,19 @@ def test_a_value_that_varies_or_a_splat_is_not_caught(tmp_path):
                  "    return (_scaled(values, SAVGOL_WINDOW), _scaled(values, SAVGOL_DEGREE),\n"
                  "            _shifted(values, 1), _shifted(*args))\n")
     assert constant_parameters(copy) == []
+
+
+def test_a_constant_through_a_name_bound_once_is_caught(tmp_path):
+    copy = tmp_path / "murmurlab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "windows.py", "a") as fh:
+        fh.write("\n\ndef _scaled(values, factor, axes, shift):\n"
+                 "    return np.transpose(values * factor, axes) + shift\n"
+                 "\n\ndef _both(values):\n"
+                 "    factor, axes = SAVGOL_WINDOW, (1, 0)\n"
+                 "    shift = 2\n"
+                 "    shift = shift + SAVGOL_DEGREE\n"
+                 "    return (_scaled(values, factor, axes, shift),\n"
+                 "            _scaled(values, factor=SAVGOL_WINDOW, axes=axes, shift=5))\n")
+    # shift is bound twice, so its value is not known to be a constant
+    assert constant_parameters(copy) == ["windows._scaled.factor", "windows._scaled.axes"]

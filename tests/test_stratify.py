@@ -395,17 +395,20 @@ class TestSharedStream:
 class TestBonferroni:
     def test_five_tests_at_one_per_mille(self):
         res = bonferroni([1e-5] * 5)
-        assert res.alpha == 0.001
-        assert res.threshold == pytest.approx(0.0002)
-        assert all(res.decisions)
+        assert res["alpha"] == 0.001
+        assert res["threshold"] == pytest.approx(0.0002)
+        assert res["all_significant"] is True
 
     def test_single_test_threshold_is_alpha(self):
         res = bonferroni([0.5])
-        assert res.threshold == res.alpha
+        assert res["threshold"] == res["alpha"]
 
     def test_all_ones_fail(self):
         res = bonferroni([1.0, 1.0, 1.0])
-        assert not any(res.decisions)
+        assert res["all_significant"] is False
+
+    def test_one_p_above_the_threshold_is_not_all_significant(self):
+        assert bonferroni([1e-5, 1e-5, 0.5])["all_significant"] is False
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -465,5 +468,7 @@ class TestScaleScan:
         matrix = TraceMatrix(tuple(table.labels), primes, traces,
                              np.zeros_like(traces, dtype=bool))
         result = scale_scan(table, matrix, SHA_RULE, windows)
-        assert result.alpha == pytest.approx(0.25, abs=0.01)
-        assert result.r_squared > 0.99
+        assert result["alpha"] == pytest.approx(0.25, abs=0.01)
+        assert result["r_squared"] > 0.99
+        assert result["windows"] == [[float(lo), float(hi)] for lo, hi in windows]
+        assert len(result["rms"]) == len(windows)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import hashlib
 import math
@@ -603,6 +604,36 @@ class TestPersistence:
         assert np.array_equal(loaded.traces, matrix.traces)
         assert np.array_equal(loaded.bad_flags, matrix.bad_flags)
 
+    def test_cache_bytes_are_pinned(self, known_table, tmp_path):
+        # the layout of cache version 2, written through a temporary file that
+        # does not outlive the write
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(10)))
+        path = tmp_path / "traces.bin"
+        persist_trace_matrix(matrix, path, CSV_SHA256)
+        assert list(tmp_path.iterdir()) == [path]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c1937abc3465af5888318ed576c0c0353a3848bf1d12cb5a2eb99672a8123b6a")
+
+    def test_a_write_that_fails_partway_leaves_no_file(self, known_table, tmp_path,
+                                                       monkeypatch):
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(10)))
+        layout = traces._layout
+
+        def disk_full_after_three_sections(*args):
+            yield from layout(*args)[:3]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(traces, "_layout", disk_full_after_three_sections)
+        path = tmp_path / "traces.bin"
+        with pytest.raises(OSError, match="No space left"):
+            persist_trace_matrix(matrix, path, CSV_SHA256)
+        assert list(tmp_path.iterdir()) == []
+        # a file already at the path is replaced only by a whole cache
+        path.write_bytes(b"kept")
+        with pytest.raises(OSError, match="No space left"):
+            persist_trace_matrix(matrix, path, CSV_SHA256)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"kept"
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -699,8 +730,23 @@ class TestCacheFuzz:
         damaged[trace_block + 2 * row * m + 1] ^= 0x40  # a_2: -2 (0xfffe) -> 0xbffe
         damaged[-32:] = hashlib.sha256(damaged[:-32]).digest()  # a digest that fits
         path.write_bytes(bytes(damaged))
-        with pytest.raises(CacheCorruptionError, match="11a1: a_p=-16386 at p=2"):
+        with pytest.raises(CacheCorruptionError, match="11a1: a_p=-16386 at p=2") as refused:
             load_trace_matrix(path)
+        assert str(refused.value).endswith(f"; remove {path} and rebuild it with `traces`")
+
+    def test_every_damage_names_the_fix(self, cache):
+        path, raw = cache
+        flipped = bytearray(raw)
+        flipped[len(raw) // 2] ^= 1
+        for damaged, problem in ((raw[:40], "truncated cache while reading the header"),
+                                 (raw[:-40], "truncated cache while reading "),
+                                 (raw + bytes(8), "cache size does not match its header"),
+                                 (flipped, "cache does not match its own SHA-256")):
+            path.write_bytes(damaged)
+            with pytest.raises(CacheCorruptionError) as refused:
+                load_trace_matrix(path)
+            assert str(refused.value).startswith(problem)
+            assert str(refused.value).endswith(f"; remove {path} and rebuild it with `traces`")
 
     def test_huge_prime_count_rejected_before_reading(self, cache):
         path, raw = cache

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
+from murmurlab import windows
 from murmurlab.windows import (
     DegenerateSeriesError,
     SeriesTooShortError,
@@ -117,8 +120,10 @@ class TestSavgolDetrend:
     @pytest.mark.parametrize("window, degree", [(101, 3), (5, 2), (11, 3), (51, 4),
                                                 (201, 3), (7, 0)])
     def test_coeffs_match_scipy(self, window, degree):
-        np.testing.assert_allclose(savgol_coeffs(window, degree),
-                                   signal.savgol_coeffs(window, degree),
+        # the filter's window and degree are module constants, set here for one call
+        with mock.patch.multiple(windows, SAVGOL_WINDOW=window, SAVGOL_DEGREE=degree):
+            coeffs = savgol_coeffs()
+        np.testing.assert_allclose(coeffs, signal.savgol_coeffs(window, degree),
                                    rtol=1e-12, atol=1e-15)
 
     def test_sine_residual_rms_matches_filter_response_oracle(self):
