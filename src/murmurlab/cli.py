@@ -6,9 +6,10 @@ is a function of (config, Context) and returns only its report section; the
 Context reads each input once, on first use.  `main` adds the report head:
 the version, the config hash, the seed, and the SHA-256 of each input file
 the step's `_SUBCOMMANDS` entry names.  Reports hold no timestamps, so
-identical inputs produce byte-identical reports.  Every exception class of
-the package is a ValueError, so one fixed tuple of built-in classes catches
-each failure a user's inputs can cause (`_USER_ERRORS`).
+identical inputs produce byte-identical reports.  The package raises
+ValueError for every failure its inputs cause and defines no exception
+class, so one fixed tuple of built-in classes catches each failure a user's
+inputs can cause (`_USER_ERRORS`).
 
 A step's section is assembled from the report parts its analysis functions
 return: dicts with the report's own keys and JSON types, such as
@@ -80,23 +81,19 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-class CliError(ValueError):
-    pass
-
-
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split(":")
         return float(lo), float(hi)
     except ValueError:
-        raise CliError(f"expected LO:HI, got {text!r}") from None
+        raise ValueError(f"expected LO:HI, got {text!r}") from None
 
 
 def _int_range(text: str) -> tuple[int, int]:
     """LO:HI with integer bounds, such as 10000:50000 or 1e4:5e4."""
     lo, hi = _parse_range(text)
     if not (lo.is_integer() and hi.is_integer()):
-        raise CliError(f"expected integer bounds LO:HI, got {text!r}")
+        raise ValueError(f"expected integer bounds LO:HI, got {text!r}")
     return int(lo), int(hi)
 
 
@@ -139,12 +136,12 @@ def load_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"bad config line: {raw!r}")
+            raise ValueError(f"bad config line: {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in lines:
-            raise CliError(f"config {path}: key {key!r} set on line {lines[key]} "
-                           f"and again on line {number}")
+            raise ValueError(f"config {path}: key {key!r} set on line {lines[key]} "
+                             f"and again on line {number}")
         lines[key] = number
         values[key] = value.strip()
     return values
@@ -155,18 +152,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in values:
         if key not in _FIELDS:
-            raise CliError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
     for key in _FIELDS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     cfg = RunConfig(**{key: _FIELDS[key][0](text) for key, text in values.items()})
     # a config file bypasses the parser's choices for --rule
     if cfg.rule != "all" and cfg.rule not in RULE_NAMES:
-        raise CliError(f"unknown rule {cfg.rule!r}")
+        raise ValueError(f"unknown rule {cfg.rule!r}")
     if cfg.sample < 0:
-        raise CliError(f"sample must be >= 0, got {cfg.sample}")
+        raise ValueError(f"sample must be >= 0, got {cfg.sample}")
     if cfg.range is not None and cfg.range[0] > cfg.range[1]:
-        raise CliError(f"range {cfg.range[0]}:{cfg.range[1]} has LO > HI")
+        raise ValueError(f"range {cfg.range[0]}:{cfg.range[1]} has LO > HI")
     return cfg
 
 
@@ -192,7 +189,7 @@ class Context:
     @property
     def csv_path(self) -> str:
         if not self.cfg.curves:
-            raise CliError("a curves CSV is required (--curves)")
+            raise ValueError("a curves CSV is required (--curves)")
         return self.cfg.curves
 
     @cached_property
@@ -222,7 +219,7 @@ class Context:
             problem = f"holds {len(cache.primes)} primes, {len(primes)} were requested"
         else:
             return cache
-        raise CliError(f"cache {path} {problem}; remove it or point --cache elsewhere")
+        raise ValueError(f"cache {path} {problem}; remove it or point --cache elsewhere")
 
     @cached_property
     def matrix(self) -> traces.TraceMatrix:
@@ -230,7 +227,7 @@ class Context:
         self.csv_sha256  # taken first, so an unreadable CSV is the error reported
         cache = self.trace_cache if self.cfg.cache else None
         if cache and not cache.exists():
-            raise CliError(f"trace cache {cache} does not exist; build it with `traces`")
+            raise ValueError(f"trace cache {cache} does not exist; build it with `traces`")
         primes = traces.default_prime_list(self.cfg.primes)
         if cache:
             return self.cached_matrix(cache, primes)
@@ -291,7 +288,7 @@ def _profile_gap(matrix: traces.TraceMatrix, rows_a, rows_b) -> np.ndarray:
 def cmd_ingest(cfg: RunConfig, ctx: Context) -> dict:
     result = ctx.parsed
     table = result.table
-    deduped = curves.dedupe_isogeny(table)
+    n_classes = len(set(map(curves.isogeny_class_of, table.labels)))
     return {
         "n_curves": len(table),
         "n_rejected_rows": len(result.errors),
@@ -299,8 +296,9 @@ def cmd_ingest(cfg: RunConfig, ctx: Context) -> dict:
         "rank_histogram": {str(k): v for k, v in table.rank_histogram().items()},
         "conductor_min": int(table.conductors.min()) if len(table) else None,
         "conductor_max": int(table.conductors.max()) if len(table) else None,
-        "n_isogeny_classes": len(table.index_by_class),
-        "dedupe_retained_ratio": (len(deduped) / len(table)) if len(table) else None,
+        "n_isogeny_classes": n_classes,
+        # the share of curves that one curve per isogeny class would keep
+        "dedupe_retained_ratio": n_classes / len(table) if len(table) else None,
     }
 
 
@@ -324,9 +322,19 @@ def cmd_traces(cfg: RunConfig, ctx: Context) -> dict:
 
 
 def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
-    import numpy as np
-
     table, out = ctx.parsed.table, ctx.out
+
+    def residual_statistics(invariant: str, per_rank: list) -> dict:
+        res = [windows.savgol_detrend(series) for series in per_rank]
+        for rank, series in enumerate(res):
+            # a segment no longer than the series, so no ValueError to catch
+            freqs, power = windows.welch_psd(series.values, segment=min(256, len(series)))
+            export.write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
+                                freqs, power, ("frequency", "power"))
+        return {"residual_correlation": _part(windows.residual_correlation, *res),
+                "cross_correlation_peak": _part(windows.cross_correlation, *res,
+                                                max_lag=min(20, len(res[0]) - 3))}
+
     per_invariant = {}
     for invariant in curves.INVARIANT_IDS:
         entry = per_invariant[invariant] = {}
@@ -343,29 +351,9 @@ def cmd_windows(cfg: RunConfig, ctx: Context) -> dict:
                                           f"{invariant}, rank {rank}")
             entry[f"rank{rank}_windows"] = int(len(series))
             per_rank.append(series)
-        try:
-            res = [windows.savgol_detrend(series) for series in per_rank]
-        except ValueError as exc:  # a series too short or uneven to detrend
-            entry["residuals"] = {"error": str(exc)}
-            continue
-        try:
-            entry["residual_correlation"] = windows.residual_correlation(*res)
-        except ValueError:
-            entry["residual_correlation"] = None
-        for rank, series in enumerate(res):
-            # a segment no longer than the series, so no ValueError to catch
-            freqs, power = windows.welch_psd(series.values, segment=min(256, len(series)))
-            export.write_xy_csv(out / f"psd_{invariant}_rank{rank}.csv",
-                                freqs, power, ("frequency", "power"))
-        if np.array_equal(res[0].centers, res[1].centers):
-            try:
-                lags, corr = windows.cross_correlation(*res,
-                                                       max_lag=min(20, len(res[0]) - 3))
-                peak = int(np.argmax(corr))
-                entry["cross_correlation_peak"] = {"lag": int(lags[peak]),
-                                                   "value": float(corr[peak])}
-            except ValueError:
-                entry["cross_correlation_peak"] = None
+        stats = _part(residual_statistics, invariant, per_rank)
+        # a series too short or uneven to detrend: the reason, under one key
+        entry.update({"residuals": stats} if "error" in stats else stats)
     return {"width": cfg.window, "step": cfg.step, "invariants": per_invariant}
 
 
@@ -638,8 +626,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 #: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
-#: Every exception class of the package is a ValueError; an incomplete beta
-#: fraction that does not converge is an ArithmeticError
+#: The package raises ValueError for every failure its inputs cause; an
+#: incomplete beta fraction that does not converge is an ArithmeticError, and
+#: so is the OverflowError of a --scan-windows bound near 1e308
 _USER_ERRORS = (ValueError, ArithmeticError, OSError, csv.Error)
 
 

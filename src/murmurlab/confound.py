@@ -23,14 +23,7 @@ import numpy as np
 
 from .curves import invariant_values
 from .primes import omega
-from .stratify import (
-    EmptyGroupError,
-    Partition,
-    SHA_RULE,
-    median,
-    partition,
-    rms_separation,
-)
+from .stratify import SHA_RULE, Partition, median, partition, rms_separation
 from .windows import pearson
 
 if TYPE_CHECKING:
@@ -66,7 +59,7 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
     distance exceeds max_distance.
     """
     if not len(group_a) or not len(group_b):
-        raise EmptyGroupError("matching requires two nonempty groups")
+        raise ValueError("matching requires two nonempty groups")
     values = {"conductor": table.conductors.astype(np.float64),
               "l_value": table.l_values}[key]
     a_vals, b_vals = values[group_a], values[group_b]
@@ -117,7 +110,7 @@ def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> dict[str, float]:
     averages squared per-pair differences over pairs and primes.
     """
     if matched.n_pairs == 0:
-        raise EmptyGroupError("no matched pairs")
+        raise ValueError("no matched pairs")
     rows = np.array([(a, b) for a, b, _ in matched.pairs], dtype=np.int64)
     rows_a, rows_b = matrix.traces[rows.T].astype(np.float64)
     return {"rms_group": float(rms_separation([rows_a.mean(0), rows_b.mean(0)])),
@@ -131,7 +124,7 @@ def control_omega(table: CurveTable, groups: Mapping[str, np.ndarray],
     for name, members in groups.items():
         keep = members[[omega(int(n)) == k for n in table.conductors[members]]]
         if not len(keep):
-            raise EmptyGroupError(f"group {name!r} empty after omega(N) = {k} restriction")
+            raise ValueError(f"group {name!r} empty after omega(N) = {k} restriction")
         restricted[name] = keep
     return restricted
 
@@ -155,14 +148,14 @@ def triple_control(table: CurveTable, band: tuple[float, float],
     """
     banded = lvalue_band(table.filter(conductor_range=conductor_range), band)
     if len(banded) == 0:
-        raise EmptyGroupError("no curves inside the band and conductor range")
+        raise ValueError("no curves inside the band and conductor range")
     small = banded.real_periods <= median(banded.real_periods)
     halves = {}
     for name, mask in (("small_period", small), ("large_period", ~small)):
         try:
             halves[name] = partition(banded.subset(np.flatnonzero(mask)), SHA_RULE)
-        except EmptyGroupError as exc:
-            raise EmptyGroupError(f"{name}: {exc}") from None
+        except ValueError as exc:  # an empty group
+            raise ValueError(f"{name}: {exc}") from None
     return halves
 
 

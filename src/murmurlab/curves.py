@@ -1,4 +1,4 @@
-"""Curve table ingest: parsing, validation, columnar storage, isogeny deduplication.
+"""Curve table ingest: parsing, validation, columnar storage.
 
 The single ingest format is the canonical curves CSV (UTF-8, header row):
 
@@ -54,14 +54,6 @@ MAX_INT64 = (1 << 63) - 1
 _LABEL_RE = re.compile(r"^([0-9]+)([a-z]+)([0-9]+)$")
 
 
-class CurveDataError(ValueError):
-    """Raised for unusable curve data (fatal for the whole table)."""
-
-
-class DuplicateLabelError(CurveDataError):
-    pass
-
-
 @dataclass(frozen=True)
 class RowError:
     """One rejected CSV row."""
@@ -92,7 +84,7 @@ def isogeny_class_of(label: str) -> str:
     """Strip the trailing curve index from a Cremona-style label."""
     m = _LABEL_RE.match(label)
     if m is None:
-        raise CurveDataError(f"label {label!r} is not Cremona-style")
+        raise ValueError(f"label {label!r} is not Cremona-style")
     return m.group(1) + m.group(2)
 
 
@@ -143,13 +135,6 @@ class CurveTable:
             **{name: getattr(self, column)[i].item()
                for column, (name, _) in NUMERIC_COLUMNS.items()},
         )
-
-    @property
-    def index_by_class(self) -> dict[str, tuple[int, ...]]:
-        by_class: dict[str, list[int]] = {}
-        for i, cls in enumerate(map(isogeny_class_of, self.labels)):
-            by_class.setdefault(cls, []).append(i)
-        return {k: tuple(v) for k, v in by_class.items()}
 
     def subset(self, indices: Sequence[int]) -> "CurveTable":
         """The rows at the given positions of this table, each once, in table order."""
@@ -334,7 +319,7 @@ def _parse_block(block: list[tuple[int, list[str]]], errors: dict[int, str],
     errors.update((lines[i], message) for i, message in first.items())
     for i, passed in zip(converted.tolist(), (~bad).tolist()):
         if labels[i] in seen:
-            raise DuplicateLabelError(f"duplicate label {labels[i]!r} at line {lines[i]}")
+            raise ValueError(f"duplicate label {labels[i]!r} at line {lines[i]}")
         if passed:
             seen.add(labels[i])
     kept = converted[~bad]
@@ -354,9 +339,9 @@ def parse_curve_table(stream) -> ParseResult:
     try:
         header = next(reader)
     except StopIteration:
-        raise CurveDataError("empty stream: header row required") from None
+        raise ValueError("empty stream: header row required") from None
     if tuple(h.strip() for h in header) != CSV_FIELDS:
-        raise CurveDataError(
+        raise ValueError(
             f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
     numbered, errors, seen = enumerate(reader, start=2), {}, set()
@@ -376,9 +361,3 @@ def parse_curve_table(stream) -> ParseResult:
     return ParseResult(table, tuple(RowError(line, errors[line])
                                     for line in sorted(errors)))
 
-
-def dedupe_isogeny(table: CurveTable) -> CurveTable:
-    """One representative per isogeny class: the lexicographically smallest label."""
-    keep = [min(indices, key=table.labels.__getitem__)
-            for indices in table.index_by_class.values()]
-    return table.subset(keep)

@@ -37,10 +37,6 @@ CROSSOVER_SMOOTH_WIDTH = 11
 CROSSOVER_LANDMARKS = (5, 37, 251, 1009)
 
 
-class ReductionDataError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MomentProfile:
     """Per-prime sample moments of a_p across a curve group."""
@@ -385,8 +381,8 @@ def classify_reduction(matrix: TraceMatrix) -> tuple[dict, tuple[tuple, ...]]:
     wrong = np.flatnonzero((values < -1) | (values > 1))
     if wrong.size:
         k = wrong[0]
-        raise ReductionDataError(f"{labels[rows[k]]}: bad-prime trace {values[k]} "
-                                 f"at p={primes[cols[k]]} outside {{-1,0,1}}")
+        raise ValueError(f"{labels[rows[k]]}: bad-prime trace {values[k]} "
+                         f"at p={primes[cols[k]]} outside {{-1,0,1}}")
     names = [REDUCTION_TYPES[a] for a in values.tolist()]
     entries = tuple(zip([labels[i] for i in rows.tolist()], primes[cols].tolist(), names))
     counts = {name: names.count(name) for name in REDUCTION_TYPES.values()}

@@ -37,7 +37,7 @@ is the same bit for bit whatever the blocks.
 The rule comes in two sizes, M nodes sized from t_max and V, and 2M nodes.
 The 2M-node rule gives every value; both rules evaluate the heights a
 search scans, and if they disagree by more than QUAD_TOL relative to the
-sum of |terms| the evaluation is refused with QuadratureError.  Each row is
+sum of |terms| the evaluation is refused with a ValueError.  Each row is
 summed on its own, so a value does not depend on which heights share its
 call: the zero search scans its grid in one call and bisects all k brackets
 together, one call per halving on the midpoints still open, and each
@@ -95,14 +95,6 @@ QUAD_TOL = 1e-12
 _NODE_BUDGET = 1 << 15
 
 
-class CoefficientShortfallError(ValueError):
-    pass
-
-
-class QuadratureError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LSeries:
     """Dirichlet coefficient data for one curve's L-function."""
@@ -158,9 +150,7 @@ def required_n_max(conductor: int) -> int:
 def _require_budget(series: LSeries) -> None:
     need = required_n_max(series.conductor)
     if series.n_max < need:
-        raise CoefficientShortfallError(
-            f"{series.label}: needs n_max >= {need}, series has {series.n_max}"
-        )
+        raise ValueError(f"{series.label}: needs n_max >= {need}, series has {series.n_max}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -217,8 +207,9 @@ def _lambda_batch(rule: tuple[np.ndarray, np.ndarray], ts) -> np.ndarray:
 def _checked_rule(series: LSeries, ts: np.ndarray):
     """Lambda at heights ts from the 2M-node rule, and that rule.
 
-    M is sized from max |ts|.  QuadratureError if the M-node rule disagrees
-    at any height by more than QUAD_TOL of the sum of |terms| 2 sum w |g|.
+    M is sized from max |ts|.  Refused with a ValueError if the M-node rule
+    disagrees at any height by more than QUAD_TOL of the sum of |terms|
+    2 sum w |g|.
     """
     x, a, span = _theta_terms(series)
     t_max = float(np.max(np.abs(ts)))
@@ -228,7 +219,7 @@ def _checked_rule(series: LSeries, ts: np.ndarray):
     gap = np.max(np.abs(_lambda_batch(_theta_rule(x, a, span, m), ts) - vals))
     scale = 2.0 * np.sum(np.abs(rule[1]))
     if not gap <= QUAD_TOL * scale:
-        raise QuadratureError(
+        raise ValueError(
             f"{series.label}: Lambda from {m} and {2 * m} quadrature nodes differs "
             f"by {gap / scale:.1e} of the sum of |terms| up to t = {t_max:g}, "
             f"above {QUAD_TOL:g}"

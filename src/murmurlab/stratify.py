@@ -56,10 +56,6 @@ _FLOAT32_EXACT = 1 << 24
 BONFERRONI_ALPHA = 0.001
 
 
-class EmptyGroupError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class StratRule:
     """Two-interval or quartile partition of one invariant.
@@ -125,7 +121,7 @@ def partition(table: CurveTable, rule: StratRule) -> Partition:
         unassigned = table.rows[~(in_a | in_b)]
     else:
         if len(values) == 0:
-            raise EmptyGroupError("cannot form quartiles of an empty table")
+            raise ValueError("cannot form quartiles of an empty table")
         edges = _quartiles(values)
         bins = np.searchsorted(edges, values, side="left")
         masks = {f"q{i + 1}": bins == i for i in range(4)}
@@ -133,7 +129,7 @@ def partition(table: CurveTable, rule: StratRule) -> Partition:
     groups = {name: table.rows[mask] for name, mask in masks.items()}
     for name, members in groups.items():
         if not len(members):
-            raise EmptyGroupError(f"group {name!r} of rule {rule.invariant!r} is empty")
+            raise ValueError(f"group {name!r} of rule {rule.invariant!r} is empty")
     return Partition(groups, unassigned)
 
 
@@ -355,7 +351,7 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
     for groups in groupings:
         members = list(groups.values() if isinstance(groups, Mapping) else groups)
         if len(members) < 2 or any(len(g) == 0 for g in members):
-            raise EmptyGroupError("permutation test needs at least two nonempty groups")
+            raise ValueError("permutation test needs at least two nonempty groups")
         member_lists.append(members)
     if not member_lists:
         return StratReports()

@@ -38,7 +38,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,18 +66,6 @@ _COEFFICIENT_BUDGET = 1 << 20
 #: digit width of `_limbs`: a digit below 2^62 plus a product of two residues
 #: below MAX_PRIME < 2^28 stays below 2^63
 _LIMB_BITS = 62
-
-
-class TraceComputationError(ValueError):
-    pass
-
-
-class CacheFormatError(ValueError):
-    pass
-
-
-class CacheCorruptionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -217,8 +205,8 @@ def _class_table(p: int, chi: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     with chi, taken with real FFTs.  Both are padded to a power of two
     >= 2p - 1, chi repeated once, which gives the cyclic values without a
     prime-length transform (that one measured ~5x slower at p = 3,571).
-    The sums are integers; a value further than 0.25 from one is a
-    TraceComputationError, never a rounded guess.
+    The sums are integers; a value further than 0.25 from one is refused
+    with a ValueError, never a rounded guess.
     """
     x = np.arange(p - 1, dtype=np.int64)  # every x but -1
     y = x * x % p * x % p * inverse[1:] % p  # inverse[1:] holds 1/(x + 1)
@@ -229,8 +217,8 @@ def _class_table(p: int, chi: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     sums = np.rint(corr)
     off = np.abs(corr - sums).max()
     if off > 0.25:
-        raise TraceComputationError(f"character sums at p={p} are not integers: "
-                                    f"the correlation is off by up to {off:.3g}")
+        raise ValueError(f"character sums at p={p} are not integers: "
+                         f"the correlation is off by up to {off:.3g}")
     return sums.astype(np.int64) + chi[-1]
 
 
@@ -286,7 +274,7 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
     and the classes (A, B), are summed one by one.
 
     With labels, a curve whose conductor and discriminant 4A^3 + 27B^2
-    disagree on whether p divides them is a TraceComputationError naming
+    disagree on whether p divides them is refused with a ValueError naming
     it: its conductor is wrong, or its model is not minimal at p, and
     either way the model mod p does not give its trace.
     """
@@ -304,8 +292,8 @@ def _trace_column(limbs: tuple[np.ndarray, np.ndarray], conductors: np.ndarray, 
             i = wrong[0]
             what = ("the conductor but not the discriminant" if bad[i]
                     else "the discriminant but not the conductor")
-            raise TraceComputationError(f"curve {labels[i]}: p={p} divides {what}; "
-                                        "a wrong conductor, or a model not minimal at p")
+            raise ValueError(f"curve {labels[i]}: p={p} divides {what}; "
+                             "a wrong conductor, or a model not minimal at p")
     # 1/B: one pow per curve, or a p-sized table once that is cheaper; a
     # table took as long as 130-190 pows at p <= 3,571 and p/31 at p >= 10,007
     inverse = _inverse_table(p) if len(b) > 128 + p // 32 else None
@@ -379,21 +367,22 @@ class TraceMatrix:
 
 
 def _hasse_check(traces: np.ndarray, bad: np.ndarray, primes: np.ndarray,
-                 labels: Sequence[str], error: Callable[[str], Exception]) -> None:
-    """Raise error(text) unless good entries lie within 2*sqrt(p) and bad ones in {-1,0,1}.
+                 labels: Sequence[str], fix: str = "") -> None:
+    """Raise ValueError unless good entries lie within 2*sqrt(p) and bad ones in {-1,0,1}.
 
-    Compares in int16, so the check costs no int64 copy of the matrix; a bound
-    above the int16 range is clipped, as no int16 trace can exceed it.
+    The text names the first entry outside, and ends in "; fix" when fix is
+    given.  Compares in int16, so the check costs no int64 copy of the
+    matrix; a bound above the int16 range is clipped, as no int16 trace can
+    exceed it.
     """
     bound = np.minimum(np.floor(2.0 * np.sqrt(primes.astype(np.float64))), 32767)
     limit = np.where(bad, np.int16(1), bound.astype(np.int16)[None, :])
     outside = (traces > limit) | (traces < -limit)
     if outside.any():
         i, j = np.argwhere(outside)[0]
-        raise error(
-            f"curve {labels[i]}: a_p={traces[i, j]} at p={primes[j]} violates "
-            f"{'the bad-prime range' if bad[i, j] else 'the Hasse bound'}"
-        )
+        problem = (f"curve {labels[i]}: a_p={traces[i, j]} at p={primes[j]} violates "
+                   f"{'the bad-prime range' if bad[i, j] else 'the Hasse bound'}")
+        raise ValueError(f"{problem}; {fix}" if fix else problem)
 
 
 def build_trace_matrix(table: CurveTable, primes: PrimeList) -> TraceMatrix:
@@ -413,8 +402,8 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList) -> TraceMatrix:
     except ValueError:  # an unsupported prime, a wrong conductor
         raise
     except Exception as exc:  # pragma: no cover - defensive
-        raise TraceComputationError(f"trace build failed: {exc}") from exc
-    _hasse_check(traces, bad, primes.primes, labels, TraceComputationError)
+        raise ValueError(f"trace build failed: {exc}") from exc
+    _hasse_check(traces, bad, primes.primes, labels)
     return TraceMatrix(labels, primes, traces, bad, table)
 
 
@@ -539,36 +528,35 @@ def load_trace_matrix(path) -> TraceMatrix:
     a-invariants are int64, or, only when one overflows, their decimal text
     joined by commas; labels are one UTF-8 block and the end of each in it.
     Section sizes are checked against the file before any is read, and each
-    is a slice of one read.  Another version is a CacheFormatError; a
+    is a slice of one read.  A file without the magic, another version, a
     truncated file, a wrong size or digest, or an entry outside the Hasse
-    bound or the bad-prime range, a CacheCorruptionError.  Either error of a
-    file that is a cache tells its user to remove it and rebuild it.
+    bound or the bad-prime range is a ValueError; each but the first, whose
+    file need be no cache at all, tells its user to remove it and rebuild it.
     """
     fix = f"remove {path} and rebuild it with `traces`"
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
         del data[fh.readinto(data):]
     if data[:4] != _MAGIC:
-        raise CacheFormatError(f"bad magic {bytes(data[:4])!r}")
+        raise ValueError(f"bad magic {bytes(data[:4])!r}")
     version = int.from_bytes(data[4:8], "little")
     if version != _VERSION:
-        raise CacheFormatError(f"unsupported cache version {version} (this version reads "
-                               f"{_VERSION}); {fix}")
+        raise ValueError(f"unsupported cache version {version} (this version reads "
+                         f"{_VERSION}); {fix}")
     if len(data) < _HEADER.size + 32:
-        raise CacheCorruptionError(f"truncated cache while reading the header; {fix}")
+        raise ValueError(f"truncated cache while reading the header; {fix}")
     _, _, n, m, label_bytes, a_text, csv_sha256 = _HEADER.unpack_from(data)
     body, offset, blocks = memoryview(data)[:-32], _HEADER.size, {}
     for name, dtype, items in _layout(n, m, label_bytes, a_text):
         size = items * np.dtype(dtype).itemsize
         if offset + size > len(body):
-            raise CacheCorruptionError(f"truncated cache while reading {name}; {fix}")
+            raise ValueError(f"truncated cache while reading {name}; {fix}")
         blocks[name] = np.frombuffer(body, dtype, items, offset)
         offset += size + -size % 8
     if offset != len(body):
-        raise CacheCorruptionError(f"cache size does not match its header; {fix}")
+        raise ValueError(f"cache size does not match its header; {fix}")
     if hashlib.sha256(body).digest() != data[-32:]:
-        raise CacheCorruptionError(f"cache does not match its own SHA-256, so it is "
-                                   f"damaged; {fix}")
+        raise ValueError(f"cache does not match its own SHA-256, so it is damaged; {fix}")
     text, ends = blocks["labels"].tobytes(), blocks["label ends"].tolist()
     labels = tuple(text[i:j].decode() for i, j in zip([0, *ends], ends))
     a_invariants = blocks["a-invariants"]
@@ -578,7 +566,6 @@ def load_trace_matrix(path) -> TraceMatrix:
     traces = blocks["trace matrix"].reshape(n, m)
     bad = np.unpackbits(blocks["bad-flag bitset"], count=n * m,
                         bitorder="little").view(bool).reshape(n, m)
-    _hasse_check(traces, bad, blocks["prime list"], labels,
-                 lambda problem: CacheCorruptionError(f"{problem}; {fix}"))
+    _hasse_check(traces, bad, blocks["prime list"], labels, fix)
     return TraceMatrix(labels, PrimeList(blocks["prime list"]), traces, bad, table,
                        csv_sha256.hex())

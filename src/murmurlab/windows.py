@@ -30,14 +30,6 @@ SAVGOL_WINDOW = 101
 SAVGOL_DEGREE = 3
 
 
-class DegenerateSeriesError(ValueError):
-    """Zero-variance input where a correlation is requested."""
-
-
-class SeriesTooShortError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class WindowSeries:
     """Per-window means of one invariant and the curve count of each window."""
@@ -95,13 +87,14 @@ def savgol_detrend(series: WindowSeries) -> WindowSeries:
     above the degree, and treats the points as evenly spaced: a series whose
     centers are not (a window without curves left out of its interior) is
     refused.  Only positions where the filter window lies fully inside the
-    series are emitted (no padded extrapolation at the edges).
+    series are emitted (no padded extrapolation at the edges), and a series
+    that would leave fewer than 3 of them, too few for a correlation, is
+    refused.
     """
     values = np.asarray(series.values, dtype=np.float64)
-    if len(values) < SAVGOL_WINDOW:
-        raise SeriesTooShortError(
-            f"series of length {len(values)} shorter than filter window {SAVGOL_WINDOW}"
-        )
+    if len(values) < SAVGOL_WINDOW + 2:
+        raise ValueError(f"series of length {len(values)} shorter than {SAVGOL_WINDOW + 2}: "
+                         f"filter window {SAVGOL_WINDOW} leaves fewer than 3 residuals")
     gaps = np.diff(series.centers)
     if np.ptp(gaps) > 1e-9 * gaps[0]:
         raise ValueError(f"detrending needs evenly spaced windows; the gaps between "
@@ -131,7 +124,7 @@ def savgol_coeffs() -> np.ndarray:
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two equal-length arrays, neither of them constant."""
     if a.std() == 0 or b.std() == 0:
-        raise DegenerateSeriesError("correlation undefined: a series is constant")
+        raise ValueError("correlation undefined: a series is constant")
     return float(np.corrcoef(a, b)[0, 1])
 
 
@@ -166,9 +159,8 @@ def welch_psd(values: np.ndarray, segment: int) -> tuple[np.ndarray, np.ndarray]
     """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < segment:
-        raise SeriesTooShortError(
-            f"series of length {len(values)} shorter than one segment ({segment})"
-        )
+        raise ValueError(f"series of length {len(values)} shorter than one segment "
+                         f"({segment})")
     step = segment - segment // 2
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
     segments = np.lib.stride_tricks.sliding_window_view(values, segment)[::step]
@@ -179,12 +171,13 @@ def welch_psd(values: np.ndarray, segment: int) -> tuple[np.ndarray, np.ndarray]
     return np.fft.rfftfreq(segment), power.mean(axis=0)
 
 
-def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,
-                      max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation of aligned series at lags -max_lag..+max_lag.
+def cross_correlation(res_a: WindowSeries, res_b: WindowSeries, max_lag: int) -> dict:
+    """The peak of the Pearson correlation of aligned series over lags -max_lag..+max_lag.
 
-    Lag k correlates a[t] with b[t+k] over the overlapping support; a lag
-    whose overlap has zero variance raises DegenerateSeriesError.
+    Lag k correlates a[t] with b[t+k] over the overlapping support.  The
+    report part is {"lag", "value"} of the largest correlation, the most
+    negative lag among equals; a lag whose overlap has zero variance is
+    refused, as a constant series has no correlation.
     """
     if len(res_a) != len(res_b) or not np.array_equal(res_a.centers, res_b.centers):
         raise ValueError("cross-correlation requires series on identical centers")
@@ -201,4 +194,5 @@ def cross_correlation(res_a: WindowSeries, res_b: WindowSeries,
         else:
             x, y = a[-k:], b[: n + k]
         corr[i] = pearson(x, y)
-    return lags, corr
+    peak = int(np.argmax(corr))
+    return {"lag": int(lags[peak]), "value": float(corr[peak])}

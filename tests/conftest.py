@@ -10,7 +10,7 @@ import pytest
 from murmurlab import lfunctions
 from murmurlab.curves import (CSV_FIELDS, NUMERIC_COLUMNS, CurveRecord, CurveTable,
                               parse_curve_table)
-from murmurlab.traces import PrimeList, TraceMatrix, default_prime_list
+from murmurlab.traces import TraceMatrix, default_prime_list
 
 DATA_DIR = Path(__file__).parent / "data"
 

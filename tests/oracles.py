@@ -25,9 +25,8 @@ import re
 import mpmath
 import numpy as np
 
-from murmurlab.curves import (CSV_FIELDS, CurveDataError, CurveRecord, DuplicateLabelError,
-                              ParseResult, RowError)
-from murmurlab.diagnostics import REDUCTION_TYPES, ReductionDataError
+from murmurlab.curves import CSV_FIELDS, CurveRecord, ParseResult, RowError
+from murmurlab.diagnostics import REDUCTION_TYPES
 
 from conftest import table_of
 
@@ -246,7 +245,7 @@ def classify_reduction_oracle(matrix, table):
     """(entries, type counts, agreement fraction, classified, unclassifiable).
 
     One curve at a time and one bad prime at a time: a_p = 0 additive, +1
-    split, -1 non-split, anything else a ReductionDataError at the first such
+    split, -1 non-split, anything else a ValueError at the first such
     entry.  A curve with a bad prime in the list is classified, and agrees
     when "no multiplicative bad prime" matches prod c_p = 1.
     """
@@ -265,7 +264,7 @@ def classify_reduction_oracle(matrix, table):
         for j in bad_cols:
             a = int(matrix.traces[i, j])
             if a not in REDUCTION_TYPES:
-                raise ReductionDataError(
+                raise ValueError(
                     f"{label}: bad-prime trace {a} at p={primes[j]} outside {{-1,0,1}}"
                 )
             name = REDUCTION_TYPES[a]
@@ -336,7 +335,7 @@ def validate_record(rec: CurveRecord) -> list[str]:
 def _isogeny_class(label: str) -> str:
     m = _LABEL_RE.match(label)
     if m is None:
-        raise CurveDataError(f"label {label!r} is not Cremona-style")
+        raise ValueError(f"label {label!r} is not Cremona-style")
     return m.group(1) + m.group(2)
 
 
@@ -365,9 +364,9 @@ def parse_curve_table_oracle(stream) -> ParseResult:
     try:
         header = next(reader)
     except StopIteration:
-        raise CurveDataError("empty stream: header row required") from None
+        raise ValueError("empty stream: header row required") from None
     if tuple(h.strip() for h in header) != CSV_FIELDS:
-        raise CurveDataError(
+        raise ValueError(
             f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
     records: list[CurveRecord] = []
@@ -397,11 +396,11 @@ def parse_curve_table_oracle(stream) -> ParseResult:
                 sha_an=_parse_real(raw["sha_an"], "sha_an"),
                 l_value=_parse_real(raw["l_value"], "l_value"),
             )
-        except (ValueError, CurveDataError) as exc:
+        except ValueError as exc:
             errors.append(RowError(line, str(exc)))
             continue
         if rec.label in seen:
-            raise DuplicateLabelError(f"duplicate label {rec.label!r} at line {line}")
+            raise ValueError(f"duplicate label {rec.label!r} at line {line}")
         problems = validate_record(rec)
         if problems:
             errors.append(RowError(line, "; ".join(problems)))

@@ -22,12 +22,10 @@ from murmurlab.lfunctions import (
     LSeries,
     hotelling_t2,
     hotelling_to_f,
-    locate_zeros,
     explicit_predict,
 )
 from murmurlab.stratify import (
     SHA_RULE,
-    StratRule,
     TABLE_RULES,
     partition,
     permutation_test,

@@ -69,6 +69,7 @@ class TestIngest:
         assert report["ingest"]["n_curves"] == 6
         assert report["ingest"]["rank_histogram"] == {"0": 3, "1": 1, "2": 1, "3": 1}
         assert report["ingest"]["n_isogeny_classes"] == 4
+        assert report["ingest"]["dedupe_retained_ratio"] == 4 / 6
         assert "sha256" in report["inputs"]["curves"]
 
     def test_empty_csv_reports_zero_curves(self, tmp_path):
@@ -79,7 +80,9 @@ class TestIngest:
         out = tmp_path / "out"
         rc = main(["ingest", "--curves", str(csv_path), "--out", str(out)])
         assert rc == 0
-        assert read_report(out, "ingest")["ingest"]["n_curves"] == 0
+        report = read_report(out, "ingest")["ingest"]
+        assert report["n_curves"] == report["n_isogeny_classes"] == 0
+        assert report["dedupe_retained_ratio"] is None
 
     def test_field_over_the_csv_limit_is_structured_error(self, tmp_path):
         from murmurlab.curves import CSV_FIELDS
@@ -568,14 +571,14 @@ class TestErrorReports:
         assert not (out / "zeros.json").exists()
 
     def test_every_exception_class_of_the_package_is_a_value_error(self):
+        # the package raises ValueError itself and defines no exception class,
         # so main catches every failure of a user's inputs with one fixed tuple
-        classes = {f"{name}.{cls.__name__}": cls
+        classes = [f"{name}.{cls.__name__}"
                    for name in SUBMODULES + ["murmurlab.cli"]
                    for cls in vars(importlib.import_module(name)).values()
                    if isinstance(cls, type) and issubclass(cls, BaseException)
-                   and cls.__module__ == name}
-        assert {"murmurlab.cli.CliError", "murmurlab.traces.CacheFormatError"} <= set(classes)
-        assert [name for name, cls in classes.items() if not issubclass(cls, ValueError)] == []
+                   and cls.__module__ == name]
+        assert classes == []
 
 
 class TestCachedStepsParseNothing:
@@ -1048,6 +1051,33 @@ class TestWindowsCommand:
         report = read_report(out, "windows")
         assert report["windows"]["invariants"]["period"]["rank0_windows"] > 101
         assert (out / "windows_period_rank0.csv").exists()
+        # every rank-0 regulator is 1: no correlation, and the report says why
+        constant = {"error": "correlation undefined: a series is constant"}
+        regulator = report["windows"]["invariants"]["regulator"]
+        assert regulator["residual_correlation"] == constant
+        assert regulator["cross_correlation_peak"] == constant
+        period = report["windows"]["invariants"]["period"]
+        assert -1 <= period["residual_correlation"] <= 1
+        assert sorted(period["cross_correlation_peak"]) == ["lag", "value"]
+
+    def test_a_series_of_101_windows_is_too_short_to_detrend(self, tmp_path):
+        # conductors from 10,000 to 60,000 at the default step of 500: 101
+        # windows, which would leave one residual
+        rank0, rank1 = (records(make_synthetic_table(400, seed=seed, rank=rank,
+                                                     conductor_range=(10_000, 60_001)))
+                        for seed, rank in ((1, 0), (2, 1)))
+        ends = [dataclasses.replace(rank0[i], label=f"{n}z1", isogeny_class=f"{n}z",
+                                    conductor=n) for i, n in ((0, 10_000), (1, 60_000))]
+        path = tmp_path / "synthetic.csv"
+        path.write_text(serialize_curve_table(table_of([*rank0[2:], *ends, *rank1])))
+        out = tmp_path / "out"
+        assert main(["windows", "--curves", str(path), "--out", str(out)]) == 0
+        for entry in read_report(out, "windows")["windows"]["invariants"].values():
+            assert entry["rank0_windows"] == entry["rank1_windows"] == 101
+            assert entry["residuals"] == {"error": "series of length 101 shorter than 103: "
+                                                   "filter window 101 leaves fewer than 3 "
+                                                   "residuals"}
+        assert not list(out.glob("psd_*.csv"))
 
     def test_rank_with_an_empty_interior_band_gets_no_residual_statistics(self,
                                                                           tmp_path):

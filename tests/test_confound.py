@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from murmurlab.confound import (
-    EmptyGroupError,
     bsd_group_ratios,
     control_omega,
     euler_cumsum,
@@ -17,7 +16,7 @@ from murmurlab.confound import (
 )
 from murmurlab.curves import CurveRecord
 from murmurlab.primes import omega
-from murmurlab.stratify import SHA_RULE, TAMAGAWA_RULE, partition, permutation_test
+from murmurlab.stratify import SHA_RULE, partition, permutation_test
 from murmurlab.traces import default_prime_list
 
 from conftest import make_synthetic_matrix, make_synthetic_table, records, table_of
@@ -50,7 +49,7 @@ class TestControlOmega:
         table = make_synthetic_table(30, seed=2, conductor_range=(11_213, 11_214))
         # 11213 is prime: omega = 1 everywhere, so omega = 4 empties the groups
         part = partition(table, SHA_RULE)
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(ValueError, match=r"group 'group_a' empty after omega\(N\) = 4"):
             control_omega(table, part.groups, 4)
 
     def test_null_after_restriction_behaves(self):
@@ -128,7 +127,7 @@ class TestMatchNn:
 
     def test_empty_group_raises(self):
         table = make_synthetic_table(10, seed=8)
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(ValueError, match="matching requires two nonempty groups"):
             match_nn(table, [], table.rows, "conductor", 1.0)
 
     @pytest.mark.parametrize("max_distance", [0.0, 0.1, 3.0, 500.0, math.inf])
@@ -203,8 +202,14 @@ class TestTripleControl:
 
     def test_empty_intersection_raises(self):
         table = make_synthetic_table(50, seed=15)
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(ValueError, match="no curves inside the band and conductor range"):
             triple_control(table, (100.0, 200.0), (11_000, 49_000))
+
+    def test_an_empty_group_names_its_half(self):
+        table = make_synthetic_table(50, seed=15, sha_choices=(1.0,))
+        with pytest.raises(ValueError,
+                           match="^small_period: group 'group_b' of rule 'sha' is empty$"):
+            triple_control(table, (0.1, 10.0), (11_000, 49_000))
 
 
 class TestBsdRatios:

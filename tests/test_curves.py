@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -10,9 +9,7 @@ from murmurlab.curves import (
     CSV_FIELDS,
     NUMERIC_COLUMNS,
     CurveRecord,
-    DuplicateLabelError,
     RowError,
-    dedupe_isogeny,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
@@ -74,7 +71,7 @@ class TestParsing:
 
     def test_duplicate_label_fatal(self):
         text = HEADER + "\n" + row() + "\n" + row() + "\n"
-        with pytest.raises(DuplicateLabelError):
+        with pytest.raises(ValueError, match="^duplicate label '11a1' at line 3$"):
             parse_curve_table(text)
 
     def test_parity_violation_rejected(self):
@@ -232,8 +229,8 @@ class TestColumnParse:
     def check(text):
         try:
             want = parse_curve_table_oracle(text)
-        except DuplicateLabelError as exc:
-            with pytest.raises(DuplicateLabelError, match=f"^{re.escape(str(exc))}$"):
+        except ValueError as exc:  # a duplicate label, fatal to both
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 parse_curve_table(text)
             return
         got = parse_curve_table(text)
@@ -260,7 +257,6 @@ class TestTable:
         assert pairs == sorted(pairs)
 
     def test_indexes(self, known_table):
-        assert known_table.index_by_class["11a"] == (0, 1, 2)
         assert record_of(known_table, "389a1").rank == 2
 
     def test_filter_by_rank_and_range(self, known_table):
@@ -306,25 +302,9 @@ class TestBsdResidual:
         assert ratio == pytest.approx(0.25, rel=1e-9)
 
 
-class TestDedupe:
-    def test_single_class_collapses_to_smallest_label(self, known_table):
-        deduped = dedupe_isogeny(known_table)
-        assert [r.label for r in records(deduped) if r.conductor == 11] == ["11a1"]
-        assert len(deduped) == 4
-
-    def test_every_class_once(self, known_table):
-        deduped = dedupe_isogeny(known_table)
-        classes = [r.isogeny_class for r in records(deduped)]
-        assert len(classes) == len(set(classes))
-
-    def test_identity_when_already_unique(self, known_table):
-        once = dedupe_isogeny(known_table)
-        assert records(dedupe_isogeny(once)) == records(once)
-
-
 def test_isogeny_class_strips_trailing_index():
     assert isogeny_class_of("499998bu3") == "499998bu"
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="^label 'not-a-label' is not Cremona-style$"):
         isogeny_class_of("not-a-label")
 
 

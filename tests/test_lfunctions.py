@@ -6,16 +6,13 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from murmurlab import lfunctions
 from murmurlab.lfunctions import (
     FE_TOL,
     ZERO_TOL,
-    CoefficientShortfallError,
     LSeries,
-    QuadratureError,
     ZeroSet,
     density_comparison,
     explicit_predict,
@@ -111,7 +108,7 @@ class TestCentralValue:
     def test_shortfall_names_requirement(self, known_table_module):
         rec = record_of(known_table_module, "11a1")
         series = LSeries(rec.label, rec.conductor, 1, np.array([0.0, 1.0, -2.0]))
-        with pytest.raises(CoefficientShortfallError, match="n_max >= "):
+        with pytest.raises(ValueError, match="^11a1: needs n_max >= 27, series has 2$"):
             central_value(series)
 
 
@@ -136,7 +133,7 @@ class TestLambdaCritical:
         assert math.isfinite(lambda_critical(full, 25.0))
         short = series_with_budget(rec, required_n_max(11) - 1)
         for evaluate in (lambda s: lambda_critical(s, 0.0), locate_zeros, fe_residual):
-            with pytest.raises(CoefficientShortfallError, match="needs n_max >= 27"):
+            with pytest.raises(ValueError, match="needs n_max >= 27"):
                 evaluate(short)
 
     def test_budget_covers_every_summed_term(self):
@@ -177,8 +174,6 @@ class TestZeroFinder:
 
     def test_twist_timing_scale(self, known_table_module):
         import time
-
-        from murmurlab.curves import CurveTable
 
         twist = twist_of_11a1(53)  # conductor 30899, root number +1
         series = LSeries.from_curve(twist)
@@ -394,11 +389,10 @@ class TestQuadrature:
     def test_too_few_nodes_refused(self, monkeypatch):
         monkeypatch.setattr(lfunctions, "_node_count", lambda span, t_max: 8)
         series = _twist_series(53)
-        with pytest.raises(QuadratureError, match="8 and 16 quadrature nodes"):
+        with pytest.raises(ValueError, match="8 and 16 quadrature nodes"):
             locate_zeros(series)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValueError, match="8 and 16 quadrature nodes .* up to t = 2.5,"):
             lambda_critical(series, 2.5)
-        assert issubclass(QuadratureError, ValueError)
 
     @pytest.mark.parametrize("d", [1, 53, -163])
     def test_sized_rules_agree_far_below_the_tolerance(self, d):
@@ -473,7 +467,7 @@ class TestFeResidual:
 
     def test_shortfall_refused(self, known_table_module):
         series = series_with_budget(record_of(known_table_module, "11a1"), 20)
-        with pytest.raises(CoefficientShortfallError):
+        with pytest.raises(ValueError, match="^11a1: needs n_max >= 27, series has 20$"):
             fe_residual(series)
 
 

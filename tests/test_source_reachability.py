@@ -21,6 +21,10 @@ tests.  So no parameter may be passed the same literal, tuple of literals or
 ALL_CAPS name by every call in the package; calls count as for defaults, and
 a splat counts as passing a value that varies.  A name bound once in the
 calling function, by assignment or tuple unpacking, is the value bound to it.
+
+An import is a use only of what the module then does with it: every name a
+module of the package or of the tests imports, at the top or inside a
+function, must be named elsewhere in that module.
 """
 
 import ast
@@ -29,7 +33,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "murmurlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "murmurlab"
 
 #: definitions that may go unreferenced in the package
 ALLOWED = {
@@ -373,3 +378,37 @@ def test_a_constant_through_a_name_bound_once_is_caught(tmp_path):
                  "            _scaled(values, factor=SAVGOL_WINDOW, axes=axes, shift=5))\n")
     # shift is bound twice, so its value is not known to be a constant
     assert constant_parameters(copy) == ["windows._scaled.factor", "windows._scaled.axes"]
+
+
+def unused_imports(paths) -> list[str]:
+    """"module.name" for each name a module imports and names nowhere else.
+
+    `import a.b` binds a; `from __future__ import ...` binds nothing.
+    """
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return found
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports(sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])) == []
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    copy = tmp_path / "windows.py"
+    source = (SRC / "windows.py").read_text()
+    anchor = "import numpy as np\n"
+    assert anchor in source
+    copy.write_text(source.replace(anchor, anchor + "import os.path\n") +
+                    "\n\ndef _count(series):\n"
+                    "    from .curves import MAX_INT64, NUMERIC_COLUMNS as columns\n"
+                    "    return min(len(series), MAX_INT64)\n")
+    assert unused_imports([copy]) == ["windows.os", "windows.columns"]

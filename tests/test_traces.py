@@ -18,10 +18,7 @@ from murmurlab.curves import NUMERIC_COLUMNS
 from murmurlab.primes import first_n_primes, is_prime, sieve_up_to
 from murmurlab.traces import (
     MAX_PRIME,
-    CacheCorruptionError,
-    CacheFormatError,
     PrimeList,
-    TraceComputationError,
     build_trace_matrix,
     default_prime_list,
     dirichlet_coefficients,
@@ -180,7 +177,7 @@ class TestTraceMatrix:
         assert model_discriminant(wrong.a_invariants[2]) % 7 and wrong.conductors[2] % 7
         wrong.conductors[2] *= 7
         message = f"curve {wrong.labels[2]}: p=7 divides the conductor but not the discriminant"
-        with pytest.raises(TraceComputationError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_trace_matrix(wrong, PrimeList(first_n_primes(8)))
 
     def test_model_not_minimal_at_a_good_prime_refused(self, curve_11a1):
@@ -193,7 +190,7 @@ class TestTraceMatrix:
         table = table_of([dataclasses.replace(curve_11a1, label="11a9",
                                                 a_invariants=scaled)])
         message = "curve 11a9: p=5 divides the discriminant but not the conductor"
-        with pytest.raises(TraceComputationError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_trace_matrix(table, PrimeList(first_n_primes(5)))
 
     def test_matrix_matches_scalar_path(self, known_table):
@@ -475,7 +472,7 @@ class TestClassTable:
 
         monkeypatch.setattr(np.fft, "irfft", perturbed)
         p = 101
-        with pytest.raises(TraceComputationError, match="p=101 are not integers"):
+        with pytest.raises(ValueError, match="p=101 are not integers"):
             traces._class_table(p, traces._chi_table(p), traces._inverse_table(p))
 
     @settings(max_examples=200, deadline=None)
@@ -637,7 +634,7 @@ class TestPersistence:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CacheFormatError, match="magic"):
+        with pytest.raises(ValueError, match="^bad magic b'NOPE'$"):
             load_trace_matrix(path)
 
     def test_truncated_file(self, known_table, tmp_path):
@@ -646,7 +643,7 @@ class TestPersistence:
         persist_trace_matrix(matrix, path, CSV_SHA256)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 3])
-        with pytest.raises(CacheCorruptionError):
+        with pytest.raises(ValueError, match="^cache size does not match its header; remove"):
             load_trace_matrix(path)
 
     def test_trailing_garbage(self, known_table, tmp_path):
@@ -654,7 +651,7 @@ class TestPersistence:
         path = tmp_path / "traces.bin"
         persist_trace_matrix(matrix, path, CSV_SHA256)
         path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(CacheCorruptionError):
+        with pytest.raises(ValueError, match="^cache size does not match its header; remove"):
             load_trace_matrix(path)
 
     def test_table_round_trips_column_by_column(self, known_table, tmp_path):
@@ -688,14 +685,14 @@ class TestPersistence:
     def test_version_1_cache_asks_for_a_rebuild(self, tmp_path):
         path = tmp_path / "v1.bin"
         path.write_bytes(b"MURM" + struct.pack("<IQI", 1, 0, 1) + struct.pack("<I", 2))
-        with pytest.raises(CacheFormatError, match="version 1 .*rebuild it with `traces`"):
+        with pytest.raises(ValueError,
+                           match="unsupported cache version 1 .*rebuild it with `traces`"):
             load_trace_matrix(path)
 
 
 class TestCacheFuzz:
     """A damaged cache ends in the loader's own errors, never a crash."""
 
-    ERRORS = (CacheFormatError, CacheCorruptionError, ValueError)
 
     @pytest.fixture(scope="class")
     def cache(self, known_table, tmp_path_factory):
@@ -708,7 +705,7 @@ class TestCacheFuzz:
         path, data = cache
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
-            with pytest.raises(self.ERRORS):
+            with pytest.raises(ValueError):
                 load_trace_matrix(path)
 
     def test_every_bit_flip_refused(self, cache):
@@ -717,7 +714,7 @@ class TestCacheFuzz:
             damaged = bytearray(raw)
             damaged[bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(bytes(damaged))
-            with pytest.raises(self.ERRORS):
+            with pytest.raises(ValueError):
                 load_trace_matrix(path)
 
     def test_trace_outside_hasse_bound_rejected(self, cache, known_table):
@@ -730,7 +727,8 @@ class TestCacheFuzz:
         damaged[trace_block + 2 * row * m + 1] ^= 0x40  # a_2: -2 (0xfffe) -> 0xbffe
         damaged[-32:] = hashlib.sha256(damaged[:-32]).digest()  # a digest that fits
         path.write_bytes(bytes(damaged))
-        with pytest.raises(CacheCorruptionError, match="11a1: a_p=-16386 at p=2") as refused:
+        with pytest.raises(ValueError, match="11a1: a_p=-16386 at p=2 violates the Hasse "
+                                              "bound") as refused:
             load_trace_matrix(path)
         assert str(refused.value).endswith(f"; remove {path} and rebuild it with `traces`")
 
@@ -743,9 +741,8 @@ class TestCacheFuzz:
                                  (raw + bytes(8), "cache size does not match its header"),
                                  (flipped, "cache does not match its own SHA-256")):
             path.write_bytes(damaged)
-            with pytest.raises(CacheCorruptionError) as refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(problem)}") as refused:
                 load_trace_matrix(path)
-            assert str(refused.value).startswith(problem)
             assert str(refused.value).endswith(f"; remove {path} and rebuild it with `traces`")
 
     def test_huge_prime_count_rejected_before_reading(self, cache):
@@ -753,5 +750,5 @@ class TestCacheFuzz:
         damaged = bytearray(raw)
         struct.pack_into("<I", damaged, 16, 2**31)
         path.write_bytes(bytes(damaged))
-        with pytest.raises(CacheCorruptionError, match="prime list"):
+        with pytest.raises(ValueError, match="truncated cache while reading prime list"):
             load_trace_matrix(path)
