@@ -13,10 +13,16 @@ inputs can cause (`_USER_ERRORS`).
 
 A step's section is assembled from the report parts its analysis functions
 return: dicts with the report's own keys and JSON types, such as
-`stratify.bonferroni`'s.  A function whose values also fill a CSV returns
-its part together with that array (`confound.euler_cumsum`).  A part is
-computed through `_part` where the inputs may not give it; `_part` then
-records the part's error in its place, and the other parts still run.
+`stratify.bonferroni`'s or each report of `stratify.permutation_test`.  A
+function whose values also fill a CSV returns its part together with them:
+`confound.euler_cumsum` the array of Delta, `diagnostics.moment_profile`
+the CSV's columns by header name.  What a step only counts or passes on is
+plain data too: groups are a dict of name -> row positions
+(`stratify.partition`), matches a tuple of (row a, row b, distance)
+(`confound.match_nn`), and a rejected CSV row is its ingest report entry
+{"line", "message"}.  A part is computed through `_part` where the inputs
+may not give it; `_part` then records the part's error in its place, and
+the other parts still run.
 
 Each subcommand runs in its own process, so start-up is part of every step.
 The package registers its submodules lazily, and this module binds them with
@@ -244,8 +250,8 @@ class Context:
     def sha_groups(self, band: tuple[float, float] | None = None) -> dict[str, np.ndarray]:
         """The Sha = 1 and Sha >= 4 groups of SHA_RULE in rank0, or in its L-value band."""
         table = self.rank0 if band is None else confound.lvalue_band(self.rank0, band)
-        part = stratify.partition(table, stratify.SHA_RULE)
-        return {"sha_1": part.groups["group_a"], "sha_ge4": part.groups["group_b"]}
+        groups = stratify.partition(table, stratify.SHA_RULE)
+        return {"sha_1": groups["group_a"], "sha_ge4": groups["group_b"]}
 
 
 def _report_head(command: str, cfg: RunConfig, ctx: Context) -> dict:
@@ -292,7 +298,7 @@ def cmd_ingest(cfg: RunConfig, ctx: Context) -> dict:
     return {
         "n_curves": len(table),
         "n_rejected_rows": len(result.errors),
-        "rejected": [{"line": e.line, "message": e.message} for e in result.errors[:100]],
+        "rejected": list(result.errors[:100]),
         "rank_histogram": {str(k): v for k, v in table.rank_histogram().items()},
         "conductor_min": int(table.conductors.min()) if len(table) else None,
         "conductor_max": int(table.conductors.max()) if len(table) else None,
@@ -363,7 +369,7 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
     table, matrix, out = ctx.table, ctx.matrix, ctx.out
     by_name = {rule.invariant: rule for rule in stratify.TABLE_RULES}
     rules = stratify.TABLE_RULES if cfg.rule == "all" else (by_name[cfg.rule],)
-    parts = {}  # rule -> partition, for each rule whose groups are all nonempty
+    parts = {}  # rule -> its groups, for each rule whose groups are all nonempty
 
     def partitioned(rule: stratify.StratRule) -> dict:
         base = ctx.rank0
@@ -371,25 +377,25 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
             # cross-rank calibration baseline: rank 0 vs rank 1
             in_range = table.filter(conductor_range=ctx.conductor_range)
             base = in_range.subset(np.flatnonzero(np.isin(in_range.ranks, (0, 1))))
-        part = parts[rule] = stratify.partition(base, rule)
-        return {"group_sizes": part.sizes(), "n_unassigned": len(part.unassigned)}
+        groups = parts[rule] = stratify.partition(base, rule)
+        sizes = {k: len(v) for k, v in groups.items()}
+        return {"group_sizes": sizes, "n_unassigned": len(base) - sum(sizes.values())}
 
     entries = {rule.invariant: _part(partitioned, rule) for rule in rules}
     if not parts:
         raise ValueError(entries[rules[0].invariant]["error"])
     # one call, so rules over the same number of curves share their shuffles
-    strat_reports = stratify.permutation_test([p.groups for p in parts.values()], matrix,
+    strat_reports = stratify.permutation_test(list(parts.values()), matrix,
                                               n_shuffles=cfg.shuffles, seed=cfg.seed)
-    for (rule, part), strat_report in zip(parts.items(), strat_reports):
-        entries[rule.invariant]["report"] = strat_report.to_dict()
+    for (rule, groups), strat_report in zip(parts.items(), strat_reports):
+        entries[rule.invariant]["report"] = strat_report
         if rule.kind == "two_group":
             export.write_xy_csv(out / f"diff_{rule.invariant}.csv", matrix.primes.primes,
-                                _profile_gap(matrix, part.groups["group_a"],
-                                             part.groups["group_b"]),
+                                _profile_gap(matrix, groups["group_a"], groups["group_b"]),
                                 ("prime", "mean_ap_diff"))
     section = {"conductor_range": list(ctx.conductor_range), "rules": entries,
                # the threshold counts only the rules that ran
-               "bonferroni": stratify.bonferroni([r.p_value for r in strat_reports])}
+               "bonferroni": stratify.bonferroni([r["p_value"] for r in strat_reports])}
     if len(cfg.scan_windows) >= 3:
         section["scale_scan"] = _part(stratify.scale_scan, table.filter(rank=0), matrix,
                                       by_name[cfg.rule if cfg.rule != "all" else "sha"],
@@ -411,38 +417,40 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
     # each control partitions for itself, so a partition that fails is the
     # error of every control built on it
     def tamagawa_omega(k: int) -> dict:
-        part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
-        return tested(confound.control_omega(table, part.groups, k))
+        groups = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
+        return tested(confound.control_omega(table, groups, k))
 
     def tamagawa_conductor_matched() -> dict:
-        part = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
-        matches = confound.match_nn(table, part.groups["group_a"], part.groups["group_b"],
-                                    "conductor", 500.0)
-        paired = confound.matched_rms(matches, matrix)
+        groups = stratify.partition(rank0, stratify.TAMAGAWA_RULE)
+        key, max_distance = "conductor", 500.0
+        pairs = confound.match_nn(table, groups["group_a"], groups["group_b"], key,
+                                  max_distance)
+        paired = confound.matched_rms(pairs, matrix)
         export.write_json(ctx.out / "matched_pairs_tamagawa.json", {
-            "key": matches.key,
-            "max_distance": matches.max_distance,
-            "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in matches.pairs],
+            "key": key,
+            "max_distance": max_distance,
+            "pairs": [[table.labels[a], table.labels[b], d] for a, b, d in pairs],
         })
-        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance, **paired}
+        return paired
 
-    def sha_lvalue_matched(part: stratify.Partition) -> dict:
-        matches = confound.match_nn(table, part.groups["group_b"], part.groups["group_a"],
-                                    "l_value", 0.1)
-        return {"n_pairs": matches.n_pairs, "mean_distance": matches.mean_distance,
-                "rms_group": confound.matched_rms(matches, matrix)["rms_group"]}
+    def sha_lvalue_matched(groups: dict[str, np.ndarray]) -> dict:
+        pairs = confound.match_nn(table, groups["group_b"], groups["group_a"], "l_value", 0.1)
+        paired = confound.matched_rms(pairs, matrix)
+        del paired["rms_per_pair"]  # reported for the Tamagawa matches only
+        return paired
 
     def sha_lvalue_band() -> dict:
-        part = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
+        groups = stratify.partition(confound.lvalue_band(rank0, band), stratify.SHA_RULE)
         # the matched pairs are reported only when the band partitions
-        battery["sha_lvalue_matched"] = _part(sha_lvalue_matched, part)
-        return {"band": list(band), "group_sizes": part.sizes(),
-                "report": tested(part.groups)}
+        battery["sha_lvalue_matched"] = _part(sha_lvalue_matched, groups)
+        return {"band": list(band), "group_sizes": {k: len(v) for k, v in groups.items()},
+                "report": tested(groups)}
 
     def sha_triple_control() -> dict:
-        halves = confound.triple_control(table, band, ctx.conductor_range)
-        return {half: {"sizes": part.sizes(), "report": tested(part.groups)}
-                for half, part in halves.items()}
+        halves = confound.triple_control(confound.lvalue_band(rank0, band))
+        return {half: {"sizes": {k: len(v) for k, v in groups.items()},
+                       "report": tested(groups)}
+                for half, groups in halves.items()}
 
     def bsd_group_ratios() -> dict:
         groups = ctx.sha_groups()
@@ -464,7 +472,7 @@ def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:
     strat_reports = stratify.permutation_test([groups for _, groups in tests], matrix,
                                               n_shuffles=cfg.shuffles, seed=cfg.seed)
     for (entry, _), strat_report in zip(tests, strat_reports):
-        entry.update(strat_report.to_dict())
+        entry.update(strat_report)
     battery["bsd_group_ratios"] = _part(bsd_group_ratios)
     battery["period_vs_log_conductor"] = _part(confound.invariant_correlation, rank0)
     return {"conductor_range": list(ctx.conductor_range), "battery": battery}
@@ -477,19 +485,10 @@ def cmd_diagnose(cfg: RunConfig, ctx: Context) -> dict:
     section = {"band": list(band),
                "conductor_range": list(ctx.conductor_range),
                "groups": {k: len(v) for k, v in groups.items()}}
-    moments = {}
+    moments = section["moments"] = {}
     for name, members in groups.items():
-        prof = diagnostics.moment_profile(members, matrix)
-        moments[name] = prof.summary()
-        export.write_table_csv(
-            out / f"moments_{name}.csv",
-            ("prime", "mean", "variance", "variance_over_p", "skewness",
-             "excess_kurtosis"),
-            zip(prof.primes.tolist(), prof.mean.tolist(), prof.variance.tolist(),
-                prof.variance_over_p.tolist(), prof.skewness.tolist(),
-                prof.excess_kurtosis.tolist()),
-        )
-    section["moments"] = moments
+        moments[name], columns = diagnostics.moment_profile(members, matrix)
+        export.write_table_csv(out / f"moments_{name}.csv", columns, zip(*columns.values()))
     section["sato_tate_ks"] = _part(diagnostics.satotate_ks, groups["sha_1"],
                                     groups["sha_ge4"], matrix)
     section["crossover"] = diagnostics.crossover_scan(
@@ -627,8 +626,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 #: failures a user's inputs can cause; each ends in <cmd>_error.json and exit 1.
 #: The package raises ValueError for every failure its inputs cause; an
-#: incomplete beta fraction that does not converge is an ArithmeticError, and
-#: so is the OverflowError of a --scan-windows bound near 1e308
+#: incomplete beta fraction that does not converge is an ArithmeticError
 _USER_ERRORS = (ValueError, ArithmeticError, OSError, csv.Error)
 
 

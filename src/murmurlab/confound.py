@@ -5,10 +5,12 @@ nearest-neighbor matching on a one-dimensional key, L-value band
 restriction, the combined L-value/period/conductor control, per-group BSD
 ratio validation, and cumulative Euler-sum decompositions.  A control only
 builds and measures groups: `control_omega` and `triple_control` return
-groupings, and the `confound` command tests them all in one
-`stratify.permutation_test` call.  Curve groups are int arrays of aligned
-row positions (see `curves.CurveTable`); a table passed alongside a group
-is the aligned table those positions index.
+groupings, dicts of group name -> rows, and the `confound` command tests
+them all in one `stratify.permutation_test` call.  `match_nn` returns its
+matches as (row a, row b, distance) tuples, and `matched_rms` the report
+part of a set of them.  Curve groups are int arrays of aligned row positions
+(see `curves.CurveTable`); a table passed alongside a group is the aligned
+table those positions index.
 Murmuration profiles are per-prime mean-a_p arrays aligned with a prime
 list (see `windows.murmuration_profile`).
 """
@@ -16,14 +18,13 @@ list (see `windows.murmuration_profile`).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .curves import invariant_values
 from .primes import omega
-from .stratify import SHA_RULE, Partition, median, partition, rms_separation
+from .stratify import SHA_RULE, median, partition, rms_separation
 from .windows import pearson
 
 if TYPE_CHECKING:
@@ -31,32 +32,14 @@ if TYPE_CHECKING:
     from .traces import TraceMatrix
 
 
-@dataclass(frozen=True)
-class MatchedPairs:
-    """Greedy one-to-one nearest-neighbor matches: (row a, row b, distance)."""
-
-    pairs: tuple[tuple[int, int, float], ...]
-    key: str
-    max_distance: float
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def mean_distance(self) -> float:
-        if not self.pairs:
-            return 0.0
-        return float(np.mean([d for _, _, d in self.pairs]))
-
-
 def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
-             key: str, max_distance: float) -> MatchedPairs:
+             key: str, max_distance: float) -> tuple[tuple[int, int, float], ...]:
     """Greedy nearest-neighbor matching of A-curves to distinct B-curves.
 
     A-curves are processed in ascending key order (ties by label); each takes
     the nearest still-unused B-curve, and the pair is dropped when the key
-    distance exceeds max_distance.
+    distance exceeds max_distance.  Returns the matches as (row a, row b,
+    distance) in that order.
     """
     if not len(group_a) or not len(group_b):
         raise ValueError("matching requires two nonempty groups")
@@ -100,20 +83,22 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
         pairs.append((int(group_a[ai]), b_rows[bj], float(dist)))
         right[bj] = bj + 1
         left[bj + 1] = bj
-    return MatchedPairs(tuple(pairs), key, max_distance)
+    return tuple(pairs)
 
 
-def matched_rms(matched: MatchedPairs, matrix: TraceMatrix) -> dict[str, float]:
-    """RMS separation of the two matched sub-profiles.
+def matched_rms(pairs: Sequence[tuple[int, int, float]], matrix: TraceMatrix) -> dict:
+    """The count and mean distance of the matches, and the RMS separation of
+    the two matched sub-profiles.
 
     rms_group compares the two matched-group mean profiles; rms_per_pair
     averages squared per-pair differences over pairs and primes.
     """
-    if matched.n_pairs == 0:
+    if not pairs:
         raise ValueError("no matched pairs")
-    rows = np.array([(a, b) for a, b, _ in matched.pairs], dtype=np.int64)
+    rows = np.array([(a, b) for a, b, _ in pairs], dtype=np.int64)
     rows_a, rows_b = matrix.traces[rows.T].astype(np.float64)
-    return {"rms_group": float(rms_separation([rows_a.mean(0), rows_b.mean(0)])),
+    return {"n_pairs": len(pairs), "mean_distance": float(np.mean([d for _, _, d in pairs])),
+            "rms_group": float(rms_separation([rows_a.mean(0), rows_b.mean(0)])),
             "rms_per_pair": float(rms_separation([rows_a.ravel(), rows_b.ravel()]))}
 
 
@@ -139,14 +124,14 @@ def lvalue_band(table: CurveTable, band: tuple[float, float]) -> CurveTable:
                                        & (l_values <= hi)))
 
 
-def triple_control(table: CurveTable, band: tuple[float, float],
-                   conductor_range: tuple[int, int]) -> dict[str, Partition]:
+def triple_control(banded: CurveTable) -> dict[str, dict[str, np.ndarray]]:
     """Sha groupings with L-value band, conductor range, and period held fixed.
 
-    Within band and range, curves are split at the median real period, and
-    each half, "small_period" and "large_period", is partitioned by SHA_RULE.
+    banded holds the rank-0 curves of one conductor range inside one L-value
+    band (`lvalue_band`).  They are split at the median real period, and the
+    groups of each half, "small_period" and "large_period", are SHA_RULE's
+    partition of it.
     """
-    banded = lvalue_band(table.filter(conductor_range=conductor_range), band)
     if len(banded) == 0:
         raise ValueError("no curves inside the band and conductor range")
     small = banded.real_periods <= median(banded.real_periods)

@@ -55,14 +55,6 @@ _LABEL_RE = re.compile(r"^([0-9]+)([a-z]+)([0-9]+)$")
 
 
 @dataclass(frozen=True)
-class RowError:
-    """One rejected CSV row."""
-
-    line: int
-    message: str
-
-
-@dataclass(frozen=True)
 class CurveRecord:
     """One curve with its BSD invariants, as ingested."""
 
@@ -203,7 +195,8 @@ def invariant_values(table: CurveTable, invariant: str) -> np.ndarray:
 @dataclass(frozen=True)
 class ParseResult:
     table: CurveTable
-    errors: tuple[RowError, ...]
+    #: each rejected row as {"line", "message"}, the ingest report's `rejected` entry
+    errors: tuple[dict, ...]
 
 
 _A_FIELDS = ("a1", "a2", "a3", "a4", "a6")
@@ -358,6 +351,6 @@ def parse_curve_table(stream) -> ParseResult:
     table = CurveTable([labels[i] for i in order.tolist()], a_invariants,
                        **{column: columns[name][order]
                           for column, (name, _) in NUMERIC_COLUMNS.items()})
-    return ParseResult(table, tuple(RowError(line, errors[line])
+    return ParseResult(table, tuple({"line": line, "message": errors[line]}
                                     for line in sorted(errors)))
 

@@ -1,10 +1,11 @@
 """Diagnostics for murmuration modulations.
 
-Per-prime moment profiles, Sato-Tate angle comparison, crossover detection
-in difference profiles, reduction-type classification from bad-prime traces,
-and the bad-prime share of a profile separation.  Curve groups are int
-arrays of trace-matrix row positions; a difference profile is a per-prime
-array aligned with the matrix's prime list.
+Per-prime moment profiles (a report part and the columns of their CSV),
+Sato-Tate angle comparison, crossover detection in difference profiles,
+reduction-type classification from bad-prime traces, and the bad-prime share
+of a profile separation.  Curve groups are int arrays of trace-matrix row
+positions; a difference profile is a per-prime array aligned with the
+matrix's prime list.
 
 The two-sample Kolmogorov-Smirnov test shared with the zero statistics,
 ks_2samp, takes its p-value from the finite-n two-sided Kolmogorov
@@ -17,7 +18,6 @@ small n d, and the Pelz-Good expansion for large n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -37,33 +37,13 @@ CROSSOVER_SMOOTH_WIDTH = 11
 CROSSOVER_LANDMARKS = (5, 37, 251, 1009)
 
 
-@dataclass(frozen=True)
-class MomentProfile:
-    """Per-prime sample moments of a_p across a curve group."""
-
-    primes: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    variance_over_p: np.ndarray
-    skewness: np.ndarray          # bias-corrected; NaN when undefined
-    excess_kurtosis: np.ndarray   # bias-corrected excess; NaN when undefined
-
-    def summary(self) -> dict[str, float]:
-        """Unweighted means over primes (NaN-aware for the shape moments)."""
-        return {
-            "mean": float(np.mean(self.mean)),
-            "variance": float(np.mean(self.variance)),
-            "variance_over_p": float(np.mean(self.variance_over_p)),
-            "skewness": float(np.nanmean(self.skewness)),
-            "excess_kurtosis": float(np.nanmean(self.excess_kurtosis)),
-        }
-
-
-def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
+def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> tuple[dict, dict]:
     """Mean, variance, variance/p, skewness, and excess kurtosis per prime.
 
-    Shape moments use the bias-corrected sample estimators and are flagged
-    NaN where undefined (fewer than 3 or 4 observations, or zero variance).
+    Shape moments use the bias-corrected sample estimators and are NaN where
+    undefined (zero variance).  Returns the report part, each moment's
+    unweighted mean over primes (NaN-aware for the shape moments), and the
+    columns of the moments CSV, header name -> list, led by "prime".
     """
     n = len(rows)
     if n < 4:
@@ -79,16 +59,14 @@ def moment_profile(rows: Sequence[int], matrix: TraceMatrix) -> MomentProfile:
         skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5
         kurt = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2 - 3 * (n - 1) ** 2.0)
     degenerate = var == 0
-    skew = np.where(degenerate, np.nan, skew)
-    kurt = np.where(degenerate, np.nan, kurt)
-    return MomentProfile(
-        primes=matrix.primes.primes,
-        mean=mean,
-        variance=var,
-        variance_over_p=var / p,
-        skewness=skew,
-        excess_kurtosis=kurt,
-    )
+    shape = {"skewness": np.where(degenerate, np.nan, skew),
+             "excess_kurtosis": np.where(degenerate, np.nan, kurt)}
+    moments = {"mean": mean, "variance": var, "variance_over_p": var / p, **shape}
+    part = {name: float((np.nanmean if name in shape else np.mean)(values))
+            for name, values in moments.items()}
+    columns = {"prime": matrix.primes.primes.tolist(),
+               **{name: values.tolist() for name, values in moments.items()}}
+    return part, columns
 
 
 def _angle_pool(rows: Sequence[int], matrix: TraceMatrix) -> np.ndarray:

@@ -1,29 +1,30 @@
 """Stratification of murmuration profiles with permutation nulls.
 
-A StratRule partitions a fixed-rank curve set by a BSD invariant into
-groups of row positions (int arrays indexing the aligned table and trace
-matrix).  Profile separation is the RMS difference of the groups'
-murmuration profiles, per-prime mean-a_p arrays over one prime list, and
-`rms_separation` is the one place it is computed.  Significance comes from
-reshuffling group membership while preserving group sizes, and each CLI
-command tests all its groupings in one `permutation_test` call.  All
-randomness flows through an explicit 64-bit seed: the shuffles of a grouping
-of n rows are the permutations of n that default_rng(seed) draws in turn, so
-groupings of equal n tested together share each drawn block, each applying
-it to its own rows.  The streams of different n are independent, so each
-runs as one task on a thread pool of as many workers as the process has
-CPUs; NumPy's draws and matrix products release the GIL.  A stream holds
-one permutation array, one one-hot buffer per copy dtype and one converted
-copy of each distinct row set among its groupings, so its memory does not
-grow with the groupings that share a row set: the copy is in sorted row
-order, and each grouping scatters into it through a map from its own
-member order.  Traces are integers, so every group sum is exact: the
-observed separation and the total take theirs in int64 from the int16
-rows, and the shuffles in float32 when n * max|a_p| < 2**24, the integers
-float32 holds exactly, and in float64 otherwise, in whatever row order.  A
-grouping's null is therefore the same, bit for bit, whether it is tested
-alone or with others, and whatever the scheduling of the streams or the
-threading of the BLAS.
+A StratRule partitions a fixed-rank curve set by a BSD invariant into groups
+of row positions (int arrays indexing the aligned table and trace matrix);
+`partition` returns them as a dict by group name.  Profile separation is the
+RMS difference of the groups' murmuration profiles, per-prime mean-a_p
+arrays over one prime list, and `rms_separation` is the one place it is
+computed.  Significance comes from reshuffling group membership while
+preserving group sizes, and each CLI command tests all its groupings in one
+`permutation_test` call, which returns each grouping's report part, a dict
+with the report's keys.  All randomness flows through an explicit 64-bit
+seed: the shuffles of a grouping of n rows are the permutations of n that
+default_rng(seed) draws in turn, so groupings of equal n tested together
+share each drawn block, each applying it to its own rows.  The streams of
+different n are independent, so each runs as one task on a thread pool of as
+many workers as the process has CPUs; NumPy's draws and matrix products
+release the GIL.  A stream holds one permutation array, one one-hot buffer
+per copy dtype and one converted copy of each distinct row set among its
+groupings, so its memory does not grow with the groupings that share a row
+set: the copy is in sorted row order, and each grouping scatters into it
+through a map from its own member order.  Traces are integers, so every
+group sum is exact: the observed separation and the total take theirs in
+int64 from the int16 rows, and the shuffles in float32 when n * max|a_p| <
+2**24, the integers float32 holds exactly, and in float64 otherwise, in
+whatever row order.  A grouping's null is therefore the same, bit for bit,
+whether it is tested alone or with others, and whatever the scheduling of
+the streams or the threading of the BLAS.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .curves import invariant_values
+from .curves import MAX_INT64, invariant_values
 from .windows import murmuration_profile
 
 if TYPE_CHECKING:
@@ -87,17 +88,6 @@ TABLE_RULES = (TAMAGAWA_RULE, SHA_RULE, PERIOD_QUARTILE_RULE, TORSION_RULE,
                ROOT_NUMBER_RULE)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Groups and leftovers as int arrays of aligned-table row positions."""
-
-    groups: dict[str, np.ndarray]
-    unassigned: np.ndarray
-
-    def sizes(self) -> dict[str, int]:
-        return {k: len(v) for k, v in self.groups.items()}
-
-
 def _grouping_values(table: CurveTable, rule: StratRule) -> np.ndarray:
     if rule.invariant == "root_number":
         return table.root_numbers.astype(np.float64)
@@ -106,11 +96,12 @@ def _grouping_values(table: CurveTable, rule: StratRule) -> np.ndarray:
     return invariant_values(table, rule.invariant)
 
 
-def partition(table: CurveTable, rule: StratRule) -> Partition:
-    """Assign every curve to exactly one group or leave it unassigned.
+def partition(table: CurveTable, rule: StratRule) -> dict[str, np.ndarray]:
+    """Each group's members, as int arrays of aligned row positions (`table.rows`).
 
-    Members keep table order and are given by their aligned positions
-    (`table.rows`).
+    Every curve is in at most one group, and members keep table order.  A
+    quartile rule assigns every curve; a two-group rule leaves a curve in
+    neither interval unassigned.
     """
     values = _grouping_values(table, rule)
     if rule.kind == "two_group":
@@ -118,19 +109,17 @@ def partition(table: CurveTable, rule: StratRule) -> Partition:
         in_a = (a_lo <= values) & (values <= a_hi)
         in_b = ~in_a & (b_lo <= values) & (values <= b_hi)
         masks = {"group_a": in_a, "group_b": in_b}
-        unassigned = table.rows[~(in_a | in_b)]
     else:
         if len(values) == 0:
             raise ValueError("cannot form quartiles of an empty table")
         edges = _quartiles(values)
         bins = np.searchsorted(edges, values, side="left")
         masks = {f"q{i + 1}": bins == i for i in range(4)}
-        unassigned = table.rows[:0]
     groups = {name: table.rows[mask] for name, mask in masks.items()}
     for name, members in groups.items():
         if not len(members):
             raise ValueError(f"group {name!r} of rule {rule.invariant!r} is empty")
-    return Partition(groups, unassigned)
+    return groups
 
 
 def _quartiles(values: np.ndarray) -> np.ndarray:
@@ -175,31 +164,13 @@ def rms_separation(means: Sequence[np.ndarray]) -> np.ndarray:
     return np.sqrt(np.mean(sq, axis=0))
 
 
-@dataclass(frozen=True)
-class StratReport:
-    """Observed RMS separation against a permutation null."""
-
-    observed_rms: float
-    null_mean: float
-    null_sd: float
-    null_median: float
-    p_value: float
-    n_shuffles: int
-    group_sizes: tuple[int, ...]
-    seed: int
-    low_shuffle_warning: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 class StratReports(tuple):
-    """One StratReport per grouping, in the order the groupings were given."""
+    """One permutation report per grouping, in the order the groupings were given."""
 
     @property
     def n_shuffles(self) -> int:
         """Shuffles evaluated over all groupings (`bench/tracer.py` counts these)."""
-        return sum(report.n_shuffles for report in self)
+        return sum(report["n_shuffles"] for report in self)
 
 
 class _Null:
@@ -247,21 +218,22 @@ class _Null:
         running /= self.sizes[self.largest]
         return means
 
-    def report(self, seed: int) -> StratReport:
+    def report(self, seed: int) -> dict:
+        """The permutation report part: the observed RMS against its null."""
         null = self.values
         n_shuffles = len(null)
         p = (1 + int(np.sum(null >= self.observed))) / (1 + n_shuffles)
-        return StratReport(
-            observed_rms=self.observed,
-            null_mean=float(null.mean()),
-            null_sd=float(null.std(ddof=1)) if n_shuffles > 1 else 0.0,
-            null_median=median(null),
-            p_value=float(p),
-            n_shuffles=n_shuffles,
-            group_sizes=tuple(self.sizes),
-            seed=seed,
-            low_shuffle_warning=n_shuffles < 100,
-        )
+        return {
+            "observed_rms": self.observed,
+            "null_mean": float(null.mean()),
+            "null_sd": float(null.std(ddof=1)) if n_shuffles > 1 else 0.0,
+            "null_median": median(null),
+            "p_value": float(p),
+            "n_shuffles": n_shuffles,
+            "group_sizes": self.sizes,
+            "seed": seed,
+            "low_shuffle_warning": n_shuffles < 100,
+        }
 
 
 def _usable_cpus() -> int:
@@ -303,7 +275,7 @@ def _nulls(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
 
 
 def _shared_stream(member_lists: list[list[Sequence[int]]], matrix: TraceMatrix,
-                   n_total: int, n_shuffles: int, seed: int) -> list[StratReport]:
+                   n_total: int, n_shuffles: int, seed: int) -> list[dict]:
     """Reports of groupings of n_total rows each, from one drawn stream."""
     nulls = _nulls(member_lists, matrix, n_shuffles)
     rng = np.random.default_rng(seed)
@@ -364,7 +336,7 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
                                         [member_lists[i] for i in buckets[n_total]],
                                         matrix, n_total, n_shuffles, seed)
                    for n_total in sorted(buckets, reverse=True)}
-    reports: dict[int, StratReport] = {}
+    reports: dict[int, dict] = {}
     for n_total, indices in buckets.items():  # a failure surfaces in call order
         reports.update(zip(indices, streams[n_total].result()))
     return StratReports(reports[i] for i in range(len(member_lists)))
@@ -399,14 +371,21 @@ def scale_scan(table: CurveTable, matrix: TraceMatrix, rule: StratRule,
 
     Window centers are geometric means of the conductor bounds.  The report
     part holds the windows, the RMS of each, and the fit's alpha and r^2.
+    Every window is checked before any is partitioned.
     """
     if len(windows) < 3:
         raise ValueError("scale scan needs at least 3 windows for the fit")
+    for number, (lo, hi) in enumerate(windows, start=1):
+        if max(lo, hi) > MAX_INT64:
+            raise ValueError(f"scale scan window {number} has a bound above {MAX_INT64}, "
+                             "the largest conductor a table holds")
+        if not 0 < lo <= hi:
+            raise ValueError(f"scale scan window {number} ({lo}:{hi}) needs 0 < LO <= HI")
     rms_values = []
     for lo, hi in windows:
-        part = partition(table.filter(conductor_range=(int(lo), int(hi))), rule)
+        groups = partition(table.filter(conductor_range=(int(lo), int(hi))), rule)
         rms_values.append(float(rms_separation(
-            [murmuration_profile(m, matrix) for m in part.groups.values()])))
+            [murmuration_profile(m, matrix) for m in groups.values()])))
     alpha, r2 = fit_power_law([math.sqrt(lo * hi) for lo, hi in windows], rms_values)
     return {"windows": [[float(lo), float(hi)] for lo, hi in windows], "rms": rms_values,
             "alpha": alpha, "r_squared": r2}

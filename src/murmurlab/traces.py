@@ -68,7 +68,7 @@ _COEFFICIENT_BUDGET = 1 << 20
 _LIMB_BITS = 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeList:
     """Strictly increasing list of primes shared by a trace matrix."""
 
@@ -87,9 +87,6 @@ class PrimeList:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeList) and np.array_equal(self.primes, other.primes)
 
 
 def default_prime_list(count: int) -> PrimeList:
@@ -530,15 +527,17 @@ def load_trace_matrix(path) -> TraceMatrix:
     Section sizes are checked against the file before any is read, and each
     is a slice of one read.  A file without the magic, another version, a
     truncated file, a wrong size or digest, or an entry outside the Hasse
-    bound or the bad-prime range is a ValueError; each but the first, whose
-    file need be no cache at all, tells its user to remove it and rebuild it.
+    bound or the bad-prime range is a ValueError.  The first names the file
+    and asks for a cache that `traces` built, since that file need be no cache
+    at all; each other tells its user to remove the cache and rebuild it.
     """
     fix = f"remove {path} and rebuild it with `traces`"
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
         del data[fh.readinto(data):]
     if data[:4] != _MAGIC:
-        raise ValueError(f"bad magic {bytes(data[:4])!r}")
+        raise ValueError(f"{path} is no trace cache (bad magic {bytes(data[:4])!r}); "
+                         "point --cache at a cache that `traces` built")
     version = int.from_bytes(data[4:8], "little")
     if version != _VERSION:
         raise ValueError(f"unsupported cache version {version} (this version reads "

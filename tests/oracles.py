@@ -25,7 +25,7 @@ import re
 import mpmath
 import numpy as np
 
-from murmurlab.curves import CSV_FIELDS, CurveRecord, ParseResult, RowError
+from murmurlab.curves import CSV_FIELDS, CurveRecord, ParseResult
 from murmurlab.diagnostics import REDUCTION_TYPES
 
 from conftest import table_of
@@ -370,13 +370,14 @@ def parse_curve_table_oracle(stream) -> ParseResult:
             f"bad header: expected {','.join(CSV_FIELDS)!r}, got {','.join(header)!r}"
         )
     records: list[CurveRecord] = []
-    errors: list[RowError] = []
+    errors: list[dict] = []
     seen: set[str] = set()
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(CSV_FIELDS):
-            errors.append(RowError(line, f"expected {len(CSV_FIELDS)} columns, got {len(row)}"))
+            errors.append({"line": line,
+                           "message": f"expected {len(CSV_FIELDS)} columns, got {len(row)}"})
             continue
         raw = dict(zip(CSV_FIELDS, (cell.strip() for cell in row)))
         try:
@@ -397,13 +398,13 @@ def parse_curve_table_oracle(stream) -> ParseResult:
                 l_value=_parse_real(raw["l_value"], "l_value"),
             )
         except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
+            errors.append({"line": line, "message": str(exc)})
             continue
         if rec.label in seen:
             raise ValueError(f"duplicate label {rec.label!r} at line {line}")
         problems = validate_record(rec)
         if problems:
-            errors.append(RowError(line, "; ".join(problems)))
+            errors.append({"line": line, "message": "; ".join(problems)})
             continue
         seen.add(rec.label)
         records.append(rec)

@@ -197,21 +197,21 @@ class TestCriterion5:
             [i for i, r in enumerate(records(in_range)) if r.rank in (0, 1)]
         )
         full_slice = len(rank0) >= 50_000
-        groupings = [partition(rank01 if rule.invariant == "root_number" else rank0,
-                               rule).groups for rule in TABLE_RULES]
+        groupings = [partition(rank01 if rule.invariant == "root_number" else rank0, rule)
+                     for rule in TABLE_RULES]
         reports = permutation_test(groupings, matrix, n_shuffles=10_000, seed=1)
         results = {rule.invariant: rep for rule, rep in zip(TABLE_RULES, reports)}
-        every_p_ok = all(rep.p_value < 1e-3 for rep in results.values())
+        every_p_ok = all(rep["p_value"] < 1e-3 for rep in results.values())
         if full_slice:
             rms_ok = all(
-                abs(results[name].observed_rms - target) <= 0.2 * target
+                abs(results[name]["observed_rms"] - target) <= 0.2 * target
                 for name, target in TABLE3_RMS.items()
             )
             ok = rms_ok and every_p_ok
-            detail = ", ".join(f"{n}={results[n].observed_rms:.3f}"
+            detail = ", ".join(f"{n}={results[n]['observed_rms']:.3f}"
                                for n in TABLE3_RMS)
         else:
-            order = [results[n].observed_rms
+            order = [results[n]["observed_rms"]
                      for n in ("tamagawa", "sha", "period", "torsion")]
             ok = every_p_ok and all(a > b for a, b in zip(order, order[1:]))
             detail = "fallback ordering check"
@@ -288,7 +288,7 @@ class TestCriterion7:
                                  np.zeros((n, 12), dtype=bool))
             rep = permutation_test([{"a": np.arange(60), "b": np.arange(60, n)}],
                                    matrix, n_shuffles=199, seed=run)[0]
-            pvals.append(rep.p_value)
+            pvals.append(rep["p_value"])
         ks = stats.kstest(pvals, "uniform")
         ok = ks.pvalue > 0.01
         criterion(7, "permutation p-values uniform on exchangeable synthetic "
@@ -405,9 +405,9 @@ class TestCriterion12:
 
         rank0 = table.filter(rank=0, conductor_range=(10_000, 50_000))
         banded = lvalue_band(rank0, (1.53, 2.84))
-        part = partition(banded, SHA_RULE)
-        prof_a = murmuration_profile(part.groups["group_a"], matrix)
-        prof_b = murmuration_profile(part.groups["group_b"], matrix)
+        groups = partition(banded, SHA_RULE)
+        prof_a = murmuration_profile(groups["group_a"], matrix)
+        prof_b = murmuration_profile(groups["group_b"], matrix)
         observed = prof_b - prof_a
         pred, _ = explicit_predict(MEAN_GAMMAS_SHA4, MEAN_GAMMAS_SHA1,
                                    matrix.primes.primes, observed)
@@ -430,16 +430,15 @@ class TestCriterion13:
 
         rank0 = table.filter(rank=0, conductor_range=(10_000, 50_000))
         banded = lvalue_band(rank0, (1.10, 3.28))
-        part = partition(banded, SHA_RULE)
-        prof_a = moment_profile(part.groups["group_a"], matrix)
-        prof_b = moment_profile(part.groups["group_b"], matrix)
-        ratio = prof_a.summary()["variance_over_p"] / prof_b.summary()[
-            "variance_over_p"]
-        rep = permutation_test([part.groups], matrix, n_shuffles=10_000, seed=13)[0]
-        ok = abs(ratio - 1.0) <= 0.05 and rep.p_value < 1e-3
+        groups = partition(banded, SHA_RULE)
+        moments = {name: moment_profile(members, matrix)[0]
+                   for name, members in groups.items()}
+        ratio = moments["group_a"]["variance_over_p"] / moments["group_b"]["variance_over_p"]
+        rep = permutation_test([groups], matrix, n_shuffles=10_000, seed=13)[0]
+        ok = abs(ratio - 1.0) <= 0.05 and rep["p_value"] < 1e-3
         criterion(13, "Sha groups: variance ratio 1.00 +- 0.05 with mean gap "
                       "p < 1e-3 (pure mean shift)", ok,
-                  f"ratio {ratio:.4f}, p {rep.p_value:.2e}")
+                  f"ratio {ratio:.4f}, p {rep['p_value']:.2e}")
         assert ok
 
     def test_moment_skip_marker(self, criterion):
@@ -453,15 +452,16 @@ class TestCriterion13:
         from conftest import make_synthetic_matrix
 
         table = make_synthetic_table(1200, seed=131, sha_choices=(1.0, 4.0))
-        part = partition(table, SHA_RULE)
-        shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
+        groups = partition(table, SHA_RULE)
+        shift = {table.labels[i]: 1 for i in groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=131, n_primes=32,
                                        mean_shift=shift)
-        mean_ratio = np.mean(moment_profile(part.groups["group_a"], matrix).variance
-                             / moment_profile(part.groups["group_b"], matrix).variance)
-        rep = permutation_test([part.groups], matrix, n_shuffles=2_000, seed=13)[0]
+        variances = [moment_profile(members, matrix)[1]["variance"]
+                     for members in groups.values()]  # group_a, then group_b
+        mean_ratio = np.mean(np.divide(*variances))
+        rep = permutation_test([groups], matrix, n_shuffles=2_000, seed=13)[0]
         assert abs(mean_ratio - 1.0) < 0.1
-        assert rep.p_value < 1e-3
+        assert rep["p_value"] < 1e-3
 
 
 class TestTable2Positivity:

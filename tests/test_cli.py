@@ -22,7 +22,7 @@ from murmurlab.stratify import (SHA_RULE, TABLE_RULES, TAMAGAWA_RULE, partition,
                                 permutation_test)
 from murmurlab.traces import build_trace_matrix, default_prime_list
 
-from conftest import (TWIST_DS, make_synthetic_table, record_of, records,
+from conftest import (DATA_DIR, TWIST_DS, make_synthetic_table, record_of, records,
                       serialize_curve_table, table_of, twist_of_11a1)
 
 
@@ -47,6 +47,17 @@ def twist_table(sha_pattern=(1.0, 4.0)) -> CurveTable:
             )
         )
     return table_of(records)
+
+
+def every_rule_table() -> CurveTable:
+    """The twist table with Tamagawa products 1 and 6, torsion orders 1 and 2, and
+    every fourth twist claimed as rank 1, so that every rule and control partitions."""
+    return table_of([
+        dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
+                            torsion_order=1 + (i // 2) % 2,
+                            rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
+        for i, r in enumerate(records(twist_table()))
+    ])
 
 
 @pytest.fixture()
@@ -282,12 +293,7 @@ class TestStratify:
         # rules cover the same curves and so share one shuffle stream,
         # root_number (ranks 0 and 1) has its own
         path = tmp_path / "twists.csv"
-        path.write_text(serialize_curve_table(table_of([
-            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
-                                torsion_order=1 + (i // 2) % 2,
-                                rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
-            for i, r in enumerate(records(twist_table()))
-        ])))
+        path.write_text(serialize_curve_table(every_rule_table()))
         common = ["--curves", str(path), "--range", "1000:300000", "--primes", "25",
                   "--shuffles", "300", "--seed", "9"]
         together = tmp_path / "all"
@@ -306,6 +312,22 @@ class TestStratify:
                 assert ((alone / f"diff_{name}.csv").read_bytes()
                         == (together / f"diff_{name}.csv").read_bytes())
 
+
+    @pytest.mark.parametrize("scan, error", [
+        ("10:1e308,1:1000000,2:2000000", "scale scan window 1 has a bound above "
+         "9223372036854775807, the largest conductor a table holds"),
+        ("0:1000000,1:1000000,2:2000000", "scale scan window 1 (0:1000000) needs 0 < LO <= HI"),
+    ])
+    def test_a_bad_scan_window_is_the_scale_scan_error(self, twist_csv, tmp_path, scan,
+                                                       error):
+        out = tmp_path / "out"
+        rc = main(["stratify", "--curves", str(twist_csv), "--rule", "sha",
+                   "--range", "1000:300000", "--primes", "25", "--shuffles", "50",
+                   "--scan-windows", scan, "--out", str(out)])
+        assert rc == 0
+        section = read_report(out, "stratify")["stratify"]
+        assert section["scale_scan"] == {"error": error}
+        assert 0 < section["rules"]["sha"]["report"]["p_value"] <= 1
 
     def test_a_rule_with_an_empty_group_leaves_the_others_reporting(self, tmp_path):
         # as above, but torsion is 1 throughout, so only its group_b is empty
@@ -434,24 +456,22 @@ class TestConfound:
         assert main(args) == 0
         battery = read_report(tmp_path / "out", "confound")["confound"]["battery"]
         ctx = cli.Context(build_config(make_parser().parse_args(args)))
-        table, matrix, rank0, conductor_range = (ctx.table, ctx.matrix, ctx.rank0,
-                                                 ctx.conductor_range)
-        tamagawa = partition(rank0, TAMAGAWA_RULE).groups
-        halves = triple_control(table, (0.0, 100.0), conductor_range)
+        table, matrix, rank0 = ctx.table, ctx.matrix, ctx.rank0
+        tamagawa = partition(rank0, TAMAGAWA_RULE)
+        halves = triple_control(lvalue_band(rank0, (0.0, 100.0)))
         tested = {
             "tamagawa_omega_2": (battery["tamagawa_omega_2"],
                                  control_omega(table, tamagawa, 2)),
             "tamagawa_omega_3": (battery["tamagawa_omega_3"],
                                  control_omega(table, tamagawa, 3)),
             "sha_lvalue_band": (battery["sha_lvalue_band"]["report"],
-                                partition(lvalue_band(rank0, (0.0, 100.0)),
-                                          SHA_RULE).groups),
-            **{half: (battery["sha_triple_control"][half]["report"], part.groups)
-               for half, part in halves.items()},
+                                partition(lvalue_band(rank0, (0.0, 100.0)), SHA_RULE)),
+            **{half: (battery["sha_triple_control"][half]["report"], groups)
+               for half, groups in halves.items()},
         }
         for name, (entry, groups) in tested.items():
             alone, = permutation_test([groups], matrix, n_shuffles=300, seed=9)
-            assert entry == json.loads(json.dumps(alone.to_dict())), name
+            assert entry == json.loads(json.dumps(alone)), name
         assert "omega(N) = 4" in battery["tamagawa_omega_4"]["error"]
         assert (sum(tested["small_period"][0]["group_sizes"])
                 == sum(tested["large_period"][0]["group_sizes"]))
@@ -524,6 +544,17 @@ class TestErrorReports:
         err = json.loads((out / "stratify_error.json").read_text())
         assert err["command"] == "stratify"
         assert "truncated cache" in err["error"]
+
+    def test_a_file_that_is_no_cache_is_named(self, twist_csv, tmp_path):
+        out, cache = tmp_path / "out", tmp_path / "magic.bin"
+        cache.write_bytes(b"NOPE" + bytes(64))
+        rc = main(["stratify", "--curves", str(twist_csv), "--cache", str(cache),
+                   "--rule", "sha", "--primes", "20", "--out", str(out)])
+        assert rc == 1
+        assert read_report(out, "stratify_error")["error"] == (
+            f"{cache} is no trace cache (bad magic b'NOPE'); "
+            "point --cache at a cache that `traces` built")
+        assert cache.read_bytes() == b"NOPE" + bytes(64)
 
     def test_missing_cache_refused_before_any_build(self, twist_csv, tmp_path,
                                                     monkeypatch):
@@ -623,12 +654,7 @@ class TestCacheAndBuildAgree:
         # every rule and every confound control partitions: Tamagawa products
         # 1 and 6, torsion orders 1 and 2, and every fourth twist claimed as rank 1
         path = tmp_path / "twists.csv"
-        path.write_text(serialize_curve_table(table_of([
-            dataclasses.replace(r, tamagawa_product=1 + 5 * (i % 2),
-                                torsion_order=1 + (i // 2) % 2,
-                                rank=int(i % 4 == 3), root_number=1 - 2 * (i % 4 == 3))
-            for i, r in enumerate(records(twist_table()))
-        ])))
+        path.write_text(serialize_curve_table(every_rule_table()))
         cache = tmp_path / "cache.bin"
         common = ["--curves", str(path), "--band", "0:100", "--range", "1000:300000",
                   "--primes", "200", "--rule", "all", "--shuffles", "50"]
@@ -657,7 +683,7 @@ def json_shape(value):
             list: "list"}[type(value)]
 
 
-#: the shape of StratReport.to_dict(), a permutation test's report
+#: the shape of a permutation test's report, one of those `permutation_test` returns
 PERMUTATION_SHAPE = {"group_sizes": "list", "low_shuffle_warning": "bool", "n_shuffles": "int",
                      "null_mean": "float", "null_median": "float", "null_sd": "float",
                      "observed_rms": "float", "p_value": "float", "seed": "int"}
@@ -754,6 +780,49 @@ class TestReportShapes:
         assert read_report(out, "report") == {
             "version": cli.__version__,
             "reports": {step: read_report(out, step) for step in REPORT_SHAPES}}
+
+
+def twinned_table() -> CurveTable:
+    """every_rule_table with a twin of each curve, labelled y1 and of the other
+    Tamagawa product, so that matching on conductor pairs every twin."""
+    originals = records(every_rule_table())
+    return table_of([*originals, *(
+        dataclasses.replace(r, label=f"{r.conductor}y1", isogeny_class=f"{r.conductor}y",
+                            tamagawa_product=7 - r.tamagawa_product) for r in originals)])
+
+
+#: the CSV of each table TestByteIdentity runs on; the second adds a row ingest rejects
+BYTE_IDENTITY_CSVS = {
+    "twists": lambda: serialize_curve_table(twist_table()),
+    "twinned": lambda: serialize_curve_table(twinned_table()) + "broken,row\n",
+}
+
+#: table -> step -> SHA-256 of each file the step writes, with the flags of TestReportShapes
+PINNED_OUTPUTS = json.loads((DATA_DIR / "pinned_outputs.json").read_text())
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("table", sorted(BYTE_IDENTITY_CSVS))
+    def test_every_file_a_step_writes_is_pinned(self, table, tmp_path, monkeypatch):
+        # relative paths from inside tmp_path, so that the report heads' inputs are stable
+        (tmp_path / "twists.csv").write_text(BYTE_IDENTITY_CSVS[table]())
+        monkeypatch.chdir(tmp_path)
+        common = ["--curves", "twists.csv", "--band", "0:100", "--range", "1000:300000",
+                  "--primes", "200", "--shuffles", "20", "--out", "out"]
+        before, written = {}, {}
+        for step in [*REPORT_SHAPES, "report"]:
+            extra = ["--rule", "all"] if step == "stratify" else []
+            assert main([step, *common, *extra]) == 0, step
+            now = _digests(Path("out"))
+            written[step] = {name: digest for name, digest in now.items()
+                             if before.get(name) != digest}
+            before = now
+        assert written == PINNED_OUTPUTS[table]
 
 
 class TestSupersetCache:

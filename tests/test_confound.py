@@ -37,28 +37,28 @@ class TestOmega:
 class TestControlOmega:
     def test_restriction_filters_conductors(self):
         table = make_synthetic_table(400, seed=1)
-        part = partition(table, SHA_RULE)
+        groups = partition(table, SHA_RULE)
         k = 2
-        restricted = control_omega(table, part.groups, k)
-        assert set(restricted) == set(part.groups)
+        restricted = control_omega(table, groups, k)
+        assert set(restricted) == set(groups)
         for name, members in restricted.items():
             assert all(omega(table.record(l).conductor) == k for l in members)
-            assert set(members) <= set(part.groups[name])
+            assert set(members) <= set(groups[name])
 
     def test_empty_restriction_raises(self):
         table = make_synthetic_table(30, seed=2, conductor_range=(11_213, 11_214))
         # 11213 is prime: omega = 1 everywhere, so omega = 4 empties the groups
-        part = partition(table, SHA_RULE)
+        groups = partition(table, SHA_RULE)
         with pytest.raises(ValueError, match=r"group 'group_a' empty after omega\(N\) = 4"):
-            control_omega(table, part.groups, 4)
+            control_omega(table, groups, 4)
 
     def test_null_after_restriction_behaves(self):
         table = make_synthetic_table(600, seed=3)
         matrix = make_synthetic_matrix(table.labels, seed=3)
-        part = partition(table, SHA_RULE)
-        report, = permutation_test([control_omega(table, part.groups, 2)], matrix,
+        groups = partition(table, SHA_RULE)
+        report, = permutation_test([control_omega(table, groups, 2)], matrix,
                                    n_shuffles=400, seed=5)
-        assert report.p_value > 1e-3  # no injected effect
+        assert report["p_value"] > 1e-3  # no injected effect
 
 
 def curve(label: str, conductor: int, l_value: float = 1.0) -> CurveRecord:
@@ -79,25 +79,21 @@ class TestMatchNn:
         table = make_synthetic_table(40, seed=4)
         rows = np.arange(20)
         pairs = match_nn(table, rows, rows, "conductor", 10.0)
-        assert pairs.n_pairs == 20
-        assert pairs.mean_distance == 0.0
+        assert [d for _, _, d in pairs] == [0.0] * 20
 
     def test_never_reuses_b_curves(self):
         table = make_synthetic_table(120, seed=5)
-        part = partition(table, SHA_RULE)
-        pairs = match_nn(table, list(part.groups["group_b"]),
-                         list(part.groups["group_a"]), "conductor", 1e12)
-        bs = [b for _, b, _ in pairs.pairs]
+        groups = partition(table, SHA_RULE)
+        pairs = match_nn(table, groups["group_b"], groups["group_a"], "conductor", 1e12)
+        bs = [b for _, b, _ in pairs]
         assert len(bs) == len(set(bs))
-        assert pairs.n_pairs <= min(len(part.groups["group_a"]),
-                                    len(part.groups["group_b"]))
+        assert len(pairs) <= min(len(groups["group_a"]), len(groups["group_b"]))
 
     def test_max_distance_enforced(self):
         table = make_synthetic_table(200, seed=6)
-        part = partition(table, SHA_RULE)
-        pairs = match_nn(table, list(part.groups["group_b"]),
-                         list(part.groups["group_a"]), "conductor", 100.0)
-        assert all(d <= 100.0 for _, _, d in pairs.pairs)
+        groups = partition(table, SHA_RULE)
+        pairs = match_nn(table, groups["group_b"], groups["group_a"], "conductor", 100.0)
+        assert all(d <= 100.0 for _, _, d in pairs)
 
     def test_greedy_is_nearest_available(self):
         records = []
@@ -110,18 +106,19 @@ class TestMatchNn:
         a = [table.labels.index(r.label) for r in records[:2]]
         b = [table.labels.index(r.label) for r in records[2:]]
         pairs = match_nn(table, a, b, "conductor", 1e6)
-        by_a = {table.labels[pa]: (pb, d) for pa, pb, d in pairs.pairs}
+        by_a = {table.labels[pa]: (pb, d) for pa, pb, d in pairs}
         assert by_a[records[0].label][1] == 10.0
         assert by_a[records[1].label][1] == 500.0
 
     def test_l_value_matching(self):
         table = make_synthetic_table(300, seed=7)
-        part = partition(table, SHA_RULE)
-        pairs = match_nn(table, list(part.groups["group_b"]),
-                         list(part.groups["group_a"]), "l_value", 0.05)
-        assert all(d <= 0.05 for _, _, d in pairs.pairs)
+        groups = partition(table, SHA_RULE)
+        pairs = match_nn(table, groups["group_b"], groups["group_a"], "l_value", 0.05)
+        assert all(d <= 0.05 for _, _, d in pairs)
         matrix = make_synthetic_matrix(table.labels, seed=7)
         paired = matched_rms(pairs, matrix)
+        assert paired["n_pairs"] == len(pairs)
+        assert paired["mean_distance"] == np.mean([d for _, _, d in pairs])
         assert paired["rms_group"] >= 0
         assert paired["rms_per_pair"] >= paired["rms_group"]  # Jensen
 
@@ -142,7 +139,7 @@ class TestMatchNn:
             keys = (table.conductors.astype(np.float64) if key == "conductor"
                     else table.l_values).tolist()
             got = match_nn(table, group_a, group_b, key, max_distance)
-            assert list(got.pairs) == match_nn_oracle(keys, table.labels, group_a.tolist(),
+            assert list(got) == match_nn_oracle(keys, table.labels, group_a.tolist(),
                                                       group_b.tolist(), max_distance)
 
     @pytest.mark.parametrize("conductor, taken", [(101, "100b1"), (99, "100a1")])
@@ -152,7 +149,7 @@ class TestMatchNn:
             ("100a1", 100), ("100b1", 100), (f"{conductor}c1", conductor))])
         a = [table.labels.index(f"{conductor}c1")]
         b = [table.labels.index("100a1"), table.labels.index("100b1")]
-        (_, row_b, distance), = match_nn(table, a, b, "conductor", math.inf).pairs
+        (_, row_b, distance), = match_nn(table, a, b, "conductor", math.inf)
         assert (table.labels[row_b], distance) == (taken, 1.0)
 
 
@@ -181,35 +178,38 @@ class TestLvalueBand:
             lvalue_band(table, (2.0, 1.0))
 
 
+def banded(table, band=(0.1, 10.0)):
+    return lvalue_band(table.filter(conductor_range=(11_000, 49_000)), band)
+
+
 class TestTripleControl:
     def test_halves_split_at_median_period(self):
         table = make_synthetic_table(600, seed=13)
-        halves = triple_control(table, (0.1, 10.0), (11_000, 49_000))
+        halves = triple_control(banded(table))
         assert set(halves) == {"small_period", "large_period"}
-        for part in halves.values():
-            assert min(part.sizes().values()) > 0
-        periods = {half: table.real_periods[np.concatenate(list(part.groups.values()))]
-                   for half, part in halves.items()}
+        for groups in halves.values():
+            assert min(len(members) for members in groups.values()) > 0
+        periods = {half: table.real_periods[np.concatenate(list(groups.values()))]
+                   for half, groups in halves.items()}
         assert periods["small_period"].max() < periods["large_period"].min()
 
     def test_sha_independent_traces_give_null_p(self):
         table = make_synthetic_table(800, seed=14)
         matrix = make_synthetic_matrix(table.labels, seed=14)
-        halves = triple_control(table, (0.1, 10.0), (11_000, 49_000))
-        reports = permutation_test([part.groups for part in halves.values()], matrix,
-                                   n_shuffles=300, seed=1)
-        assert all(rep.p_value > 1e-3 for rep in reports)
+        halves = triple_control(banded(table))
+        reports = permutation_test(list(halves.values()), matrix, n_shuffles=300, seed=1)
+        assert all(rep["p_value"] > 1e-3 for rep in reports)
 
     def test_empty_intersection_raises(self):
         table = make_synthetic_table(50, seed=15)
         with pytest.raises(ValueError, match="no curves inside the band and conductor range"):
-            triple_control(table, (100.0, 200.0), (11_000, 49_000))
+            triple_control(banded(table, (100.0, 200.0)))
 
     def test_an_empty_group_names_its_half(self):
         table = make_synthetic_table(50, seed=15, sha_choices=(1.0,))
         with pytest.raises(ValueError,
                            match="^small_period: group 'group_b' of rule 'sha' is empty$"):
-            triple_control(table, (0.1, 10.0), (11_000, 49_000))
+            triple_control(banded(table))
 
 
 class TestBsdRatios:

@@ -9,7 +9,6 @@ from murmurlab.curves import (
     CSV_FIELDS,
     NUMERIC_COLUMNS,
     CurveRecord,
-    RowError,
     invariant_values,
     isogeny_class_of,
     parse_curve_table,
@@ -57,17 +56,17 @@ class TestParsing:
         result = parse_curve_table(HEADER + "\n" + bad + "\n")
         assert len(result.table) == 0
         assert len(result.errors) == 1
-        assert "rank 5" in result.errors[0].message
+        assert "rank 5" in result.errors[0]["message"]
 
     def test_wrong_column_count_collected_with_line_number(self):
         result = parse_curve_table(HEADER + "\n" + row() + "\nshort,row\n")
         assert len(result.table) == 1
-        assert result.errors[0].line == 3
+        assert result.errors[0]["line"] == 3
 
     def test_non_numeric_field_collected(self):
         bad = row(label="37a1", conductor="x37")
         result = parse_curve_table(HEADER + "\n" + bad + "\n")
-        assert "conductor" in result.errors[0].message
+        assert "conductor" in result.errors[0]["message"]
 
     def test_duplicate_label_fatal(self):
         text = HEADER + "\n" + row() + "\n" + row() + "\n"
@@ -77,12 +76,12 @@ class TestParsing:
     def test_parity_violation_rejected(self):
         bad = row(label="11a1", w=-1)
         result = parse_curve_table(HEADER + "\n" + bad + "\n")
-        assert "parity" in result.errors[0].message
+        assert "parity" in result.errors[0]["message"]
 
     def test_sha_must_be_near_square(self):
         bad = row(label="11a1", sha="2.0")
         result = parse_curve_table(HEADER + "\n" + bad + "\n")
-        assert "square" in result.errors[0].message
+        assert "square" in result.errors[0]["message"]
 
     def test_sha_float_noise_tolerated(self):
         ok = row(label="11a1", sha="4.0003")
@@ -126,7 +125,7 @@ REJECTIONS = {
 def test_each_rule_rejects_with_its_message(line, message):
     result = parse_curve_table(HEADER + "\n" + line + "\n")
     assert len(result.table) == 0
-    assert result.errors == (RowError(2, message),)
+    assert result.errors == ({"line": 2, "message": message},)
 
 
 def test_a_cell_too_wide_for_int64_rejects_only_its_row():
@@ -135,8 +134,8 @@ def test_a_cell_too_wide_for_int64_rejects_only_its_row():
     result = parse_curve_table(text)
     assert result.table.labels == ("11a1",)
     assert result.errors == (
-        RowError(3, "conductor 100000000000000000000 > 9223372036854775807"),
-        RowError(4, "torsion order 18446744073709551616 > 9223372036854775807"))
+        {"line": 3, "message": "conductor 100000000000000000000 > 9223372036854775807"},
+        {"line": 4, "message": "torsion order 18446744073709551616 > 9223372036854775807"})
 
 
 PERIOD_TO_TORSION = ("real period -1.0 not positive; regulator -0.5 not positive; "
@@ -168,7 +167,7 @@ MANY_RULES = {
 def test_broken_rules_join_in_table_order(cells, messages):
     line = row(conductor=7, period="-1.0", reg="-0.5", tam=0, tor=0, lval="-0.1", **cells)
     result = parse_curve_table(HEADER + "\n" + line + "\n")
-    assert result.errors == (RowError(2, "; ".join(messages)),)
+    assert result.errors == ({"line": 2, "message": "; ".join(messages)},)
 
 
 #: cells a row may carry in place of a valid one

@@ -308,11 +308,13 @@ def test_a_default_every_call_overrides_is_caught(tmp_path):
     copy = tmp_path / "murmurlab"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = (copy / "confound.py").read_text()
-    anchor = "             key: str, max_distance: float) -> MatchedPairs:\n"
+    anchor = ("             key: str, max_distance: float) "
+              "-> tuple[tuple[int, int, float], ...]:\n")
     assert anchor in source
     (copy / "confound.py").write_text(source.replace(anchor, (
-        "             key: str, max_distance: float = 500.0) -> MatchedPairs:\n")))
-    # both calls pass max_distance, one by position through _part's arguments
+        "             key: str, max_distance: float = 500.0) "
+        "-> tuple[tuple[int, int, float], ...]:\n")))
+    # both calls pass max_distance by position
     assert idle_defaults(copy) == [("confound.match_nn.max_distance",
                                     "every call passes it")]
 

@@ -29,31 +29,31 @@ from oracles import permutation_null
 class TestPartition:
     def test_tamagawa_rule_leaves_middle_unassigned(self):
         table = make_synthetic_table(200, seed=1)
-        part = partition(table, TAMAGAWA_RULE)
-        for lab in part.groups["group_a"]:
+        groups = partition(table, TAMAGAWA_RULE)
+        for lab in groups["group_a"]:
             assert table.record(lab).tamagawa_product == 1
-        for lab in part.groups["group_b"]:
+        for lab in groups["group_b"]:
             assert table.record(lab).tamagawa_product >= 5
-        for lab in part.unassigned:
+        assigned = np.concatenate(list(groups.values()))
+        assert len(set(assigned)) == len(assigned)
+        for lab in np.setdiff1d(table.rows, assigned):
             assert table.record(lab).tamagawa_product in (2, 3, 4)
-        total = sum(part.sizes().values()) + len(part.unassigned)
-        assert total == len(table)
 
     def test_sha_rule_pools_all_squares_above_four(self):
         table = make_synthetic_table(300, seed=2, sha_choices=(1.0, 4.0, 9.0, 16.0))
-        part = partition(table, SHA_RULE)
-        snapped = {round(table.sha_values[i]) for i in part.groups["group_b"]}
+        groups = partition(table, SHA_RULE)
+        snapped = {round(table.sha_values[i]) for i in groups["group_b"]}
         assert snapped <= {4, 9, 16}
-        assert {round(table.sha_values[i]) for i in part.groups["group_a"]} == {1}
-        assert len(part.unassigned) == 0
+        assert {round(table.sha_values[i]) for i in groups["group_a"]} == {1}
+        assert sum(map(len, groups.values())) == len(table)
 
     def test_quartiles_of_eight_distinct_values(self):
         import dataclasses
 
         table = table_of([dataclasses.replace(r, real_period=float(i + 1))
                           for i, r in enumerate(records(make_synthetic_table(8, seed=3)))])
-        part = partition(table, PERIOD_QUARTILE_RULE)
-        assert sorted(len(v) for v in part.groups.values()) == [2, 2, 2, 2]
+        groups = partition(table, PERIOD_QUARTILE_RULE)
+        assert sorted(len(v) for v in groups.values()) == [2, 2, 2, 2]
 
     def test_empty_group_raises_with_name(self):
         table = make_synthetic_table(50, seed=4, sha_choices=(1.0,))
@@ -111,36 +111,36 @@ class TestPermutationTest:
     def test_deterministic_given_seed(self):
         table = make_synthetic_table(80, seed=6)
         matrix = make_synthetic_matrix(table.labels, seed=6)
-        part = partition(table, SHA_RULE)
-        r1 = permutation_test([part.groups], matrix, n_shuffles=300, seed=42)[0]
-        r2 = permutation_test([part.groups], matrix, n_shuffles=300, seed=42)[0]
+        groups = partition(table, SHA_RULE)
+        r1 = permutation_test([groups], matrix, n_shuffles=300, seed=42)[0]
+        r2 = permutation_test([groups], matrix, n_shuffles=300, seed=42)[0]
         assert r1 == r2
 
     def test_pvalue_identity(self):
         table = make_synthetic_table(60, seed=7)
         matrix = make_synthetic_matrix(table.labels, seed=7)
-        part = partition(table, SHA_RULE)
-        rep = permutation_test([part.groups], matrix, n_shuffles=199, seed=1)[0]
-        assert rep.p_value * (1 + rep.n_shuffles) == pytest.approx(round(
-            rep.p_value * (1 + rep.n_shuffles)
+        groups = partition(table, SHA_RULE)
+        rep = permutation_test([groups], matrix, n_shuffles=199, seed=1)[0]
+        assert rep["p_value"] * (1 + rep["n_shuffles"]) == pytest.approx(round(
+            rep["p_value"] * (1 + rep["n_shuffles"])
         ))
-        assert 0 < rep.p_value <= 1
+        assert 0 < rep["p_value"] <= 1
 
     def test_injected_shift_detected(self):
         table = make_synthetic_table(800, seed=8, sha_choices=(1.0, 4.0))
-        part = partition(table, SHA_RULE)
-        shift = {table.labels[i]: 1 for i in part.groups["group_b"]}
+        groups = partition(table, SHA_RULE)
+        shift = {table.labels[i]: 1 for i in groups["group_b"]}
         matrix = make_synthetic_matrix(table.labels, seed=8, mean_shift=shift)
-        rep = permutation_test([part.groups], matrix, n_shuffles=2000, seed=3)[0]
-        assert rep.p_value <= 1e-3
-        assert rep.observed_rms > rep.null_mean + 5 * rep.null_sd
+        rep = permutation_test([groups], matrix, n_shuffles=2000, seed=3)[0]
+        assert rep["p_value"] <= 1e-3
+        assert rep["observed_rms"] > rep["null_mean"] + 5 * rep["null_sd"]
 
     def test_low_shuffle_warning(self):
         table = make_synthetic_table(40, seed=9)
         matrix = make_synthetic_matrix(table.labels, seed=9)
-        part = partition(table, SHA_RULE)
-        rep = permutation_test([part.groups], matrix, n_shuffles=50, seed=1)[0]
-        assert rep.low_shuffle_warning
+        groups = partition(table, SHA_RULE)
+        rep = permutation_test([groups], matrix, n_shuffles=50, seed=1)[0]
+        assert rep["low_shuffle_warning"]
 
     def test_null_pvalues_uniform(self):
         # exchangeable groups: p over repeated runs is KS-consistent with uniform
@@ -155,7 +155,7 @@ class TestPermutationTest:
                                  np.zeros((n, 12), dtype=bool))
             groups = {"a": np.arange(n // 2), "b": np.arange(n // 2, n)}
             rep = permutation_test([groups], matrix, n_shuffles=199, seed=run)[0]
-            pvals.append(rep.p_value)
+            pvals.append(rep["p_value"])
         ks = stats.kstest(pvals, "uniform")
         assert ks.pvalue > 0.01
 
@@ -185,7 +185,7 @@ class TestPermutationTest:
         rep = permutation_test([[np.arange(n_a), np.arange(n_a, n)]], matrix,
                                n_shuffles=100_000, seed=22)[0]
         null_sq = np.concatenate(blocks) ** 2
-        assert null_sq.size == rep.n_shuffles
+        assert null_sq.size == rep["n_shuffles"]
         cols = traces.astype(np.float64)
         ss = ((cols - cols.mean(axis=0)) ** 2).sum(axis=0)
         expected = np.mean(n * ss / (n_a * n_b * (n - 1)))
@@ -209,7 +209,7 @@ class TestPermutationTest:
                                  np.zeros((n, 8), dtype=bool))
             rep = permutation_test([{"a": np.arange(30), "b": np.arange(30, n)}], matrix,
                                    n_shuffles=99, seed=10_000 + run)[0]
-            hits += rep.p_value <= alpha
+            hits += rep["p_value"] <= alpha
         se = np.sqrt(alpha * (1 - alpha) / runs)
         assert abs(hits / runs - alpha) < 2.5 * se
 
@@ -290,7 +290,7 @@ class TestSharedStream:
                                    seed=5)
         for i, members in enumerate(groupings):  # the blocks of one stream interleave
             observed, null = permutation_null(members, traces, 300, 5)
-            assert reports[i].observed_rms == observed
+            assert reports[i]["observed_rms"] == observed
             assert np.array_equal(np.concatenate(null_blocks[i::len(groupings)]), null)
 
     def test_batched_reports_equal_solo_reports(self, monkeypatch):
@@ -471,3 +471,20 @@ class TestScaleScan:
         assert result["r_squared"] > 0.99
         assert result["windows"] == [[float(lo), float(hi)] for lo, hi in windows]
         assert len(result["rms"]) == len(windows)
+
+    @pytest.mark.parametrize("windows, message", [
+        ([(5_000, 20_000), (10_000, 50_000), (10, 10**308)],
+         "scale scan window 3 has a bound above 9223372036854775807, "
+         "the largest conductor a table holds"),
+        ([(0, 20_000), (10_000, 50_000), (20_000, 70_000)],
+         r"scale scan window 1 \(0:20000\) needs 0 < LO <= HI"),
+        ([(5_000, 20_000), (50_000, 10_000), (20_000, 70_000)],
+         r"scale scan window 2 \(50000:10000\) needs 0 < LO <= HI"),
+    ])
+    def test_a_bad_window_refused_before_any_partition(self, windows, message,
+                                                       monkeypatch):
+        table = make_synthetic_table(40, seed=5)
+        matrix = make_synthetic_matrix(table.labels, seed=5)
+        monkeypatch.setattr(stratify, "partition", lambda *args: pytest.fail("partitioned"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scale_scan(table, matrix, SHA_RULE, windows)

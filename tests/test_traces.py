@@ -634,7 +634,9 @@ class TestPersistence:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="^bad magic b'NOPE'$"):
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))} is no trace cache \\(bad magic b'NOPE'\\); "
+                "point --cache at a cache that `traces` built$")):
             load_trace_matrix(path)
 
     def test_truncated_file(self, known_table, tmp_path):
