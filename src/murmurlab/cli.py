@@ -393,14 +393,12 @@ def cmd_stratify(cfg: RunConfig, ctx: Context) -> dict:
             export.write_xy_csv(out / f"diff_{rule.invariant}.csv", matrix.primes.primes,
                                 _profile_gap(matrix, groups["group_a"], groups["group_b"]),
                                 ("prime", "mean_ap_diff"))
-    section = {"conductor_range": list(ctx.conductor_range), "rules": entries,
-               # the threshold counts only the rules that ran
-               "bonferroni": stratify.bonferroni([r["p_value"] for r in strat_reports])}
-    if len(cfg.scan_windows) >= 3:
-        section["scale_scan"] = _part(stratify.scale_scan, table.filter(rank=0), matrix,
-                                      by_name[cfg.rule if cfg.rule != "all" else "sha"],
-                                      cfg.scan_windows)
-    return section
+    return {"conductor_range": list(ctx.conductor_range), "rules": entries,
+            # the threshold counts only the rules that ran
+            "bonferroni": stratify.bonferroni([r["p_value"] for r in strat_reports]),
+            "scale_scan": _part(stratify.scale_scan, table.filter(rank=0), matrix,
+                                by_name[cfg.rule if cfg.rule != "all" else "sha"],
+                                cfg.scan_windows)}
 
 
 def cmd_confound(cfg: RunConfig, ctx: Context) -> dict:

@@ -38,11 +38,10 @@ def match_nn(table: CurveTable, group_a: Sequence[int], group_b: Sequence[int],
 
     A-curves are processed in ascending key order (ties by label); each takes
     the nearest still-unused B-curve, and the pair is dropped when the key
-    distance exceeds max_distance.  Returns the matches as (row a, row b,
-    distance) in that order.
+    distance exceeds max_distance.  Both groups are nonempty, as `partition`
+    makes them.  Returns the matches as (row a, row b, distance) in that
+    order.
     """
-    if not len(group_a) or not len(group_b):
-        raise ValueError("matching requires two nonempty groups")
     values = {"conductor": table.conductors.astype(np.float64),
               "l_value": table.l_values}[key]
     a_vals, b_vals = values[group_a], values[group_b]
@@ -146,17 +145,14 @@ def triple_control(banded: CurveTable) -> dict[str, dict[str, np.ndarray]]:
 
 def bsd_group_ratios(table: CurveTable,
                      groups: dict[str, Sequence[int]]) -> dict[str, float]:
-    """Per-group mean(Omega * prod c_p / T^2) / mean(L); ~ 1/|Sha| at fixed Sha."""
+    """Per-group mean(Omega * prod c_p / T^2) / mean(L); ~ 1/|Sha| at fixed Sha.
+
+    The groups hold rank-0 curves, whose L-values the ingest rules make
+    positive.
+    """
     bsd_ratios = invariant_values(table, "bsd_ratio")
-    out = {}
-    for name, rows in groups.items():
-        if np.any(table.ranks[rows] != 0):
-            raise ValueError(f"group {name!r} contains curves of positive rank")
-        mean_l = float(np.mean(table.l_values[rows]))
-        if mean_l == 0:
-            raise ValueError(f"group {name!r} has zero mean L-value")
-        out[name] = float(np.mean(bsd_ratios[rows])) / mean_l
-    return out
+    return {name: float(np.mean(bsd_ratios[rows])) / float(np.mean(table.l_values[rows]))
+            for name, rows in groups.items()}
 
 
 def euler_cumsum(primes: np.ndarray, profile_a: np.ndarray,

@@ -11,7 +11,9 @@ preprocessing step, not handled here.
 The parse converts the CSV a block of rows at a time, column by column.  A
 row whose label or a cell does not convert is rejected with that field's
 message; a converted row that breaks a rule of the one ordered table of
-array masks (`_rules`) is rejected with the texts of all it breaks.
+array masks (`_rules`) is rejected with the texts of all it breaks.  A
+table loaded from a trace cache is held to the same rules (`broken_rules`),
+so every table the analyses see meets them.
 """
 
 from __future__ import annotations
@@ -276,6 +278,23 @@ def _rules(v: dict[str, np.ndarray]) -> tuple[tuple[np.ndarray, str], ...]:
     )
 
 
+def broken_rules(v: dict[str, np.ndarray]) -> tuple[np.ndarray, list[str]]:
+    """The mask of the rows of v that break a rule of `_rules`, and each one's message.
+
+    v maps CSV fields to aligned columns, those of NUMERIC_COLUMNS among
+    them.  A message lists the texts of every rule its row breaks, in
+    `_rules` order.  The CSV parse rejects such rows, and a cache holding one
+    is refused.
+    """
+    rules = _rules(v)
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    values = {field: column[bad].tolist() for field, column in v.items()}
+    hits = [(mask[bad].tolist(), template) for mask, template in rules]
+    found = [dict(zip(values, row)) for row in zip(*values.values())]
+    return bad, ["; ".join(template.format_map(row) for hit, template in hits if hit[k])
+                 for k, row in enumerate(found)]
+
+
 #: CSV records converted and checked at a time; only the kept rows' labels
 #: and columns, and the set of their labels, outlive their block
 _PARSE_BLOCK = 1 << 14
@@ -301,14 +320,8 @@ def _parse_block(block: list[tuple[int, list[str]]], errors: dict[int, str],
              for i, m in enumerate(map(_LABEL_RE.match, labels)) if m is None}
     arrays = {field: _convert(cells[field], field, first) for field in _CONVERTED}
     converted = np.delete(np.arange(len(lines)), list(first))
-    columns = {field: array[converted] for field, array in arrays.items()}
-    rules = _rules(columns)
-    bad = np.logical_or.reduce([mask for mask, _ in rules])
-    values = {field: column[bad].tolist() for field, column in columns.items()}
-    hits = [(mask[bad].tolist(), template) for mask, template in rules]
-    for k, i in enumerate(converted[bad].tolist()):
-        found = {field: column[k] for field, column in values.items()}
-        first[i] = "; ".join(template.format_map(found) for hit, template in hits if hit[k])
+    bad, messages = broken_rules({field: array[converted] for field, array in arrays.items()})
+    first.update(zip(converted[bad].tolist(), messages))
     errors.update((lines[i], message) for i, message in first.items())
     for i, passed in zip(converted.tolist(), (~bad).tolist()):
         if labels[i] in seen:

@@ -100,16 +100,14 @@ def satotate_ks(group_a: Sequence[int], group_b: Sequence[int],
 def ks_2samp(sample_a, sample_b) -> tuple[float, float]:
     """Two-sided two-sample Kolmogorov-Smirnov statistic D and its p-value.
 
-    D is the largest gap between the empirical CDFs, both evaluated on the
-    pooled sample (right-continuous, so ties count on both sides).  The
-    p-value is P(D_n > D) for the one-sample two-sided statistic at the
-    effective size n = round(n_a n_b / (n_a + n_b)), from the finite-n
-    distribution (kolmogorov_sf).
+    Both samples are nonempty.  D is the largest gap between the empirical
+    CDFs, both evaluated on the pooled sample (right-continuous, so ties
+    count on both sides).  The p-value is P(D_n > D) for the one-sample
+    two-sided statistic at the effective size n = round(n_a n_b / (n_a + n_b)),
+    from the finite-n distribution (kolmogorov_sf).
     """
     a = np.sort(np.asarray(sample_a, dtype=np.float64))
     b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("two-sample KS needs two nonempty samples")
     pooled = np.concatenate([a, b])
     gap = (np.searchsorted(a, pooled, side="right") / a.size
            - np.searchsorted(b, pooled, side="right") / b.size)
@@ -307,17 +305,15 @@ def crossover_scan(primes: np.ndarray, diff: np.ndarray) -> dict:
     """Stable sign change of a difference profile.
 
     `diff` is the per-prime difference of two murmuration profiles, aligned
-    with `primes`.  It is smoothed with a centered moving average over
-    CROSSOVER_SMOOTH_WIDTH primes, truncated at the ends; the crossing is
-    the first prime from which the smoothed sign stays opposite to the
-    initial sign, and the direction "positive_to_negative" or
-    "negative_to_positive" (both None without a crossing).  Landmark entries,
-    keyed by the prime's decimal text, report the raw difference at those of
-    CROSSOVER_LANDMARKS in the prime list.
+    with `primes`, which a PrimeList makes nonempty.  It is smoothed with a
+    centered moving average over CROSSOVER_SMOOTH_WIDTH primes, truncated at
+    the ends; the crossing is the first prime from which the smoothed sign
+    stays opposite to the initial sign, and the direction
+    "positive_to_negative" or "negative_to_positive" (both None without a
+    crossing).  Landmark entries, keyed by the prime's decimal text, report
+    the raw difference at those of CROSSOVER_LANDMARKS in the prime list.
     """
     values = np.asarray(diff, dtype=np.float64)
-    if len(values) == 0:
-        raise ValueError("empty difference profile")
     half = CROSSOVER_SMOOTH_WIDTH // 2
     smoothed = np.empty_like(values)
     for i in range(len(values)):
@@ -346,7 +342,8 @@ REDUCTION_TYPES = {0: "additive", 1: "split_mult", -1: "nonsplit_mult"}
 def classify_reduction(matrix: TraceMatrix) -> tuple[dict, tuple[tuple, ...]]:
     """Reduction type at every bad prime in the list, from the trace value.
 
-    a_p = 0 is additive, +1 split multiplicative, -1 non-split.  Returns the
+    a_p = 0 is additive, +1 split multiplicative, -1 non-split; the build
+    and the cache load hold every bad-prime trace to {-1, 0, 1}.  Returns the
     report part, and the (label, prime, type) entries curve by curve.  The
     part counts each type and the curves with and without a bad prime inside
     the prime list; its Tamagawa agreement compares, over the former, the
@@ -355,13 +352,7 @@ def classify_reduction(matrix: TraceMatrix) -> tuple[dict, tuple[tuple, ...]]:
     """
     labels, primes, bad = matrix.curve_labels, matrix.primes.primes, matrix.bad_flags
     rows, cols = np.nonzero(bad)  # row-major: curve by curve, primes ascending
-    values = matrix.traces[rows, cols]
-    wrong = np.flatnonzero((values < -1) | (values > 1))
-    if wrong.size:
-        k = wrong[0]
-        raise ValueError(f"{labels[rows[k]]}: bad-prime trace {values[k]} "
-                         f"at p={primes[cols[k]]} outside {{-1,0,1}}")
-    names = [REDUCTION_TYPES[a] for a in values.tolist()]
+    names = [REDUCTION_TYPES[a] for a in matrix.traces[rows, cols].tolist()]
     entries = tuple(zip([labels[i] for i in rows.tolist()], primes[cols].tolist(), names))
     counts = {name: names.count(name) for name in REDUCTION_TYPES.values()}
     has_bad = bad.any(axis=1)

@@ -54,7 +54,10 @@ def write_table_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence], title: str) -> None:
-    """Minimal SVG polyline plot, SVG_WIDTH x SVG_HEIGHT, of series against shared x."""
+    """Minimal SVG polyline plot, SVG_WIDTH x SVG_HEIGHT, of series against shared x.
+
+    x and the series are nonempty.
+    """
     import numpy as np
 
     width, height = SVG_WIDTH, SVG_HEIGHT
@@ -62,8 +65,6 @@ def write_svg_lineplot(path, x: Sequence, series: dict[str, Sequence], title: st
     margin = 50
     colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
     ys = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
-    if ys.size == 0 or x.size == 0:
-        raise ValueError("nothing to plot")
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi == y_lo:
         y_hi = y_lo + 1.0

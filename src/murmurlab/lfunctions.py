@@ -97,7 +97,7 @@ _NODE_BUDGET = 1 << 15
 
 @dataclass(frozen=True)
 class LSeries:
-    """Dirichlet coefficient data for one curve's L-function."""
+    """Dirichlet coefficient data for one curve's L-function; root number +-1."""
 
     label: str
     conductor: int
@@ -109,8 +109,6 @@ class LSeries:
         object.__setattr__(self, "coefficients", a)
         if len(a) < 2 or a[1] != 1:
             raise ValueError(f"{self.label}: a_1 must be 1")
-        if self.root_number not in (-1, 1):
-            raise ValueError(f"{self.label}: root number must be +-1")
 
     @property
     def n_max(self) -> int:
@@ -279,7 +277,10 @@ class ZeroSet:
 
 
 def locate_zeros(series: LSeries) -> ZeroSet:
-    """First k = ZERO_COUNT zero ordinates on the critical line, for w = +1 series.
+    """First k = ZERO_COUNT zero ordinates on the critical line of a w = +1 series.
+
+    The zeros step searches rank-0 curves only, which the parity rule gives
+    w = +1.
 
     Lambda(1+it) is scanned on a grid of 1/GRID_REFINEMENT of the expected
     mean zero gap; each sign change is bisected to |dt| < ZERO_TOL.
@@ -303,8 +304,6 @@ def locate_zeros(series: LSeries) -> ZeroSet:
     summed on its own, so each bracket visits the same midpoints as when
     bisected alone.
     """
-    if series.root_number != 1:
-        raise ValueError(f"{series.label}: zero search requires w = +1")
     k, t_max = ZERO_COUNT, DEFAULT_T_MAX
     step = 2.0 * math.pi / (math.log(series.conductor) + 6.0) / GRID_REFINEMENT
     grid = np.arange(0.0, t_max + step, step)
@@ -341,15 +340,11 @@ def locate_zeros(series: LSeries) -> ZeroSet:
 def hotelling_t2(xa: np.ndarray, xb: np.ndarray) -> dict:
     """Two-sample Hotelling T^2 with pooled covariance, one sample per row.
 
-    The report part holds T^2, its F statistic, the F tail p and the F
-    degrees of freedom.
+    Both samples have k columns and more than k + 1 rows.  The report part
+    holds T^2, its F statistic, the F tail p and the F degrees of freedom.
     """
     n1, k = xa.shape
-    n2, k2 = xb.shape
-    if k != k2:
-        raise ValueError("sample dimensions differ")
-    if min(n1, n2) <= k + 1:
-        raise ValueError(f"group sizes must exceed k+1 = {k + 1}")
+    n2 = len(xb)
     diff = xa.mean(axis=0) - xb.mean(axis=0)
     pooled = ((n1 - 1) * np.cov(xa, rowvar=False) + (n2 - 1) * np.cov(xb, rowvar=False))
     pooled /= n1 + n2 - 2
@@ -433,15 +428,12 @@ def one_level_density(zero_sets: Sequence[ZeroSet],
                       conductors: Sequence[int]) -> DensityResult:
     """Scaled zero histogram and integrated squared deviation from SO(even).
 
-    Ordinates are scaled to x = gamma * log(N) / (2 pi), one row per curve.
-    The empirical density counts zeros per curve per unit of scaled ordinate
-    in bins of DENSITY_BIN_WIDTH up to DENSITY_X_MAX; the deviation from W1
-    is a trapezoid-rule integral over bin centers.
+    The zero sets are nonempty, with one conductor each.  Ordinates are
+    scaled to x = gamma * log(N) / (2 pi), one row per curve.  The empirical
+    density counts zeros per curve per unit of scaled ordinate in bins of
+    DENSITY_BIN_WIDTH up to DENSITY_X_MAX; the deviation from W1 is a
+    trapezoid-rule integral over bin centers.
     """
-    if len(zero_sets) == 0:
-        raise ValueError("no zero sets supplied")
-    if len(zero_sets) != len(conductors):
-        raise ValueError("zero sets and conductors must align")
     scaled = np.vstack([z.gammas * math.log(N) / (2.0 * math.pi)
                         for z, N in zip(zero_sets, conductors)])
     edges = np.arange(0.0, DENSITY_X_MAX + DENSITY_BIN_WIDTH / 2, DENSITY_BIN_WIDTH)
@@ -486,23 +478,19 @@ def explicit_predict(mean_gammas_a: Sequence[float], mean_gammas_b: Sequence[flo
 
     The contribution of each zero ordinate gamma to the mean trace at p is
     modeled as -(2 sqrt(p)/log p) cos(gamma log p); the prediction is the
-    group A minus group B contribution.  Returns the report part, which holds
-    the observed difference profile's Pearson correlation with the
-    prediction and the RMS of both, and the prediction.  A constant
-    prediction or profile has no correlation and is a ValueError.
+    group A minus group B contribution.  The two mean vectors have one
+    length, and observed_diff one value per prime of the nonempty list.
+    Returns the report part, which holds the observed difference profile's
+    Pearson correlation with the prediction and the RMS of both, and the
+    prediction.  A constant prediction or profile has no correlation and is
+    a ValueError.
     """
     ga = np.asarray(mean_gammas_a, dtype=np.float64)
     gb = np.asarray(mean_gammas_b, dtype=np.float64)
-    if ga.shape != gb.shape:
-        raise ValueError("mean zero vectors must have equal length")
     primes = np.asarray(primes, dtype=np.int64)
-    if len(primes) == 0:
-        raise ValueError("empty prime list")
     pred = _zero_contribution(ga, primes) - _zero_contribution(gb, primes)
     rms_pred = float(np.sqrt(np.mean(pred**2)))
     obs = np.asarray(observed_diff, dtype=np.float64)
-    if obs.shape != pred.shape:
-        raise ValueError("observed profile does not match the prime list")
     part = {"correlation": pearson(pred, obs), "rms_predicted": rms_pred,
             "rms_observed": float(np.sqrt(np.mean(obs**2)))}
     return part, pred

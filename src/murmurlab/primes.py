@@ -33,25 +33,8 @@ def first_n_primes(n: int) -> np.ndarray:
     return primes[:n]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def omega(n: int) -> int:
-    """Number of distinct prime factors of n (trial division)."""
-    if n < 1:
-        raise ValueError(f"omega is defined for positive integers, got {n}")
+    """Number of distinct prime factors of a positive n (trial division)."""
     count = 0
     m = n
     d = 2

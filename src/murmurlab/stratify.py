@@ -63,19 +63,13 @@ class StratRule:
 
     For two_group rules each group is a closed [lo, hi] interval on the
     grouping value (Sha snapped to its nearest integer first); curves in
-    neither interval stay unassigned.
+    neither interval stay unassigned.  The rules are the module's constants.
     """
 
     invariant: str
-    kind: str  # "two_group" | "quartiles"
+    kind: str  # "two_group" (with both intervals) | "quartiles"
     group_a: tuple[float, float] | None = None
     group_b: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("two_group", "quartiles"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "two_group" and (self.group_a is None or self.group_b is None):
-            raise ValueError("two_group rule needs both group intervals")
 
 
 TAMAGAWA_RULE = StratRule("tamagawa", "two_group", (1, 1), (5, _INF))
@@ -157,8 +151,6 @@ def rms_separation(means: Sequence[np.ndarray]) -> np.ndarray:
     per shuffle.
     """
     k = len(means)
-    if k < 2:
-        raise ValueError("profile RMS needs at least two profiles")
     sq = [np.mean((means[i] - means[j]) ** 2, axis=-1)
           for i in range(k) for j in range(i + 1, k)]
     return np.sqrt(np.mean(sq, axis=0))
@@ -300,8 +292,9 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
                      matrix: TraceMatrix, n_shuffles: int, seed: int) -> StratReports:
     """Permutation nulls for the RMS separation of group profiles.
 
-    Each grouping is a mapping or sequence of groups of matrix row
-    positions, and gets its own report.  Membership is reshuffled preserving
+    Each grouping is a mapping or sequence of two or more nonempty groups of
+    matrix row positions, as `partition` and the confound controls build
+    them, and gets its own report.  Membership is reshuffled preserving
     group sizes; the p-value uses the add-one estimator
     (1 + #{null >= observed}) / (1 + n_shuffles) and is bit-reproducible for
     a given seed.  The shuffles of a grouping of n rows are the permutations
@@ -319,12 +312,8 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
         raise ValueError(f"permutation test needs at least one shuffle, got {n_shuffles}")
     if isinstance(groupings, Mapping):
         raise TypeError("permutation_test takes a sequence of groupings")
-    member_lists = []
-    for groups in groupings:
-        members = list(groups.values() if isinstance(groups, Mapping) else groups)
-        if len(members) < 2 or any(len(g) == 0 for g in members):
-            raise ValueError("permutation test needs at least two nonempty groups")
-        member_lists.append(members)
+    member_lists = [list(groups.values() if isinstance(groups, Mapping) else groups)
+                    for groups in groupings]
     if not member_lists:
         return StratReports()
     buckets: dict[int, list[int]] = {}
@@ -343,18 +332,17 @@ def permutation_test(groupings: Sequence[Mapping[str, Sequence[int]]
 
 
 def bonferroni(p_values: Sequence[float]) -> dict:
-    """Bonferroni-adjusted threshold BONFERRONI_ALPHA / m, and whether every p is below it."""
-    if len(p_values) == 0:
-        raise ValueError("no p-values supplied")
+    """Bonferroni-adjusted threshold BONFERRONI_ALPHA / m, and whether every p is below it.
+
+    m >= 1: a step tests at least one rule.
+    """
     threshold = BONFERRONI_ALPHA / len(p_values)
     return {"alpha": BONFERRONI_ALPHA, "threshold": threshold,
             "all_significant": all(p < threshold for p in p_values)}
 
 
 def fit_power_law(centers: np.ndarray, rms_values: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit of RMS ~ N^(-alpha); returns (alpha, r^2)."""
-    if len(centers) < 3:
-        raise ValueError("power-law fit needs at least 3 windows")
+    """Least-squares fit of RMS ~ N^(-alpha) over >= 3 windows; returns (alpha, r^2)."""
     x = np.log(np.asarray(centers, dtype=np.float64))
     y = np.log(np.asarray(rms_values, dtype=np.float64))
     slope, intercept = np.polyfit(x, y, 1)

@@ -36,14 +36,15 @@ import hashlib
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .curves import NUMERIC_COLUMNS, CurveTable
-from .primes import first_n_primes, is_prime, sieve_up_to
+from .curves import NUMERIC_COLUMNS, CurveTable, broken_rules
+from .primes import first_n_primes, sieve_up_to
 
 #: largest prime p with floor(2 sqrt p) <= 32767, so every a_p fits the int16 matrix
 MAX_PRIME = 268_435_399
@@ -81,9 +82,11 @@ class PrimeList:
             raise ValueError("prime list is empty")
         if np.any(np.diff(p) <= 0):
             raise ValueError("prime list is not strictly increasing")
-        for q in p:
-            if not is_prime(int(q)):
-                raise ValueError(f"{q} is not prime")
+        composite = p < 2  # then trial division of the array by each prime <= sqrt(max)
+        for d in sieve_up_to(math.isqrt(max(int(p[-1]), 0))).tolist():
+            composite |= (p % d == 0) & (p > d)
+        if composite.any():
+            raise ValueError(f"{p[np.argmax(composite)]} is not prime")
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -348,13 +351,6 @@ class TraceMatrix:
     table: CurveTable | None = None  # built or cached: the table of these rows
     csv_sha256: str | None = None  # cached: the SHA-256 of the table's CSV
 
-    def __post_init__(self):
-        n, m = self.traces.shape
-        if n != len(self.curve_labels) or m != len(self.primes):
-            raise ValueError("trace matrix shape does not match labels/primes")
-        if self.bad_flags.shape != self.traces.shape:
-            raise ValueError("bad-flag shape mismatch")
-
     def __len__(self) -> int:
         return len(self.curve_labels)
 
@@ -393,13 +389,7 @@ def build_trace_matrix(table: CurveTable, primes: PrimeList) -> TraceMatrix:
     bound need not catch.  Every entry is then held to the Hasse bound.
     """
     labels = tuple(table.labels)
-    try:
-        traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes,
-                                     labels)
-    except ValueError:  # an unsupported prime, a wrong conductor
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ValueError(f"trace build failed: {exc}") from exc
+    traces, bad = _trace_columns(table.a_invariants, table.conductors, primes.primes, labels)
     _hasse_check(traces, bad, primes.primes, labels)
     return TraceMatrix(labels, primes, traces, bad, table)
 
@@ -475,9 +465,10 @@ def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
     """Write the cache of a built matrix and its table.
 
     csv_sha256 is the hex SHA-256 of the CSV the table was parsed from; see
-    load_trace_matrix for the layout.  The bytes go to `<path>.tmp` first,
-    which then replaces `path`, so a write that fails leaves no partial cache
-    at `path`; the temporary file is removed on failure.
+    load_trace_matrix for the layout.  The bytes go to a plain file in a
+    temporary directory of this writer's own beside `path`, which then
+    replaces `path`: a failed write leaves no partial cache, and no two
+    writers share a temporary file.
     """
     table, a_text = matrix.table, b""
     labels = [label.encode() for label in matrix.curve_labels]
@@ -495,8 +486,10 @@ def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
         "bad-flag bitset": np.packbits(matrix.bad_flags, axis=None, bitorder="little"),
         "labels": np.frombuffer(b"".join(labels), dtype=np.uint8),
     }
-    digest, tmp = hashlib.sha256(), f"{path}.tmp"
-    try:
+    digest = hashlib.sha256()
+    path = Path(path)
+    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as private:
+        tmp = Path(private) / "cache"
         with open(tmp, "wb") as fh:
             def write(block: bytes) -> None:
                 fh.write(block)
@@ -512,9 +505,6 @@ def persist_trace_matrix(matrix: TraceMatrix, path, csv_sha256: str) -> None:
                 write(bytes(-len(block) % 8))
             fh.write(digest.digest())
         os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
 
 
 def load_trace_matrix(path) -> TraceMatrix:
@@ -526,10 +516,12 @@ def load_trace_matrix(path) -> TraceMatrix:
     joined by commas; labels are one UTF-8 block and the end of each in it.
     Section sizes are checked against the file before any is read, and each
     is a slice of one read.  A file without the magic, another version, a
-    truncated file, a wrong size or digest, or an entry outside the Hasse
-    bound or the bad-prime range is a ValueError.  The first names the file
-    and asks for a cache that `traces` built, since that file need be no cache
-    at all; each other tells its user to remove the cache and rebuild it.
+    truncated file, a wrong size or digest, a row that breaks a row rule of
+    the CSV parse (`curves.broken_rules`), even one added after the cache was
+    written, or an entry outside the Hasse bound or the bad-prime range is a
+    ValueError.  The first names the file and asks for a cache that `traces`
+    built, since that file need be no cache at all; each other tells its
+    user to remove the cache and rebuild it.
     """
     fix = f"remove {path} and rebuild it with `traces`"
     with open(path, "rb") as fh:
@@ -561,6 +553,11 @@ def load_trace_matrix(path) -> TraceMatrix:
     a_invariants = blocks["a-invariants"]
     a_invariants = (np.array([int(v) for v in a_invariants.tobytes().split(b",")],
                              dtype=object) if a_text else a_invariants.astype(object))
+    bad, messages = broken_rules({name: blocks[column]
+                                  for column, (name, _) in NUMERIC_COLUMNS.items()})
+    if messages:
+        raise ValueError(f"cache {path} holds curve {labels[np.argmax(bad)]}, which breaks "
+                         f"an ingest rule: {messages[0]}; {fix}")
     table = CurveTable(labels, a_invariants, **{c: blocks[c] for c in NUMERIC_COLUMNS})
     traces = blocks["trace matrix"].reshape(n, m)
     bad = np.unpackbits(blocks["bad-flag bitset"], count=n * m,

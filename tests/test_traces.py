@@ -3,8 +3,10 @@ import errno
 import gc
 import hashlib
 import math
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import weakref
 
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from murmurlab import traces
+from murmurlab import curves, traces
 from murmurlab.cli import RunConfig
-from murmurlab.curves import NUMERIC_COLUMNS
-from murmurlab.primes import first_n_primes, is_prime, sieve_up_to
+from murmurlab.curves import NUMERIC_COLUMNS, parse_curve_table
+from murmurlab.primes import first_n_primes, sieve_up_to
 from murmurlab.traces import (
     MAX_PRIME,
     PrimeList,
@@ -27,9 +29,9 @@ from murmurlab.traces import (
     short_weierstrass,
 )
 
-from conftest import TWIST_DS, records, table_of, twist_of_11a1
-from oracles import (ap_oracle, extend_an, model_discriminant, random_nonsingular_model,
-                     synthetic_conductor)
+from conftest import TWIST_DS, records, serialize_curve_table, table_of, twist_of_11a1
+from oracles import (ap_oracle, extend_an, is_prime, model_discriminant,
+                     random_nonsingular_model, synthetic_conductor)
 
 SMALL_PRIMES = [int(p) for p in sieve_up_to(200)]
 
@@ -54,6 +56,27 @@ class TestPrimeList:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="increasing"):
             PrimeList(np.array([3, 2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 20_000), min_size=1, max_size=40, unique=True))
+    @example([-3, 0, 1])
+    @example([2, 3, 5, 7, 49])
+    @example([*SMALL_PRIMES, 169])
+    def test_names_the_first_composite_that_trial_division_finds(self, values):
+        values = sorted(values)
+        composite = [q for q in values if not is_prime(q)]
+        if composite:
+            with pytest.raises(ValueError, match=f"^{composite[0]} is not prime$"):
+                PrimeList(np.array(values))
+        else:
+            assert PrimeList(np.array(values)).primes.tolist() == values
+
+    def test_a_square_at_the_trial_bound_is_refused(self):
+        # 709 is the largest prime at most sqrt(709^2): the last divisor tried
+        primes = sieve_up_to(500_000)
+        assert PrimeList(primes).primes.tolist() == primes.tolist()
+        with pytest.raises(ValueError, match="^502681 is not prime$"):
+            PrimeList(np.append(primes, 709 * 709))
 
 
 class TestFrobeniusTrace:
@@ -610,6 +633,68 @@ class TestPersistence:
         assert list(tmp_path.iterdir()) == [path]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c1937abc3465af5888318ed576c0c0353a3848bf1d12cb5a2eb99672a8123b6a")
+
+    def test_two_writers_of_one_path_both_succeed(self, known_table, tmp_path, monkeypatch):
+        # both reach the rename with their bytes written, as two `traces`
+        # runs on one cache can: with a temporary file shared between them,
+        # one would rename it and the other's rename would fail
+        matrix = build_trace_matrix(known_table, PrimeList(first_n_primes(10)))
+        path = tmp_path / "traces.bin"
+        met, replace, failures = threading.Barrier(2, timeout=60), os.replace, []
+
+        def meet_then_replace(src, dst):
+            met.wait()
+            replace(src, dst)
+
+        def write():
+            try:
+                persist_trace_matrix(matrix, path, CSV_SHA256)
+            except BaseException as exc:
+                failures.append(exc)
+
+        monkeypatch.setattr(traces.os, "replace", meet_then_replace)
+        writers = [threading.Thread(target=write) for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers) and failures == []
+        assert list(tmp_path.iterdir()) == [path]
+        assert np.array_equal(load_trace_matrix(path).traces, matrix.traces)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_a_row_that_breaks_an_ingest_rule_is_refused(self, known_table, tmp_path):
+        # rank 0 with root number -1: the CSV parse rejects the row with this
+        # text, and the cache load refuses a cache that holds it
+        recs = list(records(known_table))
+        i = next(i for i, r in enumerate(recs) if r.rank == 0)
+        recs[i] = dataclasses.replace(recs[i], root_number=-1)
+        broken = table_of(recs)
+        rule, = (e["message"] for e in
+                 parse_curve_table(serialize_curve_table(broken)).errors)
+        assert rule == "parity violation: rank 0 with root number -1"
+        path = tmp_path / "traces.bin"
+        persist_trace_matrix(build_trace_matrix(broken, PrimeList(first_n_primes(10))),
+                             path, CSV_SHA256)
+        with pytest.raises(ValueError) as refused:
+            load_trace_matrix(path)
+        assert str(refused.value) == (
+            f"cache {path} holds curve {recs[i].label}, which breaks an ingest rule: "
+            f"{rule}; remove {path} and rebuild it with `traces`")
+
+    def test_a_rule_added_after_the_write_holds_for_the_cache(self, known_table, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "traces.bin"
+        persist_trace_matrix(build_trace_matrix(known_table, PrimeList(first_n_primes(10))),
+                             path, CSV_SHA256)
+        rules = curves._rules
+        monkeypatch.setattr(curves, "_rules", lambda v: (
+            *rules(v), (v["conductor"] == 37, "conductor {conductor} is taken")))
+        with pytest.raises(ValueError, match="^cache .* holds curve 37a1, which breaks an "
+                                             "ingest rule: conductor 37 is taken; remove "):
+            load_trace_matrix(path)
 
     def test_a_write_that_fails_partway_leaves_no_file(self, known_table, tmp_path,
                                                        monkeypatch):
